@@ -120,6 +120,7 @@ __all__ = [
     "optimal_limit",
     "optimal_partial",
     "optimal_side_info",
+    "renyi_div",
     "simulate_growth",
     "track_constant",
     "utility_full",

@@ -29,6 +29,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -47,6 +48,9 @@ from .market import (
 KKT_GAP_TOL = 1e-8
 RESIDUAL_TOL = 1e-9
 ORACLE_VALUE_TOL = 1e-9
+# Kelly bets equal the probabilities up to the few ulps that renormalizing a
+# vector summing to 1 - 1 ulp can move them.
+KELLY_BETS_RTOL = 4 * np.finfo(float).eps
 
 
 class _CommandError(Exception):
@@ -133,6 +137,8 @@ def _parse_side_info(doc: dict) -> SideInfoMarket:
     if not isinstance(joint, list) or not joint or not all(isinstance(r, list) for r in joint):
         raise _fail(2, "side_info.joint must be a nonempty list of rows")
     signals = block.get("signals")
+    if signals is not None and not isinstance(signals, list):
+        raise _fail(2, "side_info.signals must be a list")
     if signals is not None and len(signals) != len(joint):
         raise _fail(2, "side_info.signals length must match the number of joint rows")
     for y, row in enumerate(joint):
@@ -201,17 +207,6 @@ def cmd_analyze(args) -> tuple[dict, int]:
 # ---------------------------------------------------------------- optimize
 
 
-def _decomposition_doc(report: utility.DecompositionReport) -> dict:
-    return {
-        "log_c": report.log_c,
-        "bookie_term": report.bookie_term,
-        "gambler_term": report.gambler_term,
-        "total": report.total,
-        "direct": report.direct,
-        "residual": report.residual,
-    }
-
-
 def _check_full(market: RaceMarket, beta: float, alloc, value: float, k: int) -> tuple[dict, int]:
     grid = oracle.GridSpec(resolution=k, dimension=market.m)
     grid_alloc, grid_value = oracle.grid_search_full(market, beta, grid)
@@ -237,15 +232,8 @@ def _check_partial(
 ) -> tuple[dict, int]:
     grid = oracle.GridSpec(resolution=k, dimension=market.m + 1)
     _, grid_value = oracle.grid_search_partial(market, beta, grid)
-    report = oracle.kkt_residual(market, beta, sol.allocation, gamma_cap=sol.gamma_cap)
-    gaps = [
-        report.stationarity_gap,
-        report.feasibility_gap,
-        report.cash_stationarity_gap,
-        report.cash_feasibility_gap,
-    ]
-    if report.mu_gamma_gap is not None:
-        gaps.append(report.mu_gamma_gap)
+    kkt = asdict(oracle.kkt_residual(market, beta, sol.allocation, gamma_cap=sol.gamma_cap))
+    gaps = [gap for name, gap in kkt.items() if name != "mu" and gap is not None]
     ok = (grid_value - sol.utility) <= ORACLE_VALUE_TOL and max(gaps) < KKT_GAP_TOL
     doc = {
         "kind": "grid_partial_and_kkt",
@@ -253,14 +241,7 @@ def _check_partial(
         "grid_value_bits": grid_value,
         "analytic_value_bits": sol.utility,
         "grid_minus_analytic": grid_value - sol.utility,
-        "kkt": {
-            "mu": report.mu,
-            "stationarity_gap": report.stationarity_gap,
-            "feasibility_gap": report.feasibility_gap,
-            "cash_stationarity_gap": report.cash_stationarity_gap,
-            "cash_feasibility_gap": report.cash_feasibility_gap,
-            "mu_gamma_gap": report.mu_gamma_gap,
-        },
+        "kkt": kkt,
         "passed": ok,
     }
     return doc, 0 if ok else 4
@@ -271,10 +252,12 @@ def _optimize_full(market: RaceMarket, beta: float, args, out: dict) -> int:
     if beta == 0.0:
         alloc = strategy.kelly(market)
         value = utility.doubling_rate(market, alloc)
-        out["decomposition"] = _decomposition_doc(utility.decompose_kelly(market, alloc))
+        out["decomposition"] = asdict(utility.decompose_kelly(market, alloc))
         if args.check:
             residual = out["decomposition"]["residual"]
-            ok = residual < RESIDUAL_TOL and np.array_equal(alloc.bets, market.probs)
+            ok = residual < RESIDUAL_TOL and np.allclose(
+                alloc.bets, market.probs, rtol=KELLY_BETS_RTOL, atol=0.0
+            )
             out["oracle_check"] = {"kind": "kelly_identity", "residual": residual, "passed": ok}
             code = 0 if ok else 4
     elif math.isinf(beta):
@@ -297,13 +280,13 @@ def _optimize_full(market: RaceMarket, beta: float, args, out: dict) -> int:
             alloc = strategy.optimal_degenerate(market, beta)
         else:
             alloc = strategy.optimal_full(market, beta)
-            out["decomposition"] = _decomposition_doc(utility.decompose_full(market, alloc, beta))
+            out["decomposition"] = asdict(utility.decompose_full(market, alloc, beta))
         value = utility.utility_full(market, alloc, beta)
         if args.check:
             out["oracle_check"], code = _check_full(
                 market, beta, alloc, value, args.grid_resolution
             )
-    out["allocation"] = {"type": "full", "bets": _floats(strategy.Allocation(alloc.bets).bets)}
+    out["allocation"] = {"type": "full", "bets": _floats(alloc.bets)}
     out["utility_bits"] = value
     return code
 
@@ -312,11 +295,10 @@ def _optimize_partial(market: RaceMarket, beta: float, args, out: dict) -> int:
     if beta == 0.0 or math.isinf(beta) or beta >= 1.0:
         raise _fail(3, "partial mode needs a finite nonzero beta < 1")
     sol = strategy.optimal_partial(market, beta)
-    alloc = strategy.PartialAllocation(sol.allocation.cash, sol.allocation.bets)
     out["allocation"] = {
         "type": "partial",
-        "cash": alloc.cash,
-        "bets": _floats(alloc.bets),
+        "cash": sol.allocation.cash,
+        "bets": _floats(sol.allocation.bets),
         "support": list(sol.support),
         "gamma_cap": sol.gamma_cap,
         "gammas": None if sol.gammas is None else _floats(sol.gammas),
@@ -335,11 +317,11 @@ def _optimize_side_info(market: SideInfoMarket, beta: float, args, out: dict) ->
     report = utility.decompose_side_info(market, alloc, beta)
     out["allocation"] = {
         "type": "side_info",
-        "table": _table(strategy.ConditionalAllocation(alloc.table).table),
+        "table": _table(alloc.table),
         "signal_weights": _floats(signal_weights),
     }
     out["utility_bits"] = report.direct
-    out["decomposition"] = _decomposition_doc(report)
+    out["decomposition"] = asdict(report)
     code = 0
     if args.check:
         from .divergence import renyi_div
@@ -456,7 +438,10 @@ def _load_dist_arg(text: str, field: str) -> list[list[float]]:
                 data = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise _fail(2, f"{field}: cannot load {text!r}: {exc}")
-        arr = np.asarray(data, dtype=float)
+        try:
+            arr = np.asarray(data, dtype=float)
+        except (TypeError, ValueError):
+            raise _fail(2, f"{field}: JSON file must hold a vector or a table of numbers")
         if arr.ndim == 1:
             return [list(map(float, arr))]
         if arr.ndim == 2:

@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import (
     InvalidDistributionError,
@@ -56,6 +55,25 @@ def _check_order(alpha: float, allow_one: bool) -> float:
     return alpha
 
 
+def _logsumexp(a, axis: int | None = None):
+    """Natural log of ``sum(exp(a))`` over ``axis``: the package's one log-sum-exp.
+
+    Never NaN: any ``+inf`` entry gives ``+inf``; a sum of ``-inf`` entries
+    only, or of none, gives ``-inf``.  Uses one scratch array the size of ``a``.
+    """
+    a = np.asarray(a, dtype=float)
+    peak = a.max(axis=axis, keepdims=True, initial=-math.inf)
+    peak[~np.isfinite(peak)] = 0.0
+    scratch = a - peak
+    # exp overflows only beside a +inf entry, whose sum is +inf anyway, and
+    # log(0) is the -inf of a sum with no terms.
+    with np.errstate(over="ignore", divide="ignore"):
+        np.exp(scratch, out=scratch)
+        out = np.log(scratch.sum(axis=axis, keepdims=True))
+    out += peak
+    return float(out.ravel()[0]) if axis is None else out.squeeze(axis)
+
+
 def _kl_bits(p: np.ndarray, q: np.ndarray) -> float:
     support = p > 0.0
     if np.any(q[support] == 0.0):
@@ -64,16 +82,34 @@ def _kl_bits(p: np.ndarray, q: np.ndarray) -> float:
     return float(np.sum(ps * (np.log2(ps) - np.log2(q[support]))))
 
 
-def _log_power_sum(p: np.ndarray, q: np.ndarray, alpha: float) -> float:
-    """Natural log of ``sum_x p(x)^alpha q(x)^(1-alpha)``, or +inf / -inf."""
-    support = p > 0.0
-    if alpha > 1.0 and np.any(q[support] == 0.0):
+def _log_power_sum(log_p: np.ndarray, log_q: np.ndarray, alpha: float, axis: int | None = None):
+    """Natural log of ``sum_x p(x)^alpha q(x)^(1-alpha)`` from natural-log PMFs.
+
+    ``+inf`` for a support violation at ``alpha > 1``, ``-inf`` when no term survives.
+    """
+    support, live = log_p > -math.inf, log_q > -math.inf
+    terms = np.full(log_p.shape, -math.inf)
+    both = support & live
+    terms[both] = alpha * log_p[both] + (1.0 - alpha) * log_q[both]
+    if alpha > 1.0:
+        terms[support & ~live] = math.inf
+    return _logsumexp(terms, axis=axis)
+
+
+def _renyi_from_logs(log_p: np.ndarray, log_q: np.ndarray, alpha: float) -> float:
+    """Renyi divergence of order ``alpha != 1`` in bits, from validated natural-log PMFs."""
+    log_sum = _log_power_sum(log_p, log_q, alpha)
+    if math.isinf(log_sum):
+        # +inf is a support violation; -inf means disjoint supports, which
+        # blow the divergence up for every order.
         return math.inf
-    both = support & (q > 0.0)
-    if not np.any(both):
-        return -math.inf
-    terms = alpha * np.log(p[both]) + (1.0 - alpha) * np.log(q[both])
-    return float(logsumexp(terms))
+    return log_sum / ((alpha - 1.0) * _LN2)
+
+
+def _log(arr: np.ndarray) -> np.ndarray:
+    """Natural log that maps 0 to ``-inf`` without a warning."""
+    with np.errstate(divide="ignore"):
+        return np.log(arr)
 
 
 def renyi_div(p, q, alpha: float) -> float:
@@ -90,13 +126,7 @@ def renyi_div(p, q, alpha: float) -> float:
         raise LengthMismatchError(f"p has length {p.size} but q has length {q.size}")
     if alpha == 1.0:
         return _kl_bits(p, q)
-    log_sum = _log_power_sum(p, q, alpha)
-    if log_sum == math.inf:
-        return math.inf
-    if log_sum == -math.inf:
-        # Disjoint supports: the divergence blows up for every order.
-        return math.inf
-    return log_sum / ((alpha - 1.0) * _LN2)
+    return _renyi_from_logs(_log(p), _log(q), alpha)
 
 
 def _validated_cond_table(values, name: str, check_rows: np.ndarray) -> np.ndarray:
@@ -141,14 +171,11 @@ def cond_renyi_div(p_cond, q_cond, p_y, alpha: float) -> float:
             f"conditional tables have {p_cond.shape[0]} rows but p_y has length {p_y.size}"
         )
 
-    outer_terms = []
-    for y in np.flatnonzero(active):
-        inner = _log_power_sum(p_cond[y], q_cond[y], alpha)
-        if inner == math.inf:
-            return math.inf
-        # inner == -inf means the bracket is zero and the signal contributes 0.
-        outer_terms.append(math.log(p_y[y]) + inner / alpha)
-    log_outer = float(logsumexp(np.asarray(outer_terms)))
+    inner = _log_power_sum(_log(p_cond[active]), _log(q_cond[active]), alpha, axis=1)
+    if np.any(inner == math.inf):
+        return math.inf
+    # inner == -inf means the bracket is zero and the signal contributes 0.
+    log_outer = _logsumexp(np.log(p_y[active]) + inner / alpha)
     if log_outer == -math.inf:
         return math.inf
     return (alpha / (alpha - 1.0)) * log_outer / _LN2

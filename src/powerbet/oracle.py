@@ -24,6 +24,7 @@ from typing import Iterator
 
 import numpy as np
 
+from .divergence import _log, _logsumexp
 from .errors import GridTooLargeError, LengthMismatchError, NotEvaluableError
 from .market import RaceMarket
 from .strategy import Allocation, PartialAllocation, _check_finite_beta
@@ -109,19 +110,9 @@ def _composition_chunks(spec: GridSpec) -> Iterator[np.ndarray]:
 
 
 def _batch_utilities(probs: np.ndarray, payoffs: np.ndarray, beta: float) -> np.ndarray:
-    """Row-wise ``(1/beta) log2 sum_i p_i payoff_i^beta``, vectorized and log-domain."""
-    with np.errstate(divide="ignore"):
-        log_payoffs = np.log(payoffs)
-    terms = np.log(probs)[None, :] + beta * log_payoffs
-    peak = terms.max(axis=1)
-    out = np.full(payoffs.shape[0], -math.inf)
-    ok = np.isfinite(peak)
-    if np.any(ok):
-        rows = terms[ok] - peak[ok, None]
-        out[ok] = (peak[ok] + np.log(np.exp(rows).sum(axis=1))) / (beta * _LN2)
-    # peak = +inf happens only for beta < 0 with a zero payoff: utility -inf.
-    # peak = -inf happens only when every payoff is zero: also -inf.
-    return out
+    """Row-wise ``(1/beta) log2 sum_i p_i payoff_i^beta``; a zero payoff is a +/-inf term."""
+    terms = np.log(probs)[None, :] + beta * _log(payoffs)
+    return _logsumexp(terms, axis=1) / (beta * _LN2)
 
 
 def _check_grid(grid: GridSpec, dimension: int) -> None:
@@ -268,12 +259,7 @@ def estimate_ubeta(
         raise NotEvaluableError(f"need at least one sample, got {n_samples}")
     winners = _winners(market, n_samples, seed)
     payoffs = b.bets[winners] * market.odds[winners]
-    if beta < 0.0 and np.any(payoffs == 0.0):
-        return -math.inf
-    with np.errstate(divide="ignore"):
-        terms = beta * np.log(payoffs)
-    peak = terms.max()
-    if peak == -math.inf:
-        return -math.inf
-    log_mean = peak + math.log(np.exp(terms - peak).sum()) - math.log(n_samples)
-    return log_mean / (beta * _LN2)
+    # a zero payoff is a +inf term for beta < 0, so the estimate is -inf
+    terms = _log(payoffs)
+    terms *= beta
+    return (_logsumexp(terms) - math.log(n_samples)) / (beta * _LN2)

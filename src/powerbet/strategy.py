@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .divergence import _log, _logsumexp
 from .errors import (
     BetaOutOfRangeError,
     InvalidDistributionError,
@@ -159,19 +160,22 @@ def _check_interior_beta(beta: float) -> float:
     return beta
 
 
+def _log_weights_full(market: RaceMarket, beta: float) -> np.ndarray:
+    """Natural logs of the interior optimum's fractions, for a validated ``beta``."""
+    scores = (np.log(market.probs) + beta * np.log(market.odds)) / (1.0 - beta)
+    return scores - _logsumexp(scores)
+
+
 def optimal_full(market: RaceMarket, beta: float) -> Allocation:
     """Unique full-investment optimum for finite nonzero ``beta < 1``.
 
     The optimal fraction on horse ``i`` is proportional to
-    ``p_i^(1/(1-beta)) * o_i^(beta/(1-beta))``; every entry is strictly
-    positive.  Exponents are applied in the log domain so parameters close
-    to 1 do not overflow.
+    ``p_i^(1/(1-beta)) * o_i^(beta/(1-beta))``, normalized in the log domain
+    so parameters close to 1 do not overflow; there the smallest fractions
+    may underflow to 0.
     """
     beta = _check_interior_beta(beta)
-    scores = (np.log(market.probs) + beta * np.log(market.odds)) / (1.0 - beta)
-    scores -= scores.max()
-    weights = np.exp(scores)
-    return Allocation(weights / weights.sum())
+    return Allocation(np.exp(_log_weights_full(market, beta)))
 
 
 def kelly(market: RaceMarket) -> Allocation:
@@ -225,23 +229,16 @@ def optimal_side_info(
     Horses that cannot win under a signal get a zero fraction in that row.
     """
     beta = _check_interior_beta(beta)
-    p_cond = market.conditional()
-    p_y = market.signal_probs
-    with np.errstate(divide="ignore"):
-        scores = (np.log(p_cond) + beta * np.log(market.odds)[None, :]) / (1.0 - beta)
-    row_max = scores.max(axis=1)
-    assert np.all(np.isfinite(row_max)), "every signal row has a positive entry"
-    weights = np.exp(scores - row_max[:, None])
-    row_sums = weights.sum(axis=1)
-    table = weights / row_sums[:, None]
+    log_table, log_g_y = _log_weights_side_info(market, beta)
+    return ConditionalAllocation(np.exp(log_table)), np.exp(log_g_y)
 
-    # log of the row normalizer in natural units, for the signal weights
-    inner = row_max + np.log(row_sums)
-    signal_scores = np.log(p_y) + (1.0 - beta) * inner
-    signal_scores -= signal_scores.max()
-    g_y = np.exp(signal_scores)
-    g_y /= g_y.sum()
-    return ConditionalAllocation(table), g_y
+
+def _log_weights_side_info(market: SideInfoMarket, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Natural logs of the optimal rows (``-inf`` for impossible winners) and signal weights."""
+    scores = (_log(market.conditional()) + beta * np.log(market.odds)[None, :]) / (1.0 - beta)
+    inner = _logsumexp(scores, axis=1)  # every signal row has a positive entry
+    signal_scores = np.log(market.signal_probs) + (1.0 - beta) * inner
+    return scores - inner[:, None], signal_scores - _logsumexp(signal_scores)
 
 
 def _partial_candidate(
@@ -274,12 +271,13 @@ def optimal_partial(market: RaceMarket, beta: float) -> PartialSolution:
 
     With a fair or superfair track (c >= 1) holding cash never helps, so the
     full-investment optimum is returned with zero cash.  With subfair odds
-    the optimum always keeps some cash; its support is a prefix of the
-    horses ordered by decreasing ``p_i * o_i``.  Every prefix is tried: the
-    closed form for the support yields a candidate allocation (skipped when
-    its threshold is undefined or a coefficient overflows), candidates are
-    scored by their utility, and the best one wins with ties going to the
-    smaller support.
+    the optimum keeps some cash, and Kelly's threshold rule gives its
+    support, whatever ``beta``: rank the horses by decreasing ``p_i * o_i``
+    (ties to the smaller index) and add them in turn while ``p_k * o_k``
+    exceeds the threshold ``cap = (1 - sum_J p_i) / (1 - sum_J 1/o_i)`` of
+    the support ``J`` so far.  The closed form for that support gives the
+    allocation; :class:`BetaOutOfRangeError` is raised only when it
+    overflows, which takes ``beta`` close to 1.
     """
     from .utility import utility_partial
 
@@ -295,33 +293,31 @@ def optimal_partial(market: RaceMarket, beta: float) -> PartialSolution:
             utility=utility_partial(market, alloc, beta),
         )
 
-    order = np.argsort(-market.probs * market.odds, kind="stable")
-    best: PartialSolution | None = None
+    scores = market.probs * market.odds
+    order = np.argsort(-scores, kind="stable")
+    # Horse order[k] joins while p*o beats the threshold outside/slack of the
+    # support order[:k]; multiplying through keeps a slack <= 0 from dividing.
+    outside = 1.0 - np.concatenate(([0.0], np.cumsum(market.probs[order])[:-1]))
+    slack = 1.0 - np.concatenate(([0.0], np.cumsum(1.0 / market.odds[order])[:-1]))
+    extend = (slack > 0.0) & (scores[order] * slack > outside)
     chosen = np.zeros(market.m, dtype=bool)
-    for k in range(market.m + 1):
-        if k > 0:
-            chosen[order[k - 1]] = True
-        candidate = _partial_candidate(market, beta, chosen)
-        if candidate is None:
-            continue
-        cap, gammas = candidate
-        cash = 1.0 / (1.0 + gammas.sum())
-        alloc = PartialAllocation(cash, gammas * cash)
-        value = utility_partial(market, alloc, beta)
-        if best is None or value > best.utility:
-            best = PartialSolution(
-                allocation=alloc,
-                support=tuple(int(i) for i in np.flatnonzero(alloc.bets > 0.0)),
-                gamma_cap=cap,
-                gammas=_freeze(gammas),
-                utility=value,
-            )
-    if best is None:
+    chosen[order[: np.logical_and.accumulate(extend).sum()]] = True
+    candidate = _partial_candidate(market, beta, chosen)
+    if candidate is None:
         raise BetaOutOfRangeError(
-            f"every candidate support overflowed at beta={beta!r}; "
+            f"the threshold support overflowed at beta={beta!r}; "
             "the solution is not representable this close to 1"
         )
-    return best
+    cap, gammas = candidate
+    cash = 1.0 / (1.0 + gammas.sum())
+    alloc = PartialAllocation(cash, gammas * cash)
+    return PartialSolution(
+        allocation=alloc,
+        support=tuple(int(i) for i in np.flatnonzero(alloc.bets > 0.0)),
+        gamma_cap=cap,
+        gammas=_freeze(gammas),
+        utility=utility_partial(market, alloc, beta),
+    )
 
 
 def fold_cash_into_bets(market: RaceMarket, partial: PartialAllocation) -> Allocation:

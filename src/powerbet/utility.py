@@ -23,9 +23,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .divergence import cond_renyi_div, renyi_div
+from .divergence import _log, _logsumexp, _renyi_from_logs, cond_renyi_div, renyi_div
 from .errors import BetaOutOfRangeError, LengthMismatchError, ZeroBetError
 from .market import RaceMarket, SideInfoMarket, bookie_distribution, track_constant
 from .strategy import (
@@ -34,8 +33,8 @@ from .strategy import (
     PartialAllocation,
     _check_finite_beta,
     _check_interior_beta,
-    optimal_full,
-    optimal_side_info,
+    _log_weights_full,
+    _log_weights_side_info,
 )
 
 _LN2 = math.log(2.0)
@@ -66,14 +65,9 @@ def _require_same_length(market, bets) -> None:
 
 
 def _log2_power_mean(probs: np.ndarray, payoffs: np.ndarray, beta: float) -> float:
-    """``(1/beta) * log2 sum p_i * payoff_i^beta`` with zero-payoff conventions."""
-    if beta < 0.0 and np.any(payoffs == 0.0):
-        return -math.inf
-    mask = payoffs > 0.0
-    if not np.any(mask):
-        return -math.inf
-    terms = np.log(probs[mask]) + beta * np.log(payoffs[mask])
-    return float(logsumexp(terms)) / (beta * _LN2)
+    """``(1/beta) * log2 sum p_i * payoff_i^beta``; a zero payoff is a +/-inf term."""
+    terms = np.log(probs) + beta * _log(payoffs)
+    return _logsumexp(terms) / (beta * _LN2)
 
 
 def utility_full(market: RaceMarket, b: Allocation, beta: float) -> float:
@@ -139,13 +133,16 @@ def _residual(total: float, direct: float) -> float:
 
 
 def decompose_full(market: RaceMarket, b: Allocation, beta: float) -> DecompositionReport:
-    """Three-term report for a full-investment allocation, finite ``beta < 1``."""
+    """Three-term report for a full-investment allocation, finite ``beta < 1``.
+
+    The gambler term is evaluated from the optimizer's log-weights, so
+    optimal fractions that underflow to 0 near ``beta = 1`` still count.
+    """
     beta = _check_interior_beta(beta)
     _require_same_length(market, b.bets)
-    g = optimal_full(market, beta)
     log_c = math.log2(track_constant(market))
     bookie = renyi_div(market.probs, bookie_distribution(market), 1.0 / (1.0 - beta))
-    gambler = renyi_div(g.bets, b.bets, 1.0 - beta)
+    gambler = _renyi_from_logs(_log_weights_full(market, beta), _log(b.bets), 1.0 - beta)
     total = log_c + bookie - gambler
     direct = utility_full(market, b, beta)
     return DecompositionReport(log_c, bookie, gambler, total, direct, _residual(total, direct))
@@ -172,23 +169,22 @@ def decompose_side_info(
     The bookie term is the conditional divergence of the winner-given-signal
     table from the bookie distribution; the gambler term compares the joint
     distributions ``g(x|y) g(y)`` and ``b(x|y) g(y)`` built from the optimal
-    signal weights.
+    signal weights, evaluated from the optimizer's log-weights.
     """
     beta = _check_interior_beta(beta)
     if b.table.shape != market.joint.shape:
         raise LengthMismatchError(
             f"allocation table has shape {b.table.shape} but the joint has {market.joint.shape}"
         )
-    g_cond, g_y = optimal_side_info(market, beta)
+    log_g_cond, log_g_y = _log_weights_side_info(market, beta)
     log_c = math.log2(track_constant(market))
     r = bookie_distribution(market)
     r_table = np.broadcast_to(r, market.joint.shape)
     bookie = cond_renyi_div(
         market.conditional(), r_table, market.signal_probs, 1.0 / (1.0 - beta)
     )
-    g_joint = (g_cond.table * g_y[:, None]).ravel()
-    b_joint = (b.table * g_y[:, None]).ravel()
-    gambler = renyi_div(g_joint, b_joint, 1.0 - beta)
+    log_g_joint = log_g_cond + log_g_y[:, None]
+    gambler = _renyi_from_logs(log_g_joint, _log(b.table) + log_g_y[:, None], 1.0 - beta)
     total = log_c + bookie - gambler
     direct = utility_side_info(market, b, beta)
     return DecompositionReport(log_c, bookie, gambler, total, direct, _residual(total, direct))

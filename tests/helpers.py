@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from powerbet import Allocation, ConditionalAllocation, PartialAllocation, RaceMarket
-from powerbet import SideInfoMarket, new_race, new_side_info, track_constant
+from powerbet import SideInfoMarket, new_race, new_side_info, track_constant, utility_partial
 
 
 def random_market(rng, m, odds_lo=1.2, odds_hi=8.0) -> RaceMarket:
@@ -66,3 +66,32 @@ def random_joint_market(rng, n_signals, n_horses, positive_marginals=False) -> S
 def random_conditional_allocation(rng, n_signals, n_horses, floor=0.05) -> ConditionalAllocation:
     rows = [random_interior_allocation(rng, n_horses, floor).bets for _ in range(n_signals)]
     return ConditionalAllocation(np.vstack(rows))
+
+
+def prefix_search_partial(market: RaceMarket, beta: float):
+    """Brute-force partial-investment reference for a subfair market.
+
+    Tries the closed form on every prefix of the horses ranked by
+    decreasing ``p_i * o_i``, skips prefixes whose threshold is undefined or
+    whose coefficients overflow, and keeps the best utility, ties going to
+    the smaller prefix.  Returns ``(support, utility)``, or None when every
+    prefix was skipped.
+    """
+    from powerbet.strategy import _partial_candidate
+
+    order = np.argsort(-market.probs * market.odds, kind="stable")
+    best = None
+    chosen = np.zeros(market.m, dtype=bool)
+    for k in range(market.m + 1):
+        if k > 0:
+            chosen[order[k - 1]] = True
+        candidate = _partial_candidate(market, beta, chosen)
+        if candidate is None:
+            continue
+        _, gammas = candidate
+        cash = 1.0 / (1.0 + gammas.sum())
+        alloc = PartialAllocation(cash, gammas * cash)
+        value = utility_partial(market, alloc, beta)
+        if best is None or value > best[1]:
+            best = (tuple(int(i) for i in np.flatnonzero(alloc.bets > 0.0)), value)
+    return best

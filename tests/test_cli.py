@@ -121,6 +121,34 @@ class TestOptimize:
         capsys.readouterr()
         assert code == 3
 
+    def test_kelly_check_tolerates_renormalization_ulps(self, capsys, tmp_path):
+        # these probabilities renormalize to a vector summing to 1 - 1 ulp,
+        # which the allocation renormalizes once more
+        doc = {
+            "horses": [
+                {"p": 0.630855, "odds": 6},
+                {"p": 0.364814, "odds": 6},
+                {"p": 0.004331, "odds": 6},
+            ]
+        }
+        path = tmp_path / "ulp.json"
+        path.write_text(json.dumps(doc))
+        code, out = run(capsys, "optimize", str(path), "--beta", "kelly", "--check")
+        assert code == 0
+        assert json.loads(out)["oracle_check"]["passed"] is True
+
+    def test_non_list_signals_names_the_field(self, capsys, tmp_path):
+        doc = {
+            "horses": [{"p": 0.5, "odds": 2.0}, {"p": 0.5, "odds": 3.0}],
+            "side_info": {"signals": 5, "joint": [[0.5, 0.0], [0.0, 0.5]]},
+        }
+        path = tmp_path / "signals.json"
+        path.write_text(json.dumps(doc))
+        code = main(["optimize", str(path), "--beta", "0.5", "--mode", "side-info"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "side_info.signals" in err
+
     def test_spec_file_defaults(self, capsys, tmp_path):
         doc = {"horses": [{"p": 0.6, "odds": 2.0}, {"p": 0.4, "odds": 2.0}], "beta": 0.5}
         path = tmp_path / "withbeta.json"
@@ -197,6 +225,15 @@ class TestDivergenceCmd:
         assert code == 0
         expected = 0.6 * math.log2(1.2) + 0.4 * math.log2(0.8)
         assert json.loads(out)["divergence_bits"] == pytest.approx(expected, abs=1e-14)
+
+    @pytest.mark.parametrize("content", ['["a", "b"]', "[[0.5, 0.5], [0.5]]"])
+    def test_non_numeric_file_names_the_field(self, capsys, tmp_path, content):
+        p_file = tmp_path / "p.json"
+        p_file.write_text(content)
+        code = main(["divergence", "--alpha", "0.5", "-p", str(p_file), "-q", "0.5,0.5"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "-p" in err
 
     def test_invalid_distribution(self, capsys):
         code = main(["divergence", "--alpha", "0.5", "-p", "0.9,0.9", "-q", "0.5,0.5"])

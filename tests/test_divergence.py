@@ -11,6 +11,8 @@ from powerbet import (
     renyi_div,
 )
 
+from powerbet.divergence import _logsumexp
+
 from helpers import random_pmf
 
 
@@ -155,3 +157,58 @@ class TestConditionalProperties:
                 marginal = renyi_div(p_x, r, alpha)
                 conditional = cond_renyi_div(p_cond, r_table, p_y, alpha)
                 assert marginal <= conditional + 1e-12
+
+
+def _fsum_logsumexp(values) -> float:
+    """Reference log-sum-exp: exact summation of the shifted exponentials."""
+    finite = [v for v in values if math.isfinite(v)]
+    if not finite:
+        return -math.inf
+    peak = max(finite)
+    return peak + math.log(math.fsum(math.exp(v - peak) for v in finite))
+
+
+class TestLogSumExpKernel:
+    def test_finite_inputs_match_fsum(self):
+        rng = np.random.default_rng(19)
+        for _ in range(200):
+            n = int(rng.integers(1, 50))
+            offset = float(rng.choice([0.0, -700.0, 700.0, -1e5]))
+            values = offset + rng.uniform(-40.0, 40.0, size=n)
+            expected = _fsum_logsumexp(values)
+            assert _logsumexp(values) == pytest.approx(expected, rel=1e-14, abs=1e-13)
+
+    def test_negative_infinity_entries_are_zero_terms(self):
+        values = np.array([-math.inf, math.log(0.25), -math.inf, math.log(0.5)])
+        assert _logsumexp(values) == pytest.approx(math.log(0.75), abs=1e-15)
+
+    def test_all_negative_infinity_and_empty_give_negative_infinity(self):
+        assert _logsumexp(np.full(3, -math.inf)) == -math.inf
+        assert _logsumexp(np.array([])) == -math.inf
+
+    def test_positive_infinity_wins(self):
+        assert _logsumexp(np.array([0.0, math.inf, 1.0])) == math.inf
+        assert _logsumexp(np.array([-math.inf, math.inf])) == math.inf
+
+    def test_rows(self):
+        rng = np.random.default_rng(20)
+        table = rng.uniform(-30.0, 30.0, size=(6, 5))
+        table[1, :2] = -math.inf
+        table[2, :] = -math.inf
+        table[3, 4] = math.inf
+        out = _logsumexp(table, axis=1)
+        assert out.shape == (6,)
+        for row, value in zip(table, out):
+            if math.inf in row:
+                assert value == math.inf
+            else:
+                assert value == pytest.approx(_fsum_logsumexp(row), rel=1e-14, abs=1e-13)
+        assert out[2] == -math.inf
+        assert not np.any(np.isnan(out))
+
+    def test_never_nan_and_silent(self):
+        specials = [-math.inf, math.inf, 0.0, -1e300, 1e300, -1000.0, 1000.0]
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            for a in specials:
+                for b in specials:
+                    assert not math.isnan(_logsumexp(np.array([a, b])))

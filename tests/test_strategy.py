@@ -11,6 +11,7 @@ from powerbet import (
     dispatch,
     fold_cash_into_bets,
     kelly,
+    kkt_residual,
     new_race,
     new_side_info,
     optimal_degenerate,
@@ -25,6 +26,7 @@ from powerbet import (
 )
 
 from helpers import (
+    prefix_search_partial,
     random_interior_allocation,
     random_market,
     random_partial_allocation,
@@ -227,7 +229,7 @@ class TestOptimalPartial:
 
     def test_support_is_a_payoff_prefix_with_positive_cash(self):
         rng = np.random.default_rng(17)
-        for beta in (-0.5, 0.5):
+        for beta in (-0.5, 0.5, 0.9, 0.99):
             for _ in range(50):
                 market = random_subfair_market(rng, int(rng.integers(2, 6)))
                 sol = optimal_partial(market, beta)
@@ -245,6 +247,29 @@ class TestOptimalPartial:
                 assert sol.allocation.cash == pytest.approx(
                     1.0 / (1.0 + sol.gammas.sum()), rel=1e-12
                 )
+                report = kkt_residual(market, beta, sol.allocation, gamma_cap=sol.gamma_cap)
+                assert report.stationarity_gap < 1e-8
+                assert report.feasibility_gap < 1e-8
+                assert report.cash_stationarity_gap < 1e-8
+                assert report.cash_feasibility_gap < 1e-8
+                assert report.mu_gamma_gap < 1e-8
+
+    def test_threshold_support_matches_prefix_search(self):
+        rng = np.random.default_rng(21)
+        for beta in (-3.0, -0.5, 0.3, 0.5):
+            for _ in range(100):
+                market = random_subfair_market(rng, int(rng.integers(2, 12)))
+                sol = optimal_partial(market, beta)
+                support, value = prefix_search_partial(market, beta)
+                assert sol.support == support or abs(sol.utility - value) <= 1e-12
+
+    def test_raises_only_when_the_closed_form_overflows(self):
+        # p*o / cap = 4.5 for the backed horse: its coefficient is
+        # 4.5^(1/(1-beta)), past the largest double at beta = 0.999
+        market = new_race([0.9, 0.1], [1.5, 1.5])
+        assert optimal_partial(market, 0.99).support == (0,)
+        with pytest.raises(BetaOutOfRangeError):
+            optimal_partial(market, 0.999)
 
     def test_beats_random_partial_rivals(self):
         rng = np.random.default_rng(18)

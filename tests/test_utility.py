@@ -197,6 +197,19 @@ class TestDecomposeFull:
             report = decompose_full(market, b, beta)
             assert report.residual < 1e-9
 
+    def test_optimum_with_underflowed_weights(self):
+        # near beta = 1 most optimal weights underflow to 0, yet the gambler
+        # term, evaluated from the optimizer's log-weights, keeps the identity
+        rng = np.random.default_rng(28)
+        underflowed = 0
+        for beta in (0.999, 1 - 1e-6, 1 - 1e-9):
+            for _ in range(50):
+                market = random_market(rng, int(rng.integers(3, 9)), odds_hi=100.0)
+                g = optimal_full(market, beta)
+                underflowed += int(np.any(g.bets == 0.0))
+                assert decompose_full(market, g, beta).residual < 1e-9
+        assert underflowed > 0
+
     def test_matching_infinities_flagged_as_zero_residual(self):
         report = decompose_full(MARKET_B, Allocation([1.0, 0.0]), -0.5)
         assert report.total == -math.inf
