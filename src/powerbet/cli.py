@@ -33,7 +33,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from . import oracle, strategy, utility
+from . import divergence, oracle, strategy, utility
 from .errors import PowerbetError
 from .market import (
     RaceMarket,
@@ -59,10 +59,6 @@ class _CommandError(Exception):
         self.code = code
 
 
-def _fail(code: int, message: str) -> _CommandError:
-    return _CommandError(code, message)
-
-
 def _floats(values) -> list[float]:
     return [float(v) for v in np.asarray(values).ravel()]
 
@@ -81,38 +77,38 @@ def _load_spec(path: str) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
-        raise _fail(2, f"cannot read spec file: {exc}")
+        raise _CommandError(2, f"cannot read spec file: {exc}")
     except json.JSONDecodeError as exc:
-        raise _fail(2, f"spec file is not valid JSON: {exc}")
+        raise _CommandError(2, f"spec file is not valid JSON: {exc}")
     if not isinstance(doc, dict):
-        raise _fail(2, "spec file must contain a JSON object")
+        raise _CommandError(2, "spec file must contain a JSON object")
     return doc
 
 
 def _require_number(value, field: str, positive: bool = False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _fail(2, f"{field} must be a number")
+        raise _CommandError(2, f"{field} must be a number")
     value = float(value)
     if positive and value <= 0.0:
-        raise _fail(2, f"{field} must be > 0")
+        raise _CommandError(2, f"{field} must be > 0")
     return value
 
 
 def _parse_horses(doc: dict, allow_zero_p: bool) -> tuple[list[float], list[float]]:
     horses = doc.get("horses")
     if not isinstance(horses, list) or not horses:
-        raise _fail(2, "horses must be a nonempty list")
+        raise _CommandError(2, "horses must be a nonempty list")
     probs, odds = [], []
     for i, horse in enumerate(horses):
         if not isinstance(horse, dict):
-            raise _fail(2, f"horses[{i}] must be an object with fields p and odds")
+            raise _CommandError(2, f"horses[{i}] must be an object with fields p and odds")
         if "p" not in horse:
-            raise _fail(2, f"horses[{i}].p is missing")
+            raise _CommandError(2, f"horses[{i}].p is missing")
         if "odds" not in horse:
-            raise _fail(2, f"horses[{i}].odds is missing")
+            raise _CommandError(2, f"horses[{i}].odds is missing")
         p = _require_number(horse["p"], f"horses[{i}].p")
         if p < 0.0 or (p == 0.0 and not allow_zero_p):
-            raise _fail(2, f"horses[{i}].p must be > 0")
+            raise _CommandError(2, f"horses[{i}].p must be > 0")
         probs.append(p)
         odds.append(_require_number(horse["odds"], f"horses[{i}].odds", positive=True))
     return probs, odds
@@ -123,35 +119,35 @@ def _parse_race(doc: dict) -> RaceMarket:
     try:
         return new_race(probs, odds)
     except PowerbetError as exc:
-        raise _fail(2, f"horses: {exc}")
+        raise _CommandError(2, f"horses: {exc}")
 
 
 def _parse_side_info(doc: dict) -> SideInfoMarket:
     block = doc.get("side_info")
     if block is None:
-        raise _fail(3, "this mode needs a side_info block in the spec file")
+        raise _CommandError(3, "this mode needs a side_info block in the spec file")
     if not isinstance(block, dict):
-        raise _fail(2, "side_info must be an object with fields signals and joint")
+        raise _CommandError(2, "side_info must be an object with fields signals and joint")
     probs, odds = _parse_horses(doc, allow_zero_p=True)
     joint = block.get("joint")
     if not isinstance(joint, list) or not joint or not all(isinstance(r, list) for r in joint):
-        raise _fail(2, "side_info.joint must be a nonempty list of rows")
+        raise _CommandError(2, "side_info.joint must be a nonempty list of rows")
     signals = block.get("signals")
     if signals is not None and not isinstance(signals, list):
-        raise _fail(2, "side_info.signals must be a list")
+        raise _CommandError(2, "side_info.signals must be a list")
     if signals is not None and len(signals) != len(joint):
-        raise _fail(2, "side_info.signals length must match the number of joint rows")
+        raise _CommandError(2, "side_info.signals length must match the number of joint rows")
     for y, row in enumerate(joint):
         if len(row) != len(odds):
-            raise _fail(2, f"side_info.joint[{y}] must have one column per horse")
+            raise _CommandError(2, f"side_info.joint[{y}] must have one column per horse")
         for x, cell in enumerate(row):
             _require_number(cell, f"side_info.joint[{y}][{x}]")
     try:
         market = new_side_info(joint, odds)
     except PowerbetError as exc:
-        raise _fail(2, f"side_info: {exc}")
+        raise _CommandError(2, f"side_info: {exc}")
     if np.max(np.abs(market.horse_probs - np.asarray(probs))) > 1e-6:
-        raise _fail(2, "side_info.joint column sums disagree with horses[].p")
+        raise _CommandError(2, "side_info.joint column sums disagree with horses[].p")
     return market
 
 
@@ -166,11 +162,11 @@ def _parse_beta(text: str) -> float:
     try:
         value = float(label)
     except ValueError:
-        raise _fail(2, f"--beta must be kelly, +inf, -inf, or a decimal, got {text!r}")
+        raise _CommandError(2, f"--beta must be kelly, +inf, -inf, or a decimal, got {text!r}")
     if value == 0.0:
-        raise _fail(2, "--beta 0 is spelled kelly")
+        raise _CommandError(2, "--beta 0 is spelled kelly")
     if math.isnan(value):
-        raise _fail(2, "--beta must not be NaN")
+        raise _CommandError(2, "--beta must not be NaN")
     return value
 
 
@@ -293,7 +289,7 @@ def _optimize_full(market: RaceMarket, beta: float, args, out: dict) -> int:
 
 def _optimize_partial(market: RaceMarket, beta: float, args, out: dict) -> int:
     if beta == 0.0 or math.isinf(beta) or beta >= 1.0:
-        raise _fail(3, "partial mode needs a finite nonzero beta < 1")
+        raise _CommandError(3, "partial mode needs a finite nonzero beta < 1")
     sol = strategy.optimal_partial(market, beta)
     out["allocation"] = {
         "type": "partial",
@@ -312,7 +308,7 @@ def _optimize_partial(market: RaceMarket, beta: float, args, out: dict) -> int:
 
 def _optimize_side_info(market: SideInfoMarket, beta: float, args, out: dict) -> int:
     if beta == 0.0 or math.isinf(beta) or beta >= 1.0:
-        raise _fail(3, "side-info mode needs a finite nonzero beta < 1")
+        raise _CommandError(3, "side-info mode needs a finite nonzero beta < 1")
     alloc, signal_weights = strategy.optimal_side_info(market, beta)
     report = utility.decompose_side_info(market, alloc, beta)
     out["allocation"] = {
@@ -324,10 +320,8 @@ def _optimize_side_info(market: SideInfoMarket, beta: float, args, out: dict) ->
     out["decomposition"] = asdict(report)
     code = 0
     if args.check:
-        from .divergence import renyi_div
-
         alpha = 1.0 / (1.0 - beta)
-        marginal_gain = report.bookie_term - renyi_div(
+        marginal_gain = report.bookie_term - divergence.renyi_div(
             market.horse_probs, bookie_distribution(market), alpha
         )
         ok = report.residual < RESIDUAL_TOL and marginal_gain >= -1e-12
@@ -345,13 +339,13 @@ def cmd_optimize(args) -> tuple[dict, int]:
     doc = _load_spec(args.spec)
     mode = args.mode or doc.get("mode") or "full"
     if mode not in ("full", "partial", "side-info"):
-        raise _fail(2, f"mode must be full, partial, or side-info, got {mode!r}")
+        raise _CommandError(2, f"mode must be full, partial, or side-info, got {mode!r}")
     if args.beta is not None:
         beta = _parse_beta(args.beta)
     elif "beta" in doc:
         beta = _parse_beta(str(doc["beta"]))
     else:
-        raise _fail(2, "no beta given: pass --beta or put a beta field in the spec file")
+        raise _CommandError(2, "no beta given: pass --beta or put a beta field in the spec file")
 
     out: dict = {
         "input": doc,
@@ -382,7 +376,7 @@ def cmd_simulate(args) -> tuple[dict, int]:
     market = _parse_race(doc)
     beta = _parse_beta(args.beta)
     if args.n < 1:
-        raise _fail(2, "-n must be >= 1")
+        raise _CommandError(2, "-n must be >= 1")
     alloc = strategy.dispatch(market, beta, partial=False)
     traj = oracle.simulate_growth(market, alloc, args.n, args.seed)
 
@@ -423,11 +417,11 @@ def cmd_simulate(args) -> tuple[dict, int]:
 def _parse_matrix_text(text: str, field: str) -> list[list[float]]:
     rows = [r for r in text.strip().split(";") if r.strip()]
     if not rows:
-        raise _fail(2, f"{field} is empty")
+        raise _CommandError(2, f"{field} is empty")
     try:
         return [[float(v) for v in row.split(",")] for row in rows]
     except ValueError:
-        raise _fail(2, f"{field} must be comma-separated numbers (rows split by ';')")
+        raise _CommandError(2, f"{field} must be comma-separated numbers (rows split by ';')")
 
 
 def _load_dist_arg(text: str, field: str) -> list[list[float]]:
@@ -437,39 +431,37 @@ def _load_dist_arg(text: str, field: str) -> list[list[float]]:
             with open(text, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
-            raise _fail(2, f"{field}: cannot load {text!r}: {exc}")
+            raise _CommandError(2, f"{field}: cannot load {text!r}: {exc}")
         try:
             arr = np.asarray(data, dtype=float)
         except (TypeError, ValueError):
-            raise _fail(2, f"{field}: JSON file must hold a vector or a table of numbers")
+            raise _CommandError(2, f"{field}: JSON file must hold a vector or a table of numbers")
         if arr.ndim == 1:
             return [list(map(float, arr))]
         if arr.ndim == 2:
             return _table(arr)
-        raise _fail(2, f"{field}: JSON file must hold a vector or a table")
+        raise _CommandError(2, f"{field}: JSON file must hold a vector or a table")
     return _parse_matrix_text(text, field)
 
 
 def cmd_divergence(args) -> tuple[dict, int]:
-    from . import divergence
-
     p = _load_dist_arg(args.p, "-p")
     q = _load_dist_arg(args.q, "-q")
     conditional = args.p_y is not None
     try:
         if conditional:
             if args.alpha == 1.0:
-                raise _fail(3, "the conditional divergence is not defined at alpha = 1")
+                raise _CommandError(3, "the conditional divergence is not defined at alpha = 1")
             p_y = _load_dist_arg(args.p_y, "--p-y")
             if len(p_y) != 1:
-                raise _fail(2, "--p-y must be a single probability vector")
+                raise _CommandError(2, "--p-y must be a single probability vector")
             value = divergence.cond_renyi_div(p, q, p_y[0], args.alpha)
         else:
             if len(p) != 1 or len(q) != 1:
-                raise _fail(2, "-p and -q must be single vectors unless --p-y is given")
+                raise _CommandError(2, "-p and -q must be single vectors unless --p-y is given")
             value = divergence.renyi_div(p[0], q[0], args.alpha)
     except PowerbetError as exc:
-        raise _fail(2, str(exc))
+        raise _CommandError(2, str(exc))
     out = {
         "alpha": args.alpha,
         "conditional": conditional,

@@ -9,17 +9,19 @@ Three kinds of oracle live here:
 * seeded Monte Carlo race simulation with a counter-based generator, so
   the sample stream is a pure function of (seed, race index).
 
-The grid argmax is deterministic: points are scanned in lexicographic
-order of their integer compositions and only strict improvements are
-accepted, so the lowest lexicographic point wins ties regardless of how
-the scan is chunked.
+Full and partial grid searches share one scan that differs only in the
+payoff map.  It takes the points in lexicographic order, in numpy blocks
+of at most ``_BLOCK_CELLS`` cells, so memory stays bounded and the cost is
+proportional to points x dimension.  Only strict improvements are accepted,
+so the lowest lexicographic point wins ties however the scan is blocked.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, combinations
+from numbers import Integral
 from typing import Iterator
 
 import numpy as np
@@ -28,12 +30,12 @@ from .divergence import _log, _logsumexp
 from .errors import GridTooLargeError, LengthMismatchError, NotEvaluableError
 from .market import RaceMarket
 from .strategy import Allocation, PartialAllocation, _check_finite_beta
-from .utility import utility_full, utility_partial
+from .utility import _log2_power_mean, _require_same_length, utility_full, utility_partial
 
 _LN2 = math.log(2.0)
 
 MAX_GRID_POINTS = 10**7
-_CHUNK_ROWS = 1 << 16
+_BLOCK_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -45,6 +47,9 @@ class GridSpec:
     dimension: int
 
     def __post_init__(self) -> None:
+        for name, value in (("resolution", self.resolution), ("dimension", self.dimension)):
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise GridTooLargeError(f"grid {name} must be an integer, got {value!r}")
         if self.resolution < 2:
             raise GridTooLargeError(f"grid resolution must be >= 2, got {self.resolution}")
         if self.dimension < 1:
@@ -90,32 +95,40 @@ class WealthTrajectory:
         return float(self.log_wealth[-1]) / self.n_races
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of ``parts`` nonnegative ints summing to ``total``, lexicographic."""
-    if parts == 1:
-        yield (total,)
+def _grid_blocks(grid: GridSpec) -> Iterator[np.ndarray]:
+    """The grid's integer compositions in lexicographic order, in blocks of at
+    most ``_BLOCK_CELLS`` cells (rows x dimension).
+
+    Bars ``c_1 < ... < c_{d-2}`` from ``combinations(range(k + d - 2))``, in
+    lexicographic order, give the heads ``x_j = c_j - c_{j-1} - 1`` (with
+    ``c_0 = -1``); a head leaving ``room`` units is followed by the points
+    ``(head, t, room - t)``, ``t = 0..room``.  A point costs O(dimension).
+    """
+    k, d = grid.resolution, grid.dimension
+    if d == 1:
+        yield np.full((1, 1), k)
         return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
+    rows = max(1, _BLOCK_CELLS // d)
+    bars = chain.from_iterable(combinations(range(k + d - 2), d - 2))
+    left = math.comb(k + d - 2, d - 2)
+    while left:
+        n = min(rows, left)
+        left -= n
+        pos = np.fromiter(bars, dtype=np.intp, count=n * (d - 2)).reshape(n, d - 2)
+        heads = np.diff(pos, axis=1, prepend=-1) - 1
+        room = k - heads.sum(axis=1)
+        ends = np.cumsum(room + 1)  # one past each head's last point
+        for lo in range(0, int(ends[-1]), rows):
+            index = np.arange(lo, min(lo + rows, int(ends[-1])))
+            owner = np.searchsorted(ends, index, side="right")
+            t = index - ends[owner] + room[owner] + 1
+            yield np.column_stack((heads[owner], t, room[owner] - t))
 
 
-def _composition_chunks(spec: GridSpec) -> Iterator[np.ndarray]:
-    gen = _compositions(spec.resolution, spec.dimension)
-    while True:
-        block = list(islice(gen, _CHUNK_ROWS))
-        if not block:
-            return
-        yield np.asarray(block, dtype=float)
-
-
-def _batch_utilities(probs: np.ndarray, payoffs: np.ndarray, beta: float) -> np.ndarray:
-    """Row-wise ``(1/beta) log2 sum_i p_i payoff_i^beta``; a zero payoff is a +/-inf term."""
-    terms = np.log(probs)[None, :] + beta * _log(payoffs)
-    return _logsumexp(terms, axis=1) / (beta * _LN2)
-
-
-def _check_grid(grid: GridSpec, dimension: int) -> None:
+def _grid_argmax(market: RaceMarket, beta: float, grid: GridSpec, dimension: int, payoffs):
+    """The lexicographically first grid point maximizing the utility of
+    ``payoffs(points)``: only strict improvements replace the incumbent."""
+    beta = _check_finite_beta(beta)
     if grid.dimension != dimension:
         raise LengthMismatchError(
             f"grid dimension {grid.dimension} does not match the required {dimension}"
@@ -124,25 +137,21 @@ def _check_grid(grid: GridSpec, dimension: int) -> None:
         raise GridTooLargeError(
             f"grid would enumerate {grid.n_points} points, above the {MAX_GRID_POINTS} guard"
         )
+    best_point, best_value = None, -math.inf
+    for block in _grid_blocks(grid):
+        points = block / grid.resolution
+        values = _log2_power_mean(market.probs, payoffs(points), beta)
+        idx = int(np.argmax(values))
+        if best_point is None or values[idx] > best_value:
+            best_point, best_value = points[idx], values[idx]
+    return best_point
 
 
 def grid_search_full(
     market: RaceMarket, beta: float, grid: GridSpec
 ) -> tuple[Allocation, float]:
     """Exhaustive full-investment search; returns the best grid point and its utility."""
-    beta = _check_finite_beta(beta)
-    _check_grid(grid, market.m)
-    k = float(grid.resolution)
-    best_point: np.ndarray | None = None
-    best_value = -math.inf
-    for block in _composition_chunks(grid):
-        bets = block / k
-        values = _batch_utilities(market.probs, bets * market.odds[None, :], beta)
-        idx = int(np.argmax(values))
-        if best_point is None or values[idx] > best_value:
-            best_value = float(values[idx])
-            best_point = bets[idx]
-    alloc = Allocation(best_point)
+    alloc = Allocation(_grid_argmax(market, beta, grid, market.m, lambda pts: pts * market.odds))
     return alloc, utility_full(market, alloc, beta)
 
 
@@ -150,20 +159,10 @@ def grid_search_partial(
     market: RaceMarket, beta: float, grid: GridSpec
 ) -> tuple[PartialAllocation, float]:
     """Exhaustive search over (cash, bets) vectors; the cash coordinate comes first."""
-    beta = _check_finite_beta(beta)
-    _check_grid(grid, market.m + 1)
-    k = float(grid.resolution)
-    best_point: np.ndarray | None = None
-    best_value = -math.inf
-    for block in _composition_chunks(grid):
-        points = block / k
-        payoffs = points[:, :1] + points[:, 1:] * market.odds[None, :]
-        values = _batch_utilities(market.probs, payoffs, beta)
-        idx = int(np.argmax(values))
-        if best_point is None or values[idx] > best_value:
-            best_value = float(values[idx])
-            best_point = points[idx]
-    alloc = PartialAllocation(best_point[0], best_point[1:])
+    best = _grid_argmax(
+        market, beta, grid, market.m + 1, lambda pts: pts[:, :1] + pts[:, 1:] * market.odds
+    )
+    alloc = PartialAllocation(best[0], best[1:])
     return alloc, utility_partial(market, alloc, beta)
 
 
@@ -240,6 +239,7 @@ def simulate_growth(
     bit for bit.  An unbacked horse winning sends the wealth to ``-inf``
     and it stays there.
     """
+    _require_same_length(market, b.bets)
     if n_races < 1:
         raise NotEvaluableError(f"need at least one race, got {n_races}")
     winners = _winners(market, n_races, seed)
@@ -255,6 +255,7 @@ def estimate_ubeta(
     beta = _check_finite_beta(beta)
     if beta == 0.0:
         raise NotEvaluableError("beta must be nonzero; estimate the doubling rate instead")
+    _require_same_length(market, b.bets)
     if n_samples < 1:
         raise NotEvaluableError(f"need at least one sample, got {n_samples}")
     winners = _winners(market, n_samples, seed)

@@ -64,10 +64,11 @@ def _require_same_length(market, bets) -> None:
         )
 
 
-def _log2_power_mean(probs: np.ndarray, payoffs: np.ndarray, beta: float) -> float:
-    """``(1/beta) * log2 sum p_i * payoff_i^beta``; a zero payoff is a +/-inf term."""
+def _log2_power_mean(probs: np.ndarray, payoffs: np.ndarray, beta: float):
+    """``(1/beta) * log2 sum p_i * payoff_i^beta``; a zero payoff is a +/-inf term.
+    A float for one payoff vector, one value per row for a 2-D stack of them."""
     terms = np.log(probs) + beta * _log(payoffs)
-    return _logsumexp(terms) / (beta * _LN2)
+    return _logsumexp(terms, axis=None if terms.ndim == 1 else 1) / (beta * _LN2)
 
 
 def utility_full(market: RaceMarket, b: Allocation, beta: float) -> float:

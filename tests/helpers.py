@@ -6,6 +6,9 @@ own seed and stays reproducible.
 
 from __future__ import annotations
 
+import math
+from itertools import islice
+
 import numpy as np
 
 from powerbet import Allocation, ConditionalAllocation, PartialAllocation, RaceMarket
@@ -95,3 +98,32 @@ def prefix_search_partial(market: RaceMarket, beta: float):
         if best is None or value > best[1]:
             best = (tuple(int(i) for i in np.flatnonzero(alloc.bets > 0.0)), value)
     return best
+
+
+def compositions(total: int, parts: int):
+    """Reference enumerator: all tuples of ``parts`` nonnegative ints summing
+    to ``total``, in lexicographic order."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for tail in compositions(total - head, parts - 1):
+            yield (head,) + tail
+
+
+def reference_grid_argmax(probs, beta: float, grid, payoffs, chunk_rows: int = 1 << 16):
+    """Reference grid scan: the recursive enumerator in chunks of ``chunk_rows``
+    points, each scored with its own power-mean formula; the first point of
+    the largest value wins."""
+    from powerbet.divergence import _log, _logsumexp
+
+    gen = compositions(grid.resolution, grid.dimension)
+    best_point, best_value = None, -math.inf
+    while block := list(islice(gen, chunk_rows)):
+        points = np.asarray(block, dtype=float) / float(grid.resolution)
+        terms = np.log(probs)[None, :] + beta * _log(payoffs(points))
+        values = _logsumexp(terms, axis=1) / (beta * math.log(2.0))
+        idx = int(np.argmax(values))
+        if best_point is None or values[idx] > best_value:
+            best_value, best_point = float(values[idx]), points[idx]
+    return best_point

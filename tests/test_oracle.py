@@ -7,6 +7,7 @@ from powerbet import (
     Allocation,
     GridSpec,
     GridTooLargeError,
+    LengthMismatchError,
     NotEvaluableError,
     PartialAllocation,
     estimate_ubeta,
@@ -21,28 +22,55 @@ from powerbet import (
     track_constant,
     utility_full,
 )
-from powerbet.oracle import _compositions
+from powerbet import oracle
 
-from helpers import random_market
+from helpers import compositions, random_market, reference_grid_argmax
 
 MARKET_B = new_race([0.6, 0.4], [2, 2])
 SUBFAIR = new_race([0.9, 0.1], [1.5, 1.5])
+# At beta = 3 the utility is convex in the bets, so the optimum sits on the
+# vertices, and these four tie bit for bit; the first in lexicographic order
+# backs the last horse.
+TIED_VERTICES = new_race([0.25] * 4, [4.0] * 4)
 
 
 class TestGridSpec:
     def test_point_count(self):
         assert GridSpec(4, 2).n_points == 5
         assert GridSpec(4, 3).n_points == 15
+        assert GridSpec(np.int64(4), np.int32(3)).n_points == 15
 
-    def test_enumeration_is_lexicographic_and_complete(self):
-        points = list(_compositions(4, 3))
+    def test_enumeration_is_lexicographic_and_complete(self, monkeypatch):
+        points = list(compositions(4, 3))
         assert len(points) == 15
         assert points == sorted(points)
         assert all(sum(p) == 4 for p in points)
+        shapes = [(4, 1), (9, 1), (5, 2), (4, 3), (7, 4), (3, 6), (6, 5), (2, 9), (12, 3)]
+        for cells in (oracle._BLOCK_CELLS, 1, 7, 16):
+            monkeypatch.setattr(oracle, "_BLOCK_CELLS", cells)
+            for k, d in shapes:
+                blocks = list(oracle._grid_blocks(GridSpec(k, d)))
+                assert all(b.shape[0] <= max(1, cells // d) for b in blocks)
+                np.testing.assert_array_equal(np.concatenate(blocks), list(compositions(k, d)))
+
+    def test_blocks_stay_within_the_cell_budget(self):
+        # a (2, 600) grid used to come in blocks of 65,536 x 600 cells
+        for grid in (GridSpec(2, 600), GridSpec(200, 4)):
+            rows = 0
+            for block in oracle._grid_blocks(grid):
+                assert block.shape[1] == grid.dimension
+                assert block.size <= 1 << 18
+                rows += block.shape[0]
+            assert rows == grid.n_points
 
     def test_rejects_tiny_resolution(self):
         with pytest.raises(GridTooLargeError):
             GridSpec(1, 2)
+
+    def test_rejects_non_integer_sizes(self):
+        for size in [(2.5, 3), (4, 3.0), ("4", 3), (True, 3), (4, True), (None, 2)]:
+            with pytest.raises(GridTooLargeError, match="must be an integer"):
+                GridSpec(*size)
 
     def test_guard_against_huge_grids(self):
         with pytest.raises(GridTooLargeError):
@@ -73,6 +101,61 @@ class TestGridSearchFull:
         best, value = grid_search_full(MARKET_B, -1.0, GridSpec(50, 2))
         assert np.all(best.bets > 0.0)
         assert math.isfinite(value)
+
+
+class TestGridScan:
+    def test_matches_the_reference_scan_bit_for_bit(self):
+        rng = np.random.default_rng(31)
+        for m in (1, 2, 3):
+            for beta in (-2.0, -0.5, 0.5, 0.9, 1.0, 3.0):
+                for k in (7, 30, 60):
+                    market = random_market(rng, m)
+                    best, _ = grid_search_full(market, beta, GridSpec(k, m))
+                    want = reference_grid_argmax(
+                        market.probs, beta, GridSpec(k, m), lambda pts: pts * market.odds
+                    )
+                    np.testing.assert_array_equal(best.bets, Allocation(want).bets)
+                    best, _ = grid_search_partial(market, beta, GridSpec(k, m + 1))
+                    want = reference_grid_argmax(
+                        market.probs,
+                        beta,
+                        GridSpec(k, m + 1),
+                        lambda pts: pts[:, :1] + pts[:, 1:] * market.odds,
+                    )
+                    want = PartialAllocation(want[0], want[1:])
+                    assert best.cash == want.cash
+                    np.testing.assert_array_equal(best.bets, want.bets)
+
+    def test_ties_go_to_the_first_lexicographic_point(self, monkeypatch):
+        for cells in (oracle._BLOCK_CELLS, 5):
+            monkeypatch.setattr(oracle, "_BLOCK_CELLS", cells)
+            best, value = grid_search_full(TIED_VERTICES, 3.0, GridSpec(10, 4))
+            np.testing.assert_array_equal(best.bets, [0.0, 0.0, 0.0, 1.0])
+            assert value == pytest.approx(2.0 - 2.0 / 3.0, abs=1e-12)
+            best, _ = grid_search_partial(TIED_VERTICES, 3.0, GridSpec(10, 5))
+            assert best.cash == 0.0
+            np.testing.assert_array_equal(best.bets, [0.0, 0.0, 0.0, 1.0])
+
+    def test_block_size_does_not_change_the_result(self, monkeypatch):
+        rng = np.random.default_rng(32)
+        cases = [(random_market(rng, 3), beta) for beta in (-0.5, 0.5, 1.0)]
+        cases.append((TIED_VERTICES, 1.0))
+
+        def run():
+            out = []
+            for market, beta in cases:
+                full, _ = grid_search_full(market, beta, GridSpec(12, market.m))
+                part, _ = grid_search_partial(market, beta, GridSpec(10, market.m + 1))
+                out.append((full.bets, part.cash, part.bets))
+            return out
+
+        default = run()
+        for cells in (5, 13):
+            monkeypatch.setattr(oracle, "_BLOCK_CELLS", cells)
+            for got, want in zip(run(), default):
+                np.testing.assert_array_equal(got[0], want[0])
+                assert got[1] == want[1]
+                np.testing.assert_array_equal(got[2], want[2])
 
 
 class TestGridSearchPartial:
@@ -153,6 +236,12 @@ class TestSimulateGrowth:
         band = 3 * increments.std(ddof=1) / math.sqrt(traj.n_races)
         assert abs(traj.final_rate - rate) <= band
 
+    def test_rejects_allocation_of_the_wrong_length(self):
+        market = new_race([0.5, 0.3, 0.2], [2, 4, 8])
+        for bets in ([0.5, 0.5], [0.25] * 4):
+            with pytest.raises(LengthMismatchError):
+                simulate_growth(market, Allocation(bets), 100, seed=1)
+
     def test_ruin_is_permanent(self):
         traj = simulate_growth(MARKET_B, Allocation([1.0, 0.0]), 200, seed=5)
         hits = np.flatnonzero(np.isneginf(traj.log_wealth))
@@ -186,6 +275,12 @@ class TestEstimateUbeta:
         var = float(np.sum(MARKET_B.probs * payoffs) - mean**2)
         sampled_mean = 2 ** (0.5 * est)
         assert abs(sampled_mean - mean) <= 3 * math.sqrt(var / n)
+
+    def test_rejects_allocation_of_the_wrong_length(self):
+        market = new_race([0.5, 0.3, 0.2], [2, 4, 8])
+        for bets in ([0.5, 0.5], [0.25] * 4):
+            with pytest.raises(LengthMismatchError):
+                estimate_ubeta(market, Allocation(bets), 0.5, 100, seed=1)
 
     def test_zero_bet_negative_beta(self):
         assert estimate_ubeta(MARKET_B, Allocation([1.0, 0.0]), -0.5, 100, seed=9) == -math.inf
