@@ -51,6 +51,7 @@ ORACLE_VALUE_TOL = 1e-9
 # Kelly bets equal the probabilities up to the few ulps that renormalizing a
 # vector summing to 1 - 1 ulp can move them.
 KELLY_BETS_RTOL = 4 * np.finfo(float).eps
+_CSV_CHUNK_ROWS = 1 << 16
 
 
 class _CommandError(Exception):
@@ -371,27 +372,37 @@ def cmd_optimize(args) -> tuple[dict, int]:
 # ---------------------------------------------------------------- simulate
 
 
+def _write_trajectory_csv(fh, log_wealth: np.ndarray) -> None:
+    """Write ``race,cum_log2_wealth`` rows a slice at a time, so the text of
+    the whole trajectory is never held in memory."""
+    fh.write("race,cum_log2_wealth\n")
+    for lo in range(0, log_wealth.size, _CSV_CHUNK_ROWS):
+        rows = log_wealth[lo : lo + _CSV_CHUNK_ROWS].tolist()
+        fh.write("".join(f"{i},{value!r}\n" for i, value in enumerate(rows, lo + 1)))
+
+
 def cmd_simulate(args) -> tuple[dict, int]:
     doc = _load_spec(args.spec)
     market = _parse_race(doc)
     beta = _parse_beta(args.beta)
     if args.n < 1:
         raise _CommandError(2, "-n must be >= 1")
+    if not 0 <= args.seed < oracle._SEED_BOUND:
+        raise _CommandError(2, "--seed must be an integer in [0, 2**128)")
     alloc = strategy.dispatch(market, beta, partial=False)
     traj = oracle.simulate_growth(market, alloc, args.n, args.seed)
 
-    lines = ["race,cum_log2_wealth"]
-    lines.extend(f"{i + 1},{float(value)!r}" for i, value in enumerate(traj.log_wealth))
-    csv_text = "\n".join(lines) + "\n"
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(csv_text)
+            _write_trajectory_csv(fh, traj.log_wealth)
     else:
-        sys.stdout.write(csv_text)
+        _write_trajectory_csv(sys.stdout, traj.log_wealth)
 
-    increments = np.diff(traj.log_wealth, prepend=0.0)
     rate = traj.final_rate
-    if np.all(np.isfinite(increments)) and args.n > 1:
+    # Wealth is finite unless some race ruined it, and then the increments
+    # are not all finite, so there is no band to report.
+    if math.isfinite(rate) and args.n > 1:
+        increments = np.diff(traj.log_wealth, prepend=0.0)
         band = 3.0 * float(np.std(increments, ddof=1)) / math.sqrt(args.n)
     else:
         band = None

@@ -14,6 +14,12 @@ payoff map.  It takes the points in lexicographic order, in numpy blocks
 of at most ``_BLOCK_CELLS`` cells, so memory stays bounded and the cost is
 proportional to points x dimension.  Only strict improvements are accepted,
 so the lowest lexicographic point wins ties however the scan is blocked.
+
+The Monte Carlo oracles stream too: winners are drawn ``_MC_CHUNK`` races
+at a time from one Philox stream, which continues across chunks, so every
+result is bit-identical whatever the chunk size.  A trajectory costs its
+8 bytes per race plus O(chunk); a ``U_beta`` estimate keeps only per-horse
+win counts, so its memory is O(chunk + m) for any number of samples.
 """
 
 from __future__ import annotations
@@ -36,6 +42,11 @@ _LN2 = math.log(2.0)
 
 MAX_GRID_POINTS = 10**7
 _BLOCK_CELLS = 1 << 18
+# 128 KB per 8-byte temporary.  With glibc's default malloc thresholds, the
+# temporaries of 2^15- or 2^16-race chunks go back to the system when freed
+# and fault in again for the next chunk, which costs 2-2.5x per race.
+_MC_CHUNK = 1 << 14
+_SEED_BOUND = 1 << 128  # Philox keys are 128-bit
 
 
 @dataclass(frozen=True)
@@ -222,12 +233,34 @@ def kkt_residual(
     )
 
 
-def _winners(market: RaceMarket, n: int, seed: int) -> np.ndarray:
-    """Inverse-CDF winner sampling from a counter-based stream."""
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    u = rng.random(n)
-    cdf = np.cumsum(market.probs)
-    return np.minimum(np.searchsorted(cdf, u, side="right"), market.m - 1)
+def _winner_chunks(market: RaceMarket, n: int, seed: int, unit: str) -> Iterator[np.ndarray]:
+    """Winner indices of ``n`` seeded races, in chunks of at most ``_MC_CHUNK``.
+
+    Uniforms come from one Philox stream, drawn a chunk at a time; successive
+    draws continue the stream, so the winners do not depend on the chunk
+    size.  Each uniform ``u`` picks the first horse whose cumulative
+    probability exceeds it, the last horse if none does, by a branchless
+    binary search over the inner CDF bounds padded with ``+inf`` to ``2^h``
+    entries.  ``n`` and ``seed`` are checked before anything is drawn.
+    """
+    if isinstance(n, bool) or not isinstance(n, Integral):
+        raise NotEvaluableError(f"the number of {unit}s must be an integer, got {n!r}")
+    if n < 1:
+        raise NotEvaluableError(f"need at least one {unit}, got {n}")
+    if isinstance(seed, bool) or not isinstance(seed, Integral) or not 0 <= seed < _SEED_BOUND:
+        raise NotEvaluableError(f"seed must be an integer in [0, 2**128), got {seed!r}")
+    rng = np.random.Generator(np.random.Philox(key=int(seed)))
+    h = max(1, (market.m - 1).bit_length())
+    bounds = np.full(1 << h, math.inf)
+    bounds[: market.m - 1] = np.cumsum(market.probs)[:-1]
+
+    def search(u: np.ndarray) -> np.ndarray:
+        w = np.zeros(u.size, dtype=np.intp)
+        for s in reversed(range(h)):
+            w += (bounds.take(w + ((1 << s) - 1)) <= u) << s
+        return w
+
+    return (search(rng.random(min(_MC_CHUNK, n - lo))) for lo in range(0, n, _MC_CHUNK))
 
 
 def simulate_growth(
@@ -240,27 +273,37 @@ def simulate_growth(
     and it stays there.
     """
     _require_same_length(market, b.bets)
-    if n_races < 1:
-        raise NotEvaluableError(f"need at least one race, got {n_races}")
-    winners = _winners(market, n_races, seed)
+    chunks = _winner_chunks(market, n_races, seed, "race")
     with np.errstate(divide="ignore"):
-        increments = np.log2(b.bets[winners] * market.odds[winners])
-    return WealthTrajectory(n_races, np.cumsum(increments), seed)
+        increments = np.log2(b.bets * market.odds)
+    log_wealth = np.empty(n_races)
+    lo, carry = 0, 0.0
+    for winners in chunks:
+        out = log_wealth[lo : lo + winners.size]
+        increments.take(winners, out=out)
+        out[0] += carry  # before the running sum, so each entry rounds as one long cumsum
+        np.cumsum(out, out=out)
+        lo, carry = lo + winners.size, out[-1]
+    return WealthTrajectory(n_races, log_wealth, seed)
 
 
 def estimate_ubeta(
     market: RaceMarket, b: Allocation, beta: float, n_samples: int, seed: int
 ) -> float:
-    """Monte Carlo estimate of ``(1/beta) log2 E[S^beta]`` from seeded samples."""
+    """Monte Carlo estimate of ``(1/beta) log2 E[S^beta]`` from seeded samples.
+
+    The sample mean of ``S^beta`` is taken from exact per-horse win counts,
+    so memory is O(chunk + m) and the value does not depend on the chunk size.
+    """
     beta = _check_finite_beta(beta)
     if beta == 0.0:
         raise NotEvaluableError("beta must be nonzero; estimate the doubling rate instead")
     _require_same_length(market, b.bets)
-    if n_samples < 1:
-        raise NotEvaluableError(f"need at least one sample, got {n_samples}")
-    winners = _winners(market, n_samples, seed)
-    payoffs = b.bets[winners] * market.odds[winners]
-    # a zero payoff is a +inf term for beta < 0, so the estimate is -inf
-    terms = _log(payoffs)
-    terms *= beta
+    counts = np.zeros(market.m, dtype=np.int64)
+    for winners in _winner_chunks(market, n_samples, seed, "sample"):
+        counts += np.bincount(winners, minlength=market.m)
+    won = counts > 0
+    # horses that never won are left out: a zero payoff would give -inf + inf
+    # for beta < 0, while one that won is a +inf term, so the estimate is -inf
+    terms = np.log(counts[won]) + beta * _log(b.bets[won] * market.odds[won])
     return (_logsumexp(terms) - math.log(n_samples)) / (beta * _LN2)

@@ -127,3 +127,28 @@ def reference_grid_argmax(probs, beta: float, grid, payoffs, chunk_rows: int = 1
         if best_point is None or values[idx] > best_value:
             best_value, best_point = float(values[idx]), points[idx]
     return best_point
+
+
+def reference_winners(market: RaceMarket, n: int, seed: int) -> np.ndarray:
+    """Reference winner draw: all ``n`` Philox uniforms at once, inverse CDF by
+    ``searchsorted``."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    u = rng.random(n)
+    cdf = np.cumsum(market.probs)
+    return np.minimum(np.searchsorted(cdf, u, side="right"), market.m - 1)
+
+
+def reference_log_wealth(market: RaceMarket, b: Allocation, n: int, seed: int) -> np.ndarray:
+    """Reference trajectory: one log2 payoff per race, summed by one ``cumsum``."""
+    winners = reference_winners(market, n, seed)
+    with np.errstate(divide="ignore"):
+        return np.cumsum(np.log2(b.bets[winners] * market.odds[winners]))
+
+
+def reference_ubeta(market: RaceMarket, b: Allocation, beta: float, n: int, seed: int) -> float:
+    """Reference estimate: a log-sum-exp over one term per sample."""
+    from powerbet.divergence import _log, _logsumexp
+
+    winners = reference_winners(market, n, seed)
+    terms = beta * _log(b.bets[winners] * market.odds[winners])
+    return (_logsumexp(terms) - math.log(n)) / (beta * math.log(2.0))

@@ -1,9 +1,11 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from powerbet import cli, new_race, optimal_full, simulate_growth
 from powerbet.cli import main
 
 
@@ -184,6 +186,53 @@ class TestSimulate:
         doc = json.loads(out)
         assert doc["n_races"] == 10
         assert doc["theoretical_doubling_rate_bits"] == pytest.approx(0.029049, abs=1e-6)
+
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**128)])
+    def test_out_of_range_seed_is_invalid_input(self, capsys, fair_spec, seed):
+        code = main(["simulate", fair_spec, "-n", "10", "--seed", seed])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "--seed" in captured.err
+
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_streamed_csv_matches_the_joined_text(
+        self, capsys, monkeypatch, fair_spec, tmp_path, to_file
+    ):
+        n = 30
+        market = new_race([0.6, 0.4], [2, 2])
+        traj = simulate_growth(market, optimal_full(market, 0.5), n, 3)
+        lines = ["race,cum_log2_wealth"]
+        lines.extend(f"{i + 1},{float(v)!r}" for i, v in enumerate(traj.log_wealth))
+        expected = "\n".join(lines) + "\n"
+        for rows in (1, 7, n - 1, n, n + 1):
+            monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", rows)
+            argv = ["simulate", fair_spec, "--beta", "0.5", "-n", str(n), "--seed", "3"]
+            if to_file:
+                target = tmp_path / f"traj{rows}.csv"
+                code, out = run(capsys, *argv, "--output", str(target))
+                assert target.read_bytes() == expected.encode()
+                json.loads(out)
+            else:
+                code, out = run(capsys, *argv)
+                assert out.startswith(expected)
+                json.loads(out[len(expected):])
+            assert code == 0
+
+    def test_ruin_writes_nothing_to_stderr(self, capsys, tmp_path):
+        path = tmp_path / "uneven.json"
+        path.write_text(json.dumps({"horses": [{"p": 0.5, "odds": 2.0}, {"p": 0.5, "odds": 3.0}]}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["simulate", str(path), "--beta", "+inf", "-n", "200", "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert caught == []
+        assert captured.err == ""
+        doc = json.loads(captured.out[captured.out.index("{"):])
+        assert doc["final_log2_wealth"] == -math.inf
+        assert doc["clt_band_3se_bits"] is None
 
 
 class TestDivergenceCmd:

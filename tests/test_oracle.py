@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,13 @@ from powerbet import (
 )
 from powerbet import oracle
 
-from helpers import compositions, random_market, reference_grid_argmax
+from helpers import (
+    compositions,
+    random_market,
+    reference_grid_argmax,
+    reference_log_wealth,
+    reference_ubeta,
+)
 
 MARKET_B = new_race([0.6, 0.4], [2, 2])
 SUBFAIR = new_race([0.9, 0.1], [1.5, 1.5])
@@ -284,3 +291,113 @@ class TestEstimateUbeta:
 
     def test_zero_bet_negative_beta(self):
         assert estimate_ubeta(MARKET_B, Allocation([1.0, 0.0]), -0.5, 100, seed=9) == -math.inf
+
+
+def _streaming_cases():
+    """Markets and allocations for the streaming Monte Carlo checks: interior
+    bets, a zero bet on a likely horse (ruin), and probabilities near underflow."""
+    rng = np.random.default_rng(2024)
+    for m in (1, 2, 3, 5, 8, 33, 1000):
+        market = random_market(rng, m)
+        yield market, Allocation(rng.dirichlet(np.ones(m)))
+        if m > 1:
+            bets = rng.dirichlet(np.ones(m))
+            bets[int(np.argmax(market.probs))] = 0.0
+            yield market, Allocation(bets / bets.sum())
+            probs = np.full(m, 1e-300)
+            probs[rng.integers(m)] = 1.0
+            yield new_race(probs / probs.sum(), market.odds), Allocation(np.full(m, 1.0 / m))
+
+
+class TestStreamingMonteCarlo:
+    def test_matches_the_one_shot_reference(self):
+        chunk = oracle._MC_CHUNK
+        for market, b in _streaming_cases():
+            for n in (1, chunk - 1, chunk, chunk + 1, 3 * chunk + 7):
+                seed = 1000 + n
+                traj = simulate_growth(market, b, n, seed)
+                expected = reference_log_wealth(market, b, n, seed)
+                assert traj.log_wealth.tobytes() == expected.tobytes()
+                for beta in (-2.0, -0.5, 0.5, 3.0):
+                    est = estimate_ubeta(market, b, beta, n, seed)
+                    assert not math.isnan(est)
+                    assert est == pytest.approx(reference_ubeta(market, b, beta, n, seed), rel=1e-12)
+
+    def test_uniforms_on_a_cdf_bound_pick_the_next_horse(self, monkeypatch):
+        # dyadic probabilities put the CDF bounds exactly on doubles
+        market = new_race([0.125, 0.125, 0.125, 0.125, 0.5], [2.0, 3.0, 5.0, 7.0, 11.0])
+        b = Allocation([0.2] * 5)
+        cdf = np.cumsum(market.probs)
+        u = np.concatenate([[0.0], cdf[:-1], np.nextafter(cdf, 0.0)])
+        stream = iter(u)
+
+        class FixedUniforms:
+            def __init__(self, bit_generator):
+                pass
+
+            def random(self, k):
+                return np.fromiter(stream, dtype=float, count=k)
+
+        monkeypatch.setattr(oracle, "_MC_CHUNK", 3)
+        monkeypatch.setattr(np.random, "Generator", FixedUniforms)
+        traj = simulate_growth(market, b, u.size, seed=0)
+        winners = np.minimum(np.searchsorted(cdf, u, side="right"), market.m - 1)
+        expected = np.cumsum(np.log2(b.bets * market.odds)[winners])
+        assert traj.log_wealth.tobytes() == expected.tobytes()
+
+    def test_results_do_not_depend_on_the_chunk_size(self, monkeypatch):
+        n = 1000
+        cases = list(_streaming_cases())[:6]
+        expected = [
+            (simulate_growth(mk, b, n, 5).log_wealth, estimate_ubeta(mk, b, -0.5, n, 5))
+            for mk, b in cases
+        ]
+        for chunk in (1, 3, 7, 64):
+            monkeypatch.setattr(oracle, "_MC_CHUNK", chunk)
+            for (mk, b), (traj, est) in zip(cases, expected):
+                assert simulate_growth(mk, b, n, 5).log_wealth.tobytes() == traj.tobytes()
+                assert estimate_ubeta(mk, b, -0.5, n, 5) == est
+
+    def test_memory_is_bounded_by_the_chunk(self):
+        market = new_race([0.5, 0.3, 0.2], [2, 4, 8])
+        b = Allocation([0.5, 0.3, 0.2])
+        n = 2 * 10**6
+        few_mb = 4 * 2**20
+        tracemalloc.start()
+        try:
+            estimate_ubeta(market, b, 0.5, n, seed=1)
+            _, estimate_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            simulate_growth(market, b, n, seed=1)
+            _, trajectory_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one n-long float64 temporary alone would be 16 MB
+        assert estimate_peak <= few_mb
+        assert trajectory_peak <= 8 * n + few_mb
+
+    @pytest.mark.parametrize("seed", [-1, 2**128, 1.5, True, "3", np.float64(2.0)])
+    def test_rejects_a_bad_seed(self, seed):
+        with pytest.raises(NotEvaluableError, match="seed"):
+            simulate_growth(MARKET_B, kelly(MARKET_B), 10, seed)
+        with pytest.raises(NotEvaluableError, match="seed"):
+            estimate_ubeta(MARKET_B, kelly(MARKET_B), 0.5, 10, seed)
+
+    @pytest.mark.parametrize("n", [2.5, True, np.float64(3.0), 0, -4])
+    def test_rejects_a_bad_count(self, n):
+        with pytest.raises(NotEvaluableError):
+            simulate_growth(MARKET_B, kelly(MARKET_B), n, 1)
+        with pytest.raises(NotEvaluableError):
+            estimate_ubeta(MARKET_B, kelly(MARKET_B), 0.5, n, 1)
+
+    def test_numpy_integers_and_the_largest_seed_pass(self):
+        b = kelly(MARKET_B)
+        for seed in (np.int64(7), np.uint64(7)):
+            traj = simulate_growth(MARKET_B, b, np.int32(50), seed)
+            assert traj.log_wealth.tobytes() == reference_log_wealth(MARKET_B, b, 50, 7).tobytes()
+            assert estimate_ubeta(MARKET_B, b, 0.5, np.int64(50), seed) == pytest.approx(
+                reference_ubeta(MARKET_B, b, 0.5, 50, 7), rel=1e-12
+            )
+        top = 2**128 - 1
+        traj = simulate_growth(MARKET_B, b, 50, top)
+        assert traj.log_wealth.tobytes() == reference_log_wealth(MARKET_B, b, 50, top).tobytes()
