@@ -25,6 +25,7 @@ float exactly.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -390,13 +391,18 @@ def cmd_simulate(args) -> tuple[dict, int]:
     if not 0 <= args.seed < oracle._SEED_BOUND:
         raise _CommandError(2, "--seed must be an integer in [0, 2**128)")
     alloc = strategy.dispatch(market, beta, partial=False)
-    traj = oracle.simulate_growth(market, alloc, args.n, args.seed)
-
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            _write_trajectory_csv(fh, traj.log_wealth)
-    else:
-        _write_trajectory_csv(sys.stdout, traj.log_wealth)
+    # open the output before simulating, so a bad path costs no simulation
+    try:
+        sink = (
+            open(args.output, "w", encoding="utf-8", newline="\n")
+            if args.output
+            else contextlib.nullcontext(sys.stdout)
+        )
+    except OSError as exc:
+        raise _CommandError(2, f"--output cannot be written: {exc}")
+    with sink as fh:
+        traj = oracle.simulate_growth(market, alloc, args.n, args.seed)
+        _write_trajectory_csv(fh, traj.log_wealth)
 
     rate = traj.final_rate
     # Wealth is finite unless some race ruined it, and then the increments

@@ -22,26 +22,10 @@ import math
 
 import numpy as np
 
-from .errors import (
-    InvalidDistributionError,
-    LengthMismatchError,
-    UnsupportedOrderError,
-)
-from .market import NORMALIZATION_TOL
+from .errors import LengthMismatchError, UnsupportedOrderError
+from .market import _normalized
 
 _LN2 = math.log(2.0)
-
-
-def _validated_pmf(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1:
-        raise InvalidDistributionError(f"{name} must be a 1-D vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
-        raise InvalidDistributionError(f"{name} entries must be finite and >= 0")
-    total = arr.sum()
-    if abs(total - 1.0) > NORMALIZATION_TOL:
-        raise InvalidDistributionError(f"{name} sums to {total!r} instead of 1")
-    return arr / total
 
 
 def _check_order(alpha: float, allow_one: bool) -> float:
@@ -120,28 +104,13 @@ def renyi_div(p, q, alpha: float) -> float:
     ``sum_x p(x) log2(p(x)/q(x))`` is returned.
     """
     alpha = _check_order(alpha, allow_one=True)
-    p = _validated_pmf(p, "p")
-    q = _validated_pmf(q, "q")
+    p, _ = _normalized(p, "p")
+    q, _ = _normalized(q, "q")
     if p.shape != q.shape:
         raise LengthMismatchError(f"p has length {p.size} but q has length {q.size}")
     if alpha == 1.0:
         return _kl_bits(p, q)
     return _renyi_from_logs(_log(p), _log(q), alpha)
-
-
-def _validated_cond_table(values, name: str, check_rows: np.ndarray) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 2:
-        raise InvalidDistributionError(f"{name} must be a 2-D table, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
-        raise InvalidDistributionError(f"{name} entries must be finite and >= 0")
-    arr = arr.copy()
-    for y in np.flatnonzero(check_rows):
-        total = arr[y].sum()
-        if abs(total - 1.0) > NORMALIZATION_TOL:
-            raise InvalidDistributionError(f"{name} row {y} sums to {total!r} instead of 1")
-        arr[y] = arr[y] / total
-    return arr
 
 
 def cond_renyi_div(p_cond, q_cond, p_y, alpha: float) -> float:
@@ -158,20 +127,17 @@ def cond_renyi_div(p_cond, q_cond, p_y, alpha: float) -> float:
     when there is a single signal.
     """
     alpha = _check_order(alpha, allow_one=False)
-    p_y = _validated_pmf(p_y, "p_y")
+    p_y, _ = _normalized(p_y, "p_y")
     active = p_y > 0.0
-    p_cond = _validated_cond_table(p_cond, "p_cond", active)
-    q_cond = _validated_cond_table(q_cond, "q_cond", active)
+    # only the rows of signals that occur are normalized, and returned
+    p_cond, _ = _normalized(p_cond, "p_cond", ndim=2, rows=active)
+    q_cond, _ = _normalized(q_cond, "q_cond", ndim=2, rows=active)
     if p_cond.shape != q_cond.shape:
         raise LengthMismatchError(
-            f"p_cond has shape {p_cond.shape} but q_cond has shape {q_cond.shape}"
-        )
-    if p_cond.shape[0] != p_y.size:
-        raise LengthMismatchError(
-            f"conditional tables have {p_cond.shape[0]} rows but p_y has length {p_y.size}"
+            f"p_cond has {p_cond.shape[1]} columns but q_cond has {q_cond.shape[1]}"
         )
 
-    inner = _log_power_sum(_log(p_cond[active]), _log(q_cond[active]), alpha, axis=1)
+    inner = _log_power_sum(_log(p_cond), _log(q_cond), alpha, axis=1)
     if np.any(inner == math.inf):
         return math.inf
     # inner == -inf means the bracket is zero and the signal contributes 0.

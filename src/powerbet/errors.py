@@ -22,12 +22,14 @@ class NonPositiveOddsError(PowerbetError):
     """A payout is zero or negative."""
 
 
-class NotNormalizedError(PowerbetError):
-    """A probability vector does not sum to one within tolerance."""
-
-
 class InvalidDistributionError(PowerbetError):
-    """A distribution has negative entries or an invalid shape."""
+    """A distribution has negative or non-finite entries, an invalid shape,
+    or does not sum to one."""
+
+
+class NotNormalizedError(InvalidDistributionError):
+    """A probability vector does not sum to one within tolerance; like every
+    other breach of the input rule, an :class:`InvalidDistributionError`."""
 
 
 class UnsupportedOrderError(PowerbetError):

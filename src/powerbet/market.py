@@ -46,6 +46,60 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _normalized(values, name: str, ndim: int = 1, rows=False, cash: float = 0.0):
+    """The input rule for every probability-like argument: returns
+    ``(values / total, total)``, the first read-only.
+
+    ``values`` must be a nonempty ``ndim``-D array of finite entries >= 0
+    whose total is within :data:`NORMALIZATION_TOL` of one.  The total is
+    ``cash`` plus the sum of all entries; with ``rows`` it is instead each
+    row's own sum, taken over every row (``True``) or over the rows a
+    boolean mask selects, and only the selected rows are returned.
+    """
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim != ndim or arr.size < 1:
+        raise InvalidDistributionError(
+            f"{name} must be a nonempty {ndim}-D array, got shape {arr.shape}"
+        )
+    if not (arr.min() >= 0.0 and arr.max() < np.inf):  # NaN fails both
+        raise InvalidDistributionError(f"{name} entries must be finite and >= 0")
+    if rows is False:
+        total = cash + arr.sum()
+    else:
+        if rows is not True:
+            if rows.shape != arr.shape[:1]:
+                raise LengthMismatchError(
+                    f"{name} has {arr.shape[0]} rows but there are {rows.size} signals"
+                )
+            arr = arr[rows]
+        total = arr.sum(axis=1, keepdims=True)
+    off = np.abs(total - 1.0) > NORMALIZATION_TOL
+    if off.any():
+        what = f"a row of {name}" if rows is not False else f"cash plus {name}" if cash else name
+        raise NotNormalizedError(
+            f"{what} sums to {np.extract(off, total)[0]!r}, "
+            f"deviating from 1 by more than {NORMALIZATION_TOL}"
+        )
+    out = arr / total
+    out.flags.writeable = False
+    return out, total
+
+
+def _checked_odds(odds: np.ndarray) -> np.ndarray:
+    """A read-only copy of a float vector of payouts, each finite and > 0."""
+    if not (odds.min() > 0.0 and odds.max() < np.inf):
+        raise NonPositiveOddsError("all odds must be finite and > 0")
+    return _freeze(odds)
+
+
+def _require_same_length(market: RaceMarket | SideInfoMarket, bets: np.ndarray) -> None:
+    """Raise unless ``bets`` has one entry per horse, in one row per signal
+    for a side-info market."""
+    shape = market.joint.shape if isinstance(market, SideInfoMarket) else market.odds.shape
+    if bets.shape != shape:
+        raise LengthMismatchError(f"allocation has shape {bets.shape} but the market has {shape}")
+
+
 @dataclass(frozen=True)
 class RaceMarket:
     """An m-horse race: strictly positive winning probabilities and odds.
@@ -67,17 +121,10 @@ class RaceMarket:
             )
         if probs.size < 1:
             raise LengthMismatchError("a race needs at least one horse")
-        if not np.all(np.isfinite(probs)) or np.any(probs <= 0.0):
+        if not (probs.min() > 0.0 and probs.max() < np.inf):
             raise NonPositiveProbabilityError("all winning probabilities must be finite and > 0")
-        if not np.all(np.isfinite(odds)) or np.any(odds <= 0.0):
-            raise NonPositiveOddsError("all odds must be finite and > 0")
-        total = probs.sum()
-        if abs(total - 1.0) > NORMALIZATION_TOL:
-            raise NotNormalizedError(
-                f"probabilities sum to {total!r}, deviating from 1 by more than {NORMALIZATION_TOL}"
-            )
-        object.__setattr__(self, "probs", _freeze(probs / total))
-        object.__setattr__(self, "odds", _freeze(odds))
+        object.__setattr__(self, "odds", _checked_odds(odds))
+        object.__setattr__(self, "probs", _normalized(probs, "probs")[0])
 
     @property
     def m(self) -> int:
@@ -114,20 +161,11 @@ class SideInfoMarket:
             )
         if joint.shape[0] < 1 or joint.shape[1] < 1:
             raise LengthMismatchError("joint must have at least one signal and one horse")
-        if not np.all(np.isfinite(joint)) or np.any(joint < 0.0):
-            raise InvalidDistributionError("joint entries must be finite and >= 0")
-        if not np.all(np.isfinite(odds)) or np.any(odds <= 0.0):
-            raise NonPositiveOddsError("all odds must be finite and > 0")
-        total = joint.sum()
-        if abs(total - 1.0) > NORMALIZATION_TOL:
-            raise NotNormalizedError(
-                f"joint sums to {total!r}, deviating from 1 by more than {NORMALIZATION_TOL}"
-            )
-        joint = joint / total
+        object.__setattr__(self, "odds", _checked_odds(odds))
+        joint = _normalized(joint, "joint", ndim=2)[0]
         if np.any(joint.sum(axis=1) <= 0.0):
             raise InvalidDistributionError("every signal must have positive marginal probability")
-        object.__setattr__(self, "joint", _freeze(joint))
-        object.__setattr__(self, "odds", _freeze(odds))
+        object.__setattr__(self, "joint", joint)
 
     @property
     def n_signals(self) -> int:

@@ -32,13 +32,10 @@ from typing import Iterator
 
 import numpy as np
 
-from .divergence import _log, _logsumexp
 from .errors import GridTooLargeError, LengthMismatchError, NotEvaluableError
-from .market import RaceMarket
+from .market import RaceMarket, _require_same_length
 from .strategy import Allocation, PartialAllocation, _check_finite_beta
-from .utility import _log2_power_mean, _require_same_length, utility_full, utility_partial
-
-_LN2 = math.log(2.0)
+from .utility import _log2_power_mean, utility_full, utility_partial
 
 MAX_GRID_POINTS = 10**7
 _BLOCK_CELLS = 1 << 18
@@ -305,5 +302,4 @@ def estimate_ubeta(
     won = counts > 0
     # horses that never won are left out: a zero payoff would give -inf + inf
     # for beta < 0, while one that won is a +inf term, so the estimate is -inf
-    terms = np.log(counts[won]) + beta * _log(b.bets[won] * market.odds[won])
-    return (_logsumexp(terms) - math.log(n_samples)) / (beta * _LN2)
+    return _log2_power_mean(counts[won] / n_samples, b.bets[won] * market.odds[won], beta)

@@ -22,20 +22,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divergence import _log, _logsumexp
-from .errors import (
-    BetaOutOfRangeError,
-    InvalidDistributionError,
-    LengthMismatchError,
-    NotApplicableError,
-    NotNormalizedError,
-)
+from .errors import BetaOutOfRangeError, InvalidDistributionError, NotApplicableError
 from .market import (
-    NORMALIZATION_TOL,
     RaceMarket,
     SideInfoMarket,
     bookie_distribution,
     is_subfair,
     _freeze,
+    _normalized,
+    _require_same_length,
 )
 
 # Finite risk parameters beyond these bounds overflow the closed-form
@@ -51,15 +46,7 @@ class Allocation:
     bets: np.ndarray
 
     def __post_init__(self) -> None:
-        bets = np.asarray(self.bets, dtype=float)
-        if bets.ndim != 1 or bets.size < 1:
-            raise InvalidDistributionError(f"bets must be a nonempty 1-D vector, got shape {bets.shape}")
-        if not np.all(np.isfinite(bets)) or np.any(bets < 0.0):
-            raise InvalidDistributionError("bet fractions must be finite and >= 0")
-        total = bets.sum()
-        if abs(total - 1.0) > NORMALIZATION_TOL:
-            raise NotNormalizedError(f"bet fractions sum to {total!r} instead of 1")
-        object.__setattr__(self, "bets", _freeze(bets / total))
+        object.__setattr__(self, "bets", _normalized(self.bets, "bets")[0])
 
     @property
     def m(self) -> int:
@@ -75,18 +62,11 @@ class PartialAllocation:
 
     def __post_init__(self) -> None:
         cash = float(self.cash)
-        bets = np.asarray(self.bets, dtype=float)
-        if bets.ndim != 1 or bets.size < 1:
-            raise InvalidDistributionError(f"bets must be a nonempty 1-D vector, got shape {bets.shape}")
         if not math.isfinite(cash) or cash < 0.0:
             raise InvalidDistributionError("cash fraction must be finite and >= 0")
-        if not np.all(np.isfinite(bets)) or np.any(bets < 0.0):
-            raise InvalidDistributionError("bet fractions must be finite and >= 0")
-        total = cash + bets.sum()
-        if abs(total - 1.0) > NORMALIZATION_TOL:
-            raise NotNormalizedError(f"cash plus bets sums to {total!r} instead of 1")
+        bets, total = _normalized(self.bets, "bets", cash=cash)
         object.__setattr__(self, "cash", float(cash / total))
-        object.__setattr__(self, "bets", _freeze(bets / total))
+        object.__setattr__(self, "bets", bets)
 
     @property
     def m(self) -> int:
@@ -100,16 +80,7 @@ class ConditionalAllocation:
     table: np.ndarray
 
     def __post_init__(self) -> None:
-        table = np.asarray(self.table, dtype=float)
-        if table.ndim != 2 or table.size < 1:
-            raise InvalidDistributionError(f"table must be a 2-D array, got shape {table.shape}")
-        if not np.all(np.isfinite(table)) or np.any(table < 0.0):
-            raise InvalidDistributionError("bet fractions must be finite and >= 0")
-        totals = table.sum(axis=1)
-        bad = np.flatnonzero(np.abs(totals - 1.0) > NORMALIZATION_TOL)
-        if bad.size:
-            raise NotNormalizedError(f"row {bad[0]} sums to {totals[bad[0]]!r} instead of 1")
-        object.__setattr__(self, "table", _freeze(table / totals[:, None]))
+        object.__setattr__(self, "table", _normalized(self.table, "table", ndim=2, rows=True)[0])
 
     @property
     def n_signals(self) -> int:
@@ -331,10 +302,7 @@ def fold_cash_into_bets(market: RaceMarket, partial: PartialAllocation) -> Alloc
     """
     if is_subfair(market):
         raise NotApplicableError("folding cash into bets requires a track constant >= 1")
-    if partial.m != market.m:
-        raise LengthMismatchError(
-            f"allocation covers {partial.m} horses but the market has {market.m}"
-        )
+    _require_same_length(market, partial.bets)
     return Allocation(bookie_distribution(market) * partial.cash + partial.bets)
 
 
@@ -349,13 +317,9 @@ def dispatch(
     finite nonzero ``beta < 1``, the regime where the cash closed form
     exists.
     """
-    beta = float(beta)
     if partial:
-        if beta == 0.0 or math.isinf(beta) or beta >= 1.0:
-            raise BetaOutOfRangeError(
-                "partial investment is only solvable for finite nonzero beta < 1"
-            )
         return optimal_partial(market, beta).allocation
+    beta = float(beta)
     if beta == 0.0:
         return kelly(market)
     if math.isinf(beta):

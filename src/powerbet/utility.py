@@ -24,9 +24,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import _log, _logsumexp, _renyi_from_logs, cond_renyi_div, renyi_div
-from .errors import BetaOutOfRangeError, LengthMismatchError, ZeroBetError
-from .market import RaceMarket, SideInfoMarket, bookie_distribution, track_constant
+from .divergence import _LN2, _log, _logsumexp, _renyi_from_logs, cond_renyi_div, renyi_div
+from .errors import BetaOutOfRangeError, ZeroBetError
+from .market import (
+    RaceMarket,
+    SideInfoMarket,
+    _require_same_length,
+    bookie_distribution,
+    track_constant,
+)
 from .strategy import (
     Allocation,
     ConditionalAllocation,
@@ -36,8 +42,6 @@ from .strategy import (
     _log_weights_full,
     _log_weights_side_info,
 )
-
-_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -57,11 +61,11 @@ class DecompositionReport:
     residual: float
 
 
-def _require_same_length(market, bets) -> None:
-    if bets.shape[-1] != market.odds.size:
-        raise LengthMismatchError(
-            f"allocation covers {bets.shape[-1]} horses but the market has {market.odds.size}"
-        )
+def _check_nonzero_beta(beta: float) -> float:
+    beta = _check_finite_beta(beta)
+    if beta == 0.0:
+        raise BetaOutOfRangeError("beta must be nonzero; the beta -> 0 limit is doubling_rate")
+    return beta
 
 
 def _log2_power_mean(probs: np.ndarray, payoffs: np.ndarray, beta: float):
@@ -73,9 +77,7 @@ def _log2_power_mean(probs: np.ndarray, payoffs: np.ndarray, beta: float):
 
 def utility_full(market: RaceMarket, b: Allocation, beta: float) -> float:
     """Utility of a full-investment allocation for finite nonzero ``beta``, in bits."""
-    beta = _check_finite_beta(beta)
-    if beta == 0.0:
-        raise BetaOutOfRangeError("beta must be nonzero; the beta -> 0 limit is doubling_rate")
+    beta = _check_nonzero_beta(beta)
     _require_same_length(market, b.bets)
     return _log2_power_mean(market.probs, b.bets * market.odds, beta)
 
@@ -90,22 +92,15 @@ def doubling_rate(market: RaceMarket, b: Allocation) -> float:
 
 def utility_partial(market: RaceMarket, b: PartialAllocation, beta: float) -> float:
     """Utility when a cash fraction is withheld: payoffs are ``cash + b_i o_i``."""
-    beta = _check_finite_beta(beta)
-    if beta == 0.0:
-        raise BetaOutOfRangeError("beta must be nonzero")
+    beta = _check_nonzero_beta(beta)
     _require_same_length(market, b.bets)
     return _log2_power_mean(market.probs, b.cash + b.bets * market.odds, beta)
 
 
 def utility_side_info(market: SideInfoMarket, b: ConditionalAllocation, beta: float) -> float:
     """Utility of a conditional allocation: payoff ``b(x|y) o(x)`` weighted by the joint."""
-    beta = _check_finite_beta(beta)
-    if beta == 0.0:
-        raise BetaOutOfRangeError("beta must be nonzero")
-    if b.table.shape != market.joint.shape:
-        raise LengthMismatchError(
-            f"allocation table has shape {b.table.shape} but the joint has {market.joint.shape}"
-        )
+    beta = _check_nonzero_beta(beta)
+    _require_same_length(market, b.table)
     weights = market.joint.ravel()
     payoffs = (b.table * market.odds[None, :]).ravel()
     live = weights > 0.0
@@ -173,10 +168,7 @@ def decompose_side_info(
     signal weights, evaluated from the optimizer's log-weights.
     """
     beta = _check_interior_beta(beta)
-    if b.table.shape != market.joint.shape:
-        raise LengthMismatchError(
-            f"allocation table has shape {b.table.shape} but the joint has {market.joint.shape}"
-        )
+    _require_same_length(market, b.table)
     log_g_cond, log_g_y = _log_weights_side_info(market, beta)
     log_c = math.log2(track_constant(market))
     r = bookie_distribution(market)

@@ -196,6 +196,21 @@ class TestSimulate:
         assert captured.out == ""
         assert "--seed" in captured.err
 
+    @pytest.mark.parametrize("where", ["missing directory", "directory"])
+    def test_unwritable_output_is_invalid_input(
+        self, capsys, monkeypatch, fair_spec, tmp_path, where
+    ):
+        def must_not_run(*args):
+            raise AssertionError("simulated before checking --output")
+
+        monkeypatch.setattr(cli.oracle, "simulate_growth", must_not_run)
+        target = tmp_path / "missing" / "x.csv" if where == "missing directory" else tmp_path
+        code = main(["simulate", fair_spec, "-n", "3", "--output", str(target)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "--output" in captured.err
+
     @pytest.mark.parametrize("to_file", [False, True])
     def test_streamed_csv_matches_the_joined_text(
         self, capsys, monkeypatch, fair_spec, tmp_path, to_file
@@ -288,6 +303,13 @@ class TestDivergenceCmd:
         code = main(["divergence", "--alpha", "0.5", "-p", "0.9,0.9", "-q", "0.5,0.5"])
         capsys.readouterr()
         assert code == 2
+
+    def test_fewer_rows_than_signals_is_invalid_input(self, capsys):
+        argv = ["divergence", "--alpha", "2", "-p", "0.5,0.5", "-q", "0.5,0.5", "--p-y", "0.5,0.5"]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "rows" in err
 
 
 class TestRoundTrip:

@@ -119,6 +119,13 @@ class TestCondRenyiDiv:
         )
         assert value == pytest.approx(0.0, abs=1e-14)
 
+    @pytest.mark.parametrize("p_y", [[0.5, 0.5, 0.0], [0.5, 0.25, 0.25], [1.0]])
+    def test_tables_need_one_row_per_signal(self, p_y):
+        # the row count is checked before any row is indexed
+        rows = [[0.5, 0.5], [0.25, 0.75]]
+        with pytest.raises(LengthMismatchError):
+            cond_renyi_div(rows, rows, p_y, 2.0)
+
 
 def _random_conditional_setup(rng, n_signals, n_horses):
     p_y = random_pmf(rng, n_signals, floor=0.02)

@@ -3,7 +3,8 @@
 Each validating entry point is run against each kind of bad input, and the
 exception class it raises is pinned.  Accepted inputs within the
 normalization tolerance must come back exactly as ``values / total`` and
-read-only.
+read-only.  The shared allocation-shape and risk-parameter checks are
+pinned the same way.
 """
 
 import math
@@ -13,6 +14,7 @@ import pytest
 
 from powerbet import (
     Allocation,
+    BetaOutOfRangeError,
     ConditionalAllocation,
     InvalidDistributionError,
     LengthMismatchError,
@@ -21,9 +23,21 @@ from powerbet import (
     NotNormalizedError,
     PartialAllocation,
     cond_renyi_div,
+    decompose_full,
+    decompose_kelly,
+    decompose_side_info,
+    dispatch,
+    doubling_rate,
+    estimate_ubeta,
+    fold_cash_into_bets,
+    limit_utilities,
     new_race,
     new_side_info,
     renyi_div,
+    simulate_growth,
+    utility_full,
+    utility_partial,
+    utility_side_info,
 )
 
 VECTOR = np.array([0.25, 0.75])
@@ -200,3 +214,60 @@ def test_divergences_accept_inputs_within_tolerance(seed):
     value = cond_renyi_div(p_cond, q_cond, p_y, 0.5)
     reference = cond_renyi_div(p_cond / p_cond.sum(axis=1)[:, None], q_cond, p_y / p_y.sum(), 0.5)
     assert value == pytest.approx(reference, rel=1e-12)
+
+
+RACE = new_race([0.5, 0.3, 0.2], [2.0, 4.0, 8.0])
+SIDE = new_side_info([[0.2, 0.1, 0.1], [0.3, 0.2, 0.1]], [2.0, 4.0, 8.0])
+SHORT = Allocation([0.5, 0.5])
+SHORT_PARTIAL = PartialAllocation(0.5, [0.25, 0.25])
+
+WRONG_SHAPE_CALLS = {
+    "utility_full": lambda: utility_full(RACE, SHORT, 0.5),
+    "doubling_rate": lambda: doubling_rate(RACE, SHORT),
+    "utility_partial": lambda: utility_partial(RACE, SHORT_PARTIAL, 0.5),
+    "limit_utilities": lambda: limit_utilities(RACE, SHORT),
+    "decompose_full": lambda: decompose_full(RACE, SHORT, 0.5),
+    "decompose_kelly": lambda: decompose_kelly(RACE, SHORT),
+    "fold_cash_into_bets": lambda: fold_cash_into_bets(RACE, SHORT_PARTIAL),
+    "simulate_growth": lambda: simulate_growth(RACE, SHORT, 10, 0),
+    "estimate_ubeta": lambda: estimate_ubeta(RACE, SHORT, 0.5, 10, 0),
+    "utility_side_info.columns": lambda: utility_side_info(
+        SIDE, ConditionalAllocation(ROWS), 0.5
+    ),
+    "utility_side_info.rows": lambda: utility_side_info(
+        SIDE, ConditionalAllocation(np.full((3, 3), 1 / 3)), 0.5
+    ),
+    "decompose_side_info.columns": lambda: decompose_side_info(
+        SIDE, ConditionalAllocation(ROWS), 0.5
+    ),
+    "decompose_side_info.rows": lambda: decompose_side_info(
+        SIDE, ConditionalAllocation(np.full((1, 3), 1 / 3)), 0.5
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(WRONG_SHAPE_CALLS))
+def test_allocation_of_the_wrong_shape_is_a_length_mismatch(name):
+    with pytest.raises(LengthMismatchError):
+        WRONG_SHAPE_CALLS[name]()
+
+
+@pytest.mark.parametrize("beta", [0.0, math.inf, -math.inf, 1.0, 1 - 5e-10, math.nan, 2.0, -1e7])
+def test_partial_dispatch_needs_an_interior_beta(beta):
+    with pytest.raises(BetaOutOfRangeError):
+        dispatch(RACE, beta, partial=True)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda beta: utility_full(RACE, Allocation(RACE.probs), beta),
+        lambda beta: utility_partial(RACE, PartialAllocation(0.5, RACE.probs / 2), beta),
+        lambda beta: utility_side_info(SIDE, ConditionalAllocation(SIDE.conditional()), beta),
+    ],
+    ids=["utility_full", "utility_partial", "utility_side_info"],
+)
+@pytest.mark.parametrize("beta", [0.0, math.nan, 2e6])
+def test_utilities_need_a_finite_nonzero_beta(call, beta):
+    with pytest.raises(BetaOutOfRangeError):
+        call(beta)
