@@ -1,8 +1,8 @@
 """Renyi divergence, its KL limit, and a signal-averaged conditional form.
 
-All divergences are in bits (base-2 logarithms).  Inner sums are evaluated
-in the log domain (log-sum-exp) so that the extreme orders produced by
-mapping a risk parameter close to 1 never overflow.
+All divergences are in bits.  Each one, like each power utility, is a tilted
+mean ``D_alpha(p || q) = K(alpha - 1; p, ln p/q)`` of :func:`_tilted_mean`, KL
+being ``K(0)``, so orders near the pole never overflow and those near 1 match KL.
 
 Zero-probability conventions, applied throughout:
 
@@ -26,6 +26,7 @@ from .errors import LengthMismatchError, UnsupportedOrderError
 from .market import _normalized
 
 _LN2 = math.log(2.0)
+_CENTERED_T = 2.0**-10  # above it, the log-sum-exp form errs by about eps/|t| <= 3e-13
 
 
 def _check_order(alpha: float, allow_one: bool) -> float:
@@ -33,9 +34,7 @@ def _check_order(alpha: float, allow_one: bool) -> float:
     if not math.isfinite(alpha) or alpha <= 0.0:
         raise UnsupportedOrderError(f"divergence order must be finite and > 0, got {alpha!r}")
     if alpha == 1.0 and not allow_one:
-        raise UnsupportedOrderError(
-            "the conditional divergence is defined only for orders other than 1"
-        )
+        raise UnsupportedOrderError("the conditional divergence does not take order 1")
     return alpha
 
 
@@ -58,36 +57,54 @@ def _logsumexp(a, axis: int | None = None):
     return float(out.ravel()[0]) if axis is None else out.squeeze(axis)
 
 
-def _kl_bits(p: np.ndarray, q: np.ndarray) -> float:
-    support = p > 0.0
-    if np.any(q[support] == 0.0):
-        return math.inf
-    ps = p[support]
-    return float(np.sum(ps * (np.log2(ps) - np.log2(q[support]))))
+def _tilted_mean(t: float, log_w, x, terms=None, axis: int | None = None):
+    """``K(t; w, x) = (1/t) log2 sum w e^(t x)``, ``K(0) = sum w x / ln 2``, for a
+    PMF ``w`` given by its natural logs and ``x`` in nats, over the whole array
+    (a float) or over the last axis (one value per row).
 
+    Far from ``t = 0`` this is ``_logsumexp(terms) / (t ln 2)``, ``terms`` being
+    the caller's form of ``log w + t x`` (the default).  Rows with
+    ``|t| <= 2^-10`` and ``|t| (max x - min x) <= 1`` are instead centered on
+    ``mu = sum w x``, as ``mu + log1p(sum w expm1(t (x - mu))) / t``, so the
+    rounding of ``sum w`` is never divided by a small ``t``.
 
-def _log_power_sum(log_p: np.ndarray, log_q: np.ndarray, alpha: float, axis: int | None = None):
-    """Natural log of ``sum_x p(x)^alpha q(x)^(1-alpha)`` from natural-log PMFs.
-
-    ``+inf`` for a support violation at ``alpha > 1``, ``-inf`` when no term survives.
+    Never NaN: ``w = 0`` drops a term (its ``x`` must then be finite unless
+    ``terms`` is given), ``e^(t x)`` is ``+inf`` or 0 for an infinite ``x``, and
+    a row of dropped terms is ``-inf / t``.  No row may hold both infinities.
     """
-    support, live = log_p > -math.inf, log_q > -math.inf
-    terms = np.full(log_p.shape, -math.inf)
-    both = support & live
-    terms[both] = alpha * log_p[both] + (1.0 - alpha) * log_q[both]
-    if alpha > 1.0:
-        terms[support & ~live] = math.inf
-    return _logsumexp(terms, axis=axis)
+    if abs(t) > _CENTERED_T:
+        if terms is None:  # x is freed before the sum, so a grid block holds no extra copy
+            terms, x = t * x, None
+            terms = log_w + terms
+        return _logsumexp(terms, axis) / (t * _LN2)
+    if t == 0.0:
+        mu = np.sum(np.exp(log_w) * x, axis=axis) / _LN2
+        return float(mu) if axis is None else mu
+    shape = np.shape(x)
+    x = np.reshape(x, (1, -1) if axis is None else (-1, shape[-1]))
+    log_w = np.reshape(log_w, (-1, x.shape[1]))  # a row per row of x, or one for all
+    w = np.exp(log_w)
+    mu = (w * x).sum(axis=1)
+    with np.errstate(all="ignore"):  # far rows, replaced below, may overflow or be NaN
+        tilt = t * (x - mu[:, None])
+        span = tilt.max(axis=1, where=w > 0.0, initial=-math.inf)
+        span -= tilt.min(axis=1, where=w > 0.0, initial=math.inf)
+        out = (mu + np.log1p((w * np.expm1(tilt)).sum(axis=1)) / t) / _LN2
+    far = ~((0.0 <= span) & (span <= 1.0))
+    if far.any():
+        terms = log_w + t * x if terms is None else np.reshape(terms, x.shape)
+        out[far] = _logsumexp(terms[far], axis=1) / (t * _LN2)
+    return float(out[0]) if axis is None else out.reshape(shape[:-1])
 
 
-def _renyi_from_logs(log_p: np.ndarray, log_q: np.ndarray, alpha: float) -> float:
-    """Renyi divergence of order ``alpha != 1`` in bits, from validated natural-log PMFs."""
-    log_sum = _log_power_sum(log_p, log_q, alpha)
-    if math.isinf(log_sum):
-        # +inf is a support violation; -inf means disjoint supports, which
-        # blow the divergence up for every order.
-        return math.inf
-    return log_sum / ((alpha - 1.0) * _LN2)
+def _renyi_from_logs(log_p: np.ndarray, log_q: np.ndarray, alpha: float, axis: int | None = None):
+    """``D_alpha(p || q) = K(alpha - 1; p, ln p - ln q)`` in bits, from natural-log PMFs; the
+    terms ``alpha ln p + (1 - alpha) ln q`` stay exact for a weight with ``ln p`` near -1e9."""
+    support = log_p > -math.inf
+    with np.errstate(invalid="ignore"):  # -inf - -inf off the support of p
+        terms = np.where(support, alpha * log_p + (1.0 - alpha) * log_q, -math.inf)
+        x = np.where(support, log_p - log_q, 0.0)
+    return _tilted_mean(alpha - 1.0, log_p, x, terms, axis)
 
 
 def _log(arr: np.ndarray) -> np.ndarray:
@@ -108,8 +125,6 @@ def renyi_div(p, q, alpha: float) -> float:
     q, _ = _normalized(q, "q")
     if p.shape != q.shape:
         raise LengthMismatchError(f"p has length {p.size} but q has length {q.size}")
-    if alpha == 1.0:
-        return _kl_bits(p, q)
     return _renyi_from_logs(_log(p), _log(q), alpha)
 
 
@@ -122,9 +137,10 @@ def cond_renyi_div(p_cond, q_cond, p_y, alpha: float) -> float:
 
         (alpha/(alpha-1)) * log2 sum_y p(y) * [sum_x p(x|y)^alpha q(x|y)^(1-alpha)]^(1/alpha)
 
-    for positive ``alpha != 1``; order 1 is rejected because the averaged
-    form has no defined limit here.  Reduces exactly to :func:`renyi_div`
-    when there is a single signal.
+    for positive ``alpha != 1``.  As ``alpha -> 1`` it tends to the averaged
+    KL divergence ``sum_y p(y) D(p(.|y) || q(.|y))``, but order 1 itself is
+    rejected.  Equals :func:`renyi_div` up to rounding when there is a
+    single signal.
     """
     alpha = _check_order(alpha, allow_one=False)
     p_y, _ = _normalized(p_y, "p_y")
@@ -137,11 +153,6 @@ def cond_renyi_div(p_cond, q_cond, p_y, alpha: float) -> float:
             f"p_cond has {p_cond.shape[1]} columns but q_cond has {q_cond.shape[1]}"
         )
 
-    inner = _log_power_sum(_log(p_cond), _log(q_cond), alpha, axis=1)
-    if np.any(inner == math.inf):
-        return math.inf
-    # inner == -inf means the bracket is zero and the signal contributes 0.
-    log_outer = _logsumexp(np.log(p_y[active]) + inner / alpha)
-    if log_outer == -math.inf:
-        return math.inf
-    return (alpha / (alpha - 1.0)) * log_outer / _LN2
+    # the bracket of signal y is exp((alpha-1) K_y) for the inner divergence K_y
+    inner = _renyi_from_logs(_log(p_cond), _log(q_cond), alpha, axis=-1)
+    return _tilted_mean((alpha - 1.0) / alpha, np.log(p_y[active]), inner * _LN2)

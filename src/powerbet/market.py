@@ -56,7 +56,10 @@ def _normalized(values, name: str, ndim: int = 1, rows=False, cash: float = 0.0)
     row's own sum, taken over every row (``True``) or over the rows a
     boolean mask selects, and only the selected rows are returned.
     """
-    arr = np.asarray(values, dtype=float)
+    try:
+        arr = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):  # ragged rows or non-numbers
+        raise InvalidDistributionError(f"{name} must be an array of numbers") from None
     if arr.ndim != ndim or arr.size < 1:
         raise InvalidDistributionError(
             f"{name} must be a nonempty {ndim}-D array, got shape {arr.shape}"

@@ -7,9 +7,10 @@ logarithm of a weighted power mean of the payoffs.  For finite nonzero
     log2(c) + D_{1/(1-beta)}(p || r) - D_{1-beta}(g || b),
 
 where ``c`` is the track constant, ``r`` the bookie-implied distribution,
-and ``g`` the optimal allocation.  The reports produced here compute both
-sides of that identity through independent code paths (a direct power-mean
-sum versus divergence calls) and expose the residual.
+and ``g`` the optimal allocation.  The reports compute both sides of that
+identity, as different inputs to the one tilted-mean kernel of
+:mod:`powerbet.divergence` (checked against a 50-digit reference in the
+tests), and expose the residual.
 
 Extended-real conventions: a zero bet on a possible winner makes the
 utility ``-inf`` for negative ``beta`` and simply drops the term for
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import _LN2, _log, _logsumexp, _renyi_from_logs, cond_renyi_div, renyi_div
+from .divergence import _log, _renyi_from_logs, _tilted_mean, cond_renyi_div, renyi_div
 from .errors import BetaOutOfRangeError, ZeroBetError
 from .market import (
     RaceMarket,
@@ -46,7 +47,7 @@ from .strategy import (
 
 @dataclass(frozen=True)
 class DecompositionReport:
-    """Three-term split of a utility plus its independently computed value.
+    """Three-term split of a utility plus its directly computed value.
 
     ``total = log_c + bookie_term - gambler_term`` and ``direct`` is the
     same utility evaluated straight from the payoff sum; ``residual`` is
@@ -69,10 +70,9 @@ def _check_nonzero_beta(beta: float) -> float:
 
 
 def _log2_power_mean(probs: np.ndarray, payoffs: np.ndarray, beta: float):
-    """``(1/beta) * log2 sum p_i * payoff_i^beta``; a zero payoff is a +/-inf term.
-    A float for one payoff vector, one value per row for a 2-D stack of them."""
-    terms = np.log(probs) + beta * _log(payoffs)
-    return _logsumexp(terms, axis=None if terms.ndim == 1 else 1) / (beta * _LN2)
+    """``K(beta; p, ln payoff) = (1/beta) log2 sum p_i payoff_i^beta``: a float for one
+    payoff vector, one value per row for a 2-D stack of them."""
+    return _tilted_mean(beta, np.log(probs), _log(payoffs), axis=None if payoffs.ndim == 1 else -1)
 
 
 def utility_full(market: RaceMarket, b: Allocation, beta: float) -> float:
@@ -85,9 +85,7 @@ def utility_full(market: RaceMarket, b: Allocation, beta: float) -> float:
 def doubling_rate(market: RaceMarket, b: Allocation) -> float:
     """Expected log2 wealth growth per race, ``sum p_i log2(b_i o_i)``."""
     _require_same_length(market, b.bets)
-    if np.any(b.bets == 0.0):
-        return -math.inf
-    return float(np.sum(market.probs * np.log2(b.bets * market.odds)))
+    return _log2_power_mean(market.probs, b.bets * market.odds, 0.0)
 
 
 def utility_partial(market: RaceMarket, b: PartialAllocation, beta: float) -> float:
@@ -121,11 +119,11 @@ def limit_utilities(market: RaceMarket, b: Allocation) -> tuple[float, float]:
     return float(logs.max()), float(logs.min())
 
 
-def _residual(total: float, direct: float) -> float:
-    if total == direct:
-        # Covers the matching-infinity case without producing NaN.
-        return 0.0
-    return abs(total - direct)
+def _report(market, bookie: float, gambler: float, direct: float) -> DecompositionReport:
+    log_c = math.log2(track_constant(market))
+    total = log_c + bookie - gambler
+    residual = 0.0 if total == direct else abs(total - direct)  # matching infinities: 0, not NaN
+    return DecompositionReport(log_c, bookie, gambler, total, direct, residual)
 
 
 def decompose_full(market: RaceMarket, b: Allocation, beta: float) -> DecompositionReport:
@@ -136,12 +134,9 @@ def decompose_full(market: RaceMarket, b: Allocation, beta: float) -> Decomposit
     """
     beta = _check_interior_beta(beta)
     _require_same_length(market, b.bets)
-    log_c = math.log2(track_constant(market))
     bookie = renyi_div(market.probs, bookie_distribution(market), 1.0 / (1.0 - beta))
     gambler = _renyi_from_logs(_log_weights_full(market, beta), _log(b.bets), 1.0 - beta)
-    total = log_c + bookie - gambler
-    direct = utility_full(market, b, beta)
-    return DecompositionReport(log_c, bookie, gambler, total, direct, _residual(total, direct))
+    return _report(market, bookie, gambler, utility_full(market, b, beta))
 
 
 def decompose_kelly(market: RaceMarket, b: Allocation) -> DecompositionReport:
@@ -149,12 +144,9 @@ def decompose_kelly(market: RaceMarket, b: Allocation) -> DecompositionReport:
     _require_same_length(market, b.bets)
     if np.any(b.bets == 0.0):
         raise ZeroBetError("a zero bet makes the doubling rate and its split both -inf")
-    log_c = math.log2(track_constant(market))
     bookie = renyi_div(market.probs, bookie_distribution(market), 1.0)
     gambler = renyi_div(market.probs, b.bets, 1.0)
-    total = log_c + bookie - gambler
-    direct = doubling_rate(market, b)
-    return DecompositionReport(log_c, bookie, gambler, total, direct, _residual(total, direct))
+    return _report(market, bookie, gambler, doubling_rate(market, b))
 
 
 def decompose_side_info(
@@ -170,14 +162,8 @@ def decompose_side_info(
     beta = _check_interior_beta(beta)
     _require_same_length(market, b.table)
     log_g_cond, log_g_y = _log_weights_side_info(market, beta)
-    log_c = math.log2(track_constant(market))
-    r = bookie_distribution(market)
-    r_table = np.broadcast_to(r, market.joint.shape)
-    bookie = cond_renyi_div(
-        market.conditional(), r_table, market.signal_probs, 1.0 / (1.0 - beta)
-    )
+    r_table = np.broadcast_to(bookie_distribution(market), market.joint.shape)
+    bookie = cond_renyi_div(market.conditional(), r_table, market.signal_probs, 1.0 / (1.0 - beta))
     log_g_joint = log_g_cond + log_g_y[:, None]
     gambler = _renyi_from_logs(log_g_joint, _log(b.table) + log_g_y[:, None], 1.0 - beta)
-    total = log_c + bookie - gambler
-    direct = utility_side_info(market, b, beta)
-    return DecompositionReport(log_c, bookie, gambler, total, direct, _residual(total, direct))
+    return _report(market, bookie, gambler, utility_side_info(market, b, beta))

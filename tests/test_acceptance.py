@@ -53,8 +53,11 @@ from helpers import (
 
 
 # The interior betas of criteria 01 and 07, out to the 1 - 1e-9 edge of the
-# closed form, where most optimal weights underflow.
-DECOMPOSITION_BETAS = (-2.0, -0.5, 0.25, 0.9, 0.99, 0.999, 1.0 - 1e-6, 1.0 - 1e-9)
+# closed form, where most optimal weights underflow, and in to |beta| = 1e-15
+# next to the Kelly limit, where the power means are centered.
+DECOMPOSITION_BETAS = (-2.0, -0.5, 0.25, 0.9, 0.99, 0.999, 1.0 - 1e-6, 1.0 - 1e-9) + tuple(
+    sign * t for t in (1e-6, 1e-9, 1e-12, 1e-15) for sign in (1.0, -1.0)
+)
 
 
 def _passed(n: int, text: str) -> None:
@@ -74,7 +77,8 @@ def test_criterion_01_decomposition_identity():
             assert report.residual < 1e-9
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
-    _passed(1, f"8000 decompositions, worst residual {worst:.3e}, {elapsed:.1f}s")
+    count = 1000 * len(DECOMPOSITION_BETAS)
+    _passed(1, f"{count} decompositions, worst residual {worst:.3e}, {elapsed:.1f}s")
 
 
 def test_criterion_02_optimizer_vs_grid_oracle():
@@ -195,7 +199,7 @@ def test_criterion_07_side_info_decomposition():
             assert gap < 1e-9
     _passed(
         7,
-        f"500 joints x 8 betas: worst residual {worst_residual:.2e}, worst value gap {worst_gap:.2e}",
+        f"500 joints x {len(DECOMPOSITION_BETAS)} betas: worst residual {worst_residual:.2e}, worst value gap {worst_gap:.2e}",
     )
 
 

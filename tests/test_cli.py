@@ -113,6 +113,23 @@ class TestOptimize:
         assert doc["allocation"]["table"] == [[1.0, 0.0], [0.0, 1.0]]
         assert doc["decomposition"]["gambler_term"] == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "spec,argv",
+        [
+            ("side_spec", ["--mode", "side-info", "--beta", "1e-8"]),
+            ("side_spec", ["--mode", "side-info", "--beta", "-1e-12"]),
+            ("fair_spec", ["--beta", "1e-9"]),
+            ("subfair_spec", ["--beta", "-1e-12"]),
+        ],
+    )
+    def test_check_next_to_kelly(self, capsys, request, spec, argv):
+        # the decomposition identity holds at |beta| far below the 1e-9 bound
+        code, out = run(capsys, "optimize", request.getfixturevalue(spec), *argv, "--check")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["oracle_check"]["passed"] is True
+        assert doc["decomposition"]["residual"] < 1e-9
+
     def test_side_info_without_block_is_incompatible(self, capsys, fair_spec):
         code = main(["optimize", fair_spec, "--beta", "0.5", "--mode", "side-info"])
         capsys.readouterr()
@@ -303,6 +320,14 @@ class TestDivergenceCmd:
         code = main(["divergence", "--alpha", "0.5", "-p", "0.9,0.9", "-q", "0.5,0.5"])
         capsys.readouterr()
         assert code == 2
+
+    def test_ragged_table_is_invalid_input(self, capsys):
+        argv = ["divergence", "--alpha", "2", "-p", "0.5,0.5;1", "-q", "0.5,0.5;0.5,0.5"]
+        code = main(argv + ["--p-y", "0.5,0.5"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "p_cond" in err
+        assert "Traceback" not in err
 
     def test_fewer_rows_than_signals_is_invalid_input(self, capsys):
         argv = ["divergence", "--alpha", "2", "-p", "0.5,0.5", "-q", "0.5,0.5", "--p-y", "0.5,0.5"]

@@ -31,6 +31,7 @@ from helpers import (
 )
 
 MARKET_B = new_race([0.6, 0.4], [2, 2])
+EPS = np.finfo(float).eps
 
 
 class TestUtilityFull:
@@ -75,6 +76,21 @@ class TestUtilityFull:
             rate = doubling_rate(market, b)
             for beta in (1e-4, -1e-4):
                 assert abs(utility_full(market, b, beta) - rate) < 1e-3
+
+    def test_continuous_at_kelly(self):
+        # U_beta - W = beta Var_p(ln S) / (2 ln 2) + O(beta^2), for payoffs S = b o
+        rng = np.random.default_rng(22)
+        for _ in range(200):
+            market = random_market(rng, int(rng.integers(2, 12)))
+            b = random_interior_allocation(rng, market.m)
+            rate = doubling_rate(market, b)
+            log_s = np.log(b.bets * market.odds)
+            slope = float(market.probs @ (log_s - market.probs @ log_s) ** 2) / math.log(2.0)
+            for t in (1e-6, 1e-9, 1e-12, 1e-15):
+                for beta in (t, -t):
+                    gap = utility_full(market, b, beta) - rate
+                    assert abs(gap) <= slope * t + 4 * EPS * max(1.0, abs(rate))
+                    assert math.copysign(1.0, beta) * gap >= -4 * EPS * max(1.0, abs(rate))
 
 
 class TestDoublingRate:

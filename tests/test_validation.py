@@ -129,6 +129,24 @@ def test_bad_input_raises_the_pinned_class(name, kind):
     assert kind == "unnormalized" or not isinstance(excinfo.value, NotNormalizedError)
 
 
+@pytest.mark.parametrize(
+    "field,call",
+    [
+        ("p", lambda v: renyi_div(v, [0.5, 0.5], 0.5)),
+        ("q", lambda v: renyi_div([0.5, 0.5], v, 0.5)),
+        ("p_cond", lambda t: cond_renyi_div(t, ROWS, [0.5, 0.5], 2.0)),
+        ("q_cond", lambda t: cond_renyi_div(ROWS, t, [0.5, 0.5], 2.0)),
+        ("table", ConditionalAllocation),
+    ],
+)
+@pytest.mark.parametrize(
+    "values", [[[0.5, 0.5], [1.0]], [[0.5, 0.5], ["a", "b"]], [[0.5, 0.5], [{}, 0.5]]]
+)
+def test_ragged_or_non_numeric_input_names_the_field(field, call, values):
+    with pytest.raises(InvalidDistributionError, match=f"^{field} must be an array of numbers"):
+        call(values)
+
+
 @pytest.mark.parametrize("new", [new_race, new_side_info])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -2.0])
 def test_bad_odds_raise_nonpositive_odds(new, bad):
