@@ -382,6 +382,21 @@ def _write_trajectory_csv(fh, log_wealth: np.ndarray) -> None:
         fh.write("".join(f"{i},{value!r}\n" for i, value in enumerate(rows, lo + 1)))
 
 
+def _increment_std(log_wealth: np.ndarray) -> float:
+    """Sample standard deviation (ddof 1) of the per-race increments
+    ``diff(log_wealth, prepend=0)``, in two passes over slices (the mean, then
+    the squared deviations), so memory is O(slice) for any number of races."""
+
+    def increments():
+        for lo in range(0, log_wealth.size, _CSV_CHUNK_ROWS):
+            before = log_wealth[lo - 1] if lo else 0.0
+            yield np.diff(log_wealth[lo : lo + _CSV_CHUNK_ROWS], prepend=before)
+
+    mean = math.fsum(float(d.sum()) for d in increments()) / log_wealth.size
+    squares = math.fsum(float(np.square(d - mean).sum()) for d in increments())
+    return math.sqrt(squares / (log_wealth.size - 1))
+
+
 def cmd_simulate(args) -> tuple[dict, int]:
     doc = _load_spec(args.spec)
     market = _parse_race(doc)
@@ -408,8 +423,7 @@ def cmd_simulate(args) -> tuple[dict, int]:
     # Wealth is finite unless some race ruined it, and then the increments
     # are not all finite, so there is no band to report.
     if math.isfinite(rate) and args.n > 1:
-        increments = np.diff(traj.log_wealth, prepend=0.0)
-        band = 3.0 * float(np.std(increments, ddof=1)) / math.sqrt(args.n)
+        band = 3.0 * _increment_std(traj.log_wealth) / math.sqrt(args.n)
     else:
         band = None
     theoretical = utility.doubling_rate(market, alloc)

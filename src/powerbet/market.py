@@ -33,8 +33,16 @@ NORMALIZATION_TOL = 1e-9
 FAIRNESS_TOL = 1e-12
 
 
-def _as_float_vector(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
+def _as_floats(values, name: str, error=InvalidDistributionError) -> np.ndarray:
+    """``values`` as a float array; ragged rows or non-numbers raise ``error``."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise error(f"{name} must be an array of numbers") from None
+
+
+def _as_float_vector(values, name: str, error=InvalidDistributionError) -> np.ndarray:
+    arr = _as_floats(values, name, error)
     if arr.ndim != 1:
         raise InvalidDistributionError(f"{name} must be a 1-D vector, got shape {arr.shape}")
     return arr
@@ -56,10 +64,7 @@ def _normalized(values, name: str, ndim: int = 1, rows=False, cash: float = 0.0)
     row's own sum, taken over every row (``True``) or over the rows a
     boolean mask selects, and only the selected rows are returned.
     """
-    try:
-        arr = np.asarray(values, dtype=float)
-    except (TypeError, ValueError):  # ragged rows or non-numbers
-        raise InvalidDistributionError(f"{name} must be an array of numbers") from None
+    arr = _as_floats(values, name)
     if arr.ndim != ndim or arr.size < 1:
         raise InvalidDistributionError(
             f"{name} must be a nonempty {ndim}-D array, got shape {arr.shape}"
@@ -117,7 +122,7 @@ class RaceMarket:
 
     def __post_init__(self) -> None:
         probs = _as_float_vector(self.probs, "probs")
-        odds = _as_float_vector(self.odds, "odds")
+        odds = _as_float_vector(self.odds, "odds", NonPositiveOddsError)
         if probs.shape != odds.shape:
             raise LengthMismatchError(
                 f"probs has length {probs.size} but odds has length {odds.size}"
@@ -137,7 +142,7 @@ class RaceMarket:
 
 def new_race(probs, odds) -> RaceMarket:
     """Validate and build a :class:`RaceMarket` from probability and odds vectors."""
-    return RaceMarket(np.asarray(probs, dtype=float), np.asarray(odds, dtype=float))
+    return RaceMarket(probs, odds)
 
 
 @dataclass(frozen=True)
@@ -154,8 +159,8 @@ class SideInfoMarket:
     odds: np.ndarray
 
     def __post_init__(self) -> None:
-        joint = np.asarray(self.joint, dtype=float)
-        odds = _as_float_vector(self.odds, "odds")
+        joint = _as_floats(self.joint, "joint")
+        odds = _as_float_vector(self.odds, "odds", NonPositiveOddsError)
         if joint.ndim != 2:
             raise InvalidDistributionError(f"joint must be a 2-D table, got shape {joint.shape}")
         if joint.shape[1] != odds.size:
@@ -195,7 +200,7 @@ class SideInfoMarket:
 
 def new_side_info(joint, odds) -> SideInfoMarket:
     """Validate and build a :class:`SideInfoMarket` from a joint table and odds."""
-    return SideInfoMarket(np.asarray(joint, dtype=float), np.asarray(odds, dtype=float))
+    return SideInfoMarket(joint, odds)
 
 
 class FairnessTag(str, Enum):

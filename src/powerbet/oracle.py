@@ -12,8 +12,10 @@ Three kinds of oracle live here:
 Full and partial grid searches share one scan that differs only in the
 payoff map.  It takes the points in lexicographic order, in numpy blocks
 of at most ``_BLOCK_CELLS`` cells, so memory stays bounded and the cost is
-proportional to points x dimension.  Only strict improvements are accepted,
-so the lowest lexicographic point wins ties however the scan is blocked.
+proportional to points x dimension.  Blocks are coordinate-major: numpy sums
+a point's coordinates far faster down contiguous columns than along short
+rows.  Only strict improvements are accepted, so the lowest lexicographic
+point wins ties however the scan is blocked.
 
 The Monte Carlo oracles stream too: winners are drawn ``_MC_CHUNK`` races
 at a time from one Philox stream, which continues across chunks, so every
@@ -110,7 +112,10 @@ def _grid_blocks(grid: GridSpec) -> Iterator[np.ndarray]:
     Bars ``c_1 < ... < c_{d-2}`` from ``combinations(range(k + d - 2))``, in
     lexicographic order, give the heads ``x_j = c_j - c_{j-1} - 1`` (with
     ``c_0 = -1``); a head leaving ``room`` units is followed by the points
-    ``(head, t, room - t)``, ``t = 0..room``.  A point costs O(dimension).
+    ``(head, t, room - t)``, ``t = 0..room``.  Each block is the transpose of
+    a C-ordered (dimension, rows) array, so a sum over a point's coordinates
+    adds whole columns in order; a row-major sum goes pairwise from 8 of them
+    on, so there the two may differ in the last bits.
     """
     k, d = grid.resolution, grid.dimension
     if d == 1:
@@ -122,15 +127,21 @@ def _grid_blocks(grid: GridSpec) -> Iterator[np.ndarray]:
     while left:
         n = min(rows, left)
         left -= n
-        pos = np.fromiter(bars, dtype=np.intp, count=n * (d - 2)).reshape(n, d - 2)
-        heads = np.diff(pos, axis=1, prepend=-1) - 1
-        room = k - heads.sum(axis=1)
-        ends = np.cumsum(room + 1)  # one past each head's last point
+        pos = np.fromiter(bars, dtype=np.intp, count=n * (d - 2)).reshape(n, d - 2).T
+        heads = np.empty((d, n), dtype=np.intp)  # x_1..x_{d-2}, room, last point's index
+        heads[:-2] = pos
+        heads[1:-2] -= pos[:-1] + 1
+        heads[-2] = k - heads[:-2].sum(axis=0)
+        ends = np.cumsum(heads[-2] + 1)  # one past each head's last point
+        heads[-1] = ends - 1
         for lo in range(0, int(ends[-1]), rows):
             index = np.arange(lo, min(lo + rows, int(ends[-1])))
-            owner = np.searchsorted(ends, index, side="right")
-            t = index - ends[owner] + room[owner] + 1
-            yield np.column_stack((heads[owner], t, room[owner] - t))
+            first, last = np.searchsorted(ends, index[[0, -1]], side="right")
+            counts = np.diff(np.minimum(ends[first : last + 1], index[-1] + 1), prepend=lo)
+            block = heads.take(np.repeat(np.arange(first, last + 1), counts), axis=1)
+            block[-1] -= index  # room - t
+            block[-2] -= block[-1]  # t
+            yield block.T
 
 
 def _grid_argmax(market: RaceMarket, beta: float, grid: GridSpec, dimension: int, payoffs):

@@ -111,18 +111,35 @@ def compositions(total: int, parts: int):
             yield (head,) + tail
 
 
-def reference_grid_argmax(probs, beta: float, grid, payoffs, chunk_rows: int = 1 << 16):
-    """Reference grid scan: the recursive enumerator in chunks of ``chunk_rows``
-    points, each scored with its own power-mean formula; the first point of
-    the largest value wins."""
-    from powerbet.divergence import _log, _logsumexp
+def reference_logsumexp(a: np.ndarray) -> np.ndarray:
+    """Natural log of ``sum(exp(a))`` over the last axis of a row-major copy of
+    ``a``, written apart from the library's kernel: shift by the row's finite
+    peak (0 if none), exp, sum, log, add the peak back."""
+    a = np.array(a, dtype=float, order="C")
+    peak = a.max(axis=-1, keepdims=True, initial=-math.inf)
+    peak[~np.isfinite(peak)] = 0.0
+    with np.errstate(over="ignore", divide="ignore"):
+        out = np.log(np.exp(a - peak).sum(axis=-1, keepdims=True))
+    out += peak
+    return out[..., 0]
 
+
+def reference_grid_values(probs, beta: float, grid, payoffs, chunk_rows: int = 1 << 16):
+    """Reference grid scan: the recursive enumerator in chunks of ``chunk_rows``
+    points, yielding each chunk's points and their power means, computed
+    row-major by :func:`reference_logsumexp`."""
     gen = compositions(grid.resolution, grid.dimension)
-    best_point, best_value = None, -math.inf
     while block := list(islice(gen, chunk_rows)):
         points = np.asarray(block, dtype=float) / float(grid.resolution)
-        terms = np.log(probs)[None, :] + beta * _log(payoffs(points))
-        values = _logsumexp(terms, axis=1) / (beta * math.log(2.0))
+        with np.errstate(divide="ignore"):
+            terms = np.log(probs)[None, :] + beta * np.log(payoffs(points))
+        yield points, reference_logsumexp(terms) / (beta * math.log(2.0))
+
+
+def reference_grid_argmax(probs, beta: float, grid, payoffs, chunk_rows: int = 1 << 16):
+    """The first point of the largest value in :func:`reference_grid_values`."""
+    best_point, best_value = None, -math.inf
+    for points, values in reference_grid_values(probs, beta, grid, payoffs, chunk_rows):
         idx = int(np.argmax(values))
         if best_point is None or values[idx] > best_value:
             best_value, best_point = float(values[idx]), points[idx]
@@ -147,8 +164,7 @@ def reference_log_wealth(market: RaceMarket, b: Allocation, n: int, seed: int) -
 
 def reference_ubeta(market: RaceMarket, b: Allocation, beta: float, n: int, seed: int) -> float:
     """Reference estimate: a log-sum-exp over one term per sample."""
-    from powerbet.divergence import _log, _logsumexp
-
     winners = reference_winners(market, n, seed)
-    terms = beta * _log(b.bets[winners] * market.odds[winners])
-    return (_logsumexp(terms) - math.log(n)) / (beta * math.log(2.0))
+    with np.errstate(divide="ignore"):
+        terms = beta * np.log(b.bets[winners] * market.odds[winners])
+    return (float(reference_logsumexp(terms)) - math.log(n)) / (beta * math.log(2.0))

@@ -24,11 +24,13 @@ from powerbet import (
     utility_full,
 )
 from powerbet import oracle
+from powerbet.utility import _log2_power_mean
 
 from helpers import (
     compositions,
     random_market,
     reference_grid_argmax,
+    reference_grid_values,
     reference_log_wealth,
     reference_ubeta,
 )
@@ -58,6 +60,7 @@ class TestGridSpec:
             for k, d in shapes:
                 blocks = list(oracle._grid_blocks(GridSpec(k, d)))
                 assert all(b.shape[0] <= max(1, cells // d) for b in blocks)
+                assert all(b.flags.f_contiguous for b in blocks)  # one column per coordinate
                 np.testing.assert_array_equal(np.concatenate(blocks), list(compositions(k, d)))
 
     def test_blocks_stay_within_the_cell_budget(self):
@@ -110,28 +113,85 @@ class TestGridSearchFull:
         assert math.isfinite(value)
 
 
+def _full_payoffs(market):
+    return lambda pts: pts * market.odds
+
+
+def _partial_payoffs(market):
+    return lambda pts: pts[:, :1] + pts[:, 1:] * market.odds
+
+
+def _scan_values(market, beta, grid, payoffs):
+    """Every grid point's value as the scan computes it, in lexicographic order."""
+    blocks = oracle._grid_blocks(grid)
+    return np.concatenate(
+        [_log2_power_mean(market.probs, payoffs(b / grid.resolution), beta) for b in blocks]
+    )
+
+
+def _reference_values(market, beta, grid, payoffs):
+    return np.concatenate(
+        [values for _, values in reference_grid_values(market.probs, beta, grid, payoffs)]
+    )
+
+
 class TestGridScan:
     def test_matches_the_reference_scan_bit_for_bit(self):
+        # Below 8 terms numpy sums a point's coordinates in order whatever the
+        # block layout, so up to dimension 7 every value matches exactly.
         rng = np.random.default_rng(31)
-        for m in (1, 2, 3):
+        for m in range(1, 8):
             for beta in (-2.0, -0.5, 0.5, 0.9, 1.0, 3.0):
-                for k in (7, 30, 60):
+                for k in (7, 30, 60) if m <= 3 else (5, 9):
                     market = random_market(rng, m)
-                    best, _ = grid_search_full(market, beta, GridSpec(k, m))
-                    want = reference_grid_argmax(
-                        market.probs, beta, GridSpec(k, m), lambda pts: pts * market.odds
-                    )
+                    grid, payoffs = GridSpec(k, m), _full_payoffs(market)
+                    best, _ = grid_search_full(market, beta, grid)
+                    want = reference_grid_argmax(market.probs, beta, grid, payoffs)
                     np.testing.assert_array_equal(best.bets, Allocation(want).bets)
-                    best, _ = grid_search_partial(market, beta, GridSpec(k, m + 1))
-                    want = reference_grid_argmax(
-                        market.probs,
-                        beta,
-                        GridSpec(k, m + 1),
-                        lambda pts: pts[:, :1] + pts[:, 1:] * market.odds,
-                    )
+                    want = _reference_values(market, beta, grid, payoffs)
+                    assert _scan_values(market, beta, grid, payoffs).tobytes() == want.tobytes()
+                    if m > 6:
+                        continue
+                    grid, payoffs = GridSpec(k, m + 1), _partial_payoffs(market)
+                    best, _ = grid_search_partial(market, beta, grid)
+                    want = reference_grid_argmax(market.probs, beta, grid, payoffs)
                     want = PartialAllocation(want[0], want[1:])
                     assert best.cash == want.cash
                     np.testing.assert_array_equal(best.bets, want.bets)
+                    want = _reference_values(market, beta, grid, payoffs)
+                    assert _scan_values(market, beta, grid, payoffs).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("m,partial,k", [(8, False, 9), (8, True, 8), (12, False, 6)])
+    def test_high_dimensions_match_the_reference_to_rounding(self, m, partial, k):
+        # From 8 coordinates on, numpy sums a contiguous row pairwise but whole
+        # columns in order, so values may differ in the last bits.
+        rng = np.random.default_rng(33)
+        for beta in (-2.0, -0.5, 0.5, 3.0):
+            market = random_market(rng, m)
+            grid = GridSpec(k, m + partial)
+            payoffs = (_partial_payoffs if partial else _full_payoffs)(market)
+            search = grid_search_partial if partial else grid_search_full
+            best, _ = search(market, beta, grid)
+            want = reference_grid_argmax(market.probs, beta, grid, payoffs)
+            got_point = np.concatenate([[best.cash], best.bets]) if partial else best.bets
+            np.testing.assert_array_equal(got_point, want)
+            got = _scan_values(market, beta, grid, payoffs)
+            want = _reference_values(market, beta, grid, payoffs)
+            same = got == want  # equal infinities included
+            with np.errstate(invalid="ignore"):
+                err = np.where(same, 0.0, np.abs(got - want))
+            assert np.all(err <= 8 * np.finfo(float).eps * np.maximum(1.0, np.abs(want)))
+
+    def test_memory_holds_no_extra_block_copies(self):
+        market = new_race([0.1, 0.2, 0.3, 0.4], [3.0, 6.0, 2.5, 4.0])
+        tracemalloc.start()
+        try:
+            grid_search_full(market, 0.5, GridSpec(200, 4))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a block of 2^16 points is 2 MB per float temporary; about 16 MB in all
+        assert peak <= 24 * 2**20
 
     def test_ties_go_to_the_first_lexicographic_point(self, monkeypatch):
         for cells in (oracle._BLOCK_CELLS, 5):

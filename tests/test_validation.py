@@ -137,6 +137,8 @@ def test_bad_input_raises_the_pinned_class(name, kind):
         ("p_cond", lambda t: cond_renyi_div(t, ROWS, [0.5, 0.5], 2.0)),
         ("q_cond", lambda t: cond_renyi_div(ROWS, t, [0.5, 0.5], 2.0)),
         ("table", ConditionalAllocation),
+        ("probs", lambda v: new_race(v, [2.0, 2.0])),
+        ("joint", lambda t: new_side_info(t, [2.0, 2.0])),
     ],
 )
 @pytest.mark.parametrize(
@@ -153,6 +155,14 @@ def test_bad_odds_raise_nonpositive_odds(new, bad):
     values = VECTOR if new is new_race else JOINT
     with pytest.raises(NonPositiveOddsError):
         new(values, [2.0, bad])
+
+
+@pytest.mark.parametrize("new", [new_race, new_side_info])
+@pytest.mark.parametrize("odds", [[[2.0, 2.0], [1.0]], ["a", "b"], [{}, 2.0]])
+def test_ragged_or_non_numeric_odds_raise_nonpositive_odds(new, odds):
+    values = VECTOR if new is new_race else JOINT
+    with pytest.raises(NonPositiveOddsError, match="^odds must be an array of numbers"):
+        new(values, odds)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, -math.inf])
