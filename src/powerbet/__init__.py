@@ -22,7 +22,6 @@ from .errors import (
     NotNormalizedError,
     PowerbetError,
     UnsupportedOrderError,
-    ZeroBetError,
 )
 from .market import (
     Fairness,
@@ -97,7 +96,6 @@ __all__ = [
     "SideInfoMarket",
     "UnsupportedOrderError",
     "WealthTrajectory",
-    "ZeroBetError",
     "bookie_distribution",
     "classify_fairness",
     "cond_renyi_div",

@@ -211,7 +211,7 @@ def _check_full(market: RaceMarket, beta: float, alloc, value: float, k: int) ->
     gap = grid_value - value
     distance = float(np.max(np.abs(grid_alloc.bets - alloc.bets)))
     ok = gap <= ORACLE_VALUE_TOL
-    if 0.0 < beta < 1.0 or beta < 0.0:
+    if beta < 1.0:
         ok = ok and distance <= 2.0 / k
     doc = {
         "kind": "grid_full",
@@ -247,19 +247,8 @@ def _check_partial(
 
 def _optimize_full(market: RaceMarket, beta: float, args, out: dict) -> int:
     code = 0
-    if beta == 0.0:
-        alloc = strategy.kelly(market)
-        value = utility.doubling_rate(market, alloc)
-        out["decomposition"] = asdict(utility.decompose_kelly(market, alloc))
-        if args.check:
-            residual = out["decomposition"]["residual"]
-            ok = residual < RESIDUAL_TOL and np.allclose(
-                alloc.bets, market.probs, rtol=KELLY_BETS_RTOL, atol=0.0
-            )
-            out["oracle_check"] = {"kind": "kelly_identity", "residual": residual, "passed": ok}
-            code = 0 if ok else 4
-    elif math.isinf(beta):
-        alloc = strategy.optimal_limit(market, beta)
+    alloc = strategy.dispatch(market, beta)
+    if math.isinf(beta):
         best, worst = utility.limit_utilities(market, alloc)
         value = best if beta > 0 else worst
         if args.check:
@@ -274,13 +263,17 @@ def _optimize_full(market: RaceMarket, beta: float, args, out: dict) -> int:
             out["oracle_check"] = {"kind": "limit_bound", "gap": gap, "passed": ok}
             code = 0 if ok else 4
     else:
-        if beta >= 1.0:
-            alloc = strategy.optimal_degenerate(market, beta)
-        else:
-            alloc = strategy.optimal_full(market, beta)
+        if beta < 1.0:
             out["decomposition"] = asdict(utility.decompose_full(market, alloc, beta))
         value = utility.utility_full(market, alloc, beta)
-        if args.check:
+        if args.check and beta == 0.0:
+            residual = out["decomposition"]["residual"]
+            ok = residual < RESIDUAL_TOL and np.allclose(
+                alloc.bets, market.probs, rtol=KELLY_BETS_RTOL, atol=0.0
+            )
+            out["oracle_check"] = {"kind": "kelly_identity", "residual": residual, "passed": ok}
+            code = 0 if ok else 4
+        elif args.check:
             out["oracle_check"], code = _check_full(
                 market, beta, alloc, value, args.grid_resolution
             )
@@ -290,8 +283,8 @@ def _optimize_full(market: RaceMarket, beta: float, args, out: dict) -> int:
 
 
 def _optimize_partial(market: RaceMarket, beta: float, args, out: dict) -> int:
-    if beta == 0.0 or math.isinf(beta) or beta >= 1.0:
-        raise _CommandError(3, "partial mode needs a finite nonzero beta < 1")
+    if math.isinf(beta) or beta >= 1.0:
+        raise _CommandError(3, "partial mode needs a finite beta < 1")
     sol = strategy.optimal_partial(market, beta)
     out["allocation"] = {
         "type": "partial",
@@ -309,8 +302,8 @@ def _optimize_partial(market: RaceMarket, beta: float, args, out: dict) -> int:
 
 
 def _optimize_side_info(market: SideInfoMarket, beta: float, args, out: dict) -> int:
-    if beta == 0.0 or math.isinf(beta) or beta >= 1.0:
-        raise _CommandError(3, "side-info mode needs a finite nonzero beta < 1")
+    if math.isinf(beta) or beta >= 1.0:
+        raise _CommandError(3, "side-info mode needs a finite beta < 1")
     alloc, signal_weights = strategy.optimal_side_info(market, beta)
     report = utility.decompose_side_info(market, alloc, beta)
     out["allocation"] = {
@@ -481,8 +474,6 @@ def cmd_divergence(args) -> tuple[dict, int]:
     conditional = args.p_y is not None
     try:
         if conditional:
-            if args.alpha == 1.0:
-                raise _CommandError(3, "the conditional divergence is not defined at alpha = 1")
             p_y = _load_dist_arg(args.p_y, "--p-y")
             if len(p_y) != 1:
                 raise _CommandError(2, "--p-y must be a single probability vector")

@@ -3,6 +3,8 @@
 All divergences are in bits.  Each one, like each power utility, is a tilted
 mean ``D_alpha(p || q) = K(alpha - 1; p, ln p/q)`` of :func:`_tilted_mean`, KL
 being ``K(0)``, so orders near the pole never overflow and those near 1 match KL.
+Every finite order ``alpha > 0`` is an ordinary input, order 1 included, for
+the plain and the conditional divergence alike.
 
 Zero-probability conventions, applied throughout:
 
@@ -27,14 +29,16 @@ from .market import _normalized
 
 _LN2 = math.log(2.0)
 _CENTERED_T = 2.0**-10  # above it, the log-sum-exp form errs by about eps/|t| <= 3e-13
+# Below it, t (x - mu) keeps too few bits for the centered form, whose error
+# grows as 2^-1074/|t| (1.4 bits at the smallest subnormal), while K(t) - K(0)
+# is O(t): such t take the t = 0 form.
+_NORMAL_MIN = np.finfo(float).tiny
 
 
-def _check_order(alpha: float, allow_one: bool) -> float:
+def _check_order(alpha: float) -> float:
     alpha = float(alpha)
     if not math.isfinite(alpha) or alpha <= 0.0:
         raise UnsupportedOrderError(f"divergence order must be finite and > 0, got {alpha!r}")
-    if alpha == 1.0 and not allow_one:
-        raise UnsupportedOrderError("the conditional divergence does not take order 1")
     return alpha
 
 
@@ -66,7 +70,8 @@ def _tilted_mean(t: float, log_w, x, terms=None, axis: int | None = None):
     the caller's form of ``log w + t x`` (the default).  Rows with
     ``|t| <= 2^-10`` and ``|t| (max x - min x) <= 1`` are instead centered on
     ``mu = sum w x``, as ``mu + log1p(sum w expm1(t (x - mu))) / t``, so the
-    rounding of ``sum w`` is never divided by a small ``t``.
+    rounding of ``sum w`` is never divided by a small ``t``.  A subnormal ``t``
+    takes the ``K(0)`` form.
 
     Never NaN: ``w = 0`` drops a term (its ``x`` must then be finite unless
     ``terms`` is given), ``e^(t x)`` is ``+inf`` or 0 for an infinite ``x``, and
@@ -77,7 +82,7 @@ def _tilted_mean(t: float, log_w, x, terms=None, axis: int | None = None):
             terms, x = t * x, None
             terms = log_w + terms
         return _logsumexp(terms, axis) / (t * _LN2)
-    if t == 0.0:
+    if abs(t) < _NORMAL_MIN:
         mu = np.sum(np.exp(log_w) * x, axis=axis) / _LN2
         return float(mu) if axis is None else mu
     shape = np.shape(x)
@@ -120,7 +125,7 @@ def renyi_div(p, q, alpha: float) -> float:
     positive ``alpha != 1``.  At ``alpha = 1`` the Kullback-Leibler limit
     ``sum_x p(x) log2(p(x)/q(x))`` is returned.
     """
-    alpha = _check_order(alpha, allow_one=True)
+    alpha = _check_order(alpha)
     p, _ = _normalized(p, "p")
     q, _ = _normalized(q, "q")
     if p.shape != q.shape:
@@ -137,12 +142,12 @@ def cond_renyi_div(p_cond, q_cond, p_y, alpha: float) -> float:
 
         (alpha/(alpha-1)) * log2 sum_y p(y) * [sum_x p(x|y)^alpha q(x|y)^(1-alpha)]^(1/alpha)
 
-    for positive ``alpha != 1``.  As ``alpha -> 1`` it tends to the averaged
-    KL divergence ``sum_y p(y) D(p(.|y) || q(.|y))``, but order 1 itself is
-    rejected.  Equals :func:`renyi_div` up to rounding when there is a
-    single signal.
+    for positive ``alpha != 1``.  At ``alpha = 1`` both nested tilted means
+    sit at ``t = 0`` and give the averaged KL divergence
+    ``sum_y p(y) D(p(.|y) || q(.|y))``, the limit as ``alpha -> 1``.  Equals
+    :func:`renyi_div` up to rounding when there is a single signal.
     """
-    alpha = _check_order(alpha, allow_one=False)
+    alpha = _check_order(alpha)
     p_y, _ = _normalized(p_y, "p_y")
     active = p_y > 0.0
     # only the rows of signals that occur are normalized, and returned

@@ -2,7 +2,9 @@
 
 Every error raised by this package derives from :class:`PowerbetError`,
 which itself derives from ``ValueError`` so callers that only care about
-"bad input" can catch the builtin.
+"bad input" can catch the builtin.  Kelly's ``beta = 0`` and divergence
+order 1 are ordinary inputs, so no class here stands for them, and a zero
+bet is an extended-real ``-inf`` value, not an error.
 """
 
 
@@ -19,7 +21,8 @@ class NonPositiveProbabilityError(PowerbetError):
 
 
 class NonPositiveOddsError(PowerbetError):
-    """A payout is zero or negative."""
+    """A payout is zero, negative or not finite, or the payouts are so small
+    that their reciprocals, whose sum sets the track constant, overflow."""
 
 
 class InvalidDistributionError(PowerbetError):
@@ -46,10 +49,6 @@ class NotApplicableError(PowerbetError):
 
 class GridTooLargeError(PowerbetError):
     """The requested simplex grid would exceed the enumeration guard."""
-
-
-class ZeroBetError(PowerbetError):
-    """A zero bet on a possible winner makes both sides of an identity -inf."""
 
 
 class NotEvaluableError(PowerbetError):

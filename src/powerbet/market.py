@@ -94,9 +94,13 @@ def _normalized(values, name: str, ndim: int = 1, rows=False, cash: float = 0.0)
 
 
 def _checked_odds(odds: np.ndarray) -> np.ndarray:
-    """A read-only copy of a float vector of payouts, each finite and > 0."""
+    """A read-only copy of a float vector of payouts, each finite and > 0,
+    whose reciprocals have the finite sum the track constant needs."""
     if not (odds.min() > 0.0 and odds.max() < np.inf):
         raise NonPositiveOddsError("all odds must be finite and > 0")
+    with np.errstate(over="ignore"):
+        if not np.sum(1.0 / odds) < np.inf:
+            raise NonPositiveOddsError("odds are too small: their reciprocals overflow as a sum")
     return _freeze(odds)
 
 

@@ -199,12 +199,9 @@ def kkt_residual(
     unevaluable.
     """
     beta = _check_finite_beta(beta)
-    if beta == 0.0 or beta >= 1.0:
-        raise NotEvaluableError("the conditions are stated for finite nonzero beta < 1")
-    if sol.m != market.m:
-        raise NotEvaluableError(
-            f"allocation covers {sol.m} horses but the market has {market.m}"
-        )
+    if beta >= 1.0:
+        raise NotEvaluableError("the conditions are stated for finite beta < 1")
+    _require_same_length(market, sol.bets)
     active = sol.bets > 0.0
     if sol.cash == 0.0 and not np.all(active):
         raise NotEvaluableError("needs cash > 0 or a bet on every horse")
@@ -298,14 +295,13 @@ def simulate_growth(
 def estimate_ubeta(
     market: RaceMarket, b: Allocation, beta: float, n_samples: int, seed: int
 ) -> float:
-    """Monte Carlo estimate of ``(1/beta) log2 E[S^beta]`` from seeded samples.
+    """Monte Carlo estimate of ``(1/beta) log2 E[S^beta]`` from seeded samples,
+    the mean log2 payoff at ``beta = 0``.
 
     The sample mean of ``S^beta`` is taken from exact per-horse win counts,
     so memory is O(chunk + m) and the value does not depend on the chunk size.
     """
     beta = _check_finite_beta(beta)
-    if beta == 0.0:
-        raise NotEvaluableError("beta must be nonzero; estimate the doubling rate instead")
     _require_same_length(market, b.bets)
     counts = np.zeros(market.m, dtype=np.int64)
     for winners in _winner_chunks(market, n_samples, seed, "sample"):

@@ -1,17 +1,17 @@
 """Optimal bet allocations for every risk regime.
 
 The utility being maximized is ``(1/beta) * log2 E[S^beta]`` where ``S`` is
-the wealth relative after one race.  The risk parameter is handled as a
-plain float with three conventions:
+the wealth relative after one race.  The risk parameter is a plain float:
+``+inf`` / ``-inf`` stand for the best-case / worst-case limits, and any
+finite value is used literally.
 
-* ``beta == 0.0`` stands for the log-utility limit (proportional betting),
-* ``beta == +inf`` / ``-inf`` stand for the best-case / worst-case limits,
-* any other finite nonzero value is used literally.
-
-For finite ``beta < 1`` an interior closed form exists; for ``beta >= 1``
-the optimum is a single-horse bet; the infinite limits are a single-horse
-bet on the longest odds and risk-free odds replication respectively.  All
-argmax ties break to the smallest horse index so outputs are deterministic.
+For finite ``beta < 1`` an interior closed form exists; its ``beta = 0``
+member is Kelly's log-optimal betting, which every interior optimizer takes
+as an ordinary input (:func:`kelly` returns its full-investment answer,
+``b = p``, exactly).  For ``beta >= 1`` the optimum is a single-horse bet;
+the infinite limits are a single-horse bet on the longest odds and risk-free
+odds replication respectively.  All argmax ties break to the smallest horse
+index so outputs are deterministic.
 """
 
 from __future__ import annotations
@@ -122,12 +122,10 @@ def _check_finite_beta(beta: float) -> float:
 
 
 def _check_interior_beta(beta: float) -> float:
-    """Validate beta for the interior closed form: finite, nonzero, < 1."""
+    """Validate beta for the interior closed form: finite and < 1."""
     beta = _check_finite_beta(beta)
-    if beta == 0.0 or beta > BETA_FULL_SUP:
-        raise BetaOutOfRangeError(
-            f"the interior optimum needs beta in (-inf, 0) or (0, 1), got {beta!r}"
-        )
+    if beta > BETA_FULL_SUP:
+        raise BetaOutOfRangeError(f"the interior optimum needs a finite beta < 1, got {beta!r}")
     return beta
 
 
@@ -138,7 +136,7 @@ def _log_weights_full(market: RaceMarket, beta: float) -> np.ndarray:
 
 
 def optimal_full(market: RaceMarket, beta: float) -> Allocation:
-    """Unique full-investment optimum for finite nonzero ``beta < 1``.
+    """Unique full-investment optimum for finite ``beta < 1``.
 
     The optimal fraction on horse ``i`` is proportional to
     ``p_i^(1/(1-beta)) * o_i^(beta/(1-beta))``, normalized in the log domain
@@ -314,8 +312,7 @@ def dispatch(
     ``beta = 0.0`` picks proportional betting, ``+/-inf`` the limit
     strategies, ``beta >= 1`` the single-horse bet, and any other finite
     value the interior optimum.  ``partial=True`` is supported only for
-    finite nonzero ``beta < 1``, the regime where the cash closed form
-    exists.
+    finite ``beta < 1``, the regime where the cash closed form exists.
     """
     if partial:
         return optimal_partial(market, beta).allocation

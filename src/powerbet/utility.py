@@ -1,21 +1,22 @@
 """Power-mean utilities, the doubling rate, and their divergence decompositions.
 
 The central quantity is ``U_beta = (1/beta) * log2 E[S^beta]``: the base-2
-logarithm of a weighted power mean of the payoffs.  For finite nonzero
-``beta < 1`` it splits exactly into three terms,
+logarithm of a weighted power mean of the payoffs.  Its ``beta = 0`` member
+is Kelly's doubling rate ``E[log2 S]``, an ordinary input of every utility
+and report here.  For finite ``beta < 1`` it splits exactly into three terms,
 
     log2(c) + D_{1/(1-beta)}(p || r) - D_{1-beta}(g || b),
 
 where ``c`` is the track constant, ``r`` the bookie-implied distribution,
-and ``g`` the optimal allocation.  The reports compute both sides of that
-identity, as different inputs to the one tilted-mean kernel of
-:mod:`powerbet.divergence` (checked against a 50-digit reference in the
-tests), and expose the residual.
+and ``g`` the optimal allocation; at ``beta = 0`` both divergences are KL.
+The reports compute both sides of that identity, as different inputs to the
+one tilted-mean kernel of :mod:`powerbet.divergence` (checked against a
+50-digit reference in the tests), and expose the residual.
 
 Extended-real conventions: a zero bet on a possible winner makes the
-utility ``-inf`` for negative ``beta`` and simply drops the term for
-positive ``beta``.  Values are never NaN; ``-inf`` compares below every
-finite value so optimizers handle degenerate allocations gracefully.
+utility ``-inf`` for ``beta <= 0`` and simply drops the term for positive
+``beta``.  Values are never NaN; ``-inf`` compares below every finite value
+so optimizers handle degenerate allocations gracefully.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divergence import _log, _renyi_from_logs, _tilted_mean, cond_renyi_div, renyi_div
-from .errors import BetaOutOfRangeError, ZeroBetError
 from .market import (
     RaceMarket,
     SideInfoMarket,
@@ -62,13 +62,6 @@ class DecompositionReport:
     residual: float
 
 
-def _check_nonzero_beta(beta: float) -> float:
-    beta = _check_finite_beta(beta)
-    if beta == 0.0:
-        raise BetaOutOfRangeError("beta must be nonzero; the beta -> 0 limit is doubling_rate")
-    return beta
-
-
 def _log2_power_mean(probs: np.ndarray, payoffs: np.ndarray, beta: float):
     """``K(beta; p, ln payoff) = (1/beta) log2 sum p_i payoff_i^beta``: a float for one
     payoff vector, one value per row for a 2-D stack of them."""
@@ -76,28 +69,27 @@ def _log2_power_mean(probs: np.ndarray, payoffs: np.ndarray, beta: float):
 
 
 def utility_full(market: RaceMarket, b: Allocation, beta: float) -> float:
-    """Utility of a full-investment allocation for finite nonzero ``beta``, in bits."""
-    beta = _check_nonzero_beta(beta)
+    """Utility of a full-investment allocation for finite ``beta``, in bits."""
+    beta = _check_finite_beta(beta)
     _require_same_length(market, b.bets)
     return _log2_power_mean(market.probs, b.bets * market.odds, beta)
 
 
 def doubling_rate(market: RaceMarket, b: Allocation) -> float:
-    """Expected log2 wealth growth per race, ``sum p_i log2(b_i o_i)``."""
-    _require_same_length(market, b.bets)
-    return _log2_power_mean(market.probs, b.bets * market.odds, 0.0)
+    """Expected log2 wealth growth per race, ``sum p_i log2(b_i o_i)``: ``U_0``."""
+    return utility_full(market, b, 0.0)
 
 
 def utility_partial(market: RaceMarket, b: PartialAllocation, beta: float) -> float:
     """Utility when a cash fraction is withheld: payoffs are ``cash + b_i o_i``."""
-    beta = _check_nonzero_beta(beta)
+    beta = _check_finite_beta(beta)
     _require_same_length(market, b.bets)
     return _log2_power_mean(market.probs, b.cash + b.bets * market.odds, beta)
 
 
 def utility_side_info(market: SideInfoMarket, b: ConditionalAllocation, beta: float) -> float:
     """Utility of a conditional allocation: payoff ``b(x|y) o(x)`` weighted by the joint."""
-    beta = _check_nonzero_beta(beta)
+    beta = _check_finite_beta(beta)
     _require_same_length(market, b.table)
     weights = market.joint.ravel()
     payoffs = (b.table * market.odds[None, :]).ravel()
@@ -140,13 +132,9 @@ def decompose_full(market: RaceMarket, b: Allocation, beta: float) -> Decomposit
 
 
 def decompose_kelly(market: RaceMarket, b: Allocation) -> DecompositionReport:
-    """KL-based report for the doubling rate: ``log c + D(p||r) - D(p||b)``."""
-    _require_same_length(market, b.bets)
-    if np.any(b.bets == 0.0):
-        raise ZeroBetError("a zero bet makes the doubling rate and its split both -inf")
-    bookie = renyi_div(market.probs, bookie_distribution(market), 1.0)
-    gambler = renyi_div(market.probs, b.bets, 1.0)
-    return _report(market, bookie, gambler, doubling_rate(market, b))
+    """KL report for the doubling rate, ``log c + D(p||r) - D(p||b)``: the
+    ``beta = 0`` report of :func:`decompose_full`."""
+    return decompose_full(market, b, 0.0)
 
 
 def decompose_side_info(

@@ -74,24 +74,33 @@ def random_conditional_allocation(rng, n_signals, n_horses, floor=0.05) -> Condi
 def prefix_search_partial(market: RaceMarket, beta: float):
     """Brute-force partial-investment reference for a subfair market.
 
-    Tries the closed form on every prefix of the horses ranked by
-    decreasing ``p_i * o_i``, skips prefixes whose threshold is undefined or
-    whose coefficients overflow, and keeps the best utility, ties going to
-    the smaller prefix.  Returns ``(support, utility)``, or None when every
-    prefix was skipped.
+    Ranks the horses by decreasing ``p_i * o_i`` and tries every prefix ``J``
+    as the support.  Its threshold is
+    ``cap = (1 - sum_J p_i) / (1 - sum_J 1/o_i)``, skipped unless both sides
+    are positive; stationarity, ``p_i o_i s_i^(beta-1) = cap cash^(beta-1)``,
+    then puts each backed horse's payoff at
+    ``s_i = cash (p_i o_i / cap)^(1/(1-beta))``, so it gets
+    ``cash (s_i / cash - 1) / o_i`` (clipped at 0), and ``cash`` makes the
+    whole sum to one.  Prefixes whose payoffs overflow are skipped.  Keeps
+    the best utility, ties going to the smaller prefix, and returns
+    ``(support, utility)``, or None when every prefix was skipped.
     """
-    from powerbet.strategy import _partial_candidate
-
-    order = np.argsort(-market.probs * market.odds, kind="stable")
+    p, o = market.probs, market.odds
+    order = np.argsort(-p * o, kind="stable")
     best = None
-    chosen = np.zeros(market.m, dtype=bool)
     for k in range(market.m + 1):
-        if k > 0:
-            chosen[order[k - 1]] = True
-        candidate = _partial_candidate(market, beta, chosen)
-        if candidate is None:
+        backed = order[:k]
+        slack = 1.0 - sum(1.0 / o[i] for i in backed)
+        outside = 1.0 - sum(p[i] for i in backed)
+        if slack <= 0.0 or outside <= 0.0:
             continue
-        _, gammas = candidate
+        cap = outside / slack
+        with np.errstate(over="ignore"):
+            ratios = (p[backed] * o[backed] / cap) ** (1.0 / (1.0 - beta))
+        if not np.all(np.isfinite(ratios)):
+            continue
+        gammas = np.zeros(market.m)
+        gammas[backed] = np.maximum(ratios - 1.0, 0.0) / o[backed]
         cash = 1.0 / (1.0 + gammas.sum())
         alloc = PartialAllocation(cash, gammas * cash)
         value = utility_partial(market, alloc, beta)

@@ -64,6 +64,17 @@ class TestAnalyze:
         assert code == 2
         assert "horses[0].p" in err
 
+    def test_odds_whose_reciprocals_overflow_are_invalid_input(self, capsys, tmp_path):
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({"horses": [{"p": 0.5, "odds": 1e-320}, {"p": 0.5, "odds": 2}]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["analyze", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "odds" in captured.err
+        assert "NaN" not in captured.out
+
 
 class TestOptimize:
     def test_interior_allocation(self, capsys, fair_spec):
@@ -120,6 +131,12 @@ class TestOptimize:
             ("side_spec", ["--mode", "side-info", "--beta", "-1e-12"]),
             ("fair_spec", ["--beta", "1e-9"]),
             ("subfair_spec", ["--beta", "-1e-12"]),
+            ("side_spec", ["--mode", "side-info", "--beta", "kelly"]),
+            # 1/(1 - beta) rounds to 1 at these, so the check takes order 1
+            ("side_spec", ["--mode", "side-info", "--beta", "5e-17"]),
+            ("side_spec", ["--mode", "side-info", "--beta", "-5e-17"]),
+            ("side_spec", ["--mode", "side-info", "--beta", "1e-300"]),
+            ("subfair_spec", ["--beta", "1e-320"]),
         ],
     )
     def test_check_next_to_kelly(self, capsys, request, spec, argv):
@@ -135,10 +152,22 @@ class TestOptimize:
         capsys.readouterr()
         assert code == 3
 
-    def test_partial_with_kelly_is_incompatible(self, capsys, subfair_spec):
-        code = main(["optimize", subfair_spec, "--beta", "kelly", "--mode", "partial"])
-        capsys.readouterr()
-        assert code == 3
+    def test_partial_with_kelly_keeps_kellys_cash(self, capsys, subfair_spec):
+        # p*o = 1.35 beats the threshold 0.3 for horse 0 alone: bet p/0.3 - 1/o
+        # of the cash on it, i.e. 0.7 with 0.3 in cash (Kelly 1956)
+        code, out = run(capsys, "optimize", subfair_spec, "--beta", "kelly", "--mode", "partial")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["beta"] == "kelly"
+        assert doc["allocation"]["cash"] == pytest.approx(0.3, rel=1e-15, abs=0.0)
+        assert doc["allocation"]["bets"] == pytest.approx([0.7, 0.0], rel=1e-15, abs=1e-16)
+        assert doc["allocation"]["support"] == [0]
+        argv = ["optimize", subfair_spec, "--beta", "kelly", "--mode", "partial", "--check"]
+        code, out = run(capsys, *argv)
+        assert code == 0
+        check = json.loads(out)["oracle_check"]
+        assert check["passed"] is True
+        assert check["kkt"]["mu"] == pytest.approx(1.0, rel=1e-15, abs=0.0)
 
     def test_kelly_check_tolerates_renormalization_ulps(self, capsys, tmp_path):
         # these probabilities renormalize to a vector summing to 1 - 1 ulp,
@@ -290,12 +319,15 @@ class TestDivergenceCmd:
         assert code == 0
         assert json.loads(out)["divergence_bits"] == pytest.approx(1.0, abs=1e-12)
 
-    def test_conditional_alpha_one_is_incompatible(self, capsys):
-        code = main(
-            ["divergence", "--alpha", "1", "-p", "1,0;0,1", "-q", "0.5,0.5;0.5,0.5", "--p-y", "0.5,0.5"]
+    def test_conditional_alpha_one_is_the_averaged_kl(self, capsys):
+        code, out = run(
+            capsys,
+            "divergence", "--alpha", "1", "-p", "1,0;0,1", "-q", "0.5,0.5;0.5,0.5", "--p-y", "0.5,0.5",
         )
-        capsys.readouterr()
-        assert code == 3
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["conditional"] is True
+        assert doc["divergence_bits"] == 1.0  # one bit under either signal
 
     def test_file_inputs(self, capsys, tmp_path):
         p_file = tmp_path / "p.json"

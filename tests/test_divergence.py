@@ -129,9 +129,22 @@ class TestCondRenyiDiv:
         )
         assert value == pytest.approx(1.0, abs=1e-12)
 
-    def test_order_one_rejected(self):
-        with pytest.raises(UnsupportedOrderError):
-            cond_renyi_div([[1, 0]], [[0.5, 0.5]], [1.0], 1.0)
+    def test_order_one_is_the_averaged_kl(self):
+        assert cond_renyi_div([[1, 0]], [[0.5, 0.5]], [1.0], 1.0) == 1.0
+        rng = np.random.default_rng(9)
+        for _ in range(200):
+            n_y, n_x = int(rng.integers(1, 6)), int(rng.integers(2, 10))
+            p_y, p_cond, q_cond = _random_conditional_setup(rng, n_y, n_x)
+            p_cond[:, 0] = 0.0  # a zero term in every row
+            p_cond /= p_cond.sum(axis=1, keepdims=True)
+            value = cond_renyi_div(p_cond, q_cond, p_y, 1.0)
+            rows = [renyi_div(p_cond[y], q_cond[y], 1.0) for y in range(n_y)]
+            assert value == pytest.approx(float(p_y @ rows), rel=1e-14, abs=0.0)
+            # written out; a small KL is a difference of O(1) terms, so absolute
+            with np.errstate(divide="ignore"):
+                logs = np.where(p_cond > 0.0, np.log2(p_cond / q_cond), 0.0)
+            averaged = float(p_y @ np.sum(p_cond * logs, axis=1))
+            assert value == pytest.approx(averaged, rel=0.0, abs=16 * EPS)
 
     def test_support_violation(self):
         value = cond_renyi_div([[0.5, 0.5]], [[1.0, 0.0]], [1.0], 2.0)

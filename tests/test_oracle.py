@@ -277,6 +277,17 @@ class TestKktResidual:
         with pytest.raises(NotEvaluableError):
             kkt_residual(SUBFAIR, 0.5, PartialAllocation(0.0, [1.0, 0.0]))
 
+    def test_certifies_kelly_with_cash(self):
+        # at beta = 0 the multiplier is sum p_i / s_i, which is 1 at the optimum
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            market = random_market(rng, int(rng.integers(2, 12)), odds_lo=1.05, odds_hi=6.0)
+            sol = optimal_partial(market, 0.0)
+            report = kkt_residual(market, 0.0, sol.allocation, gamma_cap=sol.gamma_cap)
+            assert report.mu == pytest.approx(1.0, rel=1e-12)
+            for name, gap in vars(report).items():
+                assert name == "mu" or gap is None or gap < 1e-8
+
 
 class TestSimulateGrowth:
     def test_deterministic_for_fixed_seed(self):
@@ -351,6 +362,17 @@ class TestEstimateUbeta:
 
     def test_zero_bet_negative_beta(self):
         assert estimate_ubeta(MARKET_B, Allocation([1.0, 0.0]), -0.5, 100, seed=9) == -math.inf
+
+    def test_zero_beta_is_the_simulated_growth_rate(self):
+        # the same races give the mean log2 payoff both ways
+        for i, (market, b) in enumerate(_streaming_cases()):
+            n = 10**5 + i
+            rate = simulate_growth(market, b, n, seed=i).final_rate
+            est = estimate_ubeta(market, b, 0.0, n, seed=i)
+            if math.isinf(rate):
+                assert est == rate
+            else:
+                assert est == pytest.approx(rate, rel=1e-10, abs=0.0)
 
 
 def _streaming_cases():

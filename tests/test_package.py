@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import types
@@ -14,6 +15,15 @@ def test_all_lists_every_public_name():
     }
     assert len(powerbet.__all__) == len(set(powerbet.__all__))
     assert set(powerbet.__all__) == public
+
+
+def test_benchmark_calls_only_public_names():
+    # the benchmark runs every commit's tree through this list of names
+    root = os.path.dirname(os.path.abspath(__file__))
+    with open(os.path.join(root, os.pardir, "perfbench", "workloads.py"), encoding="utf-8") as fh:
+        used = set(re.findall(r"\b(?:lib|powerbet)\.([A-Za-z_]\w*)", fh.read()))
+    assert used
+    assert used <= set(powerbet.__all__), sorted(used - set(powerbet.__all__))
 
 
 def test_import_does_not_load_scipy():

@@ -63,10 +63,18 @@ class TestOptimalFull:
                 continue
             assert np.all(optimal_full(market, beta).bets > 0.0)
 
-    @pytest.mark.parametrize("beta", [0.0, 1.0, 1.5, math.inf])
+    @pytest.mark.parametrize("beta", [1.0, 1.5, math.inf])
     def test_rejects_bad_beta(self, beta):
         with pytest.raises(BetaOutOfRangeError):
             optimal_full(MARKET_B, beta)
+
+    def test_zero_beta_is_proportional_betting(self):
+        np.testing.assert_allclose(optimal_full(MARKET_B, 0.0).bets, [0.6, 0.4], rtol=4e-16)
+        rng = np.random.default_rng(19)
+        for _ in range(100):
+            market = random_market(rng, int(rng.integers(2, 30)))
+            g = optimal_full(market, 0.0)
+            np.testing.assert_allclose(g.bets, kelly(market).bets, rtol=1e-14)
 
     def test_optimality_against_random_rivals(self):
         rng = np.random.default_rng(12)
@@ -229,7 +237,7 @@ class TestOptimalPartial:
 
     def test_support_is_a_payoff_prefix_with_positive_cash(self):
         rng = np.random.default_rng(17)
-        for beta in (-0.5, 0.5, 0.9, 0.99):
+        for beta in (-0.5, 0.5, 0.9, 0.99, 0.0):
             for _ in range(50):
                 market = random_subfair_market(rng, int(rng.integers(2, 6)))
                 sol = optimal_partial(market, beta)
@@ -256,12 +264,13 @@ class TestOptimalPartial:
 
     def test_threshold_support_matches_prefix_search(self):
         rng = np.random.default_rng(21)
-        for beta in (-3.0, -0.5, 0.3, 0.5):
+        for beta in (-3.0, -0.5, 0.3, 0.5, 0.0):
             for _ in range(100):
                 market = random_subfair_market(rng, int(rng.integers(2, 12)))
                 sol = optimal_partial(market, beta)
                 support, value = prefix_search_partial(market, beta)
-                assert sol.support == support or abs(sol.utility - value) <= 1e-12
+                assert sol.support == support
+                assert abs(sol.utility - value) <= 1e-12
 
     def test_raises_only_when_the_closed_form_overflows(self):
         # p*o / cap = 4.5 for the backed horse: its coefficient is
@@ -335,7 +344,16 @@ class TestDispatch:
     def test_routes_interior(self):
         np.testing.assert_allclose(dispatch(MARKET_B, 0.5).bets, [9 / 13, 4 / 13], atol=1e-14)
 
-    @pytest.mark.parametrize("beta", [0.0, 1.0, 2.0, math.inf, -math.inf])
+    @pytest.mark.parametrize("beta", [1.0, 2.0, math.inf, -math.inf])
     def test_partial_needs_interior_beta(self, beta):
         with pytest.raises(BetaOutOfRangeError):
             dispatch(MARKET_B, beta, partial=True)
+
+    def test_routes_partial_kelly(self):
+        # fair odds: all in, proportionally; subfair: Kelly's cash threshold
+        fair = dispatch(MARKET_B, 0.0, partial=True)
+        assert fair.cash == 0.0
+        np.testing.assert_allclose(fair.bets, [0.6, 0.4], rtol=4e-16)
+        subfair = dispatch(new_race([0.9, 0.1], [1.5, 1.5]), 0.0, partial=True)
+        assert subfair.cash == pytest.approx(0.3, rel=1e-15, abs=0.0)
+        np.testing.assert_allclose(subfair.bets, [0.7, 0.0], rtol=1e-15)

@@ -8,7 +8,6 @@ from powerbet import (
     BetaOutOfRangeError,
     ConditionalAllocation,
     PartialAllocation,
-    ZeroBetError,
     decompose_full,
     decompose_kelly,
     decompose_side_info,
@@ -55,9 +54,18 @@ class TestUtilityFull:
         value = utility_full(MARKET_B, Allocation([1.0, 0.0]), 0.5)
         assert value == pytest.approx(2 * math.log2(0.6 * math.sqrt(2)), abs=1e-13)
 
-    def test_rejects_zero_beta(self):
-        with pytest.raises(BetaOutOfRangeError):
-            utility_full(MARKET_B, Allocation([0.5, 0.5]), 0.0)
+    def test_zero_beta_is_the_doubling_rate(self):
+        # flat payoffs of 1: zero bits, the same double as doubling_rate
+        flat = Allocation([0.5, 0.5])
+        assert utility_full(MARKET_B, flat, 0.0) == 0.0
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            market = random_market(rng, int(rng.integers(2, 12)))
+            b = random_interior_allocation(rng, market.m)
+            value = utility_full(market, b, 0.0)
+            assert value == doubling_rate(market, b)  # bit for bit
+            explicit = float(market.probs @ np.log2(b.bets * market.odds))
+            assert value == pytest.approx(explicit, rel=1e-14, abs=1e-15)
 
     def test_monotone_in_beta(self):
         rng = np.random.default_rng(20)
@@ -86,7 +94,7 @@ class TestUtilityFull:
             rate = doubling_rate(market, b)
             log_s = np.log(b.bets * market.odds)
             slope = float(market.probs @ (log_s - market.probs @ log_s) ** 2) / math.log(2.0)
-            for t in (1e-6, 1e-9, 1e-12, 1e-15):
+            for t in (1e-6, 1e-9, 1e-12, 1e-15, 1e-300, 1e-310, 5e-324):
                 for beta in (t, -t):
                     gap = utility_full(market, b, beta) - rate
                     assert abs(gap) <= slope * t + 4 * EPS * max(1.0, abs(rate))
@@ -252,9 +260,27 @@ class TestDecomposeKelly:
             report = decompose_kelly(market, b)
             assert report.residual < 1e-9
 
-    def test_zero_bet_rejected(self):
-        with pytest.raises(ZeroBetError):
-            decompose_kelly(MARKET_B, Allocation([1.0, 0.0]))
+    def test_zero_bet_is_minus_inf_with_zero_residual(self):
+        # the same extended-real report decompose_full gives for beta < 0
+        report = decompose_kelly(MARKET_B, Allocation([1.0, 0.0]))
+        assert report.gambler_term == math.inf
+        assert report.total == -math.inf
+        assert report.direct == -math.inf
+        assert report.residual == 0.0
+
+    def test_full_identity_at_zero(self):
+        rng = np.random.default_rng(29)
+        for _ in range(300):
+            market = random_market(rng, int(rng.integers(2, 30)))
+            b = random_interior_allocation(rng, market.m)
+            report = decompose_full(market, b, 0.0)
+            assert report.residual < 1e-9
+            assert report.direct == doubling_rate(market, b)
+            # the KL split, written out
+            kl_r = float(market.probs @ np.log2(market.probs * market.odds * sum(1 / market.odds)))
+            kl_b = float(market.probs @ np.log2(market.probs / b.bets))
+            assert report.bookie_term == pytest.approx(kl_r, rel=1e-12, abs=1e-14)
+            assert report.gambler_term == pytest.approx(kl_b, rel=1e-12, abs=1e-14)
 
 
 class TestDecomposeSideInfo:
@@ -289,3 +315,18 @@ class TestDecomposeSideInfo:
             beta = float(rng.choice([-2.0, -0.5, 0.25, 0.9]))
             report = decompose_side_info(market, table, beta)
             assert report.residual < 1e-9
+
+    @pytest.mark.parametrize("beta", [0.0, 5e-17, -5e-17, 1e-300])
+    def test_identity_at_and_next_to_kelly(self, beta):
+        # 1/(1 - beta) rounds to exactly 1 here, so the bookie term is the
+        # conditional divergence at order 1: the signal-averaged KL
+        rng = np.random.default_rng(30)
+        for _ in range(100):
+            n_y = int(rng.integers(1, 5))
+            n_x = int(rng.integers(2, 8))
+            market = random_joint_market(rng, n_y, n_x)
+            table = random_conditional_allocation(rng, n_y, n_x)
+            report = decompose_side_info(market, table, beta)
+            assert report.residual < 1e-9
+            optimal, _ = optimal_side_info(market, beta)
+            assert decompose_side_info(market, optimal, beta).residual < 1e-9

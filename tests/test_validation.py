@@ -8,6 +8,7 @@ pinned the same way.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from powerbet import (
     doubling_rate,
     estimate_ubeta,
     fold_cash_into_bets,
+    kkt_residual,
     limit_utilities,
     new_race,
     new_side_info,
@@ -165,6 +167,18 @@ def test_ragged_or_non_numeric_odds_raise_nonpositive_odds(new, odds):
         new(values, odds)
 
 
+@pytest.mark.parametrize("new", [new_race, new_side_info])
+@pytest.mark.parametrize("odds", [[1e-320, 2.0], [1e-308, 1e-308]])
+def test_odds_whose_reciprocals_overflow_raise_nonpositive_odds(new, odds):
+    # a subnormal payout's reciprocal is inf, and two of 1e308 sum to inf:
+    # either way the track constant would be 0 and the bookie mix NaN
+    values = VECTOR if new is new_race else JOINT
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonPositiveOddsError, match="odds"):
+            new(values, odds)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, -math.inf])
 def test_bad_cash_is_an_invalid_distribution(bad):
     with pytest.raises(InvalidDistributionError):
@@ -259,6 +273,7 @@ WRONG_SHAPE_CALLS = {
     "fold_cash_into_bets": lambda: fold_cash_into_bets(RACE, SHORT_PARTIAL),
     "simulate_growth": lambda: simulate_growth(RACE, SHORT, 10, 0),
     "estimate_ubeta": lambda: estimate_ubeta(RACE, SHORT, 0.5, 10, 0),
+    "kkt_residual": lambda: kkt_residual(RACE, 0.5, SHORT_PARTIAL),
     "utility_side_info.columns": lambda: utility_side_info(
         SIDE, ConditionalAllocation(ROWS), 0.5
     ),
@@ -280,22 +295,43 @@ def test_allocation_of_the_wrong_shape_is_a_length_mismatch(name):
         WRONG_SHAPE_CALLS[name]()
 
 
-@pytest.mark.parametrize("beta", [0.0, math.inf, -math.inf, 1.0, 1 - 5e-10, math.nan, 2.0, -1e7])
+@pytest.mark.parametrize("beta", [math.inf, -math.inf, 1.0, 1 - 5e-10, math.nan, 2.0, -1e7])
 def test_partial_dispatch_needs_an_interior_beta(beta):
     with pytest.raises(BetaOutOfRangeError):
         dispatch(RACE, beta, partial=True)
 
 
-@pytest.mark.parametrize(
-    "call",
-    [
-        lambda beta: utility_full(RACE, Allocation(RACE.probs), beta),
-        lambda beta: utility_partial(RACE, PartialAllocation(0.5, RACE.probs / 2), beta),
-        lambda beta: utility_side_info(SIDE, ConditionalAllocation(SIDE.conditional()), beta),
-    ],
-    ids=["utility_full", "utility_partial", "utility_side_info"],
-)
-@pytest.mark.parametrize("beta", [0.0, math.nan, 2e6])
+def test_partial_dispatch_takes_kelly():
+    # superfair odds: the whole stake goes out in proportion to p
+    alloc = dispatch(RACE, 0.0, partial=True)
+    assert alloc.cash == 0.0
+    np.testing.assert_allclose(alloc.bets, RACE.probs, rtol=4e-16)
+
+
+UTILITY_CALLS = [
+    lambda beta: utility_full(RACE, Allocation(RACE.probs), beta),
+    lambda beta: utility_partial(RACE, PartialAllocation(0.5, RACE.probs / 2), beta),
+    lambda beta: utility_side_info(SIDE, ConditionalAllocation(SIDE.conditional()), beta),
+]
+UTILITY_IDS = ["utility_full", "utility_partial", "utility_side_info"]
+
+
+@pytest.mark.parametrize("call", UTILITY_CALLS, ids=UTILITY_IDS)
+@pytest.mark.parametrize("beta", [math.nan, 2e6])
 def test_utilities_need_a_finite_nonzero_beta(call, beta):
     with pytest.raises(BetaOutOfRangeError):
         call(beta)
+
+
+@pytest.mark.parametrize(
+    "call,expected",
+    [
+        (UTILITY_CALLS[0], RACE.probs @ np.log2(RACE.probs * RACE.odds)),
+        (UTILITY_CALLS[1], RACE.probs @ np.log2(0.5 + RACE.probs / 2 * RACE.odds)),
+        (UTILITY_CALLS[2], np.sum(SIDE.joint * np.log2(SIDE.conditional() * SIDE.odds))),
+    ],
+    ids=UTILITY_IDS,
+)
+def test_utilities_take_kelly(call, expected):
+    # beta = 0 is the mean log2 payoff
+    assert call(0.0) == pytest.approx(float(expected), rel=1e-14, abs=0.0)
