@@ -165,8 +165,6 @@ def _parse_beta(text: str) -> float:
         value = float(label)
     except ValueError:
         raise _CommandError(2, f"--beta must be kelly, +inf, -inf, or a decimal, got {text!r}")
-    if value == 0.0:
-        raise _CommandError(2, "--beta 0 is spelled kelly")
     if math.isnan(value):
         raise _CommandError(2, "--beta must not be NaN")
     return value
@@ -203,6 +201,16 @@ def cmd_analyze(args) -> tuple[dict, int]:
 
 
 # ---------------------------------------------------------------- optimize
+
+
+def _resolution(k: int | None, dimension: int) -> int:
+    """``--grid-resolution``, or by default the largest resolution <= 200
+    whose grid stays within ``oracle.MAX_GRID_POINTS``."""
+    if k is None:
+        k = 200
+        while k > 2 and oracle.GridSpec(k, dimension).n_points > oracle.MAX_GRID_POINTS:
+            k -= 1
+    return k
 
 
 def _check_full(market: RaceMarket, beta: float, alloc, value: float, k: int) -> tuple[dict, int]:
@@ -275,7 +283,7 @@ def _optimize_full(market: RaceMarket, beta: float, args, out: dict) -> int:
             code = 0 if ok else 4
         elif args.check:
             out["oracle_check"], code = _check_full(
-                market, beta, alloc, value, args.grid_resolution
+                market, beta, alloc, value, _resolution(args.grid_resolution, market.m)
             )
     out["allocation"] = {"type": "full", "bets": _floats(alloc.bets)}
     out["utility_bits"] = value
@@ -297,7 +305,9 @@ def _optimize_partial(market: RaceMarket, beta: float, args, out: dict) -> int:
     out["utility_bits"] = sol.utility
     code = 0
     if args.check:
-        out["oracle_check"], code = _check_partial(market, beta, sol, args.grid_resolution)
+        out["oracle_check"], code = _check_partial(
+            market, beta, sol, _resolution(args.grid_resolution, market.m + 1)
+        )
     return code
 
 
@@ -398,7 +408,7 @@ def cmd_simulate(args) -> tuple[dict, int]:
         raise _CommandError(2, "-n must be >= 1")
     if not 0 <= args.seed < oracle._SEED_BOUND:
         raise _CommandError(2, "--seed must be an integer in [0, 2**128)")
-    alloc = strategy.dispatch(market, beta, partial=False)
+    alloc = strategy.dispatch(market, beta)
     # open the output before simulating, so a bad path costs no simulation
     try:
         sink = (
@@ -511,7 +521,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--beta", help="kelly, +inf, -inf, or a decimal risk parameter")
     p_opt.add_argument("--mode", choices=["full", "partial", "side-info"])
     p_opt.add_argument("--check", action="store_true", help="cross-check against the oracles")
-    p_opt.add_argument("--grid-resolution", type=int, default=200, metavar="K")
+    p_opt.add_argument("--grid-resolution", type=int, metavar="K")
     p_opt.set_defaults(func=cmd_optimize)
 
     p_sim = sub.add_parser("simulate", help="seeded wealth trajectory for a strategy")

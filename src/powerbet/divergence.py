@@ -104,12 +104,14 @@ def _tilted_mean(t: float, log_w, x, terms=None, axis: int | None = None):
 
 def _renyi_from_logs(log_p: np.ndarray, log_q: np.ndarray, alpha: float, axis: int | None = None):
     """``D_alpha(p || q) = K(alpha - 1; p, ln p - ln q)`` in bits, from natural-log PMFs; the
-    terms ``alpha ln p + (1 - alpha) ln q`` stay exact for a weight with ``ln p`` near -1e9."""
+    terms ``alpha ln p + (1 - alpha) ln q`` stay exact for a weight with ``ln p`` near -1e9.
+    Rounding below 0 is clamped to 0: no Renyi divergence between PMFs is negative."""
     support = log_p > -math.inf
     with np.errstate(invalid="ignore"):  # -inf - -inf off the support of p
         terms = np.where(support, alpha * log_p + (1.0 - alpha) * log_q, -math.inf)
         x = np.where(support, log_p - log_q, 0.0)
-    return _tilted_mean(alpha - 1.0, log_p, x, terms, axis)
+    d = _tilted_mean(alpha - 1.0, log_p, x, terms, axis)
+    return max(d, 0.0) if axis is None else np.maximum(d, 0.0)
 
 
 def _log(arr: np.ndarray) -> np.ndarray:

@@ -52,4 +52,5 @@ class GridTooLargeError(PowerbetError):
 
 
 class NotEvaluableError(PowerbetError):
-    """The allocation is too degenerate for a residual check to be evaluated."""
+    """A check or simulation is not defined for its arguments: the KKT
+    conditions at ``beta >= 1``, or a bad Monte Carlo count or seed."""

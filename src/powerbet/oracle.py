@@ -194,21 +194,22 @@ def kkt_residual(
     """Residuals of the optimality conditions at a partial allocation.
 
     The multiplier is read off the cash equality when cash is held,
-    otherwise off the first backed horse.  The allocation must keep cash
-    or back every horse; otherwise a zero payoff makes the conditions
-    unevaluable.
+    otherwise off the first backed horse.  Values are extended reals, never
+    NaN: with no cash an unbacked horse pays 0, so its marginal value and
+    the cash's are ``+inf``, and so are the feasibility gaps.  That is the
+    report for an optimum whose cash rounds to 0.0 close to ``beta = 1``.
     """
     beta = _check_finite_beta(beta)
     if beta >= 1.0:
         raise NotEvaluableError("the conditions are stated for finite beta < 1")
     _require_same_length(market, sol.bets)
     active = sol.bets > 0.0
-    if sol.cash == 0.0 and not np.all(active):
-        raise NotEvaluableError("needs cash > 0 or a bet on every horse")
 
     payoffs = sol.cash + sol.bets * market.odds
-    grad_cash = float(np.sum(market.probs * payoffs ** (beta - 1.0)))
-    grad_bets = market.probs * market.odds * payoffs ** (beta - 1.0)
+    with np.errstate(divide="ignore"):  # 0^(beta-1) = +inf
+        marginal = payoffs ** (beta - 1.0)
+    grad_cash = float(np.sum(market.probs * marginal))
+    grad_bets = market.probs * market.odds * marginal
 
     if sol.cash > 0.0:
         mu = grad_cash

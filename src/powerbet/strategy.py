@@ -98,9 +98,10 @@ class PartialSolution:
     ``support`` lists the horses receiving positive bets.  In the subfair
     regime ``gamma_cap`` is the payoff threshold (bets are positive exactly
     where ``p_i * o_i`` exceeds it) and ``gammas`` are the per-horse
-    coefficients with ``bets_i = gammas_i * cash``.  When the track
-    constant is >= 1 the optimum invests everything, those two closed-form
-    quantities do not exist, and both fields are None.
+    coefficients with ``bets_i = gammas_i * cash``; where the cash rounds to
+    0.0, close to ``beta = 1``, they may be ``+inf``, never NaN.  When the
+    track constant is >= 1 the optimum invests everything, those two
+    closed-form quantities do not exist, and both fields are None.
     """
 
     allocation: PartialAllocation
@@ -131,7 +132,9 @@ def _check_interior_beta(beta: float) -> float:
 
 def _log_weights_full(market: RaceMarket, beta: float) -> np.ndarray:
     """Natural logs of the interior optimum's fractions, for a validated ``beta``."""
-    scores = (np.log(market.probs) + beta * np.log(market.odds)) / (1.0 - beta)
+    raw = np.log(market.probs) + beta * np.log(market.odds)
+    # the top score is 0 before the division, so tied top weights stay equal
+    scores = (raw - raw.max()) / (1.0 - beta)
     return scores - _logsumexp(scores)
 
 
@@ -204,35 +207,12 @@ def optimal_side_info(
 
 def _log_weights_side_info(market: SideInfoMarket, beta: float) -> tuple[np.ndarray, np.ndarray]:
     """Natural logs of the optimal rows (``-inf`` for impossible winners) and signal weights."""
-    scores = (_log(market.conditional()) + beta * np.log(market.odds)[None, :]) / (1.0 - beta)
-    inner = _logsumexp(scores, axis=1)  # every signal row has a positive entry
-    signal_scores = np.log(market.signal_probs) + (1.0 - beta) * inner
+    raw = _log(market.conditional()) + beta * np.log(market.odds)[None, :]
+    peak = raw.max(axis=1)  # finite: every signal row has a positive entry
+    scores = (raw - peak[:, None]) / (1.0 - beta)
+    inner = _logsumexp(scores, axis=1)
+    signal_scores = np.log(market.signal_probs) + (1.0 - beta) * inner + peak
     return scores - inner[:, None], signal_scores - _logsumexp(signal_scores)
-
-
-def _partial_candidate(
-    market: RaceMarket, beta: float, chosen: np.ndarray
-) -> tuple[float, np.ndarray] | None:
-    """Closed-form candidate for one support set, or None when it is undefined.
-
-    ``chosen`` flags the horses assumed to carry positive bets.  The
-    threshold is ``cap = (1 - sum_J p_i) / (1 - sum_J 1/o_i)`` and the
-    coefficients are
-    ``gamma_i = max(0, cap^(1/(beta-1)) p_i^(1/(1-beta)) o_i^(beta/(1-beta)) - 1/o_i)``.
-    """
-    p, o = market.probs, market.odds
-    denom = 1.0 - float(np.sum(1.0 / o[chosen]))
-    if denom <= 0.0:
-        return None
-    cap = (1.0 - float(np.sum(p[chosen]))) / denom
-    if cap <= 0.0:
-        return None
-    log_terms = (np.log(p) - math.log(cap) + beta * np.log(o)) / (1.0 - beta)
-    with np.errstate(over="ignore"):
-        gammas = np.maximum(0.0, np.exp(log_terms) - 1.0 / o)
-    if not np.all(np.isfinite(gammas)):
-        return None
-    return cap, gammas
 
 
 def optimal_partial(market: RaceMarket, beta: float) -> PartialSolution:
@@ -244,9 +224,12 @@ def optimal_partial(market: RaceMarket, beta: float) -> PartialSolution:
     support, whatever ``beta``: rank the horses by decreasing ``p_i * o_i``
     (ties to the smaller index) and add them in turn while ``p_k * o_k``
     exceeds the threshold ``cap = (1 - sum_J p_i) / (1 - sum_J 1/o_i)`` of
-    the support ``J`` so far.  The closed form for that support gives the
-    allocation; :class:`BetaOutOfRangeError` is raised only when it
-    overflows, which takes ``beta`` close to 1.
+    the support ``J`` so far.  Stationarity puts a backed horse's payoff at
+    ``cash e^(z_i)``, ``z_i = ln(p_i o_i / cap) / (1 - beta)``, so its bet is
+    ``gamma_i cash`` with ``gamma_i = (e^(z_i) - 1) / o_i``.  Evaluated as logs
+    and normalized once, this is the correctly rounded optimum for every
+    valid ``beta``; close to 1 the cash and the smallest bets may round to
+    0.0, and ``gammas`` to ``+inf``.
     """
     from .utility import utility_partial
 
@@ -262,24 +245,29 @@ def optimal_partial(market: RaceMarket, beta: float) -> PartialSolution:
             utility=utility_partial(market, alloc, beta),
         )
 
-    scores = market.probs * market.odds
+    p, o = market.probs, market.odds
+    scores = p * o
     order = np.argsort(-scores, kind="stable")
-    # Horse order[k] joins while p*o beats the threshold outside/slack of the
-    # support order[:k]; multiplying through keeps a slack <= 0 from dividing.
-    outside = 1.0 - np.concatenate(([0.0], np.cumsum(market.probs[order])[:-1]))
-    slack = 1.0 - np.concatenate(([0.0], np.cumsum(1.0 / market.odds[order])[:-1]))
-    extend = (slack > 0.0) & (scores[order] * slack > outside)
-    chosen = np.zeros(market.m, dtype=bool)
-    chosen[order[: np.logical_and.accumulate(extend).sum()]] = True
-    candidate = _partial_candidate(market, beta, chosen)
-    if candidate is None:
-        raise BetaOutOfRangeError(
-            f"the threshold support overflowed at beta={beta!r}; "
-            "the solution is not representable this close to 1"
-        )
-    cap, gammas = candidate
-    cash = 1.0 / (1.0 + gammas.sum())
-    alloc = PartialAllocation(cash, gammas * cash)
+    # Before horse order[k] is tried the support is order[:k].  Its unbacked
+    # mass outside[k] is a suffix sum, so it never cancels to 0, and the horse
+    # joins only if the slack stays > 0 once it has: cap is finite and > 0.
+    outside = np.append(np.cumsum(p[order][::-1])[::-1], 0.0)
+    slack = 1.0 - np.concatenate(([0.0], np.cumsum(1.0 / o[order])))
+    extend = (scores[order] * slack[:-1] > outside[:-1]) & (slack[1:] > 0.0)
+    k = int(np.logical_and.accumulate(extend).sum())
+    cap = float(outside[k] / slack[k])
+    backed = order[:k]
+    # a last horse tied with the threshold may round to just below it: no bet
+    z = np.maximum((np.log(scores[backed]) - math.log(cap)) / (1.0 - beta), 0.0)
+    log_gammas = np.full(market.m, -math.inf)
+    log_gammas[backed] = z - np.log(o[backed]) + _log(-np.expm1(-z))
+    peak = max(0.0, float(log_gammas.max()))  # the cash's log-weight is 0
+    weights = np.exp(log_gammas - peak)
+    cash = math.exp(-peak)
+    total = cash + weights.sum()
+    alloc = PartialAllocation(cash / total, weights / total)
+    with np.errstate(over="ignore"):
+        gammas = np.exp(log_gammas)
     return PartialSolution(
         allocation=alloc,
         support=tuple(int(i) for i in np.flatnonzero(alloc.bets > 0.0)),
@@ -304,18 +292,14 @@ def fold_cash_into_bets(market: RaceMarket, partial: PartialAllocation) -> Alloc
     return Allocation(bookie_distribution(market) * partial.cash + partial.bets)
 
 
-def dispatch(
-    market: RaceMarket, beta: float, partial: bool = False
-) -> Allocation | PartialAllocation:
-    """Route to the optimizer matching the risk parameter and investment mode.
+def dispatch(market: RaceMarket, beta: float) -> Allocation:
+    """Route to the full-investment optimizer matching the risk parameter.
 
     ``beta = 0.0`` picks proportional betting, ``+/-inf`` the limit
     strategies, ``beta >= 1`` the single-horse bet, and any other finite
-    value the interior optimum.  ``partial=True`` is supported only for
-    finite ``beta < 1``, the regime where the cash closed form exists.
+    value the interior optimum.  With cash allowed the optimum is
+    ``optimal_partial(market, beta).allocation``, for finite ``beta < 1``.
     """
-    if partial:
-        return optimal_partial(market, beta).allocation
     beta = float(beta)
     if beta == 0.0:
         return kelly(market)

@@ -12,7 +12,11 @@ from itertools import islice
 import numpy as np
 
 from powerbet import Allocation, ConditionalAllocation, PartialAllocation, RaceMarket
-from powerbet import SideInfoMarket, new_race, new_side_info, track_constant, utility_partial
+from powerbet import SideInfoMarket, new_race, new_side_info, track_constant
+
+# Interior risk parameters close to the beta = 1 edge, where the optimal
+# cash of a subfair race may round to 0.0.
+EDGE_BETAS = (0.999, 1.0 - 1e-6, 1.0 - 1e-9)
 
 
 def random_market(rng, m, odds_lo=1.2, odds_hi=8.0) -> RaceMarket:
@@ -71,41 +75,63 @@ def random_conditional_allocation(rng, n_signals, n_horses, floor=0.05) -> Condi
     return ConditionalAllocation(np.vstack(rows))
 
 
+def _logsumexp(values) -> float:
+    peak = max(values)
+    return peak + math.log(math.fsum(math.exp(v - peak) for v in values))
+
+
+def _log1mexp(a: float) -> float:
+    """``ln(1 - e^-a)`` for ``a > 0``, by the branch that is accurate on each
+    side of ``ln 2`` (Maechler 2012, "Accurately computing log(1 - exp(-|a|))")."""
+    return math.log(-math.expm1(-a)) if a <= math.log(2.0) else math.log1p(-math.exp(-a))
+
+
 def prefix_search_partial(market: RaceMarket, beta: float):
     """Brute-force partial-investment reference for a subfair market.
 
     Ranks the horses by decreasing ``p_i * o_i`` and tries every prefix ``J``
     as the support.  Its threshold is
-    ``cap = (1 - sum_J p_i) / (1 - sum_J 1/o_i)``, skipped unless both sides
-    are positive; stationarity, ``p_i o_i s_i^(beta-1) = cap cash^(beta-1)``,
-    then puts each backed horse's payoff at
-    ``s_i = cash (p_i o_i / cap)^(1/(1-beta))``, so it gets
-    ``cash (s_i / cash - 1) / o_i`` (clipped at 0), and ``cash`` makes the
-    whole sum to one.  Prefixes whose payoffs overflow are skipped.  Keeps
-    the best utility, ties going to the smaller prefix, and returns
-    ``(support, utility)``, or None when every prefix was skipped.
+    ``cap = (sum_{i not in J} p_i) / (1 - sum_J 1/o_i)``, skipped unless both
+    sides are positive; stationarity, ``p_i o_i s_i^(beta-1) = cap cash^(beta-1)``,
+    then puts each backed horse's payoff at ``s_i = cash r_i`` with
+    ``ln r_i = max(0, ln(p_i o_i / cap) / (1 - beta))``, so it gets the bet
+    ``cash (r_i - 1) / o_i``, and ``cash`` makes the whole sum to one.  All of
+    it is kept in logs, one Python float at a time, so no prefix overflows:
+    ``ln cash = -ln(1 + sum_J (r_i - 1) / o_i)``, a backed payoff is
+    ``b_i o_i / (1 - 1/r_i)``, and the utility is
+    ``(1/beta) log2 sum p_i s_i^beta`` (``sum p_i log2 s_i`` at ``beta = 0``)
+    from ``ln s_i``.  Keeps the best utility, ties going to the smaller
+    prefix, and returns ``(support, utility)``, the support being the horses
+    whose bet is a positive double.
     """
     p, o = market.probs, market.odds
-    order = np.argsort(-p * o, kind="stable")
+    order = [int(i) for i in np.argsort(-p * o, kind="stable")]
     best = None
     for k in range(market.m + 1):
         backed = order[:k]
-        slack = 1.0 - sum(1.0 / o[i] for i in backed)
-        outside = 1.0 - sum(p[i] for i in backed)
+        slack = 1.0 - math.fsum(1.0 / o[i] for i in backed)
+        outside = math.fsum(p[i] for i in order[k:])
         if slack <= 0.0 or outside <= 0.0:
             continue
-        cap = outside / slack
-        with np.errstate(over="ignore"):
-            ratios = (p[backed] * o[backed] / cap) ** (1.0 / (1.0 - beta))
-        if not np.all(np.isfinite(ratios)):
-            continue
-        gammas = np.zeros(market.m)
-        gammas[backed] = np.maximum(ratios - 1.0, 0.0) / o[backed]
-        cash = 1.0 / (1.0 + gammas.sum())
-        alloc = PartialAllocation(cash, gammas * cash)
-        value = utility_partial(market, alloc, beta)
+        log_cap = math.log(outside) - math.log(slack)
+        log_r = {i: max(0.0, (math.log(p[i] * o[i]) - log_cap) / (1.0 - beta)) for i in backed}
+        # ln((r - 1) / o) = ln r + ln(1 - 1/r) - ln o, for the horses with r > 1
+        log_gamma = {i: lr + _log1mexp(lr) - math.log(o[i]) for i, lr in log_r.items() if lr > 0}
+        # ln(1 + sum gamma) = shift + rest, the shift taking the largest log first,
+        # so the top payoff is not the difference of two logs near 1e9
+        shift = max([0.0, *log_gamma.values()])
+        rest = _logsumexp([-shift, *(g - shift for g in log_gamma.values())])
+        log_bets = {i: g - shift - rest for i, g in log_gamma.items()}
+        log_s = [-shift - rest] * market.m  # an unbacked horse pays the cash
+        for i, lb in log_bets.items():
+            log_s[i] = lb + math.log(o[i]) - _log1mexp(log_r[i])  # s = b o / (1 - 1/r)
+        if beta == 0.0:
+            value = math.fsum(p[i] * log_s[i] for i in range(market.m)) / math.log(2.0)
+        else:
+            terms = [math.log(p[i]) + beta * log_s[i] for i in range(market.m)]
+            value = _logsumexp(terms) / (beta * math.log(2.0))
         if best is None or value > best[1]:
-            best = (tuple(int(i) for i in np.flatnonzero(alloc.bets > 0.0)), value)
+            best = (tuple(sorted(i for i, lb in log_bets.items() if math.exp(lb) > 0.0)), value)
     return best
 
 

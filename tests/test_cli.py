@@ -205,6 +205,60 @@ class TestOptimize:
         assert code == 0
         assert json.loads(out)["beta"] == "0.5"
 
+    def test_beta_zero_is_kelly(self, capsys, fair_spec, tmp_path):
+        _, kelly_out = run(capsys, "optimize", fair_spec, "--beta", "kelly")
+        code, out = run(capsys, "optimize", fair_spec, "--beta", "0")
+        assert code == 0
+        assert out == kelly_out
+        doc = {"horses": [{"p": 0.6, "odds": 2.0}, {"p": 0.4, "odds": 2.0}], "beta": 0}
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(doc))
+        code, out = run(capsys, "optimize", str(path))
+        assert code == 0
+        assert json.loads(out)["beta"] == "kelly"
+        assert json.loads(out)["allocation"] == json.loads(kelly_out)["allocation"]
+
+    @pytest.mark.parametrize("mode", ["full", "partial", "side-info"])
+    def test_tied_top_horses_close_to_one(self, capsys, tmp_path, mode):
+        doc = {
+            "horses": [{"p": 0.5, "odds": 3}, {"p": 0.5, "odds": 3}],
+            "side_info": {"joint": [[0.25, 0.25], [0.25, 0.25]]},
+        }
+        path = tmp_path / "tied.json"
+        path.write_text(json.dumps(doc))
+        code, out = run(capsys, "optimize", str(path), "--beta", "0.99999999", "--mode", mode)
+        assert code == 0
+        alloc = json.loads(out)["allocation"]
+        rows = alloc["table"] if mode == "side-info" else [alloc["bets"]]
+        assert rows == [[0.5, 0.5]] * len(rows)
+
+    def test_default_check_grid_fits_the_guard(self, capsys, tmp_path):
+        # a resolution of 200 would enumerate 70,058,751 points at 5 horses
+        horses = [{"p": p, "odds": o} for p, o in zip([0.3, 0.25, 0.2, 0.15, 0.1], [3, 4, 5, 6, 9])]
+        path = tmp_path / "five.json"
+        path.write_text(json.dumps({"horses": horses}))
+        code, out = run(capsys, "optimize", str(path), "--beta", "0.5", "--check")
+        assert code == 0
+        check = json.loads(out)["oracle_check"]
+        assert check["grid_resolution"] == 121
+        assert check["passed"] is True
+
+    def test_partial_cash_rounds_to_zero_close_to_one(self, capsys, subfair_spec):
+        argv = ["optimize", subfair_spec, "--beta", "0.999", "--mode", "partial"]
+        code, out = run(capsys, *argv)
+        assert code == 0
+        alloc = json.loads(out)["allocation"]
+        assert alloc["cash"] == 0.0
+        assert alloc["bets"] == [1.0, 0.0]
+        # the certificate cannot certify a zero cash: its gaps are infinite
+        code, out = run(capsys, *argv, "--check")
+        assert code == 4
+        check = json.loads(out)["oracle_check"]
+        assert check["grid_minus_analytic"] <= 1e-9
+        assert check["kkt"]["feasibility_gap"] == math.inf
+        assert check["kkt"]["cash_feasibility_gap"] == math.inf
+        assert '"feasibility_gap": Infinity' in out
+
 
 class TestSimulate:
     def test_byte_identical_reruns(self, capsys, fair_spec):

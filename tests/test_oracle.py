@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -27,8 +28,10 @@ from powerbet import oracle
 from powerbet.utility import _log2_power_mean
 
 from helpers import (
+    EDGE_BETAS,
     compositions,
     random_market,
+    random_subfair_market,
     reference_grid_argmax,
     reference_grid_values,
     reference_log_wealth,
@@ -273,9 +276,40 @@ class TestKktResidual:
         assert report.feasibility_gap == 0.0
         assert report.cash_feasibility_gap == 0.0
 
-    def test_unevaluable_allocation(self):
-        with pytest.raises(NotEvaluableError):
-            kkt_residual(SUBFAIR, 0.5, PartialAllocation(0.0, [1.0, 0.0]))
+    def test_zero_cash_with_an_unbacked_horse_has_infinite_gaps(self):
+        # the unbacked horse pays 0, so its marginal value 0^(beta-1) is +inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = kkt_residual(SUBFAIR, 0.5, PartialAllocation(0.0, [1.0, 0.0]))
+        assert report.mu == pytest.approx(0.9 * 1.5**0.5, rel=1e-15)  # p o s^(beta-1)
+        assert report.feasibility_gap == math.inf
+        assert report.cash_feasibility_gap == math.inf
+        assert report.stationarity_gap == 0.0
+
+    @pytest.mark.parametrize("beta", [-0.5, 0.0, 0.5])
+    def test_certifies_a_race_whose_unbacked_mass_is_tiny(self, beta):
+        # 1 - sum p over the support cancels to 0 here; the unbacked mass is 1e-20
+        market = new_race([1 - 1e-20, 1e-20], [1.5, 1.5])
+        sol = optimal_partial(market, beta)
+        assert sol.support == (0,)
+        assert sol.gamma_cap == pytest.approx(3e-20, rel=1e-15)
+        report = kkt_residual(market, beta, sol.allocation, gamma_cap=sol.gamma_cap)
+        for name, gap in vars(report).items():
+            assert name == "mu" or gap < 1e-8
+
+    def test_certifies_or_reports_infinite_gaps_close_to_one(self):
+        rng = np.random.default_rng(32)
+        for beta in EDGE_BETAS:
+            for _ in range(100):
+                market = random_subfair_market(rng, int(rng.integers(2, 12)))
+                sol = optimal_partial(market, beta)
+                report = kkt_residual(market, beta, sol.allocation, gamma_cap=sol.gamma_cap)
+                gaps = [gap for name, gap in vars(report).items() if name != "mu" and gap is not None]
+                assert not np.isnan([report.mu, *gaps]).any()
+                if sol.allocation.cash >= np.finfo(float).tiny:
+                    assert max(gaps) < 1e-8
+                elif sol.allocation.cash == 0.0:
+                    assert report.feasibility_gap == report.cash_feasibility_gap == math.inf
 
     def test_certifies_kelly_with_cash(self):
         # at beta = 0 the multiplier is sum p_i / s_i, which is 1 at the optimum

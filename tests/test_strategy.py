@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -67,6 +68,17 @@ class TestOptimalFull:
     def test_rejects_bad_beta(self, beta):
         with pytest.raises(BetaOutOfRangeError):
             optimal_full(MARKET_B, beta)
+
+    def test_tied_weights_stay_equal_close_to_one(self):
+        # scores near 1e9 before normalizing used to leave tied weights at
+        # 1/m +- 1e-9, which Allocation rejected as not summing to one
+        rng = np.random.default_rng(20)
+        for _ in range(500):
+            m = int(rng.integers(2, 20))
+            market = new_race(np.full(m, 1.0 / m), np.full(m, rng.uniform(1.2, 8.0)))
+            bets = optimal_full(market, 1.0 - 1e-9).bets
+            assert np.all(bets == bets[0])
+            assert bets.sum() == pytest.approx(1.0, rel=1e-15)
 
     def test_zero_beta_is_proportional_betting(self):
         np.testing.assert_allclose(optimal_full(MARKET_B, 0.0).bets, [0.6, 0.4], rtol=4e-16)
@@ -192,6 +204,15 @@ class TestOptimalSideInfo:
         table, _ = optimal_side_info(market, 0.5)
         np.testing.assert_array_equal(table.table, [[1.0, 0.0], [0.0, 1.0]])
 
+    def test_tied_weights_stay_equal_close_to_one(self):
+        rng = np.random.default_rng(22)
+        for _ in range(200):
+            n, m = int(rng.integers(1, 5)), int(rng.integers(2, 10))
+            market = new_side_info(np.full((n, m), 1.0 / (n * m)), np.full(m, rng.uniform(1.2, 8.0)))
+            table, g_y = optimal_side_info(market, 1.0 - 1e-9)
+            assert np.all(table.table == table.table[0, 0])
+            assert np.all(g_y == g_y[0])
+
     def test_beats_every_rival_table(self):
         rng = np.random.default_rng(15)
         from helpers import random_conditional_allocation, random_joint_market
@@ -272,13 +293,44 @@ class TestOptimalPartial:
                 assert sol.support == support
                 assert abs(sol.utility - value) <= 1e-12
 
-    def test_raises_only_when_the_closed_form_overflows(self):
+    def test_cash_rounds_to_zero_close_to_one(self):
         # p*o / cap = 4.5 for the backed horse: its coefficient is
-        # 4.5^(1/(1-beta)), past the largest double at beta = 0.999
+        # 4.5^(1/(1-beta)) / 1.5, past the largest double at beta = 0.999, so
+        # the cash 1 / (1 + gamma) rounds to 0.0
         market = new_race([0.9, 0.1], [1.5, 1.5])
         assert optimal_partial(market, 0.99).support == (0,)
-        with pytest.raises(BetaOutOfRangeError):
-            optimal_partial(market, 0.999)
+        sol = optimal_partial(market, 0.999)
+        assert sol.allocation.cash == 0.0
+        np.testing.assert_array_equal(sol.allocation.bets, [1.0, 0.0])
+        assert sol.support == (0,)
+        np.testing.assert_array_equal(sol.gammas, [math.inf, 0.0])
+
+    def test_matches_a_60_digit_closed_form(self):
+        # cap over the solver's support, then gamma_i = ((p_i o_i / cap)^(1/(1-beta)) - 1) / o_i,
+        # cash = 1 / (1 + sum gamma) and bets = gamma * cash, all in 60-digit decimals
+        rng = np.random.default_rng(23)
+        worst = 0.0
+        for _ in range(60):
+            market = random_subfair_market(rng, int(rng.integers(2, 65)))
+            for beta in (-1e6, -1e3, -1.0, 0.0, float(rng.uniform(-1.0, 0.99)), 0.99):
+                sol = optimal_partial(market, beta)
+                with localcontext() as ctx:
+                    ctx.prec = 60
+                    p = [Decimal(float(x)) for x in market.probs]
+                    o = [Decimal(float(x)) for x in market.odds]
+                    backed = set(sol.support)
+                    unbacked_mass = sum(p[i] for i in range(market.m) if i not in backed)
+                    cap = unbacked_mass / (1 - sum(1 / o[i] for i in backed))
+                    power = 1 / (1 - Decimal(beta))
+                    gammas = [
+                        (((p[i] * o[i] / cap).ln() * power).exp() - 1) / o[i] if i in backed else 0
+                        for i in range(market.m)
+                    ]
+                    cash = 1 / (1 + sum(gammas))
+                    exact = [float(cash)] + [float(g * cash) for g in gammas]
+                got = [sol.allocation.cash, *sol.allocation.bets]
+                worst = max(worst, max(abs(a - b) / b for a, b in zip(got, exact) if b > 0))
+        assert worst <= 1e-10
 
     def test_beats_random_partial_rivals(self):
         rng = np.random.default_rng(18)
@@ -327,9 +379,10 @@ class TestDispatch:
     def test_routes_zero_to_kelly(self):
         np.testing.assert_array_equal(dispatch(MARKET_B, 0.0).bets, MARKET_B.probs)
 
+    # with cash allowed, the route is optimal_partial(market, beta).allocation
     def test_routes_partial(self):
         market = new_race([0.9, 0.1], [1.5, 1.5])
-        result = dispatch(market, 0.5, partial=True)
+        result = optimal_partial(market, 0.5).allocation
         assert isinstance(result, PartialAllocation)
         assert result.cash > 0.0
 
@@ -347,13 +400,13 @@ class TestDispatch:
     @pytest.mark.parametrize("beta", [1.0, 2.0, math.inf, -math.inf])
     def test_partial_needs_interior_beta(self, beta):
         with pytest.raises(BetaOutOfRangeError):
-            dispatch(MARKET_B, beta, partial=True)
+            optimal_partial(MARKET_B, beta).allocation
 
     def test_routes_partial_kelly(self):
         # fair odds: all in, proportionally; subfair: Kelly's cash threshold
-        fair = dispatch(MARKET_B, 0.0, partial=True)
+        fair = optimal_partial(MARKET_B, 0.0).allocation
         assert fair.cash == 0.0
         np.testing.assert_allclose(fair.bets, [0.6, 0.4], rtol=4e-16)
-        subfair = dispatch(new_race([0.9, 0.1], [1.5, 1.5]), 0.0, partial=True)
+        subfair = optimal_partial(new_race([0.9, 0.1], [1.5, 1.5]), 0.0).allocation
         assert subfair.cash == pytest.approx(0.3, rel=1e-15, abs=0.0)
         np.testing.assert_allclose(subfair.bets, [0.7, 0.0], rtol=1e-15)

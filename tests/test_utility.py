@@ -12,6 +12,7 @@ from powerbet import (
     decompose_kelly,
     decompose_side_info,
     doubling_rate,
+    kelly,
     limit_utilities,
     new_race,
     new_side_info,
@@ -251,6 +252,13 @@ class TestDecomposeKelly:
         assert report.gambler_term == pytest.approx(0.0, abs=1e-14)
         assert report.total == pytest.approx(0.029049, abs=1e-6)
         assert report.residual < 1e-12
+
+    def test_gambler_term_of_kelly_is_never_negative(self):
+        # a KL divergence of p from (a rounding of) itself: >= 0, not -4e-16
+        rng = np.random.default_rng(26)
+        for _ in range(200):
+            market = random_market(rng, int(rng.integers(2, 30)))
+            assert decompose_full(market, kelly(market), 0.0).gambler_term >= 0.0
 
     def test_identity_on_random_instances(self):
         rng = np.random.default_rng(25)

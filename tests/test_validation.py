@@ -27,7 +27,6 @@ from powerbet import (
     decompose_full,
     decompose_kelly,
     decompose_side_info,
-    dispatch,
     doubling_rate,
     estimate_ubeta,
     fold_cash_into_bets,
@@ -35,6 +34,7 @@ from powerbet import (
     limit_utilities,
     new_race,
     new_side_info,
+    optimal_partial,
     renyi_div,
     simulate_growth,
     utility_full,
@@ -297,13 +297,14 @@ def test_allocation_of_the_wrong_shape_is_a_length_mismatch(name):
 
 @pytest.mark.parametrize("beta", [math.inf, -math.inf, 1.0, 1 - 5e-10, math.nan, 2.0, -1e7])
 def test_partial_dispatch_needs_an_interior_beta(beta):
+    # with cash allowed the route is optimal_partial(market, beta).allocation
     with pytest.raises(BetaOutOfRangeError):
-        dispatch(RACE, beta, partial=True)
+        optimal_partial(RACE, beta).allocation
 
 
 def test_partial_dispatch_takes_kelly():
     # superfair odds: the whole stake goes out in proportion to p
-    alloc = dispatch(RACE, 0.0, partial=True)
+    alloc = optimal_partial(RACE, 0.0).allocation
     assert alloc.cash == 0.0
     np.testing.assert_allclose(alloc.bets, RACE.probs, rtol=4e-16)
 
