@@ -19,9 +19,12 @@ point wins ties however the scan is blocked.
 
 The Monte Carlo oracles stream too: winners are drawn ``_MC_CHUNK`` races
 at a time from one Philox stream, which continues across chunks, so every
-result is bit-identical whatever the chunk size.  A trajectory costs its
-8 bytes per race plus O(chunk); a ``U_beta`` estimate keeps only per-horse
-win counts, so its memory is O(chunk + m) for any number of samples.
+result is bit-identical whatever the chunk size.  Each race takes one raw
+64-bit word, and an integer inverse CDF through a guide table maps it to
+the winner that numpy's uniform from the same word would pick.  A
+trajectory costs its 8 bytes per race plus O(chunk); a ``U_beta`` estimate
+keeps only per-horse win counts, so its memory is O(chunk + m) for any
+number of samples.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ _BLOCK_CELLS = 1 << 18
 # and fault in again for the next chunk, which costs 2-2.5x per race.
 _MC_CHUNK = 1 << 14
 _SEED_BOUND = 1 << 128  # Philox keys are 128-bit
+_GUIDE_BITS = 14  # the winner sampler's guide table has at most 2^14 entries (128 KB)
 
 
 @dataclass(frozen=True)
@@ -115,11 +119,13 @@ def _grid_blocks(grid: GridSpec) -> Iterator[np.ndarray]:
     ``(head, t, room - t)``, ``t = 0..room``.  Each block is the transpose of
     a C-ordered (dimension, rows) array, so a sum over a point's coordinates
     adds whole columns in order; a row-major sum goes pairwise from 8 of them
-    on, so there the two may differ in the last bits.
+    on, so there the two may differ in the last bits.  The entries are
+    float64, exact for these small integers, so scaling a block to points is
+    a float divide rather than an integer true-divide.
     """
     k, d = grid.resolution, grid.dimension
     if d == 1:
-        yield np.full((1, 1), k)
+        yield np.full((1, 1), float(k))
         return
     rows = max(1, _BLOCK_CELLS // d)
     bars = chain.from_iterable(combinations(range(k + d - 2), d - 2))
@@ -128,11 +134,11 @@ def _grid_blocks(grid: GridSpec) -> Iterator[np.ndarray]:
         n = min(rows, left)
         left -= n
         pos = np.fromiter(bars, dtype=np.intp, count=n * (d - 2)).reshape(n, d - 2).T
-        heads = np.empty((d, n), dtype=np.intp)  # x_1..x_{d-2}, room, last point's index
+        heads = np.empty((d, n))  # x_1..x_{d-2}, room, last point's index
         heads[:-2] = pos
         heads[1:-2] -= pos[:-1] + 1
         heads[-2] = k - heads[:-2].sum(axis=0)
-        ends = np.cumsum(heads[-2] + 1)  # one past each head's last point
+        ends = np.cumsum(heads[-2] + 1).astype(np.intp)  # one past each head's last point
         heads[-1] = ends - 1
         for lo in range(0, int(ends[-1]), rows):
             index = np.arange(lo, min(lo + rows, int(ends[-1])))
@@ -242,12 +248,19 @@ def kkt_residual(
 def _winner_chunks(market: RaceMarket, n: int, seed: int, unit: str) -> Iterator[np.ndarray]:
     """Winner indices of ``n`` seeded races, in chunks of at most ``_MC_CHUNK``.
 
-    Uniforms come from one Philox stream, drawn a chunk at a time; successive
-    draws continue the stream, so the winners do not depend on the chunk
-    size.  Each uniform ``u`` picks the first horse whose cumulative
-    probability exceeds it, the last horse if none does, by a branchless
-    binary search over the inner CDF bounds padded with ``+inf`` to ``2^h``
-    entries.  ``n`` and ``seed`` are checked before anything is drawn.
+    Raw 64-bit words come from one Philox stream, drawn a chunk at a time;
+    successive draws continue the stream, so the winners do not depend on the
+    chunk size.  numpy's Philox uniform is ``u = (word >> 11) * 2^-53``, and
+    the winner is the number of inner CDF bounds ``<= u`` (the first horse
+    whose cumulative probability exceeds ``u``, the last if none does).  A
+    bound is crossed exactly when ``word >> 11`` reaches its integer threshold
+    ``ceil(bound * 2^53)``, so a bound that rounds to ``>= 1`` in ``cumsum``
+    is never crossed.  The top ``k`` of those 53 bits, ``k`` growing with
+    ``m`` up to ``_GUIDE_BITS``, index a guide table holding the number of
+    thresholds at or below each bucket's start (Chen & Asau 1974, "indexed
+    search").  A branchless binary search from that count, with as many steps
+    as the fullest bucket needs (usually one), finishes it.  ``n`` and
+    ``seed`` are checked before anything is drawn.
     """
     if isinstance(n, bool) or not isinstance(n, Integral):
         raise NotEvaluableError(f"the number of {unit}s must be an integer, got {n!r}")
@@ -255,18 +268,28 @@ def _winner_chunks(market: RaceMarket, n: int, seed: int, unit: str) -> Iterator
         raise NotEvaluableError(f"need at least one {unit}, got {n}")
     if isinstance(seed, bool) or not isinstance(seed, Integral) or not 0 <= seed < _SEED_BOUND:
         raise NotEvaluableError(f"seed must be an integer in [0, 2**128), got {seed!r}")
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
-    h = max(1, (market.m - 1).bit_length())
-    bounds = np.full(1 << h, math.inf)
-    bounds[: market.m - 1] = np.cumsum(market.probs)[:-1]
+    bitgen = np.random.Philox(key=int(seed))
+    top = 1 << 53
+    thresholds = np.ceil(np.cumsum(market.probs)[:-1] * top).astype(np.int64)
+    shift = 53 - min(_GUIDE_BITS, (market.m - 1).bit_length() + 3)
+    starts = np.arange((top >> shift) + 1, dtype=np.int64) << shift
+    guide = np.searchsorted(thresholds, starts, side="right")
+    steps = int(np.max(np.diff(guide))).bit_length()  # covers the fullest bucket
+    guide = guide[:-1]
+    padded = np.full(thresholds.size + (1 << steps), top, dtype=np.int64)  # top: never crossed
+    padded[: thresholds.size] = thresholds
+    probes = [(s, padded[(1 << s) - 1 :]) for s in reversed(range(steps))]
 
-    def search(u: np.ndarray) -> np.ndarray:
-        w = np.zeros(u.size, dtype=np.intp)
-        for s in reversed(range(h)):
-            w += (bounds.take(w + ((1 << s) - 1)) <= u) << s
+    def search(words: np.ndarray) -> np.ndarray:
+        x = np.right_shift(words, 11, out=words).view(np.int64)
+        w = guide.take(x >> shift)
+        for s, probe in probes:
+            hit = probe.take(w) <= x
+            w += hit << s if s else hit
         return w
 
-    return (search(rng.random(min(_MC_CHUNK, n - lo))) for lo in range(0, n, _MC_CHUNK))
+    draws = (bitgen.random_raw(min(_MC_CHUNK, n - lo)) for lo in range(0, n, _MC_CHUNK))
+    return map(search, draws)
 
 
 def simulate_growth(
@@ -283,13 +306,16 @@ def simulate_growth(
     with np.errstate(divide="ignore"):
         increments = np.log2(b.bets * market.odds)
     log_wealth = np.empty(n_races)
+    step = np.empty(min(_MC_CHUNK, n_races))  # one chunk's increments, reused
     lo, carry = 0, 0.0
     for winners in chunks:
-        out = log_wealth[lo : lo + winners.size]
-        increments.take(winners, out=out)
-        out[0] += carry  # before the running sum, so each entry rounds as one long cumsum
-        np.cumsum(out, out=out)
-        lo, carry = lo + winners.size, out[-1]
+        hi = lo + winners.size
+        # winners are in range, so "clip" changes none; unlike "raise" it
+        # writes straight into the buffer instead of through a temporary
+        increments.take(winners, out=step[: winners.size], mode="clip")
+        step[0] += carry  # before the running sum, so each entry rounds as one long cumsum
+        np.cumsum(step[: winners.size], out=log_wealth[lo:hi])
+        lo, carry = hi, log_wealth[hi - 1]
     return WealthTrajectory(n_races, log_wealth, seed)
 
 

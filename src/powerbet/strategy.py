@@ -270,7 +270,7 @@ def optimal_partial(market: RaceMarket, beta: float) -> PartialSolution:
         gammas = np.exp(log_gammas)
     return PartialSolution(
         allocation=alloc,
-        support=tuple(int(i) for i in np.flatnonzero(alloc.bets > 0.0)),
+        support=tuple(np.flatnonzero(alloc.bets > 0.0).tolist()),
         gamma_cap=cap,
         gammas=_freeze(gammas),
         utility=utility_partial(market, alloc, beta),

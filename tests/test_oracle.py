@@ -36,6 +36,7 @@ from helpers import (
     reference_grid_values,
     reference_log_wealth,
     reference_ubeta,
+    reference_winners,
 )
 
 MARKET_B = new_race([0.6, 0.4], [2, 2])
@@ -425,6 +426,32 @@ def _streaming_cases():
             yield new_race(probs / probs.sum(), market.odds), Allocation(np.full(m, 1.0 / m))
 
 
+def _fixed_words(words):
+    """A stand-in for ``np.random.Philox`` whose raw stream is ``words``."""
+    stream = iter(words)
+
+    class FixedWords:
+        def __init__(self, key):
+            pass
+
+        def random_raw(self, k):
+            return np.fromiter(stream, dtype=np.uint64, count=k)
+
+    return FixedWords
+
+
+def _clustered(m, tiny):
+    """A race whose ``m - 3`` tiny probabilities pile their CDF bounds up at
+    0.3 and 0.5, so hundreds or thousands of thresholds share a guide bucket."""
+    half = (m - 3) // 2
+    probs = [0.3, *[tiny] * half, 0.2, *[tiny] * (m - 3 - half), 0.5]
+    return new_race(probs, np.full(m, 2.0))
+
+
+# cumsum puts the third bound at 1 + 2^-52, above the total
+_BOUND_ABOVE_ONE = new_race([0.63, 0.298, 0.072, 1e-300], [2.0] * 4)
+
+
 class TestStreamingMonteCarlo:
     def test_matches_the_one_shot_reference(self):
         chunk = oracle._MC_CHUNK
@@ -445,21 +472,62 @@ class TestStreamingMonteCarlo:
         b = Allocation([0.2] * 5)
         cdf = np.cumsum(market.probs)
         u = np.concatenate([[0.0], cdf[:-1], np.nextafter(cdf, 0.0)])
-        stream = iter(u)
-
-        class FixedUniforms:
-            def __init__(self, bit_generator):
-                pass
-
-            def random(self, k):
-                return np.fromiter(stream, dtype=float, count=k)
-
+        # Philox's uniform is (word >> 11) * 2^-53, so floor(u * 2^53) << 11
+        # keeps each uniform in its CDF cell, whatever the low 11 bits hold
+        words = (u * 2.0**53).astype(np.uint64) << np.uint64(11)
+        words = np.concatenate([words, words | np.uint64(0x7FF)])
+        u = np.concatenate([u, u])
         monkeypatch.setattr(oracle, "_MC_CHUNK", 3)
-        monkeypatch.setattr(np.random, "Generator", FixedUniforms)
+        monkeypatch.setattr(np.random, "Philox", _fixed_words(words))
         traj = simulate_growth(market, b, u.size, seed=0)
         winners = np.minimum(np.searchsorted(cdf, u, side="right"), market.m - 1)
         expected = np.cumsum(np.log2(b.bets * market.odds)[winners])
         assert traj.log_wealth.tobytes() == expected.tobytes()
+
+    def test_philox_words_give_numpys_uniforms(self):
+        # the sampler compares raw words with integer thresholds, relying on
+        # numpy building each Philox double as (word >> 11) * 2^-53
+        for seed in (0, 7, 2**64 + 3, 2**128 - 1):
+            raw = np.random.Philox(key=seed)
+            rng = np.random.Generator(np.random.Philox(key=seed))
+            for k in (1, 5, 1000):  # successive draws continue the stream
+                u = (raw.random_raw(k) >> np.uint64(11)) * 2.0**-53
+                assert u.tobytes() == rng.random(k).tobytes()
+
+    def test_winners_match_the_reference_bit_for_bit(self):
+        chunk = oracle._MC_CHUNK
+        cases = [
+            new_race([1.0], [2.0]),
+            new_race([0.6, 0.4], [2.0, 2.0]),
+            new_race([1e-300, 1.0], [2.0, 2.0]),
+            _BOUND_ABOVE_ONE,
+            _clustered(10**4, 1e-300),
+            _clustered(1000, 2.0**-50),
+        ]
+        rng = np.random.default_rng(11)
+        cases += [random_market(rng, m) for m in (2, 5, 8, 100, 10**4)]
+        for i, market in enumerate(cases):
+            for n in (1, chunk - 1, chunk, chunk + 1, 2 * chunk):
+                seed = 500 + i + n
+                drawn = np.concatenate(list(oracle._winner_chunks(market, n, seed, "race")))
+                assert drawn.tobytes() == reference_winners(market, n, seed).tobytes()
+
+    def test_words_on_every_threshold_pick_the_reference_winner(self, monkeypatch):
+        # the word at each integer threshold and the one just below it, with
+        # and without low bits, and the stream's extremes; clustered bounds
+        # put thousands of thresholds in one guide bucket
+        for market in (_BOUND_ABOVE_ONE, _clustered(10**4, 1e-300), _clustered(1000, 2.0**-50)):
+            bounds = np.cumsum(market.probs)
+            thresholds = np.ceil(np.minimum(bounds, 1.0) * 2.0**53).astype(np.uint64)
+            ends = np.array([0, 2**53 - 1], dtype=np.uint64)
+            x = np.concatenate([thresholds, np.maximum(thresholds, 1) - np.uint64(1), ends])
+            x = np.minimum(x, ends[1])
+            words = np.concatenate([x << np.uint64(11), (x << np.uint64(11)) | np.uint64(0x7FF)])
+            monkeypatch.setattr(np.random, "Philox", _fixed_words(words))
+            drawn = np.concatenate(list(oracle._winner_chunks(market, words.size, 0, "race")))
+            u = (words >> np.uint64(11)) * 2.0**-53
+            expected = np.minimum(np.searchsorted(bounds, u, side="right"), market.m - 1)
+            assert drawn.tobytes() == expected.tobytes()
 
     def test_results_do_not_depend_on_the_chunk_size(self, monkeypatch):
         n = 1000
