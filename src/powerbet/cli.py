@@ -49,9 +49,6 @@ from .market import (
 KKT_GAP_TOL = 1e-8
 RESIDUAL_TOL = 1e-9
 ORACLE_VALUE_TOL = 1e-9
-# Kelly bets equal the probabilities up to the few ulps that renormalizing a
-# vector summing to 1 - 1 ulp can move them.
-KELLY_BETS_RTOL = 4 * np.finfo(float).eps
 _CSV_CHUNK_ROWS = 1 << 16
 
 
@@ -276,9 +273,7 @@ def _optimize_full(market: RaceMarket, beta: float, args, out: dict) -> int:
         value = utility.utility_full(market, alloc, beta)
         if args.check and beta == 0.0:
             residual = out["decomposition"]["residual"]
-            ok = residual < RESIDUAL_TOL and np.allclose(
-                alloc.bets, market.probs, rtol=KELLY_BETS_RTOL, atol=0.0
-            )
+            ok = residual < RESIDUAL_TOL and np.array_equal(alloc.bets, market.probs)
             out["oracle_check"] = {"kind": "kelly_identity", "residual": residual, "passed": ok}
             code = 0 if ok else 4
         elif args.check:

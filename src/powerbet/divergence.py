@@ -47,8 +47,16 @@ def _logsumexp(a, axis: int | None = None):
 
     Never NaN: any ``+inf`` entry gives ``+inf``; a sum of ``-inf`` entries
     only, or of none, gives ``-inf``.  Uses one scratch array the size of ``a``.
+    Over the whole array the value is a float, and an infinite peak is the answer.
     """
     a = np.asarray(a, dtype=float)
+    if axis is None:
+        peak = a.max(initial=-math.inf)
+        if math.isinf(peak):
+            return float(peak)
+        scratch = a - peak
+        np.exp(scratch, out=scratch)  # every entry is <= 1 and the peak's is 1: log needs no guard
+        return float(np.log(scratch.sum()) + peak)
     peak = a.max(axis=axis, keepdims=True, initial=-math.inf)
     peak[~np.isfinite(peak)] = 0.0
     scratch = a - peak
@@ -58,7 +66,7 @@ def _logsumexp(a, axis: int | None = None):
         np.exp(scratch, out=scratch)
         out = np.log(scratch.sum(axis=axis, keepdims=True))
     out += peak
-    return float(out.ravel()[0]) if axis is None else out.squeeze(axis)
+    return out.squeeze(axis)
 
 
 def _tilted_mean(t: float, log_w, x, terms=None, axis: int | None = None):
@@ -85,8 +93,10 @@ def _tilted_mean(t: float, log_w, x, terms=None, axis: int | None = None):
     if abs(t) < _NORMAL_MIN:
         mu = np.sum(np.exp(log_w) * x, axis=axis) / _LN2
         return float(mu) if axis is None else mu
+    if axis is None:
+        return _centered_mean(t, log_w.ravel(), x.ravel(), terms)
     shape = np.shape(x)
-    x = np.reshape(x, (1, -1) if axis is None else (-1, shape[-1]))
+    x = np.reshape(x, (-1, shape[-1]))
     log_w = np.reshape(log_w, (-1, x.shape[1]))  # a row per row of x, or one for all
     w = np.exp(log_w)
     mu = (w * x).sum(axis=1)
@@ -99,17 +109,35 @@ def _tilted_mean(t: float, log_w, x, terms=None, axis: int | None = None):
     if far.any():
         terms = log_w + t * x if terms is None else np.reshape(terms, x.shape)
         out[far] = _logsumexp(terms[far], axis=1) / (t * _LN2)
-    return float(out[0]) if axis is None else out.reshape(shape[:-1])
+    return out.reshape(shape[:-1])
+
+
+def _centered_mean(t: float, log_w: np.ndarray, x: np.ndarray, terms) -> float:
+    """The centered form of :func:`_tilted_mean` over one 1-D PMF, its log-sum-exp
+    form where the tilts of the positive weights span more than 1 or ``mu`` is infinite."""
+    w = np.exp(log_w)
+    mu = (w * x).sum()
+    if math.isfinite(mu) and (mu or w.any()):  # mu = 0 may be a PMF with no positive weight
+        tilt = t * (x - mu)
+        span = 2.0 * np.abs(tilt).max()  # an upper bound: it counts the zero weights too
+        if not span <= 1.0:
+            live = w > 0.0
+            span = tilt.max(where=live, initial=-math.inf) - tilt.min(where=live, initial=math.inf)
+        if span <= 1.0:
+            return float((mu + np.log1p((w * np.expm1(tilt)).sum()) / t) / _LN2)
+    return _logsumexp(log_w + t * x if terms is None else terms) / (t * _LN2)
 
 
 def _renyi_from_logs(log_p: np.ndarray, log_q: np.ndarray, alpha: float, axis: int | None = None):
     """``D_alpha(p || q) = K(alpha - 1; p, ln p - ln q)`` in bits, from natural-log PMFs; the
     terms ``alpha ln p + (1 - alpha) ln q`` stay exact for a weight with ``ln p`` near -1e9.
     Rounding below 0 is clamped to 0: no Renyi divergence between PMFs is negative."""
-    support = log_p > -math.inf
-    with np.errstate(invalid="ignore"):  # -inf - -inf off the support of p
-        terms = np.where(support, alpha * log_p + (1.0 - alpha) * log_q, -math.inf)
-        x = np.where(support, log_p - log_q, 0.0)
+    off = log_p == -math.inf
+    with np.errstate(invalid="ignore"):  # -inf - -inf off the support of p, replaced below
+        terms = alpha * log_p + (1.0 - alpha) * log_q
+        x = log_p - log_q
+    terms[off] = -math.inf
+    x[off] = 0.0
     d = _tilted_mean(alpha - 1.0, log_p, x, terms, axis)
     return max(d, 0.0) if axis is None else np.maximum(d, 0.0)
 
@@ -160,6 +188,12 @@ def cond_renyi_div(p_cond, q_cond, p_y, alpha: float) -> float:
             f"p_cond has {p_cond.shape[1]} columns but q_cond has {q_cond.shape[1]}"
         )
 
+    return _cond_renyi_from_logs(_log(p_cond), _log(q_cond), np.log(p_y[active]), alpha)
+
+
+def _cond_renyi_from_logs(log_p_cond, log_q_cond, log_p_y: np.ndarray, alpha: float) -> float:
+    """:func:`cond_renyi_div` from the natural logs of the rows of the signals that
+    occur (``log_q_cond`` may be one row for all) and of their probabilities."""
     # the bracket of signal y is exp((alpha-1) K_y) for the inner divergence K_y
-    inner = _renyi_from_logs(_log(p_cond), _log(q_cond), alpha, axis=-1)
-    return _tilted_mean((alpha - 1.0) / alpha, np.log(p_y[active]), inner * _LN2)
+    inner = _renyi_from_logs(log_p_cond, log_q_cond, alpha, axis=-1)
+    return _tilted_mean((alpha - 1.0) / alpha, log_p_y, inner * _LN2)

@@ -72,7 +72,8 @@ def _normalized(values, name: str, ndim: int = 1, rows=False, cash: float = 0.0)
     if not (arr.min() >= 0.0 and arr.max() < np.inf):  # NaN fails both
         raise InvalidDistributionError(f"{name} entries must be finite and >= 0")
     if rows is False:
-        total = cash + arr.sum()
+        total = cash + float(arr.sum())
+        bad = total if abs(total - 1.0) > NORMALIZATION_TOL else None
     else:
         if rows is not True:
             if rows.shape != arr.shape[:1]:
@@ -81,12 +82,12 @@ def _normalized(values, name: str, ndim: int = 1, rows=False, cash: float = 0.0)
                 )
             arr = arr[rows]
         total = arr.sum(axis=1, keepdims=True)
-    off = np.abs(total - 1.0) > NORMALIZATION_TOL
-    if off.any():
+        off = np.abs(total - 1.0) > NORMALIZATION_TOL
+        bad = float(np.extract(off, total)[0]) if off.any() else None
+    if bad is not None:
         what = f"a row of {name}" if rows is not False else f"cash plus {name}" if cash else name
         raise NotNormalizedError(
-            f"{what} sums to {np.extract(off, total)[0]!r}, "
-            f"deviating from 1 by more than {NORMALIZATION_TOL}"
+            f"{what} sums to {bad!r}, deviating from 1 by more than {NORMALIZATION_TOL}"
         )
     out = arr / total
     out.flags.writeable = False
@@ -223,7 +224,7 @@ class Fairness:
 
 def track_constant(market: RaceMarket | SideInfoMarket) -> float:
     """Track constant ``c``: reciprocal of the sum of reciprocal odds."""
-    return 1.0 / float(np.sum(1.0 / market.odds))
+    return 1.0 / float((1.0 / market.odds).sum())
 
 
 def bookie_distribution(market: RaceMarket | SideInfoMarket) -> np.ndarray:

@@ -91,6 +91,16 @@ class ConditionalAllocation:
         return self.table.shape[1]
 
 
+def _trusted(cls, **fields):
+    """A ``cls`` of fractions the library computed from a validated market: their
+    arrays are made read-only in place, and nothing is checked or renormalized."""
+    out = object.__new__(cls)
+    for name, value in fields.items():
+        value.flags.writeable = False
+        object.__setattr__(out, name, value)
+    return out
+
+
 @dataclass(frozen=True)
 class PartialSolution:
     """Optimal partial-investment result.
@@ -130,9 +140,10 @@ def _check_interior_beta(beta: float) -> float:
     return beta
 
 
-def _log_weights_full(market: RaceMarket, beta: float) -> np.ndarray:
-    """Natural logs of the interior optimum's fractions, for a validated ``beta``."""
-    raw = np.log(market.probs) + beta * np.log(market.odds)
+def _log_weights_full(log_p: np.ndarray, log_o: np.ndarray, beta: float) -> np.ndarray:
+    """Natural logs of the interior optimum's fractions, from ``ln p`` and ``ln o``,
+    for a validated ``beta``."""
+    raw = log_p + beta * log_o
     # the top score is 0 before the division, so tied top weights stay equal
     scores = (raw - raw.max()) / (1.0 - beta)
     return scores - _logsumexp(scores)
@@ -147,12 +158,13 @@ def optimal_full(market: RaceMarket, beta: float) -> Allocation:
     may underflow to 0.
     """
     beta = _check_interior_beta(beta)
-    return Allocation(np.exp(_log_weights_full(market, beta)))
+    weights = np.exp(_log_weights_full(np.log(market.probs), np.log(market.odds), beta))
+    return _trusted(Allocation, bets=weights / weights.sum())
 
 
 def kelly(market: RaceMarket) -> Allocation:
     """Proportional betting ``b = p``: the log-utility (doubling-rate) optimum."""
-    return Allocation(market.probs)
+    return _trusted(Allocation, bets=market.probs)
 
 
 def optimal_degenerate(market: RaceMarket, beta: float) -> Allocation:
@@ -168,7 +180,7 @@ def optimal_degenerate(market: RaceMarket, beta: float) -> Allocation:
     winner = int(np.argmax(scores))
     bets = np.zeros(market.m)
     bets[winner] = 1.0
-    return Allocation(bets)
+    return _trusted(Allocation, bets=bets)
 
 
 def optimal_limit(market: RaceMarket, which: float) -> Allocation:
@@ -184,9 +196,10 @@ def optimal_limit(market: RaceMarket, which: float) -> Allocation:
     if which == math.inf:
         bets = np.zeros(market.m)
         bets[int(np.argmax(market.odds))] = 1.0
-        return Allocation(bets)
+        return _trusted(Allocation, bets=bets)
     if which == -math.inf:
-        return Allocation(bookie_distribution(market))
+        r = bookie_distribution(market)
+        return _trusted(Allocation, bets=r / r.sum())
     raise BetaOutOfRangeError(f"limit selector must be +inf or -inf, got {which!r}")
 
 
@@ -201,17 +214,29 @@ def optimal_side_info(
     Horses that cannot win under a signal get a zero fraction in that row.
     """
     beta = _check_interior_beta(beta)
-    log_table, log_g_y = _log_weights_side_info(market, beta)
-    return ConditionalAllocation(np.exp(log_table)), np.exp(log_g_y)
+    log_cond, log_p_y = _side_info_logs(market)
+    log_table, log_g_y = _log_weights_side_info(log_cond, log_p_y, np.log(market.odds), beta)
+    table = np.exp(log_table)
+    table /= table.sum(axis=1, keepdims=True)
+    return _trusted(ConditionalAllocation, table=table), np.exp(log_g_y)
 
 
-def _log_weights_side_info(market: SideInfoMarket, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Natural logs of the optimal rows (``-inf`` for impossible winners) and signal weights."""
-    raw = _log(market.conditional()) + beta * np.log(market.odds)[None, :]
+def _side_info_logs(market: SideInfoMarket) -> tuple[np.ndarray, np.ndarray]:
+    """``ln p(x|y)``, ``-inf`` for impossible winners, and ``ln p(y)``."""
+    p_y = market.signal_probs
+    return _log(market.joint / p_y[:, None]), np.log(p_y)
+
+
+def _log_weights_side_info(
+    log_cond: np.ndarray, log_p_y: np.ndarray, log_o: np.ndarray, beta: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Natural logs of the optimal rows (``-inf`` for impossible winners) and signal
+    weights, from those of :func:`_side_info_logs` and ``ln o``."""
+    raw = log_cond + beta * log_o
     peak = raw.max(axis=1)  # finite: every signal row has a positive entry
     scores = (raw - peak[:, None]) / (1.0 - beta)
     inner = _logsumexp(scores, axis=1)
-    signal_scores = np.log(market.signal_probs) + (1.0 - beta) * inner + peak
+    signal_scores = log_p_y + (1.0 - beta) * inner + peak
     return scores - inner[:, None], signal_scores - _logsumexp(signal_scores)
 
 

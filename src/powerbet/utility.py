@@ -26,12 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import _log, _renyi_from_logs, _tilted_mean, cond_renyi_div, renyi_div
+from .divergence import _cond_renyi_from_logs, _log, _renyi_from_logs, _tilted_mean
 from .market import (
     RaceMarket,
     SideInfoMarket,
     _require_same_length,
-    bookie_distribution,
     track_constant,
 )
 from .strategy import (
@@ -42,6 +41,7 @@ from .strategy import (
     _check_interior_beta,
     _log_weights_full,
     _log_weights_side_info,
+    _side_info_logs,
 )
 
 
@@ -111,8 +111,8 @@ def limit_utilities(market: RaceMarket, b: Allocation) -> tuple[float, float]:
     return float(logs.max()), float(logs.min())
 
 
-def _report(market, bookie: float, gambler: float, direct: float) -> DecompositionReport:
-    log_c = math.log2(track_constant(market))
+def _report(c: float, bookie: float, gambler: float, direct: float) -> DecompositionReport:
+    log_c = math.log2(c)
     total = log_c + bookie - gambler
     residual = 0.0 if total == direct else abs(total - direct)  # matching infinities: 0, not NaN
     return DecompositionReport(log_c, bookie, gambler, total, direct, residual)
@@ -126,9 +126,11 @@ def decompose_full(market: RaceMarket, b: Allocation, beta: float) -> Decomposit
     """
     beta = _check_interior_beta(beta)
     _require_same_length(market, b.bets)
-    bookie = renyi_div(market.probs, bookie_distribution(market), 1.0 / (1.0 - beta))
-    gambler = _renyi_from_logs(_log_weights_full(market, beta), _log(b.bets), 1.0 - beta)
-    return _report(market, bookie, gambler, utility_full(market, b, beta))
+    log_p, log_o = np.log(market.probs), np.log(market.odds)
+    c = track_constant(market)
+    bookie = _renyi_from_logs(log_p, math.log(c) - log_o, 1.0 / (1.0 - beta))  # r = c / o
+    gambler = _renyi_from_logs(_log_weights_full(log_p, log_o, beta), _log(b.bets), 1.0 - beta)
+    return _report(c, bookie, gambler, utility_full(market, b, beta))
 
 
 def decompose_kelly(market: RaceMarket, b: Allocation) -> DecompositionReport:
@@ -149,9 +151,11 @@ def decompose_side_info(
     """
     beta = _check_interior_beta(beta)
     _require_same_length(market, b.table)
-    log_g_cond, log_g_y = _log_weights_side_info(market, beta)
-    r_table = np.broadcast_to(bookie_distribution(market), market.joint.shape)
-    bookie = cond_renyi_div(market.conditional(), r_table, market.signal_probs, 1.0 / (1.0 - beta))
+    log_cond, log_p_y = _side_info_logs(market)
+    log_o = np.log(market.odds)
+    c = track_constant(market)
+    log_g_cond, log_g_y = _log_weights_side_info(log_cond, log_p_y, log_o, beta)
+    bookie = _cond_renyi_from_logs(log_cond, math.log(c) - log_o, log_p_y, 1.0 / (1.0 - beta))
     log_g_joint = log_g_cond + log_g_y[:, None]
     gambler = _renyi_from_logs(log_g_joint, _log(b.table) + log_g_y[:, None], 1.0 - beta)
-    return _report(market, bookie, gambler, utility_side_info(market, b, beta))
+    return _report(c, bookie, gambler, utility_side_info(market, b, beta))

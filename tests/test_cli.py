@@ -171,7 +171,7 @@ class TestOptimize:
 
     def test_kelly_check_tolerates_renormalization_ulps(self, capsys, tmp_path):
         # these probabilities renormalize to a vector summing to 1 - 1 ulp,
-        # which the allocation renormalizes once more
+        # which the Kelly bets must equal bit for bit all the same
         doc = {
             "horses": [
                 {"p": 0.630855, "odds": 6},

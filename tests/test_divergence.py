@@ -346,6 +346,25 @@ class TestTiltedMeanKernel:
                 tol = _kernel_tolerance(t, row_w, row_x)
                 assert value == pytest.approx(expected, rel=0, abs=tol)
 
+    def test_one_pmf_is_its_row_bit_for_bit(self):
+        # the whole-array form has its own code; it must take the branch the row
+        # form takes and round the same, also with zero weights and near the gate
+        rng = np.random.default_rng(63)
+        for _ in range(40):
+            w, x = _kernel_case(rng)
+            w[rng.random(w.size) < 0.2] = 0.0
+            x *= float(rng.choice([1.0, 1024.0 / (x.max() - x.min())]))
+            log_w = np.log(w, where=w > 0.0, out=np.full(w.size, -math.inf))
+            for t in KERNEL_TS:
+                row = _tilted_mean(t, log_w[None, :], x[None, :], axis=-1)[0]
+                assert _tilted_mean(t, log_w, x) == row
+
+    @pytest.mark.parametrize("t", KERNEL_TS)
+    def test_no_positive_weight_is_minus_inf_over_t(self, t):
+        if t != 0.0:
+            value = _tilted_mean(t, np.full(3, -math.inf), np.array([-0.5, 0.0, 0.5]))
+            assert value == -math.inf / t
+
     @pytest.mark.parametrize(
         "t,spread,centered",
         [

@@ -126,6 +126,16 @@ class TestKelly:
         market = new_race([0.5, 0.3, 0.2], [2, 4, 8])
         np.testing.assert_array_equal(kelly(market).bets, market.probs)
 
+    def test_is_the_probabilities_bit_for_bit(self):
+        # about one market in five has probabilities summing to 1 -+ 1 ulp, which
+        # a second normalization would move
+        rng = np.random.default_rng(31)
+        for _ in range(2000):
+            market = random_market(rng, int(rng.integers(2, 17)))
+            for b in (kelly(market), dispatch(market, 0.0)):
+                np.testing.assert_array_equal(b.bets, market.probs, strict=True)
+                assert not b.bets.flags.writeable
+
 
 class TestOptimalDegenerate:
     def test_expected_return(self):

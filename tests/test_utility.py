@@ -8,6 +8,8 @@ from powerbet import (
     BetaOutOfRangeError,
     ConditionalAllocation,
     PartialAllocation,
+    bookie_distribution,
+    cond_renyi_div,
     decompose_full,
     decompose_kelly,
     decompose_side_info,
@@ -18,6 +20,7 @@ from powerbet import (
     new_side_info,
     optimal_full,
     optimal_side_info,
+    renyi_div,
     utility_full,
     utility_partial,
     utility_side_info,
@@ -338,3 +341,34 @@ class TestDecomposeSideInfo:
             assert report.residual < 1e-9
             optimal, _ = optimal_side_info(market, beta)
             assert decompose_side_info(market, optimal, beta).residual < 1e-9
+
+
+# every regime of the interior reports, from the worst case to next to beta = 1
+REPORT_BETAS = (-1e6, -5.0, -1.0, -0.5, 0.0, 1e-6, 0.25, 0.5, 0.9, 0.99, 0.999, 1 - 1e-6, 1 - 1e-9)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_bookie_terms_are_the_public_divergences(seed):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(2, 17))
+    market = random_market(rng, m)
+    side = random_joint_market(rng, int(rng.integers(1, 6)), m)
+    r_table = np.broadcast_to(bookie_distribution(side), side.joint.shape)
+
+    def gaps(beta):
+        alpha = 1.0 / (1.0 - beta)
+        full = decompose_full(market, kelly(market), beta).bookie_term
+        public = renyi_div(market.probs, bookie_distribution(market), alpha)
+        table, _ = optimal_side_info(side, beta)
+        cond = decompose_side_info(side, table, beta).bookie_term
+        cond_public = cond_renyi_div(side.conditional(), r_table, side.signal_probs, alpha)
+        return abs(full - public), abs(cond - cond_public)
+
+    for beta in REPORT_BETAS:
+        assert max(gaps(beta)) <= 1e-14
+    # Just past the centered threshold, |alpha - 1| > 2^-10, the log-sum-exp form
+    # divides the rounding of sum p by alpha - 1 (divergence._CENTERED_T); the
+    # reports use p and r as the market rounds them, the public calls normalize
+    # them once more, so there the two agree to a few eps / |alpha - 1| only.
+    for beta in (-1.1e-3, 1.1e-3):
+        assert max(gaps(beta)) <= 16 * EPS / abs(1.0 / (1.0 - beta) - 1.0)

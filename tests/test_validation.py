@@ -13,6 +13,9 @@ import warnings
 import numpy as np
 import pytest
 
+import powerbet.divergence
+import powerbet.market
+import powerbet.strategy
 from powerbet import (
     Allocation,
     BetaOutOfRangeError,
@@ -27,14 +30,19 @@ from powerbet import (
     decompose_full,
     decompose_kelly,
     decompose_side_info,
+    dispatch,
     doubling_rate,
     estimate_ubeta,
     fold_cash_into_bets,
+    kelly,
     kkt_residual,
     limit_utilities,
     new_race,
     new_side_info,
+    optimal_full,
+    optimal_limit,
     optimal_partial,
+    optimal_side_info,
     renyi_div,
     simulate_growth,
     utility_full,
@@ -336,3 +344,43 @@ def test_utilities_need_a_finite_nonzero_beta(call, beta):
 def test_utilities_take_kelly(call, expected):
     # beta = 0 is the mean log2 payoff
     assert call(0.0) == pytest.approx(float(expected), rel=1e-14, abs=0.0)
+
+
+@pytest.fixture
+def normalized_calls(monkeypatch):
+    """The ``name`` of every ``_normalized`` call, through a stand-in patched
+    wherever a module imported it."""
+    names = []
+    real = powerbet.market._normalized
+
+    def counting(values, name, *args, **kwargs):
+        names.append(name)
+        return real(values, name, *args, **kwargs)
+
+    for module in (powerbet.market, powerbet.strategy, powerbet.divergence):
+        monkeypatch.setattr(module, "_normalized", counting)
+    return names
+
+
+def test_library_allocations_and_reports_are_not_validated_again(normalized_calls):
+    rng = np.random.default_rng(3)
+    market = new_race(_near_unit(rng, (5,), zeros=False), rng.uniform(1.2, 9.0, size=5))
+    side = new_side_info(_near_unit(rng, (15,), zeros=True).reshape(3, 5), market.odds)
+    normalized_calls.clear()
+    for beta in (-2.0, 0.0, 0.5, 0.99):
+        opt = optimal_full(market, beta)
+        assert not opt.bets.flags.writeable
+        decompose_full(market, opt, beta)
+        decompose_full(market, kelly(market), beta)
+        table, _ = optimal_side_info(side, beta)
+        assert not table.table.flags.writeable
+        decompose_side_info(side, table, beta)
+    for beta in (-math.inf, -3.0, 0.0, 0.5, 1.0, 2.0, math.inf):
+        assert not dispatch(market, beta).bets.flags.writeable
+    assert not optimal_limit(market, -math.inf).bets.flags.writeable
+    assert normalized_calls == []
+    # the user-facing entry points still validate, through the stand-in
+    Allocation(market.probs)
+    renyi_div(market.probs, kelly(market).bets, 2.0)
+    cond_renyi_div(ROWS, ROWS, [0.5, 0.5], 2.0)
+    assert normalized_calls == ["bets", "p", "q", "p_y", "p_cond", "q_cond"]
