@@ -230,6 +230,18 @@ def _check_full(market: RaceMarket, beta: float, alloc, value: float, k: int) ->
     return doc, 0 if ok else 4
 
 
+def _check_limit(market: RaceMarket, beta: float, alloc, value: float) -> tuple[dict, int]:
+    """The exact payoff bound of a limit optimum: the longest odds at ``+inf``,
+    and every payoff at the track constant at ``-inf``."""
+    if beta > 0:
+        gap = abs(value - math.log2(float(np.max(market.odds))))
+    else:
+        c = track_constant(market)
+        gap = float(np.max(np.abs(alloc.bets * market.odds - c))) / c
+    ok = gap <= 1e-12
+    return {"kind": "limit_bound", "gap": gap, "passed": ok}, 0 if ok else 4
+
+
 def _check_partial(
     market: RaceMarket, beta: float, sol: strategy.PartialSolution, k: int
 ) -> tuple[dict, int]:
@@ -253,33 +265,20 @@ def _check_partial(
 def _optimize_full(market: RaceMarket, beta: float, args, out: dict) -> int:
     code = 0
     alloc = strategy.dispatch(market, beta)
-    if math.isinf(beta):
-        best, worst = utility.limit_utilities(market, alloc)
-        value = best if beta > 0 else worst
-        if args.check:
-            if beta > 0:
-                target = math.log2(float(np.max(market.odds)))
-                gap = abs(value - target)
-            else:
-                c = track_constant(market)
-                payoffs = alloc.bets * market.odds
-                gap = float(np.max(np.abs(payoffs - c))) / c
-            ok = gap <= 1e-12
-            out["oracle_check"] = {"kind": "limit_bound", "gap": gap, "passed": ok}
-            code = 0 if ok else 4
-    else:
-        if beta < 1.0:
-            out["decomposition"] = asdict(utility.decompose_full(market, alloc, beta))
-        value = utility.utility_full(market, alloc, beta)
-        if args.check and beta == 0.0:
-            residual = out["decomposition"]["residual"]
-            ok = residual < RESIDUAL_TOL and np.array_equal(alloc.bets, market.probs)
-            out["oracle_check"] = {"kind": "kelly_identity", "residual": residual, "passed": ok}
-            code = 0 if ok else 4
-        elif args.check:
-            out["oracle_check"], code = _check_full(
-                market, beta, alloc, value, _resolution(args.grid_resolution, market.m)
-            )
+    if -math.inf < beta < 1.0:
+        out["decomposition"] = asdict(utility.decompose_full(market, alloc, beta))
+    value = utility.utility_full(market, alloc, beta)
+    if args.check and beta == 0.0:
+        residual = out["decomposition"]["residual"]
+        ok = residual < RESIDUAL_TOL and np.array_equal(alloc.bets, market.probs)
+        out["oracle_check"] = {"kind": "kelly_identity", "residual": residual, "passed": ok}
+        code = 0 if ok else 4
+    elif args.check and math.isinf(beta):
+        out["oracle_check"], code = _check_limit(market, beta, alloc, value)
+    elif args.check:
+        out["oracle_check"], code = _check_full(
+            market, beta, alloc, value, _resolution(args.grid_resolution, market.m)
+        )
     out["allocation"] = {"type": "full", "bets": _floats(alloc.bets)}
     out["utility_bits"] = value
     return code

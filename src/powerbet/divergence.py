@@ -4,7 +4,8 @@ All divergences are in bits.  Each one, like each power utility, is a tilted
 mean ``D_alpha(p || q) = K(alpha - 1; p, ln p/q)`` of :func:`_tilted_mean`, KL
 being ``K(0)``, so orders near the pole never overflow and those near 1 match KL.
 Every finite order ``alpha > 0`` is an ordinary input, order 1 included, for
-the plain and the conditional divergence alike.
+the plain and the conditional divergence alike.  :func:`_log2_power_mean`
+evaluates the utilities' power means here too, ``beta = +-inf`` included.
 
 Zero-probability conventions, applied throughout:
 
@@ -84,6 +85,9 @@ def _tilted_mean(t: float, log_w, x, terms=None, axis: int | None = None):
     Never NaN: ``w = 0`` drops a term (its ``x`` must then be finite unless
     ``terms`` is given), ``e^(t x)`` is ``+inf`` or 0 for an infinite ``x``, and
     a row of dropped terms is ``-inf / t``.  No row may hold both infinities.
+    A term with ``e^(t x) = 0`` drops out of the centered form too: it centers
+    the live weights, rescaled to sum to one, and adds ``log1p(-lost) / t``
+    for the dropped share, as ``-log1p(dropped / live) / t``.
     """
     if abs(t) > _CENTERED_T:
         if terms is None:  # x is freed before the sum, so a grid block holds no extra copy
@@ -98,13 +102,21 @@ def _tilted_mean(t: float, log_w, x, terms=None, axis: int | None = None):
     shape = np.shape(x)
     x = np.reshape(x, (-1, shape[-1]))
     log_w = np.reshape(log_w, (-1, x.shape[1]))  # a row per row of x, or one for all
-    w = np.exp(log_w)
-    mu = (w * x).sum(axis=1)
+    w, live_x, log_kept = np.exp(log_w), x, 0.0
     with np.errstate(all="ignore"):  # far rows, replaced below, may overflow or be NaN
-        tilt = t * (x - mu[:, None])
+        mu = (w * x).sum(axis=1)
+        if not np.isfinite(mu).all():  # an infinite x, whose term may drop out: e^(t x) = 0
+            dropped = t * x == -math.inf
+            live = np.where(dropped, 0.0, w)
+            lost = np.where(dropped, w, 0.0).sum(axis=1)
+            kept = np.where(lost > 0.0, live.sum(axis=1), 1.0)  # rows losing none keep their bits
+            log_kept = -np.log1p(lost / kept)  # a row with nothing live is NaN below, so far
+            w, live_x = live / kept[:, None], np.where(dropped, 0.0, x)
+            mu = (w * live_x).sum(axis=1)
+        tilt = t * (live_x - mu[:, None])
         span = tilt.max(axis=1, where=w > 0.0, initial=-math.inf)
         span -= tilt.min(axis=1, where=w > 0.0, initial=math.inf)
-        out = (mu + np.log1p((w * np.expm1(tilt)).sum(axis=1)) / t) / _LN2
+        out = (mu + (np.log1p((w * np.expm1(tilt)).sum(axis=1)) + log_kept) / t) / _LN2
     far = ~((0.0 <= span) & (span <= 1.0))
     if far.any():
         terms = log_w + t * x if terms is None else np.reshape(terms, x.shape)
@@ -114,23 +126,32 @@ def _tilted_mean(t: float, log_w, x, terms=None, axis: int | None = None):
 
 def _centered_mean(t: float, log_w: np.ndarray, x: np.ndarray, terms) -> float:
     """The centered form of :func:`_tilted_mean` over one 1-D PMF, its log-sum-exp
-    form where the tilts of the positive weights span more than 1 or ``mu`` is infinite."""
-    w = np.exp(log_w)
+    form where the tilts of the live weights span more than 1 or ``mu`` is infinite."""
+    w, live_x, log_kept = np.exp(log_w), x, 0.0
     mu = (w * x).sum()
-    if math.isfinite(mu) and (mu or w.any()):  # mu = 0 may be a PMF with no positive weight
-        tilt = t * (x - mu)
+    if not math.isfinite(mu):  # an infinite x, whose term may drop out: e^(t x) = 0
+        dropped = t * x == -math.inf
+        live = np.where(dropped, 0.0, w)
+        kept = float(live.sum())
+        if kept > 0.0:  # else nothing live is left, mu stays infinite: the far form
+            log_kept = -np.log1p(np.where(dropped, w, 0.0).sum() / kept)
+            w, live_x = live / kept, np.where(dropped, 0.0, x)
+            mu = (w * live_x).sum()
+    if math.isfinite(mu) and (mu or w.any()):  # mu = 0 may be a PMF with nothing live
+        tilt = t * (live_x - mu)
         span = 2.0 * np.abs(tilt).max()  # an upper bound: it counts the zero weights too
         if not span <= 1.0:
             live = w > 0.0
             span = tilt.max(where=live, initial=-math.inf) - tilt.min(where=live, initial=math.inf)
         if span <= 1.0:
-            return float((mu + np.log1p((w * np.expm1(tilt)).sum()) / t) / _LN2)
+            return float((mu + (np.log1p((w * np.expm1(tilt)).sum()) + log_kept) / t) / _LN2)
     return _logsumexp(log_w + t * x if terms is None else terms) / (t * _LN2)
 
 
-def _renyi_from_logs(log_p: np.ndarray, log_q: np.ndarray, alpha: float, axis: int | None = None):
+def _renyi_from_logs(log_p, log_q, alpha: float, axis: int | None = None, t: float | None = None):
     """``D_alpha(p || q) = K(alpha - 1; p, ln p - ln q)`` in bits, from natural-log PMFs; the
     terms ``alpha ln p + (1 - alpha) ln q`` stay exact for a weight with ``ln p`` near -1e9.
+    ``t`` is the exact tilt ``alpha - 1`` if the caller has it, not ``alpha - 1.0``.
     Rounding below 0 is clamped to 0: no Renyi divergence between PMFs is negative."""
     off = log_p == -math.inf
     with np.errstate(invalid="ignore"):  # -inf - -inf off the support of p, replaced below
@@ -138,7 +159,7 @@ def _renyi_from_logs(log_p: np.ndarray, log_q: np.ndarray, alpha: float, axis: i
         x = log_p - log_q
     terms[off] = -math.inf
     x[off] = 0.0
-    d = _tilted_mean(alpha - 1.0, log_p, x, terms, axis)
+    d = _tilted_mean(alpha - 1.0 if t is None else t, log_p, x, terms, axis)
     return max(d, 0.0) if axis is None else np.maximum(d, 0.0)
 
 
@@ -146,6 +167,19 @@ def _log(arr: np.ndarray) -> np.ndarray:
     """Natural log that maps 0 to ``-inf`` without a warning."""
     with np.errstate(divide="ignore"):
         return np.log(arr)
+
+
+def _log2_power_mean(probs: np.ndarray, payoffs: np.ndarray, beta: float):
+    """``K(beta; p, ln payoff) = (1/beta) log2 sum p_i payoff_i^beta``: a float for one
+    payoff vector, one value per row for a 2-D stack of them.  At ``beta = +-inf`` it is
+    the largest or smallest log2 payoff, so every ``p_i`` must then be positive."""
+    axis = None if payoffs.ndim == 1 else -1
+    if math.isinf(beta):
+        with np.errstate(divide="ignore"):
+            logs = np.log2(payoffs)
+        out = logs.max(axis) if beta > 0.0 else logs.min(axis)
+        return float(out) if axis is None else out
+    return _tilted_mean(beta, np.log(probs), _log(payoffs), axis=axis)
 
 
 def renyi_div(p, q, alpha: float) -> float:

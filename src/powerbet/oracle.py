@@ -17,14 +17,17 @@ a point's coordinates far faster down contiguous columns than along short
 rows.  Only strict improvements are accepted, so the lowest lexicographic
 point wins ties however the scan is blocked.
 
-The Monte Carlo oracles stream too: winners are drawn ``_MC_CHUNK`` races
-at a time from one Philox stream, which continues across chunks, so every
-result is bit-identical whatever the chunk size.  Each race takes one raw
-64-bit word, and an integer inverse CDF through a guide table maps it to
-the winner that numpy's uniform from the same word would pick.  A
-trajectory costs its 8 bytes per race plus O(chunk); a ``U_beta`` estimate
-keeps only per-horse win counts, so its memory is O(chunk + m) for any
-number of samples.
+The Monte Carlo oracles take every allocation kind and draw the outcomes
+of its bet: the horses of a full or partial allocation, and the (signal,
+horse) cells of positive probability of a conditional one, each paying what
+the utilities' outcome map says.  They stream too: outcomes are drawn
+``_MC_CHUNK`` races at a time from one Philox stream, which continues
+across chunks, so every result is bit-identical whatever the chunk size.
+Each race takes one raw 64-bit word, and an integer inverse CDF through a
+guide table maps it to the outcome that numpy's uniform from the same word
+would pick.  A trajectory costs its 8 bytes per race plus O(chunk); a
+``U_beta`` estimate keeps only per-outcome counts, so its memory is
+O(chunk + outcomes) for any number of samples.
 """
 
 from __future__ import annotations
@@ -37,10 +40,11 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import GridTooLargeError, LengthMismatchError, NotEvaluableError
-from .market import RaceMarket, _require_same_length
-from .strategy import Allocation, PartialAllocation, _check_finite_beta
-from .utility import _log2_power_mean, utility_full, utility_partial
+from .divergence import _log2_power_mean
+from .errors import BetaOutOfRangeError, GridTooLargeError, LengthMismatchError, NotEvaluableError
+from .market import RaceMarket, SideInfoMarket
+from .strategy import Allocation, PartialAllocation, _Bet, _check_beta, _outcomes
+from .utility import utility_full, utility_partial
 
 MAX_GRID_POINTS = 10**7
 _BLOCK_CELLS = 1 << 18
@@ -49,7 +53,7 @@ _BLOCK_CELLS = 1 << 18
 # and fault in again for the next chunk, which costs 2-2.5x per race.
 _MC_CHUNK = 1 << 14
 _SEED_BOUND = 1 << 128  # Philox keys are 128-bit
-_GUIDE_BITS = 14  # the winner sampler's guide table has at most 2^14 entries (128 KB)
+_GUIDE_BITS = 14  # the outcome sampler's guide table has at most 2^14 entries (128 KB)
 
 
 @dataclass(frozen=True)
@@ -83,7 +87,9 @@ class KktReport:
     and ``p_i o_i s_i^(beta-1) = mu`` for each backed horse (``<= mu`` for
     unbacked ones).  Stationarity gaps measure the equalities, feasibility
     gaps the inequality violations; all gaps are >= 0 and vanish at the
-    optimum.  ``mu_gamma_gap`` additionally checks
+    optimum.  Held cash sets ``mu``, so ``cash_stationarity_gap`` is always 0.0:
+    computed, it would be 0.0 or, where that marginal value overflows, NaN.
+    ``mu_gamma_gap`` additionally checks
     ``mu = gamma_cap * cash^(beta-1)`` when the threshold is supplied.
     """
 
@@ -153,7 +159,7 @@ def _grid_blocks(grid: GridSpec) -> Iterator[np.ndarray]:
 def _grid_argmax(market: RaceMarket, beta: float, grid: GridSpec, dimension: int, payoffs):
     """The lexicographically first grid point maximizing the utility of
     ``payoffs(points)``: only strict improvements replace the incumbent."""
-    beta = _check_finite_beta(beta)
+    beta = _check_beta(beta)
     if grid.dimension != dimension:
         raise LengthMismatchError(
             f"grid dimension {grid.dimension} does not match the required {dimension}"
@@ -175,7 +181,8 @@ def _grid_argmax(market: RaceMarket, beta: float, grid: GridSpec, dimension: int
 def grid_search_full(
     market: RaceMarket, beta: float, grid: GridSpec
 ) -> tuple[Allocation, float]:
-    """Exhaustive full-investment search; returns the best grid point and its utility."""
+    """Exhaustive full-investment search; returns the best grid point and its utility.
+    At ``beta = +-inf`` it maximizes the best- or worst-case payoff."""
     alloc = Allocation(_grid_argmax(market, beta, grid, market.m, lambda pts: pts * market.odds))
     return alloc, utility_full(market, alloc, beta)
 
@@ -205,17 +212,18 @@ def kkt_residual(
     the cash's are ``+inf``, and so are the feasibility gaps.  That is the
     report for an optimum whose cash rounds to 0.0 close to ``beta = 1``.
     """
-    beta = _check_finite_beta(beta)
+    beta = _check_beta(beta)
+    if math.isinf(beta):
+        raise BetaOutOfRangeError(f"the conditions need a finite beta, got {beta!r}")
     if beta >= 1.0:
         raise NotEvaluableError("the conditions are stated for finite beta < 1")
-    _require_same_length(market, sol.bets)
+    probs, payoffs = _outcomes(market, sol)
     active = sol.bets > 0.0
 
-    payoffs = sol.cash + sol.bets * market.odds
     with np.errstate(divide="ignore"):  # 0^(beta-1) = +inf
         marginal = payoffs ** (beta - 1.0)
-    grad_cash = float(np.sum(market.probs * marginal))
-    grad_bets = market.probs * market.odds * marginal
+    grad_cash = float(np.sum(probs * marginal))
+    grad_bets = probs * market.odds * marginal
 
     if sol.cash > 0.0:
         mu = grad_cash
@@ -224,12 +232,8 @@ def kkt_residual(
 
     stationarity = float(np.max(np.abs(grad_bets[active] - mu), initial=0.0))
     feasibility = float(np.max(np.maximum(grad_bets[~active] - mu, 0.0), initial=0.0))
-    if sol.cash > 0.0:
-        cash_stationarity = abs(grad_cash - mu)
-        cash_feasibility = 0.0
-    else:
-        cash_stationarity = 0.0
-        cash_feasibility = max(grad_cash - mu, 0.0)
+    # held cash has no feasibility gap: max(inf - inf, 0.0) would be NaN
+    cash_feasibility = 0.0 if sol.cash > 0.0 else max(grad_cash - mu, 0.0)
 
     mu_gamma_gap = None
     if gamma_cap is not None and sol.cash > 0.0:
@@ -239,28 +243,29 @@ def kkt_residual(
         mu=mu,
         stationarity_gap=stationarity,
         feasibility_gap=feasibility,
-        cash_stationarity_gap=cash_stationarity,
+        cash_stationarity_gap=0.0,
         cash_feasibility_gap=cash_feasibility,
         mu_gamma_gap=mu_gamma_gap,
     )
 
 
-def _winner_chunks(market: RaceMarket, n: int, seed: int, unit: str) -> Iterator[np.ndarray]:
-    """Winner indices of ``n`` seeded races, in chunks of at most ``_MC_CHUNK``.
+def _winner_chunks(probs: np.ndarray, n: int, seed: int, unit: str) -> Iterator[np.ndarray]:
+    """Outcome indices of ``n`` seeded races drawn from the PMF ``probs``, in
+    chunks of at most ``_MC_CHUNK``.
 
     Raw 64-bit words come from one Philox stream, drawn a chunk at a time;
-    successive draws continue the stream, so the winners do not depend on the
+    successive draws continue the stream, so the outcomes do not depend on the
     chunk size.  numpy's Philox uniform is ``u = (word >> 11) * 2^-53``, and
-    the winner is the number of inner CDF bounds ``<= u`` (the first horse
+    the outcome is the number of inner CDF bounds ``<= u`` (the first outcome
     whose cumulative probability exceeds ``u``, the last if none does).  A
     bound is crossed exactly when ``word >> 11`` reaches its integer threshold
     ``ceil(bound * 2^53)``, so a bound that rounds to ``>= 1`` in ``cumsum``
-    is never crossed.  The top ``k`` of those 53 bits, ``k`` growing with
-    ``m`` up to ``_GUIDE_BITS``, index a guide table holding the number of
-    thresholds at or below each bucket's start (Chen & Asau 1974, "indexed
-    search").  A branchless binary search from that count, with as many steps
-    as the fullest bucket needs (usually one), finishes it.  ``n`` and
-    ``seed`` are checked before anything is drawn.
+    is never crossed.  The top ``k`` of those 53 bits, ``k`` growing with the
+    number of outcomes up to ``_GUIDE_BITS``, index a guide table holding the
+    number of thresholds at or below each bucket's start (Chen & Asau 1974,
+    "indexed search").  A branchless binary search from that count, with as
+    many steps as the fullest bucket needs (usually one), finishes it.  ``n``
+    and ``seed`` are checked before anything is drawn.
     """
     if isinstance(n, bool) or not isinstance(n, Integral):
         raise NotEvaluableError(f"the number of {unit}s must be an integer, got {n!r}")
@@ -270,8 +275,8 @@ def _winner_chunks(market: RaceMarket, n: int, seed: int, unit: str) -> Iterator
         raise NotEvaluableError(f"seed must be an integer in [0, 2**128), got {seed!r}")
     bitgen = np.random.Philox(key=int(seed))
     top = 1 << 53
-    thresholds = np.ceil(np.cumsum(market.probs)[:-1] * top).astype(np.int64)
-    shift = 53 - min(_GUIDE_BITS, (market.m - 1).bit_length() + 3)
+    thresholds = np.ceil(np.cumsum(probs)[:-1] * top).astype(np.int64)
+    shift = 53 - min(_GUIDE_BITS, (probs.size - 1).bit_length() + 3)
     starts = np.arange((top >> shift) + 1, dtype=np.int64) << shift
     guide = np.searchsorted(thresholds, starts, side="right")
     steps = int(np.max(np.diff(guide))).bit_length()  # covers the fullest bucket
@@ -293,47 +298,49 @@ def _winner_chunks(market: RaceMarket, n: int, seed: int, unit: str) -> Iterator
 
 
 def simulate_growth(
-    market: RaceMarket, b: Allocation, n_races: int, seed: int
+    market: RaceMarket | SideInfoMarket, b: _Bet, n_races: int, seed: int
 ) -> WealthTrajectory:
-    """Simulate repeated betting; entry ``n`` is the log2 wealth after ``n+1`` races.
+    """Simulate repeated betting; entry ``n`` is the log2 wealth after ``n+1`` races,
+    each of which draws one outcome of the bet.
 
     Identical (market, allocation, n, seed) inputs reproduce the trajectory
-    bit for bit.  An unbacked horse winning sends the wealth to ``-inf``
-    and it stays there.
+    bit for bit.  An outcome paying 0 sends the wealth to ``-inf`` and it
+    stays there.
     """
-    _require_same_length(market, b.bets)
-    chunks = _winner_chunks(market, n_races, seed, "race")
+    probs, payoffs = _outcomes(market, b)
+    chunks = _winner_chunks(probs, n_races, seed, "race")
     with np.errstate(divide="ignore"):
-        increments = np.log2(b.bets * market.odds)
+        increments = np.log2(payoffs)
     log_wealth = np.empty(n_races)
     step = np.empty(min(_MC_CHUNK, n_races))  # one chunk's increments, reused
     lo, carry = 0, 0.0
-    for winners in chunks:
-        hi = lo + winners.size
-        # winners are in range, so "clip" changes none; unlike "raise" it
+    for outcomes in chunks:
+        hi = lo + outcomes.size
+        # outcomes are in range, so "clip" changes none; unlike "raise" it
         # writes straight into the buffer instead of through a temporary
-        increments.take(winners, out=step[: winners.size], mode="clip")
+        increments.take(outcomes, out=step[: outcomes.size], mode="clip")
         step[0] += carry  # before the running sum, so each entry rounds as one long cumsum
-        np.cumsum(step[: winners.size], out=log_wealth[lo:hi])
+        np.cumsum(step[: outcomes.size], out=log_wealth[lo:hi])
         lo, carry = hi, log_wealth[hi - 1]
     return WealthTrajectory(n_races, log_wealth, seed)
 
 
 def estimate_ubeta(
-    market: RaceMarket, b: Allocation, beta: float, n_samples: int, seed: int
+    market: RaceMarket | SideInfoMarket, b: _Bet, beta: float, n_samples: int, seed: int
 ) -> float:
-    """Monte Carlo estimate of ``(1/beta) log2 E[S^beta]`` from seeded samples,
-    the mean log2 payoff at ``beta = 0``.
+    """Monte Carlo estimate of ``(1/beta) log2 E[S^beta]`` from seeded samples of
+    the bet's outcomes: the mean log2 payoff at ``beta = 0``, and the largest or
+    smallest log2 payoff drawn at ``beta = +-inf``.
 
-    The sample mean of ``S^beta`` is taken from exact per-horse win counts,
-    so memory is O(chunk + m) and the value does not depend on the chunk size.
+    The sample mean of ``S^beta`` is taken from exact per-outcome counts, so
+    memory is O(chunk + outcomes) and the value does not depend on the chunk size.
     """
-    beta = _check_finite_beta(beta)
-    _require_same_length(market, b.bets)
-    counts = np.zeros(market.m, dtype=np.int64)
-    for winners in _winner_chunks(market, n_samples, seed, "sample"):
-        counts += np.bincount(winners, minlength=market.m)
-    won = counts > 0
-    # horses that never won are left out: a zero payoff would give -inf + inf
-    # for beta < 0, while one that won is a +inf term, so the estimate is -inf
-    return _log2_power_mean(counts[won] / n_samples, b.bets[won] * market.odds[won], beta)
+    beta = _check_beta(beta)
+    probs, payoffs = _outcomes(market, b)
+    counts = np.zeros(probs.size, dtype=np.int64)
+    for outcomes in _winner_chunks(probs, n_samples, seed, "sample"):
+        counts += np.bincount(outcomes, minlength=probs.size)
+    drawn = counts > 0
+    # outcomes never drawn are left out: a zero payoff would give -inf + inf
+    # for beta < 0, while one that was drawn is a +inf term, so the estimate is -inf
+    return _log2_power_mean(counts[drawn] / n_samples, payoffs[drawn], beta)

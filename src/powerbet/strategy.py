@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import _log, _logsumexp
+from .divergence import _log, _log2_power_mean, _logsumexp
 from .errors import BetaOutOfRangeError, InvalidDistributionError, NotApplicableError
 from .market import (
     RaceMarket,
@@ -96,9 +96,27 @@ def _trusted(cls, **fields):
     arrays are made read-only in place, and nothing is checked or renormalized."""
     out = object.__new__(cls)
     for name, value in fields.items():
-        value.flags.writeable = False
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
         object.__setattr__(out, name, value)
     return out
+
+
+_Bet = Allocation | PartialAllocation | ConditionalAllocation
+
+
+def _outcomes(market: RaceMarket | SideInfoMarket, b: _Bet) -> tuple[np.ndarray, np.ndarray]:
+    """The outcome PMF of bet ``b`` and each outcome's payoff, once ``b`` has the market's
+    shape: the horses, paying ``b o`` or ``cash + b o``, or for a conditional allocation
+    the (signal, horse) cells of positive joint probability, paying ``b(x|y) o(x)``."""
+    if isinstance(b, ConditionalAllocation):
+        _require_same_length(market, b.table)
+        weights = market.joint.ravel()
+        live = weights > 0.0
+        return weights[live], (b.table * market.odds).ravel()[live]
+    _require_same_length(market, b.bets)
+    payoffs = b.bets * market.odds
+    return market.probs, b.cash + payoffs if isinstance(b, PartialAllocation) else payoffs
 
 
 @dataclass(frozen=True)
@@ -121,21 +139,21 @@ class PartialSolution:
     utility: float
 
 
-def _check_finite_beta(beta: float) -> float:
+def _check_beta(beta: float) -> float:
+    """``beta`` as a float: one of the limits ``+-inf``, or finite with
+    ``|beta| <= BETA_ABS_MAX``."""
     beta = float(beta)
-    if math.isnan(beta):
-        raise BetaOutOfRangeError("risk parameter must not be NaN")
-    if abs(beta) > BETA_ABS_MAX:
+    if not (abs(beta) <= BETA_ABS_MAX or math.isinf(beta)):  # NaN fails both
         raise BetaOutOfRangeError(
-            f"|beta| is capped at {BETA_ABS_MAX:g}; use the limit operations beyond that"
+            f"beta must be +-inf or have |beta| <= {BETA_ABS_MAX:g}, got {beta!r}"
         )
     return beta
 
 
 def _check_interior_beta(beta: float) -> float:
     """Validate beta for the interior closed form: finite and < 1."""
-    beta = _check_finite_beta(beta)
-    if beta > BETA_FULL_SUP:
+    beta = _check_beta(beta)
+    if math.isinf(beta) or beta > BETA_FULL_SUP:
         raise BetaOutOfRangeError(f"the interior optimum needs a finite beta < 1, got {beta!r}")
     return beta
 
@@ -173,9 +191,9 @@ def optimal_degenerate(market: RaceMarket, beta: float) -> Allocation:
     Ties go to the smallest index.  Other maximizers may exist; uniqueness
     is not claimed.
     """
-    beta = _check_finite_beta(beta)
-    if beta < 1.0:
-        raise BetaOutOfRangeError(f"the single-horse optimum needs beta >= 1, got {beta!r}")
+    beta = _check_beta(beta)
+    if math.isinf(beta) or beta < 1.0:
+        raise BetaOutOfRangeError(f"the single-horse optimum needs finite beta >= 1, got {beta!r}")
     scores = np.log(market.probs) / beta + np.log(market.odds)
     winner = int(np.argmax(scores))
     bets = np.zeros(market.m)
@@ -256,18 +274,15 @@ def optimal_partial(market: RaceMarket, beta: float) -> PartialSolution:
     valid ``beta``; close to 1 the cash and the smallest bets may round to
     0.0, and ``gammas`` to ``+inf``.
     """
-    from .utility import utility_partial
-
     beta = _check_interior_beta(beta)
     if not is_subfair(market):
-        full = optimal_full(market, beta)
-        alloc = PartialAllocation(0.0, full.bets)
+        alloc = _trusted(PartialAllocation, cash=0.0, bets=optimal_full(market, beta).bets)
         return PartialSolution(
             allocation=alloc,
             support=tuple(range(market.m)),
             gamma_cap=None,
             gammas=None,
-            utility=utility_partial(market, alloc, beta),
+            utility=_log2_power_mean(*_outcomes(market, alloc), beta),
         )
 
     p, o = market.probs, market.odds
@@ -289,8 +304,8 @@ def optimal_partial(market: RaceMarket, beta: float) -> PartialSolution:
     peak = max(0.0, float(log_gammas.max()))  # the cash's log-weight is 0
     weights = np.exp(log_gammas - peak)
     cash = math.exp(-peak)
-    total = cash + weights.sum()
-    alloc = PartialAllocation(cash / total, weights / total)
+    total = cash + float(weights.sum())
+    alloc = _trusted(PartialAllocation, cash=cash / total, bets=weights / total)
     with np.errstate(over="ignore"):
         gammas = np.exp(log_gammas)
     return PartialSolution(
@@ -298,7 +313,7 @@ def optimal_partial(market: RaceMarket, beta: float) -> PartialSolution:
         support=tuple(np.flatnonzero(alloc.bets > 0.0).tolist()),
         gamma_cap=cap,
         gammas=_freeze(gammas),
-        utility=utility_partial(market, alloc, beta),
+        utility=_log2_power_mean(*_outcomes(market, alloc), beta),
     )
 
 

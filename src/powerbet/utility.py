@@ -13,6 +13,13 @@ The reports compute both sides of that identity, as different inputs to the
 one tilted-mean kernel of :mod:`powerbet.divergence` (checked against a
 50-digit reference in the tests), and expose the residual.
 
+Every utility takes the limits ``beta = +-inf`` as ordinary inputs: they are
+the best- and worst-case log2 payoffs over the outcomes of positive
+probability, and :func:`limit_utilities` is the pair of them.  Each utility
+reads its outcomes and payoffs from the one outcome map of
+:mod:`powerbet.strategy` and reduces them with the one power mean of
+:mod:`powerbet.divergence`.
+
 Extended-real conventions: a zero bet on a possible winner makes the
 utility ``-inf`` for ``beta <= 0`` and simply drops the term for positive
 ``beta``.  Values are never NaN; ``-inf`` compares below every finite value
@@ -26,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import _cond_renyi_from_logs, _log, _renyi_from_logs, _tilted_mean
+from .divergence import _cond_renyi_from_logs, _log, _log2_power_mean, _renyi_from_logs
 from .market import (
     RaceMarket,
     SideInfoMarket,
@@ -37,10 +44,11 @@ from .strategy import (
     Allocation,
     ConditionalAllocation,
     PartialAllocation,
-    _check_finite_beta,
+    _check_beta,
     _check_interior_beta,
     _log_weights_full,
     _log_weights_side_info,
+    _outcomes,
     _side_info_logs,
 )
 
@@ -62,17 +70,10 @@ class DecompositionReport:
     residual: float
 
 
-def _log2_power_mean(probs: np.ndarray, payoffs: np.ndarray, beta: float):
-    """``K(beta; p, ln payoff) = (1/beta) log2 sum p_i payoff_i^beta``: a float for one
-    payoff vector, one value per row for a 2-D stack of them."""
-    return _tilted_mean(beta, np.log(probs), _log(payoffs), axis=None if payoffs.ndim == 1 else -1)
-
-
 def utility_full(market: RaceMarket, b: Allocation, beta: float) -> float:
-    """Utility of a full-investment allocation for finite ``beta``, in bits."""
-    beta = _check_finite_beta(beta)
-    _require_same_length(market, b.bets)
-    return _log2_power_mean(market.probs, b.bets * market.odds, beta)
+    """Utility of a full-investment allocation, in bits: payoffs are ``b_i o_i``."""
+    beta = _check_beta(beta)
+    return _log2_power_mean(*_outcomes(market, b), beta)
 
 
 def doubling_rate(market: RaceMarket, b: Allocation) -> float:
@@ -82,33 +83,22 @@ def doubling_rate(market: RaceMarket, b: Allocation) -> float:
 
 def utility_partial(market: RaceMarket, b: PartialAllocation, beta: float) -> float:
     """Utility when a cash fraction is withheld: payoffs are ``cash + b_i o_i``."""
-    beta = _check_finite_beta(beta)
-    _require_same_length(market, b.bets)
-    return _log2_power_mean(market.probs, b.cash + b.bets * market.odds, beta)
+    beta = _check_beta(beta)
+    return _log2_power_mean(*_outcomes(market, b), beta)
 
 
 def utility_side_info(market: SideInfoMarket, b: ConditionalAllocation, beta: float) -> float:
     """Utility of a conditional allocation: payoff ``b(x|y) o(x)`` weighted by the joint."""
-    beta = _check_finite_beta(beta)
-    _require_same_length(market, b.table)
-    weights = market.joint.ravel()
-    payoffs = (b.table * market.odds[None, :]).ravel()
-    live = weights > 0.0
-    return _log2_power_mean(weights[live], payoffs[live], beta)
+    beta = _check_beta(beta)
+    return _log2_power_mean(*_outcomes(market, b), beta)
 
 
 def limit_utilities(market: RaceMarket, b: Allocation) -> tuple[float, float]:
-    """Best-case and worst-case log2 payoffs, ``(log2 max b_i o_i, log2 min b_i o_i)``.
-
-    These are the utility limits as the risk parameter goes to ``+inf`` and
-    ``-inf``; the minimum runs over all horses, so any zero bet makes the
-    worst case ``-inf``.
-    """
-    _require_same_length(market, b.bets)
-    payoffs = b.bets * market.odds
-    with np.errstate(divide="ignore"):
-        logs = np.log2(payoffs)
-    return float(logs.max()), float(logs.min())
+    """Best-case and worst-case log2 payoffs, ``(log2 max b_i o_i, log2 min b_i o_i)``:
+    :func:`utility_full` at ``beta = +inf`` and ``-inf``.  The minimum runs over
+    all horses, so any zero bet makes the worst case ``-inf``."""
+    outcomes = _outcomes(market, b)
+    return _log2_power_mean(*outcomes, math.inf), _log2_power_mean(*outcomes, -math.inf)
 
 
 def _report(c: float, bookie: float, gambler: float, direct: float) -> DecompositionReport:
@@ -129,7 +119,8 @@ def decompose_full(market: RaceMarket, b: Allocation, beta: float) -> Decomposit
     log_p, log_o = np.log(market.probs), np.log(market.odds)
     c = track_constant(market)
     bookie = _renyi_from_logs(log_p, math.log(c) - log_o, 1.0 / (1.0 - beta))  # r = c / o
-    gambler = _renyi_from_logs(_log_weights_full(log_p, log_o, beta), _log(b.bets), 1.0 - beta)
+    log_g = _log_weights_full(log_p, log_o, beta)
+    gambler = _renyi_from_logs(log_g, _log(b.bets), 1.0 - beta, t=-beta)  # the exact tilt
     return _report(c, bookie, gambler, utility_full(market, b, beta))
 
 
@@ -157,5 +148,6 @@ def decompose_side_info(
     log_g_cond, log_g_y = _log_weights_side_info(log_cond, log_p_y, log_o, beta)
     bookie = _cond_renyi_from_logs(log_cond, math.log(c) - log_o, log_p_y, 1.0 / (1.0 - beta))
     log_g_joint = log_g_cond + log_g_y[:, None]
-    gambler = _renyi_from_logs(log_g_joint, _log(b.table) + log_g_y[:, None], 1.0 - beta)
+    log_b_joint = _log(b.table) + log_g_y[:, None]
+    gambler = _renyi_from_logs(log_g_joint, log_b_joint, 1.0 - beta, t=-beta)
     return _report(c, bookie, gambler, utility_side_info(market, b, beta))

@@ -5,14 +5,17 @@ import numpy as np
 import pytest
 
 from powerbet import (
+    Allocation,
     InvalidDistributionError,
     LengthMismatchError,
     UnsupportedOrderError,
     cond_renyi_div,
+    new_race,
     renyi_div,
+    utility_full,
 )
 
-from powerbet.divergence import _LN2, _logsumexp, _tilted_mean
+from powerbet.divergence import _LN2, _log, _logsumexp, _tilted_mean
 
 from helpers import random_pmf
 
@@ -358,6 +361,46 @@ class TestTiltedMeanKernel:
             for t in KERNEL_TS:
                 row = _tilted_mean(t, log_w[None, :], x[None, :], axis=-1)[0]
                 assert _tilted_mean(t, log_w, x) == row
+
+    @pytest.mark.parametrize("t", [t for t in KERNEL_TS if t != 0.0])
+    def test_dropped_terms_leave_the_live_ones_centered(self, t):
+        # e^(t x) = 0 drops a term of positive weight; near t = 0 the rest stay
+        # centered, and the dropped mass adds log(1 - lost) / t, which may be huge
+        rng = np.random.default_rng(64)
+        for _ in range(20):
+            w, x = _kernel_case(rng)
+            drop = rng.random(w.size) < 0.3
+            drop[0], drop[-1] = True, False
+            x[drop] = -math.inf if t > 0.0 else math.inf
+            log_w = np.log(w)
+            value = _tilted_mean(t, log_w, x)
+            assert value == _tilted_mean(t, log_w[None, :], x[None, :], axis=-1)[0]
+            expected = _decimal_tilted_mean(t, w, x)
+            tol = _kernel_tolerance(t, w[~drop], x[~drop]) + 64 * EPS * abs(expected)
+            assert value == pytest.approx(expected, rel=0, abs=tol)
+
+    @pytest.mark.parametrize("beta", [1e-15, 1e-12, 1e-9])
+    def test_a_zero_payoff_keeps_small_beta_exact(self, beta):
+        # the unbacked horse's term drops out; the whole-array form used to
+        # leave the centered branch for it, off by 4.6e-2 bits at 1e-15
+        market = new_race([0.6, 0.4, 1e-30], [2.2, 3.5, 6.0])
+        b = Allocation([0.6, 0.4, 0.0])
+        x = _log(b.bets * market.odds)
+        expected = _decimal_tilted_mean(beta, market.probs, x)
+        assert utility_full(market, b, beta) == pytest.approx(expected, rel=0, abs=1e-13)
+        row = _tilted_mean(beta, np.log(market.probs)[None, :], x[None, :], axis=-1)[0]
+        assert row == pytest.approx(expected, rel=0, abs=1e-13)
+
+    @pytest.mark.parametrize("alpha", [1 - 1e-15, 1 - 1e-12])
+    def test_a_zero_q_keeps_orders_next_to_one_exact(self, alpha):
+        # the q = 0 term drops out below order 1; the true value is about KL, 0.029
+        p, q = np.array([0.6, 0.4 - 1e-30, 1e-30]), np.array([0.5, 0.5, 0.0])
+        with np.errstate(divide="ignore"):
+            x = np.log(p) - np.log(q)
+        expected = _decimal_tilted_mean(alpha - 1.0, p, x)
+        assert renyi_div(p, q, alpha) == pytest.approx(expected, rel=0, abs=1e-13)
+        row = _tilted_mean(alpha - 1.0, np.log(p)[None, :], x[None, :], axis=-1)[0]
+        assert row == pytest.approx(expected, rel=0, abs=1e-13)
 
     @pytest.mark.parametrize("t", KERNEL_TS)
     def test_no_positive_weight_is_minus_inf_over_t(self, t):

@@ -7,6 +7,7 @@ import pytest
 
 from powerbet import (
     Allocation,
+    ConditionalAllocation,
     GridSpec,
     GridTooLargeError,
     LengthMismatchError,
@@ -18,11 +19,15 @@ from powerbet import (
     kelly,
     kkt_residual,
     new_race,
+    new_side_info,
     optimal_full,
+    optimal_limit,
     optimal_partial,
     simulate_growth,
     track_constant,
     utility_full,
+    utility_partial,
+    utility_side_info,
 )
 from powerbet import oracle
 from powerbet.utility import _log2_power_mean
@@ -229,6 +234,26 @@ class TestGridScan:
                 np.testing.assert_array_equal(got[2], want[2])
 
 
+class TestGridAtTheLimits:
+    # r = (1/2, 1/4, 1/4) is a grid point and c = 1
+    MARKET = new_race([0.5, 0.3, 0.2], [2.0, 4.0, 4.0])
+
+    def test_best_case_is_the_longest_odds(self):
+        alloc, value = grid_search_full(self.MARKET, math.inf, GridSpec(4, 3))
+        assert value == math.log2(4.0)
+        assert value == utility_full(self.MARKET, optimal_limit(self.MARKET, math.inf), math.inf)
+        np.testing.assert_array_equal(alloc.bets, [0.0, 0.0, 1.0])  # first of the tied vertices
+
+    def test_worst_case_is_the_track_constant(self):
+        alloc, value = grid_search_full(self.MARKET, -math.inf, GridSpec(4, 3))
+        assert value == math.log2(track_constant(self.MARKET)) == 0.0
+        np.testing.assert_array_equal(alloc.bets, optimal_limit(self.MARKET, -math.inf).bets)
+
+    def test_partial_worst_case_keeps_everything_in_cash_on_subfair_odds(self):
+        alloc, value = grid_search_partial(SUBFAIR, -math.inf, GridSpec(8, 3))
+        assert (alloc.cash, value) == (1.0, 0.0)
+
+
 class TestGridSearchPartial:
     def test_matches_partial_optimum(self):
         sol = optimal_partial(SUBFAIR, 0.5)
@@ -311,6 +336,14 @@ class TestKktResidual:
                     assert max(gaps) < 1e-8
                 elif sol.allocation.cash == 0.0:
                     assert report.feasibility_gap == report.cash_feasibility_gap == math.inf
+
+    def test_held_cash_has_no_stationarity_gap(self):
+        # mu is read off the cash equality, so the gap is 0.0 by construction;
+        # computed, it was NaN here, where the cash's marginal value overflows
+        market = new_race([0.5, 0.3, 0.2], [1.6, 2.9, 4.5])
+        with np.errstate(over="ignore", invalid="ignore"):  # the other gaps are inf - inf here
+            report = kkt_residual(market, -1e6, PartialAllocation(0.5, [0.2, 0.2, 0.1]))
+        assert report.cash_stationarity_gap == 0.0
 
     def test_certifies_kelly_with_cash(self):
         # at beta = 0 the multiplier is sum p_i / s_i, which is 1 at the optimum
@@ -408,6 +441,65 @@ class TestEstimateUbeta:
                 assert est == rate
             else:
                 assert est == pytest.approx(rate, rel=1e-10, abs=0.0)
+
+
+# a bet with cash on subfair odds, and a side-info bet with an impossible cell,
+# on which it puts nothing
+OUTCOME_RACE = new_race([0.5, 0.3, 0.2], [1.8, 2.9, 4.5])
+OUTCOME_SIDE = new_side_info([[0.3, 0.1, 0.0], [0.1, 0.2, 0.3]], [2.2, 3.5, 6.0])
+OUTCOME_CASES = {
+    "partial": (OUTCOME_RACE, PartialAllocation(0.3, [0.3, 0.2, 0.2]), utility_partial),
+    "side_info": (
+        OUTCOME_SIDE,
+        ConditionalAllocation([[0.6, 0.4, 0.0], [0.2, 0.3, 0.5]]),
+        utility_side_info,
+    ),
+}
+
+
+def _outcome_moments(case):
+    """Each outcome's probability and payoff, written out independently of the library."""
+    market, b, _ = OUTCOME_CASES[case]
+    if case == "partial":
+        return market.probs, b.cash + b.bets * market.odds
+    live = market.joint > 0.0
+    return market.joint[live], (b.table * market.odds)[live]
+
+
+@pytest.mark.parametrize("case", list(OUTCOME_CASES))
+class TestMonteCarloOverOutcomes:
+    def test_deterministic(self, case):
+        market, b, _ = OUTCOME_CASES[case]
+        first, again = (simulate_growth(market, b, 5000, seed=3) for _ in range(2))
+        np.testing.assert_array_equal(first.log_wealth, again.log_wealth)
+        assert estimate_ubeta(market, b, 0.5, 5000, 3) == estimate_ubeta(market, b, 0.5, 5000, 3)
+        assert np.all(np.isfinite(first.log_wealth))  # the impossible cell is never drawn
+
+    def test_zero_beta_is_the_simulated_growth_rate(self, case):
+        market, b, _ = OUTCOME_CASES[case]
+        for seed in range(3):
+            rate = simulate_growth(market, b, 10**5, seed).final_rate
+            assert estimate_ubeta(market, b, 0.0, 10**5, seed) == pytest.approx(rate, rel=1e-10)
+
+    @pytest.mark.parametrize("beta", [-2.0, -0.5, 0.0, 0.5])
+    def test_within_four_standard_errors_of_the_utility(self, case, beta):
+        market, b, utility = OUTCOME_CASES[case]
+        n = 20000
+        exact = utility(market, b, beta)
+        probs, payoffs = _outcome_moments(case)
+        if beta == 0.0:
+            se = math.sqrt(np.sum(probs * (np.log2(payoffs) - exact) ** 2) / n)
+        else:
+            mean = 2.0 ** (beta * exact)
+            sd = math.sqrt(np.sum(probs * payoffs ** (2 * beta)) - mean**2)
+            se = sd / math.sqrt(n) / (abs(beta) * mean * math.log(2.0))
+        for seed in range(12):
+            assert abs(estimate_ubeta(market, b, beta, n, seed) - exact) < 4.0 * se
+
+    def test_limits_are_the_extreme_payoffs_drawn(self, case):
+        market, b, utility = OUTCOME_CASES[case]
+        for beta in (math.inf, -math.inf):
+            assert estimate_ubeta(market, b, beta, 5000, seed=4) == utility(market, b, beta)
 
 
 def _streaming_cases():
@@ -509,7 +601,7 @@ class TestStreamingMonteCarlo:
         for i, market in enumerate(cases):
             for n in (1, chunk - 1, chunk, chunk + 1, 2 * chunk):
                 seed = 500 + i + n
-                drawn = np.concatenate(list(oracle._winner_chunks(market, n, seed, "race")))
+                drawn = np.concatenate(list(oracle._winner_chunks(market.probs, n, seed, "race")))
                 assert drawn.tobytes() == reference_winners(market, n, seed).tobytes()
 
     def test_words_on_every_threshold_pick_the_reference_winner(self, monkeypatch):
@@ -524,7 +616,7 @@ class TestStreamingMonteCarlo:
             x = np.minimum(x, ends[1])
             words = np.concatenate([x << np.uint64(11), (x << np.uint64(11)) | np.uint64(0x7FF)])
             monkeypatch.setattr(np.random, "Philox", _fixed_words(words))
-            drawn = np.concatenate(list(oracle._winner_chunks(market, words.size, 0, "race")))
+            drawn = np.concatenate(list(oracle._winner_chunks(market.probs, words.size, 0, "race")))
             u = (words >> np.uint64(11)) * 2.0**-53
             expected = np.minimum(np.searchsorted(bounds, u, side="right"), market.m - 1)
             assert drawn.tobytes() == expected.tobytes()

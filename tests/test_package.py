@@ -1,3 +1,4 @@
+import ast
 import os
 import re
 import subprocess
@@ -34,3 +35,38 @@ def test_import_does_not_load_scipy():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "False"
+
+
+LAYERS = ["errors", "market", "divergence", "strategy", "utility", "oracle", "cli"]
+
+
+def _package_imports(path: str) -> set[str]:
+    """The package modules a module imports, at any depth, by relative or absolute name."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level == 0 and not base.startswith("powerbet"):
+                continue
+            base = base.removeprefix("powerbet").lstrip(".")
+            if base:
+                found.add(base.split(".")[0])
+            else:  # from . import a, b
+                found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("powerbet."):
+                    found.add(alias.name.split(".")[1])
+    return found
+
+
+def test_modules_import_only_the_layers_below_them():
+    # errors -> market -> divergence -> strategy -> utility -> oracle -> cli
+    root = os.path.dirname(os.path.abspath(powerbet.__file__))
+    modules = {name[:-3] for name in os.listdir(root) if name.endswith(".py")}
+    assert modules == set(LAYERS) | {"__init__", "__main__"}
+    for depth, name in enumerate(LAYERS):
+        imported = _package_imports(os.path.join(root, name + ".py"))
+        assert imported <= set(LAYERS[:depth]), (name, sorted(imported - set(LAYERS[:depth])))

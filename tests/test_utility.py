@@ -31,6 +31,7 @@ from helpers import (
     random_interior_allocation,
     random_joint_market,
     random_market,
+    random_partial_allocation,
 )
 
 MARKET_B = new_race([0.6, 0.4], [2, 2])
@@ -198,6 +199,81 @@ class TestLimitUtilities:
             best, worst = limit_utilities(market, b)
             assert abs(utility_full(market, b, 64.0) - best) < 0.02
             assert abs(utility_full(market, b, -64.0) - worst) < 0.02
+
+
+class TestUtilitiesAtTheLimits:
+    def _extremes(self, payoffs):
+        with np.errstate(divide="ignore"):
+            logs = np.log2(payoffs)
+        return float(logs.max()), float(logs.min())
+
+    def test_full_is_limit_utilities_bit_for_bit(self):
+        rng = np.random.default_rng(40)
+        for _ in range(100):
+            m = int(rng.integers(1, 9))
+            market = random_market(rng, m)
+            bets = rng.dirichlet(np.ones(m))
+            if m > 1:
+                bets[rng.integers(m)] *= float(rng.integers(2))  # often a zero bet
+            b = Allocation(bets / bets.sum())
+            limits = (utility_full(market, b, math.inf), utility_full(market, b, -math.inf))
+            assert limits == limit_utilities(market, b)
+            assert limits == self._extremes(b.bets * market.odds)
+
+    def test_partial_takes_the_cash_into_every_payoff(self):
+        rng = np.random.default_rng(41)
+        for _ in range(100):
+            m = int(rng.integers(1, 9))
+            market = random_market(rng, m)
+            b = random_partial_allocation(rng, m)
+            limits = (utility_partial(market, b, math.inf), utility_partial(market, b, -math.inf))
+            assert limits == self._extremes(b.cash + b.bets * market.odds)
+        # all cash pays 1 whoever wins
+        market = new_race([0.5, 0.5], [2, 3])
+        for beta in (math.inf, -math.inf):
+            assert utility_partial(market, PartialAllocation(1.0, [0.0, 0.0]), beta) == 0.0
+
+    def test_side_info_runs_over_the_cells_that_can_occur(self):
+        # a zero bet where the joint is 0 pays nothing, but that cell never happens
+        market = new_side_info([[0.5, 0.0], [0.1, 0.4]], [2.0, 3.0])
+        table = ConditionalAllocation([[1.0, 0.0], [0.25, 0.75]])
+        assert utility_side_info(market, table, math.inf) == math.log2(2.25)
+        assert utility_side_info(market, table, -math.inf) == -1.0
+        rng = np.random.default_rng(42)
+        for _ in range(100):
+            n_y, n_x = int(rng.integers(1, 5)), int(rng.integers(2, 7))
+            joint = rng.dirichlet(np.ones(n_y * n_x)).reshape(n_y, n_x)
+            joint[:, 1:] *= rng.random((n_y, n_x - 1)) < 0.7
+            market = new_side_info(joint / joint.sum(), rng.uniform(1.2, 8.0, size=n_x))
+            table = random_conditional_allocation(rng, n_y, n_x)
+            live = market.joint > 0.0
+            expected = self._extremes((table.table * market.odds)[live])
+            limits = tuple(utility_side_info(market, table, beta) for beta in (math.inf, -math.inf))
+            assert limits == expected
+
+    def test_the_worst_case_of_a_zero_bet_is_minus_inf(self):
+        market = new_race([0.5, 0.5], [2, 4])
+        assert utility_full(market, Allocation([1.0, 0.0]), -math.inf) == -math.inf
+        assert utility_full(market, Allocation([1.0, 0.0]), math.inf) == 1.0
+
+
+# a possible winner with a zero bet: both sides of the identity are about
+# log2(1 - p_dead) / beta, so the residual is bounded relative to |direct|
+ZERO_BET_RACE = new_race([0.5, 0.3, 0.2], [2.2, 3.5, 6.0])
+ZERO_BET_SIDE = new_side_info([[0.3, 0.1, 0.1], [0.1, 0.2, 0.2]], [2.2, 3.5, 6.0])
+
+
+@pytest.mark.parametrize("beta", [1e-15, 1e-12, 1e-9, 1e-6, 1e-3])
+def test_a_zero_bet_keeps_the_identity_at_small_beta(beta):
+    # the gambler term used to take the order fl(1 - beta), whose rounding is
+    # 8e-4 of beta at 1e-15: a residual of 2.6e11 bits
+    full = decompose_full(ZERO_BET_RACE, Allocation([0.6, 0.4, 0.0]), beta)
+    table = ConditionalAllocation([[0.6, 0.4, 0.0], [0.3, 0.3, 0.4]])
+    side = decompose_side_info(ZERO_BET_SIDE, table, beta)
+    for report in (full, side):
+        assert report.residual / max(1.0, abs(report.direct)) < 1e-14
+        if beta == 1e-6:
+            assert report.residual < 1e-9
 
 
 class TestDecomposeFull:

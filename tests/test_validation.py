@@ -310,6 +310,22 @@ def test_partial_dispatch_needs_an_interior_beta(beta):
         optimal_partial(RACE, beta).allocation
 
 
+FINITE_ONLY_CALLS = {
+    "optimal_full": lambda beta: optimal_full(RACE, beta),
+    "optimal_partial": lambda beta: optimal_partial(RACE, beta),
+    "decompose_full": lambda beta: decompose_full(RACE, Allocation(RACE.probs), beta),
+    "kkt_residual": lambda beta: kkt_residual(RACE, beta, PartialAllocation(0.5, RACE.probs / 2)),
+}
+
+
+@pytest.mark.parametrize("name", list(FINITE_ONLY_CALLS))
+@pytest.mark.parametrize("beta", [math.inf, -math.inf])
+def test_closed_forms_and_the_certificate_refuse_the_limits(name, beta):
+    # the utilities take +-inf; these are stated for finite beta only
+    with pytest.raises(BetaOutOfRangeError):
+        FINITE_ONLY_CALLS[name](beta)
+
+
 def test_partial_dispatch_takes_kelly():
     # superfair odds: the whole stake goes out in proportion to p
     alloc = optimal_partial(RACE, 0.0).allocation
