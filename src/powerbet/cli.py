@@ -31,6 +31,7 @@ import math
 import os
 import sys
 from dataclasses import asdict
+from typing import Iterator
 
 import numpy as np
 
@@ -370,28 +371,55 @@ def cmd_optimize(args) -> tuple[dict, int]:
 # ---------------------------------------------------------------- simulate
 
 
-def _write_trajectory_csv(fh, log_wealth: np.ndarray) -> None:
-    """Write ``race,cum_log2_wealth`` rows a slice at a time, so the text of
-    the whole trajectory is never held in memory."""
+def _log_wealth_slices(traj: oracle.WealthTrajectory) -> Iterator[np.ndarray]:
+    """The trajectory's log2 wealth in slices of ``_CSV_CHUNK_ROWS`` races, regrouped
+    from its streamed chunks into one buffer that each slice overwrites, so memory
+    is O(slice) for any number of races."""
+    rows = min(_CSV_CHUNK_ROWS, traj.n_races)
+    buf, fill = np.empty(rows), 0
+    for chunk in traj.chunks():
+        while chunk.size:
+            take = min(rows - fill, chunk.size)
+            buf[fill : fill + take] = chunk[:take]
+            fill, chunk = fill + take, chunk[take:]
+            if fill == rows:
+                yield buf
+                fill = 0
+    if fill:
+        yield buf[:fill]
+
+
+def _increments(traj: oracle.WealthTrajectory) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Each slice of the log2 wealth with its per-race increments,
+    ``diff(log_wealth, prepend=0)``."""
+    before = 0.0
+    for rows in _log_wealth_slices(traj):
+        yield rows, np.diff(rows, prepend=before)
+        before = rows[-1]
+
+
+def _write_trajectory_csv(fh, traj: oracle.WealthTrajectory) -> float:
+    """Write ``race,cum_log2_wealth`` rows a slice at a time, so neither the
+    trajectory nor its text is ever held in memory; return the sum of the
+    increments, the first pass of :func:`_increment_std`."""
     fh.write("race,cum_log2_wealth\n")
-    for lo in range(0, log_wealth.size, _CSV_CHUNK_ROWS):
-        rows = log_wealth[lo : lo + _CSV_CHUNK_ROWS].tolist()
-        fh.write("".join(f"{i},{value!r}\n" for i, value in enumerate(rows, lo + 1)))
+    race, sums = 1, []
+    # a ruined trajectory's increments hold -inf - -inf, and it reports no band
+    with np.errstate(invalid="ignore"):
+        for rows, steps in _increments(traj):
+            fh.write("".join(f"{i},{value!r}\n" for i, value in enumerate(rows.tolist(), race)))
+            race += rows.size
+            sums.append(float(steps.sum()))
+    return math.fsum(sums)
 
 
-def _increment_std(log_wealth: np.ndarray) -> float:
-    """Sample standard deviation (ddof 1) of the per-race increments
-    ``diff(log_wealth, prepend=0)``, in two passes over slices (the mean, then
-    the squared deviations), so memory is O(slice) for any number of races."""
-
-    def increments():
-        for lo in range(0, log_wealth.size, _CSV_CHUNK_ROWS):
-            before = log_wealth[lo - 1] if lo else 0.0
-            yield np.diff(log_wealth[lo : lo + _CSV_CHUNK_ROWS], prepend=before)
-
-    mean = math.fsum(float(d.sum()) for d in increments()) / log_wealth.size
-    squares = math.fsum(float(np.square(d - mean).sum()) for d in increments())
-    return math.sqrt(squares / (log_wealth.size - 1))
+def _increment_std(traj: oracle.WealthTrajectory, total: float) -> float:
+    """Sample standard deviation (ddof 1) of the per-race increments, whose sum
+    is ``total``: the second of two passes over slices, so memory is O(slice)
+    for any number of races."""
+    mean = total / traj.n_races
+    squares = math.fsum(float(np.square(steps - mean).sum()) for _, steps in _increments(traj))
+    return math.sqrt(squares / (traj.n_races - 1))
 
 
 def cmd_simulate(args) -> tuple[dict, int]:
@@ -414,13 +442,13 @@ def cmd_simulate(args) -> tuple[dict, int]:
         raise _CommandError(2, f"--output cannot be written: {exc}")
     with sink as fh:
         traj = oracle.simulate_growth(market, alloc, args.n, args.seed)
-        _write_trajectory_csv(fh, traj.log_wealth)
+        total = _write_trajectory_csv(fh, traj)
 
     rate = traj.final_rate
     # Wealth is finite unless some race ruined it, and then the increments
     # are not all finite, so there is no band to report.
     if math.isfinite(rate) and args.n > 1:
-        band = 3.0 * _increment_std(traj.log_wealth) / math.sqrt(args.n)
+        band = 3.0 * _increment_std(traj, total) / math.sqrt(args.n)
     else:
         band = None
     theoretical = utility.doubling_rate(market, alloc)
@@ -430,7 +458,7 @@ def cmd_simulate(args) -> tuple[dict, int]:
         "n_races": args.n,
         "seed": args.seed,
         "allocation": {"type": "full", "bets": _floats(alloc.bets)},
-        "final_log2_wealth": float(traj.log_wealth[-1]),
+        "final_log2_wealth": traj.final_log2_wealth,
         "empirical_rate_bits": rate,
         "clt_band_3se_bits": band,
         "theoretical_doubling_rate_bits": theoretical,

@@ -80,7 +80,7 @@ def _tilted_mean(t: float, log_w, x, terms=None, axis: int | None = None):
     ``|t| <= 2^-10`` and ``|t| (max x - min x) <= 1`` are instead centered on
     ``mu = sum w x``, as ``mu + log1p(sum w expm1(t (x - mu))) / t``, so the
     rounding of ``sum w`` is never divided by a small ``t``.  A subnormal ``t``
-    takes the ``K(0)`` form.
+    takes the ``K(0)`` form, over the live weights when some term drops out.
 
     Never NaN: ``w = 0`` drops a term (its ``x`` must then be finite unless
     ``terms`` is given), ``e^(t x)`` is ``+inf`` or 0 for an infinite ``x``, and
@@ -95,7 +95,19 @@ def _tilted_mean(t: float, log_w, x, terms=None, axis: int | None = None):
             terms = log_w + terms
         return _logsumexp(terms, axis) / (t * _LN2)
     if abs(t) < _NORMAL_MIN:
-        mu = np.sum(np.exp(log_w) * x, axis=axis) / _LN2
+        w = np.exp(log_w)
+        with np.errstate(invalid="ignore"):  # 0 * inf at t = 0, where nothing drops
+            dropped = t * x == -math.inf
+        if dropped.any():  # as in the centered form; rows losing none keep their bits
+            lost = np.where(dropped, w, 0.0).sum(axis=axis)
+            w, x = np.where(dropped, 0.0, w), np.where(dropped, 0.0, x)
+            kept = np.where(lost > 0.0, w.sum(axis=axis), 1.0)
+            # a row with nothing live is NaN here and -inf / t below
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                mu = ((w * x).sum(axis=axis) / kept - np.log1p(lost / kept) / t) / _LN2
+            mu = np.where(kept > 0.0, mu, -math.inf / t)
+        else:
+            mu = np.sum(w * x, axis=axis) / _LN2
         return float(mu) if axis is None else mu
     if axis is None:
         return _centered_mean(t, log_w.ravel(), x.ravel(), terms)

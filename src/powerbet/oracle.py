@@ -25,15 +25,19 @@ the utilities' outcome map says.  They stream too: outcomes are drawn
 across chunks, so every result is bit-identical whatever the chunk size.
 Each race takes one raw 64-bit word, and an integer inverse CDF through a
 guide table maps it to the outcome that numpy's uniform from the same word
-would pick.  A trajectory costs its 8 bytes per race plus O(chunk); a
-``U_beta`` estimate keeps only per-outcome counts, so its memory is
-O(chunk + outcomes) for any number of samples.
+would pick.  Neither keeps a per-race array: a trajectory holds its final
+wealth and the O(outcomes) PMF and log2 payoffs, and replays its races from
+the seed, a chunk at a time, when they are asked for; a ``U_beta`` estimate
+keeps only per-outcome counts.  So both take O(chunk + outcomes) memory for
+any number of races, and ``log_wealth`` costs 8 bytes per race only once it
+is read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain, combinations
 from numbers import Integral
 from typing import Iterator
@@ -47,10 +51,15 @@ from .strategy import Allocation, PartialAllocation, _Bet, _check_beta, _outcome
 from .utility import utility_full, utility_partial
 
 MAX_GRID_POINTS = 10**7
-_BLOCK_CELLS = 1 << 18
-# 128 KB per 8-byte temporary.  With glibc's default malloc thresholds, the
-# temporaries of 2^15- or 2^16-race chunks go back to the system when freed
-# and fault in again for the next chunk, which costs 2-2.5x per race.
+# Grid blocks and Monte Carlo chunks keep each 8-byte temporary at 128 KB.
+# With glibc's default malloc thresholds, larger temporaries go back to the
+# system when freed and fault in again for the next block, which cost 2-2.5x
+# per race for 2^15- or 2^16-race chunks, and made a (200,4) grid scan in
+# 2^18-cell blocks 1.5x slower unless an earlier large free had raised the
+# threshold.  Freeing several 128 KB temporaries per chunk still let glibc
+# trim the heap and fault them in again (68 page faults per 2^14-race chunk,
+# 12 instead of 8 ns per race), so the sampler reuses its buffers.
+_BLOCK_CELLS = 1 << 14
 _MC_CHUNK = 1 << 14
 _SEED_BOUND = 1 << 128  # Philox keys are 128-bit
 _GUIDE_BITS = 14  # the outcome sampler's guide table has at most 2^14 entries (128 KB)
@@ -87,8 +96,8 @@ class KktReport:
     and ``p_i o_i s_i^(beta-1) = mu`` for each backed horse (``<= mu`` for
     unbacked ones).  Stationarity gaps measure the equalities, feasibility
     gaps the inequality violations; all gaps are >= 0 and vanish at the
-    optimum.  Held cash sets ``mu``, so ``cash_stationarity_gap`` is always 0.0:
-    computed, it would be 0.0 or, where that marginal value overflows, NaN.
+    optimum.  Held cash sets ``mu``, so ``cash_stationarity_gap`` is always 0.0,
+    even where that marginal value overflows.
     ``mu_gamma_gap`` additionally checks
     ``mu = gamma_cap * cash^(beta-1)`` when the threshold is supplied.
     """
@@ -103,16 +112,42 @@ class KktReport:
 
 @dataclass(frozen=True)
 class WealthTrajectory:
-    """Cumulative log2 wealth over a seeded sequence of races."""
+    """Cumulative log2 wealth over a seeded sequence of races.
+
+    It holds the final log2 wealth and, apart from ``__eq__`` and ``repr``,
+    the bet's outcome PMF and log2 payoffs, so its memory is O(outcomes)
+    however many races it covers.  :meth:`chunks` replays the races from the
+    seed in O(chunk) memory; ``log_wealth`` replays them into one array of 8
+    bytes per race, built when it is first read and kept.
+    """
 
     n_races: int
-    log_wealth: np.ndarray
     seed: int
+    final_log2_wealth: float
+    _probs: np.ndarray = field(repr=False, compare=False)
+    _increments: np.ndarray = field(repr=False, compare=False)
 
     @property
     def final_rate(self) -> float:
         """Average log2 growth per race over the whole run."""
-        return float(self.log_wealth[-1]) / self.n_races
+        return self.final_log2_wealth / self.n_races
+
+    def chunks(self) -> Iterator[np.ndarray]:
+        """The entries of ``log_wealth`` in order, as fresh arrays of at most
+        ``_MC_CHUNK`` races each."""
+        return (c.copy() for c in self._replay())
+
+    @cached_property
+    def log_wealth(self) -> np.ndarray:
+        """Entry ``n`` is the log2 wealth after ``n+1`` races."""
+        out, lo = np.empty(self.n_races), 0
+        for c in self._replay():
+            out[lo : lo + c.size] = c
+            lo += c.size
+        return out
+
+    def _replay(self) -> Iterator[np.ndarray]:
+        return _log_wealth_chunks(self._probs, self._increments, self.n_races, self.seed)
 
 
 def _grid_blocks(grid: GridSpec) -> Iterator[np.ndarray]:
@@ -198,6 +233,14 @@ def grid_search_partial(
     return alloc, utility_partial(market, alloc, beta)
 
 
+def _excess(a, b):
+    """``a - b``, reading ``inf - inf`` as ``+inf``: where a marginal value
+    overflows with ``mu``, no finite multiplier is certified."""
+    if b < math.inf:
+        return a - b
+    return np.where(a == math.inf, math.inf, -math.inf)
+
+
 def kkt_residual(
     market: RaceMarket,
     beta: float,
@@ -211,6 +254,8 @@ def kkt_residual(
     NaN: with no cash an unbacked horse pays 0, so its marginal value and
     the cash's are ``+inf``, and so are the feasibility gaps.  That is the
     report for an optimum whose cash rounds to 0.0 close to ``beta = 1``.
+    A gap between two marginal values that both overflow, as payoffs below 1
+    give at very negative beta, is ``+inf`` too.
     """
     beta = _check_beta(beta)
     if math.isinf(beta):
@@ -220,24 +265,22 @@ def kkt_residual(
     probs, payoffs = _outcomes(market, sol)
     active = sol.bets > 0.0
 
-    with np.errstate(divide="ignore"):  # 0^(beta-1) = +inf
+    # 0^(beta-1) is +inf, and so is a small payoff's at very negative beta
+    with np.errstate(divide="ignore", over="ignore"):
         marginal = payoffs ** (beta - 1.0)
-    grad_cash = float(np.sum(probs * marginal))
-    grad_bets = probs * market.odds * marginal
+        grad_cash = float(np.sum(probs * marginal))
+        grad_bets = probs * market.odds * marginal
+        mu = grad_cash if sol.cash > 0.0 else float(grad_bets[np.flatnonzero(active)[0]])
+        mu_gamma_gap = None
+        if gamma_cap is not None and sol.cash > 0.0:
+            capped = gamma_cap * np.float64(sol.cash) ** (beta - 1.0)
+            mu_gamma_gap = abs(float(_excess(mu, capped)))
 
-    if sol.cash > 0.0:
-        mu = grad_cash
-    else:
-        mu = float(grad_bets[np.flatnonzero(active)[0]])
-
-    stationarity = float(np.max(np.abs(grad_bets[active] - mu), initial=0.0))
-    feasibility = float(np.max(np.maximum(grad_bets[~active] - mu, 0.0), initial=0.0))
-    # held cash has no feasibility gap: max(inf - inf, 0.0) would be NaN
-    cash_feasibility = 0.0 if sol.cash > 0.0 else max(grad_cash - mu, 0.0)
-
-    mu_gamma_gap = None
-    if gamma_cap is not None and sol.cash > 0.0:
-        mu_gamma_gap = abs(mu - gamma_cap * sol.cash ** (beta - 1.0))
+    excess = _excess(grad_bets, mu)
+    stationarity = float(np.max(np.abs(excess[active]), initial=0.0))
+    feasibility = float(np.max(np.maximum(excess[~active], 0.0), initial=0.0))
+    # held cash sets mu, so it has no gap of its own
+    cash_feasibility = 0.0 if sol.cash > 0.0 else max(float(_excess(grad_cash, mu)), 0.0)
 
     return KktReport(
         mu=mu,
@@ -266,6 +309,9 @@ def _winner_chunks(probs: np.ndarray, n: int, seed: int, unit: str) -> Iterator[
     "indexed search").  A branchless binary search from that count, with as
     many steps as the fullest bucket needs (usually one), finishes it.  ``n``
     and ``seed`` are checked before anything is drawn.
+
+    Every chunk is a view of one buffer that the next chunk overwrites, and
+    the search works in two more, so a chunk allocates only its raw words.
     """
     if isinstance(n, bool) or not isinstance(n, Integral):
         raise NotEvaluableError(f"the number of {unit}s must be an integer, got {n!r}")
@@ -285,44 +331,61 @@ def _winner_chunks(probs: np.ndarray, n: int, seed: int, unit: str) -> Iterator[
     padded[: thresholds.size] = thresholds
     probes = [(s, padded[(1 << s) - 1 :]) for s in reversed(range(steps))]
 
+    size = min(_MC_CHUNK, n)
+    scratch, out, hits = np.empty(size, np.int64), np.empty(size, np.int64), np.empty(size, bool)
+
     def search(words: np.ndarray) -> np.ndarray:
+        # every index is in range, so "clip" changes none; unlike "raise" it
+        # writes straight into the buffer instead of through a temporary
+        k = words.size
         x = np.right_shift(words, 11, out=words).view(np.int64)
-        w = guide.take(x >> shift)
+        w, tmp, hit = out[:k], scratch[:k], hits[:k]
+        guide.take(np.right_shift(x, shift, out=tmp), out=w, mode="clip")
         for s, probe in probes:
-            hit = probe.take(w) <= x
-            w += hit << s if s else hit
+            np.less_equal(probe.take(w, out=tmp, mode="clip"), x, out=hit)
+            w += np.left_shift(hit, s, out=tmp) if s else hit
         return w
 
     draws = (bitgen.random_raw(min(_MC_CHUNK, n - lo)) for lo in range(0, n, _MC_CHUNK))
     return map(search, draws)
 
 
+def _log_wealth_chunks(
+    probs: np.ndarray, increments: np.ndarray, n_races: int, seed: int
+) -> Iterator[np.ndarray]:
+    """Cumulative log2 wealth of ``n_races`` seeded races, a chunk at a time, each
+    race adding the ``increments`` entry of its outcome.  Every chunk is a view of
+    one buffer that the next chunk overwrites."""
+    chunks = _winner_chunks(probs, n_races, seed, "race")  # checks n_races and seed
+    buf = np.empty(min(_MC_CHUNK, n_races))
+    carry = 0.0
+    for outcomes in chunks:
+        step = buf[: outcomes.size]
+        # outcomes are in range, so "clip" changes none; unlike "raise" it
+        # writes straight into the buffer instead of through a temporary
+        increments.take(outcomes, out=step, mode="clip")
+        step[0] += carry  # before the running sum, so each entry rounds as one long cumsum
+        np.cumsum(step, out=step)
+        carry = step[-1]
+        yield step
+
+
 def simulate_growth(
     market: RaceMarket | SideInfoMarket, b: _Bet, n_races: int, seed: int
 ) -> WealthTrajectory:
-    """Simulate repeated betting; entry ``n`` is the log2 wealth after ``n+1`` races,
-    each of which draws one outcome of the bet.
+    """Simulate repeated betting, each race drawing one outcome of the bet, in one
+    pass of O(chunk) memory.
 
     Identical (market, allocation, n, seed) inputs reproduce the trajectory
     bit for bit.  An outcome paying 0 sends the wealth to ``-inf`` and it
     stays there.
     """
     probs, payoffs = _outcomes(market, b)
-    chunks = _winner_chunks(probs, n_races, seed, "race")
     with np.errstate(divide="ignore"):
         increments = np.log2(payoffs)
-    log_wealth = np.empty(n_races)
-    step = np.empty(min(_MC_CHUNK, n_races))  # one chunk's increments, reused
-    lo, carry = 0, 0.0
-    for outcomes in chunks:
-        hi = lo + outcomes.size
-        # outcomes are in range, so "clip" changes none; unlike "raise" it
-        # writes straight into the buffer instead of through a temporary
-        increments.take(outcomes, out=step[: outcomes.size], mode="clip")
-        step[0] += carry  # before the running sum, so each entry rounds as one long cumsum
-        np.cumsum(step[: outcomes.size], out=log_wealth[lo:hi])
-        lo, carry = hi, log_wealth[hi - 1]
-    return WealthTrajectory(n_races, log_wealth, seed)
+    for chunk in _log_wealth_chunks(probs, increments, n_races, seed):
+        final = chunk[-1]
+    return WealthTrajectory(n_races, seed, float(final), probs, increments)
 
 
 def estimate_ubeta(

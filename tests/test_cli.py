@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import warnings
@@ -334,6 +335,46 @@ class TestSimulate:
                 assert out.startswith(expected)
                 json.loads(out[len(expected):])
             assert code == 0
+
+    # sha256 of stdout with --output, of the CSV, and of stdout without --output,
+    # pinned from the code that held the whole trajectory in memory
+    PINNED = {
+        2**14 - 1: (
+            "cf762744c54718eeddc0944559583945944923ec488c8d33c1d6af26e3eae583",
+            "9335fa7607d675830cd752488e8decc9f061c760e91e7e89fe0424fe178ce653",
+            "26612f8ff981e46c8e634e52ad875ec92720cd582c70a166d89c28edea930dd7",
+        ),
+        2**14: (
+            "742ebfbeda505fd7406a0660d0f1535e285975c1c8ea9e50d686acda194ff391",
+            "b98c72366827d20258e4e0c034e985d54b3e27f735f7d30ee921adec2e0255c2",
+            "24d1002d10d643de99356519d294506fdda51e1ba0fdb8865e8e02be3d5169a1",
+        ),
+        2**16 + 1: (
+            "8179cc2bba6088f87adb6b3f90912ca55bc397ce0d1639dd4e02806135d2f309",
+            "bc4234fb32a105be0c0cc887d35c44ee1bc6020f805d77ddda2bb51310d36362",
+            "a4234e0d847866e78b6f6255f53e92587c57ed8aceab2c3ebaef8dce6ddae4ed",
+        ),
+        3 * 2**16 + 5: (
+            "745ee7fad19745d374f3b26cab83b8dac47fced1ae48622ca22ae105852619ab",
+            "315d2f5b0b0dd6fd40c73826d155334f7f8f569bbf007bb90fc34116403f1ad1",
+            "00b96ca08dde0a2b1f59b9afbf72d18ba3a5ee1d0cf445d6666507ffcee210ea",
+        ),
+    }
+
+    @pytest.mark.parametrize("n", sorted(PINNED))
+    def test_streamed_output_is_pinned(self, capsys, tmp_path, n):
+        spec = tmp_path / "three.json"
+        horses = [{"p": 0.5, "odds": 2.2}, {"p": 0.3, "odds": 3.1}, {"p": 0.2, "odds": 5.5}]
+        spec.write_text(json.dumps({"horses": horses}))
+        argv = ["simulate", str(spec), "--beta", "0.5", "-n", str(n), "--seed", "11"]
+        target = tmp_path / "traj.csv"
+        _, summary = run(capsys, *argv, "--output", str(target))
+        _, both = run(capsys, *argv)
+        digests = tuple(
+            hashlib.sha256(data).hexdigest()
+            for data in (summary.encode(), target.read_bytes(), both.encode())
+        )
+        assert digests == self.PINNED[n]
 
     def test_ruin_writes_nothing_to_stderr(self, capsys, tmp_path):
         path = tmp_path / "uneven.json"

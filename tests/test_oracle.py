@@ -192,15 +192,17 @@ class TestGridScan:
             assert np.all(err <= 8 * np.finfo(float).eps * np.maximum(1.0, np.abs(want)))
 
     def test_memory_holds_no_extra_block_copies(self):
+        # a block of 2^14 cells is 128 KB per float temporary, whatever the grid
         market = new_race([0.1, 0.2, 0.3, 0.4], [3.0, 6.0, 2.5, 4.0])
-        tracemalloc.start()
-        try:
-            grid_search_full(market, 0.5, GridSpec(200, 4))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # a block of 2^16 points is 2 MB per float temporary; about 16 MB in all
-        assert peak <= 24 * 2**20
+        scans = ((grid_search_full, GridSpec(200, 4)), (grid_search_partial, GridSpec(60, 5)))
+        for search, grid in scans:
+            tracemalloc.start()
+            try:
+                search(market, 0.5, grid)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * 2**20
 
     def test_ties_go_to_the_first_lexicographic_point(self, monkeypatch):
         for cells in (oracle._BLOCK_CELLS, 5):
@@ -338,12 +340,28 @@ class TestKktResidual:
                     assert report.feasibility_gap == report.cash_feasibility_gap == math.inf
 
     def test_held_cash_has_no_stationarity_gap(self):
-        # mu is read off the cash equality, so the gap is 0.0 by construction;
-        # computed, it was NaN here, where the cash's marginal value overflows
+        # mu is read off the cash equality, so the gap is 0.0 by construction,
+        # also here, where the cash's marginal value overflows
         market = new_race([0.5, 0.3, 0.2], [1.6, 2.9, 4.5])
-        with np.errstate(over="ignore", invalid="ignore"):  # the other gaps are inf - inf here
-            report = kkt_residual(market, -1e6, PartialAllocation(0.5, [0.2, 0.2, 0.1]))
+        report = kkt_residual(market, -1e6, PartialAllocation(0.5, [0.2, 0.2, 0.1]))
         assert report.cash_stationarity_gap == 0.0
+
+    def test_marginals_overflowing_with_mu_give_infinite_gaps_without_warnings(self):
+        # payoffs below 1 overflow s^(beta - 1) at beta = -1e6, and mu with them
+        market = new_race([0.5, 0.3, 0.2], [1.6, 2.9, 4.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            held = kkt_residual(market, -1e6, PartialAllocation(0.5, [0.2, 0.2, 0.1]), 1.0)
+            unbacked = kkt_residual(market, -1e6, PartialAllocation(0.5, [0.3, 0.2, 0.0]))
+            no_cash = kkt_residual(market, -1e6, PartialAllocation(0.0, [0.5, 0.5, 0.0]))
+        assert held.mu == math.inf
+        assert held.stationarity_gap == math.inf
+        assert held.feasibility_gap == held.cash_feasibility_gap == 0.0
+        assert held.mu_gamma_gap == math.inf
+        assert unbacked.stationarity_gap == unbacked.feasibility_gap == math.inf
+        assert no_cash.feasibility_gap == no_cash.cash_feasibility_gap == math.inf
+        for report in (held, unbacked, no_cash):
+            assert not any(isinstance(v, float) and math.isnan(v) for v in vars(report).values())
 
     def test_certifies_kelly_with_cash(self):
         # at beta = 0 the multiplier is sum p_i / s_i, which is 1 at the optimum
@@ -393,6 +411,38 @@ class TestSimulateGrowth:
         hits = np.flatnonzero(np.isneginf(traj.log_wealth))
         assert hits.size > 0
         assert np.all(np.isneginf(traj.log_wealth[hits[0]:]))
+
+
+class TestWealthTrajectory:
+    def test_streamed_values_match_the_reference(self):
+        chunk = oracle._MC_CHUNK
+        b = Allocation([0.7, 0.3])
+        for n in (1, chunk - 1, chunk, 2 * chunk + 3):
+            traj = simulate_growth(MARKET_B, b, n, seed=9)
+            expected = reference_log_wealth(MARKET_B, b, n, 9)
+            assert np.float64(traj.final_log2_wealth).tobytes() == expected[-1].tobytes()
+            rate = np.float64(float(expected[-1]) / n)  # the rate read off the whole array
+            assert np.float64(traj.final_rate).tobytes() == rate.tobytes()
+            chunks = list(traj.chunks())
+            assert max(c.size for c in chunks) <= chunk
+            assert np.concatenate(chunks).tobytes() == expected.tobytes()
+            assert traj.log_wealth.tobytes() == expected.tobytes()
+
+    def test_log_wealth_is_built_once_on_first_read(self):
+        traj = simulate_growth(MARKET_B, Allocation([0.7, 0.3]), 10**5, seed=9)
+        assert "log_wealth" not in vars(traj)
+        assert max(np.size(v) for v in vars(traj).values()) == MARKET_B.m  # O(outcomes)
+        first = traj.log_wealth
+        assert traj.log_wealth is first
+
+    def test_equality_and_repr_leave_out_the_arrays(self):
+        b = Allocation([0.7, 0.3])
+        traj, again = (simulate_growth(MARKET_B, b, 100, seed=3) for _ in range(2))
+        traj.log_wealth  # the cached array is left out too
+        assert traj == again
+        assert traj != simulate_growth(MARKET_B, b, 100, seed=4)
+        final = traj.final_log2_wealth
+        assert repr(traj) == f"WealthTrajectory(n_races=100, seed=3, final_log2_wealth={final!r})"
 
 
 class TestEstimateUbeta:
@@ -519,15 +569,16 @@ def _streaming_cases():
 
 
 def _fixed_words(words):
-    """A stand-in for ``np.random.Philox`` whose raw stream is ``words``."""
-    stream = iter(words)
+    """A stand-in for ``np.random.Philox`` whose raw stream is ``words``: each
+    generator built replays them from the start, as a counter-based stream
+    replays its words for the same key."""
 
     class FixedWords:
         def __init__(self, key):
-            pass
+            self.stream = iter(words)
 
         def random_raw(self, k):
-            return np.fromiter(stream, dtype=np.uint64, count=k)
+            return np.fromiter(self.stream, dtype=np.uint64, count=k)
 
     return FixedWords
 
@@ -601,7 +652,8 @@ class TestStreamingMonteCarlo:
         for i, market in enumerate(cases):
             for n in (1, chunk - 1, chunk, chunk + 1, 2 * chunk):
                 seed = 500 + i + n
-                drawn = np.concatenate(list(oracle._winner_chunks(market.probs, n, seed, "race")))
+                chunks = oracle._winner_chunks(market.probs, n, seed, "race")
+                drawn = np.concatenate([c.copy() for c in chunks])  # each overwrites the last
                 assert drawn.tobytes() == reference_winners(market, n, seed).tobytes()
 
     def test_words_on_every_threshold_pick_the_reference_winner(self, monkeypatch):
@@ -616,7 +668,8 @@ class TestStreamingMonteCarlo:
             x = np.minimum(x, ends[1])
             words = np.concatenate([x << np.uint64(11), (x << np.uint64(11)) | np.uint64(0x7FF)])
             monkeypatch.setattr(np.random, "Philox", _fixed_words(words))
-            drawn = np.concatenate(list(oracle._winner_chunks(market.probs, words.size, 0, "race")))
+            chunks = oracle._winner_chunks(market.probs, words.size, 0, "race")
+            drawn = np.concatenate([c.copy() for c in chunks])
             u = (words >> np.uint64(11)) * 2.0**-53
             expected = np.minimum(np.searchsorted(bounds, u, side="right"), market.m - 1)
             assert drawn.tobytes() == expected.tobytes()
@@ -650,7 +703,22 @@ class TestStreamingMonteCarlo:
             tracemalloc.stop()
         # one n-long float64 temporary alone would be 16 MB
         assert estimate_peak <= few_mb
-        assert trajectory_peak <= 8 * n + few_mb
+        assert trajectory_peak <= few_mb
+
+    def test_trajectory_memory_does_not_grow_with_the_races(self):
+        market = new_race([0.5, 0.3, 0.2], [2, 4, 8])
+        b = Allocation([0.5, 0.3, 0.2])
+        simulate_growth(market, b, 10, seed=1)  # one-time allocations come before the counts
+        peaks = []
+        for n in (2**14, 2**22):
+            tracemalloc.start()
+            try:
+                simulate_growth(market, b, n, seed=1)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+        assert abs(peaks[1] - peaks[0]) <= 64 * 2**10
 
     @pytest.mark.parametrize("seed", [-1, 2**128, 1.5, True, "3", np.float64(2.0)])
     def test_rejects_a_bad_seed(self, seed):

@@ -59,6 +59,14 @@ class TestUtilityFull:
         value = utility_full(MARKET_B, Allocation([1.0, 0.0]), 0.5)
         assert value == pytest.approx(2 * math.log2(0.6 * math.sqrt(2)), abs=1e-13)
 
+    @pytest.mark.parametrize("beta", [2e-308, 1e-310])
+    def test_subnormal_beta_keeps_the_dropped_share(self, beta):
+        # log2(1 - 1e-30) / beta, from the lost share, dwarfs the live mean
+        market = new_race([0.6, 0.4, 1e-30], [2.2, 3.5, 6.0])
+        value = utility_full(market, Allocation([0.6, 0.4, 0.0]), beta)
+        assert math.isfinite(value)
+        assert value == pytest.approx(math.log1p(-1e-30) / math.log(2.0) / beta, rel=1e-12)
+
     def test_zero_beta_is_the_doubling_rate(self):
         # flat payoffs of 1: zero bits, the same double as doubling_rate
         flat = Allocation([0.5, 0.5])
