@@ -16,10 +16,10 @@ Race spec files are JSON documents::
 ``side_info.joint`` rows are signals, columns are horses.  ``beta`` and
 ``mode`` are optional defaults that flags override.
 
-Exit codes: 0 success, 2 invalid input, 3 incompatible mode, 4 oracle
-disagreement beyond tolerance.  All numeric output uses the shortest
-round-tripping decimal form, so re-reading a document reproduces every
-float exactly.
+Exit codes: 0 success, 1 standard output closed early (a broken pipe),
+2 invalid input, 3 incompatible mode, 4 oracle disagreement beyond
+tolerance.  All numeric output uses the shortest round-tripping decimal
+form, so re-reading a document reproduces every float exactly.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ import math
 import os
 import sys
 from dataclasses import asdict
-from typing import Iterator
 
 import numpy as np
 
@@ -50,7 +49,6 @@ from .market import (
 KKT_GAP_TOL = 1e-8
 RESIDUAL_TOL = 1e-9
 ORACLE_VALUE_TOL = 1e-9
-_CSV_CHUNK_ROWS = 1 << 16
 
 
 class _CommandError(Exception):
@@ -88,7 +86,10 @@ def _load_spec(path: str) -> dict:
 def _require_number(value, field: str, positive: bool = False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _CommandError(2, f"{field} must be a number")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        raise _CommandError(2, f"{field} is too large for a float")
     if positive and value <= 0.0:
         raise _CommandError(2, f"{field} must be > 0")
     return value
@@ -151,8 +152,9 @@ def _parse_side_info(doc: dict) -> SideInfoMarket:
     return market
 
 
-def _parse_beta(text: str) -> float:
-    label = text.strip().lower()
+def _parse_beta(value, field: str) -> float:
+    """``value`` (flag text or a spec's JSON value) as a beta; errors name ``field``."""
+    label = str(value).strip().lower()
     if label == "kelly":
         return 0.0
     if label in ("+inf", "inf"):
@@ -162,9 +164,9 @@ def _parse_beta(text: str) -> float:
     try:
         value = float(label)
     except ValueError:
-        raise _CommandError(2, f"--beta must be kelly, +inf, -inf, or a decimal, got {text!r}")
+        raise _CommandError(2, f"{field} must be kelly, +inf, -inf, or a decimal, got {value!r}")
     if math.isnan(value):
-        raise _CommandError(2, "--beta must not be NaN")
+        raise _CommandError(2, f"{field} must not be NaN")
     return value
 
 
@@ -341,9 +343,9 @@ def cmd_optimize(args) -> tuple[dict, int]:
     if mode not in ("full", "partial", "side-info"):
         raise _CommandError(2, f"mode must be full, partial, or side-info, got {mode!r}")
     if args.beta is not None:
-        beta = _parse_beta(args.beta)
+        beta = _parse_beta(args.beta, "--beta")
     elif "beta" in doc:
-        beta = _parse_beta(str(doc["beta"]))
+        beta = _parse_beta(doc["beta"], "beta")
     else:
         raise _CommandError(2, "no beta given: pass --beta or put a beta field in the spec file")
 
@@ -371,61 +373,32 @@ def cmd_optimize(args) -> tuple[dict, int]:
 # ---------------------------------------------------------------- simulate
 
 
-def _log_wealth_slices(traj: oracle.WealthTrajectory) -> Iterator[np.ndarray]:
-    """The trajectory's log2 wealth in slices of ``_CSV_CHUNK_ROWS`` races, regrouped
-    from its streamed chunks into one buffer that each slice overwrites, so memory
-    is O(slice) for any number of races."""
-    rows = min(_CSV_CHUNK_ROWS, traj.n_races)
-    buf, fill = np.empty(rows), 0
-    for chunk in traj.chunks():
-        while chunk.size:
-            take = min(rows - fill, chunk.size)
-            buf[fill : fill + take] = chunk[:take]
-            fill, chunk = fill + take, chunk[take:]
-            if fill == rows:
-                yield buf
-                fill = 0
-    if fill:
-        yield buf[:fill]
-
-
-def _increments(traj: oracle.WealthTrajectory) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Each slice of the log2 wealth with its per-race increments,
-    ``diff(log_wealth, prepend=0)``."""
-    before = 0.0
-    for rows in _log_wealth_slices(traj):
-        yield rows, np.diff(rows, prepend=before)
-        before = rows[-1]
-
-
 def _write_trajectory_csv(fh, traj: oracle.WealthTrajectory) -> float:
-    """Write ``race,cum_log2_wealth`` rows a slice at a time, so neither the
-    trajectory nor its text is ever held in memory; return the sum of the
-    increments, the first pass of :func:`_increment_std`."""
+    """Write ``race,cum_log2_wealth`` rows a chunk at a time, so neither the
+    trajectory nor its text is ever held in memory; return the sum of squared
+    deviations of the per-race increments ``diff(log_wealth, prepend=0)``
+    from their mean, each chunk's moments merged into the running ones by the
+    pairwise update of Chan, Golub & LeVeque (1979)."""
     fh.write("race,cum_log2_wealth\n")
-    race, sums = 1, []
+    seen, before, mean, squares = 0, 0.0, 0.0, 0.0
     # a ruined trajectory's increments hold -inf - -inf, and it reports no band
     with np.errstate(invalid="ignore"):
-        for rows, steps in _increments(traj):
-            fh.write("".join(f"{i},{value!r}\n" for i, value in enumerate(rows.tolist(), race)))
-            race += rows.size
-            sums.append(float(steps.sum()))
-    return math.fsum(sums)
-
-
-def _increment_std(traj: oracle.WealthTrajectory, total: float) -> float:
-    """Sample standard deviation (ddof 1) of the per-race increments, whose sum
-    is ``total``: the second of two passes over slices, so memory is O(slice)
-    for any number of races."""
-    mean = total / traj.n_races
-    squares = math.fsum(float(np.square(steps - mean).sum()) for _, steps in _increments(traj))
-    return math.sqrt(squares / (traj.n_races - 1))
+        for rows in traj.chunks():
+            fh.write("".join(f"{i},{value!r}\n" for i, value in enumerate(rows.tolist(), seen + 1)))
+            steps = np.diff(rows, prepend=before)
+            size, step_mean = rows.size, float(steps.mean())
+            total, delta = seen + size, step_mean - mean
+            mean += delta * size / total
+            squares += float(np.square(steps - step_mean).sum())
+            squares += delta * delta * seen * size / total
+            seen, before = total, rows[-1]
+    return squares
 
 
 def cmd_simulate(args) -> tuple[dict, int]:
     doc = _load_spec(args.spec)
     market = _parse_race(doc)
-    beta = _parse_beta(args.beta)
+    beta = _parse_beta(args.beta, "--beta")
     if args.n < 1:
         raise _CommandError(2, "-n must be >= 1")
     if not 0 <= args.seed < oracle._SEED_BOUND:
@@ -442,13 +415,13 @@ def cmd_simulate(args) -> tuple[dict, int]:
         raise _CommandError(2, f"--output cannot be written: {exc}")
     with sink as fh:
         traj = oracle.simulate_growth(market, alloc, args.n, args.seed)
-        total = _write_trajectory_csv(fh, traj)
+        squares = _write_trajectory_csv(fh, traj)
 
     rate = traj.final_rate
     # Wealth is finite unless some race ruined it, and then the increments
     # are not all finite, so there is no band to report.
     if math.isfinite(rate) and args.n > 1:
-        band = 3.0 * _increment_std(traj, total) / math.sqrt(args.n)
+        band = 3.0 * math.sqrt(squares / (args.n - 1)) / math.sqrt(args.n)
     else:
         band = None
     theoretical = utility.doubling_rate(market, alloc)
@@ -490,7 +463,7 @@ def _load_dist_arg(text: str, field: str) -> list[list[float]]:
             raise _CommandError(2, f"{field}: cannot load {text!r}: {exc}")
         try:
             arr = np.asarray(data, dtype=float)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise _CommandError(2, f"{field}: JSON file must hold a vector or a table of numbers")
         if arr.ndim == 1:
             return [list(map(float, arr))]
@@ -582,13 +555,20 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(_normalize_argv(list(argv)))
     try:
         doc, code = args.func(args)
+        _emit(doc)
     except _CommandError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
     except PowerbetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(doc)
+    except BrokenPipeError:
+        # the reader left (e.g. `| head`); point stdout at devnull so that
+        # the interpreter's final flush cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     return code
 
 

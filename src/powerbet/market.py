@@ -37,7 +37,7 @@ def _as_floats(values, name: str, error=InvalidDistributionError) -> np.ndarray:
     """``values`` as a float array; ragged rows or non-numbers raise ``error``."""
     try:
         return np.asarray(values, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise error(f"{name} must be an array of numbers") from None
 
 

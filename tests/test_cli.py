@@ -1,11 +1,15 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+from helpers import reference_log_wealth
 from powerbet import cli, new_race, optimal_full, simulate_growth
 from powerbet.cli import main
 
@@ -75,6 +79,17 @@ class TestAnalyze:
         assert code == 2
         assert "odds" in captured.err
         assert "NaN" not in captured.out
+
+    @pytest.mark.parametrize("field", ["p", "odds"])
+    def test_integer_too_large_for_a_float_is_invalid_input(self, capsys, tmp_path, field):
+        horses = [{"p": 0.5, "odds": 2.0}, {"p": 0.5, "odds": 2.0}]
+        horses[1][field] = 10**400
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"horses": horses}))
+        code = main(["analyze", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"horses[1].{field}" in captured.err
 
 
 class TestOptimize:
@@ -219,6 +234,28 @@ class TestOptimize:
         assert json.loads(out)["beta"] == "kelly"
         assert json.loads(out)["allocation"] == json.loads(kelly_out)["allocation"]
 
+    @pytest.mark.parametrize("value", [True, None, [0.5], "x"])
+    def test_bad_spec_beta_names_the_spec_field(self, capsys, fair_spec, tmp_path, value):
+        doc = {"horses": [{"p": 0.6, "odds": 2.0}, {"p": 0.4, "odds": 2.0}], "beta": value}
+        path = tmp_path / "badbeta.json"
+        path.write_text(json.dumps(doc))
+        assert main(["optimize", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: beta must be kelly")
+        assert main(["optimize", fair_spec, "--beta", "x"]) == 2
+        assert capsys.readouterr().err.startswith("error: --beta must be kelly")
+
+    def test_joint_cell_too_large_for_a_float_is_invalid_input(self, capsys, tmp_path):
+        doc = {
+            "horses": [{"p": 0.5, "odds": 2.0}, {"p": 0.5, "odds": 3.0}],
+            "side_info": {"joint": [[0.5, 0.0], [10**400, 0.5]]},
+        }
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        code = main(["optimize", str(path), "--beta", "0.5", "--mode", "side-info"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "side_info.joint[1][0]" in captured.err
+
     @pytest.mark.parametrize("mode", ["full", "partial", "side-info"])
     def test_tied_top_horses_close_to_one(self, capsys, tmp_path, mode):
         doc = {
@@ -323,7 +360,7 @@ class TestSimulate:
         lines.extend(f"{i + 1},{float(v)!r}" for i, v in enumerate(traj.log_wealth))
         expected = "\n".join(lines) + "\n"
         for rows in (1, 7, n - 1, n, n + 1):
-            monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", rows)
+            monkeypatch.setattr(cli.oracle, "_MC_CHUNK", rows)
             argv = ["simulate", fair_spec, "--beta", "0.5", "-n", str(n), "--seed", "3"]
             if to_file:
                 target = tmp_path / f"traj{rows}.csv"
@@ -337,7 +374,8 @@ class TestSimulate:
             assert code == 0
 
     # sha256 of stdout with --output, of the CSV, and of stdout without --output,
-    # pinned from the code that held the whole trajectory in memory
+    # pinned from the code that held the whole trajectory in memory, except the
+    # two summaries at 3 * 2**16 + 5: the chunk-merged band moved by one ulp there
     PINNED = {
         2**14 - 1: (
             "cf762744c54718eeddc0944559583945944923ec488c8d33c1d6af26e3eae583",
@@ -355,9 +393,9 @@ class TestSimulate:
             "a4234e0d847866e78b6f6255f53e92587c57ed8aceab2c3ebaef8dce6ddae4ed",
         ),
         3 * 2**16 + 5: (
-            "745ee7fad19745d374f3b26cab83b8dac47fced1ae48622ca22ae105852619ab",
+            "b368905110d98166c61afe494df290f9b1f00608c205c260e57c91b5f76ed781",
             "315d2f5b0b0dd6fd40c73826d155334f7f8f569bbf007bb90fc34116403f1ad1",
-            "00b96ca08dde0a2b1f59b9afbf72d18ba3a5ee1d0cf445d6666507ffcee210ea",
+            "6c8311365a269e64a5222b44ffb5f0bc45e2cbc6ca30d71e4382d716e55f6091",
         ),
     }
 
@@ -376,6 +414,47 @@ class TestSimulate:
         )
         assert digests == self.PINNED[n]
 
+    CHUNK = cli.oracle._MC_CHUNK
+
+    @pytest.mark.parametrize("n", [2, CHUNK - 1, CHUNK, CHUNK + 1, 3 * 2**16 + 5])
+    def test_band_matches_the_in_memory_reference(self, capsys, fair_spec, tmp_path, n):
+        target = tmp_path / "traj.csv"
+        argv = ["simulate", fair_spec, "--beta", "0.5", "-n", str(n), "--seed", "3"]
+        code, out = run(capsys, *argv, "--output", str(target))
+        assert code == 0
+        market = new_race([0.6, 0.4], [2, 2])
+        log_wealth = reference_log_wealth(market, optimal_full(market, 0.5), n, 3)
+        reference = 3 * np.diff(log_wealth, prepend=0).std(ddof=1) / math.sqrt(n)
+        assert json.loads(out)["clt_band_3se_bits"] == pytest.approx(reference, rel=1e-14)
+
+    def test_one_simulate_replays_the_races_twice(self, capsys, monkeypatch, fair_spec, tmp_path):
+        calls = []
+        draw = cli.oracle._winner_chunks
+
+        def counting(*args):
+            calls.append(args)
+            return draw(*args)
+
+        monkeypatch.setattr(cli.oracle, "_winner_chunks", counting)
+        code = main(["simulate", fair_spec, "-n", "1000", "--output", str(tmp_path / "traj.csv")])
+        capsys.readouterr()
+        assert code == 0
+        assert len(calls) == 2
+
+    def test_closed_stdout_exits_1_without_a_traceback(self, fair_spec):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "powerbet", "simulate", fair_spec, "-n", "200000"],
+            env=dict(os.environ, PYTHONPATH=src),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline() == b"race,cum_log2_wealth\n"
+        proc.stdout.close()  # the rest of the CSV overflows the pipe's buffer
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 1
+        assert err == b""
+
     def test_ruin_writes_nothing_to_stderr(self, capsys, tmp_path):
         path = tmp_path / "uneven.json"
         path.write_text(json.dumps({"horses": [{"p": 0.5, "odds": 2.0}, {"p": 0.5, "odds": 3.0}]}))
@@ -392,6 +471,14 @@ class TestSimulate:
 
 
 class TestDivergenceCmd:
+    def test_integer_too_large_for_a_float_is_invalid_input(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps([10**400, 0.5]))
+        code = main(["divergence", "--alpha", "0.5", "-p", str(path), "-q", "0.5,0.5"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: -p:")
+
     def test_inline_vectors(self, capsys):
         code, out = run(capsys, "divergence", "--alpha", "0.5", "-p", "1,0", "-q", "0.5,0.5")
         assert code == 0

@@ -149,10 +149,17 @@ def test_bad_input_raises_the_pinned_class(name, kind):
         ("table", ConditionalAllocation),
         ("probs", lambda v: new_race(v, [2.0, 2.0])),
         ("joint", lambda t: new_side_info(t, [2.0, 2.0])),
+        ("bets", Allocation),
     ],
 )
 @pytest.mark.parametrize(
-    "values", [[[0.5, 0.5], [1.0]], [[0.5, 0.5], ["a", "b"]], [[0.5, 0.5], [{}, 0.5]]]
+    "values",
+    [
+        [[0.5, 0.5], [1.0]],
+        [[0.5, 0.5], ["a", "b"]],
+        [[0.5, 0.5], [{}, 0.5]],
+        [[0.5, 0.5], [10**400, 0.5]],  # no float holds it
+    ],
 )
 def test_ragged_or_non_numeric_input_names_the_field(field, call, values):
     with pytest.raises(InvalidDistributionError, match=f"^{field} must be an array of numbers"):
@@ -168,7 +175,7 @@ def test_bad_odds_raise_nonpositive_odds(new, bad):
 
 
 @pytest.mark.parametrize("new", [new_race, new_side_info])
-@pytest.mark.parametrize("odds", [[[2.0, 2.0], [1.0]], ["a", "b"], [{}, 2.0]])
+@pytest.mark.parametrize("odds", [[[2.0, 2.0], [1.0]], ["a", "b"], [{}, 2.0], [10**400, 2.0]])
 def test_ragged_or_non_numeric_odds_raise_nonpositive_odds(new, odds):
     values = VECTOR if new is new_race else JOINT
     with pytest.raises(NonPositiveOddsError, match="^odds must be an array of numbers"):
