@@ -153,21 +153,20 @@ def _parse_side_info(doc: dict) -> SideInfoMarket:
 
 
 def _parse_beta(value, field: str) -> float:
-    """``value`` (flag text or a spec's JSON value) as a beta; errors name ``field``."""
+    """``value`` (flag text or a spec's JSON value) as a beta; errors name ``field``.
+    Only the labels ``+inf``, ``inf`` and ``-inf`` name the limits."""
     label = str(value).strip().lower()
     if label == "kelly":
         return 0.0
-    if label in ("+inf", "inf"):
-        return math.inf
-    if label == "-inf":
-        return -math.inf
+    if isinstance(value, str) and label in ("+inf", "inf", "-inf"):
+        return float(label)
     try:
-        value = float(label)
+        beta = float(label)
     except ValueError:
         raise _CommandError(2, f"{field} must be kelly, +inf, -inf, or a decimal, got {value!r}")
-    if math.isnan(value):
-        raise _CommandError(2, f"{field} must not be NaN")
-    return value
+    if not math.isfinite(beta):  # NaN, or a number beyond the float range
+        raise _CommandError(2, f"{field} must be finite, or kelly, +inf or -inf; got {value!r}")
+    return beta
 
 
 def _beta_label(beta: float) -> str:

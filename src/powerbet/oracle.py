@@ -30,7 +30,9 @@ wealth and the O(outcomes) PMF and log2 payoffs, and replays its races from
 the seed, a chunk at a time, when they are asked for; a ``U_beta`` estimate
 keeps only per-outcome counts.  So both take O(chunk + outcomes) memory for
 any number of races, and ``log_wealth`` costs 8 bytes per race only once it
-is read.
+is read.  The counts, a pure function of (outcome PMF, n, seed), serve every
+beta, so one slot keeps the latest stream's key and counts: an estimate right
+after ``simulate_growth`` of the same stream does not draw it again.
 """
 
 from __future__ import annotations
@@ -63,6 +65,7 @@ _BLOCK_CELLS = 1 << 14
 _MC_CHUNK = 1 << 14
 _SEED_BOUND = 1 << 128  # Philox keys are 128-bit
 _GUIDE_BITS = 14  # the outcome sampler's guide table has at most 2^14 entries (128 KB)
+_drawn: tuple = (None, None)  # (key, read-only counts) of the latest stream drawn
 
 
 @dataclass(frozen=True)
@@ -292,7 +295,18 @@ def kkt_residual(
     )
 
 
-def _winner_chunks(probs: np.ndarray, n: int, seed: int, unit: str) -> Iterator[np.ndarray]:
+def _stream_key(probs: np.ndarray, n: int, seed: int, unit: str) -> tuple:
+    """``(PMF bytes, n, seed)``, the stream's key, once ``n`` and ``seed`` are checked."""
+    if isinstance(n, bool) or not isinstance(n, Integral):
+        raise NotEvaluableError(f"the number of {unit}s must be an integer, got {n!r}")
+    if n < 1:
+        raise NotEvaluableError(f"need at least one {unit}, got {n}")
+    if isinstance(seed, bool) or not isinstance(seed, Integral) or not 0 <= seed < _SEED_BOUND:
+        raise NotEvaluableError(f"seed must be an integer in [0, 2**128), got {seed!r}")
+    return probs.tobytes(), int(n), int(seed)
+
+
+def _winner_chunks(probs: np.ndarray, n: int, seed: int) -> Iterator[np.ndarray]:
     """Outcome indices of ``n`` seeded races drawn from the PMF ``probs``, in
     chunks of at most ``_MC_CHUNK``.
 
@@ -307,18 +321,11 @@ def _winner_chunks(probs: np.ndarray, n: int, seed: int, unit: str) -> Iterator[
     number of outcomes up to ``_GUIDE_BITS``, index a guide table holding the
     number of thresholds at or below each bucket's start (Chen & Asau 1974,
     "indexed search").  A branchless binary search from that count, with as
-    many steps as the fullest bucket needs (usually one), finishes it.  ``n``
-    and ``seed`` are checked before anything is drawn.
+    many steps as the fullest bucket needs (usually one), finishes it.
 
     Every chunk is a view of one buffer that the next chunk overwrites, and
     the search works in two more, so a chunk allocates only its raw words.
     """
-    if isinstance(n, bool) or not isinstance(n, Integral):
-        raise NotEvaluableError(f"the number of {unit}s must be an integer, got {n!r}")
-    if n < 1:
-        raise NotEvaluableError(f"need at least one {unit}, got {n}")
-    if isinstance(seed, bool) or not isinstance(seed, Integral) or not 0 <= seed < _SEED_BOUND:
-        raise NotEvaluableError(f"seed must be an integer in [0, 2**128), got {seed!r}")
     bitgen = np.random.Philox(key=int(seed))
     top = 1 << 53
     thresholds = np.ceil(np.cumsum(probs)[:-1] * top).astype(np.int64)
@@ -351,15 +358,16 @@ def _winner_chunks(probs: np.ndarray, n: int, seed: int, unit: str) -> Iterator[
 
 
 def _log_wealth_chunks(
-    probs: np.ndarray, increments: np.ndarray, n_races: int, seed: int
+    probs: np.ndarray, increments: np.ndarray, n_races: int, seed: int, counts=None
 ) -> Iterator[np.ndarray]:
     """Cumulative log2 wealth of ``n_races`` seeded races, a chunk at a time, each
-    race adding the ``increments`` entry of its outcome.  Every chunk is a view of
-    one buffer that the next chunk overwrites."""
-    chunks = _winner_chunks(probs, n_races, seed, "race")  # checks n_races and seed
+    race adding its outcome's ``increments`` entry and, if given, one to its
+    ``counts`` entry.  Every chunk is a view of one buffer the next overwrites."""
     buf = np.empty(min(_MC_CHUNK, n_races))
     carry = 0.0
-    for outcomes in chunks:
+    for outcomes in _winner_chunks(probs, n_races, seed):
+        if counts is not None:
+            counts += np.bincount(outcomes, minlength=counts.size)
         step = buf[: outcomes.size]
         # outcomes are in range, so "clip" changes none; unlike "raise" it
         # writes straight into the buffer instead of through a temporary
@@ -378,13 +386,18 @@ def simulate_growth(
 
     Identical (market, allocation, n, seed) inputs reproduce the trajectory
     bit for bit.  An outcome paying 0 sends the wealth to ``-inf`` and it
-    stays there.
+    stays there.  The pass counts the outcomes for :func:`estimate_ubeta`.
     """
+    global _drawn
     probs, payoffs = _outcomes(market, b)
+    key = _stream_key(probs, n_races, seed, "race")
     with np.errstate(divide="ignore"):
         increments = np.log2(payoffs)
-    for chunk in _log_wealth_chunks(probs, increments, n_races, seed):
+    counts = np.zeros(probs.size, dtype=np.int64)
+    for chunk in _log_wealth_chunks(probs, increments, n_races, seed, counts):
         final = chunk[-1]
+    counts.flags.writeable = False
+    _drawn = (key, counts)
     return WealthTrajectory(n_races, seed, float(final), probs, increments)
 
 
@@ -397,12 +410,20 @@ def estimate_ubeta(
 
     The sample mean of ``S^beta`` is taken from exact per-outcome counts, so
     memory is O(chunk + outcomes) and the value does not depend on the chunk size.
+    It reuses the counts of the latest stream drawn (by :func:`simulate_growth`
+    or an estimate) when its outcome PMF, ``n`` and seed match: same value, bit for bit.
     """
+    global _drawn
     beta = _check_beta(beta)
     probs, payoffs = _outcomes(market, b)
-    counts = np.zeros(probs.size, dtype=np.int64)
-    for outcomes in _winner_chunks(probs, n_samples, seed, "sample"):
-        counts += np.bincount(outcomes, minlength=probs.size)
+    key = _stream_key(probs, n_samples, seed, "sample")
+    latest, counts = _drawn
+    if latest != key:
+        counts = np.zeros(probs.size, dtype=np.int64)
+        for outcomes in _winner_chunks(probs, n_samples, seed):
+            counts += np.bincount(outcomes, minlength=probs.size)
+        counts.flags.writeable = False
+        _drawn = (key, counts)
     drawn = counts > 0
     # outcomes never drawn are left out: a zero payoff would give -inf + inf
     # for beta < 0, while one that was drawn is a +inf term, so the estimate is -inf

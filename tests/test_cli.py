@@ -244,6 +244,24 @@ class TestOptimize:
         assert main(["optimize", fair_spec, "--beta", "x"]) == 2
         assert capsys.readouterr().err.startswith("error: --beta must be kelly")
 
+    @pytest.mark.parametrize("text", ["1e400", "-1e400"])
+    def test_beta_beyond_the_float_range_is_invalid_input(self, capsys, fair_spec, tmp_path, text):
+        # float("1e400") and json's 1e400 are both inf: only the labels name the limits
+        for cmd in ("optimize", "simulate"):
+            assert main([cmd, fair_spec, "--beta", text]) == 2
+            assert capsys.readouterr().err.startswith("error: --beta must be finite")
+        horses = '[{"p": 0.6, "odds": 2.0}, {"p": 0.4, "odds": 2.0}]'
+        for number in (text, text.replace("1e400", "Infinity")):
+            path = tmp_path / "huge.json"
+            path.write_text(f'{{"horses": {horses}, "beta": {number}}}')
+            assert main(["optimize", str(path)]) == 2
+            assert capsys.readouterr().err.startswith("error: beta must be finite")
+        label = text.replace("1e400", "inf")
+        path.write_text(f'{{"horses": {horses}, "beta": "{label}"}}')
+        code, out = run(capsys, "optimize", str(path))
+        assert code == 0
+        assert json.loads(out)["beta"] == ("-inf" if text[0] == "-" else "+inf")
+
     def test_joint_cell_too_large_for_a_float_is_invalid_input(self, capsys, tmp_path):
         doc = {
             "horses": [{"p": 0.5, "odds": 2.0}, {"p": 0.5, "odds": 3.0}],

@@ -7,6 +7,7 @@ import pytest
 
 from powerbet import (
     Allocation,
+    BetaOutOfRangeError,
     ConditionalAllocation,
     GridSpec,
     GridTooLargeError,
@@ -507,6 +508,12 @@ OUTCOME_CASES = {
 }
 
 
+def _cold_estimate(*args):
+    """``estimate_ubeta(*args)`` with the stream slot emptied first, so it draws."""
+    oracle._drawn = (None, None)
+    return estimate_ubeta(*args)
+
+
 def _outcome_moments(case):
     """Each outcome's probability and payoff, written out independently of the library."""
     market, b, _ = OUTCOME_CASES[case]
@@ -522,7 +529,7 @@ class TestMonteCarloOverOutcomes:
         market, b, _ = OUTCOME_CASES[case]
         first, again = (simulate_growth(market, b, 5000, seed=3) for _ in range(2))
         np.testing.assert_array_equal(first.log_wealth, again.log_wealth)
-        assert estimate_ubeta(market, b, 0.5, 5000, 3) == estimate_ubeta(market, b, 0.5, 5000, 3)
+        assert estimate_ubeta(market, b, 0.5, 5000, 3) == _cold_estimate(market, b, 0.5, 5000, 3)
         assert np.all(np.isfinite(first.log_wealth))  # the impossible cell is never drawn
 
     def test_zero_beta_is_the_simulated_growth_rate(self, case):
@@ -652,7 +659,7 @@ class TestStreamingMonteCarlo:
         for i, market in enumerate(cases):
             for n in (1, chunk - 1, chunk, chunk + 1, 2 * chunk):
                 seed = 500 + i + n
-                chunks = oracle._winner_chunks(market.probs, n, seed, "race")
+                chunks = oracle._winner_chunks(market.probs, n, seed)
                 drawn = np.concatenate([c.copy() for c in chunks])  # each overwrites the last
                 assert drawn.tobytes() == reference_winners(market, n, seed).tobytes()
 
@@ -668,7 +675,7 @@ class TestStreamingMonteCarlo:
             x = np.minimum(x, ends[1])
             words = np.concatenate([x << np.uint64(11), (x << np.uint64(11)) | np.uint64(0x7FF)])
             monkeypatch.setattr(np.random, "Philox", _fixed_words(words))
-            chunks = oracle._winner_chunks(market.probs, words.size, 0, "race")
+            chunks = oracle._winner_chunks(market.probs, words.size, 0)
             drawn = np.concatenate([c.copy() for c in chunks])
             u = (words >> np.uint64(11)) * 2.0**-53
             expected = np.minimum(np.searchsorted(bounds, u, side="right"), market.m - 1)
@@ -678,14 +685,14 @@ class TestStreamingMonteCarlo:
         n = 1000
         cases = list(_streaming_cases())[:6]
         expected = [
-            (simulate_growth(mk, b, n, 5).log_wealth, estimate_ubeta(mk, b, -0.5, n, 5))
+            (simulate_growth(mk, b, n, 5).log_wealth, _cold_estimate(mk, b, -0.5, n, 5))
             for mk, b in cases
         ]
         for chunk in (1, 3, 7, 64):
             monkeypatch.setattr(oracle, "_MC_CHUNK", chunk)
             for (mk, b), (traj, est) in zip(cases, expected):
                 assert simulate_growth(mk, b, n, 5).log_wealth.tobytes() == traj.tobytes()
-                assert estimate_ubeta(mk, b, -0.5, n, 5) == est
+                assert _cold_estimate(mk, b, -0.5, n, 5) == est
 
     def test_memory_is_bounded_by_the_chunk(self):
         market = new_race([0.5, 0.3, 0.2], [2, 4, 8])
@@ -745,3 +752,99 @@ class TestStreamingMonteCarlo:
         top = 2**128 - 1
         traj = simulate_growth(MARKET_B, b, 50, top)
         assert traj.log_wealth.tobytes() == reference_log_wealth(MARKET_B, b, 50, top).tobytes()
+
+
+def _counting_draws(monkeypatch) -> list:
+    """Stand in for ``_winner_chunks`` with a wrapper that logs each draw's
+    (PMF, n, seed)."""
+    calls, draw = [], oracle._winner_chunks
+
+    def counting(probs, n, seed):
+        calls.append((probs.tobytes(), n, seed))
+        return draw(probs, n, seed)
+
+    monkeypatch.setattr(oracle, "_winner_chunks", counting)
+    return calls
+
+
+SHARED_BETAS = (-math.inf, -2.0, -0.5, 0.0, 0.5, 3.0, math.inf)
+
+
+class TestSharedDraw:
+    def test_reused_counts_give_the_cold_estimate_bit_for_bit(self):
+        chunk = oracle._MC_CHUNK
+        cases = list(_streaming_cases())
+        cases += [(market, b) for market, b, _ in OUTCOME_CASES.values()]
+        for i, (market, b) in enumerate(cases):
+            for n in (1, chunk - 1, chunk, chunk + 1, 2 * chunk):
+                seed = 300 + i
+                simulate_growth(market, b, n, seed)
+                warm = np.array([estimate_ubeta(market, b, beta, n, seed) for beta in SHARED_BETAS])
+                cold = np.array([_cold_estimate(market, b, beta, n, seed) for beta in SHARED_BETAS])
+                assert warm.tobytes() == cold.tobytes()
+
+    def test_a_simulation_and_its_estimates_draw_once(self, monkeypatch):
+        calls = _counting_draws(monkeypatch)
+        b, other = kelly(MARKET_B), new_race([0.5, 0.5], [2, 2])
+        traj = simulate_growth(MARKET_B, b, 1000, 3)
+        for beta in (-0.5, 0.0, 2.0):
+            estimate_ubeta(MARKET_B, b, beta, 1000, 3)
+        assert len(calls) == 1
+        estimate_ubeta(MARKET_B, b, 0.5, 1001, 3)
+        estimate_ubeta(MARKET_B, b, 0.5, 1000, 4)
+        estimate_ubeta(other, kelly(other), 0.5, 1000, 3)
+        assert len(calls) == 4
+        simulate_growth(MARKET_B, b, 1000, 3)
+        simulate_growth(other, kelly(other), 1000, 3)  # takes the one slot
+        estimate_ubeta(MARKET_B, b, 0.5, 1000, 3)
+        assert len(calls) == 7
+        # a replay draws the stream again but does not take the slot
+        simulate_growth(other, kelly(other), 1000, 3)
+        traj.log_wealth
+        list(traj.chunks())
+        estimate_ubeta(other, kelly(other), 0.5, 1000, 3)
+        assert len(calls) == 10
+
+    def test_bets_on_the_same_outcomes_share_a_draw(self, monkeypatch):
+        bets = [
+            Allocation([0.7, 0.3]),
+            Allocation([0.2, 0.8]),
+            PartialAllocation(0.5, [0.3, 0.2]),
+        ]
+        cold = [_cold_estimate(MARKET_B, b, 0.5, 5000, 6) for b in bets]
+        calls = _counting_draws(monkeypatch)
+        simulate_growth(MARKET_B, bets[0], 5000, 6)
+        warm = [estimate_ubeta(MARKET_B, b, 0.5, 5000, 6) for b in bets]
+        assert len(calls) == 1
+        assert warm == cold
+        assert len(set(warm)) == 3
+
+    def test_reused_counts_skip_no_check(self):
+        b = kelly(MARKET_B)
+        simulate_growth(MARKET_B, b, 1, 1)  # True == 1 and 1.0 == 1 would match its key
+        for beta in (math.nan, 1e7):
+            with pytest.raises(BetaOutOfRangeError):
+                estimate_ubeta(MARKET_B, b, beta, 1, 1)
+        with pytest.raises(BetaOutOfRangeError):  # beta comes first
+            estimate_ubeta(MARKET_B, Allocation([1.0]), math.nan, True, -1)
+        with pytest.raises(LengthMismatchError):  # then the bet
+            estimate_ubeta(MARKET_B, Allocation([1.0]), 0.5, True, -1)
+        for seed in (-1, 1):  # then n
+            with pytest.raises(NotEvaluableError, match="number of samples"):
+                estimate_ubeta(MARKET_B, b, 0.5, True, seed)
+        for seed in (-1, 2**128, 1.0):
+            with pytest.raises(NotEvaluableError, match="seed"):
+                estimate_ubeta(MARKET_B, b, 0.5, 1, seed)
+
+    def test_reused_counts_allocate_nothing_per_race(self):
+        market = new_race([0.5, 0.3, 0.2], [2, 4, 8])
+        b = Allocation([0.5, 0.3, 0.2])
+        n = 2 * 10**6
+        simulate_growth(market, b, n, seed=1)
+        tracemalloc.start()
+        try:
+            estimate_ubeta(market, b, 0.5, n, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**10  # a cold draw's buffers alone are 3 x 128 KB
