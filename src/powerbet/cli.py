@@ -1,8 +1,13 @@
 """Command-line interface over file-based race specifications.
 
 Commands: ``analyze`` (odds-derived quantities), ``optimize`` (allocations,
-utility, decomposition, optional oracle cross-check), ``simulate`` (seeded
-wealth trajectories), ``divergence`` (plain and conditional divergences).
+utility, decomposition, optional certificate), ``simulate`` (seeded wealth
+trajectories), ``divergence`` (plain and conditional divergences).
+
+``optimize --check`` certifies what it prints: at finite ``beta < 1``, in every
+mode, the printed doubles are the correctly rounded fractions of a point whose
+Frank-Wolfe gap (nats of ``ln M_beta`` below the optimum) is at most the printed
+bound; at ``beta >= 1`` and ``+-inf`` exact bounds on the optimal value hold.
 
 Race spec files are JSON documents::
 
@@ -46,8 +51,6 @@ from .market import (
     track_constant,
 )
 
-KKT_GAP_TOL = 1e-8
-RESIDUAL_TOL = 1e-9
 ORACLE_VALUE_TOL = 1e-9
 
 
@@ -76,7 +79,7 @@ def _load_spec(path: str) -> dict:
             doc = json.load(fh)
     except OSError as exc:
         raise _CommandError(2, f"cannot read spec file: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past the int-string limit
         raise _CommandError(2, f"spec file is not valid JSON: {exc}")
     if not isinstance(doc, dict):
         raise _CommandError(2, "spec file must contain a JSON object")
@@ -202,93 +205,74 @@ def cmd_analyze(args) -> tuple[dict, int]:
 # ---------------------------------------------------------------- optimize
 
 
-def _resolution(k: int | None, dimension: int) -> int:
-    """``--grid-resolution``, or by default the largest resolution <= 200
-    whose grid stays within ``oracle.MAX_GRID_POINTS``."""
-    if k is None:
-        k = 200
-        while k > 2 and oracle.GridSpec(k, dimension).n_points > oracle.MAX_GRID_POINTS:
-            k -= 1
-    return k
+def _read_logs(printed: np.ndarray, logs: np.ndarray) -> np.ndarray | None:
+    """The logs the certificate reads: the printed fractions', but below the smallest
+    normal double, where a fraction keeps fewer bits, the optimizer's ``logs`` if they
+    round to it within a factor of 2 or a step of 2^-1074 (else None: not this point)."""
+    low = printed < divergence._NORMAL_MIN
+    exact = np.exp(logs[low])
+    if np.any(np.abs(exact - printed[low]) > np.minimum(exact, printed[low]) + 2.0**-1074):
+        return None
+    with np.errstate(divide="ignore"):
+        return np.where(low, logs, np.log(printed))
 
 
-def _check_full(market: RaceMarket, beta: float, alloc, value: float, k: int) -> tuple[dict, int]:
-    grid = oracle.GridSpec(resolution=k, dimension=market.m)
-    grid_alloc, grid_value = oracle.grid_search_full(market, beta, grid)
-    gap = grid_value - value
-    distance = float(np.max(np.abs(grid_alloc.bets - alloc.bets)))
-    ok = gap <= ORACLE_VALUE_TOL
-    if beta < 1.0:
-        ok = ok and distance <= 2.0 / k
-    doc = {
-        "kind": "grid_full",
-        "grid_resolution": k,
-        "grid_value_bits": grid_value,
-        "analytic_value_bits": value,
-        "grid_minus_analytic": gap,
-        "max_allocation_distance": distance,
-        "passed": ok,
-    }
-    return doc, 0 if ok else 4
-
-
-def _check_limit(market: RaceMarket, beta: float, alloc, value: float) -> tuple[dict, int]:
-    """The exact payoff bound of a limit optimum: the longest odds at ``+inf``,
-    and every payoff at the track constant at ``-inf``."""
-    if beta > 0:
-        gap = abs(value - math.log2(float(np.max(market.odds))))
-    else:
+def _check(market, mode: str, beta: float, value: float, printed, args) -> tuple[dict, int]:
+    """``--check`` of an optimum of ``value`` bits and fractions ``printed``: the payoff
+    bound at ``+-inf``, the exact vertex bound ``max_j (log2 o_j + log2 p_j / beta)`` at
+    ``beta >= 1``, else the certificate.  Beside it a grid runs in full mode at finite
+    ``beta != 0`` and in partial mode, ``--grid-resolution`` or else 200 if that fits."""
+    if math.isinf(beta):  # the longest odds at +inf, every payoff at the track constant at -inf
         c = track_constant(market)
-        gap = float(np.max(np.abs(alloc.bets * market.odds - c))) / c
-    ok = gap <= 1e-12
-    return {"kind": "limit_bound", "gap": gap, "passed": ok}, 0 if ok else 4
+        top = math.log2(float(np.max(market.odds)))
+        gap = abs(value - top) if beta > 0 else float(np.max(np.abs(printed * market.odds - c))) / c
+        doc = {"kind": "limit_bound", "gap": gap, "passed": gap <= 1e-12}
+    elif beta >= 1.0:
+        bound = float(np.max(np.log2(market.odds) + np.log2(market.probs) / beta))
+        doc = {"kind": "vertex_bound", "vertex_value_bits": bound, "gap_bits": bound - value}
+        doc["passed"] = bound - value <= ORACLE_VALUE_TOL
+    else:
+        log_o = np.log(market.odds)
+        if mode == "side-info":
+            cond = strategy._side_info_logs(market)
+            logs = strategy._log_weights_side_info(*cond, log_o, beta)[0]
+        elif mode == "partial":
+            logs = np.append(*strategy._log_weights_partial(market, beta)[:2])
+            logs -= divergence._logsumexp(logs)  # the fractions' own logs
+        else:
+            logs = strategy._log_weights_full(np.log(market.probs), log_o, beta)
+        read = _read_logs(printed, logs)
+        gap = math.inf if read is None else oracle._certificate(market, beta, read)
+        tol = oracle._GAP_TOL * max(1.0, abs(1.0 - beta))
+        doc = {"kind": "certificate", "gap_nats": gap, "tolerance_nats": tol, "passed": gap <= tol}
+
+    k = args.grid_resolution
+    if k is None and oracle.GridSpec(200, printed.size).n_points <= oracle.MAX_GRID_POINTS:
+        k = 200
+    if k is not None and (mode == "partial" or (mode == "full" and math.isfinite(beta) and beta)):
+        grid = oracle.GridSpec(k, printed.size)
+        if mode == "partial":
+            grid_value, ok = oracle.grid_search_partial(market, beta, grid)[1], True
+        else:
+            found, grid_value = oracle.grid_search_full(market, beta, grid)
+            doc["max_allocation_distance"] = float(np.max(np.abs(found.bets - printed)))
+            ok = beta >= 1.0 or doc["max_allocation_distance"] <= 2.0 / k
+        doc.update(grid_resolution=k, grid_value_bits=grid_value, analytic_value_bits=value)
+        doc["grid_minus_analytic"] = grid_value - value
+        doc["passed"] = doc["passed"] and ok and grid_value - value <= ORACLE_VALUE_TOL
+    return doc, 0 if doc["passed"] else 4
 
 
-def _check_partial(
-    market: RaceMarket, beta: float, sol: strategy.PartialSolution, k: int
-) -> tuple[dict, int]:
-    grid = oracle.GridSpec(resolution=k, dimension=market.m + 1)
-    _, grid_value = oracle.grid_search_partial(market, beta, grid)
-    kkt = asdict(oracle.kkt_residual(market, beta, sol.allocation, gamma_cap=sol.gamma_cap))
-    gaps = [gap for name, gap in kkt.items() if name != "mu" and gap is not None]
-    ok = (grid_value - sol.utility) <= ORACLE_VALUE_TOL and max(gaps) < KKT_GAP_TOL
-    doc = {
-        "kind": "grid_partial_and_kkt",
-        "grid_resolution": k,
-        "grid_value_bits": grid_value,
-        "analytic_value_bits": sol.utility,
-        "grid_minus_analytic": grid_value - sol.utility,
-        "kkt": kkt,
-        "passed": ok,
-    }
-    return doc, 0 if ok else 4
-
-
-def _optimize_full(market: RaceMarket, beta: float, args, out: dict) -> int:
-    code = 0
+def _optimize_full(market: RaceMarket, beta: float, out: dict) -> np.ndarray:
     alloc = strategy.dispatch(market, beta)
     if -math.inf < beta < 1.0:
         out["decomposition"] = asdict(utility.decompose_full(market, alloc, beta))
-    value = utility.utility_full(market, alloc, beta)
-    if args.check and beta == 0.0:
-        residual = out["decomposition"]["residual"]
-        ok = residual < RESIDUAL_TOL and np.array_equal(alloc.bets, market.probs)
-        out["oracle_check"] = {"kind": "kelly_identity", "residual": residual, "passed": ok}
-        code = 0 if ok else 4
-    elif args.check and math.isinf(beta):
-        out["oracle_check"], code = _check_limit(market, beta, alloc, value)
-    elif args.check:
-        out["oracle_check"], code = _check_full(
-            market, beta, alloc, value, _resolution(args.grid_resolution, market.m)
-        )
     out["allocation"] = {"type": "full", "bets": _floats(alloc.bets)}
-    out["utility_bits"] = value
-    return code
+    out["utility_bits"] = utility.utility_full(market, alloc, beta)
+    return alloc.bets
 
 
-def _optimize_partial(market: RaceMarket, beta: float, args, out: dict) -> int:
-    if math.isinf(beta) or beta >= 1.0:
-        raise _CommandError(3, "partial mode needs a finite beta < 1")
+def _optimize_partial(market: RaceMarket, beta: float, out: dict) -> np.ndarray:
     sol = strategy.optimal_partial(market, beta)
     out["allocation"] = {
         "type": "partial",
@@ -299,17 +283,10 @@ def _optimize_partial(market: RaceMarket, beta: float, args, out: dict) -> int:
         "gammas": None if sol.gammas is None else _floats(sol.gammas),
     }
     out["utility_bits"] = sol.utility
-    code = 0
-    if args.check:
-        out["oracle_check"], code = _check_partial(
-            market, beta, sol, _resolution(args.grid_resolution, market.m + 1)
-        )
-    return code
+    return np.append(sol.allocation.cash, sol.allocation.bets)
 
 
-def _optimize_side_info(market: SideInfoMarket, beta: float, args, out: dict) -> int:
-    if math.isinf(beta) or beta >= 1.0:
-        raise _CommandError(3, "side-info mode needs a finite beta < 1")
+def _optimize_side_info(market: SideInfoMarket, beta: float, out: dict) -> np.ndarray:
     alloc, signal_weights = strategy.optimal_side_info(market, beta)
     report = utility.decompose_side_info(market, alloc, beta)
     out["allocation"] = {
@@ -319,21 +296,7 @@ def _optimize_side_info(market: SideInfoMarket, beta: float, args, out: dict) ->
     }
     out["utility_bits"] = report.direct
     out["decomposition"] = asdict(report)
-    code = 0
-    if args.check:
-        alpha = 1.0 / (1.0 - beta)
-        marginal_gain = report.bookie_term - divergence.renyi_div(
-            market.horse_probs, bookie_distribution(market), alpha
-        )
-        ok = report.residual < RESIDUAL_TOL and marginal_gain >= -1e-12
-        out["oracle_check"] = {
-            "kind": "side_info_identity",
-            "residual": report.residual,
-            "signal_value_bits": marginal_gain,
-            "passed": ok,
-        }
-        code = 0 if ok else 4
-    return code
+    return alloc.table
 
 
 def cmd_optimize(args) -> tuple[dict, int]:
@@ -355,17 +318,15 @@ def cmd_optimize(args) -> tuple[dict, int]:
         "decomposition": None,
         "oracle_check": None,
     }
-    if mode == "side-info":
-        market = _parse_side_info(doc)
-        out.update(_market_summary(market))
-        code = _optimize_side_info(market, beta, args, out)
-    else:
-        market = _parse_race(doc)
-        out.update(_market_summary(market))
-        if mode == "partial":
-            code = _optimize_partial(market, beta, args, out)
-        else:
-            code = _optimize_full(market, beta, args, out)
+    market = _parse_side_info(doc) if mode == "side-info" else _parse_race(doc)
+    out.update(_market_summary(market))
+    if mode != "full" and (math.isinf(beta) or beta >= 1.0):
+        raise _CommandError(3, f"{mode} mode needs a finite beta < 1")
+    optimize = {"full": _optimize_full, "partial": _optimize_partial}.get(mode, _optimize_side_info)
+    printed = optimize(market, beta, out)  # the fractions, the cash first in partial mode
+    if not args.check:
+        return out, 0
+    out["oracle_check"], code = _check(market, mode, beta, out["utility_bits"], printed, args)
     return out, code
 
 
@@ -458,8 +419,10 @@ def _load_dist_arg(text: str, field: str) -> list[list[float]]:
         try:
             with open(text, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except OSError as exc:
             raise _CommandError(2, f"{field}: cannot load {text!r}: {exc}")
+        except ValueError as exc:  # as in _load_spec
+            raise _CommandError(2, f"{field}: {text!r} is not valid JSON: {exc}")
         try:
             arr = np.asarray(data, dtype=float)
         except (TypeError, ValueError, OverflowError):

@@ -1,10 +1,13 @@
 """Independent verification machinery.
 
-Three kinds of oracle live here:
+Four kinds of oracle live here:
 
+* a Frank-Wolfe certificate for finite ``beta < 1``: from the log fractions of
+  a full, partial or conditional allocation, a bound in nats on how far its
+  ``ln M_beta`` falls below the optimum's, certifying the doubles that round them,
 * exhaustive simplex grid search, enumerating exact integer compositions
   so the feasible set carries no floating-point drift,
-* a stationarity / complementary-slackness residual check certifying a
+* a stationarity / complementary-slackness residual check of a
   partial-investment allocation,
 * seeded Monte Carlo race simulation with a counter-based generator, so
   the sample stream is a pure function of (seed, race index).
@@ -46,7 +49,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .divergence import _log2_power_mean
+from .divergence import _log, _log2_power_mean, _logsumexp
 from .errors import BetaOutOfRangeError, GridTooLargeError, LengthMismatchError, NotEvaluableError
 from .market import RaceMarket, SideInfoMarket
 from .strategy import Allocation, PartialAllocation, _Bet, _check_beta, _outcomes
@@ -66,6 +69,7 @@ _MC_CHUNK = 1 << 14
 _SEED_BOUND = 1 << 128  # Philox keys are 128-bit
 _GUIDE_BITS = 14  # the outcome sampler's guide table has at most 2^14 entries (128 KB)
 _drawn: tuple = (None, None)  # (key, read-only counts) of the latest stream drawn
+_GAP_TOL = 1e-10  # the largest certifying _certificate gap, in nats per max(1, |1 - beta|)
 
 
 @dataclass(frozen=True)
@@ -293,6 +297,42 @@ def kkt_residual(
         cash_feasibility_gap=cash_feasibility,
         mu_gamma_gap=mu_gamma_gap,
     )
+
+
+def _certificate(market: RaceMarket | SideInfoMarket, beta: float, log_fractions) -> float:
+    """Frank-Wolfe gap, in nats, of an allocation given by its natural-log fractions,
+    for finite ``beta < 1``: the m bets of a full one, or its cash (paying 1 on every
+    outcome) then the m bets, or a conditional table, one simplex per signal.
+
+    ``ln M_beta`` (``M_beta = E[S^beta]^(1/beta)``) is concave and 1-homogeneous in the
+    fractions, so it is within ``sum_y max_{j in y} g_j - 1`` of the optimum, ``g_j =
+    E[dS/db_j S^(beta-1)] / E[S^beta]`` (Jaggi 2013).  Each ``ln g_j`` is a difference
+    of log-sum-exps over the live outcomes: scale-free, O(outcomes), never NaN, +inf
+    where a possible outcome pays 0.  Each ``max g_j`` is weighed by its simplex's total,
+    for the gap of the point the fractions normalize to: exactly 0 at Kelly, b = p."""
+    log_o = np.log(market.odds)
+    if isinstance(market, SideInfoMarket):
+        log_w, log_x, log_cash = _log(market.joint), log_fractions, None
+    else:
+        log_w, log_x = np.log(market.probs)[None, :], log_fractions[None, -market.m :]
+        log_cash = log_fractions[0] if log_fractions.size > market.m else None
+    log_s = log_x + log_o if log_cash is None else np.logaddexp(log_cash, log_x + log_o)
+    dead = log_w == -math.inf
+    if np.any(log_s[~dead] == -math.inf):
+        return math.inf  # a possible outcome pays 0: its marginal value is infinite
+    with np.errstate(all="ignore"):  # 0 * inf off the live outcomes, ln 0, an infinite gap
+        terms = log_w + beta * log_s  # ln(w S^beta)
+        marginal = (log_w + log_o) + (beta - 1.0) * log_s  # ln(w o S^(beta-1)), one bet's
+        terms[dead] = marginal[dead] = -math.inf
+        rows = _logsumexp(terms, axis=1)
+        peak, size = marginal.max(axis=1), _logsumexp(log_x, axis=1)
+        if log_cash is not None:
+            peak = np.maximum(peak, _logsumexp(log_w + (beta - 1.0) * log_s))
+            size = np.logaddexp(size, log_cash)
+        # simplex y adds share_y (max g_j / share_y - 1), share_y = sum_{j in y} b_j g_j
+        excess = np.maximum(peak + size - rows, 0.0)
+        gaps = np.exp(rows - _logsumexp(rows) + excess + _log(-np.expm1(-excess)))
+    return float(gaps.sum())
 
 
 def _stream_key(probs: np.ndarray, n: int, seed: int, unit: str) -> tuple:

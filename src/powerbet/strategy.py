@@ -275,17 +275,25 @@ def optimal_partial(market: RaceMarket, beta: float) -> PartialSolution:
     0.0, and ``gammas`` to ``+inf``.
     """
     beta = _check_interior_beta(beta)
-    if not is_subfair(market):
-        alloc = _trusted(PartialAllocation, cash=0.0, bets=optimal_full(market, beta).bets)
-        return PartialSolution(
-            allocation=alloc,
-            support=tuple(range(market.m)),
-            gamma_cap=None,
-            gammas=None,
-            utility=_log2_power_mean(*_outcomes(market, alloc), beta),
-        )
+    log_cash, log_bets, cap, log_gammas = _log_weights_partial(market, beta)
+    weights, cash = np.exp(log_bets), math.exp(log_cash)  # normalized once, in the division
+    total = cash + float(weights.sum())
+    alloc = _trusted(PartialAllocation, cash=cash / total, bets=weights / total)
+    with np.errstate(over="ignore"):
+        gammas = None if cap is None else _freeze(np.exp(log_gammas))
+    support = tuple(range(market.m) if cap is None else np.flatnonzero(alloc.bets > 0.0).tolist())
+    utility = _log2_power_mean(*_outcomes(market, alloc), beta)
+    return PartialSolution(alloc, support, gamma_cap=cap, gammas=gammas, utility=utility)
 
+
+def _log_weights_partial(market: RaceMarket, beta: float):
+    """``(ln cash, ln bets, cap, ln gammas)`` of :func:`optimal_partial`'s optimum for a
+    validated ``beta``, the logs up to one common shift: the cash's is ``-peak`` and a bet's
+    its log gamma ``- peak``, ``peak >= 0`` the largest.  With ``c >= 1`` they are -inf and
+    the full-investment optimum's, and ``cap`` and the gammas None."""
     p, o = market.probs, market.odds
+    if not is_subfair(market):
+        return -math.inf, _log_weights_full(np.log(p), np.log(o), beta), None, None
     scores = p * o
     order = np.argsort(-scores, kind="stable")
     # Before horse order[k] is tried the support is order[:k].  Its unbacked
@@ -302,19 +310,7 @@ def optimal_partial(market: RaceMarket, beta: float) -> PartialSolution:
     log_gammas = np.full(market.m, -math.inf)
     log_gammas[backed] = z - np.log(o[backed]) + _log(-np.expm1(-z))
     peak = max(0.0, float(log_gammas.max()))  # the cash's log-weight is 0
-    weights = np.exp(log_gammas - peak)
-    cash = math.exp(-peak)
-    total = cash + float(weights.sum())
-    alloc = _trusted(PartialAllocation, cash=cash / total, bets=weights / total)
-    with np.errstate(over="ignore"):
-        gammas = np.exp(log_gammas)
-    return PartialSolution(
-        allocation=alloc,
-        support=tuple(np.flatnonzero(alloc.bets > 0.0).tolist()),
-        gamma_cap=cap,
-        gammas=_freeze(gammas),
-        utility=_log2_power_mean(*_outcomes(market, alloc), beta),
-    )
+    return -peak, log_gammas - peak, cap, log_gammas
 
 
 def fold_cash_into_bets(market: RaceMarket, partial: PartialAllocation) -> Allocation:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -10,7 +11,17 @@ import numpy as np
 import pytest
 
 from helpers import reference_log_wealth
-from powerbet import cli, new_race, optimal_full, simulate_growth
+from powerbet import (
+    Allocation,
+    ConditionalAllocation,
+    PartialAllocation,
+    cli,
+    new_race,
+    optimal_full,
+    simulate_growth,
+    strategy,
+    utility_partial,
+)
 from powerbet.cli import main
 
 
@@ -43,6 +54,26 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+@pytest.mark.parametrize("command", ["analyze", "optimize", "simulate", "divergence"])
+def test_integer_past_the_int_string_limit_is_invalid_input(capsys, tmp_path, command):
+    # json.load raises a plain ValueError, not a JSONDecodeError, for an
+    # integer of more than 4,300 digits
+    digits = "1" * 5000
+    path = tmp_path / "huge.json"
+    if command == "divergence":
+        path.write_text(f"[0.5, {digits}]")
+        argv = ["divergence", "--alpha", "2", "-p", str(path), "-q", "0.5,0.5"]
+    else:
+        horses = '[{"p": 0.5, "odds": 2.0}, {"p": 0.5, "odds": 2.0}]'
+        path.write_text(f'{{"horses": {horses}, "beta": {digits}}}')
+        argv = [command, str(path)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "is not valid JSON" in captured.err
 
 
 class TestAnalyze:
@@ -121,8 +152,9 @@ class TestOptimize:
         assert code == 0
         doc = json.loads(out)
         assert doc["allocation"]["cash"] == pytest.approx(6 / 83, abs=1e-12)
-        kkt = doc["oracle_check"]["kkt"]
-        assert max(kkt["stationarity_gap"], kkt["feasibility_gap"]) < 1e-8
+        check = doc["oracle_check"]
+        assert check["kind"] == "certificate"
+        assert 0.0 <= check["gap_nats"] <= check["tolerance_nats"] == 1e-10
 
     def test_full_with_grid_check(self, capsys, fair_spec):
         code, out = run(
@@ -183,7 +215,7 @@ class TestOptimize:
         assert code == 0
         check = json.loads(out)["oracle_check"]
         assert check["passed"] is True
-        assert check["kkt"]["mu"] == pytest.approx(1.0, rel=1e-15, abs=0.0)
+        assert 0.0 <= check["gap_nats"] <= check["tolerance_nats"] == 1e-10
 
     def test_kelly_check_tolerates_renormalization_ulps(self, capsys, tmp_path):
         # these probabilities renormalize to a vector summing to 1 - 1 ulp,
@@ -289,14 +321,24 @@ class TestOptimize:
         assert rows == [[0.5, 0.5]] * len(rows)
 
     def test_default_check_grid_fits_the_guard(self, capsys, tmp_path):
-        # a resolution of 200 would enumerate 70,058,751 points at 5 horses
+        # a resolution of 200 would enumerate 70,058,751 points at 5 horses:
+        # no default grid runs, and the certificate alone decides
         horses = [{"p": p, "odds": o} for p, o in zip([0.3, 0.25, 0.2, 0.15, 0.1], [3, 4, 5, 6, 9])]
         path = tmp_path / "five.json"
         path.write_text(json.dumps({"horses": horses}))
         code, out = run(capsys, "optimize", str(path), "--beta", "0.5", "--check")
         assert code == 0
         check = json.loads(out)["oracle_check"]
+        assert "grid_resolution" not in check
+        assert check["kind"] == "certificate"
+        assert check["gap_nats"] <= check["tolerance_nats"]
+        assert check["passed"] is True
+        argv = ["optimize", str(path), "--beta", "0.5", "--check", "--grid-resolution", "121"]
+        code, out = run(capsys, *argv)
+        assert code == 0
+        check = json.loads(out)["oracle_check"]
         assert check["grid_resolution"] == 121
+        assert check["grid_minus_analytic"] <= 1e-9
         assert check["passed"] is True
 
     def test_partial_cash_rounds_to_zero_close_to_one(self, capsys, subfair_spec):
@@ -306,14 +348,173 @@ class TestOptimize:
         alloc = json.loads(out)["allocation"]
         assert alloc["cash"] == 0.0
         assert alloc["bets"] == [1.0, 0.0]
-        # the certificate cannot certify a zero cash: its gaps are infinite
+        # the certificate reads the optimizer's log of the cash that rounds to 0.0
         code, out = run(capsys, *argv, "--check")
-        assert code == 4
+        assert code == 0
         check = json.loads(out)["oracle_check"]
         assert check["grid_minus_analytic"] <= 1e-9
-        assert check["kkt"]["feasibility_gap"] == math.inf
-        assert check["kkt"]["cash_feasibility_gap"] == math.inf
-        assert '"feasibility_gap": Infinity' in out
+        assert 0.0 <= check["gap_nats"] <= check["tolerance_nats"] == 1e-10
+        assert check["passed"] is True
+
+
+def _write(tmp_path, name, doc):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+# A subfair 3-horse race backing horses 0 and 1 at beta = 0.5 (p*o = 1.25, 0.96,
+# 0.6 against the threshold 0.696), and a side-info market on the same odds.
+MUTANT_SPEC = {
+    "horses": [{"p": 0.5, "odds": 2.5}, {"p": 0.3, "odds": 3.2}, {"p": 0.2, "odds": 3.0}],
+    "side_info": {"joint": [[0.3, 0.1, 0.1], [0.2, 0.2, 0.1]]},
+}
+
+
+def _rescaled(wrong, rows):
+    """``wrong`` scaled row by row to the totals of ``rows``."""
+    return wrong * rows.sum(axis=1, keepdims=True) / wrong.sum(axis=1, keepdims=True)
+
+
+# Each mutant maps the optimum's rows of bets, and the rows' p*o, to wrong bets
+# of the same row totals.
+MUTANTS = {
+    "swapped": lambda rows, scores, beta: rows[:, [1, 0, 2]],
+    # the exponent 1/(1 - beta) on the odds too, instead of beta/(1 - beta)
+    "wrong_exponent": lambda rows, scores, beta: _rescaled(scores ** (1.0 / (1.0 - beta)), rows),
+    "dropped": lambda rows, scores, beta: _rescaled(rows * [1.0, 0.0, 1.0], rows),
+}
+
+
+class TestCheck:
+    """``optimize --check``: the certificate at finite beta < 1, the vertex bound
+    at beta >= 1, the payoff bound at +-inf, and the grid beside them."""
+
+    @pytest.mark.parametrize("mutant", sorted(MUTANTS))
+    @pytest.mark.parametrize("mode", ["full", "partial", "side-info"])
+    def test_mutant_optimum_exits_4(self, capsys, monkeypatch, tmp_path, mode, mutant):
+        mutate = MUTANTS[mutant]
+        if mode == "full":
+            real_full = strategy.optimal_full
+
+            def fake(mk, beta):
+                rows = real_full(mk, beta).bets[None]
+                return Allocation(mutate(rows, (mk.probs * mk.odds)[None], beta)[0])
+
+            monkeypatch.setattr(strategy, "optimal_full", fake)
+        elif mode == "partial":
+            real_partial = strategy.optimal_partial
+
+            def fake(mk, beta):
+                sol = real_partial(mk, beta)
+                rows = sol.allocation.bets[None]
+                alloc = PartialAllocation(
+                    sol.allocation.cash, mutate(rows, (mk.probs * mk.odds)[None], beta)[0]
+                )
+                utility = utility_partial(mk, alloc, beta)
+                return dataclasses.replace(sol, allocation=alloc, utility=utility)
+
+            monkeypatch.setattr(strategy, "optimal_partial", fake)
+        else:
+            real_side = strategy.optimal_side_info
+
+            def fake(mk, beta):
+                table, weights = real_side(mk, beta)
+                rows = mutate(table.table, mk.conditional() * mk.odds, beta)
+                return ConditionalAllocation(rows), weights
+
+            monkeypatch.setattr(strategy, "optimal_side_info", fake)
+        spec = _write(tmp_path, "mutant.json", MUTANT_SPEC)
+        # a coarse grid keeps the run short; the certificate's own verdict is asserted
+        argv = ["optimize", spec, "--beta", "0.5", "--mode", mode, "--check"]
+        argv += ["--grid-resolution", "20"]
+        code, out = run(capsys, *argv)
+        assert code == 4
+        check = json.loads(out)["oracle_check"]
+        assert check["kind"] == "certificate"
+        assert check["gap_nats"] > 1e3 * check["tolerance_nats"]
+        assert (check["gap_nats"] == math.inf) == (mutant == "dropped")
+        assert check["passed"] is False
+
+    @pytest.mark.parametrize("mode", ["full", "partial", "side-info"])
+    def test_unmutated_optimum_passes(self, capsys, tmp_path, mode):
+        spec = _write(tmp_path, "mutant.json", MUTANT_SPEC)
+        argv = ["optimize", spec, "--beta", "0.5", "--mode", mode, "--check"]
+        argv += ["--grid-resolution", "20"]
+        code, out = run(capsys, *argv)
+        assert code == 0
+        check = json.loads(out)["oracle_check"]
+        assert 0.0 <= check["gap_nats"] <= check["tolerance_nats"] == 1e-10
+
+    def test_huge_odds_partial_race(self, capsys, tmp_path):
+        # odds c/r up to 2.4e75: the payoffs' marginal values are about 1e37,
+        # and the certificate's ratios of them stay exact
+        horses = [(0.221, 3.7e25), (0.321, 2.4e75), (0.178, 0.9), (0.28, 6.7e70)]
+        spec = _write(tmp_path, "huge.json", {"horses": [{"p": p, "odds": o} for p, o in horses]})
+        code, out = run(capsys, "optimize", spec, "--beta", "0.5", "--mode", "partial", "--check")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["allocation"]["support"] == [0, 1, 3]
+        check = doc["oracle_check"]
+        assert "grid_resolution" not in check  # 5 grid coordinates: no default grid
+        assert 0.0 <= check["gap_nats"] <= check["tolerance_nats"]
+
+    def test_subnormal_cash_is_read_from_the_normalized_logs(self, capsys, tmp_path):
+        # three tied backed horses: the cash's log-weight is about -721 against 0 for
+        # each bet, so the printed cash is a third of e^-721, a subnormal double
+        horses = [{"p": 0.3, "odds": 4}] * 3 + [{"p": 0.1, "odds": 1.05}]
+        spec = _write(tmp_path, "tied.json", {"horses": horses})
+        argv = ["optimize", spec, "--beta", "0.99848", "--mode", "partial", "--check"]
+        code, out = run(capsys, *argv)
+        assert code == 0
+        doc = json.loads(out)
+        assert 0.0 < doc["allocation"]["cash"] < np.finfo(float).tiny
+        assert doc["allocation"]["support"] == [0, 1, 2]
+        assert 0.0 <= doc["oracle_check"]["gap_nats"] <= doc["oracle_check"]["tolerance_nats"]
+
+    def test_thirty_horses_need_no_grid(self, capsys, tmp_path):
+        rng = np.random.default_rng(30)
+        p = rng.dirichlet(np.ones(30))
+        horses = [{"p": float(v), "odds": float(o)} for v, o in zip(p, rng.uniform(5.0, 60.0, 30))]
+        spec = _write(tmp_path, "thirty.json", {"horses": horses})
+        code, out = run(capsys, "optimize", spec, "--beta", "0.5", "--check")
+        assert code == 0
+        check = json.loads(out)["oracle_check"]
+        assert "grid_resolution" not in check
+        assert check["kind"] == "certificate"
+        assert 0.0 <= check["gap_nats"] <= check["tolerance_nats"]
+
+    @pytest.mark.parametrize("beta", ["-1e6", "kelly", "0.999"])
+    def test_side_info_certificate(self, capsys, tmp_path, beta):
+        spec = _write(tmp_path, "side.json", MUTANT_SPEC)
+        code, out = run(capsys, "optimize", spec, "--beta", beta, "--mode", "side-info", "--check")
+        assert code == 0
+        check = json.loads(out)["oracle_check"]
+        assert check["tolerance_nats"] == 1e-10 * max(1.0, 1.0 - float(beta.replace("kelly", "0")))
+        assert 0.0 <= check["gap_nats"] <= check["tolerance_nats"]
+
+    def test_kelly_gap_is_exactly_zero(self, capsys, fair_spec):
+        code, out = run(capsys, "optimize", fair_spec, "--beta", "kelly", "--check")
+        assert code == 0
+        check = json.loads(out)["oracle_check"]
+        expected = {"kind": "certificate", "gap_nats": 0.0, "tolerance_nats": 1e-10, "passed": True}
+        assert check == expected
+
+    def test_vertex_bound_above_one(self, capsys, monkeypatch, tmp_path):
+        spec = _write(tmp_path, "mutant.json", MUTANT_SPEC)
+        code, out = run(capsys, "optimize", spec, "--beta", "2", "--check")
+        assert code == 0
+        check = json.loads(out)["oracle_check"]
+        assert check["kind"] == "vertex_bound"
+        # p o^2 = 3.125, 3.072, 1.8: the first horse's vertex is the optimum
+        assert check["vertex_value_bits"] == pytest.approx(0.5 * math.log2(3.125), abs=1e-15)
+        assert abs(check["gap_bits"]) <= 1e-12
+        assert check["grid_resolution"] == 200 and check["grid_minus_analytic"] <= 1e-9
+        # the runner-up's vertex is 0.01 bits short
+        monkeypatch.setattr(strategy, "optimal_degenerate", lambda mk, beta: Allocation([0, 1, 0]))
+        code, out = run(capsys, "optimize", spec, "--beta", "2", "--check")
+        assert code == 4
+        assert json.loads(out)["oracle_check"]["gap_bits"] > 0.01
 
 
 class TestSimulate:

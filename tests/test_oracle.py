@@ -30,7 +30,7 @@ from powerbet import (
     utility_partial,
     utility_side_info,
 )
-from powerbet import oracle
+from powerbet import oracle, strategy
 from powerbet.utility import _log2_power_mean
 
 from helpers import (
@@ -374,6 +374,63 @@ class TestKktResidual:
             assert report.mu == pytest.approx(1.0, rel=1e-12)
             for name, gap in vars(report).items():
                 assert name == "mu" or gap is None or gap < 1e-8
+
+
+class TestCertificate:
+    """``oracle._certificate``, the Frank-Wolfe gap in nats, against its closed
+    form at Kelly, where ``g_j = E[dS/db_j / S]``: ``max_j p_j / b_j - 1`` for full
+    bets, and ``sum_y max_x p(y, x) / b(x|y) - 1`` for a conditional table."""
+
+    def test_full_kelly_gap_is_the_largest_ratio(self):
+        market = new_race([0.6, 0.4], [2.0, 2.0])
+        assert oracle._certificate(market, 0.0, np.log([0.5, 0.5])) == pytest.approx(0.2, rel=1e-14)
+        assert oracle._certificate(market, 0.0, np.log(market.probs)) == 0.0
+
+    @pytest.mark.parametrize(
+        "market,fractions,gap",
+        [
+            # payoffs 0.5 + 0.25 * (2, 2) = (1, 1): the cash's marginal value E[1/S]
+            # is 1, the bets' p o / S are 1.2 and 0.8
+            (new_race([0.6, 0.4], [2.0, 2.0]), [0.5, 0.25, 0.25], 0.2),
+            # payoffs 0.1 + (0.9, 0) * 1.5 = (1.45, 0.1): E[1/S] = 0.9/1.45 + 1 beats
+            # the bets' 1.35/1.45 and 1.5, so the cash sets the gap
+            (new_race([0.9, 0.1], [1.5, 1.5]), [0.1, 0.9, 0.0], 0.9 / 1.45),
+        ],
+    )
+    def test_partial_kelly_gap_counts_the_cash(self, market, fractions, gap):
+        with np.errstate(divide="ignore"):
+            log_x = np.log(fractions)
+        assert oracle._certificate(market, 0.0, log_x) == pytest.approx(gap, rel=1e-14)
+
+    def test_side_info_kelly_gap_sums_over_signals(self):
+        market = new_side_info([[0.3, 0.1, 0.0], [0.0, 0.2, 0.4]], [2.0, 3.0, 4.0])
+        table = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]])
+        with np.errstate(divide="ignore"):
+            gap = oracle._certificate(market, 0.0, np.log(table))
+        assert gap == pytest.approx(0.6 + 0.8 - 1.0, rel=1e-14)
+
+    @pytest.mark.parametrize("beta", [-1e6, -5.0, 0.0, 0.5, 1 - 1e-9])
+    def test_a_possible_outcome_paying_zero_gives_inf(self, beta):
+        market = new_race([0.5, 0.3, 0.2], [1.8, 3.5, 4.2])
+        log_x = np.log([0.6, 0.4, 0.0], where=[True, True, False], out=np.full(3, -math.inf))
+        assert oracle._certificate(market, beta, log_x) == math.inf
+        # with cash held the horse pays the cash: a finite gap
+        gap = oracle._certificate(market, beta, np.append(math.log(0.5), log_x + math.log(0.5)))
+        assert 0.0 < gap < math.inf
+
+    @pytest.mark.parametrize("beta", [-3.0, 0.0, 0.5, 0.999])
+    def test_a_common_shift_of_one_simplex_changes_nothing(self, beta):
+        market = new_race([0.5, 0.3, 0.2], [1.8, 3.5, 4.2])
+        log_x = np.log([0.5, 0.3, 0.2])
+        gap = oracle._certificate(market, beta, log_x)
+        assert oracle._certificate(market, beta, log_x - 3.0) == pytest.approx(gap, rel=1e-12)
+
+    def test_optimum_from_its_logs(self):
+        market = new_race([0.5, 0.3, 0.2], [1.8, 3.5, 4.2])
+        for beta in (-1e6, -5.0, 0.0, 0.5, 0.99, 1 - 1e-9):
+            logs = strategy._log_weights_full(np.log(market.probs), np.log(market.odds), beta)
+            tol = oracle._GAP_TOL * max(1.0, 1.0 - beta)
+            assert 0.0 <= oracle._certificate(market, beta, logs) <= tol
 
 
 class TestSimulateGrowth:
