@@ -301,7 +301,7 @@ def _optimize_side_info(market: SideInfoMarket, beta: float, out: dict) -> np.nd
 
 def cmd_optimize(args) -> tuple[dict, int]:
     doc = _load_spec(args.spec)
-    mode = args.mode or doc.get("mode") or "full"
+    mode = args.mode or doc.get("mode", "full")
     if mode not in ("full", "partial", "side-info"):
         raise _CommandError(2, f"mode must be full, partial, or side-info, got {mode!r}")
     if args.beta is not None:

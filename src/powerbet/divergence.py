@@ -76,44 +76,28 @@ def _tilted_mean(t: float, log_w, x, terms=None, axis: int | None = None):
     (a float) or over the last axis (one value per row).
 
     Far from ``t = 0`` this is ``_logsumexp(terms) / (t ln 2)``, ``terms`` being
-    the caller's form of ``log w + t x`` (the default).  Rows with
-    ``|t| <= 2^-10`` and ``|t| (max x - min x) <= 1`` are instead centered on
-    ``mu = sum w x``, as ``mu + log1p(sum w expm1(t (x - mu))) / t``, so the
-    rounding of ``sum w`` is never divided by a small ``t``.  A subnormal ``t``
-    takes the ``K(0)`` form, over the live weights when some term drops out.
+    the caller's form of ``log w + t x`` (the default).  Near it, each row, or
+    the whole array as one row, is centered on ``mu = sum w x``, as
+    ``mu + log1p(sum w expm1(t (x - mu))) / t``, so the rounding of ``sum w``
+    is never divided by a small ``t``; rows whose tilts span more than 1, or
+    that end up NaN, take the far form.  A subnormal ``t`` skips the tilts and
+    takes the ``K(0)`` value ``mu``, plus the dropped share's term below.
 
     Never NaN: ``w = 0`` drops a term (its ``x`` must then be finite unless
     ``terms`` is given), ``e^(t x)`` is ``+inf`` or 0 for an infinite ``x``, and
     a row of dropped terms is ``-inf / t``.  No row may hold both infinities.
-    A term with ``e^(t x) = 0`` drops out of the centered form too: it centers
-    the live weights, rescaled to sum to one, and adds ``log1p(-lost) / t``
-    for the dropped share, as ``-log1p(dropped / live) / t``.
+    A term with ``e^(t x) = 0`` drops out of the near form too: ``mu`` is taken
+    over the live weights, rescaled to sum to one, and ``log1p(-lost) / t`` is
+    added for the dropped share, as ``-log1p(dropped / live) / t``.
     """
     if abs(t) > _CENTERED_T:
         if terms is None:  # x is freed before the sum, so a grid block holds no extra copy
             terms, x = t * x, None
             terms = log_w + terms
         return _logsumexp(terms, axis) / (t * _LN2)
-    if abs(t) < _NORMAL_MIN:
-        w = np.exp(log_w)
-        with np.errstate(invalid="ignore"):  # 0 * inf at t = 0, where nothing drops
-            dropped = t * x == -math.inf
-        if dropped.any():  # as in the centered form; rows losing none keep their bits
-            lost = np.where(dropped, w, 0.0).sum(axis=axis)
-            w, x = np.where(dropped, 0.0, w), np.where(dropped, 0.0, x)
-            kept = np.where(lost > 0.0, w.sum(axis=axis), 1.0)
-            # a row with nothing live is NaN here and -inf / t below
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                mu = ((w * x).sum(axis=axis) / kept - np.log1p(lost / kept) / t) / _LN2
-            mu = np.where(kept > 0.0, mu, -math.inf / t)
-        else:
-            mu = np.sum(w * x, axis=axis) / _LN2
-        return float(mu) if axis is None else mu
-    if axis is None:
-        return _centered_mean(t, log_w.ravel(), x.ravel(), terms)
-    shape = np.shape(x)
-    x = np.reshape(x, (-1, shape[-1]))
-    log_w = np.reshape(log_w, (-1, x.shape[1]))  # a row per row of x, or one for all
+    shape = x.shape
+    x = x.reshape((1, -1) if axis is None else (-1, shape[-1]))
+    log_w = log_w.reshape(-1, x.shape[1])  # a row per row of x, or one for all
     w, live_x, log_kept = np.exp(log_w), x, 0.0
     with np.errstate(all="ignore"):  # far rows, replaced below, may overflow or be NaN
         mu = (w * x).sum(axis=1)
@@ -125,39 +109,19 @@ def _tilted_mean(t: float, log_w, x, terms=None, axis: int | None = None):
             log_kept = -np.log1p(lost / kept)  # a row with nothing live is NaN below, so far
             w, live_x = live / kept[:, None], np.where(dropped, 0.0, x)
             mu = (w * live_x).sum(axis=1)
-        tilt = t * (live_x - mu[:, None])
-        span = tilt.max(axis=1, where=w > 0.0, initial=-math.inf)
-        span -= tilt.min(axis=1, where=w > 0.0, initial=math.inf)
-        out = (mu + (np.log1p((w * np.expm1(tilt)).sum(axis=1)) + log_kept) / t) / _LN2
-    far = ~((0.0 <= span) & (span <= 1.0))
+        if abs(t) < _NORMAL_MIN:  # nothing drops at t = 0
+            out = (mu + log_kept / t if t else mu) / _LN2
+            far = np.isnan(out)
+        else:
+            tilt = t * (live_x - mu[:, None])
+            span = tilt.max(axis=1, where=w > 0.0, initial=-math.inf)
+            span -= tilt.min(axis=1, where=w > 0.0, initial=math.inf)
+            out = (mu + (np.log1p((w * np.expm1(tilt)).sum(axis=1)) + log_kept) / t) / _LN2
+            far = ~((0.0 <= span) & (span <= 1.0))
     if far.any():
         terms = log_w + t * x if terms is None else np.reshape(terms, x.shape)
         out[far] = _logsumexp(terms[far], axis=1) / (t * _LN2)
-    return out.reshape(shape[:-1])
-
-
-def _centered_mean(t: float, log_w: np.ndarray, x: np.ndarray, terms) -> float:
-    """The centered form of :func:`_tilted_mean` over one 1-D PMF, its log-sum-exp
-    form where the tilts of the live weights span more than 1 or ``mu`` is infinite."""
-    w, live_x, log_kept = np.exp(log_w), x, 0.0
-    mu = (w * x).sum()
-    if not math.isfinite(mu):  # an infinite x, whose term may drop out: e^(t x) = 0
-        dropped = t * x == -math.inf
-        live = np.where(dropped, 0.0, w)
-        kept = float(live.sum())
-        if kept > 0.0:  # else nothing live is left, mu stays infinite: the far form
-            log_kept = -np.log1p(np.where(dropped, w, 0.0).sum() / kept)
-            w, live_x = live / kept, np.where(dropped, 0.0, x)
-            mu = (w * live_x).sum()
-    if math.isfinite(mu) and (mu or w.any()):  # mu = 0 may be a PMF with nothing live
-        tilt = t * (live_x - mu)
-        span = 2.0 * np.abs(tilt).max()  # an upper bound: it counts the zero weights too
-        if not span <= 1.0:
-            live = w > 0.0
-            span = tilt.max(where=live, initial=-math.inf) - tilt.min(where=live, initial=math.inf)
-        if span <= 1.0:
-            return float((mu + (np.log1p((w * np.expm1(tilt)).sum()) + log_kept) / t) / _LN2)
-    return _logsumexp(log_w + t * x if terms is None else terms) / (t * _LN2)
+    return float(out[0]) if axis is None else out.reshape(shape[:-1])
 
 
 def _renyi_from_logs(log_p, log_q, alpha: float, axis: int | None = None, t: float | None = None):
@@ -165,13 +129,15 @@ def _renyi_from_logs(log_p, log_q, alpha: float, axis: int | None = None, t: flo
     terms ``alpha ln p + (1 - alpha) ln q`` stay exact for a weight with ``ln p`` near -1e9.
     ``t`` is the exact tilt ``alpha - 1`` if the caller has it, not ``alpha - 1.0``.
     Rounding below 0 is clamped to 0: no Renyi divergence between PMFs is negative."""
+    t = alpha - 1.0 if t is None else t
     off = log_p == -math.inf
     with np.errstate(invalid="ignore"):  # -inf - -inf off the support of p, replaced below
-        terms = alpha * log_p + (1.0 - alpha) * log_q
+        # where alpha rounds to 1, ln q keeps the weight -t, so q = 0 stays infinite, not NaN
+        terms = alpha * log_p + ((1.0 - alpha) or -t) * log_q
         x = log_p - log_q
     terms[off] = -math.inf
     x[off] = 0.0
-    d = _tilted_mean(alpha - 1.0 if t is None else t, log_p, x, terms, axis)
+    d = _tilted_mean(t, log_p, x, terms, axis)
     return max(d, 0.0) if axis is None else np.maximum(d, 0.0)
 
 

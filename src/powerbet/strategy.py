@@ -281,7 +281,7 @@ def optimal_partial(market: RaceMarket, beta: float) -> PartialSolution:
     alloc = _trusted(PartialAllocation, cash=cash / total, bets=weights / total)
     with np.errstate(over="ignore"):
         gammas = None if cap is None else _freeze(np.exp(log_gammas))
-    support = tuple(range(market.m) if cap is None else np.flatnonzero(alloc.bets > 0.0).tolist())
+    support = tuple(np.flatnonzero(alloc.bets > 0.0).tolist())
     utility = _log2_power_mean(*_outcomes(market, alloc), beta)
     return PartialSolution(alloc, support, gamma_cap=cap, gammas=gammas, utility=utility)
 

@@ -195,6 +195,24 @@ class TestOptimize:
         assert doc["oracle_check"]["passed"] is True
         assert doc["decomposition"]["residual"] < 1e-9
 
+    def test_superfair_partial_support_lists_positive_bets(self, capsys, tmp_path):
+        doc = {"horses": [{"p": 0.999, "odds": 1.5}, {"p": 0.001, "odds": 3.0}], "beta": 0.999}
+        path = tmp_path / "superfair.json"
+        path.write_text(json.dumps(doc))
+        code, out = run(capsys, "optimize", str(path), "--mode", "partial")
+        assert code == 0
+        assert json.loads(out)["allocation"]["bets"] == [1.0, 0.0]
+        assert json.loads(out)["allocation"]["support"] == [0]
+
+    @pytest.mark.parametrize("value", ["", 0, [], False, None, 5, "Full"])
+    def test_spec_mode_that_is_no_mode_is_invalid_input(self, capsys, tmp_path, value):
+        # only an absent mode defaults to full; a falsy one used to run full mode
+        doc = {"horses": [{"p": 0.6, "odds": 2.0}, {"p": 0.4, "odds": 2.0}], "beta": 0.5}
+        path = tmp_path / "mode.json"
+        path.write_text(json.dumps({**doc, "mode": value}))
+        assert main(["optimize", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: mode must be full, partial, or side-info")
+
     def test_side_info_without_block_is_incompatible(self, capsys, fair_spec):
         code = main(["optimize", fair_spec, "--beta", "0.5", "--mode", "side-info"])
         capsys.readouterr()

@@ -350,8 +350,9 @@ class TestTiltedMeanKernel:
                 assert value == pytest.approx(expected, rel=0, abs=tol)
 
     def test_one_pmf_is_its_row_bit_for_bit(self):
-        # the whole-array form has its own code; it must take the branch the row
-        # form takes and round the same, also with zero weights and near the gate
+        # the whole array is reduced as one row of the same code, which must keep
+        # the branch and the rounding of the row form, also with zero weights
+        # and near the gate
         rng = np.random.default_rng(63)
         for _ in range(40):
             w, x = _kernel_case(rng)

@@ -1,26 +1,40 @@
 """Whole-domain properties, drawn by hypothesis with a fixed derandomized
 sequence of examples so every run checks the same inputs."""
 
+import contextlib
+import io
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from powerbet import (
+    Allocation,
     PartialAllocation,
+    cond_renyi_div,
+    decompose_full,
+    decompose_side_info,
     kkt_residual,
     new_race,
     new_side_info,
     optimal_full,
     optimal_partial,
     optimal_side_info,
+    renyi_div,
     strategy,
+    utility_full,
     utility_partial,
 )
-from powerbet.cli import _read_logs
+from powerbet.cli import _read_logs, main
 from powerbet.divergence import _logsumexp
 from powerbet.oracle import _GAP_TOL, _certificate
+
+from test_divergence import _kernel_tolerance
 
 # Interior risk parameters: Kelly, the subnormal neighbours of Kelly, the
 # approach 1 - 10^-k to the edge of the closed form, and the finite range.
@@ -29,6 +43,33 @@ BETAS = st.one_of(
     st.sampled_from([5e-324, -5e-324]),
     st.integers(1, 9).map(lambda k: 1.0 - 10.0**-k),
     st.floats(-1e6, 0.99),
+)
+
+# BETAS plus each edge of the tilted-mean kernel's near path: t = +-2^-10 and
+# their float neighbours on both sides, and t = +-1e-15, where 1 - t rounds.
+GATE = 2.0**-10
+KERNEL_BETAS = st.one_of(
+    BETAS,
+    st.sampled_from(
+        [
+            sign * v
+            for sign in (1.0, -1.0)
+            for v in (GATE, math.nextafter(GATE, 0.0), math.nextafter(GATE, 1.0), 1e-15)
+        ]
+    ),
+)
+# Divergence orders at each kernel regime: the bookie term's order 1 / (1 - beta),
+# and alpha = 1 + t on the gate, next to it and at 1e-15 from 1.
+ORDERS = st.one_of(
+    KERNEL_BETAS.map(lambda beta: 1.0 / (1.0 - beta)),
+    st.sampled_from(
+        [
+            math.nextafter(1.0 + sign * GATE, side)
+            for sign in (1.0, -1.0)
+            for side in (0.0, 1.0 + sign * GATE, 2.0)
+        ]
+        + [1.0 + 1e-15, 1.0 - 1e-15, 1.0]
+    ),
 )
 
 
@@ -118,3 +159,171 @@ def test_full_and_side_info_optima_are_certified(market, side, beta):
     )
     table, _ = optimal_side_info(side, beta)
     _certified(side, beta, table.table, log_table)
+
+
+def _no_nan(report):
+    values = list(vars(report).values())
+    assert not np.isnan(values).any(), report
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(market=races(), side=side_info_markets(), beta=KERNEL_BETAS)
+def test_decompositions_hold_at_the_optima_in_every_kernel_regime(market, side, beta):
+    report = decompose_full(market, optimal_full(market, beta), beta)
+    _no_nan(report)
+    assert report.residual < 1e-9
+    table, _ = optimal_side_info(side, beta)
+    report = decompose_side_info(side, table, beta)
+    _no_nan(report)
+    assert report.residual < 1e-9
+
+
+@st.composite
+def pmf_pairs(draw):
+    """Two PMFs of 2 to 12 entries down to 1e-300."""
+    m = draw(st.integers(2, 12))
+    entries = st.lists(st.floats(1e-300, 1.0), min_size=m, max_size=m)
+    return _pmf(draw(entries)), _pmf(draw(entries))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(pq=pmf_pairs(), alpha=ORDERS)
+def test_one_signal_conditional_divergence_is_the_divergence(pq, alpha):
+    p, q = pq
+    plain = renyi_div(p, q, alpha)
+    assert cond_renyi_div(p[None, :], q[None, :], [1.0], alpha) == pytest.approx(
+        plain, rel=1e-12, abs=0.0
+    )
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(pq=pmf_pairs(), orders=st.lists(ORDERS, min_size=2, max_size=4))
+def test_renyi_divergence_is_nondecreasing_in_the_order(pq, orders):
+    # van Erven & Harremoes (2014), Theorem 3, up to the kernel's error at each order
+    p, q = pq
+    x = np.log(p) - np.log(q)
+    orders = sorted(orders)
+    values = [renyi_div(p, q, alpha) for alpha in orders]
+    for (a, low), (b, high) in zip(zip(orders, values), zip(orders[1:], values[1:])):
+        slack = _kernel_tolerance(a - 1.0, p, x) + _kernel_tolerance(b - 1.0, p, x)
+        assert low <= high + slack, (a, b, low, high)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(
+    market=races(),
+    bets=st.lists(st.floats(1e-300, 1.0), min_size=12, max_size=12),
+    betas=st.lists(KERNEL_BETAS, min_size=2, max_size=4),
+)
+def test_power_utility_of_a_fixed_bet_is_nondecreasing_in_beta(market, bets, betas):
+    # the power mean M_beta of the payoffs is nondecreasing in beta
+    b = Allocation(_pmf(bets[: market.m]))
+    x = np.log(b.bets * market.odds)
+    betas = sorted(betas)
+    values = [utility_full(market, b, beta) for beta in betas]
+    for (s, low), (t, high) in zip(zip(betas, values), zip(betas[1:], values[1:])):
+        slack = _kernel_tolerance(s, market.probs, x) + _kernel_tolerance(t, market.probs, x)
+        assert low <= high + slack, (s, t, low, high)
+
+
+# Spec fields as a hand-edited file may hold them: odd numbers (non-finite,
+# subnormal, beyond the float range), booleans, nulls, text, ragged lists.
+ODD_NUMBERS = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 1.7976931348623157e308, -1.0, 0.5, 1.0, 2.0]),
+    st.integers(-(10**400), 10**400),
+)
+FIELDS = st.one_of(
+    ODD_NUMBERS,
+    st.booleans(),
+    st.none(),
+    st.text(max_size=4),
+    st.lists(ODD_NUMBERS, max_size=3),
+    st.dictionaries(st.text(max_size=2), ODD_NUMBERS, max_size=2),
+)
+BETA_TEXT = st.sampled_from(
+    ["kelly", "+inf", "-inf", "inf", "nan", "0.5", "-3", "0.999", "1", "1e400", "5e-324", "x", ""]
+)
+
+
+@st.composite
+def specs(draw):
+    """A valid race spec with a side-info block, then 0 to 3 of its fields (a
+    probability, odds, joint cell or row, a horse, a whole block, beta, mode)
+    replaced by odd values or removed; or an odd value in place of the document."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(FIELDS)
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    cells = draw(st.lists(st.floats(1e-300, 1.0), min_size=n * m, max_size=n * m))
+    joint = np.asarray(cells).reshape(n, m)
+    joint = (joint / joint.sum()).tolist()
+    odds = draw(st.lists(st.floats(1.01, 20.0), min_size=m, max_size=m))
+    horses = [{"p": sum(row[i] for row in joint), "odds": odds[i]} for i in range(m)]
+    doc = {
+        "horses": horses,
+        "side_info": {"joint": joint},
+        "beta": draw(st.one_of(BETA_TEXT, st.floats(-5.0, 1.0))),
+        "mode": draw(st.sampled_from(["full", "partial", "side-info"])),
+    }
+    for _ in range(draw(st.integers(0, 3))):
+        value = draw(FIELDS)
+        where = draw(st.sampled_from(["p", "odds", "cell", "row", "horse", "block", "drop"]))
+        i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, n - 1))
+        if where in ("p", "odds") and isinstance(horses[i], dict):
+            horses[i][where] = value
+        elif where == "cell" and isinstance(joint[j], list):
+            joint[j][i] = value
+        elif where == "row":
+            joint[j] = value
+        elif where == "horse":
+            horses[i] = value
+        elif doc:
+            key = draw(st.sampled_from(sorted(doc)))
+            if where == "drop":
+                del doc[key]
+            else:
+                doc[key] = value
+    return doc
+
+
+def _run(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(
+    spec=specs(),
+    check=st.booleans(),
+    beta=st.one_of(st.just("kelly"), BETA_TEXT),
+    n=st.one_of(st.just(3), st.sampled_from([-1, 0, 1, 100])),
+    seed=st.one_of(st.just(7), st.sampled_from([0, -1, 2**128 - 1, 2**128])),
+    alpha=st.one_of(st.sampled_from([0.5, 1.0, 2.0]), st.floats()),
+    p_y=st.one_of(st.just([1.0]), st.lists(FIELDS, max_size=3)),
+)
+def test_every_command_maps_any_spec_to_a_documented_exit_code(
+    spec, check, beta, n, seed, alpha, p_y
+):
+    # exit 0, 2 (invalid input), 3 (incompatible mode) or 4 (oracle disagreement);
+    # never a traceback
+    p = spec.get("horses") if isinstance(spec, dict) else spec
+    if isinstance(p, list):
+        p = [h.get("p") if isinstance(h, dict) else h for h in p]
+    q = p[::-1] if isinstance(p, list) else p
+    inputs = {"spec": spec, "p": p, "q": q, "p_cond": [p], "q_cond": [q], "p_y": p_y}
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {}
+        for name, data in inputs.items():
+            files[name] = str(Path(tmp) / f"{name}.json")
+            Path(files[name]).write_text(json.dumps(data))
+        runs = [
+            ["analyze", files["spec"]],
+            ["optimize", files["spec"], *(["--check"] if check else [])],
+            ["optimize", files["spec"], "--beta", beta, "--mode", "partial"],
+            ["simulate", files["spec"], "--beta", beta, "-n", str(n), "--seed", str(seed)],
+            ["divergence", f"--alpha={alpha!r}", "-p", files["p"], "-q", files["q"]],
+            ["divergence", f"--alpha={alpha!r}", "-p", files["p_cond"], "-q", files["q_cond"],
+             "--p-y", files["p_y"]],
+        ]
+        for argv in runs:
+            assert _run(argv) in (0, 2, 3, 4), argv

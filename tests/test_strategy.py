@@ -257,6 +257,12 @@ class TestOptimalPartial:
             np.testing.assert_allclose(sol.allocation.bets, full.bets, atol=1e-14)
             assert sol.gamma_cap is None and sol.gammas is None
 
+    def test_superfair_support_leaves_out_a_bet_rounded_to_zero(self):
+        # close to beta = 1 the long shot's bet underflows: it is not in the support
+        sol = optimal_partial(new_race([0.999, 0.001], [1.5, 3.0]), 0.999)
+        assert sol.allocation.bets.tolist() == [1.0, 0.0]
+        assert sol.support == (0,)
+
     def test_hopeless_market_keeps_all_cash(self):
         # every p*o = 0.5 below the empty-support threshold of 1
         market = new_race([0.5, 0.5], [1, 1])

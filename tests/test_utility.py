@@ -284,6 +284,19 @@ def test_a_zero_bet_keeps_the_identity_at_small_beta(beta):
             assert report.residual < 1e-9
 
 
+@pytest.mark.parametrize("beta", [-1e-17, -1e-300])
+def test_a_zero_bet_where_the_order_rounds_to_one_is_not_nan(beta):
+    # fl(1 - beta) = 1, so the gambler term's q = 0 term used to weigh ln q = -inf
+    # by 1 - 1 = 0: a NaN term, gambler term and residual
+    full = decompose_full(ZERO_BET_RACE, Allocation([0.6, 0.4, 0.0]), beta)
+    table = ConditionalAllocation([[0.6, 0.4, 0.0], [0.3, 0.3, 0.4]])
+    side = decompose_side_info(ZERO_BET_SIDE, table, beta)
+    for report in (full, side):
+        assert report.gambler_term == math.inf
+        assert report.total == report.direct == -math.inf
+        assert report.residual == 0.0
+
+
 class TestDecomposeFull:
     def test_optimal_allocation_has_zero_gambler_term(self):
         g = optimal_full(MARKET_B, 0.5)
