@@ -40,7 +40,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import divergence, oracle, strategy, utility
-from .errors import PowerbetError
+from .errors import BetaOutOfRangeError, GridTooLargeError, PowerbetError, UnsupportedOrderError
 from .market import (
     RaceMarket,
     SideInfoMarket,
@@ -58,6 +58,15 @@ class _CommandError(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
+
+
+@contextlib.contextmanager
+def _naming(field: str, error=PowerbetError):
+    """Report a library ``error`` raised inside as invalid input named ``field``."""
+    try:
+        yield
+    except error as exc:
+        raise _CommandError(2, f"{field}: {exc}")
 
 
 def _floats(values) -> list[float]:
@@ -120,10 +129,8 @@ def _parse_horses(doc: dict, allow_zero_p: bool) -> tuple[list[float], list[floa
 
 def _parse_race(doc: dict) -> RaceMarket:
     probs, odds = _parse_horses(doc, allow_zero_p=False)
-    try:
+    with _naming("horses"):
         return new_race(probs, odds)
-    except PowerbetError as exc:
-        raise _CommandError(2, f"horses: {exc}")
 
 
 def _parse_side_info(doc: dict) -> SideInfoMarket:
@@ -146,10 +153,8 @@ def _parse_side_info(doc: dict) -> SideInfoMarket:
             raise _CommandError(2, f"side_info.joint[{y}] must have one column per horse")
         for x, cell in enumerate(row):
             _require_number(cell, f"side_info.joint[{y}][{x}]")
-    try:
+    with _naming("side_info"):
         market = new_side_info(joint, odds)
-    except PowerbetError as exc:
-        raise _CommandError(2, f"side_info: {exc}")
     if np.max(np.abs(market.horse_probs - np.asarray(probs))) > 1e-6:
         raise _CommandError(2, "side_info.joint column sums disagree with horses[].p")
     return market
@@ -250,13 +255,13 @@ def _check(market, mode: str, beta: float, value: float, printed, args) -> tuple
     if k is None and oracle.GridSpec(200, printed.size).n_points <= oracle.MAX_GRID_POINTS:
         k = 200
     if k is not None and (mode == "partial" or (mode == "full" and math.isfinite(beta) and beta)):
-        grid = oracle.GridSpec(k, printed.size)
-        if mode == "partial":
-            grid_value, ok = oracle.grid_search_partial(market, beta, grid)[1], True
-        else:
-            found, grid_value = oracle.grid_search_full(market, beta, grid)
+        with _naming("--grid-resolution", GridTooLargeError):  # below 2, or past the guard
+            grid = oracle.GridSpec(k, printed.size)
+            search = oracle.grid_search_partial if mode == "partial" else oracle.grid_search_full
+            found, grid_value = search(market, beta, grid)
+        if mode == "full":
             doc["max_allocation_distance"] = float(np.max(np.abs(found.bets - printed)))
-            ok = beta >= 1.0 or doc["max_allocation_distance"] <= 2.0 / k
+        ok = mode == "partial" or beta >= 1.0 or doc["max_allocation_distance"] <= 2.0 / k
         doc.update(grid_resolution=k, grid_value_bits=grid_value, analytic_value_bits=value)
         doc["grid_minus_analytic"] = grid_value - value
         doc["passed"] = doc["passed"] and ok and grid_value - value <= ORACLE_VALUE_TOL
@@ -304,12 +309,10 @@ def cmd_optimize(args) -> tuple[dict, int]:
     mode = args.mode or doc.get("mode", "full")
     if mode not in ("full", "partial", "side-info"):
         raise _CommandError(2, f"mode must be full, partial, or side-info, got {mode!r}")
-    if args.beta is not None:
-        beta = _parse_beta(args.beta, "--beta")
-    elif "beta" in doc:
-        beta = _parse_beta(doc["beta"], "beta")
-    else:
+    if args.beta is None and "beta" not in doc:
         raise _CommandError(2, "no beta given: pass --beta or put a beta field in the spec file")
+    field = "beta" if args.beta is None else "--beta"
+    beta = _parse_beta(doc["beta"] if args.beta is None else args.beta, field)
 
     out: dict = {
         "input": doc,
@@ -323,7 +326,8 @@ def cmd_optimize(args) -> tuple[dict, int]:
     if mode != "full" and (math.isinf(beta) or beta >= 1.0):
         raise _CommandError(3, f"{mode} mode needs a finite beta < 1")
     optimize = {"full": _optimize_full, "partial": _optimize_partial}.get(mode, _optimize_side_info)
-    printed = optimize(market, beta, out)  # the fractions, the cash first in partial mode
+    with _naming(field, BetaOutOfRangeError):  # |beta| past the cap
+        printed = optimize(market, beta, out)  # the fractions, the cash first in partial mode
     if not args.check:
         return out, 0
     out["oracle_check"], code = _check(market, mode, beta, out["utility_bits"], printed, args)
@@ -331,28 +335,6 @@ def cmd_optimize(args) -> tuple[dict, int]:
 
 
 # ---------------------------------------------------------------- simulate
-
-
-def _write_trajectory_csv(fh, traj: oracle.WealthTrajectory) -> float:
-    """Write ``race,cum_log2_wealth`` rows a chunk at a time, so neither the
-    trajectory nor its text is ever held in memory; return the sum of squared
-    deviations of the per-race increments ``diff(log_wealth, prepend=0)``
-    from their mean, each chunk's moments merged into the running ones by the
-    pairwise update of Chan, Golub & LeVeque (1979)."""
-    fh.write("race,cum_log2_wealth\n")
-    seen, before, mean, squares = 0, 0.0, 0.0, 0.0
-    # a ruined trajectory's increments hold -inf - -inf, and it reports no band
-    with np.errstate(invalid="ignore"):
-        for rows in traj.chunks():
-            fh.write("".join(f"{i},{value!r}\n" for i, value in enumerate(rows.tolist(), seen + 1)))
-            steps = np.diff(rows, prepend=before)
-            size, step_mean = rows.size, float(steps.mean())
-            total, delta = seen + size, step_mean - mean
-            mean += delta * size / total
-            squares += float(np.square(steps - step_mean).sum())
-            squares += delta * delta * seen * size / total
-            seen, before = total, rows[-1]
-    return squares
 
 
 def cmd_simulate(args) -> tuple[dict, int]:
@@ -363,7 +345,8 @@ def cmd_simulate(args) -> tuple[dict, int]:
         raise _CommandError(2, "-n must be >= 1")
     if not 0 <= args.seed < oracle._SEED_BOUND:
         raise _CommandError(2, "--seed must be an integer in [0, 2**128)")
-    alloc = strategy.dispatch(market, beta)
+    with _naming("--beta", BetaOutOfRangeError):  # |beta| past the cap
+        alloc = strategy.dispatch(market, beta)
     # open the output before simulating, so a bad path costs no simulation
     try:
         sink = (
@@ -375,16 +358,25 @@ def cmd_simulate(args) -> tuple[dict, int]:
         raise _CommandError(2, f"--output cannot be written: {exc}")
     with sink as fh:
         traj = oracle.simulate_growth(market, alloc, args.n, args.seed)
-        squares = _write_trajectory_csv(fh, traj)
+        # a chunk at a time, so neither the trajectory nor its text is ever held in memory
+        fh.write("race,cum_log2_wealth\n")
+        seen = 0
+        for rows in traj.chunks():
+            fh.write("".join(f"{i},{value!r}\n" for i, value in enumerate(rows.tolist(), seen + 1)))
+            seen += rows.size
 
     rate = traj.final_rate
-    # Wealth is finite unless some race ruined it, and then the increments
-    # are not all finite, so there is no band to report.
+    # Each race adds its outcome's log2 payoff, so the increments' moments come
+    # from the outcome counts.  Wealth is finite unless some race ruined it, and
+    # then there is no band to report.
+    band = None
     if math.isfinite(rate) and args.n > 1:
+        drawn = traj._counts > 0
+        counts, steps = traj._counts[drawn], traj._increments[drawn]
+        mean = float(np.sum(counts * steps)) / args.n
+        squares = float(np.sum(counts * np.square(steps - mean)))
         band = 3.0 * math.sqrt(squares / (args.n - 1)) / math.sqrt(args.n)
-    else:
-        band = None
-    theoretical = utility.doubling_rate(market, alloc)
+    theoretical = utility.utility_full(market, alloc, 0.0)
     out = {
         "input": doc,
         "beta": _beta_label(beta),
@@ -439,7 +431,8 @@ def cmd_divergence(args) -> tuple[dict, int]:
     p = _load_dist_arg(args.p, "-p")
     q = _load_dist_arg(args.q, "-q")
     conditional = args.p_y is not None
-    try:
+    flags = "-p, -q, --p-y" if conditional else "-p, -q"  # the library's p(_cond), q(_cond), p_y
+    with _naming(flags), _naming("--alpha", UnsupportedOrderError):
         if conditional:
             p_y = _load_dist_arg(args.p_y, "--p-y")
             if len(p_y) != 1:
@@ -449,8 +442,6 @@ def cmd_divergence(args) -> tuple[dict, int]:
             if len(p) != 1 or len(q) != 1:
                 raise _CommandError(2, "-p and -q must be single vectors unless --p-y is given")
             value = divergence.renyi_div(p[0], q[0], args.alpha)
-    except PowerbetError as exc:
-        raise _CommandError(2, str(exc))
     out = {
         "alpha": args.alpha,
         "conditional": conditional,

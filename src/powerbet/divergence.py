@@ -179,8 +179,8 @@ def cond_renyi_div(p_cond, q_cond, p_y, alpha: float) -> float:
     """Signal-averaged conditional Renyi divergence, in bits.
 
     ``p_cond`` and ``q_cond`` are rows-are-signals conditional tables; rows
-    whose signal has zero probability are skipped entirely (their content is
-    arbitrary).  The value is
+    whose signal has zero probability are left out of the value and need not
+    sum to one, but their entries must still be finite and >= 0.  The value is
 
         (alpha/(alpha-1)) * log2 sum_y p(y) * [sum_x p(x|y)^alpha q(x|y)^(1-alpha)]^(1/alpha)
 

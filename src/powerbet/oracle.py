@@ -29,13 +29,13 @@ across chunks, so every result is bit-identical whatever the chunk size.
 Each race takes one raw 64-bit word, and an integer inverse CDF through a
 guide table maps it to the outcome that numpy's uniform from the same word
 would pick.  Neither keeps a per-race array: a trajectory holds its final
-wealth and the O(outcomes) PMF and log2 payoffs, and replays its races from
-the seed, a chunk at a time, when they are asked for; a ``U_beta`` estimate
-keeps only per-outcome counts.  So both take O(chunk + outcomes) memory for
-any number of races, and ``log_wealth`` costs 8 bytes per race only once it
-is read.  The counts, a pure function of (outcome PMF, n, seed), serve every
-beta, so one slot keeps the latest stream's key and counts: an estimate right
-after ``simulate_growth`` of the same stream does not draw it again.
+wealth and the O(outcomes) PMF, log2 payoffs and outcome counts, and replays
+its races from the seed, a chunk at a time, when they are asked for; a
+``U_beta`` estimate keeps only the counts.  So both take O(chunk + outcomes)
+memory for any number of races, and ``log_wealth`` costs 8 bytes per race
+only once it is read.  The counts, a pure function of (outcome PMF, n, seed),
+serve every beta, so one slot keeps the latest stream's key and counts: an
+estimate right after ``simulate_growth`` of the same stream does not draw it again.
 """
 
 from __future__ import annotations
@@ -122,10 +122,11 @@ class WealthTrajectory:
     """Cumulative log2 wealth over a seeded sequence of races.
 
     It holds the final log2 wealth and, apart from ``__eq__`` and ``repr``,
-    the bet's outcome PMF and log2 payoffs, so its memory is O(outcomes)
-    however many races it covers.  :meth:`chunks` replays the races from the
-    seed in O(chunk) memory; ``log_wealth`` replays them into one array of 8
-    bytes per race, built when it is first read and kept.
+    the bet's outcome PMF, log2 payoffs and how often each outcome was drawn
+    (read-only), so its memory is O(outcomes) however many races it covers.
+    :meth:`chunks` replays the races from the seed in O(chunk) memory;
+    ``log_wealth`` replays them into one array of 8 bytes per race, built when
+    it is first read and kept.
     """
 
     n_races: int
@@ -133,6 +134,7 @@ class WealthTrajectory:
     final_log2_wealth: float
     _probs: np.ndarray = field(repr=False, compare=False)
     _increments: np.ndarray = field(repr=False, compare=False)
+    _counts: np.ndarray = field(repr=False, compare=False)
 
     @property
     def final_rate(self) -> float:
@@ -426,7 +428,7 @@ def simulate_growth(
 
     Identical (market, allocation, n, seed) inputs reproduce the trajectory
     bit for bit.  An outcome paying 0 sends the wealth to ``-inf`` and it
-    stays there.  The pass counts the outcomes for :func:`estimate_ubeta`.
+    stays there.  The pass counts the outcomes, for the trajectory and :func:`estimate_ubeta`.
     """
     global _drawn
     probs, payoffs = _outcomes(market, b)
@@ -438,7 +440,7 @@ def simulate_growth(
         final = chunk[-1]
     counts.flags.writeable = False
     _drawn = (key, counts)
-    return WealthTrajectory(n_races, seed, float(final), probs, increments)
+    return WealthTrajectory(n_races, seed, float(final), probs, increments, counts)
 
 
 def estimate_ubeta(

@@ -33,10 +33,9 @@ from .market import (
     _require_same_length,
 )
 
-# Finite risk parameters beyond these bounds overflow the closed-form
+# Finite risk parameters beyond this bound overflow the closed-form
 # exponents; callers must use the limit operations instead.
 BETA_ABS_MAX = 1e6
-BETA_FULL_SUP = 1.0 - 1e-9
 
 
 @dataclass(frozen=True)
@@ -153,7 +152,7 @@ def _check_beta(beta: float) -> float:
 def _check_interior_beta(beta: float) -> float:
     """Validate beta for the interior closed form: finite and < 1."""
     beta = _check_beta(beta)
-    if math.isinf(beta) or beta > BETA_FULL_SUP:
+    if math.isinf(beta) or beta >= 1.0:
         raise BetaOutOfRangeError(f"the interior optimum needs a finite beta < 1, got {beta!r}")
     return beta
 

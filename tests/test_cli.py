@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import reference_log_wealth
+from helpers import reference_log_wealth, reference_winners
 from powerbet import (
     Allocation,
     ConditionalAllocation,
@@ -294,6 +294,16 @@ class TestOptimize:
         assert main(["optimize", fair_spec, "--beta", "x"]) == 2
         assert capsys.readouterr().err.startswith("error: --beta must be kelly")
 
+    @pytest.mark.parametrize("mode", ["full", "partial", "side-info"])
+    def test_beta_past_the_cap_names_its_source(self, capsys, side_spec, tmp_path, mode):
+        assert main(["optimize", side_spec, "--beta", "-1e7", "--mode", mode]) == 2
+        assert capsys.readouterr().err.startswith("error: --beta: beta must be +-inf or have")
+        doc = json.loads(open(side_spec).read())
+        path = tmp_path / "capped.json"
+        path.write_text(json.dumps(dict(doc, beta=-1e7, mode=mode)))
+        assert main(["optimize", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: beta: beta must be +-inf or have")
+
     @pytest.mark.parametrize("text", ["1e400", "-1e400"])
     def test_beta_beyond_the_float_range_is_invalid_input(self, capsys, fair_spec, tmp_path, text):
         # float("1e400") and json's 1e400 are both inf: only the labels name the limits
@@ -511,6 +521,27 @@ class TestCheck:
         assert check["tolerance_nats"] == 1e-10 * max(1.0, 1.0 - float(beta.replace("kelly", "0")))
         assert 0.0 <= check["gap_nats"] <= check["tolerance_nats"]
 
+    @pytest.mark.parametrize("mode", ["full", "partial", "side-info"])
+    def test_beta_next_to_one_is_certified(self, capsys, tmp_path, mode):
+        spec = _write(tmp_path, "race.json", MUTANT_SPEC)
+        argv = ["optimize", spec, "--beta", "0.9999999999", "--mode", mode, "--check"]
+        code, out = run(capsys, *argv)
+        assert code == 0
+        check = json.loads(out)["oracle_check"]
+        assert check["kind"] == "certificate"
+        assert 0.0 <= check["gap_nats"] <= check["tolerance_nats"]
+        assert check["passed"] is True
+
+    @pytest.mark.parametrize("k", ["1", "100000"])
+    def test_grid_resolution_out_of_range_names_the_flag(self, capsys, tmp_path, k):
+        # a resolution below 2, and one whose 3-horse grid is past the 10^7-point guard
+        spec = _write(tmp_path, "race.json", MUTANT_SPEC)
+        code = main(["optimize", spec, "--beta", "0.5", "--check", "--grid-resolution", k])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: --grid-resolution: grid ")
+
     def test_kelly_gap_is_exactly_zero(self, capsys, fair_spec):
         code, out = run(capsys, "optimize", fair_spec, "--beta", "kelly", "--check")
         assert code == 0
@@ -563,6 +594,13 @@ class TestSimulate:
         assert doc["theoretical_doubling_rate_bits"] == pytest.approx(0.029049, abs=1e-6)
 
 
+    def test_beta_past_the_cap_names_the_flag(self, capsys, fair_spec):
+        code = main(["simulate", fair_spec, "--beta", "-1e7", "-n", "10"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: --beta: beta must be +-inf or have |beta| <= 1e+06")
+
     @pytest.mark.parametrize("seed", ["-1", str(2**128)])
     def test_out_of_range_seed_is_invalid_input(self, capsys, fair_spec, seed):
         code = main(["simulate", fair_spec, "-n", "10", "--seed", seed])
@@ -610,29 +648,29 @@ class TestSimulate:
                 json.loads(out[len(expected):])
             assert code == 0
 
-    # sha256 of stdout with --output, of the CSV, and of stdout without --output,
-    # pinned from the code that held the whole trajectory in memory, except the
-    # two summaries at 3 * 2**16 + 5: the chunk-merged band moved by one ulp there
+    # sha256 of stdout with --output, of the CSV, and of stdout without --output;
+    # the CSVs are pinned from the code that held the whole trajectory in memory,
+    # the summaries from the band taken from the outcome counts
     PINNED = {
         2**14 - 1: (
-            "cf762744c54718eeddc0944559583945944923ec488c8d33c1d6af26e3eae583",
+            "99b08702b4569ecccdc633dcb72b7c33b24f285d685fe437db26795655eaf2cd",
             "9335fa7607d675830cd752488e8decc9f061c760e91e7e89fe0424fe178ce653",
-            "26612f8ff981e46c8e634e52ad875ec92720cd582c70a166d89c28edea930dd7",
+            "f196c11c7dbb413035ab92cfe4b1f727d57c05c518a640bc7793905548eb36b0",
         ),
         2**14: (
-            "742ebfbeda505fd7406a0660d0f1535e285975c1c8ea9e50d686acda194ff391",
+            "ae006aa42660b87f84a24e17009e9628545871636bcda976d13b8aa3fcf1d9c2",
             "b98c72366827d20258e4e0c034e985d54b3e27f735f7d30ee921adec2e0255c2",
-            "24d1002d10d643de99356519d294506fdda51e1ba0fdb8865e8e02be3d5169a1",
+            "c2ce7160339327c47f4d1fc534a76c67b2ee467baeeb71763ecb6b1a162c1978",
         ),
         2**16 + 1: (
-            "8179cc2bba6088f87adb6b3f90912ca55bc397ce0d1639dd4e02806135d2f309",
+            "b2c71161dcd249d81be45692b7a6bb64477b0ca68fcdfaf9219bc741dcb068d5",
             "bc4234fb32a105be0c0cc887d35c44ee1bc6020f805d77ddda2bb51310d36362",
-            "a4234e0d847866e78b6f6255f53e92587c57ed8aceab2c3ebaef8dce6ddae4ed",
+            "cf9750459efedf1dc00b593a2ca9527413f9bd2dc5740f93085bbba7fd8b9011",
         ),
         3 * 2**16 + 5: (
-            "b368905110d98166c61afe494df290f9b1f00608c205c260e57c91b5f76ed781",
+            "9cf5ad448ba27bd6a7cacd6ea8fbc75b751f3edb81772edea9ce25a6f4836501",
             "315d2f5b0b0dd6fd40c73826d155334f7f8f569bbf007bb90fc34116403f1ad1",
-            "6c8311365a269e64a5222b44ffb5f0bc45e2cbc6ca30d71e4382d716e55f6091",
+            "bf9029f581fa96522f9a039b0058273ee0c4021997c6f76405e75e4cefd6ee63",
         ),
     }
 
@@ -663,6 +701,35 @@ class TestSimulate:
         log_wealth = reference_log_wealth(market, optimal_full(market, 0.5), n, 3)
         reference = 3 * np.diff(log_wealth, prepend=0).std(ddof=1) / math.sqrt(n)
         assert json.loads(out)["clt_band_3se_bits"] == pytest.approx(reference, rel=1e-14)
+
+    def _band_and_reference(self, capsys, tmp_path, probs, odds, beta, n, seed):
+        """The printed band, and 3 std(ddof=1) / sqrt(n) of the exact increments."""
+        spec = tmp_path / "race.json"
+        spec.write_text(json.dumps({"horses": [{"p": p, "odds": o} for p, o in zip(probs, odds)]}))
+        argv = ["simulate", str(spec), "--beta", beta, "-n", str(n), "--seed", str(seed)]
+        code, out = run(capsys, *argv, "--output", str(tmp_path / "traj.csv"))
+        assert code == 0
+        doc = json.loads(out)
+        market = new_race(probs, odds)
+        winners = reference_winners(market, n, seed)
+        steps = np.log2(np.array(doc["allocation"]["bets"])[winners] * market.odds[winners])
+        return doc["clt_band_3se_bits"], 3 * steps.std(ddof=1) / math.sqrt(n)
+
+    @pytest.mark.parametrize("n", [3, CHUNK + 1, 3 * 2**16 + 5])
+    def test_band_is_the_spread_of_the_exact_increments(self, capsys, tmp_path, n):
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            m = int(rng.integers(2, 9))
+            probs, odds = rng.dirichlet(np.ones(m)).tolist(), rng.uniform(1.2, 8.0, m).tolist()
+            beta = repr(float(rng.uniform(-3.0, 0.9)))
+            band, reference = self._band_and_reference(capsys, tmp_path, probs, odds, beta, n, 5)
+            assert band == pytest.approx(reference, rel=1e-13)
+
+    def test_band_of_constant_payoffs_is_at_rounding_scale(self, capsys, tmp_path):
+        # Kelly on p o = 0.9 for every horse: the log2 payoffs differ in ulps only
+        probs, odds, n = [0.5, 0.3, 0.2], [1.8, 3.0, 4.5], 3 * 2**16 + 5
+        band, reference = self._band_and_reference(capsys, tmp_path, probs, odds, "kelly", n, 0)
+        assert band < 1e-16 and reference < 1e-16
 
     def test_one_simulate_replays_the_races_twice(self, capsys, monkeypatch, fair_spec, tmp_path):
         calls = []
@@ -769,7 +836,14 @@ class TestDivergenceCmd:
 
     def test_invalid_distribution(self, capsys):
         code = main(["divergence", "--alpha", "0.5", "-p", "0.9,0.9", "-q", "0.5,0.5"])
-        capsys.readouterr()
+        assert capsys.readouterr().err.startswith("error: -p, -q: p sums to")
+        assert code == 2
+
+    @pytest.mark.parametrize("alpha", ["-1", "0", "nan", "inf"])
+    @pytest.mark.parametrize("p_y", [[], ["--p-y", "1"]])
+    def test_bad_order_names_the_flag(self, capsys, alpha, p_y):
+        code = main(["divergence", "--alpha", alpha, "-p", "0.5,0.5", "-q", "0.5,0.5", *p_y])
+        assert capsys.readouterr().err.startswith("error: --alpha: divergence order must be")
         assert code == 2
 
     def test_ragged_table_is_invalid_input(self, capsys):

@@ -467,7 +467,7 @@ class TestTiltedMeanKernel:
         # disjoint supports: +inf at every order
         assert renyi_div([1.0, 0.0], [0.0, 1.0], alpha) == math.inf
         if alpha != 1.0:
-            # a zero-probability signal row contributes nothing, whatever it holds
+            # a zero-probability signal row contributes nothing, whatever valid entries it holds
             p_cond, q_cond = [[0.6, 0.4], [0.5, 0.5]], [[0.5, 0.5], [1.0, 0.0]]
             with_row = cond_renyi_div(p_cond, q_cond, [1.0, 0.0], alpha)
             assert with_row == pytest.approx(renyi_div([0.6, 0.4], [0.5, 0.5], alpha), rel=1e-12)

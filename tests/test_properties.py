@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -29,6 +30,7 @@ from powerbet import (
     strategy,
     utility_full,
     utility_partial,
+    utility_side_info,
 )
 from powerbet.cli import _read_logs, main
 from powerbet.divergence import _logsumexp
@@ -37,11 +39,11 @@ from powerbet.oracle import _GAP_TOL, _certificate
 from test_divergence import _kernel_tolerance
 
 # Interior risk parameters: Kelly, the subnormal neighbours of Kelly, the
-# approach 1 - 10^-k to the edge of the closed form, and the finite range.
+# approach 1 - 10^-k to beta = 1 and the double just below it, and the finite range.
 BETAS = st.one_of(
     st.just(0.0),
-    st.sampled_from([5e-324, -5e-324]),
-    st.integers(1, 9).map(lambda k: 1.0 - 10.0**-k),
+    st.sampled_from([5e-324, -5e-324, math.nextafter(1.0, 0.0)]),
+    st.integers(1, 15).map(lambda k: 1.0 - 10.0**-k),
     st.floats(-1e6, 0.99),
 )
 
@@ -78,25 +80,23 @@ def _pmf(raw: list[float]) -> np.ndarray:
     return v / v.sum()
 
 
-@st.composite
-def subfair_races(draw):
-    """Races of 2 to 12 horses whose probabilities and bookie-implied
-    distributions have entries down to 1e-300, with odds ``c / r`` for a
-    track constant ``c`` below 1."""
-    m = draw(st.integers(2, 12))
-    entries = st.lists(st.floats(1e-300, 1.0), min_size=m, max_size=m)
-    p, r = _pmf(draw(entries)), _pmf(draw(entries))
-    return new_race(p, draw(st.floats(0.05, 0.999)) / r)
+# Track constants from 0.05 to 20, and on both sides of the FAIRNESS_TOL = 1e-12
+# band around c = 1, where optimal_partial switches between holding cash and not.
+TRACK_CONSTANTS = st.one_of(
+    st.floats(0.05, 20.0),
+    st.sampled_from([1.0 - 2e-12, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 1.0 + 2e-12]),
+)
 
 
 @st.composite
-def races(draw):
-    """Races of 2 to 12 horses with probabilities down to 1e-300 and odds
-    ``c / r`` for a track constant from 0.05 to 20."""
-    m = draw(st.integers(2, 12))
+def races(draw, track_constants=TRACK_CONSTANTS):
+    """Races of 2 to 64 horses whose probabilities and bookie-implied
+    distributions have entries down to 1e-300, with odds ``c / r`` for a track
+    constant ``c`` drawn from ``track_constants``."""
+    m = draw(st.integers(2, 64))
     entries = st.lists(st.floats(1e-300, 1.0), min_size=m, max_size=m)
     p, r = _pmf(draw(entries)), _pmf(draw(entries))
-    return new_race(p, draw(st.floats(0.05, 20.0)) / r)
+    return new_race(p, draw(track_constants) / r)
 
 
 @st.composite
@@ -124,7 +124,7 @@ def _certified(market, beta, printed, logs):
 
 
 @settings(max_examples=400, derandomize=True, deadline=None, database=None)
-@given(market=subfair_races(), beta=BETAS)
+@given(market=races(st.floats(0.05, 0.999)), beta=BETAS)
 def test_partial_optimum_holds_over_the_whole_interior(market, beta):
     sol = optimal_partial(market, beta)
     alloc = sol.allocation
@@ -159,6 +159,17 @@ def test_full_and_side_info_optima_are_certified(market, side, beta):
     )
     table, _ = optimal_side_info(side, beta)
     _certified(side, beta, table.table, log_table)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(side=side_info_markets(), beta=BETAS)
+def test_side_information_never_lowers_the_optimal_utility(side, beta):
+    # betting the marginal race's optimum on every signal is one conditional allocation
+    table, _ = optimal_side_info(side, beta)
+    informed = utility_side_info(side, table, beta)
+    race = new_race(side.horse_probs, side.odds)
+    blind = utility_full(race, optimal_full(race, beta), beta)
+    assert informed >= blind - 1e-12 * max(1.0, abs(informed)), (informed, blind)
 
 
 def _no_nan(report):
@@ -212,7 +223,7 @@ def test_renyi_divergence_is_nondecreasing_in_the_order(pq, orders):
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
 @given(
     market=races(),
-    bets=st.lists(st.floats(1e-300, 1.0), min_size=12, max_size=12),
+    bets=st.lists(st.floats(1e-300, 1.0), min_size=64, max_size=64),
     betas=st.lists(KERNEL_BETAS, min_size=2, max_size=4),
 )
 def test_power_utility_of_a_fixed_bet_is_nondecreasing_in_beta(market, bets, betas):
@@ -242,7 +253,8 @@ FIELDS = st.one_of(
     st.dictionaries(st.text(max_size=2), ODD_NUMBERS, max_size=2),
 )
 BETA_TEXT = st.sampled_from(
-    ["kelly", "+inf", "-inf", "inf", "nan", "0.5", "-3", "0.999", "1", "1e400", "5e-324", "x", ""]
+    ["kelly", "+inf", "-inf", "inf", "nan", "0.5", "-3", "0.999", "1", "1e7", "-1e7", "1e400"]
+    + ["5e-324", "x", ""]
 )
 
 
@@ -286,15 +298,33 @@ def specs(draw):
     return doc
 
 
-def _run(argv) -> int:
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        return main(argv)
+def _run(argv) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        return main(argv), err.getvalue()
+
+
+# What an exit-2 message of each command may name: its spec file, a spec field it
+# reads, or one of its flags.
+NAMES = {
+    "analyze": ["spec file", "horses"],
+    "optimize": ["spec file", "horses", "side_info", "beta", "mode", "--beta", "--grid-resolution"],
+    "simulate": ["spec file", "horses", "--beta", "-n", "--seed", "--output"],
+    "divergence": ["--alpha", "-p", "-q", "--p-y"],
+}
+
+
+def _names_a_field(command: str, message: str) -> bool:
+    return any(
+        re.search(rf"(?<![\w-]){re.escape(name)}(?![\w-])", message) for name in NAMES[command]
+    )
 
 
 @settings(max_examples=150, derandomize=True, deadline=None, database=None)
 @given(
     spec=specs(),
     check=st.booleans(),
+    grid=st.sampled_from([[], ["--grid-resolution", "1"], ["--grid-resolution", "100000"]]),
     beta=st.one_of(st.just("kelly"), BETA_TEXT),
     n=st.one_of(st.just(3), st.sampled_from([-1, 0, 1, 100])),
     seed=st.one_of(st.just(7), st.sampled_from([0, -1, 2**128 - 1, 2**128])),
@@ -302,10 +332,10 @@ def _run(argv) -> int:
     p_y=st.one_of(st.just([1.0]), st.lists(FIELDS, max_size=3)),
 )
 def test_every_command_maps_any_spec_to_a_documented_exit_code(
-    spec, check, beta, n, seed, alpha, p_y
+    spec, check, grid, beta, n, seed, alpha, p_y
 ):
     # exit 0, 2 (invalid input), 3 (incompatible mode) or 4 (oracle disagreement);
-    # never a traceback
+    # never a traceback, and invalid input is named
     p = spec.get("horses") if isinstance(spec, dict) else spec
     if isinstance(p, list):
         p = [h.get("p") if isinstance(h, dict) else h for h in p]
@@ -318,7 +348,7 @@ def test_every_command_maps_any_spec_to_a_documented_exit_code(
             Path(files[name]).write_text(json.dumps(data))
         runs = [
             ["analyze", files["spec"]],
-            ["optimize", files["spec"], *(["--check"] if check else [])],
+            ["optimize", files["spec"], *(["--check"] if check else []), *grid],
             ["optimize", files["spec"], "--beta", beta, "--mode", "partial"],
             ["simulate", files["spec"], "--beta", beta, "-n", str(n), "--seed", str(seed)],
             ["divergence", f"--alpha={alpha!r}", "-p", files["p"], "-q", files["q"]],
@@ -326,4 +356,6 @@ def test_every_command_maps_any_spec_to_a_documented_exit_code(
              "--p-y", files["p_y"]],
         ]
         for argv in runs:
-            assert _run(argv) in (0, 2, 3, 4), argv
+            code, err = _run(argv)
+            assert code in (0, 2, 3, 4), argv
+            assert code != 2 or _names_a_field(argv[0], err), (argv, err)

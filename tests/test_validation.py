@@ -15,6 +15,7 @@ import pytest
 
 import powerbet.divergence
 import powerbet.market
+import powerbet.oracle
 import powerbet.strategy
 from powerbet import (
     Allocation,
@@ -310,11 +311,23 @@ def test_allocation_of_the_wrong_shape_is_a_length_mismatch(name):
         WRONG_SHAPE_CALLS[name]()
 
 
-@pytest.mark.parametrize("beta", [math.inf, -math.inf, 1.0, 1 - 5e-10, math.nan, 2.0, -1e7])
+@pytest.mark.parametrize("beta", [math.inf, -math.inf, 1.0, math.nan, 2.0, -1e7])
 def test_partial_dispatch_needs_an_interior_beta(beta):
     # with cash allowed the route is optimal_partial(market, beta).allocation
     with pytest.raises(BetaOutOfRangeError):
         optimal_partial(RACE, beta).allocation
+
+
+def test_partial_dispatch_takes_a_beta_next_to_one():
+    # every finite beta < 1 is interior: the log-domain closed form does not overflow
+    beta = 1 - 5e-10
+    sol = optimal_partial(RACE, beta)
+    fractions = np.append(sol.allocation.cash, sol.allocation.bets)
+    assert np.all(np.isfinite(fractions)) and np.all(fractions >= 0.0)
+    assert fractions.sum() == pytest.approx(1.0, abs=1e-15)
+    logs = np.append(*powerbet.strategy._log_weights_partial(RACE, beta)[:2])
+    gap = powerbet.oracle._certificate(RACE, beta, logs - powerbet.divergence._logsumexp(logs))
+    assert 0.0 <= gap <= powerbet.oracle._GAP_TOL
 
 
 FINITE_ONLY_CALLS = {
