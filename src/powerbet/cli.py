@@ -210,57 +210,36 @@ def cmd_analyze(args) -> tuple[dict, int]:
 # ---------------------------------------------------------------- optimize
 
 
-def _read_logs(printed: np.ndarray, logs: np.ndarray) -> np.ndarray | None:
-    """The logs the certificate reads: the printed fractions', but below the smallest
-    normal double, where a fraction keeps fewer bits, the optimizer's ``logs`` if they
-    round to it within a factor of 2 or a step of 2^-1074 (else None: not this point)."""
-    low = printed < divergence._NORMAL_MIN
-    exact = np.exp(logs[low])
-    if np.any(np.abs(exact - printed[low]) > np.minimum(exact, printed[low]) + 2.0**-1074):
-        return None
-    with np.errstate(divide="ignore"):
-        return np.where(low, logs, np.log(printed))
-
-
-def _check(market, mode: str, beta: float, value: float, printed, args) -> tuple[dict, int]:
-    """``--check`` of an optimum of ``value`` bits and fractions ``printed``: the payoff
+def _check(market, mode: str, beta: float, value: float, alloc, args) -> tuple[dict, int]:
+    """``--check`` of an optimum of ``value`` bits and allocation ``alloc``: the payoff
     bound at ``+-inf``, the exact vertex bound ``max_j (log2 o_j + log2 p_j / beta)`` at
     ``beta >= 1``, else the certificate.  Beside it a grid runs in full mode at finite
     ``beta != 0`` and in partial mode, ``--grid-resolution`` or else 200 if that fits."""
     if math.isinf(beta):  # the longest odds at +inf, every payoff at the track constant at -inf
         c = track_constant(market)
         top = math.log2(float(np.max(market.odds)))
-        gap = abs(value - top) if beta > 0 else float(np.max(np.abs(printed * market.odds - c))) / c
+        payoffs = alloc.bets * market.odds  # full mode: the other modes stop at exit 3
+        gap = abs(value - top) if beta > 0 else float(np.max(np.abs(payoffs - c))) / c
         doc = {"kind": "limit_bound", "gap": gap, "passed": gap <= 1e-12}
     elif beta >= 1.0:
         bound = float(np.max(np.log2(market.odds) + np.log2(market.probs) / beta))
         doc = {"kind": "vertex_bound", "vertex_value_bits": bound, "gap_bits": bound - value}
         doc["passed"] = bound - value <= ORACLE_VALUE_TOL
     else:
-        log_o = np.log(market.odds)
-        if mode == "side-info":
-            cond = strategy._side_info_logs(market)
-            logs = strategy._log_weights_side_info(*cond, log_o, beta)[0]
-        elif mode == "partial":
-            logs = np.append(*strategy._log_weights_partial(market, beta)[:2])
-            logs -= divergence._logsumexp(logs)  # the fractions' own logs
-        else:
-            logs = strategy._log_weights_full(np.log(market.probs), log_o, beta)
-        read = _read_logs(printed, logs)
-        gap = math.inf if read is None else oracle._certificate(market, beta, read)
+        gap = oracle._certify(market, beta, alloc)
         tol = oracle._GAP_TOL * max(1.0, abs(1.0 - beta))
         doc = {"kind": "certificate", "gap_nats": gap, "tolerance_nats": tol, "passed": gap <= tol}
 
-    k = args.grid_resolution
-    if k is None and oracle.GridSpec(200, printed.size).n_points <= oracle.MAX_GRID_POINTS:
+    k, dimension = args.grid_resolution, market.odds.size + (mode == "partial")  # cash first
+    if k is None and oracle.GridSpec(200, dimension).n_points <= oracle.MAX_GRID_POINTS:
         k = 200
     if k is not None and (mode == "partial" or (mode == "full" and math.isfinite(beta) and beta)):
         with _naming("--grid-resolution", GridTooLargeError):  # below 2, or past the guard
-            grid = oracle.GridSpec(k, printed.size)
+            grid = oracle.GridSpec(k, dimension)
             search = oracle.grid_search_partial if mode == "partial" else oracle.grid_search_full
             found, grid_value = search(market, beta, grid)
         if mode == "full":
-            doc["max_allocation_distance"] = float(np.max(np.abs(found.bets - printed)))
+            doc["max_allocation_distance"] = float(np.max(np.abs(found.bets - alloc.bets)))
         ok = mode == "partial" or beta >= 1.0 or doc["max_allocation_distance"] <= 2.0 / k
         doc.update(grid_resolution=k, grid_value_bits=grid_value, analytic_value_bits=value)
         doc["grid_minus_analytic"] = grid_value - value
@@ -268,16 +247,16 @@ def _check(market, mode: str, beta: float, value: float, printed, args) -> tuple
     return doc, 0 if doc["passed"] else 4
 
 
-def _optimize_full(market: RaceMarket, beta: float, out: dict) -> np.ndarray:
+def _optimize_full(market: RaceMarket, beta: float, out: dict):
     alloc = strategy.dispatch(market, beta)
     if -math.inf < beta < 1.0:
         out["decomposition"] = asdict(utility.decompose_full(market, alloc, beta))
     out["allocation"] = {"type": "full", "bets": _floats(alloc.bets)}
     out["utility_bits"] = utility.utility_full(market, alloc, beta)
-    return alloc.bets
+    return alloc
 
 
-def _optimize_partial(market: RaceMarket, beta: float, out: dict) -> np.ndarray:
+def _optimize_partial(market: RaceMarket, beta: float, out: dict):
     sol = strategy.optimal_partial(market, beta)
     out["allocation"] = {
         "type": "partial",
@@ -288,10 +267,10 @@ def _optimize_partial(market: RaceMarket, beta: float, out: dict) -> np.ndarray:
         "gammas": None if sol.gammas is None else _floats(sol.gammas),
     }
     out["utility_bits"] = sol.utility
-    return np.append(sol.allocation.cash, sol.allocation.bets)
+    return sol.allocation
 
 
-def _optimize_side_info(market: SideInfoMarket, beta: float, out: dict) -> np.ndarray:
+def _optimize_side_info(market: SideInfoMarket, beta: float, out: dict):
     alloc, signal_weights = strategy.optimal_side_info(market, beta)
     report = utility.decompose_side_info(market, alloc, beta)
     out["allocation"] = {
@@ -301,7 +280,7 @@ def _optimize_side_info(market: SideInfoMarket, beta: float, out: dict) -> np.nd
     }
     out["utility_bits"] = report.direct
     out["decomposition"] = asdict(report)
-    return alloc.table
+    return alloc
 
 
 def cmd_optimize(args) -> tuple[dict, int]:
@@ -327,10 +306,10 @@ def cmd_optimize(args) -> tuple[dict, int]:
         raise _CommandError(3, f"{mode} mode needs a finite beta < 1")
     optimize = {"full": _optimize_full, "partial": _optimize_partial}.get(mode, _optimize_side_info)
     with _naming(field, BetaOutOfRangeError):  # |beta| past the cap
-        printed = optimize(market, beta, out)  # the fractions, the cash first in partial mode
+        alloc = optimize(market, beta, out)
     if not args.check:
         return out, 0
-    out["oracle_check"], code = _check(market, mode, beta, out["utility_bits"], printed, args)
+    out["oracle_check"], code = _check(market, mode, beta, out["utility_bits"], alloc, args)
     return out, code
 
 

@@ -243,8 +243,3 @@ def classify_fairness(market: RaceMarket | SideInfoMarket) -> Fairness:
     else:
         tag = FairnessTag.SUPERFAIR
     return Fairness(tag=tag, c=c)
-
-
-def is_subfair(market: RaceMarket | SideInfoMarket) -> bool:
-    """True when the track constant is below the fair band (c < 1 - tol)."""
-    return classify_fairness(market).tag is FairnessTag.SUBFAIR

@@ -4,7 +4,8 @@ Four kinds of oracle live here:
 
 * a Frank-Wolfe certificate for finite ``beta < 1``: from the log fractions of
   a full, partial or conditional allocation, a bound in nats on how far its
-  ``ln M_beta`` falls below the optimum's, certifying the doubles that round them,
+  ``ln M_beta`` falls below the optimum's, certifying the doubles that round them;
+  ``_certify`` reads those logs off an allocation and its optimizer's record,
 * exhaustive simplex grid search, enumerating exact integer compositions
   so the feasible set carries no floating-point drift,
 * a stationarity / complementary-slackness residual check of a
@@ -49,10 +50,11 @@ from typing import Iterator
 
 import numpy as np
 
-from .divergence import _log, _log2_power_mean, _logsumexp
+from .divergence import _NORMAL_MIN, _log, _log2_power_mean, _logsumexp
 from .errors import BetaOutOfRangeError, GridTooLargeError, LengthMismatchError, NotEvaluableError
 from .market import RaceMarket, SideInfoMarket
-from .strategy import Allocation, PartialAllocation, _Bet, _check_beta, _outcomes
+from .strategy import Allocation, ConditionalAllocation, PartialAllocation, _Bet
+from .strategy import _check_beta, _outcomes
 from .utility import utility_full, utility_partial
 
 MAX_GRID_POINTS = 10**7
@@ -335,6 +337,25 @@ def _certificate(market: RaceMarket | SideInfoMarket, beta: float, log_fractions
         excess = np.maximum(peak + size - rows, 0.0)
         gaps = np.exp(rows - _logsumexp(rows) + excess + _log(-np.expm1(-excess)))
     return float(gaps.sum())
+
+
+def _certify(market: RaceMarket | SideInfoMarket, beta: float, alloc: _Bet) -> float:
+    """:func:`_certificate` of the doubles ``alloc`` holds, read as logs: their own, but
+    below the smallest normal double, where a fraction keeps fewer bits, those of the
+    ``_logs`` record its optimizer attached, if they round to it within a factor of 2 or
+    a step of 2^-1074 (else +inf: not this point).  Without a record, its doubles alone."""
+    printed = alloc.table if isinstance(alloc, ConditionalAllocation) else alloc.bets
+    if isinstance(alloc, PartialAllocation):
+        printed = np.append(alloc.cash, printed)
+    with np.errstate(divide="ignore"):
+        read = np.log(printed)
+    logs, low = getattr(alloc, "_logs", None), printed < _NORMAL_MIN
+    if logs is not None and np.any(low):
+        exact, printed = np.exp(logs[low]), printed[low]
+        if np.any(np.abs(exact - printed) > np.minimum(exact, printed) + 2.0**-1074):
+            return math.inf
+        read[low] = logs[low]
+    return _certificate(market, beta, read)
 
 
 def _stream_key(probs: np.ndarray, n: int, seed: int, unit: str) -> tuple:

@@ -27,7 +27,7 @@ from .market import (
     RaceMarket,
     SideInfoMarket,
     bookie_distribution,
-    is_subfair,
+    track_constant,
     _freeze,
     _normalized,
     _require_same_length,
@@ -92,7 +92,8 @@ class ConditionalAllocation:
 
 def _trusted(cls, **fields):
     """A ``cls`` of fractions the library computed from a validated market: their
-    arrays are made read-only in place, and nothing is checked or renormalized."""
+    arrays are made read-only in place, and nothing is checked or renormalized.
+    An optimizer adds ``_logs``, its fractions' natural logs, the cash first."""
     out = object.__new__(cls)
     for name, value in fields.items():
         if isinstance(value, np.ndarray):
@@ -175,8 +176,9 @@ def optimal_full(market: RaceMarket, beta: float) -> Allocation:
     may underflow to 0.
     """
     beta = _check_interior_beta(beta)
-    weights = np.exp(_log_weights_full(np.log(market.probs), np.log(market.odds), beta))
-    return _trusted(Allocation, bets=weights / weights.sum())
+    logs = _log_weights_full(np.log(market.probs), np.log(market.odds), beta)
+    weights = np.exp(logs)
+    return _trusted(Allocation, bets=weights / weights.sum(), _logs=logs)
 
 
 def kelly(market: RaceMarket) -> Allocation:
@@ -235,7 +237,7 @@ def optimal_side_info(
     log_table, log_g_y = _log_weights_side_info(log_cond, log_p_y, np.log(market.odds), beta)
     table = np.exp(log_table)
     table /= table.sum(axis=1, keepdims=True)
-    return _trusted(ConditionalAllocation, table=table), np.exp(log_g_y)
+    return _trusted(ConditionalAllocation, table=table, _logs=log_table), np.exp(log_g_y)
 
 
 def _side_info_logs(market: SideInfoMarket) -> tuple[np.ndarray, np.ndarray]:
@@ -260,10 +262,10 @@ def _log_weights_side_info(
 def optimal_partial(market: RaceMarket, beta: float) -> PartialSolution:
     """Optimal allocation when withholding cash is allowed, for finite ``beta < 1``.
 
-    With a fair or superfair track (c >= 1) holding cash never helps, so the
-    full-investment optimum is returned with zero cash.  With subfair odds
-    the optimum keeps some cash, and Kelly's threshold rule gives its
-    support, whatever ``beta``: rank the horses by decreasing ``p_i * o_i``
+    With a fair or superfair track (c >= 1, as the scan below sums ``1/o``)
+    cash never helps, so the full-investment optimum is returned with zero
+    cash.  With subfair odds the optimum keeps some cash, and Kelly's threshold
+    rule gives its support, whatever ``beta``: rank the horses by decreasing ``p_i * o_i``
     (ties to the smaller index) and add them in turn while ``p_k * o_k``
     exceeds the threshold ``cap = (1 - sum_J p_i) / (1 - sum_J 1/o_i)`` of
     the support ``J`` so far.  Stationarity puts a backed horse's payoff at
@@ -277,7 +279,9 @@ def optimal_partial(market: RaceMarket, beta: float) -> PartialSolution:
     log_cash, log_bets, cap, log_gammas = _log_weights_partial(market, beta)
     weights, cash = np.exp(log_bets), math.exp(log_cash)  # normalized once, in the division
     total = cash + float(weights.sum())
-    alloc = _trusted(PartialAllocation, cash=cash / total, bets=weights / total)
+    logs = np.append(log_cash, log_bets)
+    logs -= _logsumexp(logs)  # the fractions' own logs, normalized once
+    alloc = _trusted(PartialAllocation, cash=cash / total, bets=weights / total, _logs=logs)
     with np.errstate(over="ignore"):
         gammas = None if cap is None else _freeze(np.exp(log_gammas))
     support = tuple(np.flatnonzero(alloc.bets > 0.0).tolist())
@@ -288,18 +292,18 @@ def optimal_partial(market: RaceMarket, beta: float) -> PartialSolution:
 def _log_weights_partial(market: RaceMarket, beta: float):
     """``(ln cash, ln bets, cap, ln gammas)`` of :func:`optimal_partial`'s optimum for a
     validated ``beta``, the logs up to one common shift: the cash's is ``-peak`` and a bet's
-    its log gamma ``- peak``, ``peak >= 0`` the largest.  With ``c >= 1`` they are -inf and
-    the full-investment optimum's, and ``cap`` and the gammas None."""
+    its log gamma ``- peak``, ``peak >= 0`` the largest.  With no slack left after every
+    horse, they are -inf and the full-investment optimum's, and ``cap`` and the gammas None."""
     p, o = market.probs, market.odds
-    if not is_subfair(market):
-        return -math.inf, _log_weights_full(np.log(p), np.log(o), beta), None, None
     scores = p * o
     order = np.argsort(-scores, kind="stable")
+    slack = 1.0 - np.concatenate(([0.0], np.cumsum(1.0 / o[order])))
+    if slack[-1] >= 0.0:  # c >= 1 in the scan's own arithmetic: at best a tie with cash
+        return -math.inf, _log_weights_full(np.log(p), np.log(o), beta), None, None
     # Before horse order[k] is tried the support is order[:k].  Its unbacked
     # mass outside[k] is a suffix sum, so it never cancels to 0, and the horse
     # joins only if the slack stays > 0 once it has: cap is finite and > 0.
     outside = np.append(np.cumsum(p[order][::-1])[::-1], 0.0)
-    slack = 1.0 - np.concatenate(([0.0], np.cumsum(1.0 / o[order])))
     extend = (scores[order] * slack[:-1] > outside[:-1]) & (slack[1:] > 0.0)
     k = int(np.logical_and.accumulate(extend).sum())
     cap = float(outside[k] / slack[k])
@@ -321,7 +325,7 @@ def fold_cash_into_bets(market: RaceMarket, partial: PartialAllocation) -> Alloc
     ``cash + b_i o_i`` to ``c * cash + b_i o_i``, which is no decrease when
     ``c >= 1``, so the utility never drops for any risk parameter.
     """
-    if is_subfair(market):
+    if track_constant(market) < 1.0:  # the fairness band below 1 too: there c * cash < cash
         raise NotApplicableError("folding cash into bets requires a track constant >= 1")
     _require_same_length(market, partial.bets)
     return Allocation(bookie_distribution(market) * partial.cash + partial.bets)

@@ -428,9 +428,46 @@ class TestCertificate:
     def test_optimum_from_its_logs(self):
         market = new_race([0.5, 0.3, 0.2], [1.8, 3.5, 4.2])
         for beta in (-1e6, -5.0, 0.0, 0.5, 0.99, 1 - 1e-9):
-            logs = strategy._log_weights_full(np.log(market.probs), np.log(market.odds), beta)
+            logs = optimal_full(market, beta)._logs
             tol = oracle._GAP_TOL * max(1.0, 1.0 - beta)
             assert 0.0 <= oracle._certificate(market, beta, logs) <= tol
+
+
+# three tied backed horses: at beta = 0.99848 the optimum's cash is a subnormal double
+TIED_CASH = new_race([0.3, 0.3, 0.3, 0.1], [4.0, 4.0, 4.0, 1.05])
+
+
+def _recorded(alloc, **record):
+    """``alloc``'s doubles, with the log record ``_logs`` if given, else none."""
+    return strategy._trusted(PartialAllocation, cash=alloc.cash, bets=alloc.bets, **record)
+
+
+class TestCertify:
+    """``oracle._certify``, the one reader of an allocation's logs: its doubles', but
+    below the smallest normal double its optimizer's record, which must round to them."""
+
+    def test_an_agreeing_record_certifies_a_subnormal_cash(self):
+        alloc = optimal_partial(TIED_CASH, 0.99848).allocation
+        assert 0.0 < alloc.cash < np.finfo(float).tiny
+        assert oracle._certify(TIED_CASH, 0.99848, alloc) == 0.0
+        # within a factor of 2 of the printed cash the record still agrees
+        nearby = alloc._logs + [0.5, 0.0, 0.0, 0.0, 0.0]
+        assert oracle._certify(TIED_CASH, 0.99848, _recorded(alloc, _logs=nearby)) == 0.0
+
+    # the subnormal cash, and SUBFAIR's at beta = 0.999, which rounds to 0.0
+    @pytest.mark.parametrize("market,beta", [(TIED_CASH, 0.99848), (SUBFAIR, 0.999)])
+    def test_a_disagreeing_record_gives_inf(self, market, beta):
+        alloc = optimal_partial(market, beta).allocation
+        assert alloc.cash < np.finfo(float).tiny
+        logs = alloc._logs.copy()
+        logs[0] = -720.0  # a subnormal cash, 15 times the tied race's
+        assert oracle._certify(market, beta, _recorded(alloc, _logs=logs)) == math.inf
+
+    def test_without_a_record_the_doubles_are_read(self):
+        alloc = optimal_partial(SUBFAIR, 0.999).allocation
+        assert alloc.cash == 0.0 and oracle._certify(SUBFAIR, 0.999, alloc) == 0.0
+        # the cash read as 0.0 leaves the second horse paying 0
+        assert oracle._certify(SUBFAIR, 0.999, _recorded(alloc)) == math.inf
 
 
 class TestSimulateGrowth:

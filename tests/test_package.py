@@ -62,6 +62,29 @@ def _package_imports(path: str) -> set[str]:
     return found
 
 
+def test_cli_reads_no_private_name_of_the_solver_layers():
+    # --check reads what the optimizers recorded through oracle, not their kernels
+    root = os.path.dirname(os.path.abspath(powerbet.__file__))
+    with open(os.path.join(root, "cli.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    reads = [
+        f"{node.value.id}.{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in ("strategy", "divergence")
+        and node.attr.startswith("_")
+    ]
+    reads += [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module in ("strategy", "divergence")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert reads == []
+
+
 def test_modules_import_only_the_layers_below_them():
     # errors -> market -> divergence -> strategy -> utility -> oracle -> cli
     root = os.path.dirname(os.path.abspath(powerbet.__file__))

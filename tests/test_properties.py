@@ -27,14 +27,12 @@ from powerbet import (
     optimal_partial,
     optimal_side_info,
     renyi_div,
-    strategy,
     utility_full,
     utility_partial,
     utility_side_info,
 )
-from powerbet.cli import _read_logs, main
-from powerbet.divergence import _logsumexp
-from powerbet.oracle import _GAP_TOL, _certificate
+from powerbet.cli import main
+from powerbet.oracle import _GAP_TOL, _certificate, _certify
 
 from test_divergence import _kernel_tolerance
 
@@ -113,18 +111,19 @@ def side_info_markets(draw):
     return new_side_info(joint / joint.sum(), odds)
 
 
-def _certified(market, beta, printed, logs):
-    """The certificate holds on the optimizer's logs, and on the logs ``optimize
-    --check`` reads from the printed fractions."""
+def _certified(market, beta, alloc):
+    """The certificate holds on the logs the optimizer recorded with ``alloc``, and on
+    the logs ``optimize --check`` reads from its doubles."""
     tol = _GAP_TOL * max(1.0, abs(1.0 - beta))
-    assert 0.0 <= _certificate(market, beta, logs) <= tol
-    read = _read_logs(np.asarray(printed), logs)
-    assert read is not None
-    assert 0.0 <= _certificate(market, beta, read) <= tol
+    assert 0.0 <= _certificate(market, beta, alloc._logs) <= tol
+    assert 0.0 <= _certify(market, beta, alloc) <= tol
 
 
 @settings(max_examples=400, derandomize=True, deadline=None, database=None)
-@given(market=races(st.floats(0.05, 0.999)), beta=BETAS)
+@given(
+    market=races(st.one_of(st.floats(0.05, 0.999), st.sampled_from([1.0 - 2e-12, 1.0 - 1e-12]))),
+    beta=BETAS,
+)
 def test_partial_optimum_holds_over_the_whole_interior(market, beta):
     sol = optimal_partial(market, beta)
     alloc = sol.allocation
@@ -144,21 +143,14 @@ def test_partial_optimum_holds_over_the_whole_interior(market, beta):
         assert not math.isnan(report.mu)
 
     # the certificate holds wherever the cash is held or rounds to 0.0
-    logs = np.append(*strategy._log_weights_partial(market, beta)[:2])
-    _certified(market, beta, np.append(alloc.cash, alloc.bets), logs - _logsumexp(logs))
+    _certified(market, beta, alloc)
 
 
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
 @given(market=races(), side=side_info_markets(), beta=BETAS)
 def test_full_and_side_info_optima_are_certified(market, side, beta):
-    logs = strategy._log_weights_full(np.log(market.probs), np.log(market.odds), beta)
-    _certified(market, beta, optimal_full(market, beta).bets, logs)
-
-    log_table, _ = strategy._log_weights_side_info(
-        *strategy._side_info_logs(side), np.log(side.odds), beta
-    )
-    table, _ = optimal_side_info(side, beta)
-    _certified(side, beta, table.table, log_table)
+    _certified(market, beta, optimal_full(market, beta))
+    _certified(side, beta, optimal_side_info(side, beta)[0])
 
 
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
@@ -205,6 +197,60 @@ def test_one_signal_conditional_divergence_is_the_divergence(pq, alpha):
     assert cond_renyi_div(p[None, :], q[None, :], [1.0], alpha) == pytest.approx(
         plain, rel=1e-12, abs=0.0
     )
+
+
+@st.composite
+def conditional_tables(draw):
+    """A signal PMF, two conditional tables of 2 to 4 signals and 2 to 6 outcomes, and
+    a PMF over the outcomes, with zero cells and table entries down to 1e-300.  Signal
+    probabilities are 0 or above 2e-9, so no joint cell p(y) p(x|y) underflows to 0."""
+    n, m = draw(st.integers(2, 4)), draw(st.integers(2, 6))
+    cell = st.one_of(st.just(0.0), st.floats(1e-300, 1.0))
+
+    def rows(k):
+        raw = np.asarray(draw(st.lists(cell, min_size=k * m, max_size=k * m))).reshape(k, m)
+        raw[raw.sum(axis=1) == 0.0, draw(st.integers(0, m - 1))] = 1.0
+        return raw / raw.sum(axis=1, keepdims=True)
+
+    weight = st.floats(1e-8, 1.0)
+    p_y = np.asarray(draw(st.lists(st.one_of(st.just(0.0), weight), min_size=n, max_size=n)))
+    p_y[draw(st.integers(0, n - 1))] = draw(weight)
+    return p_y / p_y.sum(), rows(n), rows(n), rows(1)[0]
+
+
+def _below(x: float, y: float, scale: float) -> bool:
+    """``x <= y`` up to 1e-12 of the largest of ``scale``, ``|x|`` and ``|y|``; +inf is
+    below only +inf."""
+    return x <= y or (math.isfinite(x) and x - y <= 1e-12 * max(scale, abs(x), abs(y)))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(
+    tables=conditional_tables(),
+    alpha=st.one_of(st.floats(0.2, 4.0), st.sampled_from([1.0 - 1e-9, 1.0, 1.0 + 1e-9])),
+)
+def test_conditional_divergence_is_a_tilted_mean_of_the_signals_divergences(tables, alpha):
+    # the tilted mean at t = (alpha - 1) / alpha of the per-signal divergences D_y,
+    # so between their extremes and on one side of their p(y)-average (Hardy,
+    # Littlewood & Polya, Inequalities, ch. II), and criterion 06's three inequalities.
+    # The slack is relative to the largest finite D_y, or 1: the kernel's rounding
+    # scale is its inputs' (eps / |t| on the log-sum-exp path stays below it).
+    p_y, p_cond, q_cond, r = tables
+    live = p_y > 0.0
+    per_signal = [renyi_div(p, q, alpha) for p, q in zip(p_cond[live], q_cond[live])]
+    per_signal_r = [renyi_div(p, r, alpha) for p in p_cond[live]]
+    scale = max([1.0] + [d for d in per_signal + per_signal_r if math.isfinite(d)])
+    value = cond_renyi_div(p_cond, q_cond, p_y, alpha)
+    assert _below(min(per_signal), value, scale) and _below(value, max(per_signal), scale)
+    average = float(np.dot(p_y[live], per_signal))
+    assert alpha < 1.0 or _below(average, value, scale)
+    assert alpha > 1.0 or _below(value, average, scale)
+
+    joint = renyi_div((p_cond * p_y[:, None]).ravel(), (q_cond * p_y[:, None]).ravel(), alpha)
+    assert _below(0.0, value, scale) and _below(value, joint, scale)
+    marginal = renyi_div(p_y @ p_cond, r, alpha)
+    given_y = cond_renyi_div(p_cond, np.tile(r, (p_y.size, 1)), p_y, alpha)
+    assert _below(marginal, given_y, scale)
 
 
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)

@@ -247,6 +247,14 @@ class TestOptimalPartial:
         assert sol.allocation.cash == pytest.approx(6 / 83, abs=1e-12)
         np.testing.assert_allclose(sol.allocation.bets, [77 / 83, 0.0], atol=1e-12)
 
+    @pytest.mark.parametrize("beta", [0.0, 0.5, -3.0])
+    def test_fairness_band_below_one_holds_the_cash(self, beta):
+        # c = 1 - 1e-12 is "fair" to classify_fairness, but betting everything
+        # loses 1.44e-12 bits there, and all cash loses nothing
+        sol = optimal_partial(new_race(np.full(5, 0.2), np.full(5, 5 * (1 - 1e-12))), beta)
+        assert sol.allocation.cash == 1.0 and sol.support == ()
+        assert sol.utility == 0.0
+
     def test_superfair_invests_everything(self):
         rng = np.random.default_rng(16)
         for _ in range(30):
@@ -387,6 +395,12 @@ class TestFoldCashIntoBets:
 
     def test_rejects_subfair(self):
         market = new_race([0.9, 0.1], [1.5, 1.5])
+        with pytest.raises(NotApplicableError):
+            fold_cash_into_bets(market, PartialAllocation(0.5, [0.5, 0.0]))
+
+    def test_rejects_the_fairness_band_below_one(self):
+        # c = 1 - 5e-13 is "fair" to classify_fairness, but folding lowers each payoff
+        market = new_race([0.9, 0.1], [2 * (1 - 5e-13)] * 2)
         with pytest.raises(NotApplicableError):
             fold_cash_into_bets(market, PartialAllocation(0.5, [0.5, 0.0]))
 
