@@ -241,8 +241,8 @@ def _check(market, mode: str, beta: float, value: float, alloc, args) -> tuple[d
         if mode == "full":
             doc["max_allocation_distance"] = float(np.max(np.abs(found.bets - alloc.bets)))
         ok = mode == "partial" or beta >= 1.0 or doc["max_allocation_distance"] <= 2.0 / k
-        doc.update(grid_resolution=k, grid_value_bits=grid_value, analytic_value_bits=value)
-        doc["grid_minus_analytic"] = grid_value - value
+        doc.update(grid_resolution=k, grid_points=grid.n_points, grid_value_bits=grid_value)
+        doc.update(analytic_value_bits=value, grid_minus_analytic=grid_value - value)
         doc["passed"] = doc["passed"] and ok and grid_value - value <= ORACLE_VALUE_TOL
     return doc, 0 if doc["passed"] else 4
 

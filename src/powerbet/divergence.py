@@ -91,10 +91,7 @@ def _tilted_mean(t: float, log_w, x, terms=None, axis: int | None = None):
     added for the dropped share, as ``-log1p(dropped / live) / t``.
     """
     if abs(t) > _CENTERED_T:
-        if terms is None:  # x is freed before the sum, so a grid block holds no extra copy
-            terms, x = t * x, None
-            terms = log_w + terms
-        return _logsumexp(terms, axis) / (t * _LN2)
+        return _logsumexp(log_w + t * x if terms is None else terms, axis) / (t * _LN2)
     shape = x.shape
     x = x.reshape((1, -1) if axis is None else (-1, shape[-1]))
     log_w = log_w.reshape(-1, x.shape[1])  # a row per row of x, or one for all
@@ -147,17 +144,30 @@ def _log(arr: np.ndarray) -> np.ndarray:
         return np.log(arr)
 
 
-def _log2_power_mean(probs: np.ndarray, payoffs: np.ndarray, beta: float):
+def _power_mean_read(probs, payoffs, beta: float) -> np.ndarray:
+    """What :func:`_log2_power_mean` reduces, by its ops: the payoffs' log2 at ``beta =
+    +-inf``, their natural logs near 0, else the far form's ``ln p + beta ln payoff``."""
+    with np.errstate(divide="ignore"):
+        read = np.log2(payoffs) if math.isinf(beta) else np.log(payoffs)
+    if _CENTERED_T < abs(beta) < math.inf:  # in place, so a grid block holds no extra copy
+        read *= beta
+        read += np.log(probs)
+    return read
+
+
+def _log2_power_mean(probs: np.ndarray, payoffs, beta: float, read=None):
     """``K(beta; p, ln payoff) = (1/beta) log2 sum p_i payoff_i^beta``: a float for one
     payoff vector, one value per row for a 2-D stack of them.  At ``beta = +-inf`` it is
-    the largest or smallest log2 payoff, so every ``p_i`` must then be positive."""
-    axis = None if payoffs.ndim == 1 else -1
+    the largest or smallest log2 payoff, so every ``p_i`` must then be positive.
+    ``read``, if given, stands in for the payoffs: their :func:`_power_mean_read`."""
+    read = _power_mean_read(probs, payoffs, beta) if read is None else read
+    axis = None if read.ndim == 1 else -1
     if math.isinf(beta):
-        with np.errstate(divide="ignore"):
-            logs = np.log2(payoffs)
-        out = logs.max(axis) if beta > 0.0 else logs.min(axis)
+        out = read.max(axis) if beta > 0.0 else read.min(axis)
         return float(out) if axis is None else out
-    return _tilted_mean(beta, np.log(probs), _log(payoffs), axis=axis)
+    if abs(beta) > _CENTERED_T:  # the read is the far form's terms
+        return _tilted_mean(beta, None, None, read, axis)
+    return _tilted_mean(beta, np.log(probs), read, axis=axis)
 
 
 def renyi_div(p, q, alpha: float) -> float:

@@ -15,11 +15,14 @@ Four kinds of oracle live here:
 
 Full and partial grid searches share one scan that differs only in the
 payoff map.  It takes the points in lexicographic order, in numpy blocks
-of at most ``_BLOCK_CELLS`` cells, so memory stays bounded and the cost is
-proportional to points x dimension.  Blocks are coordinate-major: numpy sums
-a point's coordinates far faster down contiguous columns than along short
-rows.  Only strict improvements are accepted, so the lowest lexicographic
-point wins ties however the scan is blocked.
+of at most ``_BLOCK_CELLS`` cells, so memory stays bounded.  A full bet
+pays coordinate ``j`` on its own, so from 3 coordinates on, where values
+repeat, each value's log is taken once and blocks of indices gather it;
+cash enters every partial payoff, so those blocks take logs cell by cell.
+Blocks are coordinate-major: numpy sums a point's coordinates far faster
+down contiguous columns than along short rows.  Only strict improvements
+are accepted, so the lowest lexicographic point wins ties however the scan
+is blocked.
 
 The Monte Carlo oracles take every allocation kind and draw the outcomes
 of its bet: the horses of a full or partial allocation, and the (signal,
@@ -50,7 +53,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .divergence import _NORMAL_MIN, _log, _log2_power_mean, _logsumexp
+from .divergence import _NORMAL_MIN, _log, _log2_power_mean, _logsumexp, _power_mean_read
 from .errors import BetaOutOfRangeError, GridTooLargeError, LengthMismatchError, NotEvaluableError
 from .market import RaceMarket, SideInfoMarket
 from .strategy import Allocation, ConditionalAllocation, PartialAllocation, _Bet
@@ -161,50 +164,61 @@ class WealthTrajectory:
         return _log_wealth_chunks(self._probs, self._increments, self.n_races, self.seed)
 
 
-def _grid_blocks(grid: GridSpec) -> Iterator[np.ndarray]:
-    """The grid's integer compositions in lexicographic order, in blocks of at
-    most ``_BLOCK_CELLS`` cells (rows x dimension).
+def _grid_blocks(grid: GridSpec, offsets=None) -> Iterator[np.ndarray]:
+    """The grid's integer compositions in lexicographic order, in blocks of at most
+    ``_BLOCK_CELLS`` cells (rows x dimension), coordinate ``j`` plus ``offsets[j]``.
 
     Bars ``c_1 < ... < c_{d-2}`` from ``combinations(range(k + d - 2))``, in
     lexicographic order, give the heads ``x_j = c_j - c_{j-1} - 1`` (with
-    ``c_0 = -1``); a head leaving ``room`` units is followed by the points
+    ``c_0 = -1``); a head leaving ``room`` units is repeated along its points
     ``(head, t, room - t)``, ``t = 0..room``.  Each block is the transpose of
     a C-ordered (dimension, rows) array, so a sum over a point's coordinates
     adds whole columns in order; a row-major sum goes pairwise from 8 of them
-    on, so there the two may differ in the last bits.  The entries are
-    float64, exact for these small integers, so scaling a block to points is
-    a float divide rather than an integer true-divide.
+    on, so there the two may differ in the last bits.  Entries take the offsets'
+    dtype, float64 zeros by default: exact for these small integers, so scaling
+    a block to points is a float divide rather than an integer true-divide.
     """
     k, d = grid.resolution, grid.dimension
+    offsets = np.zeros(d) if offsets is None else offsets
     if d == 1:
-        yield np.full((1, 1), float(k))
+        yield (offsets + k)[:, None]
         return
     rows = max(1, _BLOCK_CELLS // d)
-    bars = chain.from_iterable(combinations(range(k + d - 2), d - 2))
+    # combinations keeps its pool as a tuple of ints, 36 MB at k = 10^6: 2 coordinates need none
+    bars = chain.from_iterable(combinations(range(k + d - 2) if d > 2 else (), d - 2))
     left = math.comb(k + d - 2, d - 2)
     while left:
         n = min(rows, left)
         left -= n
         pos = np.fromiter(bars, dtype=np.intp, count=n * (d - 2)).reshape(n, d - 2).T
-        heads = np.empty((d, n))  # x_1..x_{d-2}, room, last point's index
+        heads = np.empty((d, n), offsets.dtype)  # x_1..x_{d-2}, -first point's index, last's
         heads[:-2] = pos
         heads[1:-2] -= pos[:-1] + 1
-        heads[-2] = k - heads[:-2].sum(axis=0)
-        ends = np.cumsum(heads[-2] + 1).astype(np.intp)  # one past each head's last point
-        heads[-1] = ends - 1
+        sizes = k + 1 - heads[:-2].sum(axis=0).astype(np.intp)  # room + 1 points per head
+        ends = np.cumsum(sizes)  # one past each head's last point
+        heads[-2], heads[-1] = sizes - ends, ends - 1
+        heads += offsets[:, None]
         for lo in range(0, int(ends[-1]), rows):
-            index = np.arange(lo, min(lo + rows, int(ends[-1])))
-            first, last = np.searchsorted(ends, index[[0, -1]], side="right")
-            counts = np.diff(np.minimum(ends[first : last + 1], index[-1] + 1), prepend=lo)
-            block = heads.take(np.repeat(np.arange(first, last + 1), counts), axis=1)
+            hi = min(lo + rows, int(ends[-1]))
+            first, last = ends.searchsorted((lo, hi - 1), side="right").tolist()
+            counts = sizes[first : last + 1].copy()  # whole runs, but the first and last
+            counts[0] = ends[first] - lo
+            counts[-1] -= ends[last] - hi
+            block, index = np.repeat(heads[:, first : last + 1], counts, axis=1), np.arange(lo, hi)
+            block[-2] += index  # t
             block[-1] -= index  # room - t
-            block[-2] -= block[-1]  # t
             yield block.T
 
 
-def _grid_argmax(market: RaceMarket, beta: float, grid: GridSpec, dimension: int, payoffs):
+def _grid_argmax(
+    market: RaceMarket, beta: float, grid: GridSpec, dimension: int, payoffs, separable=False
+):
     """The lexicographically first grid point maximizing the utility of
-    ``payoffs(points)``: only strict improvements replace the incumbent."""
+    ``payoffs(points)``: only strict improvements replace the incumbent.  A
+    ``separable`` map (payoff ``j`` of coordinate ``j`` alone) of 3 coordinates
+    or more has one :func:`_power_mean_read` per coordinate value, by the
+    per-cell ops, in a table of at most 13,413 doubles below the guard: blocks
+    of its indices gather it, and only the winning point is divided by k."""
     beta = _check_beta(beta)
     if grid.dimension != dimension:
         raise LengthMismatchError(
@@ -214,14 +228,20 @@ def _grid_argmax(market: RaceMarket, beta: float, grid: GridSpec, dimension: int
         raise GridTooLargeError(
             f"grid would enumerate {grid.n_points} points, above the {MAX_GRID_POINTS} guard"
         )
+    k, offsets, table = grid.resolution, np.zeros(dimension), None
+    if separable and dimension > 2:
+        offsets, column = np.arange(dimension) * (k + 1), np.arange(k + 1.0)[:, None] / k
+        table = _power_mean_read(market.probs, payoffs(column), beta).T.ravel()
     best_point, best_value = None, -math.inf
-    for block in _grid_blocks(grid):
-        points = block / grid.resolution
-        values = _log2_power_mean(market.probs, payoffs(points), beta)
+    for block in _grid_blocks(grid, offsets):
+        if table is None:
+            values = _log2_power_mean(market.probs, payoffs(block / k), beta)
+        else:
+            values = _log2_power_mean(market.probs, None, beta, table.take(block.T).T)
         idx = int(np.argmax(values))
         if best_point is None or values[idx] > best_value:
-            best_point, best_value = points[idx], values[idx]
-    return best_point
+            best_point, best_value = block[idx], values[idx]
+    return (best_point - offsets) / k
 
 
 def grid_search_full(
@@ -229,7 +249,8 @@ def grid_search_full(
 ) -> tuple[Allocation, float]:
     """Exhaustive full-investment search; returns the best grid point and its utility.
     At ``beta = +-inf`` it maximizes the best- or worst-case payoff."""
-    alloc = Allocation(_grid_argmax(market, beta, grid, market.m, lambda pts: pts * market.odds))
+    best = _grid_argmax(market, beta, grid, market.m, lambda pts: pts * market.odds, separable=True)
+    alloc = Allocation(best)
     return alloc, utility_full(market, alloc, beta)
 
 

@@ -369,6 +369,23 @@ class TestOptimize:
         assert check["grid_minus_analytic"] <= 1e-9
         assert check["passed"] is True
 
+    @pytest.mark.parametrize("mode,k,points", [("full", 200, 201), ("partial", 200, 20301)])
+    def test_check_reports_the_grid_size(self, capsys, subfair_spec, mode, k, points):
+        # two horses: a full grid has k + 1 points, a partial one (cash, two bets)
+        # C(k + 2, 2); the key is printed only where a grid ran
+        code, out = run(capsys, "optimize", subfair_spec, "--beta", "0.5", "--mode", mode)
+        assert code == 0
+        assert "grid_points" not in out and json.loads(out)["oracle_check"] is None
+        argv = ["optimize", subfair_spec, "--beta", "0.5", "--mode", mode, "--check"]
+        code, out = run(capsys, *argv)
+        assert code == 0
+        check = json.loads(out)["oracle_check"]
+        assert check["grid_resolution"] == k
+        assert check["grid_points"] == points == math.comb(k + 1 + (mode == "partial"), k)
+        argv = ["optimize", subfair_spec, "--beta", "-inf", "--check"]
+        code, out = run(capsys, *argv)
+        assert "grid_points" not in json.loads(out)["oracle_check"]  # no grid at the limits
+
     def test_partial_cash_rounds_to_zero_close_to_one(self, capsys, subfair_spec):
         argv = ["optimize", subfair_spec, "--beta", "0.999", "--mode", "partial"]
         code, out = run(capsys, *argv)

@@ -51,6 +51,11 @@ SUBFAIR = new_race([0.9, 0.1], [1.5, 1.5])
 # vertices, and these four tie bit for bit; the first in lexicographic order
 # backs the last horse.
 TIED_VERTICES = new_race([0.25] * 4, [4.0] * 4)
+# one beta or more in every regime of the power mean: the limits, the far form of
+# the tilted mean on either side of 0 and of 1, its near form and Kelly
+GRID_REGIME_BETAS = (
+    -math.inf, -5.0, -0.5, 0.0, -(2.0**-11), 2.0**-11, 0.5, 1.0 - 1e-6, 1.0, 3.0, math.inf
+)
 
 
 class TestGridSpec:
@@ -72,6 +77,13 @@ class TestGridSpec:
                 assert all(b.shape[0] <= max(1, cells // d) for b in blocks)
                 assert all(b.flags.f_contiguous for b in blocks)  # one column per coordinate
                 np.testing.assert_array_equal(np.concatenate(blocks), list(compositions(k, d)))
+                # table indices: coordinate j shifted by j (k + 1), in the offsets' dtype
+                offsets = np.arange(d) * (k + 1)
+                blocks = list(oracle._grid_blocks(GridSpec(k, d), offsets))
+                assert all(b.dtype == np.intp and b.flags.f_contiguous for b in blocks)
+                assert all(b.shape[0] <= max(1, cells // d) for b in blocks)
+                points = np.concatenate(blocks) - offsets
+                np.testing.assert_array_equal(points, list(compositions(k, d)))
 
     def test_blocks_stay_within_the_cell_budget(self):
         # a (2, 600) grid used to come in blocks of 65,536 x 600 cells
@@ -139,6 +151,11 @@ def _scan_values(market, beta, grid, payoffs):
     )
 
 
+def _tied_race(m):
+    """m horses of equal probability and odds m: grid points tie at every beta."""
+    return new_race(np.full(m, 1.0 / m), np.full(m, float(m)))
+
+
 def _reference_values(market, beta, grid, payoffs):
     return np.concatenate(
         [values for _, values in reference_grid_values(market.probs, beta, grid, payoffs)]
@@ -192,14 +209,43 @@ class TestGridScan:
                 err = np.where(same, 0.0, np.abs(got - want))
             assert np.all(err <= 8 * np.finfo(float).eps * np.maximum(1.0, np.abs(want)))
 
+    @pytest.mark.parametrize("d,k", [(1, 9), (2, 40), (3, 25), (4, 12), (8, 4), (12, 3)])
+    def test_point_is_the_first_argmax_of_the_per_cell_values(self, d, k):
+        # _scan_values reads each cell's payoffs on its own, as the scan did before
+        # it read a table of one entry per coordinate value: at every beta regime the
+        # point found is the first point of the largest per-cell value, bit for bit
+        rng = np.random.default_rng(34 + d)
+        grid = GridSpec(k, d)
+        points = np.concatenate(list(oracle._grid_blocks(grid))) / k
+        for beta in GRID_REGIME_BETAS:
+            for tied in (False, True):
+                market = _tied_race(d) if tied else random_market(rng, d)
+                best, _ = grid_search_full(market, beta, grid)
+                want = points[np.argmax(_scan_values(market, beta, grid, _full_payoffs(market)))]
+                np.testing.assert_array_equal(best.bets, Allocation(want).bets)
+                if d == 1:
+                    continue
+                market = _tied_race(d - 1) if tied else random_market(rng, d - 1)
+                best, _ = grid_search_partial(market, beta, grid)
+                want = points[np.argmax(_scan_values(market, beta, grid, _partial_payoffs(market)))]
+                assert best.cash == want[0]
+                np.testing.assert_array_equal(best.bets, PartialAllocation(want[0], want[1:]).bets)
+
     def test_memory_holds_no_extra_block_copies(self):
-        # a block of 2^14 cells is 128 KB per float temporary, whatever the grid
+        # a block of 2^14 cells is 128 KB per float temporary, whatever the grid;
+        # 2 coordinates read each value once and build no table, which at 10^6
+        # points would hold 16 MB
         market = new_race([0.1, 0.2, 0.3, 0.4], [3.0, 6.0, 2.5, 4.0])
-        scans = ((grid_search_full, GridSpec(200, 4)), (grid_search_partial, GridSpec(60, 5)))
-        for search, grid in scans:
+        pair = new_race([0.6, 0.4], [2.5, 2.0])
+        scans = (
+            (grid_search_full, market, GridSpec(200, 4)),
+            (grid_search_partial, market, GridSpec(60, 5)),
+            (grid_search_full, pair, GridSpec(10**6, 2)),
+        )
+        for search, race, grid in scans:
             tracemalloc.start()
             try:
-                search(market, 0.5, grid)
+                search(race, 0.5, grid)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
