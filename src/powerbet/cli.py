@@ -249,10 +249,10 @@ def _check(market, mode: str, beta: float, value: float, alloc, args) -> tuple[d
 
 def _optimize_full(market: RaceMarket, beta: float, out: dict):
     alloc = strategy.dispatch(market, beta)
-    if -math.inf < beta < 1.0:
-        out["decomposition"] = asdict(utility.decompose_full(market, alloc, beta))
+    report = utility.decompose_full(market, alloc, beta) if -math.inf < beta < 1.0 else None
+    out["decomposition"] = None if report is None else asdict(report)
     out["allocation"] = {"type": "full", "bets": _floats(alloc.bets)}
-    out["utility_bits"] = utility.utility_full(market, alloc, beta)
+    out["utility_bits"] = report.direct if report else utility.utility_full(market, alloc, beta)
     return alloc
 
 
@@ -345,16 +345,17 @@ def cmd_simulate(args) -> tuple[dict, int]:
             seen += rows.size
 
     rate = traj.final_rate
-    # Each race adds its outcome's log2 payoff, so the increments' moments come
-    # from the outcome counts.  Wealth is finite unless some race ruined it, and
-    # then there is no band to report.
-    band = None
+    # Each race adds its outcome's log2 payoff, so the increments' moments come from
+    # the outcome counts; a ruined wealth has no band.  A band below the serial sum's
+    # worst-case rounding of final / n, n eps max |step|, is reported but not judged.
+    band, judged = None, False
     if math.isfinite(rate) and args.n > 1:
         drawn = traj._counts > 0
         counts, steps = traj._counts[drawn], traj._increments[drawn]
         mean = float(np.sum(counts * steps)) / args.n
         squares = float(np.sum(counts * np.square(steps - mean)))
         band = 3.0 * math.sqrt(squares / (args.n - 1)) / math.sqrt(args.n)
+        judged = band >= args.n * sys.float_info.epsilon * float(np.max(np.abs(steps)))
     theoretical = utility.utility_full(market, alloc, 0.0)
     out = {
         "input": doc,
@@ -366,7 +367,7 @@ def cmd_simulate(args) -> tuple[dict, int]:
         "empirical_rate_bits": rate,
         "clt_band_3se_bits": band,
         "theoretical_doubling_rate_bits": theoretical,
-        "within_band": None if band is None else bool(abs(rate - theoretical) <= band),
+        "within_band": bool(abs(rate - theoretical) <= band) if judged else None,
     }
     return out, 0
 

@@ -29,7 +29,7 @@ from .errors import LengthMismatchError, UnsupportedOrderError
 from .market import _normalized
 
 _LN2 = math.log(2.0)
-_CENTERED_T = 2.0**-10  # above it, the log-sum-exp form errs by about eps/|t| <= 3e-13
+_CENTERED_T = 2.0**-10  # up to it rows are centered; above, log-sum-exp errs by eps/|t| <= 3e-13
 # Below it, t (x - mu) keeps too few bits for the centered form, whose error
 # grows as 2^-1074/|t| (1.4 bits at the smallest subnormal), while K(t) - K(0)
 # is O(t): such t take the t = 0 form.
@@ -79,9 +79,10 @@ def _tilted_mean(t: float, log_w, x, terms=None, axis: int | None = None):
     the caller's form of ``log w + t x`` (the default).  Near it, each row, or
     the whole array as one row, is centered on ``mu = sum w x``, as
     ``mu + log1p(sum w expm1(t (x - mu))) / t``, so the rounding of ``sum w``
-    is never divided by a small ``t``; rows whose tilts span more than 1, or
-    that end up NaN, take the far form.  A subnormal ``t`` skips the tilts and
-    takes the ``K(0)`` value ``mu``, plus the dropped share's term below.
+    is never divided by a small ``t``, however wide the tilts.  A row with no positive
+    weight, or whose log1p term leaves [-1, 1] (so that adding it to ``mu`` loses over
+    the far form's ``eps/|t|``), takes the far form.  A subnormal ``t`` skips the
+    tilts and takes the ``K(0)`` value ``mu``, plus the dropped share's term below.
 
     Never NaN: ``w = 0`` drops a term (its ``x`` must then be finite unless
     ``terms`` is given), ``e^(t x)`` is ``+inf`` or 0 for an infinite ``x``, and
@@ -110,11 +111,9 @@ def _tilted_mean(t: float, log_w, x, terms=None, axis: int | None = None):
             out = (mu + log_kept / t if t else mu) / _LN2
             far = np.isnan(out)
         else:
-            tilt = t * (live_x - mu[:, None])
-            span = tilt.max(axis=1, where=w > 0.0, initial=-math.inf)
-            span -= tilt.min(axis=1, where=w > 0.0, initial=math.inf)
-            out = (mu + (np.log1p((w * np.expm1(tilt)).sum(axis=1)) + log_kept) / t) / _LN2
-            far = ~((0.0 <= span) & (span <= 1.0))
+            shift = np.log1p((w * np.expm1(t * (live_x - mu[:, None]))).sum(axis=1))
+            out = (mu + (shift + log_kept) / t) / _LN2
+            far = ~(np.abs(shift) <= 1.0) | ~(w > 0.0).any(axis=1)
     if far.any():
         terms = log_w + t * x if terms is None else np.reshape(terms, x.shape)
         out[far] = _logsumexp(terms[far], axis=1) / (t * _LN2)

@@ -750,6 +750,24 @@ class TestSimulate:
         band, reference = self._band_and_reference(capsys, tmp_path, probs, odds, "kelly", n, 0)
         assert band < 1e-16 and reference < 1e-16
 
+    @pytest.mark.parametrize("n", [1000, 3 * 2**16 + 5])
+    def test_a_band_below_the_sums_rounding_is_not_judged(self, capsys, tmp_path, n):
+        # Kelly on p o = 0.9 for every horse: final / n may drift from the rate by
+        # n eps max |step|, far above the band, so within_band is null and the band
+        # is still printed; the same bet on odds with a real spread is judged
+        for odds, judged in (([1.8, 3.0, 4.5], False), ([2.2, 3.1, 5.5], True)):
+            horses = [{"p": p, "odds": o} for p, o in zip([0.5, 0.3, 0.2], odds)]
+            spec = _write(tmp_path, "race.json", {"horses": horses})
+            argv = ["simulate", spec, "--beta", "kelly", "-n", str(n), "--seed", "0"]
+            code, out = run(capsys, *argv, "--output", str(tmp_path / "traj.csv"))
+            doc = json.loads(out)
+            assert code == 0
+            assert isinstance(doc["clt_band_3se_bits"], float)
+            if judged:
+                assert isinstance(doc["within_band"], bool)
+            else:
+                assert doc["within_band"] is None
+
     def test_one_simulate_replays_the_races_twice(self, capsys, monkeypatch, fair_spec, tmp_path):
         calls = []
         draw = cli.oracle._winner_chunks

@@ -206,6 +206,64 @@ class TestConditionalProperties:
                 conditional = cond_renyi_div(p_cond, r_table, p_y, alpha)
                 assert marginal <= conditional + 1e-12
 
+    def test_below_joint_at_an_order_next_to_one(self):
+        # A property draw at alpha = 1 - 1e-9: the per-signal divergences are
+        # 1.9e9 bits (a q = 0 cell drops 73% of the first row) and 321 bits, so
+        # the outer tilts spread over about 1.3 around t = -1e-9.  The log-sum-exp
+        # form divided the rounding of sum p(y) by t there, putting the conditional
+        # divergence 1.5e-10 relative above the joint one.
+        alpha = 1.0 - 1e-9
+        p_y = np.array([1.4442908499008574e-08, 0.9999999855570915, 0.0, 0.0])
+        p_cond = np.array(
+            [
+                [0.27244791653590766, 0.0, 0.0, 0.0, 5.481978253767884e-124, 0.7275520834640924],
+                [0.0, 0.0, 0.999999999688658, 0.0, 0.0, 3.1134187548909604e-10],
+                [0.2676314837685415, 0.0, 0.0, 0.7323685162314586, 0.0, 5.159572889266611e-124],
+                [0.0, 0.21646204781419773, 0.3461892580068573, 0.3397294388286635,
+                 0.09761925535028144, 4.069435171024201e-39],
+            ]
+        )
+        q_cond = np.array(
+            [
+                [0.6037709427334587, 0.0709467264411187, 0.0, 0.3252823308254222,
+                 4.1573455792301904e-16, 0.0],
+                [0.058135186137995495, 0.0, 2.5826547408365515e-97, 0.0, 0.25559229620700863,
+                 0.686272517654996],
+                [0.6688508754936235, 0.0, 0.0, 0.0, 0.33114912450637635, 0.0],
+                [0.0, 0.0, 0.0, 0.0, 1.0, 5.927476123120327e-88],
+            ]
+        )
+        p_joint, q_joint = (p_cond * p_y[:, None]).ravel(), (q_cond * p_y[:, None]).ravel()
+        cond = cond_renyi_div(p_cond, q_cond, p_y, alpha)
+        joint = renyi_div(p_joint, q_joint, alpha)
+        assert cond <= joint
+        reference = _decimal_cond_renyi(p_cond, q_cond, p_y, alpha)
+        assert cond == pytest.approx(reference, rel=1e-12)
+        reference = _decimal_cond_renyi([p_joint], [q_joint], [1.0], alpha)
+        assert joint == pytest.approx(reference, rel=1e-12)
+
+
+def _decimal_cond_renyi(p_cond, q_cond, p_y, alpha: float) -> float:
+    """50-digit ``cond_renyi_div`` for an order ``alpha != 1``, on the float inputs
+    with ``p_y`` and each table row scaled to sum to one; a single signal of
+    weight 1 gives ``renyi_div``."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        a = Decimal(alpha)
+        weights = [Decimal(float(v)) for v in p_y]
+        mean = Decimal(0)
+        for w, p_row, q_row in zip(weights, p_cond, q_cond):
+            if w == 0:
+                continue
+            p, q = [Decimal(float(v)) for v in p_row], [Decimal(float(v)) for v in q_row]
+            bracket = sum(
+                (a * (u / sum(p)).ln() + (1 - a) * (v / sum(q)).ln()).exp()
+                for u, v in zip(p, q)
+                if u > 0
+            )
+            mean += w / sum(weights) * (bracket.ln() / a).exp()
+        return float(a / (a - 1) * mean.ln() / Decimal(2).ln())
+
 
 def _fsum_logsumexp(values) -> float:
     """Reference log-sum-exp: exact summation of the shifted exponentials."""
@@ -299,14 +357,14 @@ KERNEL_TS = sorted(
 )
 
 
-def _centered(t: float, x) -> bool:
-    return abs(t) <= GATE and abs(t) * (max(x) - min(x)) <= 1.0
+def _centered(t: float) -> bool:
+    return abs(t) <= GATE
 
 
 def _kernel_tolerance(t: float, w, x) -> float:
     """A few ulps of the output scale, plus eps/|t| on the log-sum-exp branch."""
     tol = 64 * EPS * (1.0 + max(abs(v) for v in x) / _LN2)
-    if not _centered(t, x):
+    if not _centered(t):
         peak = max(math.log(a) + t * b for a, b in zip(w, x) if a > 0.0)
         tol += 64 * EPS * (1.0 + abs(peak)) / (abs(t) * _LN2)
     return tol
@@ -338,7 +396,7 @@ class TestTiltedMeanKernel:
         # and one weight row per row, as in the conditional divergence
         rng = np.random.default_rng(62)
         w, _ = _kernel_case(rng)
-        scales = np.array([[1e-3], [1.0], [500.0], [513.0], [690.0]])  # at 2^-10, only 690 is far
+        scales = np.array([[1e-3], [1.0], [500.0], [513.0], [690.0]])  # tilts up to 1.35 wide
         x = rng.uniform(-1.0, 1.0, size=(5, w.size)) * scales
         table = rng.dirichlet(np.ones(w.size), size=5)
         for weights in (w, table):
@@ -413,27 +471,39 @@ class TestTiltedMeanKernel:
         "t,spread,centered",
         [
             (GATE, 1024.0, True),
-            (GATE, math.nextafter(1024.0, math.inf), False),
+            (GATE, math.nextafter(1024.0, math.inf), True),
             (math.nextafter(GATE, math.inf), 1.0, False),
             (-GATE, 1024.0, True),
             (1e-12, 1e12, True),
-            (1e-12, 2e12, False),
+            (1e-12, 2e12, True),
         ],
     )
     def test_gate_boundary(self, t, spread, centered):
         # weights that sum to 1 + 1e-10 tell the branches apart: the log-sum-exp
         # form keeps the 1e-10 and divides it by t, the centered form carries
-        # it only as a relative error
+        # it only as a relative error, also where the tilts span more than 1
         w = np.array([0.25, 0.5, 0.25]) * (1.0 + 1e-10)
         x = np.array([-spread / 2, 0.0, spread / 2])
         value = _tilted_mean(t, np.log(w), x)
         log_sum_exp = _logsumexp(np.log(w) + t * x) / (t * _LN2)
-        assert _centered(t, x) == centered
+        assert _centered(t) == centered
         if centered:
             assert value == pytest.approx(_decimal_tilted_mean(t, w, x), rel=1e-9)
             assert value != log_sum_exp
         else:
             assert value == log_sum_exp
+
+    @pytest.mark.parametrize("t", [GATE, -GATE])
+    @pytest.mark.parametrize("spread", [4e3, 2e6])
+    def test_a_row_far_from_its_mean_takes_the_log_sum_exp_form(self, t, spread):
+        # the log1p term is 1.28 at a spread of 4e3 and overflows at 2e6: the value
+        # lies over 1/|t| from mu, where mu + log1p(...) / t cancels, so the row
+        # is the log-sum-exp value
+        w = np.array([0.5, 0.5])
+        x = np.array([0.0, spread])
+        value = _tilted_mean(t, np.log(w), x)
+        assert value == _logsumexp(np.log(w) + t * x) / (t * _LN2)
+        assert value == pytest.approx(_decimal_tilted_mean(t, w, x), rel=1e-12)
 
     def test_far_branch_keeps_the_callers_terms(self):
         log_w = np.log([0.25, 0.75])
