@@ -82,14 +82,20 @@ def _emit(doc: dict) -> None:
     sys.stdout.write("\n")
 
 
-def _load_spec(path: str) -> dict:
+def _read_json(path: str, unreadable: str, invalid: str):
+    """The JSON document at ``path``, else invalid input: ``unreadable: <reason>`` when the
+    file cannot be read, ``invalid: <reason>`` when it does not parse."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise _CommandError(2, f"cannot read spec file: {exc}")
+        raise _CommandError(2, f"{unreadable}: {exc}")
     except ValueError as exc:  # a JSONDecodeError, or an integer past the int-string limit
-        raise _CommandError(2, f"spec file is not valid JSON: {exc}")
+        raise _CommandError(2, f"{invalid}: {exc}")
+
+
+def _load_spec(path: str) -> dict:
+    doc = _read_json(path, "cannot read spec file", "spec file is not valid JSON")
     if not isinstance(doc, dict):
         raise _CommandError(2, "spec file must contain a JSON object")
     return doc
@@ -388,13 +394,9 @@ def _parse_matrix_text(text: str, field: str) -> list[list[float]]:
 def _load_dist_arg(text: str, field: str) -> list[list[float]]:
     """A distribution argument: inline text, or a path to a JSON list."""
     if os.path.isfile(text):
-        try:
-            with open(text, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise _CommandError(2, f"{field}: cannot load {text!r}: {exc}")
-        except ValueError as exc:  # as in _load_spec
-            raise _CommandError(2, f"{field}: {text!r} is not valid JSON: {exc}")
+        data = _read_json(
+            text, f"{field}: cannot load {text!r}", f"{field}: {text!r} is not valid JSON"
+        )
         try:
             arr = np.asarray(data, dtype=float)
         except (TypeError, ValueError, OverflowError):

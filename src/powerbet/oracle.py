@@ -58,7 +58,7 @@ from .errors import BetaOutOfRangeError, GridTooLargeError, LengthMismatchError,
 from .market import RaceMarket, SideInfoMarket
 from .strategy import Allocation, ConditionalAllocation, PartialAllocation, _Bet
 from .strategy import _check_beta, _outcomes
-from .utility import utility_full, utility_partial
+from .utility import utility_full
 
 MAX_GRID_POINTS = 10**7
 # Grid blocks and Monte Carlo chunks keep each 8-byte temporary at 128 KB.
@@ -262,7 +262,7 @@ def grid_search_partial(
         market, beta, grid, market.m + 1, lambda pts: pts[:, :1] + pts[:, 1:] * market.odds
     )
     alloc = PartialAllocation(best[0], best[1:])
-    return alloc, utility_partial(market, alloc, beta)
+    return alloc, utility_full(market, alloc, beta)
 
 
 def _excess(a, b):
@@ -368,8 +368,7 @@ def _certify(market: RaceMarket | SideInfoMarket, beta: float, alloc: _Bet) -> f
     printed = alloc.table if isinstance(alloc, ConditionalAllocation) else alloc.bets
     if isinstance(alloc, PartialAllocation):
         printed = np.append(alloc.cash, printed)
-    with np.errstate(divide="ignore"):
-        read = np.log(printed)
+    read = _log(printed)
     logs, low = getattr(alloc, "_logs", None), printed < _NORMAL_MIN
     if logs is not None and np.any(low):
         exact, printed = np.exp(logs[low]), printed[low]

@@ -43,7 +43,7 @@ from .market import (
 from .strategy import (
     Allocation,
     ConditionalAllocation,
-    PartialAllocation,
+    _Bet,
     _check_beta,
     _check_interior_beta,
     _log_weights_full,
@@ -70,27 +70,21 @@ class DecompositionReport:
     residual: float
 
 
-def utility_full(market: RaceMarket, b: Allocation, beta: float) -> float:
-    """Utility of a full-investment allocation, in bits: payoffs are ``b_i o_i``."""
+def utility_full(market: RaceMarket | SideInfoMarket, b: _Bet, beta: float) -> float:
+    """``U_beta`` of any allocation, in bits, over its payoffs: ``b_i o_i`` when fully
+    invested, ``cash + b_i o_i`` with a cash fraction withheld, and ``b(x|y) o(x)`` over
+    the joint's live cells with side information.  :func:`utility_partial` and
+    :func:`utility_side_info` are this function."""
     beta = _check_beta(beta)
     return _log2_power_mean(*_outcomes(market, b), beta)
+
+
+utility_partial = utility_side_info = utility_full
 
 
 def doubling_rate(market: RaceMarket, b: Allocation) -> float:
     """Expected log2 wealth growth per race, ``sum p_i log2(b_i o_i)``: ``U_0``."""
     return utility_full(market, b, 0.0)
-
-
-def utility_partial(market: RaceMarket, b: PartialAllocation, beta: float) -> float:
-    """Utility when a cash fraction is withheld: payoffs are ``cash + b_i o_i``."""
-    beta = _check_beta(beta)
-    return _log2_power_mean(*_outcomes(market, b), beta)
-
-
-def utility_side_info(market: SideInfoMarket, b: ConditionalAllocation, beta: float) -> float:
-    """Utility of a conditional allocation: payoff ``b(x|y) o(x)`` weighted by the joint."""
-    beta = _check_beta(beta)
-    return _log2_power_mean(*_outcomes(market, b), beta)
 
 
 def limit_utilities(market: RaceMarket, b: Allocation) -> tuple[float, float]:
@@ -150,4 +144,4 @@ def decompose_side_info(
     log_g_joint = log_g_cond + log_g_y[:, None]
     log_b_joint = _log(b.table) + log_g_y[:, None]
     gambler = _renyi_from_logs(log_g_joint, log_b_joint, 1.0 - beta, t=-beta)
-    return _report(c, bookie, gambler, utility_side_info(market, b, beta))
+    return _report(c, bookie, gambler, utility_full(market, b, beta))

@@ -14,6 +14,7 @@ from helpers import reference_log_wealth, reference_winners
 from powerbet import (
     Allocation,
     ConditionalAllocation,
+    NotEvaluableError,
     PartialAllocation,
     cli,
     new_race,
@@ -74,6 +75,30 @@ def test_integer_past_the_int_string_limit_is_invalid_input(capsys, tmp_path, co
     assert code == 2
     assert captured.out == ""
     assert "is not valid JSON" in captured.err
+
+
+def test_missing_spec_file_is_invalid_input(capsys, tmp_path):
+    path = tmp_path / "absent.json"
+    code = main(["analyze", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: cannot read spec file: [Errno 2] No such file or directory: {str(path)!r}\n"
+    )
+
+
+def test_library_error_outside_a_named_field_exits_2(capsys, monkeypatch, fair_spec):
+    # main's last-resort handler: a library error no command wraps is still invalid input
+    def failing(market):
+        raise NotEvaluableError("no fairness here")
+
+    monkeypatch.setattr(cli, "classify_fairness", failing)
+    code = main(["analyze", fair_spec])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: no fairness here\n"
 
 
 class TestAnalyze:
@@ -861,6 +886,18 @@ class TestDivergenceCmd:
         assert code == 0
         expected = 0.6 * math.log2(1.2) + 0.4 * math.log2(0.8)
         assert json.loads(out)["divergence_bits"] == pytest.approx(expected, abs=1e-14)
+
+    def test_file_that_does_not_parse_is_invalid_input(self, capsys, tmp_path):
+        p_file = tmp_path / "p.json"
+        p_file.write_text("[0.6, 0.4")
+        code = main(["divergence", "--alpha", "0.5", "-p", str(p_file), "-q", "0.5,0.5"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: -p: {str(p_file)!r} is not valid JSON: "
+            "Expecting ',' delimiter: line 1 column 10 (char 9)\n"
+        )
 
     @pytest.mark.parametrize("content", ['["a", "b"]', "[[0.5, 0.5], [0.5]]"])
     def test_non_numeric_file_names_the_field(self, capsys, tmp_path, content):

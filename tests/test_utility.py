@@ -38,6 +38,11 @@ MARKET_B = new_race([0.6, 0.4], [2, 2])
 EPS = np.finfo(float).eps
 
 
+def test_one_utility_serves_every_allocation_kind():
+    assert utility_partial is utility_full
+    assert utility_side_info is utility_full
+
+
 class TestUtilityFull:
     def test_flat_payoff_is_zero(self):
         flat = Allocation([0.5, 0.5])
