@@ -124,7 +124,7 @@ def _renyi_from_logs(log_p, log_q, alpha: float, axis: int | None = None, t: flo
     """``D_alpha(p || q) = K(alpha - 1; p, ln p - ln q)`` in bits, from natural-log PMFs; the
     terms ``alpha ln p + (1 - alpha) ln q`` stay exact for a weight with ``ln p`` near -1e9.
     ``t`` is the exact tilt ``alpha - 1`` if the caller has it, not ``alpha - 1.0``.
-    Rounding below 0 is clamped to 0: no Renyi divergence between PMFs is negative."""
+    Rounding below 0, -0.0 included, is clamped to +0.0: no Renyi divergence is negative."""
     t = alpha - 1.0 if t is None else t
     off = log_p == -math.inf
     with np.errstate(invalid="ignore"):  # -inf - -inf off the support of p, replaced below
@@ -134,7 +134,7 @@ def _renyi_from_logs(log_p, log_q, alpha: float, axis: int | None = None, t: flo
     terms[off] = -math.inf
     x[off] = 0.0
     d = _tilted_mean(t, log_p, x, terms, axis)
-    return max(d, 0.0) if axis is None else np.maximum(d, 0.0)
+    return max(0.0, d) if axis is None else np.maximum(d, 0.0) + 0.0  # -0.0 + 0.0 is +0.0
 
 
 def _log(arr: np.ndarray) -> np.ndarray:
@@ -217,4 +217,4 @@ def _cond_renyi_from_logs(log_p_cond, log_q_cond, log_p_y: np.ndarray, alpha: fl
     occur (``log_q_cond`` may be one row for all) and of their probabilities."""
     # the bracket of signal y is exp((alpha-1) K_y) for the inner divergence K_y
     inner = _renyi_from_logs(log_p_cond, log_q_cond, alpha, axis=-1)
-    return _tilted_mean((alpha - 1.0) / alpha, log_p_y, inner * _LN2)
+    return max(0.0, _tilted_mean((alpha - 1.0) / alpha, log_p_y, inner * _LN2))

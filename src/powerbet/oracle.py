@@ -165,8 +165,9 @@ class WealthTrajectory:
 
 
 def _grid_blocks(grid: GridSpec, offsets=None) -> Iterator[np.ndarray]:
-    """The grid's integer compositions in lexicographic order, in blocks of at most
-    ``_BLOCK_CELLS`` cells (rows x dimension), coordinate ``j`` plus ``offsets[j]``.
+    """The grid's integer compositions in lexicographic order, in ``np.intp`` blocks of at
+    most ``_BLOCK_CELLS`` cells (rows x dimension), coordinate ``j`` plus ``offsets[j]``
+    (0 by default).
 
     Bars ``c_1 < ... < c_{d-2}`` from ``combinations(range(k + d - 2))``, in
     lexicographic order, give the heads ``x_j = c_j - c_{j-1} - 1`` (with
@@ -174,12 +175,10 @@ def _grid_blocks(grid: GridSpec, offsets=None) -> Iterator[np.ndarray]:
     ``(head, t, room - t)``, ``t = 0..room``.  Each block is the transpose of
     a C-ordered (dimension, rows) array, so a sum over a point's coordinates
     adds whole columns in order; a row-major sum goes pairwise from 8 of them
-    on, so there the two may differ in the last bits.  Entries take the offsets'
-    dtype, float64 zeros by default: exact for these small integers, so scaling
-    a block to points is a float divide rather than an integer true-divide.
+    on, so there the two may differ in the last bits.
     """
     k, d = grid.resolution, grid.dimension
-    offsets = np.zeros(d) if offsets is None else offsets
+    offsets = np.zeros(d, np.intp) if offsets is None else offsets
     if d == 1:
         yield (offsets + k)[:, None]
         return
@@ -191,10 +190,10 @@ def _grid_blocks(grid: GridSpec, offsets=None) -> Iterator[np.ndarray]:
         n = min(rows, left)
         left -= n
         pos = np.fromiter(bars, dtype=np.intp, count=n * (d - 2)).reshape(n, d - 2).T
-        heads = np.empty((d, n), offsets.dtype)  # x_1..x_{d-2}, -first point's index, last's
+        heads = np.empty((d, n), np.intp)  # x_1..x_{d-2}, -first point's index, last's
         heads[:-2] = pos
         heads[1:-2] -= pos[:-1] + 1
-        sizes = k + 1 - heads[:-2].sum(axis=0).astype(np.intp)  # room + 1 points per head
+        sizes = k + 1 - heads[:-2].sum(axis=0)  # room + 1 points per head
         ends = np.cumsum(sizes)  # one past each head's last point
         heads[-2], heads[-1] = sizes - ends, ends - 1
         heads += offsets[:, None]
@@ -210,34 +209,35 @@ def _grid_blocks(grid: GridSpec, offsets=None) -> Iterator[np.ndarray]:
             yield block.T
 
 
-def _grid_argmax(
-    market: RaceMarket, beta: float, grid: GridSpec, dimension: int, payoffs, separable=False
-):
-    """The lexicographically first grid point maximizing the utility of
-    ``payoffs(points)``: only strict improvements replace the incumbent.  A
-    ``separable`` map (payoff ``j`` of coordinate ``j`` alone) of 3 coordinates
-    or more has one :func:`_power_mean_read` per coordinate value, by the
-    per-cell ops, in a table of at most 13,413 doubles below the guard: blocks
-    of its indices gather it, and only the winning point is divided by k."""
+def _grid_argmax(market: RaceMarket, beta: float, grid: GridSpec, cash=False) -> np.ndarray:
+    """The lexicographically first grid point maximizing the utility of its payoffs,
+    ``b_j o_j``, or with the ``cash`` coordinate first ``cash + b_j o_j``: only strict
+    improvements replace the incumbent.  A full bet of 3 coordinates or more pays
+    coordinate ``j`` on its own, so it has one :func:`_power_mean_read` per coordinate
+    value, by the per-cell ops, in a table of at most 13,413 doubles below the guard:
+    blocks of its indices gather it, and only the winning point is divided by k."""
     beta = _check_beta(beta)
-    if grid.dimension != dimension:
+    o, d = market.odds, market.m + cash
+    if grid.dimension != d:
         raise LengthMismatchError(
-            f"grid dimension {grid.dimension} does not match the required {dimension}"
+            f"grid dimension {grid.dimension} does not match the required {d}"
         )
     if grid.n_points > MAX_GRID_POINTS:
         raise GridTooLargeError(
             f"grid would enumerate {grid.n_points} points, above the {MAX_GRID_POINTS} guard"
         )
-    k, offsets, table = grid.resolution, np.zeros(dimension), None
-    if separable and dimension > 2:
-        offsets, column = np.arange(dimension) * (k + 1), np.arange(k + 1.0)[:, None] / k
-        table = _power_mean_read(market.probs, payoffs(column), beta).T.ravel()
+    k, offsets, table = grid.resolution, np.zeros(d, np.intp), None
+    if not cash and d > 2:
+        offsets, column = np.arange(d) * (k + 1), np.arange(k + 1.0)[:, None] / k
+        table = _power_mean_read(market.probs, column * o, beta).T.ravel()
     best_point, best_value = None, -math.inf
     for block in _grid_blocks(grid, offsets):
-        if table is None:
-            values = _log2_power_mean(market.probs, payoffs(block / k), beta)
-        else:
+        if table is not None:
             values = _log2_power_mean(market.probs, None, beta, table.take(block.T).T)
+        else:
+            pts = block / k
+            payoffs = pts[:, :1] + pts[:, 1:] * o if cash else pts * o
+            values = _log2_power_mean(market.probs, payoffs, beta)
         idx = int(np.argmax(values))
         if best_point is None or values[idx] > best_value:
             best_point, best_value = block[idx], values[idx]
@@ -249,8 +249,7 @@ def grid_search_full(
 ) -> tuple[Allocation, float]:
     """Exhaustive full-investment search; returns the best grid point and its utility.
     At ``beta = +-inf`` it maximizes the best- or worst-case payoff."""
-    best = _grid_argmax(market, beta, grid, market.m, lambda pts: pts * market.odds, separable=True)
-    alloc = Allocation(best)
+    alloc = Allocation(_grid_argmax(market, beta, grid))
     return alloc, utility_full(market, alloc, beta)
 
 
@@ -258,9 +257,7 @@ def grid_search_partial(
     market: RaceMarket, beta: float, grid: GridSpec
 ) -> tuple[PartialAllocation, float]:
     """Exhaustive search over (cash, bets) vectors; the cash coordinate comes first."""
-    best = _grid_argmax(
-        market, beta, grid, market.m + 1, lambda pts: pts[:, :1] + pts[:, 1:] * market.odds
-    )
+    best = _grid_argmax(market, beta, grid, cash=True)
     alloc = PartialAllocation(best[0], best[1:])
     return alloc, utility_full(market, alloc, beta)
 

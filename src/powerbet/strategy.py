@@ -276,44 +276,38 @@ def optimal_partial(market: RaceMarket, beta: float) -> PartialSolution:
     0.0, and ``gammas`` to ``+inf``.
     """
     beta = _check_interior_beta(beta)
-    log_cash, log_bets, cap, log_gammas = _log_weights_partial(market, beta)
+    p, o = market.probs, market.odds
+    scores = p * o
+    order = np.argsort(-scores, kind="stable")
+    slack = 1.0 - np.concatenate(([0.0], np.cumsum(1.0 / o[order])))
+    cap = gammas = None
+    if slack[-1] >= 0.0:  # c >= 1 in the scan's own arithmetic: at best a tie with cash
+        log_cash, log_bets = -math.inf, _log_weights_full(np.log(p), np.log(o), beta)
+    else:
+        # Before horse order[k] is tried the support is order[:k].  Its unbacked
+        # mass outside[k] is a suffix sum, so it never cancels to 0, and the horse
+        # joins only if the slack stays > 0 once it has: cap is finite and > 0.
+        outside = np.append(np.cumsum(p[order][::-1])[::-1], 0.0)
+        extend = (scores[order] * slack[:-1] > outside[:-1]) & (slack[1:] > 0.0)
+        k = int(np.logical_and.accumulate(extend).sum())
+        cap = float(outside[k] / slack[k])
+        backed = order[:k]
+        # a last horse tied with the threshold may round to just below it: no bet
+        z = np.maximum((np.log(scores[backed]) - math.log(cap)) / (1.0 - beta), 0.0)
+        log_gammas = np.full(market.m, -math.inf)
+        log_gammas[backed] = z - np.log(o[backed]) + _log(-np.expm1(-z))
+        with np.errstate(over="ignore"):
+            gammas = _freeze(np.exp(log_gammas))
+        peak = max(0.0, float(log_gammas.max()))  # the cash's log-weight is 0
+        log_cash, log_bets = -peak, log_gammas - peak
     weights, cash = np.exp(log_bets), math.exp(log_cash)  # normalized once, in the division
     total = cash + float(weights.sum())
     logs = np.append(log_cash, log_bets)
     logs -= _logsumexp(logs)  # the fractions' own logs, normalized once
     alloc = _trusted(PartialAllocation, cash=cash / total, bets=weights / total, _logs=logs)
-    with np.errstate(over="ignore"):
-        gammas = None if cap is None else _freeze(np.exp(log_gammas))
     support = tuple(np.flatnonzero(alloc.bets > 0.0).tolist())
     utility = _log2_power_mean(*_outcomes(market, alloc), beta)
     return PartialSolution(alloc, support, gamma_cap=cap, gammas=gammas, utility=utility)
-
-
-def _log_weights_partial(market: RaceMarket, beta: float):
-    """``(ln cash, ln bets, cap, ln gammas)`` of :func:`optimal_partial`'s optimum for a
-    validated ``beta``, the logs up to one common shift: the cash's is ``-peak`` and a bet's
-    its log gamma ``- peak``, ``peak >= 0`` the largest.  With no slack left after every
-    horse, they are -inf and the full-investment optimum's, and ``cap`` and the gammas None."""
-    p, o = market.probs, market.odds
-    scores = p * o
-    order = np.argsort(-scores, kind="stable")
-    slack = 1.0 - np.concatenate(([0.0], np.cumsum(1.0 / o[order])))
-    if slack[-1] >= 0.0:  # c >= 1 in the scan's own arithmetic: at best a tie with cash
-        return -math.inf, _log_weights_full(np.log(p), np.log(o), beta), None, None
-    # Before horse order[k] is tried the support is order[:k].  Its unbacked
-    # mass outside[k] is a suffix sum, so it never cancels to 0, and the horse
-    # joins only if the slack stays > 0 once it has: cap is finite and > 0.
-    outside = np.append(np.cumsum(p[order][::-1])[::-1], 0.0)
-    extend = (scores[order] * slack[:-1] > outside[:-1]) & (slack[1:] > 0.0)
-    k = int(np.logical_and.accumulate(extend).sum())
-    cap = float(outside[k] / slack[k])
-    backed = order[:k]
-    # a last horse tied with the threshold may round to just below it: no bet
-    z = np.maximum((np.log(scores[backed]) - math.log(cap)) / (1.0 - beta), 0.0)
-    log_gammas = np.full(market.m, -math.inf)
-    log_gammas[backed] = z - np.log(o[backed]) + _log(-np.expm1(-z))
-    peak = max(0.0, float(log_gammas.max()))  # the cash's log-weight is 0
-    return -peak, log_gammas - peak, cap, log_gammas
 
 
 def fold_cash_into_bets(market: RaceMarket, partial: PartialAllocation) -> Allocation:

@@ -34,12 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divergence import _cond_renyi_from_logs, _log, _log2_power_mean, _renyi_from_logs
-from .market import (
-    RaceMarket,
-    SideInfoMarket,
-    _require_same_length,
-    track_constant,
-)
+from .market import RaceMarket, SideInfoMarket, track_constant
 from .strategy import (
     Allocation,
     ConditionalAllocation,
@@ -109,13 +104,13 @@ def decompose_full(market: RaceMarket, b: Allocation, beta: float) -> Decomposit
     optimal fractions that underflow to 0 near ``beta = 1`` still count.
     """
     beta = _check_interior_beta(beta)
-    _require_same_length(market, b.bets)
+    direct = utility_full(market, b, beta)
     log_p, log_o = np.log(market.probs), np.log(market.odds)
     c = track_constant(market)
     bookie = _renyi_from_logs(log_p, math.log(c) - log_o, 1.0 / (1.0 - beta))  # r = c / o
     log_g = _log_weights_full(log_p, log_o, beta)
     gambler = _renyi_from_logs(log_g, _log(b.bets), 1.0 - beta, t=-beta)  # the exact tilt
-    return _report(c, bookie, gambler, utility_full(market, b, beta))
+    return _report(c, bookie, gambler, direct)
 
 
 def decompose_kelly(market: RaceMarket, b: Allocation) -> DecompositionReport:
@@ -135,7 +130,7 @@ def decompose_side_info(
     signal weights, evaluated from the optimizer's log-weights.
     """
     beta = _check_interior_beta(beta)
-    _require_same_length(market, b.table)
+    direct = utility_full(market, b, beta)
     log_cond, log_p_y = _side_info_logs(market)
     log_o = np.log(market.odds)
     c = track_constant(market)
@@ -144,4 +139,4 @@ def decompose_side_info(
     log_g_joint = log_g_cond + log_g_y[:, None]
     log_b_joint = _log(b.table) + log_g_y[:, None]
     gambler = _renyi_from_logs(log_g_joint, log_b_joint, 1.0 - beta, t=-beta)
-    return _report(c, bookie, gambler, utility_full(market, b, beta))
+    return _report(c, bookie, gambler, direct)

@@ -101,6 +101,70 @@ def test_library_error_outside_a_named_field_exits_2(capsys, monkeypatch, fair_s
     assert captured.err == "error: no fairness here\n"
 
 
+HORSES = [{"p": 0.5, "odds": 2.0}, {"p": 0.5, "odds": 3.0}]
+SIDE = ["optimize", "--beta", "0.5", "--mode", "side-info"]
+DIVERGENCE = ["divergence", "--alpha", "0.5"]
+
+
+@pytest.mark.parametrize(
+    "spec,argv,message",
+    [
+        ({"horses": [{"p": 1.0}]}, ["analyze"], "horses[0].odds is missing"),
+        (
+            {"horses": HORSES, "side_info": []},
+            SIDE,
+            "side_info must be an object with fields signals and joint",
+        ),
+        (
+            {"horses": HORSES, "side_info": {"joint": []}},
+            SIDE,
+            "side_info.joint must be a nonempty list of rows",
+        ),
+        (
+            {"horses": HORSES, "side_info": {"signals": ["a"], "joint": [[0.25, 0.25]] * 2}},
+            SIDE,
+            "side_info.signals length must match the number of joint rows",
+        ),
+        (
+            {"horses": HORSES, "side_info": {"joint": [[0.5, 0.25], [0.25]]}},
+            SIDE,
+            "side_info.joint[1] must have one column per horse",
+        ),
+        (
+            {"horses": HORSES, "side_info": {"joint": [[0.5, 0.0], [0.25, 0.25]]}},
+            SIDE,
+            "side_info.joint column sums disagree with horses[].p",
+        ),
+        (None, [*DIVERGENCE, "-p", " ; ", "-q", "0.5,0.5"], "-p is empty"),
+        (
+            None,
+            [*DIVERGENCE, "-p", "0.5,x", "-q", "0.5,0.5"],
+            "-p must be comma-separated numbers (rows split by ';')",
+        ),
+        (
+            None,
+            [*DIVERGENCE, "-p", "1,0;0,1", "-q", "0.5,0.5;0.5,0.5", "--p-y", "0.5,0.5;0.5,0.5"],
+            "--p-y must be a single probability vector",
+        ),
+        (
+            None,
+            [*DIVERGENCE, "-p", "1,0;0,1", "-q", "0.5,0.5;0.5,0.5"],
+            "-p and -q must be single vectors unless --p-y is given",
+        ),
+    ],
+)
+def test_malformed_input_names_what_is_wrong(capsys, tmp_path, spec, argv, message):
+    if spec is not None:
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        argv = [argv[0], str(path), *argv[1:]]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 class TestAnalyze:
     def test_fair_market(self, capsys, fair_spec):
         code, out = run(capsys, "analyze", fair_spec)

@@ -21,11 +21,19 @@ from helpers import random_pmf
 
 
 EPS = np.finfo(float).eps
+# orders on both sides of 1, at 1 and next to it
+IDENTICAL_ORDERS = (0.3, 0.5, 0.999, 1.0, 1 + 1e-9, 2.0, 3.0)
 
 
 class TestRenyiDiv:
     def test_identical_distributions(self):
         assert renyi_div([0.3, 0.7], [0.3, 0.7], 0.5) == pytest.approx(0.0, abs=1e-15)
+        # rounding never leaves it below +0.0, not even at -0.0
+        rng = np.random.default_rng(5)
+        pmfs = [[0.2, 0.3, 0.5]] + [random_pmf(rng, m) for m in (1, 2, 3) for _ in range(5)]
+        for p in pmfs:
+            for alpha in IDENTICAL_ORDERS:
+                assert math.copysign(1.0, renyi_div(p, p, alpha)) == 1.0, (p, alpha)
 
     def test_point_mass_against_uniform(self):
         # (1/(0.5-1)) * log2(sqrt(0.5)) = 1 bit
@@ -123,6 +131,16 @@ class TestCondRenyiDiv:
     def test_identical_conditionals(self):
         table = [[0.2, 0.8], [0.7, 0.3]]
         assert cond_renyi_div(table, table, [0.5, 0.5], 0.5) == pytest.approx(0.0, abs=1e-14)
+        # rounding never leaves it below +0.0, not even at -0.0
+        rng = np.random.default_rng(6)
+        cases = [([0.25, 0.75], [[0.5, 0.5]] * 2)]
+        for m in (1, 2, 3):
+            for n_y in (1, 2, 3):
+                cases += [_random_conditional_setup(rng, n_y, m)[:2] for _ in range(3)]
+        for p_y, table in cases:
+            for alpha in IDENTICAL_ORDERS:
+                value = cond_renyi_div(table, table, p_y, alpha)
+                assert math.copysign(1.0, value) == 1.0, (table, p_y, alpha)
 
     def test_perfectly_informative_signal(self):
         # each bracket is 0.5^(1/2); raised to 1/alpha = 2 gives 0.5, so the
@@ -166,6 +184,10 @@ class TestCondRenyiDiv:
         rows = [[0.5, 0.5], [0.25, 0.75]]
         with pytest.raises(LengthMismatchError):
             cond_renyi_div(rows, rows, p_y, 2.0)
+        # with a row per signal, both tables need the same columns
+        n = len(p_y)
+        with pytest.raises(LengthMismatchError, match="p_cond has 2 columns but q_cond has 3"):
+            cond_renyi_div([[0.5, 0.5]] * n, [[0.5, 0.25, 0.25]] * n, p_y, 2.0)
 
 
 def _random_conditional_setup(rng, n_signals, n_horses):

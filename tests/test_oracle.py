@@ -74,10 +74,11 @@ class TestGridSpec:
             monkeypatch.setattr(oracle, "_BLOCK_CELLS", cells)
             for k, d in shapes:
                 blocks = list(oracle._grid_blocks(GridSpec(k, d)))
+                assert all(b.dtype == np.intp for b in blocks)
                 assert all(b.shape[0] <= max(1, cells // d) for b in blocks)
                 assert all(b.flags.f_contiguous for b in blocks)  # one column per coordinate
                 np.testing.assert_array_equal(np.concatenate(blocks), list(compositions(k, d)))
-                # table indices: coordinate j shifted by j (k + 1), in the offsets' dtype
+                # table indices: coordinate j shifted by j (k + 1)
                 offsets = np.arange(d) * (k + 1)
                 blocks = list(oracle._grid_blocks(GridSpec(k, d), offsets))
                 assert all(b.dtype == np.intp and b.flags.f_contiguous for b in blocks)
@@ -98,6 +99,8 @@ class TestGridSpec:
     def test_rejects_tiny_resolution(self):
         with pytest.raises(GridTooLargeError):
             GridSpec(1, 2)
+        with pytest.raises(GridTooLargeError, match="grid dimension must be >= 1, got 0"):
+            GridSpec(4, 0)
 
     def test_rejects_non_integer_sizes(self):
         for size in [(2.5, 3), (4, 3.0), ("4", 3), (True, 3), (4, True), (None, 2)]:
@@ -105,8 +108,14 @@ class TestGridSpec:
                 GridSpec(*size)
 
     def test_guard_against_huge_grids(self):
+        market = new_race([0.2] * 5, [5] * 5)
         with pytest.raises(GridTooLargeError):
-            grid_search_full(new_race([0.2] * 5, [5] * 5), 0.5, GridSpec(400, 5))
+            grid_search_full(market, 0.5, GridSpec(400, 5))
+        # the dimension comes first: one per horse, and one more for the cash
+        for search, d, want in ((grid_search_full, 6, 5), (grid_search_partial, 5, 6)):
+            match = f"grid dimension {d} does not match the required {want}"
+            with pytest.raises(LengthMismatchError, match=match):
+                search(market, 0.5, GridSpec(400, d))
 
 
 class TestGridSearchFull:

@@ -340,10 +340,23 @@ def specs(draw):
     return doc
 
 
-def _run(argv) -> tuple[int, str]:
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        return main(argv), err.getvalue()
+def _run(argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        return main(argv), out.getvalue(), err.getvalue()
+
+
+DIVERGENCE_TERMS = ("divergence_bits", "bookie_term", "gambler_term")
+
+
+def _divergence_terms(doc):
+    """Every divergence or divergence term in a printed document."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            if key in DIVERGENCE_TERMS:
+                yield key, value
+            else:
+                yield from _divergence_terms(value)
 
 
 # What an exit-2 message of each command may name: its spec file, a spec field it
@@ -377,7 +390,7 @@ def test_every_command_maps_any_spec_to_a_documented_exit_code(
     spec, check, grid, beta, n, seed, alpha, p_y
 ):
     # exit 0, 2 (invalid input), 3 (incompatible mode) or 4 (oracle disagreement);
-    # never a traceback, and invalid input is named
+    # never a traceback, invalid input is named, and no divergence is negative or -0.0
     p = spec.get("horses") if isinstance(spec, dict) else spec
     if isinstance(p, list):
         p = [h.get("p") if isinstance(h, dict) else h for h in p]
@@ -398,6 +411,9 @@ def test_every_command_maps_any_spec_to_a_documented_exit_code(
              "--p-y", files["p_y"]],
         ]
         for argv in runs:
-            code, err = _run(argv)
+            code, out, err = _run(argv)
             assert code in (0, 2, 3, 4), argv
             assert code != 2 or _names_a_field(argv[0], err), (argv, err)
+            if argv[0] in ("optimize", "divergence") and out:  # simulate prints a CSV
+                for key, value in _divergence_terms(json.loads(out)):
+                    assert math.copysign(1.0, value) == 1.0, (argv, key, value)

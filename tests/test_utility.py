@@ -404,6 +404,12 @@ class TestDecomposeSideInfo:
         report = decompose_side_info(market, table, 0.5)
         assert report.gambler_term == pytest.approx(0.0, abs=1e-12)
         assert report.residual < 1e-10
+        # every signal leaves the winner uniform: the bookie term rounds to +0.0, not below
+        market = new_side_info([[0.05, 0.05], [0.1, 0.1], [0.35, 0.35]], [2, 2])
+        report = decompose_side_info(market, optimal_side_info(market, 0.5)[0], 0.5)
+        assert report.bookie_term >= 0.0
+        assert math.copysign(1.0, report.bookie_term) == 1.0
+        assert report.residual == 0.0
 
     def test_single_signal_matches_flat_decomposition(self):
         market = new_side_info([[0.6, 0.4]], [2, 3])

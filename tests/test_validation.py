@@ -25,6 +25,7 @@ from powerbet import (
     LengthMismatchError,
     NonPositiveOddsError,
     NonPositiveProbabilityError,
+    NotEvaluableError,
     NotNormalizedError,
     PartialAllocation,
     cond_renyi_div,
@@ -285,6 +286,8 @@ WRONG_SHAPE_CALLS = {
     "utility_partial": lambda: utility_partial(RACE, SHORT_PARTIAL, 0.5),
     "limit_utilities": lambda: limit_utilities(RACE, SHORT),
     "decompose_full": lambda: decompose_full(RACE, SHORT, 0.5),
+    # one entry would broadcast against the market's arrays if it were read unchecked
+    "decompose_full.one_entry": lambda: decompose_full(RACE, Allocation([1.0]), 0.5),
     "decompose_kelly": lambda: decompose_kelly(RACE, SHORT),
     "fold_cash_into_bets": lambda: fold_cash_into_bets(RACE, SHORT_PARTIAL),
     "simulate_growth": lambda: simulate_growth(RACE, SHORT, 10, 0),
@@ -301,6 +304,9 @@ WRONG_SHAPE_CALLS = {
     ),
     "decompose_side_info.rows": lambda: decompose_side_info(
         SIDE, ConditionalAllocation(np.full((1, 3), 1 / 3)), 0.5
+    ),
+    "decompose_side_info.one_entry": lambda: decompose_side_info(
+        SIDE, ConditionalAllocation([[1.0]]), 0.5
     ),
 }
 
@@ -343,6 +349,10 @@ def test_closed_forms_and_the_certificate_refuse_the_limits(name, beta):
     # the utilities take +-inf; these are stated for finite beta only
     with pytest.raises(BetaOutOfRangeError):
         FINITE_ONLY_CALLS[name](beta)
+    if name == "kkt_residual":  # a finite beta >= 1 is in range, but has no such conditions
+        for finite in (1.0, 3.0):
+            with pytest.raises(NotEvaluableError, match="stated for finite beta < 1"):
+                FINITE_ONLY_CALLS[name](finite)
 
 
 def test_partial_dispatch_takes_kelly():
