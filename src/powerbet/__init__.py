@@ -52,9 +52,7 @@ from .strategy import (
     dispatch,
     fold_cash_into_bets,
     kelly,
-    optimal_degenerate,
     optimal_full,
-    optimal_limit,
     optimal_partial,
     optimal_side_info,
 )
@@ -113,9 +111,7 @@ __all__ = [
     "limit_utilities",
     "new_race",
     "new_side_info",
-    "optimal_degenerate",
     "optimal_full",
-    "optimal_limit",
     "optimal_partial",
     "optimal_side_info",
     "renyi_div",

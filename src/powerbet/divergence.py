@@ -217,4 +217,7 @@ def _cond_renyi_from_logs(log_p_cond, log_q_cond, log_p_y: np.ndarray, alpha: fl
     occur (``log_q_cond`` may be one row for all) and of their probabilities."""
     # the bracket of signal y is exp((alpha-1) K_y) for the inner divergence K_y
     inner = _renyi_from_logs(log_p_cond, log_q_cond, alpha, axis=-1)
-    return max(0.0, _tilted_mean((alpha - 1.0) / alpha, log_p_y, inner * _LN2))
+    tilt = (alpha - 1.0) / alpha
+    # tilt -inf: K is the least row, within alpha log2(1/min p(y)) / (1-alpha) < 3e-305 bits
+    k = inner.min() if tilt == -math.inf else _tilted_mean(tilt, log_p_y, inner * _LN2)
+    return max(0.0, float(k))

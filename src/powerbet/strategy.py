@@ -8,10 +8,10 @@ finite value is used literally.
 For finite ``beta < 1`` an interior closed form exists; its ``beta = 0``
 member is Kelly's log-optimal betting, which every interior optimizer takes
 as an ordinary input (:func:`kelly` returns its full-investment answer,
-``b = p``, exactly).  For ``beta >= 1`` the optimum is a single-horse bet;
-the infinite limits are a single-horse bet on the longest odds and risk-free
-odds replication respectively.  All argmax ties break to the smallest horse
-index so outputs are deterministic.
+``b = p``, exactly).  :func:`dispatch` covers every ``beta``: for
+``beta >= 1`` and the infinite limits it computes the single-horse bet, the
+longest odds and risk-free odds replication itself.  All argmax ties break to
+the smallest horse index so outputs are deterministic.
 """
 
 from __future__ import annotations
@@ -186,42 +186,6 @@ def kelly(market: RaceMarket) -> Allocation:
     return _trusted(Allocation, bets=market.probs)
 
 
-def optimal_degenerate(market: RaceMarket, beta: float) -> Allocation:
-    """All-in bet for ``beta >= 1``: everything on the horse maximizing ``p_i^(1/beta) o_i``.
-
-    Ties go to the smallest index.  Other maximizers may exist; uniqueness
-    is not claimed.
-    """
-    beta = _check_beta(beta)
-    if math.isinf(beta) or beta < 1.0:
-        raise BetaOutOfRangeError(f"the single-horse optimum needs finite beta >= 1, got {beta!r}")
-    scores = np.log(market.probs) / beta + np.log(market.odds)
-    winner = int(np.argmax(scores))
-    bets = np.zeros(market.m)
-    bets[winner] = 1.0
-    return _trusted(Allocation, bets=bets)
-
-
-def optimal_limit(market: RaceMarket, which: float) -> Allocation:
-    """Optimal allocation in the extreme risk limits.
-
-    ``which = +inf`` maximizes the best-case payoff: all mass on the
-    longest odds (ties to the smallest index).  ``which = -inf`` maximizes
-    the worst-case payoff: ``b_i = c / o_i``, which replicates the track
-    constant risk-free so the wealth relative equals ``c`` no matter who
-    wins.
-    """
-    which = float(which)
-    if which == math.inf:
-        bets = np.zeros(market.m)
-        bets[int(np.argmax(market.odds))] = 1.0
-        return _trusted(Allocation, bets=bets)
-    if which == -math.inf:
-        r = bookie_distribution(market)
-        return _trusted(Allocation, bets=r / r.sum())
-    raise BetaOutOfRangeError(f"limit selector must be +inf or -inf, got {which!r}")
-
-
 def optimal_side_info(
     market: SideInfoMarket, beta: float
 ) -> tuple[ConditionalAllocation, np.ndarray]:
@@ -326,18 +290,27 @@ def fold_cash_into_bets(market: RaceMarket, partial: PartialAllocation) -> Alloc
 
 
 def dispatch(market: RaceMarket, beta: float) -> Allocation:
-    """Route to the full-investment optimizer matching the risk parameter.
+    """The full-investment optimum for any ``beta``, in its regime's closed form.
 
-    ``beta = 0.0`` picks proportional betting, ``+/-inf`` the limit
-    strategies, ``beta >= 1`` the single-horse bet, and any other finite
-    value the interior optimum.  With cash allowed the optimum is
-    ``optimal_partial(market, beta).allocation``, for finite ``beta < 1``.
+    ``beta = 0.0`` gives proportional betting (:func:`kelly`) and any other finite
+    ``beta < 1`` the interior optimum (:func:`optimal_full`).  For ``beta >= 1``
+    everything goes on the horse maximizing ``p_i^(1/beta) o_i``; at ``+inf`` on the
+    longest odds; at ``-inf`` the bets are ``b_i = c / o_i``, which replicate the
+    track constant risk-free, so the wealth relative is ``c`` whoever wins.  Argmax
+    ties go to the smallest index; other maximizers may exist.  With cash allowed
+    the optimum is ``optimal_partial(market, beta).allocation``, for finite ``beta < 1``.
     """
     beta = float(beta)
     if beta == 0.0:
         return kelly(market)
-    if math.isinf(beta):
-        return optimal_limit(market, beta)
-    if beta >= 1.0:
-        return optimal_degenerate(market, beta)
-    return optimal_full(market, beta)
+    if -math.inf < beta < 1.0:
+        return optimal_full(market, beta)
+    _check_beta(beta)  # NaN and beta > BETA_ABS_MAX raise
+    if beta == -math.inf:
+        r = bookie_distribution(market)
+        return _trusted(Allocation, bets=r / r.sum())
+    # the odds themselves at +inf: distinct odds near 1e300 can share a log
+    scores = market.odds if beta == math.inf else np.log(market.probs) / beta + np.log(market.odds)
+    bets = np.zeros(market.m)
+    bets[int(np.argmax(scores))] = 1.0
+    return _trusted(Allocation, bets=bets)

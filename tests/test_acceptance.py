@@ -18,6 +18,7 @@ from powerbet import (
     cond_renyi_div,
     decompose_full,
     decompose_side_info,
+    dispatch,
     doubling_rate,
     fold_cash_into_bets,
     grid_search_full,
@@ -27,7 +28,6 @@ from powerbet import (
     limit_utilities,
     new_race,
     optimal_full,
-    optimal_limit,
     optimal_partial,
     optimal_side_info,
     renyi_div,
@@ -143,7 +143,7 @@ def test_criterion_05_tail_limits():
         assert abs(utility_full(market, b, -64.0) - worst) < 0.02
     for _ in range(50):
         market = random_market(rng, int(rng.integers(2, 6)))
-        safe = optimal_limit(market, -math.inf)
+        safe = dispatch(market, -math.inf)
         c = track_constant(market)
         np.testing.assert_allclose(safe.bets * market.odds, c, rtol=1e-14)
     _passed(5, "200 extreme-beta gaps below 0.02 bits; worst-case payoff pins c per outcome")

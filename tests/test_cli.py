@@ -17,6 +17,7 @@ from powerbet import (
     NotEvaluableError,
     PartialAllocation,
     cli,
+    cond_renyi_div,
     new_race,
     optimal_full,
     simulate_growth,
@@ -668,7 +669,7 @@ class TestCheck:
         assert abs(check["gap_bits"]) <= 1e-12
         assert check["grid_resolution"] == 200 and check["grid_minus_analytic"] <= 1e-9
         # the runner-up's vertex is 0.01 bits short
-        monkeypatch.setattr(strategy, "optimal_degenerate", lambda mk, beta: Allocation([0, 1, 0]))
+        monkeypatch.setattr(strategy, "dispatch", lambda mk, beta: Allocation([0, 1, 0]))
         code, out = run(capsys, "optimize", spec, "--beta", "2", "--check")
         assert code == 4
         assert json.loads(out)["oracle_check"]["gap_bits"] > 0.01
@@ -940,6 +941,18 @@ class TestDivergenceCmd:
         doc = json.loads(out)
         assert doc["conditional"] is True
         assert doc["divergence_bits"] == 1.0  # one bit under either signal
+
+    @pytest.mark.parametrize("alpha", [5e-324, 2.2e-309])
+    def test_conditional_at_a_subnormal_order(self, capsys, alpha):
+        # the outer tilt (alpha - 1) / alpha overflows to -inf: its limit is the least row
+        tables = ["-p", "0.5,0.5;0.2,0.8", "-q", "0.3,0.7;0.6,0.4", "--p-y", "0.4,0.6"]
+        code = main(["divergence", f"--alpha={alpha!r}", *tables])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        value = json.loads(captured.out)["divergence_bits"]
+        p_cond, q_cond = [[0.5, 0.5], [0.2, 0.8]], [[0.3, 0.7], [0.6, 0.4]]
+        above = cond_renyi_div(p_cond, q_cond, [0.4, 0.6], 1e-308)
+        assert math.copysign(1.0, value) == 1.0 and value <= above
 
     def test_file_inputs(self, capsys, tmp_path):
         p_file = tmp_path / "p.json"

@@ -14,6 +14,7 @@ from powerbet import (
     LengthMismatchError,
     NotEvaluableError,
     PartialAllocation,
+    dispatch,
     estimate_ubeta,
     grid_search_full,
     grid_search_partial,
@@ -22,7 +23,6 @@ from powerbet import (
     new_race,
     new_side_info,
     optimal_full,
-    optimal_limit,
     optimal_partial,
     simulate_growth,
     track_constant,
@@ -299,13 +299,13 @@ class TestGridAtTheLimits:
     def test_best_case_is_the_longest_odds(self):
         alloc, value = grid_search_full(self.MARKET, math.inf, GridSpec(4, 3))
         assert value == math.log2(4.0)
-        assert value == utility_full(self.MARKET, optimal_limit(self.MARKET, math.inf), math.inf)
+        assert value == utility_full(self.MARKET, dispatch(self.MARKET, math.inf), math.inf)
         np.testing.assert_array_equal(alloc.bets, [0.0, 0.0, 1.0])  # first of the tied vertices
 
     def test_worst_case_is_the_track_constant(self):
         alloc, value = grid_search_full(self.MARKET, -math.inf, GridSpec(4, 3))
         assert value == math.log2(track_constant(self.MARKET)) == 0.0
-        np.testing.assert_array_equal(alloc.bets, optimal_limit(self.MARKET, -math.inf).bets)
+        np.testing.assert_array_equal(alloc.bets, dispatch(self.MARKET, -math.inf).bets)
 
     def test_partial_worst_case_keeps_everything_in_cash_on_subfair_odds(self):
         alloc, value = grid_search_partial(SUBFAIR, -math.inf, GridSpec(8, 3))

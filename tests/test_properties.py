@@ -227,7 +227,9 @@ def _below(x: float, y: float) -> bool:
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
 @given(
     tables=conditional_tables(),
-    alpha=st.one_of(st.floats(0.2, 4.0), st.sampled_from([1.0 - 1e-9, 1.0, 1.0 + 1e-9])),
+    alpha=st.one_of(
+        st.floats(0.2, 4.0), st.sampled_from([1.0 - 1e-9, 1.0, 1.0 + 1e-9, 5e-324, 2.2e-309])
+    ),
 )
 def test_conditional_divergence_is_a_tilted_mean_of_the_signals_divergences(tables, alpha):
     # the tilted mean at t = (alpha - 1) / alpha of the per-signal divergences D_y,

@@ -15,9 +15,7 @@ from powerbet import (
     kkt_residual,
     new_race,
     new_side_info,
-    optimal_degenerate,
     optimal_full,
-    optimal_limit,
     optimal_partial,
     optimal_side_info,
     track_constant,
@@ -138,17 +136,19 @@ class TestKelly:
 
 
 class TestOptimalDegenerate:
+    """``dispatch`` at ``beta >= 1``: the single-horse bet."""
+
     def test_expected_return(self):
-        g = optimal_degenerate(MARKET_B, 1.0)
+        g = dispatch(MARKET_B, 1.0)
         np.testing.assert_array_equal(g.bets, [1.0, 0.0])
 
     def test_tie_breaks_to_lowest_index(self):
-        g = optimal_degenerate(new_race([0.5, 0.5], [2, 2]), 1.0)
+        g = dispatch(new_race([0.5, 0.5], [2, 2]), 1.0)
         np.testing.assert_array_equal(g.bets, [1.0, 0.0])
 
     def test_square_root_weighting(self):
         # p^(1/2) * o = (31.6.., 0.94..): the long shot wins the argmax
-        g = optimal_degenerate(new_race([0.1, 0.9], [100, 1]), 2.0)
+        g = dispatch(new_race([0.1, 0.9], [100, 1]), 2.0)
         np.testing.assert_array_equal(g.bets, [1.0, 0.0])
 
     def test_achieves_the_bound(self):
@@ -156,37 +156,42 @@ class TestOptimalDegenerate:
         for beta in (1.0, 2.0, 5.0):
             for _ in range(60):
                 market = random_market(rng, int(rng.integers(2, 5)))
-                g = optimal_degenerate(market, beta)
+                g = dispatch(market, beta)
                 bound = math.log2(np.max(market.probs ** (1 / beta) * market.odds))
                 assert utility_full(market, g, beta) == pytest.approx(bound, abs=1e-12)
                 rival = random_interior_allocation(rng, market.m)
                 assert utility_full(market, rival, beta) <= bound + 1e-12
 
-    def test_rejects_beta_below_one(self):
-        with pytest.raises(BetaOutOfRangeError):
-            optimal_degenerate(MARKET_B, 0.5)
-
 
 class TestOptimalLimit:
+    """``dispatch`` at ``+-inf``: the longest odds, and risk-free odds replication."""
+
     def test_best_case(self):
         market = new_race([0.5, 0.3, 0.2], [2, 4, 8])
-        g = optimal_limit(market, math.inf)
+        g = dispatch(market, math.inf)
         np.testing.assert_array_equal(g.bets, [0.0, 0.0, 1.0])
 
     def test_worst_case_replicates_track_constant(self):
         market = new_race([0.5, 0.3, 0.2], [2, 4, 8])
-        g = optimal_limit(market, -math.inf)
+        g = dispatch(market, -math.inf)
         np.testing.assert_allclose(g.bets, [4 / 7, 2 / 7, 1 / 7], atol=1e-15)
         payoffs = g.bets * market.odds
         np.testing.assert_allclose(payoffs, track_constant(market), rtol=1e-14)
 
     def test_fair_market_worst_case_is_flat(self):
-        g = optimal_limit(new_race([0.5, 0.5], [2, 2]), -math.inf)
+        g = dispatch(new_race([0.5, 0.5], [2, 2]), -math.inf)
         np.testing.assert_allclose(g.bets * 2.0, 1.0, rtol=1e-15)
 
-    def test_rejects_finite_selector(self):
-        with pytest.raises(BetaOutOfRangeError):
-            optimal_limit(MARKET_B, 2.0)
+    def test_best_case_tie_breaks_to_lowest_index(self):
+        g = dispatch(new_race([0.2, 0.5, 0.3], [2, 4, 4]), math.inf)
+        np.testing.assert_array_equal(g.bets, [0.0, 1.0, 0.0])
+
+    def test_best_case_reads_the_odds_not_their_logs(self):
+        # both odds have the same log, but the second is the longer
+        odds = [1e300, np.nextafter(1e300, math.inf)]
+        assert math.log(odds[0]) == math.log(odds[1])
+        g = dispatch(new_race([0.5, 0.5], odds), math.inf)
+        np.testing.assert_array_equal(g.bets, [0.0, 1.0])
 
 
 class TestOptimalSideInfo:
@@ -426,6 +431,11 @@ class TestDispatch:
 
     def test_routes_interior(self):
         np.testing.assert_allclose(dispatch(MARKET_B, 0.5).bets, [9 / 13, 4 / 13], atol=1e-14)
+
+    @pytest.mark.parametrize("beta", [math.nan, 2e6, -2e6])
+    def test_refuses_beta_out_of_range(self, beta):
+        with pytest.raises(BetaOutOfRangeError, match=r"\|beta\| <= 1e\+06"):
+            dispatch(MARKET_B, beta)
 
     @pytest.mark.parametrize("beta", [1.0, 2.0, math.inf, -math.inf])
     def test_partial_needs_interior_beta(self, beta):

@@ -42,7 +42,6 @@ from powerbet import (
     new_race,
     new_side_info,
     optimal_full,
-    optimal_limit,
     optimal_partial,
     optimal_side_info,
     renyi_div,
@@ -422,7 +421,6 @@ def test_library_allocations_and_reports_are_not_validated_again(normalized_call
         decompose_side_info(side, table, beta)
     for beta in (-math.inf, -3.0, 0.0, 0.5, 1.0, 2.0, math.inf):
         assert not dispatch(market, beta).bets.flags.writeable
-    assert not optimal_limit(market, -math.inf).bets.flags.writeable
     assert normalized_calls == []
     # the user-facing entry points still validate, through the stand-in
     Allocation(market.probs)
