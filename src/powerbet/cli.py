@@ -196,7 +196,7 @@ def _beta_label(beta: float) -> str:
 def _market_summary(market: RaceMarket | SideInfoMarket) -> dict:
     fairness = classify_fairness(market)
     return {
-        "track_constant": track_constant(market),
+        "track_constant": fairness.c,
         "bookie_distribution": _floats(bookie_distribution(market)),
         "fairness": fairness.tag.value,
     }

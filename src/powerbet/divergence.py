@@ -4,7 +4,8 @@ All divergences are in bits.  Each one, like each power utility, is a tilted
 mean ``D_alpha(p || q) = K(alpha - 1; p, ln p/q)`` of :func:`_tilted_mean`, KL
 being ``K(0)``, so orders near the pole never overflow and those near 1 match KL.
 Every finite order ``alpha > 0`` is an ordinary input, order 1 included, for
-the plain and the conditional divergence alike.  :func:`_log2_power_mean`
+the plain and the conditional divergence alike; past 1e300 each takes ``D_inf``.
+:func:`_log2_power_mean`
 evaluates the utilities' power means here too, ``beta = +-inf`` included.
 
 Zero-probability conventions, applied throughout:
@@ -34,6 +35,9 @@ _CENTERED_T = 2.0**-10  # up to it rows are centered; above, log-sum-exp errs by
 # grows as 2^-1074/|t| (1.4 bits at the smallest subnormal), while K(t) - K(0)
 # is O(t): such t take the t = 0 form.
 _NORMAL_MIN = np.finfo(float).tiny
+# Past this order the far form's terms alpha ln p leave the double range, so D_alpha is
+# taken as its limit D_inf, within log2(1/min p) / (alpha - 1) < 1.1e-297 bits.
+_HUGE_ORDER = 1e300
 
 
 def _check_order(alpha: float) -> float:
@@ -124,17 +128,22 @@ def _renyi_from_logs(log_p, log_q, alpha: float, axis: int | None = None, t: flo
     """``D_alpha(p || q) = K(alpha - 1; p, ln p - ln q)`` in bits, from natural-log PMFs; the
     terms ``alpha ln p + (1 - alpha) ln q`` stay exact for a weight with ``ln p`` near -1e9.
     ``t`` is the exact tilt ``alpha - 1`` if the caller has it, not ``alpha - 1.0``.
-    Rounding below 0, -0.0 included, is clamped to +0.0: no Renyi divergence is negative."""
+    Above order :data:`_HUGE_ORDER` it is the limit ``D_inf``.  Rounding below 0, -0.0 included, is clamped to +0.0: no Renyi divergence is negative."""
     t = alpha - 1.0 if t is None else t
     off = log_p == -math.inf
     with np.errstate(invalid="ignore"):  # -inf - -inf off the support of p, replaced below
-        # where alpha rounds to 1, ln q keeps the weight -t, so q = 0 stays infinite, not NaN
-        terms = alpha * log_p + ((1.0 - alpha) or -t) * log_q
         x = log_p - log_q
-    terms[off] = -math.inf
-    x[off] = 0.0
-    d = _tilted_mean(t, log_p, x, terms, axis)
-    return max(0.0, d) if axis is None else np.maximum(d, 0.0) + 0.0  # -0.0 + 0.0 is +0.0
+    if alpha > _HUGE_ORDER:  # D_inf = log2 max p/q over p > 0
+        x[off] = -math.inf
+        d = x.max(axis) / _LN2
+    else:
+        with np.errstate(invalid="ignore"):
+            # where alpha rounds to 1, ln q keeps the weight -t, so q = 0 stays infinite, not NaN
+            terms = alpha * log_p + ((1.0 - alpha) or -t) * log_q
+        terms[off] = -math.inf
+        x[off] = 0.0
+        d = _tilted_mean(t, log_p, x, terms, axis)
+    return max(0.0, float(d)) if axis is None else np.maximum(d, 0.0) + 0.0  # -0.0 + 0.0 is +0.0
 
 
 def _log(arr: np.ndarray) -> np.ndarray:
@@ -174,7 +183,8 @@ def renyi_div(p, q, alpha: float) -> float:
 
     Computes ``(1/(alpha-1)) * log2 sum_x p(x)^alpha q(x)^(1-alpha)`` for
     positive ``alpha != 1``.  At ``alpha = 1`` the Kullback-Leibler limit
-    ``sum_x p(x) log2(p(x)/q(x))`` is returned.
+    ``sum_x p(x) log2(p(x)/q(x))`` is returned, and above order 1e300 the limit
+    ``D_inf = log2 max_{p(x) > 0} p(x)/q(x)``, which differs by less than 1.1e-297 bits.
     """
     alpha = _check_order(alpha)
     p, _ = _normalized(p, "p")
@@ -195,8 +205,10 @@ def cond_renyi_div(p_cond, q_cond, p_y, alpha: float) -> float:
 
     for positive ``alpha != 1``.  At ``alpha = 1`` both nested tilted means
     sit at ``t = 0`` and give the averaged KL divergence
-    ``sum_y p(y) D(p(.|y) || q(.|y))``, the limit as ``alpha -> 1``.  Equals
-    :func:`renyi_div` up to rounding when there is a single signal.
+    ``sum_y p(y) D(p(.|y) || q(.|y))``, the limit as ``alpha -> 1``.  Above order
+    1e300 each signal's divergence is its ``D_inf``; below 1e-300, where the outer tilt
+    times every one of them overflows, the value is their limit, the least of them.
+    Equals :func:`renyi_div` up to rounding when there is a single signal.
     """
     alpha = _check_order(alpha)
     p_y, _ = _normalized(p_y, "p_y")
@@ -218,6 +230,13 @@ def _cond_renyi_from_logs(log_p_cond, log_q_cond, log_p_y: np.ndarray, alpha: fl
     # the bracket of signal y is exp((alpha-1) K_y) for the inner divergence K_y
     inner = _renyi_from_logs(log_p_cond, log_q_cond, alpha, axis=-1)
     tilt = (alpha - 1.0) / alpha
-    # tilt -inf: K is the least row, within alpha log2(1/min p(y)) / (1-alpha) < 3e-305 bits
-    k = inner.min() if tilt == -math.inf else _tilted_mean(tilt, log_p_y, inner * _LN2)
+    if alpha >= 1.0 / _HUGE_ORDER:  # no finite K_y reaches 1075 bits, so no tilt K_y overflows
+        k = _tilted_mean(tilt, log_p_y, inner * _LN2)
+    else:  # a row whose tilt K_y overflows to -inf drops out.  If every row's does (the tilt
+        # itself is -inf below 5.6e-309), K is their limit, the least row, within
+        # alpha log2(1/min p(y)) / (1-alpha) < 3e-305 bits.
+        k = float(inner.min())
+        if tilt * (k * _LN2) > -math.inf:
+            with np.errstate(over="ignore"):
+                k = _tilted_mean(tilt, log_p_y, inner * _LN2)
     return max(0.0, float(k))

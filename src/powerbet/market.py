@@ -9,7 +9,7 @@ distribution ``r_i = c / o_i``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -158,10 +158,13 @@ class SideInfoMarket:
     horse ``x`` wins (rows are signals, columns are horses).  Every signal
     must have positive marginal probability; individual horses may have
     zero winning probability.  ``odds`` maps each horse to its payout.
+    ``signal_probs``, the signal's strictly positive marginal, is the row sums
+    that validation takes, stored read-only on construction.
     """
 
     joint: np.ndarray
     odds: np.ndarray
+    signal_probs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         joint = _as_floats(self.joint, "joint")
@@ -176,9 +179,12 @@ class SideInfoMarket:
             raise LengthMismatchError("joint must have at least one signal and one horse")
         object.__setattr__(self, "odds", _checked_odds(odds))
         joint = _normalized(joint, "joint", ndim=2)[0]
-        if np.any(joint.sum(axis=1) <= 0.0):
+        p_y = joint.sum(axis=1)
+        if np.any(p_y <= 0.0):
             raise InvalidDistributionError("every signal must have positive marginal probability")
+        p_y.flags.writeable = False
         object.__setattr__(self, "joint", joint)
+        object.__setattr__(self, "signal_probs", p_y)
 
     @property
     def n_signals(self) -> int:
@@ -187,11 +193,6 @@ class SideInfoMarket:
     @property
     def n_horses(self) -> int:
         return self.joint.shape[1]
-
-    @property
-    def signal_probs(self) -> np.ndarray:
-        """Marginal distribution of the signal (always strictly positive)."""
-        return self.joint.sum(axis=1)
 
     @property
     def horse_probs(self) -> np.ndarray:

@@ -47,10 +47,6 @@ class Allocation:
     def __post_init__(self) -> None:
         object.__setattr__(self, "bets", _normalized(self.bets, "bets")[0])
 
-    @property
-    def m(self) -> int:
-        return self.bets.size
-
 
 @dataclass(frozen=True)
 class PartialAllocation:
@@ -67,10 +63,6 @@ class PartialAllocation:
         object.__setattr__(self, "cash", float(cash / total))
         object.__setattr__(self, "bets", bets)
 
-    @property
-    def m(self) -> int:
-        return self.bets.size
-
 
 @dataclass(frozen=True)
 class ConditionalAllocation:
@@ -80,14 +72,6 @@ class ConditionalAllocation:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "table", _normalized(self.table, "table", ndim=2, rows=True)[0])
-
-    @property
-    def n_signals(self) -> int:
-        return self.table.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.table.shape[1]
 
 
 def _trusted(cls, **fields):
@@ -197,24 +181,18 @@ def optimal_side_info(
     Horses that cannot win under a signal get a zero fraction in that row.
     """
     beta = _check_interior_beta(beta)
-    log_cond, log_p_y = _side_info_logs(market)
+    log_cond, log_p_y = _log(market.conditional()), np.log(market.signal_probs)
     log_table, log_g_y = _log_weights_side_info(log_cond, log_p_y, np.log(market.odds), beta)
     table = np.exp(log_table)
     table /= table.sum(axis=1, keepdims=True)
     return _trusted(ConditionalAllocation, table=table, _logs=log_table), np.exp(log_g_y)
 
 
-def _side_info_logs(market: SideInfoMarket) -> tuple[np.ndarray, np.ndarray]:
-    """``ln p(x|y)``, ``-inf`` for impossible winners, and ``ln p(y)``."""
-    p_y = market.signal_probs
-    return _log(market.joint / p_y[:, None]), np.log(p_y)
-
-
 def _log_weights_side_info(
     log_cond: np.ndarray, log_p_y: np.ndarray, log_o: np.ndarray, beta: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Natural logs of the optimal rows (``-inf`` for impossible winners) and signal
-    weights, from those of :func:`_side_info_logs` and ``ln o``."""
+    weights, from ``ln p(x|y)``, ``ln p(y)`` and ``ln o``."""
     raw = log_cond + beta * log_o
     peak = raw.max(axis=1)  # finite: every signal row has a positive entry
     scores = (raw - peak[:, None]) / (1.0 - beta)

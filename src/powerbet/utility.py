@@ -44,7 +44,6 @@ from .strategy import (
     _log_weights_full,
     _log_weights_side_info,
     _outcomes,
-    _side_info_logs,
 )
 
 
@@ -131,7 +130,7 @@ def decompose_side_info(
     """
     beta = _check_interior_beta(beta)
     direct = utility_full(market, b, beta)
-    log_cond, log_p_y = _side_info_logs(market)
+    log_cond, log_p_y = _log(market.conditional()), np.log(market.signal_probs)
     log_o = np.log(market.odds)
     c = track_constant(market)
     log_g_cond, log_g_y = _log_weights_side_info(log_cond, log_p_y, log_o, beta)

@@ -152,6 +152,8 @@ DIVERGENCE = ["divergence", "--alpha", "0.5"]
             [*DIVERGENCE, "-p", "1,0;0,1", "-q", "0.5,0.5;0.5,0.5"],
             "-p and -q must be single vectors unless --p-y is given",
         ),
+        # last, so the cases above keep their positional ids
+        ({"horses": [{"odds": 2.0}]}, ["analyze"], "horses[0].p is missing"),
     ],
 )
 def test_malformed_input_names_what_is_wrong(capsys, tmp_path, spec, argv, message):
@@ -953,6 +955,32 @@ class TestDivergenceCmd:
         p_cond, q_cond = [[0.5, 0.5], [0.2, 0.8]], [[0.3, 0.7], [0.6, 0.4]]
         above = cond_renyi_div(p_cond, q_cond, [0.4, 0.6], 1e-308)
         assert math.copysign(1.0, value) == 1.0 and value <= above
+
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            # huge order: the far form's terms leave the double range; D_inf = log2 4
+            (
+                [
+                    "--alpha", "1e308",
+                    "-p", "0.4444444444444444,0.4444444444444444,0.1111111111111111",
+                    "-q", "0.1111111111111111,0.4444444444444444,0.4444444444444444",
+                ],
+                2.0,
+            ),
+            # tiny order: the outer tilt times every row overflows; the least row, log2 10
+            (
+                ["--alpha", "1e-308", "-p", "1,0;1,0", "-q", "0.1,0.9;0.05,0.95", "--p-y", "0.5,0.5"],
+                math.log2(10.0),
+            ),
+        ],
+        ids=["huge", "tiny-conditional"],
+    )
+    def test_orders_at_the_ends_of_the_double_range(self, capsys, argv, expected):
+        code = main(["divergence", *argv])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        assert json.loads(captured.out)["divergence_bits"] == pytest.approx(expected, abs=1e-15)
 
     def test_file_inputs(self, capsys, tmp_path):
         p_file = tmp_path / "p.json"

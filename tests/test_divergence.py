@@ -113,6 +113,17 @@ class TestRenyiDiv:
             assert all(v >= -1e-12 for v in values)
             assert all(b >= a - 1e-10 for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("alpha", [1e300, 8.18e307, 1e308, np.finfo(float).max])
+    def test_huge_orders_reach_the_max_ratio_limit(self, alpha):
+        # D_inf = log2 max_{p > 0} p/q, within 1075/alpha bits of D_alpha; the far form's
+        # terms alpha ln p + (1 - alpha) ln q overflow from about 6e307
+        p = [4 / 9, 4 / 9, 1 / 9]
+        assert abs(renyi_div(p, p[::-1], alpha) - 2.0) <= 1e-15
+        # per row in the conditional form: log2 sum_y p(y) max_x p(x|y)/q(x|y)
+        assert abs(cond_renyi_div([p, p[::-1]], [p[::-1], p], [0.5, 0.5], alpha) - 2.0) <= 1e-15
+        assert renyi_div([0.5, 0.0, 0.5], [0.5, 0.5, 0.0], alpha) == math.inf
+        assert renyi_div([0.5, 0.0, 0.5], [0.25, 0.5, 0.25], alpha) == 1.0
+
 
 class TestCondRenyiDiv:
     def test_single_signal_reduces_to_unconditional(self):
@@ -166,6 +177,17 @@ class TestCondRenyiDiv:
                 logs = np.where(p_cond > 0.0, np.log2(p_cond / q_cond), 0.0)
             averaged = float(p_y @ np.sum(p_cond * logs, axis=1))
             assert value == pytest.approx(averaged, rel=0.0, abs=16 * EPS)
+
+    @pytest.mark.parametrize("alpha", [1e-308, 5.6e-309])
+    def test_tiny_orders_whose_tilt_overflows_the_rows(self, alpha):
+        # the outer tilt (alpha - 1)/alpha is finite, but times each row (3.32 and 4.32
+        # bits) it overflows to -inf: the value is the limit, the least row
+        p_cond, p_y = [[1.0, 0.0], [1.0, 0.0]], [0.5, 0.5]
+        value = cond_renyi_div(p_cond, [[0.1, 0.9], [0.05, 0.95]], p_y, alpha)
+        assert value == pytest.approx(math.log2(10.0), abs=1e-15)
+        # only the larger row's term overflows: it drops out, and the least row is left
+        value = cond_renyi_div(p_cond, [[0.7, 0.3], [0.05, 0.95]], p_y, alpha)
+        assert value == pytest.approx(-math.log2(0.7), abs=1e-15)
 
     def test_support_violation(self):
         value = cond_renyi_div([[0.5, 0.5]], [[1.0, 0.0]], [1.0], 2.0)

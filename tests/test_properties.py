@@ -228,7 +228,8 @@ def _below(x: float, y: float) -> bool:
 @given(
     tables=conditional_tables(),
     alpha=st.one_of(
-        st.floats(0.2, 4.0), st.sampled_from([1.0 - 1e-9, 1.0, 1.0 + 1e-9, 5e-324, 2.2e-309])
+        st.floats(0.2, 4.0),
+        st.sampled_from([1.0 - 1e-9, 1.0, 1.0 + 1e-9, 5e-324, 2.2e-309, 1e-308, 1e308]),
     ),
 )
 def test_conditional_divergence_is_a_tilted_mean_of_the_signals_divergences(tables, alpha):

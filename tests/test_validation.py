@@ -245,6 +245,7 @@ def test_accepted_inputs_come_back_as_values_over_total(seed):
     joint = _near_unit(rng, (3 * m,), zeros=False).reshape(m, 3).T  # not C-contiguous
     side = new_side_info(joint, odds)
     _assert_frozen_equal(side.joint, joint / joint.sum())
+    _assert_frozen_equal(side.signal_probs, side.joint.sum(axis=1))  # stored, not re-summed
 
     bets = _near_unit(rng, (m,), zeros=m > 1)
     _assert_frozen_equal(Allocation(bets).bets, bets / bets.sum())
