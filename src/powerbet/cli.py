@@ -221,11 +221,9 @@ def _check(market, mode: str, beta: float, value: float, alloc, args) -> tuple[d
     bound at ``+-inf``, the exact vertex bound ``max_j (log2 o_j + log2 p_j / beta)`` at
     ``beta >= 1``, else the certificate.  Beside it a grid runs in full mode at finite
     ``beta != 0`` and in partial mode, ``--grid-resolution`` or else 200 if that fits."""
-    if math.isinf(beta):  # the longest odds at +inf, every payoff at the track constant at -inf
-        c = track_constant(market)
-        top = math.log2(float(np.max(market.odds)))
-        payoffs = alloc.bets * market.odds  # full mode: the other modes stop at exit 3
-        gap = abs(value - top) if beta > 0 else float(np.max(np.abs(payoffs - c))) / c
+    if math.isinf(beta):  # max o at +inf; at -inf c, which min(b o) <= c reaches only if all do
+        bound = float(np.max(market.odds)) if beta > 0 else track_constant(market)
+        gap = abs(value - math.log2(bound))
         doc = {"kind": "limit_bound", "gap": gap, "passed": gap <= 1e-12}
     elif beta >= 1.0:
         bound = float(np.max(np.log2(market.odds) + np.log2(market.probs) / beta))
@@ -316,6 +314,8 @@ def cmd_optimize(args) -> tuple[dict, int]:
     if not args.check:
         return out, 0
     out["oracle_check"], code = _check(market, mode, beta, out["utility_bits"], alloc, args)
+    if out["decomposition"] and out["decomposition"]["residual"] > ORACLE_VALUE_TOL:
+        out["oracle_check"]["passed"], code = False, 4  # the printed identity does not hold
     return out, code
 
 

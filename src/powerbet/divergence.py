@@ -5,8 +5,8 @@ mean ``D_alpha(p || q) = K(alpha - 1; p, ln p/q)`` of :func:`_tilted_mean`, KL
 being ``K(0)``, so orders near the pole never overflow and those near 1 match KL.
 Every finite order ``alpha > 0`` is an ordinary input, order 1 included, for
 the plain and the conditional divergence alike; past 1e300 each takes ``D_inf``.
-:func:`_log2_power_mean`
-evaluates the utilities' power means here too, ``beta = +-inf`` included.
+The utilities' payoffs are logged here too, by :func:`_power_mean_read`, and their power
+means taken by :func:`_log2_power_mean`, ``beta = +-inf`` included.
 
 Zero-probability conventions, applied throughout:
 
@@ -152,23 +152,32 @@ def _log(arr: np.ndarray) -> np.ndarray:
         return np.log(arr)
 
 
-def _power_mean_read(probs, payoffs, beta: float) -> np.ndarray:
-    """What :func:`_log2_power_mean` reduces, by its ops: the payoffs' log2 at ``beta =
-    +-inf``, their natural logs near 0, else the far form's ``ln p + beta ln payoff``."""
-    with np.errstate(divide="ignore"):
-        read = np.log2(payoffs) if math.isinf(beta) else np.log(payoffs)
+def _power_mean_read(probs, bets, odds, cash, beta: float) -> np.ndarray:
+    """The one payoff map: each payoff, ``bets * odds`` plus ``cash`` unless None, read by
+    :func:`_log2_power_mean`'s ops as log2 at ``beta = +-inf``, as ln near 0, else as ``ln p +
+    beta ln payoff``.  A payoff below the smallest normal double, which the product may round
+    to 0.0, reads ``log b + log o``, log-added to ``log cash``: positive bets read finite."""
+    payoffs = bets * odds if cash is None else cash + bets * odds
+    log = np.log2 if math.isinf(beta) else np.log
+    if payoffs.min() >= _NORMAL_MIN:
+        read = log(payoffs)
+    else:  # zero bets too: log 0 is -inf either way
+        with np.errstate(divide="ignore"):
+            read = log(bets) + log(odds)
+            if cash is not None:
+                read = (np.logaddexp2 if log is np.log2 else np.logaddexp)(log(cash), read)
+        log(payoffs, out=read, where=payoffs >= _NORMAL_MIN)
     if _CENTERED_T < abs(beta) < math.inf:  # in place, so a grid block holds no extra copy
         read *= beta
         read += np.log(probs)
     return read
 
 
-def _log2_power_mean(probs: np.ndarray, payoffs, beta: float, read=None):
-    """``K(beta; p, ln payoff) = (1/beta) log2 sum p_i payoff_i^beta``: a float for one
-    payoff vector, one value per row for a 2-D stack of them.  At ``beta = +-inf`` it is
-    the largest or smallest log2 payoff, so every ``p_i`` must then be positive.
-    ``read``, if given, stands in for the payoffs: their :func:`_power_mean_read`."""
-    read = _power_mean_read(probs, payoffs, beta) if read is None else read
+def _log2_power_mean(probs: np.ndarray, bets, odds, cash, beta: float, read=None):
+    """``K(beta; p, ln payoff) = (1/beta) log2 sum p_i payoff_i^beta``, from ``read`` if given,
+    else from :func:`_power_mean_read`: a float for one payoff vector, one value per row for a
+    2-D stack.  At ``beta = +-inf``, the largest or smallest log2 payoff (every ``p_i`` > 0)."""
+    read = _power_mean_read(probs, bets, odds, cash, beta) if read is None else read
     axis = None if read.ndim == 1 else -1
     if math.isinf(beta):
         out = read.max(axis) if beta > 0.0 else read.min(axis)

@@ -14,7 +14,7 @@ Four kinds of oracle live here:
   the sample stream is a pure function of (seed, race index).
 
 Full and partial grid searches share one scan that differs only in the
-payoff map.  It takes the points in lexicographic order, in numpy blocks
+cash coordinate.  It takes the points in lexicographic order, in numpy blocks
 of at most ``_BLOCK_CELLS`` cells, so memory stays bounded.  A full bet
 pays coordinate ``j`` on its own, so from 3 coordinates on, where values
 repeat, each value's log is taken once and blocks of indices gather it;
@@ -229,15 +229,15 @@ def _grid_argmax(market: RaceMarket, beta: float, grid: GridSpec, cash=False) ->
     k, offsets, table = grid.resolution, np.zeros(d, np.intp), None
     if not cash and d > 2:
         offsets, column = np.arange(d) * (k + 1), np.arange(k + 1.0)[:, None] / k
-        table = _power_mean_read(market.probs, column * o, beta).T.ravel()
+        table = _power_mean_read(market.probs, column, o, None, beta).T.ravel()
     best_point, best_value = None, -math.inf
     for block in _grid_blocks(grid, offsets):
         if table is not None:
-            values = _log2_power_mean(market.probs, None, beta, table.take(block.T).T)
+            values = _log2_power_mean(market.probs, None, None, None, beta, table.take(block.T).T)
         else:
             pts = block / k
-            payoffs = pts[:, :1] + pts[:, 1:] * o if cash else pts * o
-            values = _log2_power_mean(market.probs, payoffs, beta)
+            bets, paid = (pts[:, 1:], pts[:, :1]) if cash else (pts, None)
+            values = _log2_power_mean(market.probs, bets, o, paid, beta)
         idx = int(np.argmax(values))
         if best_point is None or values[idx] > best_value:
             best_point, best_value = block[idx], values[idx]
@@ -291,12 +291,12 @@ def kkt_residual(
         raise BetaOutOfRangeError(f"the conditions need a finite beta, got {beta!r}")
     if beta >= 1.0:
         raise NotEvaluableError("the conditions are stated for finite beta < 1")
-    probs, payoffs = _outcomes(market, sol)
+    probs, bets, odds, cash = _outcomes(market, sol)
     active = sol.bets > 0.0
 
     # 0^(beta-1) is +inf, and so is a small payoff's at very negative beta
     with np.errstate(divide="ignore", over="ignore"):
-        marginal = payoffs ** (beta - 1.0)
+        marginal = (cash + bets * odds) ** (beta - 1.0)  # the payoffs, linear as stated
         grad_cash = float(np.sum(probs * marginal))
         grad_bets = probs * market.odds * marginal
         mu = grad_cash if sol.cash > 0.0 else float(grad_bets[np.flatnonzero(active)[0]])
@@ -469,10 +469,9 @@ def simulate_growth(
     stays there.  The pass counts the outcomes, for the trajectory and :func:`estimate_ubeta`.
     """
     global _drawn
-    probs, payoffs = _outcomes(market, b)
+    probs, bets, odds, cash = _outcomes(market, b)
     key = _stream_key(probs, n_races, seed, "race")
-    with np.errstate(divide="ignore"):
-        increments = np.log2(payoffs)
+    increments = _power_mean_read(probs, bets, odds, cash, math.inf)  # the log2 payoffs
     counts = np.zeros(probs.size, dtype=np.int64)
     for chunk in _log_wealth_chunks(probs, increments, n_races, seed, counts):
         final = chunk[-1]
@@ -495,7 +494,7 @@ def estimate_ubeta(
     """
     global _drawn
     beta = _check_beta(beta)
-    probs, payoffs = _outcomes(market, b)
+    probs, bets, odds, cash = _outcomes(market, b)
     key = _stream_key(probs, n_samples, seed, "sample")
     latest, counts = _drawn
     if latest != key:
@@ -507,4 +506,4 @@ def estimate_ubeta(
     drawn = counts > 0
     # outcomes never drawn are left out: a zero payoff would give -inf + inf
     # for beta < 0, while one that was drawn is a +inf term, so the estimate is -inf
-    return _log2_power_mean(counts[drawn] / n_samples, payoffs[drawn], beta)
+    return _log2_power_mean(counts[drawn] / n_samples, bets[drawn], odds[drawn], cash, beta)

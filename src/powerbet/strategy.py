@@ -89,18 +89,16 @@ def _trusted(cls, **fields):
 _Bet = Allocation | PartialAllocation | ConditionalAllocation
 
 
-def _outcomes(market: RaceMarket | SideInfoMarket, b: _Bet) -> tuple[np.ndarray, np.ndarray]:
-    """The outcome PMF of bet ``b`` and each outcome's payoff, once ``b`` has the market's
-    shape: the horses, paying ``b o`` or ``cash + b o``, or for a conditional allocation
-    the (signal, horse) cells of positive joint probability, paying ``b(x|y) o(x)``."""
+def _outcomes(market: RaceMarket | SideInfoMarket, b: _Bet) -> tuple:
+    """``(probs, bets, odds, cash)``, once ``b`` has the market's shape: the PMF of its outcomes,
+    the horses or a conditional allocation's live (signal, horse) cells, each paying ``cash +
+    bets * odds``, ``cash`` None when fully invested, as ``_power_mean_read`` forms it."""
     if isinstance(b, ConditionalAllocation):
         _require_same_length(market, b.table)
-        weights = market.joint.ravel()
-        live = weights > 0.0
-        return weights[live], (b.table * market.odds).ravel()[live]
+        live = np.nonzero(market.joint)
+        return market.joint[live], b.table[live], market.odds[live[1]], None
     _require_same_length(market, b.bets)
-    payoffs = b.bets * market.odds
-    return market.probs, b.cash + payoffs if isinstance(b, PartialAllocation) else payoffs
+    return market.probs, b.bets, market.odds, b.cash if isinstance(b, PartialAllocation) else None
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,9 @@ one tilted-mean kernel of :mod:`powerbet.divergence` (checked against a
 Every utility takes the limits ``beta = +-inf`` as ordinary inputs: they are
 the best- and worst-case log2 payoffs over the outcomes of positive
 probability, and :func:`limit_utilities` is the pair of them.  Each utility
-reads its outcomes and payoffs from the one outcome map of
-:mod:`powerbet.strategy` and reduces them with the one power mean of
-:mod:`powerbet.divergence`.
+reads its outcomes, and the bets, odds and cash that pay them, from the one
+outcome map of :mod:`powerbet.strategy`, and the one payoff map and power mean
+of :mod:`powerbet.divergence` log and reduce the payoffs.
 
 Extended-real conventions: a zero bet on a possible winner makes the
 utility ``-inf`` for ``beta <= 0`` and simply drops the term for positive

@@ -22,6 +22,7 @@ from powerbet import (
     optimal_full,
     simulate_growth,
     strategy,
+    utility,
     utility_partial,
 )
 from powerbet.cli import main
@@ -676,8 +677,63 @@ class TestCheck:
         assert code == 4
         assert json.loads(out)["oracle_check"]["gap_bits"] > 0.01
 
+    def test_worst_case_bound_is_the_track_constant(self, capsys, monkeypatch, subfair_spec):
+        code, out = run(capsys, "optimize", subfair_spec, "--beta", "-inf", "--check")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["oracle_check"]["gap"] == abs(doc["utility_bits"] - math.log2(0.75))
+        # a bet off the bookie mix pays less than c = 0.75 on its worse horse
+        monkeypatch.setattr(strategy, "dispatch", lambda mk, beta: Allocation([0.6, 0.4]))
+        code, out = run(capsys, "optimize", subfair_spec, "--beta", "-inf", "--check")
+        assert code == 4
+        assert json.loads(out)["oracle_check"]["gap"] == pytest.approx(math.log2(0.75 / 0.6))
+
+    def test_a_decomposition_residual_past_the_tolerance_fails(
+        self, capsys, monkeypatch, fair_spec
+    ):
+        code, out = run(capsys, "optimize", fair_spec, "--beta", "0.5", "--check")
+        assert code == 0
+        honest = json.loads(out)
+        decompose = utility.decompose_full
+        monkeypatch.setattr(
+            utility,
+            "decompose_full",
+            lambda *args: dataclasses.replace(decompose(*args), residual=1.0),
+        )
+        code, out = run(capsys, "optimize", fair_spec, "--beta", "0.5", "--check")
+        assert code == 4
+        doc = json.loads(out)
+        assert doc["oracle_check"] == {**honest["oracle_check"], "passed": False}
+
+    @pytest.mark.parametrize(
+        "argv", [["--beta", "kelly"], ["--beta", "kelly", "--mode", "side-info"],
+                 ["--beta=-0.001", "--mode", "side-info"]]
+    )
+    def test_a_payoff_below_the_normal_range_keeps_the_identity(self, capsys, tmp_path, argv):
+        # the second horse's payoff, 1e-200 * 1e-200 or 2e-200 * 1e-200, rounds to 0.0
+        spec = _write(tmp_path, "under.json", UNDERFLOW_SPEC)
+        code, out = run(capsys, "optimize", spec, *argv, "--check")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["utility_bits"] == pytest.approx(1.0, abs=1e-12)
+        assert doc["decomposition"]["residual"] < 1e-9
+        assert doc["oracle_check"]["passed"] is True
+
+
+UNDERFLOW_SPEC = {
+    "horses": [{"p": 1.0, "odds": 2.0}, {"p": 1e-200, "odds": 1e-200}],
+    "side_info": {"signals": ["a", "b"], "joint": [[0.5, 1e-200], [0.5, 0.0]]},
+}
+
 
 class TestSimulate:
+    def test_a_payoff_below_the_normal_range_has_a_finite_rate(self, capsys, tmp_path):
+        spec = _write(tmp_path, "under.json", UNDERFLOW_SPEC)
+        code, out = run(capsys, "simulate", spec, "-n", "100")
+        assert code == 0
+        summary = json.loads(out[out.index("{") :])
+        assert summary["theoretical_doubling_rate_bits"] == 1.0
+
     def test_byte_identical_reruns(self, capsys, fair_spec):
         _, first = run(capsys, "simulate", fair_spec, "--beta", "kelly", "-n", "1000", "--seed", "7")
         _, second = run(capsys, "simulate", fair_spec, "--beta", "kelly", "-n", "1000", "--seed", "7")

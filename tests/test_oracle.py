@@ -152,12 +152,15 @@ def _partial_payoffs(market):
     return lambda pts: pts[:, :1] + pts[:, 1:] * market.odds
 
 
-def _scan_values(market, beta, grid, payoffs):
-    """Every grid point's value as the scan computes it, in lexicographic order."""
-    blocks = oracle._grid_blocks(grid)
-    return np.concatenate(
-        [_log2_power_mean(market.probs, payoffs(b / grid.resolution), beta) for b in blocks]
-    )
+def _scan_values(market, beta, grid):
+    """Every grid point's value as the scan computes it, in lexicographic order, from the
+    pieces it passes: the bets, the odds and, with a coordinate more, the cash first."""
+    values = []
+    for block in oracle._grid_blocks(grid):
+        pts = block / grid.resolution
+        bets, cash = (pts[:, 1:], pts[:, :1]) if grid.dimension > market.m else (pts, None)
+        values.append(_log2_power_mean(market.probs, bets, market.odds, cash, beta))
+    return np.concatenate(values)
 
 
 def _tied_race(m):
@@ -185,7 +188,7 @@ class TestGridScan:
                     want = reference_grid_argmax(market.probs, beta, grid, payoffs)
                     np.testing.assert_array_equal(best.bets, Allocation(want).bets)
                     want = _reference_values(market, beta, grid, payoffs)
-                    assert _scan_values(market, beta, grid, payoffs).tobytes() == want.tobytes()
+                    assert _scan_values(market, beta, grid).tobytes() == want.tobytes()
                     if m > 6:
                         continue
                     grid, payoffs = GridSpec(k, m + 1), _partial_payoffs(market)
@@ -195,7 +198,7 @@ class TestGridScan:
                     assert best.cash == want.cash
                     np.testing.assert_array_equal(best.bets, want.bets)
                     want = _reference_values(market, beta, grid, payoffs)
-                    assert _scan_values(market, beta, grid, payoffs).tobytes() == want.tobytes()
+                    assert _scan_values(market, beta, grid).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("m,partial,k", [(8, False, 9), (8, True, 8), (12, False, 6)])
     def test_high_dimensions_match_the_reference_to_rounding(self, m, partial, k):
@@ -211,7 +214,7 @@ class TestGridScan:
             want = reference_grid_argmax(market.probs, beta, grid, payoffs)
             got_point = np.concatenate([[best.cash], best.bets]) if partial else best.bets
             np.testing.assert_array_equal(got_point, want)
-            got = _scan_values(market, beta, grid, payoffs)
+            got = _scan_values(market, beta, grid)
             want = _reference_values(market, beta, grid, payoffs)
             same = got == want  # equal infinities included
             with np.errstate(invalid="ignore"):
@@ -230,13 +233,13 @@ class TestGridScan:
             for tied in (False, True):
                 market = _tied_race(d) if tied else random_market(rng, d)
                 best, _ = grid_search_full(market, beta, grid)
-                want = points[np.argmax(_scan_values(market, beta, grid, _full_payoffs(market)))]
+                want = points[np.argmax(_scan_values(market, beta, grid))]
                 np.testing.assert_array_equal(best.bets, Allocation(want).bets)
                 if d == 1:
                     continue
                 market = _tied_race(d - 1) if tied else random_market(rng, d - 1)
                 best, _ = grid_search_partial(market, beta, grid)
-                want = points[np.argmax(_scan_values(market, beta, grid, _partial_payoffs(market)))]
+                want = points[np.argmax(_scan_values(market, beta, grid))]
                 assert best.cash == want[0]
                 np.testing.assert_array_equal(best.bets, PartialAllocation(want[0], want[1:]).bets)
 

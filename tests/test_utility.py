@@ -19,8 +19,10 @@ from powerbet import (
     new_race,
     new_side_info,
     optimal_full,
+    optimal_partial,
     optimal_side_info,
     renyi_div,
+    simulate_growth,
     utility_full,
     utility_partial,
     utility_side_info,
@@ -268,6 +270,47 @@ class TestUtilitiesAtTheLimits:
         market = new_race([0.5, 0.5], [2, 4])
         assert utility_full(market, Allocation([1.0, 0.0]), -math.inf) == -math.inf
         assert utility_full(market, Allocation([1.0, 0.0]), math.inf) == 1.0
+
+
+# the second horse's Kelly bet pays 1e-200 * 1e-200, whose product rounds to 0.0
+UNDERFLOW_RACE = new_race([1 - 1e-200, 1e-200], [2.0, 1e-200])
+UNDERFLOW_BETAS = [-1e6, -10.0, -1.0, -0.5, -1e-3, -1e-300, 0.0, 1e-300, 1e-3, 0.5, 0.9, 1 - 1e-9]
+
+
+class TestPayoffsBelowTheNormalRange:
+    def test_a_kelly_payoff_that_underflows_is_read_from_its_logs(self):
+        b = kelly(UNDERFLOW_RACE)
+        assert utility_full(UNDERFLOW_RACE, b, 0.0) == 1.0
+        assert utility_full(UNDERFLOW_RACE, b, -0.5) == pytest.approx(-1.543, abs=1e-3)
+        assert limit_utilities(UNDERFLOW_RACE, b) == (1.0, -1328.771237954945)  # log2 1e-400
+        report = decompose_full(UNDERFLOW_RACE, b, 0.0)
+        assert report.direct == 1.0 and report.residual < 1e-9
+
+    def test_every_bet_positive_on_every_winner_has_a_finite_utility(self):
+        # p_i and o_i down to e^-690, so p_i o_i and the payoffs reach 1e-300 and far below
+        rng = np.random.default_rng(43)
+        for _ in range(60):
+            m = int(rng.integers(2, 10))
+            p = np.exp(-rng.uniform(0.0, 690.0, m))
+            p[rng.integers(m)] = 1.0
+            odds = np.exp(-rng.uniform(-5.0, 690.0, m))
+            market = new_race(p / p.sum(), odds)
+            joint = p * rng.uniform(0.1, 1.0, (2, m))
+            side = new_side_info(joint / joint.sum(), odds)
+            bets = [(market, kelly(market))]
+            for beta in UNDERFLOW_BETAS:
+                full, table = optimal_full(market, beta), optimal_side_info(side, beta)[0]
+                assert decompose_full(market, full, beta).residual < 1e-9
+                assert decompose_side_info(side, table, beta).residual < 1e-9
+                partial = optimal_partial(market, beta).allocation
+                bets += [(market, full), (side, table), (market, partial)]
+            for mk, b in bets:
+                live = (b.table > 0.0)[side.joint > 0.0] if mk is side else b.bets > 0.0
+                if not (np.all(live) or getattr(b, "cash", 0.0) > 0.0):
+                    continue  # a fraction near beta = 1 may round to 0.0
+                for beta in UNDERFLOW_BETAS + [1.0, 3.0, math.inf, -math.inf]:
+                    assert math.isfinite(utility_full(mk, b, beta)), beta
+                assert np.all(np.isfinite(simulate_growth(mk, b, 10, 1)._increments))
 
 
 # a possible winner with a zero bet: both sides of the identity are about
