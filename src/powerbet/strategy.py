@@ -8,10 +8,11 @@ finite value is used literally.
 For finite ``beta < 1`` an interior closed form exists; its ``beta = 0``
 member is Kelly's log-optimal betting, which every interior optimizer takes
 as an ordinary input (:func:`kelly` returns its full-investment answer,
-``b = p``, exactly).  :func:`dispatch` covers every ``beta``: for
-``beta >= 1`` and the infinite limits it computes the single-horse bet, the
-longest odds and risk-free odds replication itself.  All argmax ties break to
-the smallest horse index so outputs are deterministic.
+``b = p``, exactly).  With side information it applies to each signal's winner
+distribution, so one body serves both, a race being the one-row case.
+:func:`dispatch` covers every ``beta``: for ``beta >= 1`` and the infinite limits it
+computes the single-horse bet, the longest odds and risk-free odds replication itself.
+All argmax ties break to the smallest horse index so outputs are deterministic.
 """
 
 from __future__ import annotations
@@ -140,13 +141,19 @@ def _check_interior_beta(beta: float) -> float:
     return beta
 
 
-def _log_weights_full(log_p: np.ndarray, log_o: np.ndarray, beta: float) -> np.ndarray:
-    """Natural logs of the interior optimum's fractions, from ``ln p`` and ``ln o``,
-    for a validated ``beta``."""
+def _log_weights(log_p: np.ndarray, log_o: np.ndarray, beta: float, log_p_y=None):
+    """Natural logs of the interior optimum's fractions over the last axis, for a validated
+    ``beta``, from ``ln o`` and a race's ``ln p``, or rows ``ln p(x|y)`` (``-inf`` for
+    impossible winners) with ``log_p_y = ln p(y)``, which adds the signal weights' logs."""
     raw = log_p + beta * log_o
-    # the top score is 0 before the division, so tied top weights stay equal
-    scores = (raw - raw.max()) / (1.0 - beta)
-    return scores - _logsumexp(scores)
+    # each row's top score is 0 before the division, so tied top weights stay equal
+    peak = raw.max(axis=-1, keepdims=True)  # finite: every row has a positive entry
+    scores = (raw - peak) / (1.0 - beta)
+    if log_p_y is None:  # one row, through the whole-array log-sum-exp
+        return scores - _logsumexp(scores)
+    inner = _logsumexp(scores, axis=-1)
+    signal_scores = log_p_y + (1.0 - beta) * inner + peak[:, 0]
+    return scores - inner[:, None], signal_scores - _logsumexp(signal_scores)
 
 
 def optimal_full(market: RaceMarket, beta: float) -> Allocation:
@@ -158,7 +165,7 @@ def optimal_full(market: RaceMarket, beta: float) -> Allocation:
     may underflow to 0.
     """
     beta = _check_interior_beta(beta)
-    logs = _log_weights_full(np.log(market.probs), np.log(market.odds), beta)
+    logs = _log_weights(np.log(market.probs), np.log(market.odds), beta)
     weights = np.exp(logs)
     return _trusted(Allocation, bets=weights / weights.sum(), _logs=logs)
 
@@ -180,23 +187,10 @@ def optimal_side_info(
     """
     beta = _check_interior_beta(beta)
     log_cond, log_p_y = _log(market.conditional()), np.log(market.signal_probs)
-    log_table, log_g_y = _log_weights_side_info(log_cond, log_p_y, np.log(market.odds), beta)
+    log_table, log_g_y = _log_weights(log_cond, np.log(market.odds), beta, log_p_y)
     table = np.exp(log_table)
     table /= table.sum(axis=1, keepdims=True)
     return _trusted(ConditionalAllocation, table=table, _logs=log_table), np.exp(log_g_y)
-
-
-def _log_weights_side_info(
-    log_cond: np.ndarray, log_p_y: np.ndarray, log_o: np.ndarray, beta: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Natural logs of the optimal rows (``-inf`` for impossible winners) and signal
-    weights, from ``ln p(x|y)``, ``ln p(y)`` and ``ln o``."""
-    raw = log_cond + beta * log_o
-    peak = raw.max(axis=1)  # finite: every signal row has a positive entry
-    scores = (raw - peak[:, None]) / (1.0 - beta)
-    inner = _logsumexp(scores, axis=1)
-    signal_scores = log_p_y + (1.0 - beta) * inner + peak
-    return scores - inner[:, None], signal_scores - _logsumexp(signal_scores)
 
 
 def optimal_partial(market: RaceMarket, beta: float) -> PartialSolution:
@@ -222,7 +216,7 @@ def optimal_partial(market: RaceMarket, beta: float) -> PartialSolution:
     slack = 1.0 - np.concatenate(([0.0], np.cumsum(1.0 / o[order])))
     cap = gammas = None
     if slack[-1] >= 0.0:  # c >= 1 in the scan's own arithmetic: at best a tie with cash
-        log_cash, log_bets = -math.inf, _log_weights_full(np.log(p), np.log(o), beta)
+        log_cash, log_bets = -math.inf, _log_weights(np.log(p), np.log(o), beta)
     else:
         # Before horse order[k] is tried the support is order[:k].  Its unbacked
         # mass outside[k] is a suffix sum, so it never cancels to 0, and the horse

@@ -9,9 +9,12 @@ and report here.  For finite ``beta < 1`` it splits exactly into three terms,
 
 where ``c`` is the track constant, ``r`` the bookie-implied distribution,
 and ``g`` the optimal allocation; at ``beta = 0`` both divergences are KL.
-The reports compute both sides of that identity, as different inputs to the
-one tilted-mean kernel of :mod:`powerbet.divergence` (checked against a
-50-digit reference in the tests), and expose the residual.
+With side information ``p`` is the table ``p(x|y)``, the bookie term is conditional
+and the gambler term compares the joints ``g(x|y) g(y)`` and ``b(x|y) g(y)``.  A race
+is the one-row case, and one report, :func:`decompose_full`, computes both sides of
+that identity, as different inputs to the one tilted-mean kernel of
+:mod:`powerbet.divergence` (checked against a 50-digit reference in the tests), and
+exposes the residual.
 
 Every utility takes the limits ``beta = +-inf`` as ordinary inputs: they are
 the best- and worst-case log2 payoffs over the outcomes of positive
@@ -41,8 +44,7 @@ from .strategy import (
     _Bet,
     _check_beta,
     _check_interior_beta,
-    _log_weights_full,
-    _log_weights_side_info,
+    _log_weights,
     _outcomes,
 )
 
@@ -89,53 +91,41 @@ def limit_utilities(market: RaceMarket, b: Allocation) -> tuple[float, float]:
     return _log2_power_mean(*outcomes, math.inf), _log2_power_mean(*outcomes, -math.inf)
 
 
-def _report(c: float, bookie: float, gambler: float, direct: float) -> DecompositionReport:
-    log_c = math.log2(c)
-    total = log_c + bookie - gambler
-    residual = 0.0 if total == direct else abs(total - direct)  # matching infinities: 0, not NaN
-    return DecompositionReport(log_c, bookie, gambler, total, direct, residual)
-
-
-def decompose_full(market: RaceMarket, b: Allocation, beta: float) -> DecompositionReport:
-    """Three-term report for a full-investment allocation, finite ``beta < 1``.
+def decompose_full(
+    market: RaceMarket | SideInfoMarket, b: Allocation | ConditionalAllocation, beta: float
+) -> DecompositionReport:
+    """Three-term report of a full-investment allocation, finite ``beta < 1``, in either
+    market kind: :func:`decompose_side_info` is this function, a race the one-row case.
 
     The gambler term is evaluated from the optimizer's log-weights, so
     optimal fractions that underflow to 0 near ``beta = 1`` still count.
     """
     beta = _check_interior_beta(beta)
     direct = utility_full(market, b, beta)
-    log_p, log_o = np.log(market.probs), np.log(market.odds)
-    c = track_constant(market)
-    bookie = _renyi_from_logs(log_p, math.log(c) - log_o, 1.0 / (1.0 - beta))  # r = c / o
-    log_g = _log_weights_full(log_p, log_o, beta)
-    gambler = _renyi_from_logs(log_g, _log(b.bets), 1.0 - beta, t=-beta)  # the exact tilt
-    return _report(c, bookie, gambler, direct)
+    log_o, c = np.log(market.odds), track_constant(market)
+    log_r, alpha = math.log(c) - log_o, 1.0 / (1.0 - beta)  # r = c / o
+    if isinstance(market, SideInfoMarket):
+        log_p, log_p_y = _log(market.conditional()), np.log(market.signal_probs)
+        bookie = _cond_renyi_from_logs(log_p, log_r, log_p_y, alpha)
+        log_g, log_g_y = _log_weights(log_p, log_o, beta, log_p_y)
+        log_g, log_b = log_g + log_g_y[:, None], _log(b.table) + log_g_y[:, None]
+    else:
+        log_p = np.log(market.probs)
+        bookie = _renyi_from_logs(log_p, log_r, alpha)
+        log_g, log_b = _log_weights(log_p, log_o, beta), _log(b.bets)
+    gambler = _renyi_from_logs(log_g, log_b, 1.0 - beta, t=-beta)  # the exact tilt
+    log_c = math.log2(c)
+    total = log_c + bookie - gambler
+    residual = 0.0 if total == direct else abs(total - direct)  # matching infinities: 0, not NaN
+    return DecompositionReport(log_c, bookie, gambler, total, direct, residual)
 
 
-def decompose_kelly(market: RaceMarket, b: Allocation) -> DecompositionReport:
+decompose_side_info = decompose_full
+
+
+def decompose_kelly(
+    market: RaceMarket | SideInfoMarket, b: Allocation | ConditionalAllocation
+) -> DecompositionReport:
     """KL report for the doubling rate, ``log c + D(p||r) - D(p||b)``: the
     ``beta = 0`` report of :func:`decompose_full`."""
     return decompose_full(market, b, 0.0)
-
-
-def decompose_side_info(
-    market: SideInfoMarket, b: ConditionalAllocation, beta: float
-) -> DecompositionReport:
-    """Three-term report with side information, finite ``beta < 1``.
-
-    The bookie term is the conditional divergence of the winner-given-signal
-    table from the bookie distribution; the gambler term compares the joint
-    distributions ``g(x|y) g(y)`` and ``b(x|y) g(y)`` built from the optimal
-    signal weights, evaluated from the optimizer's log-weights.
-    """
-    beta = _check_interior_beta(beta)
-    direct = utility_full(market, b, beta)
-    log_cond, log_p_y = _log(market.conditional()), np.log(market.signal_probs)
-    log_o = np.log(market.odds)
-    c = track_constant(market)
-    log_g_cond, log_g_y = _log_weights_side_info(log_cond, log_p_y, log_o, beta)
-    bookie = _cond_renyi_from_logs(log_cond, math.log(c) - log_o, log_p_y, 1.0 / (1.0 - beta))
-    log_g_joint = log_g_cond + log_g_y[:, None]
-    log_b_joint = _log(b.table) + log_g_y[:, None]
-    gambler = _renyi_from_logs(log_g_joint, log_b_joint, 1.0 - beta, t=-beta)
-    return _report(c, bookie, gambler, direct)

@@ -258,6 +258,21 @@ class TestOptimize:
         assert doc["oracle_check"]["passed"] is True
         assert doc["oracle_check"]["grid_minus_analytic"] <= 1e-9
 
+    @pytest.mark.parametrize("beta", ["0.25", "-0.5", "-1"])
+    def test_grid_judges_the_value_not_the_allocation_distance(self, capsys, tmp_path, beta):
+        # three optimal bets far below 1/k: no grid point lies within 2/k of the optimum,
+        # yet the certificate passes and the grid's best value is lower
+        horses = [{"p": 0.997, "odds": 1.0}] + [{"p": 0.001, "odds": 1000}] * 3
+        path = tmp_path / "ls.json"
+        path.write_text(json.dumps({"horses": horses}))
+        code, out = run(capsys, "optimize", str(path), "--beta", beta, "--check")
+        check = json.loads(out)["oracle_check"]
+        assert code == 0
+        assert check["passed"] is True
+        assert check["gap_nats"] <= check["tolerance_nats"]
+        assert check["grid_minus_analytic"] <= 1e-9
+        assert check["max_allocation_distance"] > 2.0 / check["grid_resolution"]  # printed only
+
     def test_side_info_mode(self, capsys, side_spec):
         code, out = run(capsys, "optimize", side_spec, "--beta", "0.5", "--mode", "side-info")
         assert code == 0

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -38,11 +39,26 @@ from helpers import (
 
 MARKET_B = new_race([0.6, 0.4], [2, 2])
 EPS = np.finfo(float).eps
+# every regime of the interior reports, from the worst case to next to beta = 1
+REPORT_BETAS = (-1e6, -5.0, -1.0, -0.5, 0.0, 1e-6, 0.25, 0.5, 0.9, 0.99, 0.999, 1 - 1e-6, 1 - 1e-9)
 
 
 def test_one_utility_serves_every_allocation_kind():
     assert utility_partial is utility_full
     assert utility_side_info is utility_full
+    assert decompose_side_info is decompose_full  # one report for either market kind
+
+
+@pytest.mark.parametrize("beta", [-1e6, -2.0, 0.0, 1e-300, 0.5, 0.99, 1 - 1e-9])
+def test_a_decomposition_takes_either_market_kind(beta):
+    rng = np.random.default_rng(32)
+    for _ in range(20):
+        m, n_y = int(rng.integers(1, 7)), int(rng.integers(1, 5))
+        race, side = random_market(rng, m), random_joint_market(rng, n_y, m)
+        for table in (optimal_side_info(side, beta)[0], random_conditional_allocation(rng, n_y, m)):
+            assert decompose_full(side, table, beta).residual < 1e-9
+        for bets in (optimal_full(race, beta), random_interior_allocation(rng, m)):
+            assert decompose_side_info(race, bets, beta).residual < 1e-9
 
 
 class TestUtilityFull:
@@ -467,6 +483,19 @@ class TestDecomposeSideInfo:
             assert side.gambler_term == pytest.approx(full.gambler_term, abs=1e-12)
             assert side.direct == pytest.approx(full.direct, abs=1e-12)
 
+    def test_a_one_signal_report_is_its_race_report(self):
+        # field by field in every regime, up to the rounding of the conditional bookie term
+        rng = np.random.default_rng(33)
+        for m in rng.integers(1, 17, size=100):
+            flat = random_market(rng, int(m))
+            market = new_side_info([flat.probs], flat.odds)
+            b = random_interior_allocation(rng, int(m))
+            for beta in REPORT_BETAS:
+                for bets in (b, optimal_full(flat, beta)):
+                    side = decompose_side_info(market, ConditionalAllocation([bets.bets]), beta)
+                    full = dataclasses.asdict(decompose_full(flat, bets, beta))
+                    assert dataclasses.asdict(side) == pytest.approx(full, rel=1e-11, abs=1e-13)
+
     def test_identity_on_random_instances(self):
         rng = np.random.default_rng(27)
         for _ in range(200):
@@ -492,10 +521,6 @@ class TestDecomposeSideInfo:
             assert report.residual < 1e-9
             optimal, _ = optimal_side_info(market, beta)
             assert decompose_side_info(market, optimal, beta).residual < 1e-9
-
-
-# every regime of the interior reports, from the worst case to next to beta = 1
-REPORT_BETAS = (-1e6, -5.0, -1.0, -0.5, 0.0, 1e-6, 0.25, 0.5, 0.9, 0.99, 0.999, 1 - 1e-6, 1 - 1e-9)
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -308,6 +308,13 @@ WRONG_SHAPE_CALLS = {
     "decompose_side_info.one_entry": lambda: decompose_side_info(
         SIDE, ConditionalAllocation([[1.0]]), 0.5
     ),
+    # one report takes either market kind, but only with its own allocation kind
+    "decompose_full.table_on_a_race": lambda: decompose_full(
+        RACE, ConditionalAllocation([RACE.probs]), 0.5
+    ),
+    "decompose_side_info.bets_with_signals": lambda: decompose_side_info(
+        SIDE, Allocation(SIDE.horse_probs), 0.5
+    ),
 }
 
 
