@@ -103,8 +103,7 @@ def _tilted_mean(t: float, log_w, x, terms=None, axis: int | None = None):
     w, live_x, log_kept = np.exp(log_w), x, 0.0
     with np.errstate(all="ignore"):  # far rows, replaced below, may overflow or be NaN
         mu = (w * x).sum(axis=1)
-        if not np.isfinite(mu).all():  # an infinite x, whose term may drop out: e^(t x) = 0
-            dropped = t * x == -math.inf
+        if not np.isfinite(mu).all() and (dropped := t * x == -math.inf).any():  # e^(t x) = 0
             live = np.where(dropped, 0.0, w)
             lost = np.where(dropped, w, 0.0).sum(axis=1)
             kept = np.where(lost > 0.0, live.sum(axis=1), 1.0)  # rows losing none keep their bits
@@ -118,9 +117,10 @@ def _tilted_mean(t: float, log_w, x, terms=None, axis: int | None = None):
             shift = np.log1p((w * np.expm1(t * (live_x - mu[:, None]))).sum(axis=1))
             out = (mu + (shift + log_kept) / t) / _LN2
             far = ~(np.abs(shift) <= 1.0) | ~(w > 0.0).any(axis=1)
-    if far.any():
-        terms = log_w + t * x if terms is None else np.reshape(terms, x.shape)
-        out[far] = _logsumexp(terms[far], axis=1) / (t * _LN2)
+    if far.any():  # the far rows' terms alone
+        log_w = log_w[far] if len(log_w) > 1 else log_w  # or one row for all
+        terms = log_w + t * x[far] if terms is None else np.reshape(terms, x.shape)[far]
+        out[far] = _logsumexp(terms, axis=1) / (t * _LN2)
     return float(out[0]) if axis is None else out.reshape(shape[:-1])
 
 

@@ -44,7 +44,7 @@ class BetaOutOfRangeError(PowerbetError):
 
 
 class NotApplicableError(PowerbetError):
-    """The operation's market-regime precondition does not hold."""
+    """The operation's precondition does not hold: its market regime or allocation kind."""
 
 
 class GridTooLargeError(PowerbetError):

@@ -17,12 +17,14 @@ Full and partial grid searches share one scan that differs only in the
 cash coordinate.  It takes the points in lexicographic order, in numpy blocks
 of at most ``_BLOCK_CELLS`` cells, so memory stays bounded.  A full bet
 pays coordinate ``j`` on its own, so from 3 coordinates on, where values
-repeat, each value's log is taken once and blocks of indices gather it;
+repeat, each value's log is taken once and blocks of indices gather it, and
+from 4 on, past one block, each head (the first d - 2 coordinates) is bounded
+by its best two-coordinate tail and only the heads that can win are scanned;
 cash enters every partial payoff, so those blocks take logs cell by cell.
 Blocks are coordinate-major: numpy sums a point's coordinates far faster
 down contiguous columns than along short rows.  Only strict improvements
 are accepted, so the lowest lexicographic point wins ties however the scan
-is blocked.
+is blocked or pruned.
 
 The Monte Carlo oracles take every allocation kind and draw the outcomes
 of its bet: the horses of a full or partial allocation, and the (signal,
@@ -53,7 +55,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .divergence import _NORMAL_MIN, _log, _log2_power_mean, _logsumexp, _power_mean_read
+from .divergence import _CENTERED_T, _LN2, _NORMAL_MIN, _log, _log2_power_mean, _logsumexp
+from .divergence import _power_mean_read
 from .errors import BetaOutOfRangeError, GridTooLargeError, LengthMismatchError, NotEvaluableError
 from .market import RaceMarket, SideInfoMarket
 from .strategy import Allocation, ConditionalAllocation, PartialAllocation, _Bet
@@ -164,10 +167,10 @@ class WealthTrajectory:
         return _log_wealth_chunks(self._probs, self._increments, self.n_races, self.seed)
 
 
-def _grid_blocks(grid: GridSpec, offsets=None) -> Iterator[np.ndarray]:
-    """The grid's integer compositions in lexicographic order, in ``np.intp`` blocks of at
-    most ``_BLOCK_CELLS`` cells (rows x dimension), coordinate ``j`` plus ``offsets[j]``
-    (0 by default).
+def _grid_blocks(grid: GridSpec, offsets=None, heads=None) -> Iterator[np.ndarray]:
+    """The grid's integer compositions in lexicographic order, or those of the ``heads``
+    given, ``(d - 2, n)`` arrays, in ``np.intp`` blocks of at most ``_BLOCK_CELLS`` cells
+    (rows x dimension), coordinate ``j`` plus ``offsets[j]`` (0 by default).
 
     Bars ``c_1 < ... < c_{d-2}`` from ``combinations(range(k + d - 2))``, in
     lexicographic order, give the heads ``x_j = c_j - c_{j-1} - 1`` (with
@@ -183,30 +186,63 @@ def _grid_blocks(grid: GridSpec, offsets=None) -> Iterator[np.ndarray]:
         yield (offsets + k)[:, None]
         return
     rows = max(1, _BLOCK_CELLS // d)
-    # combinations keeps its pool as a tuple of ints, 36 MB at k = 10^6: 2 coordinates need none
-    bars = chain.from_iterable(combinations(range(k + d - 2) if d > 2 else (), d - 2))
-    left = math.comb(k + d - 2, d - 2)
-    while left:
-        n = min(rows, left)
-        left -= n
-        pos = np.fromiter(bars, dtype=np.intp, count=n * (d - 2)).reshape(n, d - 2).T
-        heads = np.empty((d, n), np.intp)  # x_1..x_{d-2}, -first point's index, last's
-        heads[:-2] = pos
-        heads[1:-2] -= pos[:-1] + 1
-        sizes = k + 1 - heads[:-2].sum(axis=0)  # room + 1 points per head
+    if bars := heads is None:
+        # combinations keeps its pool as a tuple of ints, 36 MB at k = 10^6: 2 coordinates need none
+        pool = chain.from_iterable(combinations(range(k + d - 2) if d > 2 else (), d - 2))
+        left = math.comb(k + d - 2, d - 2)
+        ns = (min(rows, left - lo) for lo in range(0, left, rows))
+        heads = (np.fromiter(pool, np.intp, n * (d - 2)).reshape(n, d - 2).T for n in ns)
+    for head in heads:
+        if bars:
+            head[1:] -= head[:-1] + 1
+        sizes = k + 1 - head.sum(axis=0)  # room + 1 points per head
         ends = np.cumsum(sizes)  # one past each head's last point
-        heads[-2], heads[-1] = sizes - ends, ends - 1
-        heads += offsets[:, None]
+        full = np.empty((d, len(sizes)), np.intp)  # x_1..x_{d-2}, -first point's index, last's
+        full[:-2] = head
+        full[-2], full[-1] = sizes - ends, ends - 1
+        full += offsets[:, None]
         for lo in range(0, int(ends[-1]), rows):
             hi = min(lo + rows, int(ends[-1]))
             first, last = ends.searchsorted((lo, hi - 1), side="right").tolist()
             counts = sizes[first : last + 1].copy()  # whole runs, but the first and last
             counts[0] = ends[first] - lo
             counts[-1] -= ends[last] - hi
-            block, index = np.repeat(heads[:, first : last + 1], counts, axis=1), np.arange(lo, hi)
+            block, index = np.repeat(full[:, first : last + 1], counts, axis=1), np.arange(lo, hi)
             block[-2] += index  # t
             block[-1] -= index  # room - t
             yield block.T
+
+
+def _pruned_blocks(probs: np.ndarray, beta: float, grid: GridSpec, table) -> Iterator[np.ndarray]:
+    """:func:`_grid_blocks` of a full grid, offset into its read ``table``, of only the heads
+    that may hold the maximum: the kernel over a head's reads and its best tail (the best
+    two-outcome mean of the last two coordinates' reads over ``(t, room - t)``) bounds it, as
+    the power mean rises in every read and splits exactly over the horses.  ``slack`` is over
+    20 times the rounding of a bound, a tail and a value together (derived in the README).
+    """
+    k, d = grid.resolution, grid.dimension
+    offsets, floor = np.arange(d) * (k + 1), -math.inf
+    pair, (a, b) = probs[-2:] / (probs[-2] + probs[-1]), table.reshape(d, k + 1)[-2:]
+    # tails in bits, then scaled as reads; (0, room) and (room, 0) apart: no other has a zero bet
+    edges = np.column_stack((np.r_[np.full(k + 1, a[0]), a], np.r_[b, np.full(k + 1, b[0])]))
+    tail = np.maximum(*_log2_power_mean(pair, None, None, None, beta, edges).reshape(2, -1))
+    for block in _grid_blocks(GridSpec(k - 2, 3), offsets[[0, -2, -1]] + (0, 1, 1)):
+        reads = table.take(block[:, 1:].T).T
+        np.maximum.at(tail, k - block[:, 0], _log2_power_mean(pair, None, None, None, beta, reads))
+    tail *= 1.0 if math.isinf(beta) else _LN2 * (beta if abs(beta) > _CENTERED_T else 1.0)
+    reach = 1.0 + np.abs(table[np.isfinite(table)]).max()
+    unit = 2.0**-39 * d * (1 / abs(beta) if abs(beta) > _CENTERED_T else 1 - math.log(probs.min()))
+    table = np.append(table[: (d - 2) * (k + 1)], tail)  # the tail read as coordinate d - 1
+    probs = np.append(probs[:-2], probs[-2] + probs[-1])
+    for heads in _grid_blocks(GridSpec(k, d - 1), offsets[:-1]):  # a head, then its room
+        reads = table.take(heads.T).T
+        bounds = _log2_power_mean(probs, None, None, None, beta, reads)
+        size = np.maximum(np.abs(bounds), np.abs(reads[:, -1]))
+        size[size == math.inf] = 0.0  # -inf: exact, a zero payoff at beta <= 0
+        slack = unit * np.maximum(size + 1.0, reach)
+        floor = max(floor, float(np.max(bounds - slack)))
+        if (keep := ~(bounds + slack < floor)).any():
+            yield from _grid_blocks(grid, offsets, [heads[keep, :-1].T - offsets[:-2, None]])
 
 
 def _grid_argmax(market: RaceMarket, beta: float, grid: GridSpec, cash=False) -> np.ndarray:
@@ -226,12 +262,15 @@ def _grid_argmax(market: RaceMarket, beta: float, grid: GridSpec, cash=False) ->
         raise GridTooLargeError(
             f"grid would enumerate {grid.n_points} points, above the {MAX_GRID_POINTS} guard"
         )
-    k, offsets, table = grid.resolution, np.zeros(d, np.intp), None
+    k, offsets, table, blocks = grid.resolution, np.zeros(d, np.intp), None, None
     if not cash and d > 2:
         offsets, column = np.arange(d) * (k + 1), np.arange(k + 1.0)[:, None] / k
         table = _power_mean_read(market.probs, column, o, None, beta).T.ravel()
+        # pruned by head past one block, whose scan costs less than the bounds (k = 27 at d = 4)
+        if d > 3 and k > 3 and grid.n_points > _BLOCK_CELLS // d:
+            blocks = _pruned_blocks(market.probs, beta, grid, table)
     best_point, best_value = None, -math.inf
-    for block in _grid_blocks(grid, offsets):
+    for block in blocks or _grid_blocks(grid, offsets):
         if table is not None:
             values = _log2_power_mean(market.probs, None, None, None, beta, table.take(block.T).T)
         else:

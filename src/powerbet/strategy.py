@@ -247,12 +247,14 @@ def optimal_partial(market: RaceMarket, beta: float) -> PartialSolution:
 def fold_cash_into_bets(market: RaceMarket, partial: PartialAllocation) -> Allocation:
     """Convert withheld cash into bets without lowering any payoff (needs c >= 1).
 
-    Spreads the cash across horses in bookie proportions:
-    ``b'_i = r_i * cash + b_i``.  Since one unit spread as ``r`` pays the
-    track constant no matter who wins, each payoff changes from
-    ``cash + b_i o_i`` to ``c * cash + b_i o_i``, which is no decrease when
-    ``c >= 1``, so the utility never drops for any risk parameter.
+    Spreads the cash across horses in bookie proportions: ``b'_i = r_i * cash + b_i``.
+    Since one unit spread as ``r`` pays the track constant no matter who wins, each payoff
+    changes from ``cash + b_i o_i`` to ``c * cash + b_i o_i``, which is no decrease when
+    ``c >= 1``, so the utility never drops for any risk parameter.  Any other allocation
+    kind holds no cash to fold: :class:`NotApplicableError`.
     """
+    if not isinstance(partial, PartialAllocation):
+        raise NotApplicableError(f"only a PartialAllocation has cash, got {type(partial).__name__}")
     if track_constant(market) < 1.0:  # the fairness band below 1 too: there c * cash < cash
         raise NotApplicableError("folding cash into bets requires a track constant >= 1")
     _require_same_length(market, partial.bets)

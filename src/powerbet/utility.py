@@ -37,10 +37,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divergence import _cond_renyi_from_logs, _log, _log2_power_mean, _renyi_from_logs
+from .errors import NotApplicableError
 from .market import RaceMarket, SideInfoMarket, track_constant
 from .strategy import (
     Allocation,
     ConditionalAllocation,
+    PartialAllocation,
     _Bet,
     _check_beta,
     _check_interior_beta,
@@ -98,8 +100,11 @@ def decompose_full(
     market kind: :func:`decompose_side_info` is this function, a race the one-row case.
 
     The gambler term is evaluated from the optimizer's log-weights, so
-    optimal fractions that underflow to 0 near ``beta = 1`` still count.
+    optimal fractions that underflow to 0 near ``beta = 1`` still count.  A
+    :class:`PartialAllocation` raises :class:`NotApplicableError`: its cash is no term here.
     """
+    if isinstance(b, PartialAllocation):
+        raise NotApplicableError("the three-term split is of full-investment allocations")
     beta = _check_interior_beta(beta)
     direct = utility_full(market, b, beta)
     log_o, c = np.log(market.odds), track_constant(market)

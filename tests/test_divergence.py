@@ -450,6 +450,8 @@ class TestTiltedMeanKernel:
                 expected = _decimal_tilted_mean(t, row_w, row_x)
                 tol = _kernel_tolerance(t, row_w, row_x)
                 assert value == pytest.approx(expected, rel=0, abs=tol)
+                # a far row's terms are gathered alone: the row is the same on its own
+                assert value == _tilted_mean(t, np.log(row_w), row_x)
 
     def test_one_pmf_is_its_row_bit_for_bit(self):
         # the whole array is reduced as one row of the same code, which must keep

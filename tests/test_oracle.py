@@ -56,6 +56,9 @@ TIED_VERTICES = new_race([0.25] * 4, [4.0] * 4)
 GRID_REGIME_BETAS = (
     -math.inf, -5.0, -0.5, 0.0, -(2.0**-11), 2.0**-11, 0.5, 1.0 - 1e-6, 1.0, 3.0, math.inf
 )
+# and the edges of the near and far forms, of the beta range and of the normal doubles
+EDGE_GRID_BETAS = (-1e-4, 1e-4, -(1 + 1e-4) * 2.0**-10, (1 + 1e-4) * 2.0**-10, -1e6, 1e6)
+EDGE_GRID_BETAS += (-5e-324, 5e-324, 1e-310, 1e-301)
 
 
 class TestGridSpec:
@@ -152,15 +155,41 @@ def _partial_payoffs(market):
     return lambda pts: pts[:, :1] + pts[:, 1:] * market.odds
 
 
-def _scan_values(market, beta, grid):
-    """Every grid point's value as the scan computes it, in lexicographic order, from the
-    pieces it passes: the bets, the odds and, with a coordinate more, the cash first."""
-    values = []
+def _scan_blocks(market, beta, grid):
+    """Every grid point and its value as the scan computes it, in lexicographic order, from
+    the pieces it passes: the bets, the odds and, with a coordinate more, the cash first."""
     for block in oracle._grid_blocks(grid):
         pts = block / grid.resolution
         bets, cash = (pts[:, 1:], pts[:, :1]) if grid.dimension > market.m else (pts, None)
-        values.append(_log2_power_mean(market.probs, bets, market.odds, cash, beta))
-    return np.concatenate(values)
+        yield block, _log2_power_mean(market.probs, bets, market.odds, cash, beta)
+
+
+def _scan_values(market, beta, grid):
+    return np.concatenate([values for _, values in _scan_blocks(market, beta, grid)])
+
+
+def _first_argmax(market, beta, grid):
+    """The point of ``np.argmax(_scan_values(market, beta, grid))``, streamed, over k."""
+    best, top = None, -math.inf
+    for block, values in _scan_blocks(market, beta, grid):
+        i = int(np.argmax(values))
+        if best is None or values[i] > top:
+            best, top = block[i], values[i]
+    return best / grid.resolution
+
+
+def _hard_races(rng, m):
+    """A random race, a tied one, one with probabilities of 1e-300 and one with odds of
+    1e+-200."""
+    probs = rng.dirichlet(np.ones(m)) * 0.9 + 0.1 / m
+    probs /= probs.sum()
+    tiny = probs.copy()
+    tiny[rng.choice(m, 2, replace=False)] = (1e-300, 3e-300)
+    tiny[np.argmax(tiny)] += 1.0 - tiny.sum()
+    odds = rng.uniform(1.2, 8.0, m)
+    wide = odds.copy()
+    wide[rng.choice(m, 2, replace=False)] = (1e200, 1e-200)
+    return [new_race(probs, odds), _tied_race(m), new_race(tiny, odds), new_race(probs, wide)]
 
 
 def _tied_race(m):
@@ -242,6 +271,53 @@ class TestGridScan:
                 want = points[np.argmax(_scan_values(market, beta, grid))]
                 assert best.cash == want[0]
                 np.testing.assert_array_equal(best.bets, PartialAllocation(want[0], want[1:]).bets)
+
+    @pytest.mark.parametrize(
+        "d,k,cells", [(3, 200, None), (4, 60, None), (5, 20, None), (6, 8, 64), (8, 4, 64)]
+    )
+    def test_pruned_scan_finds_the_first_argmax_of_every_point(self, d, k, cells, monkeypatch):
+        # From 4 coordinates on, only the heads whose bound may reach the maximum are
+        # scanned; blocks of 64 cells send small grids that way too.  The point is still
+        # the first one of the largest per-cell value, bit for bit, in every beta regime.
+        rng = np.random.default_rng(40 + d)
+        grid = GridSpec(k, d)
+        for market in _hard_races(rng, d):
+            for beta in GRID_REGIME_BETAS + EDGE_GRID_BETAS:
+                want = Allocation(_first_argmax(market, beta, grid)).bets
+                monkeypatch.setattr(oracle, "_BLOCK_CELLS", cells or oracle._BLOCK_CELLS)
+                best, _ = grid_search_full(market, beta, grid)
+                monkeypatch.undo()
+                np.testing.assert_array_equal(best.bets, want)
+
+    @pytest.mark.parametrize("beta", [0.5, -1.0, 1e-4, -1e-4])
+    def test_pruned_scan_of_the_check_grid(self, beta, monkeypatch):
+        # optimize --check's default (200, 4) grid: of its 1.37M points in 20,301 heads,
+        # a few heads' points are scanned
+        market = random_market(np.random.default_rng(44), 4)
+        scanned, pruned = [], oracle._pruned_blocks
+        monkeypatch.setattr(
+            oracle, "_pruned_blocks", lambda *a: (scanned.append(len(b)) or b for b in pruned(*a))
+        )
+        best, _ = grid_search_full(market, beta, GridSpec(200, 4))
+        assert 0 < sum(scanned) < 1000
+        want = _first_argmax(market, beta, GridSpec(200, 4))
+        np.testing.assert_array_equal(best.bets, Allocation(want).bets)
+
+    def test_pruned_scan_streams_its_heads(self):
+        # the tails, the heads' bounds and the scanned heads come in blocks too: 8,008
+        # heads of 12 horses, the grid next to the guard, and ties at -inf that keep
+        # 24 heads of 3,472 points
+        market = new_race([0.1, 0.2, 0.3, 0.4], [3.0, 6.0, 2.5, 4.0])
+        wide = random_market(np.random.default_rng(45), 12)
+        scans = ((wide, 0.5, GridSpec(6, 12)), (market, 1e-4, GridSpec(385, 4)))
+        for race, beta, grid in scans + ((market, -math.inf, GridSpec(200, 4)),):
+            tracemalloc.start()
+            try:
+                grid_search_full(race, beta, grid)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * 2**20
 
     def test_memory_holds_no_extra_block_copies(self):
         # a block of 2^14 cells is 128 KB per float temporary, whatever the grid;

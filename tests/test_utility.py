@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from powerbet import (
     utility_partial,
     utility_side_info,
 )
+from powerbet.divergence import _power_mean_read
 
 from helpers import (
     random_conditional_allocation,
@@ -301,6 +303,19 @@ class TestPayoffsBelowTheNormalRange:
         assert limit_utilities(UNDERFLOW_RACE, b) == (1.0, -1328.771237954945)  # log2 1e-400
         report = decompose_full(UNDERFLOW_RACE, b, 0.0)
         assert report.direct == 1.0 and report.residual < 1e-9
+
+    def test_zero_bets_read_minus_inf_beside_payoffs_that_underflow(self):
+        # a zero bet reads -inf and a positive bet whose payoff underflows reads
+        # finite, from the logs of its bet and odds, with no warning either way
+        market = new_race([0.5, 0.5 - 1e-200, 1e-200], [2.0, 3.0, 1e-200])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for bets in ([0.0, 1.0, 0.0], [0.0, 1.0 - 1e-200, 1e-200], [0.5, 0.5, 0.0]):
+                for beta in (0.5, 1e-4, math.inf):
+                    read = _power_mean_read(market.probs, np.array(bets), market.odds, None, beta)
+                    np.testing.assert_array_equal(np.isfinite(read), np.array(bets) > 0.0)
+                cash = _power_mean_read(market.probs, np.array(bets), market.odds, 0.5, 0.5)
+                assert np.all(np.isfinite(cash))
 
     def test_every_bet_positive_on_every_winner_has_a_finite_utility(self):
         # p_i and o_i down to e^-690, so p_i o_i and the payoffs reach 1e-300 and far below

@@ -25,6 +25,7 @@ from powerbet import (
     LengthMismatchError,
     NonPositiveOddsError,
     NonPositiveProbabilityError,
+    NotApplicableError,
     NotEvaluableError,
     NotNormalizedError,
     PartialAllocation,
@@ -322,6 +323,26 @@ WRONG_SHAPE_CALLS = {
 def test_allocation_of_the_wrong_shape_is_a_length_mismatch(name):
     with pytest.raises(LengthMismatchError):
         WRONG_SHAPE_CALLS[name]()
+
+
+FAIR = new_race([0.5, 0.3, 0.2], [2.0, 4.0, 4.0])  # c = 1, so folding is allowed
+HALF_CASH = PartialAllocation(0.5, [0.25, 0.15, 0.1])
+WRONG_KIND_CALLS = {
+    # only a partial allocation holds cash to fold
+    "fold_cash_into_bets.full": lambda: fold_cash_into_bets(FAIR, Allocation(FAIR.probs)),
+    "fold_cash_into_bets.table": lambda: fold_cash_into_bets(
+        FAIR, ConditionalAllocation([FAIR.probs])
+    ),
+    # the three-term split reads the bets as fully invested: it would leave the cash out
+    "decompose_full.partial": lambda: decompose_full(RACE, HALF_CASH, 0.5),
+    "decompose_kelly.partial": lambda: decompose_kelly(RACE, HALF_CASH),
+}
+
+
+@pytest.mark.parametrize("name", list(WRONG_KIND_CALLS))
+def test_allocation_of_the_wrong_kind_is_not_applicable(name):
+    with pytest.raises(NotApplicableError):
+        WRONG_KIND_CALLS[name]()
 
 
 @pytest.mark.parametrize("beta", [math.inf, -math.inf, 1.0, math.nan, 2.0, -1e7])
