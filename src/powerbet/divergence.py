@@ -3,8 +3,8 @@
 All divergences are in bits.  Each one, like each power utility, is a tilted
 mean ``D_alpha(p || q) = K(alpha - 1; p, ln p/q)`` of :func:`_tilted_mean`, KL
 being ``K(0)``, so orders near the pole never overflow and those near 1 match KL.
-Every finite order ``alpha > 0`` is an ordinary input, order 1 included, for
-the plain and the conditional divergence alike; past 1e300 each takes ``D_inf``.
+Every order in [0, inf] is an ordinary input, 1 included, for the plain and the conditional
+divergence alike, the ends as their limits ``D_0`` and ``D_inf`` (van Erven & Harremoes 2014).
 The utilities' payoffs are logged here too, by :func:`_power_mean_read`, and their power
 means taken by :func:`_log2_power_mean`, ``beta = +-inf`` included.
 
@@ -13,7 +13,7 @@ Zero-probability conventions, applied throughout:
 * terms with ``p(x) = 0`` contribute nothing for every order,
 * for order ``alpha > 1`` (and for KL), any ``x`` with ``p(x) > 0`` and
   ``q(x) = 0`` makes the divergence ``+inf``,
-* for ``alpha`` in (0, 1), ``q(x) = 0`` terms are dropped; if this empties
+* for ``alpha`` in [0, 1), ``q(x) = 0`` terms are dropped; if this empties
   the sum entirely the divergence is ``+inf``.
 
 Results are extended reals: finite, or ``+inf`` from support violations,
@@ -42,8 +42,8 @@ _HUGE_ORDER = 1e300
 
 def _check_order(alpha: float) -> float:
     alpha = float(alpha)
-    if not math.isfinite(alpha) or alpha <= 0.0:
-        raise UnsupportedOrderError(f"divergence order must be finite and > 0, got {alpha!r}")
+    if not alpha >= 0.0:  # NaN fails too
+        raise UnsupportedOrderError(f"divergence order must be >= 0, got {alpha!r}")
     return alpha
 
 
@@ -190,10 +190,10 @@ def _log2_power_mean(probs: np.ndarray, bets, odds, cash, beta: float, read=None
 def renyi_div(p, q, alpha: float) -> float:
     """Renyi divergence of order ``alpha`` between two PMFs, in bits.
 
-    Computes ``(1/(alpha-1)) * log2 sum_x p(x)^alpha q(x)^(1-alpha)`` for
-    positive ``alpha != 1``.  At ``alpha = 1`` the Kullback-Leibler limit
-    ``sum_x p(x) log2(p(x)/q(x))`` is returned, and above order 1e300 the limit
-    ``D_inf = log2 max_{p(x) > 0} p(x)/q(x)``, which differs by less than 1.1e-297 bits.
+    Computes ``(1/(alpha-1)) * log2 sum_x p(x)^alpha q(x)^(1-alpha)`` for every order
+    ``alpha >= 0`` but 1: ``D_0 = -log2 sum_{p(x) > 0} q(x)``.  At ``alpha = 1`` the
+    Kullback-Leibler limit ``sum_x p(x) log2(p(x)/q(x))`` is returned, and above order 1e300,
+    ``inf`` included, ``D_inf = log2 max_{p(x) > 0} p(x)/q(x)``, within 1.1e-297 bits.
     """
     alpha = _check_order(alpha)
     p, _ = _normalized(p, "p")
@@ -212,12 +212,13 @@ def cond_renyi_div(p_cond, q_cond, p_y, alpha: float) -> float:
 
         (alpha/(alpha-1)) * log2 sum_y p(y) * [sum_x p(x|y)^alpha q(x|y)^(1-alpha)]^(1/alpha)
 
-    for positive ``alpha != 1``.  At ``alpha = 1`` both nested tilted means
-    sit at ``t = 0`` and give the averaged KL divergence
-    ``sum_y p(y) D(p(.|y) || q(.|y))``, the limit as ``alpha -> 1``.  Above order
-    1e300 each signal's divergence is its ``D_inf``; below 1e-300, where the outer tilt
-    times every one of them overflows, the value is their limit, the least of them.
-    Equals :func:`renyi_div` up to rounding when there is a single signal.
+    for every order ``alpha >= 0`` but 1, each end as its limit.  At ``alpha = 1`` both
+    nested tilted means sit at ``t = 0`` and give the averaged KL divergence
+    ``sum_y p(y) D(p(.|y) || q(.|y))``, the limit as ``alpha -> 1``.  At ``alpha = 0`` the
+    outer tilt is ``-inf`` and the value the least per-signal ``D_0``, as it is wherever
+    the tilt times every per-signal divergence overflows; at ``alpha = inf`` the tilt is
+    1 and the value ``log2 sum_y p(y) 2^(D_inf(p(.|y) || q(.|y)))``.  Equals
+    :func:`renyi_div` up to rounding when there is a single signal.
     """
     alpha = _check_order(alpha)
     p_y, _ = _normalized(p_y, "p_y")
@@ -238,14 +239,11 @@ def _cond_renyi_from_logs(log_p_cond, log_q_cond, log_p_y: np.ndarray, alpha: fl
     occur (``log_q_cond`` may be one row for all) and of their probabilities."""
     # the bracket of signal y is exp((alpha-1) K_y) for the inner divergence K_y
     inner = _renyi_from_logs(log_p_cond, log_q_cond, alpha, axis=-1)
-    tilt = (alpha - 1.0) / alpha
-    if alpha >= 1.0 / _HUGE_ORDER:  # no finite K_y reaches 1075 bits, so no tilt K_y overflows
-        k = _tilted_mean(tilt, log_p_y, inner * _LN2)
-    else:  # a row whose tilt K_y overflows to -inf drops out.  If every row's does (the tilt
-        # itself is -inf below 5.6e-309), K is their limit, the least row, within
-        # alpha log2(1/min p(y)) / (1-alpha) < 3e-305 bits.
-        k = float(inner.min())
-        if tilt * (k * _LN2) > -math.inf:
-            with np.errstate(over="ignore"):
-                k = _tilted_mean(tilt, log_p_y, inner * _LN2)
+    tilt = -math.inf if alpha == 0.0 else 1.0 if alpha == math.inf else (alpha - 1.0) / alpha
+    # K's limit as the tilt goes to -inf, the least row: exact at order 0, and within
+    # alpha log2(1/min p(y)) / (1-alpha) < 3e-305 bits where every row's tilt K_y overflows
+    k = float(inner.min())
+    if tilt * (k * _LN2) > -math.inf:
+        with np.errstate(over="ignore"):  # a row whose tilt K_y overflows to -inf drops out
+            k = _tilted_mean(tilt, log_p_y, inner * _LN2)
     return max(0.0, float(k))

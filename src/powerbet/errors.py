@@ -2,9 +2,9 @@
 
 Every error raised by this package derives from :class:`PowerbetError`,
 which itself derives from ``ValueError`` so callers that only care about
-"bad input" can catch the builtin.  Kelly's ``beta = 0`` and divergence
-order 1 are ordinary inputs, so no class here stands for them, and a zero
-bet is an extended-real ``-inf`` value, not an error.
+"bad input" can catch the builtin.  Kelly's ``beta = 0`` and every divergence
+order in [0, inf], 1 included, are ordinary inputs, so no class here stands for
+them, and a zero bet is an extended-real ``-inf`` value, not an error.
 """
 
 
@@ -36,7 +36,7 @@ class NotNormalizedError(InvalidDistributionError):
 
 
 class UnsupportedOrderError(PowerbetError):
-    """The requested divergence order is outside the defined domain."""
+    """The requested divergence order is NaN or negative: outside [0, inf]."""
 
 
 class BetaOutOfRangeError(PowerbetError):

@@ -105,14 +105,6 @@ def _checked_odds(odds: np.ndarray) -> np.ndarray:
     return _freeze(odds)
 
 
-def _require_same_length(market: RaceMarket | SideInfoMarket, bets: np.ndarray) -> None:
-    """Raise unless ``bets`` has one entry per horse, in one row per signal
-    for a side-info market."""
-    shape = market.joint.shape if isinstance(market, SideInfoMarket) else market.odds.shape
-    if bets.shape != shape:
-        raise LengthMismatchError(f"allocation has shape {bets.shape} but the market has {shape}")
-
-
 @dataclass(frozen=True)
 class RaceMarket:
     """An m-horse race: strictly positive winning probabilities and odds.

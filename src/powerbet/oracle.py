@@ -60,7 +60,7 @@ from .divergence import _power_mean_read
 from .errors import BetaOutOfRangeError, GridTooLargeError, LengthMismatchError, NotEvaluableError
 from .market import RaceMarket, SideInfoMarket
 from .strategy import Allocation, ConditionalAllocation, PartialAllocation, _Bet
-from .strategy import _check_beta, _outcomes
+from .strategy import _check_beta, _outcomes, _require
 from .utility import utility_full
 
 MAX_GRID_POINTS = 10**7
@@ -252,6 +252,7 @@ def _grid_argmax(market: RaceMarket, beta: float, grid: GridSpec, cash=False) ->
     coordinate ``j`` on its own, so it has one :func:`_power_mean_read` per coordinate
     value, by the per-cell ops, in a table of at most 13,413 doubles below the guard:
     blocks of its indices gather it, and only the winning point is divided by k."""
+    _require(RaceMarket, market, "a grid search")
     beta = _check_beta(beta)
     o, d = market.odds, market.m + cash
     if grid.dimension != d:
@@ -325,6 +326,7 @@ def kkt_residual(
     A gap between two marginal values that both overflow, as payoffs below 1
     give at very negative beta, is ``+inf`` too.
     """
+    _require(PartialAllocation, sol, "kkt_residual")
     beta = _check_beta(beta)
     if math.isinf(beta):
         raise BetaOutOfRangeError(f"the conditions need a finite beta, got {beta!r}")

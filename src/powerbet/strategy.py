@@ -24,6 +24,7 @@ import numpy as np
 
 from .divergence import _log, _log2_power_mean, _logsumexp
 from .errors import BetaOutOfRangeError, InvalidDistributionError, NotApplicableError
+from .errors import LengthMismatchError
 from .market import (
     RaceMarket,
     SideInfoMarket,
@@ -31,7 +32,6 @@ from .market import (
     track_constant,
     _freeze,
     _normalized,
-    _require_same_length,
 )
 
 # Finite risk parameters beyond this bound overflow the closed-form
@@ -90,16 +90,26 @@ def _trusted(cls, **fields):
 _Bet = Allocation | PartialAllocation | ConditionalAllocation
 
 
+def _require(kind: type, value, what: str) -> None:
+    """The one kind check of markets and allocations: ``what`` needs a ``kind``."""
+    if not isinstance(value, kind):
+        raise NotApplicableError(f"{what} needs a {kind.__name__}, got {type(value).__name__}")
+
+
 def _outcomes(market: RaceMarket | SideInfoMarket, b: _Bet) -> tuple:
-    """``(probs, bets, odds, cash)``, once ``b`` has the market's shape: the PMF of its outcomes,
-    the horses or a conditional allocation's live (signal, horse) cells, each paying ``cash +
-    bets * odds``, ``cash`` None when fully invested, as ``_power_mean_read`` forms it."""
-    if isinstance(b, ConditionalAllocation):
-        _require_same_length(market, b.table)
+    """``(probs, bets, odds, cash)``, once ``b`` has the market's shape, one entry per horse
+    in one row per signal with side information: the PMF of its outcomes, the horses or a
+    conditional allocation's live (signal, horse) cells, each paying ``cash + bets * odds``,
+    ``cash`` None when fully invested, as ``_power_mean_read`` forms it."""
+    table = isinstance(b, ConditionalAllocation)
+    bets = b.table if table else b.bets
+    shape = market.joint.shape if isinstance(market, SideInfoMarket) else market.odds.shape
+    if bets.shape != shape:
+        raise LengthMismatchError(f"allocation has shape {bets.shape} but the market has {shape}")
+    if table:
         live = np.nonzero(market.joint)
-        return market.joint[live], b.table[live], market.odds[live[1]], None
-    _require_same_length(market, b.bets)
-    return market.probs, b.bets, market.odds, b.cash if isinstance(b, PartialAllocation) else None
+        return market.joint[live], bets[live], market.odds[live[1]], None
+    return market.probs, bets, market.odds, b.cash if isinstance(b, PartialAllocation) else None
 
 
 @dataclass(frozen=True)
@@ -164,6 +174,7 @@ def optimal_full(market: RaceMarket, beta: float) -> Allocation:
     so parameters close to 1 do not overflow; there the smallest fractions
     may underflow to 0.
     """
+    _require(RaceMarket, market, "optimal_full")
     beta = _check_interior_beta(beta)
     logs = _log_weights(np.log(market.probs), np.log(market.odds), beta)
     weights = np.exp(logs)
@@ -172,6 +183,7 @@ def optimal_full(market: RaceMarket, beta: float) -> Allocation:
 
 def kelly(market: RaceMarket) -> Allocation:
     """Proportional betting ``b = p``: the log-utility (doubling-rate) optimum."""
+    _require(RaceMarket, market, "kelly")
     return _trusted(Allocation, bets=market.probs)
 
 
@@ -185,6 +197,7 @@ def optimal_side_info(
     ``p(y) * [sum_x p(x|y)^(1/(1-beta)) o(x)^(beta/(1-beta))]^(1-beta)``.
     Horses that cannot win under a signal get a zero fraction in that row.
     """
+    _require(SideInfoMarket, market, "optimal_side_info")
     beta = _check_interior_beta(beta)
     log_cond, log_p_y = _log(market.conditional()), np.log(market.signal_probs)
     log_table, log_g_y = _log_weights(log_cond, np.log(market.odds), beta, log_p_y)
@@ -209,6 +222,7 @@ def optimal_partial(market: RaceMarket, beta: float) -> PartialSolution:
     valid ``beta``; close to 1 the cash and the smallest bets may round to
     0.0, and ``gammas`` to ``+inf``.
     """
+    _require(RaceMarket, market, "optimal_partial")
     beta = _check_interior_beta(beta)
     p, o = market.probs, market.odds
     scores = p * o
@@ -253,12 +267,11 @@ def fold_cash_into_bets(market: RaceMarket, partial: PartialAllocation) -> Alloc
     ``c >= 1``, so the utility never drops for any risk parameter.  Any other allocation
     kind holds no cash to fold: :class:`NotApplicableError`.
     """
-    if not isinstance(partial, PartialAllocation):
-        raise NotApplicableError(f"only a PartialAllocation has cash, got {type(partial).__name__}")
+    _require(PartialAllocation, partial, "fold_cash_into_bets")
     if track_constant(market) < 1.0:  # the fairness band below 1 too: there c * cash < cash
         raise NotApplicableError("folding cash into bets requires a track constant >= 1")
-    _require_same_length(market, partial.bets)
-    return Allocation(bookie_distribution(market) * partial.cash + partial.bets)
+    _, bets, _, cash = _outcomes(market, partial)
+    return Allocation(bookie_distribution(market) * cash + bets)
 
 
 def dispatch(market: RaceMarket, beta: float) -> Allocation:
@@ -272,6 +285,7 @@ def dispatch(market: RaceMarket, beta: float) -> Allocation:
     ties go to the smallest index; other maximizers may exist.  With cash allowed
     the optimum is ``optimal_partial(market, beta).allocation``, for finite ``beta < 1``.
     """
+    _require(RaceMarket, market, "dispatch")
     beta = float(beta)
     if beta == 0.0:
         return kelly(market)

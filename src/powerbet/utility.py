@@ -36,7 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import _cond_renyi_from_logs, _log, _log2_power_mean, _renyi_from_logs
+from .divergence import _cond_renyi_from_logs, _log, _log2_power_mean, _power_mean_read
+from .divergence import _renyi_from_logs
 from .errors import NotApplicableError
 from .market import RaceMarket, SideInfoMarket, track_constant
 from .strategy import (
@@ -87,10 +88,10 @@ def doubling_rate(market: RaceMarket, b: Allocation) -> float:
 
 def limit_utilities(market: RaceMarket, b: Allocation) -> tuple[float, float]:
     """Best-case and worst-case log2 payoffs, ``(log2 max b_i o_i, log2 min b_i o_i)``:
-    :func:`utility_full` at ``beta = +inf`` and ``-inf``.  The minimum runs over
-    all horses, so any zero bet makes the worst case ``-inf``."""
-    outcomes = _outcomes(market, b)
-    return _log2_power_mean(*outcomes, math.inf), _log2_power_mean(*outcomes, -math.inf)
+    :func:`utility_full` at ``beta = +inf`` and ``-inf``, of the same log2 payoffs.  The
+    minimum runs over all horses, so any zero bet makes the worst case ``-inf``."""
+    read = _power_mean_read(*_outcomes(market, b), math.inf)
+    return float(read.max()), float(read.min())
 
 
 def decompose_full(

@@ -1089,12 +1089,30 @@ class TestDivergenceCmd:
         assert capsys.readouterr().err.startswith("error: -p, -q: p sums to")
         assert code == 2
 
-    @pytest.mark.parametrize("alpha", ["-1", "0", "nan", "inf"])
+    @pytest.mark.parametrize("alpha", ["-1", "nan"])
     @pytest.mark.parametrize("p_y", [[], ["--p-y", "1"]])
     def test_bad_order_names_the_flag(self, capsys, alpha, p_y):
         code = main(["divergence", "--alpha", alpha, "-p", "0.5,0.5", "-q", "0.5,0.5", *p_y])
         assert capsys.readouterr().err.startswith("error: --alpha: divergence order must be")
         assert code == 2
+
+    @pytest.mark.parametrize("alpha", ["0", "inf"])
+    @pytest.mark.parametrize("p_y", [[], ["--p-y", "1"]])
+    def test_order_ends_print_a_value(self, capsys, alpha, p_y):
+        # D_0 and D_inf are the limits at the ends of [0, inf], ordinary orders
+        code = main(["divergence", "--alpha", alpha, "-p", "0.5,0.5", "-q", "0.5,0.5", *p_y])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        doc = json.loads(captured.out)
+        assert doc["alpha"] == float(alpha)
+        assert doc["divergence_bits"] == 0.0
+        # the same ends on unequal inputs: -log2 Q(p > 0), and log2 max p/q
+        p, q = ["-p", "0.5,0.5,0"], ["-q", "0.125,0.375,0.5"]
+        code = main(["divergence", "--alpha", alpha, *p, *q, *p_y])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        expected = 1.0 if alpha == "0" else 2.0
+        assert json.loads(captured.out)["divergence_bits"] == pytest.approx(expected, abs=1e-15)
 
     def test_ragged_table_is_invalid_input(self, capsys):
         argv = ["divergence", "--alpha", "2", "-p", "0.5,0.5;1", "-q", "0.5,0.5;0.5,0.5"]

@@ -1,4 +1,5 @@
 import math
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -69,8 +70,12 @@ class TestRenyiDiv:
             renyi_div([1.5, -0.5], [0.5, 0.5], 0.5)
 
     def test_bad_order(self):
-        with pytest.raises(UnsupportedOrderError):
-            renyi_div([0.5, 0.5], [0.5, 0.5], -0.5)
+        # only NaN and negative orders lie outside [0, inf]
+        for alpha in (-0.5, -5e-324, -math.inf, math.nan):
+            with pytest.raises(UnsupportedOrderError):
+                renyi_div([0.5, 0.5], [0.5, 0.5], alpha)
+            with pytest.raises(UnsupportedOrderError):
+                cond_renyi_div([[0.5, 0.5]], [[0.5, 0.5]], [1.0], alpha)
 
     def test_kl_limit(self):
         rng = np.random.default_rng(5)
@@ -210,6 +215,93 @@ class TestCondRenyiDiv:
         n = len(p_y)
         with pytest.raises(LengthMismatchError, match="p_cond has 2 columns but q_cond has 3"):
             cond_renyi_div([[0.5, 0.5]] * n, [[0.5, 0.25, 0.25]] * n, p_y, 2.0)
+
+
+def _pmf_with_zero_cells(rng, n):
+    """A random PMF whose cells are each 0 with probability 0.3, but not all."""
+    w = rng.dirichlet(np.ones(n)) * (rng.random(n) >= 0.3)
+    if not w.any():
+        w[rng.integers(n)] = 1.0
+    return w / w.sum()
+
+
+def _d0(p, q) -> float:
+    """``D_0(p || q) = -log2 Q(p > 0)``, ``+inf`` where that mass is 0."""
+    mass = math.fsum(q[p > 0.0])
+    return -math.log2(mass) if mass > 0.0 else math.inf
+
+
+def _dinf(p, q) -> float:
+    """``D_inf(p || q) = log2 max_{p > 0} p/q``."""
+    with np.errstate(divide="ignore"):
+        return math.log2(float(np.max(p[p > 0.0] / q[p > 0.0])))
+
+
+# from order 0 to infinity, across 1 and both ends of the double range
+ORDER_GRID = (0.0, 5e-324, 1e-300, 1e-6, 0.5, 1.0 - 1e-9, 1.0, 2.0, 50.0, 1e300, 1e305, math.inf)
+
+
+class TestOrderEnds:
+    def test_orders_zero_and_infinity_are_the_limits(self):
+        rng = np.random.default_rng(51)
+        for _ in range(300):
+            n = int(rng.integers(1, 10))
+            p, q = _pmf_with_zero_cells(rng, n), _pmf_with_zero_cells(rng, n)
+            for alpha, reference in ((0.0, _d0(p, q)), (math.inf, _dinf(p, q))):
+                value = renyi_div(p, q, alpha)
+                if math.isinf(reference):
+                    assert value == reference == math.inf
+                else:
+                    assert value == pytest.approx(max(reference, 0.0), rel=1e-13, abs=1e-15)
+
+    def test_nondecreasing_from_zero_to_infinity(self):
+        rng = np.random.default_rng(52)
+        for _ in range(300):
+            n = int(rng.integers(1, 10))
+            p, q = _pmf_with_zero_cells(rng, n), _pmf_with_zero_cells(rng, n)
+            values = [renyi_div(p, q, alpha) for alpha in ORDER_GRID]
+            assert values[0] >= 0.0
+            assert all(b >= a * (1 - 1e-13) for a, b in zip(values, values[1:])), (p, q, values)
+
+    def test_conditional_ends_are_the_per_signal_references(self):
+        rng = np.random.default_rng(53)
+        for _ in range(300):
+            n_y, n_x = int(rng.integers(1, 6)), int(rng.integers(1, 8))
+            p_y = _pmf_with_zero_cells(rng, n_y)
+            p_cond = np.array([_pmf_with_zero_cells(rng, n_x) for _ in range(n_y)])
+            q_cond = np.array([_pmf_with_zero_cells(rng, n_x) for _ in range(n_y)])
+            live = np.flatnonzero(p_y)
+            # order 0: the outer tilt is -inf, so the least signal's D_0
+            least = min(max(_d0(p_cond[y], q_cond[y]), 0.0) for y in live)
+            value = cond_renyi_div(p_cond, q_cond, p_y, 0.0)
+            assert value == pytest.approx(least, rel=1e-13, abs=1e-15)
+            # infinity: the outer tilt is 1, so log2 sum_y p(y) 2^(D_inf,y)
+            rows = [_dinf(p_cond[y], q_cond[y]) for y in live]
+            top = math.log2(math.fsum(p_y[y] * 2.0 ** d for y, d in zip(live, rows)))
+            value = cond_renyi_div(p_cond, q_cond, p_y, math.inf)
+            assert value == pytest.approx(max(top, 0.0), rel=1e-13, abs=1e-15)
+
+    @pytest.mark.parametrize("alpha", [0.0, math.inf])
+    def test_a_single_signal_is_renyi_div_at_the_ends(self, alpha):
+        rng = np.random.default_rng(54)
+        for _ in range(200):
+            n = int(rng.integers(1, 10))
+            p, q = _pmf_with_zero_cells(rng, n), _pmf_with_zero_cells(rng, n)
+            plain, cond = renyi_div(p, q, alpha), cond_renyi_div([p], [q], [1.0], alpha)
+            assert cond == plain or abs(cond - plain) <= 1e-12, (p, q)
+
+    @pytest.mark.parametrize("alpha", [0.0, 5e-324, 1e-308, 1e308, math.inf])
+    def test_no_warning_at_the_ends(self, alpha):
+        rng = np.random.default_rng(55)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(100):
+                n_y, n_x = int(rng.integers(1, 5)), int(rng.integers(1, 8))
+                p_y = _pmf_with_zero_cells(rng, n_y)
+                p_cond = np.array([_pmf_with_zero_cells(rng, n_x) for _ in range(n_y)])
+                q_cond = np.array([_pmf_with_zero_cells(rng, n_x) for _ in range(n_y)])
+                assert cond_renyi_div(p_cond, q_cond, p_y, alpha) >= 0.0
+                assert renyi_div(p_cond[0], q_cond[0], alpha) >= 0.0
 
 
 def _random_conditional_setup(rng, n_signals, n_horses):

@@ -15,6 +15,7 @@ from powerbet import (
     decompose_full,
     decompose_kelly,
     decompose_side_info,
+    dispatch,
     doubling_rate,
     kelly,
     limit_utilities,
@@ -25,6 +26,7 @@ from powerbet import (
     optimal_side_info,
     renyi_div,
     simulate_growth,
+    track_constant,
     utility_full,
     utility_partial,
     utility_side_info,
@@ -288,6 +290,53 @@ class TestUtilitiesAtTheLimits:
         market = new_race([0.5, 0.5], [2, 4])
         assert utility_full(market, Allocation([1.0, 0.0]), -math.inf) == -math.inf
         assert utility_full(market, Allocation([1.0, 0.0]), math.inf) == 1.0
+
+
+class TestTheSplitAtTheOrderEnds:
+    """``U_beta = log2 c + D_{1/(1-beta)}(p||r) - D_{1-beta}(g||b)`` at the ends of the risk
+    range: as beta -> -inf the bookie order goes to 0, the gambler order to inf and the
+    optimum g to r; at beta = 1 the bookie order is inf."""
+
+    def _race(self, rng):
+        market = random_market(rng, int(rng.integers(1, 9)))
+        return new_race(market.probs, market.odds * 10.0 ** rng.uniform(-3.0, 3.0, market.m))
+
+    def test_bookie_order_zero_is_zero_for_every_race(self):
+        # D_0(p||r) = -log2 R(p > 0), and every horse can win: 0 up to the rounding of sum r
+        rng = np.random.default_rng(60)
+        for _ in range(500):
+            market = self._race(rng)
+            value = renyi_div(market.probs, bookie_distribution(market), 0.0)
+            assert 0.0 <= value <= market.m * EPS
+
+    def test_worst_case_is_log_c_plus_d0_minus_dinf(self):
+        # log2 min b_i o_i = log2 c + D_0(p||r) - D_inf(r||b), -inf on both sides at a zero bet
+        rng = np.random.default_rng(61)
+        zero_bets = 0
+        for _ in range(500):
+            market = self._race(rng)
+            bets = rng.dirichlet(np.ones(market.m))
+            if market.m > 1 and rng.random() < 0.2:
+                bets[rng.integers(market.m)] = 0.0
+                zero_bets += 1
+            b, r = Allocation(bets / bets.sum()), bookie_distribution(market)
+            split = math.log2(track_constant(market)) + renyi_div(market.probs, r, 0.0)
+            split -= renyi_div(r, b.bets, math.inf)
+            worst = limit_utilities(market, b)[1]
+            assert worst == split or abs(worst - split) <= 1e-12, (market, b)
+            assert (worst == -math.inf) == (bets.min() == 0.0)
+        assert zero_bets > 50
+
+    def test_vertex_optimum_at_beta_one_is_log_c_plus_dinf(self):
+        # max_j log2 p_j o_j = log2 c + D_inf(p||r)
+        rng = np.random.default_rng(62)
+        for _ in range(500):
+            market = self._race(rng)
+            vertex = utility_full(market, dispatch(market, 1.0), 1.0)
+            assert vertex == pytest.approx(float(np.max(np.log2(market.probs * market.odds))))
+            split = math.log2(track_constant(market))
+            split += renyi_div(market.probs, bookie_distribution(market), math.inf)
+            assert abs(vertex - split) <= 1e-12, market
 
 
 # the second horse's Kelly bet pays 1e-200 * 1e-200, whose product rounds to 0.0

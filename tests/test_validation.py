@@ -7,12 +7,14 @@ read-only.  The shared allocation-shape and risk-parameter checks are
 pinned the same way.
 """
 
+import inspect
 import math
 import warnings
 
 import numpy as np
 import pytest
 
+import powerbet
 import powerbet.divergence
 import powerbet.market
 import powerbet.oracle
@@ -21,6 +23,7 @@ from powerbet import (
     Allocation,
     BetaOutOfRangeError,
     ConditionalAllocation,
+    GridSpec,
     InvalidDistributionError,
     LengthMismatchError,
     NonPositiveOddsError,
@@ -29,6 +32,7 @@ from powerbet import (
     NotEvaluableError,
     NotNormalizedError,
     PartialAllocation,
+    PowerbetError,
     cond_renyi_div,
     decompose_full,
     decompose_kelly,
@@ -37,6 +41,8 @@ from powerbet import (
     doubling_rate,
     estimate_ubeta,
     fold_cash_into_bets,
+    grid_search_full,
+    grid_search_partial,
     kelly,
     kkt_residual,
     limit_utilities,
@@ -343,6 +349,74 @@ WRONG_KIND_CALLS = {
 def test_allocation_of_the_wrong_kind_is_not_applicable(name):
     with pytest.raises(NotApplicableError):
         WRONG_KIND_CALLS[name]()
+
+
+NEEDS_KIND_CALLS = {
+    # the race optimizers and grid searches read a race's own probs, and m
+    "dispatch": (lambda: dispatch(SIDE, 0.5), "RaceMarket", "SideInfoMarket"),
+    "kelly": (lambda: kelly(SIDE), "RaceMarket", "SideInfoMarket"),
+    "optimal_full": (lambda: optimal_full(SIDE, 0.5), "RaceMarket", "SideInfoMarket"),
+    "optimal_partial": (lambda: optimal_partial(SIDE, 0.5), "RaceMarket", "SideInfoMarket"),
+    "grid_search_full": (
+        lambda: grid_search_full(SIDE, 0.5, GridSpec(4, 3)), "RaceMarket", "SideInfoMarket"
+    ),
+    "grid_search_partial": (
+        lambda: grid_search_partial(SIDE, 0.5, GridSpec(4, 4)), "RaceMarket", "SideInfoMarket"
+    ),
+    # the side-information optimum reads the signal's table
+    "optimal_side_info": (lambda: optimal_side_info(RACE, 0.5), "SideInfoMarket", "RaceMarket"),
+    # the conditions are stated with a cash coordinate
+    "kkt_residual.full": (
+        lambda: kkt_residual(RACE, 0.5, Allocation(RACE.probs)), "PartialAllocation", "Allocation"
+    ),
+    "kkt_residual.table": (
+        lambda: kkt_residual(SIDE, 0.5, ConditionalAllocation(SIDE.conditional())),
+        "PartialAllocation",
+        "ConditionalAllocation",
+    ),
+    "fold_cash_into_bets": (
+        lambda: fold_cash_into_bets(FAIR, Allocation(FAIR.probs)), "PartialAllocation", "Allocation"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(NEEDS_KIND_CALLS))
+def test_a_kind_it_does_not_take_names_the_kind_it_needs(name):
+    call, needs, got = NEEDS_KIND_CALLS[name]
+    with pytest.raises(NotApplicableError, match=f"needs a {needs}, got {got}$"):
+        call()
+
+
+MARKETS = {"race": RACE, "side_info": SIDE}
+ALLOCATIONS = {
+    "full": Allocation([0.5, 0.3, 0.2]),
+    "partial": HALF_CASH,
+    "table": ConditionalAllocation([[0.6, 0.2, 0.2], [0.4, 0.4, 0.2]]),
+}
+MARKET_FUNCTIONS = sorted(
+    name
+    for name in powerbet.__all__
+    if inspect.isfunction(getattr(powerbet, name))
+    and next(iter(inspect.signature(getattr(powerbet, name)).parameters)) == "market"
+)
+
+
+@pytest.mark.parametrize("alloc", list(ALLOCATIONS))
+@pytest.mark.parametrize("market", list(MARKETS))
+@pytest.mark.parametrize("name", MARKET_FUNCTIONS)
+def test_every_market_function_returns_or_raises_a_powerbet_error(name, market, alloc):
+    # every pair of a market kind and an allocation kind: a value or a documented error
+    fn, b = getattr(powerbet, name), ALLOCATIONS[alloc]
+    values = {
+        "market": MARKETS[market], "b": b, "sol": b, "partial": b, "beta": 0.5,
+        "grid": GridSpec(4, 3 + name.endswith("partial")), "n_races": 16, "n_samples": 16,
+        "seed": 0,
+    }
+    params = inspect.signature(fn).parameters.values()
+    try:
+        fn(*[values[p.name] for p in params if p.default is inspect.Parameter.empty])
+    except PowerbetError:
+        pass
 
 
 @pytest.mark.parametrize("beta", [math.inf, -math.inf, 1.0, math.nan, 2.0, -1e7])
