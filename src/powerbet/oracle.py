@@ -26,22 +26,27 @@ down contiguous columns than along short rows.  Only strict improvements
 are accepted, so the lowest lexicographic point wins ties however the scan
 is blocked or pruned.
 
-The Monte Carlo oracles take every allocation kind and draw the outcomes
-of its bet: the horses of a full or partial allocation, and the (signal,
-horse) cells of positive probability of a conditional one, each paying what
-the utilities' outcome map says.  They stream too: outcomes are drawn
-``_MC_CHUNK`` races at a time from one Philox stream, which continues
-across chunks, so every result is bit-identical whatever the chunk size.
-Each race takes one raw 64-bit word, and an integer inverse CDF through a
-guide table maps it to the outcome that numpy's uniform from the same word
-would pick.  Neither keeps a per-race array: a trajectory holds its final
-wealth and the O(outcomes) PMF, log2 payoffs and outcome counts, and replays
-its races from the seed, a chunk at a time, when they are asked for; a
-``U_beta`` estimate keeps only the counts.  So both take O(chunk + outcomes)
-memory for any number of races, and ``log_wealth`` costs 8 bytes per race
-only once it is read.  The counts, a pure function of (outcome PMF, n, seed),
-serve every beta, so one slot keeps the latest stream's key and counts: an
-estimate right after ``simulate_growth`` of the same stream does not draw it again.
+The Monte Carlo oracles take every allocation kind and draw the outcomes of its
+bet: the horses of a full or partial allocation, and the (signal, horse) cells
+of positive probability of a conditional one, each paying what the utilities'
+outcome map says.  They stream too: outcomes are drawn ``_MC_CHUNK`` races at a
+time from one Philox stream, which continues across chunks, so every result is
+bit-identical whatever the chunk size.  Each race takes one raw 64-bit word,
+which an integer inverse CDF maps to the outcome numpy's uniform from the same
+word would pick.  The word's top 12 bits are its bucket (fewer for short streams,
+more for many outcomes), and a bucket holding no CDF threshold has one outcome:
+its races take their log2 payoffs in one gather and are counted by a bucket
+histogram; only words in split buckets are searched, unless those hold over 30%
+of the words (spread races of about 6,000 outcomes), where every word is, the
+measured crossover of the two paths.  Neither keeps a per-race array: a trajectory
+holds its final wealth and the O(outcomes) PMF, log2 payoffs and outcome counts,
+and replays its races from the seed, a chunk at a time, when asked; a ``U_beta``
+estimate keeps only the counts.  So both take O(chunk + outcomes) memory for any
+number of races, and ``log_wealth`` costs 8 bytes per race only once it is read.
+The counts, a pure function of (outcome PMF, n, seed), serve every beta, so one
+slot keeps the latest stream's key and counts: an estimate right after
+``simulate_growth`` of the same stream does not draw it again.  At 2 to 8
+outcomes a simulated race costs 20-24 ns, close to 60% of it Philox and the cumsum.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, combinations
 from numbers import Integral
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -76,6 +81,8 @@ _BLOCK_CELLS = 1 << 14
 _MC_CHUNK = 1 << 14
 _SEED_BOUND = 1 << 128  # Philox keys are 128-bit
 _GUIDE_BITS = 14  # the outcome sampler's guide table has at most 2^14 entries (128 KB)
+_BUCKET_BITS = 12  # and at least 2^12, one bucket per entry, once races outnumber them 4 to 1
+_SEARCH_ALL = 0.3  # past this share of words in split buckets, searching all is faster
 _drawn: tuple = (None, None)  # (key, read-only counts) of the latest stream drawn
 _GAP_TOL = 1e-10  # the largest certifying _certificate gap, in nats per max(1, |1 - beta|)
 
@@ -164,7 +171,8 @@ class WealthTrajectory:
         return out
 
     def _replay(self) -> Iterator[np.ndarray]:
-        return _log_wealth_chunks(self._probs, self._increments, self.n_races, self.seed)
+        chunks = _draws(self._probs, self.n_races, self.seed)[1]
+        return _log_wealth_chunks(self._increments, chunks(self._increments))
 
 
 def _grid_blocks(grid: GridSpec, offsets=None, heads=None) -> Iterator[np.ndarray]:
@@ -427,72 +435,93 @@ def _stream_key(probs: np.ndarray, n: int, seed: int, unit: str) -> tuple:
     return probs.tobytes(), int(n), int(seed)
 
 
-def _winner_chunks(probs: np.ndarray, n: int, seed: int) -> Iterator[np.ndarray]:
-    """Outcome indices of ``n`` seeded races drawn from the PMF ``probs``, in
-    chunks of at most ``_MC_CHUNK``.
+def _draws(probs: np.ndarray, n: int, seed: int) -> tuple[np.ndarray, Callable]:
+    """``(lo, chunks)``: ``chunks(values)`` draws ``n`` seeded races from the PMF ``probs``
+    once, in chunks of at most ``_MC_CHUNK`` ``(keys, read, where, won)``: race ``i`` takes
+    outcome ``lo[keys[i]]`` and its ``values`` entry ``read[i]``, but races ``where`` take
+    outcomes ``won`` and their ``read`` entries are stale; ``values`` None asks for no reads.
 
-    Raw 64-bit words come from one Philox stream, drawn a chunk at a time;
-    successive draws continue the stream, so the outcomes do not depend on the
-    chunk size.  numpy's Philox uniform is ``u = (word >> 11) * 2^-53``, and
-    the outcome is the number of inner CDF bounds ``<= u`` (the first outcome
-    whose cumulative probability exceeds ``u``, the last if none does).  A
-    bound is crossed exactly when ``word >> 11`` reaches its integer threshold
-    ``ceil(bound * 2^53)``, so a bound that rounds to ``>= 1`` in ``cumsum``
-    is never crossed.  The top ``k`` of those 53 bits, ``k`` growing with the
-    number of outcomes up to ``_GUIDE_BITS``, index a guide table holding the
-    number of thresholds at or below each bucket's start (Chen & Asau 1974,
-    "indexed search").  A branchless binary search from that count, with as
-    many steps as the fullest bucket needs (usually one), finishes it.
-
-    Every chunk is a view of one buffer that the next chunk overwrites, and
-    the search works in two more, so a chunk allocates only its raw words.
+    Raw 64-bit words come from one Philox stream that successive chunks continue, so outcomes
+    do not depend on the chunk size.  numpy's Philox uniform is ``u = (word >> 11) * 2^-53``,
+    and the outcome is the number of inner CDF bounds ``<= u``: a bound is crossed exactly when
+    ``word >> 11`` reaches its integer threshold ``ceil(bound * 2^53)``, never if it rounds to
+    ``>= 1`` in ``cumsum``.  A word's key is its bucket, its top ``_BUCKET_BITS`` bits (fewer
+    for fewer races, more for more outcomes, up to ``_GUIDE_BITS``); a guide table counts the
+    thresholds at or below each bucket's start (Chen & Asau 1974, "indexed search"), the
+    outcome of a bucket no threshold splits.  Words in split buckets (``lo`` there:
+    ``probs.size``) take a branchless binary search from their guide entry, of as many steps
+    as the fullest bucket needs; where split buckets hold over ``_SEARCH_ALL`` of the words,
+    all do, keyed by outcome.  Chunks are views of buffers that the next overwrites.
     """
     bitgen = np.random.Philox(key=int(seed))
-    top = 1 << 53
-    thresholds = np.ceil(np.cumsum(probs)[:-1] * top).astype(np.int64)
-    shift = 53 - min(_GUIDE_BITS, (probs.size - 1).bit_length() + 3)
-    starts = np.arange((top >> shift) + 1, dtype=np.int64) << shift
+    thresholds = np.ceil(np.cumsum(probs)[:-1] * 2.0**53).astype(np.int64)
+    bits = min(_BUCKET_BITS, (int(n) >> 3).bit_length())  # 4 to 8 races a bucket, when fewer
+    bits = min(_GUIDE_BITS, max(bits, (probs.size - 1).bit_length() + 3))
+    shift, nb = 53 - bits, 1 << bits
+    starts = np.arange(nb + 1, dtype=np.int64) << shift
     guide = np.searchsorted(thresholds, starts, side="right")
     steps = int(np.max(np.diff(guide))).bit_length()  # covers the fullest bucket
-    guide = guide[:-1]
-    padded = np.full(thresholds.size + (1 << steps), top, dtype=np.int64)  # top: never crossed
+    # a bucket is split when a threshold lies after its start and before the next bucket's
+    split, guide = np.searchsorted(thresholds, starts[1:]) > guide[:-1], guide[:-1]
+    padded = np.full(thresholds.size + (1 << steps), 1 << 53, dtype=np.int64)  # never crossed
     padded[: thresholds.size] = thresholds
     probes = [(s, padded[(1 << s) - 1 :]) for s in reversed(range(steps))]
 
-    size = min(_MC_CHUNK, n)
-    scratch, out, hits = np.empty(size, np.int64), np.empty(size, np.int64), np.empty(size, bool)
+    keys, reads, hits = (np.empty(min(_MC_CHUNK, n), t) for t in (np.uint64, float, bool))
+    (scratch, out), none = np.empty((2, min(_MC_CHUNK, n)), np.int64), np.empty(0, np.intp)
 
-    def search(words: np.ndarray) -> np.ndarray:
-        # every index is in range, so "clip" changes none; unlike "raise" it
-        # writes straight into the buffer instead of through a temporary
-        k = words.size
-        x = np.right_shift(words, 11, out=words).view(np.int64)
-        w, tmp, hit = out[:k], scratch[:k], hits[:k]
+    def search(x: np.ndarray) -> np.ndarray:
+        # indices are in range: "clip" changes none, and writes to out= without a temporary
+        w, tmp, hit = out[: x.size], scratch[: x.size], hits[: x.size]
         guide.take(np.right_shift(x, shift, out=tmp), out=w, mode="clip")
         for s, probe in probes:
             np.less_equal(probe.take(w, out=tmp, mode="clip"), x, out=hit)
             w += np.left_shift(hit, s, out=tmp) if s else hit
         return w
 
-    draws = (bitgen.random_raw(min(_MC_CHUNK, n - lo)) for lo in range(0, n, _MC_CHUNK))
-    return map(search, draws)
+    def bucketed(table: np.ndarray | None, words: np.ndarray) -> tuple:
+        key = np.right_shift(words, 64 - bits, out=keys[: words.size]).view(np.int64)
+        read = None if table is None else table.take(key, out=reads[: words.size], mode="clip")
+        where = np.flatnonzero(split.take(key, out=hits[: words.size], mode="clip"))
+        return key, read, where, search(np.right_shift(words[where], 11).view(np.int64))
+
+    def searched(table: np.ndarray | None, words: np.ndarray) -> tuple:
+        won = search(np.right_shift(words, 11, out=words).view(np.int64))
+        read = None if table is None else table.take(won, out=reads[: words.size], mode="clip")
+        return won, read, none, none
+
+    lo, draw = np.arange(probs.size), searched
+    if np.count_nonzero(split) <= nb * _SEARCH_ALL:
+        lo, draw = np.where(split, probs.size, guide), bucketed
+
+    def chunks(values: np.ndarray | None) -> Iterator[tuple]:
+        table = None if values is None else values.take(lo, mode="clip")  # split: overwritten
+        for i in range(0, n, _MC_CHUNK):
+            yield draw(table, bitgen.random_raw(min(_MC_CHUNK, n - i)))
+
+    return lo, chunks
 
 
-def _log_wealth_chunks(
-    probs: np.ndarray, increments: np.ndarray, n_races: int, seed: int, counts=None
-) -> Iterator[np.ndarray]:
-    """Cumulative log2 wealth of ``n_races`` seeded races, a chunk at a time, each
-    race adding its outcome's ``increments`` entry and, if given, one to its
-    ``counts`` entry.  Every chunk is a view of one buffer the next overwrites."""
-    buf = np.empty(min(_MC_CHUNK, n_races))
+def _counted(key: tuple, probs: np.ndarray, values: np.ndarray | None) -> Iterator[tuple]:
+    """The chunks of a :func:`_draws` of the stream ``key`` reading ``values``, passed on; then
+    the slot holds ``key`` and the read-only counts of the searched and the keyed outcomes."""
+    global _drawn
+    (lo, chunks), m = _draws(probs, *key[1:]), probs.size
+    hist, counts = np.zeros(lo.size, np.int64), np.zeros(m, np.int64)
+    for chunk in chunks(values):
+        hist += np.bincount(chunk[0], minlength=lo.size)
+        np.add.at(counts, chunk[3], 1)
+        yield chunk
+    counts += np.bincount(lo, hist, m + 1)[:m].astype(np.int64)  # exact below 2^53 races
+    counts.flags.writeable = False
+    _drawn = (key, counts)
+
+
+def _log_wealth_chunks(increments: np.ndarray, chunks: Iterator[tuple]) -> Iterator[np.ndarray]:
+    """Cumulative log2 wealth over the ``chunks`` of a draw that read ``increments``."""
     carry = 0.0
-    for outcomes in _winner_chunks(probs, n_races, seed):
-        if counts is not None:
-            counts += np.bincount(outcomes, minlength=counts.size)
-        step = buf[: outcomes.size]
-        # outcomes are in range, so "clip" changes none; unlike "raise" it
-        # writes straight into the buffer instead of through a temporary
-        increments.take(outcomes, out=step, mode="clip")
+    for _, step, where, won in chunks:
+        step[where] = increments[won]
         step[0] += carry  # before the running sum, so each entry rounds as one long cumsum
         np.cumsum(step, out=step)
         carry = step[-1]
@@ -509,16 +538,12 @@ def simulate_growth(
     bit for bit.  An outcome paying 0 sends the wealth to ``-inf`` and it
     stays there.  The pass counts the outcomes, for the trajectory and :func:`estimate_ubeta`.
     """
-    global _drawn
     probs, bets, odds, cash = _outcomes(market, b)
     key = _stream_key(probs, n_races, seed, "race")
     increments = _power_mean_read(probs, bets, odds, cash, math.inf)  # the log2 payoffs
-    counts = np.zeros(probs.size, dtype=np.int64)
-    for chunk in _log_wealth_chunks(probs, increments, n_races, seed, counts):
+    for chunk in _log_wealth_chunks(increments, _counted(key, probs, increments)):
         final = chunk[-1]
-    counts.flags.writeable = False
-    _drawn = (key, counts)
-    return WealthTrajectory(n_races, seed, float(final), probs, increments, counts)
+    return WealthTrajectory(n_races, seed, float(final), probs, increments, _drawn[1])
 
 
 def estimate_ubeta(
@@ -533,17 +558,13 @@ def estimate_ubeta(
     It reuses the counts of the latest stream drawn (by :func:`simulate_growth`
     or an estimate) when its outcome PMF, ``n`` and seed match: same value, bit for bit.
     """
-    global _drawn
     beta = _check_beta(beta)
     probs, bets, odds, cash = _outcomes(market, b)
     key = _stream_key(probs, n_samples, seed, "sample")
-    latest, counts = _drawn
-    if latest != key:
-        counts = np.zeros(probs.size, dtype=np.int64)
-        for outcomes in _winner_chunks(probs, n_samples, seed):
-            counts += np.bincount(outcomes, minlength=probs.size)
-        counts.flags.writeable = False
-        _drawn = (key, counts)
+    if _drawn[0] != key:
+        for _ in _counted(key, probs, None):
+            pass
+    counts = _drawn[1]
     drawn = counts > 0
     # outcomes never drawn are left out: a zero payoff would give -inf + inf
     # for beta < 0, while one that was drawn is a +inf term, so the estimate is -inf

@@ -97,13 +97,17 @@ def _require(kind: type, value, what: str) -> None:
 
 
 def _outcomes(market: RaceMarket | SideInfoMarket, b: _Bet) -> tuple:
-    """``(probs, bets, odds, cash)``, once ``b`` has the market's shape, one entry per horse
-    in one row per signal with side information: the PMF of its outcomes, the horses or a
+    """``(probs, bets, odds, cash)``, once ``b`` has the market's kind (a conditional bet
+    for side information, else not) and shape: the PMF of its outcomes, the horses or a
     conditional allocation's live (signal, horse) cells, each paying ``cash + bets * odds``,
     ``cash`` None when fully invested, as ``_power_mean_read`` forms it."""
     table = isinstance(b, ConditionalAllocation)
+    if table:
+        _require(SideInfoMarket, market, "a ConditionalAllocation")
+    elif isinstance(market, SideInfoMarket):
+        _require(ConditionalAllocation, b, "a SideInfoMarket")
     bets = b.table if table else b.bets
-    shape = market.joint.shape if isinstance(market, SideInfoMarket) else market.odds.shape
+    shape = market.joint.shape if table else market.odds.shape
     if bets.shape != shape:
         raise LengthMismatchError(f"allocation has shape {bets.shape} but the market has {shape}")
     if table:

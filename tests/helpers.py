@@ -13,6 +13,7 @@ import numpy as np
 
 from powerbet import Allocation, ConditionalAllocation, PartialAllocation, RaceMarket
 from powerbet import SideInfoMarket, new_race, new_side_info, track_constant
+from powerbet import oracle
 
 # Interior risk parameters close to the beta = 1 edge, where the optimal
 # cash of a subfair race may round to 0.0.
@@ -190,16 +191,30 @@ def reference_winners(market: RaceMarket, n: int, seed: int) -> np.ndarray:
     return np.minimum(np.searchsorted(cdf, u, side="right"), market.m - 1)
 
 
-def reference_log_wealth(market: RaceMarket, b: Allocation, n: int, seed: int) -> np.ndarray:
-    """Reference trajectory: one log2 payoff per race, summed by one ``cumsum``."""
-    winners = reference_winners(market, n, seed)
+def winner_chunks(probs: np.ndarray, n: int, seed: int):
+    """The outcome of each of ``n`` seeded races as ``oracle._draws`` draws them, in fresh
+    arrays of at most ``oracle._MC_CHUNK``: a bucket's outcome, or the searched one."""
+    for _, read, where, won in oracle._draws(probs, n, seed)[1](np.arange(probs.size, dtype=float)):
+        read[where] = won
+        yield read.astype(np.intp)
+
+
+def reference_log_wealth(
+    market: RaceMarket, b: Allocation, n: int, seed: int, winners=None
+) -> np.ndarray:
+    """Reference trajectory: one log2 payoff per race, summed by one ``cumsum``, of the
+    ``winners`` given or else those of :func:`reference_winners`."""
+    winners = reference_winners(market, n, seed) if winners is None else winners
     with np.errstate(divide="ignore"):
         return np.cumsum(np.log2(b.bets[winners] * market.odds[winners]))
 
 
-def reference_ubeta(market: RaceMarket, b: Allocation, beta: float, n: int, seed: int) -> float:
-    """Reference estimate: a log-sum-exp over one term per sample."""
-    winners = reference_winners(market, n, seed)
+def reference_ubeta(
+    market: RaceMarket, b: Allocation, beta: float, n: int, seed: int, winners=None
+) -> float:
+    """Reference estimate: a log-sum-exp over one term per sample, of the ``winners`` given
+    or else those of :func:`reference_winners`."""
+    winners = reference_winners(market, n, seed) if winners is None else winners
     with np.errstate(divide="ignore"):
         terms = beta * np.log(b.bets[winners] * market.odds[winners])
     return (float(reference_logsumexp(terms)) - math.log(n)) / (beta * math.log(2.0))

@@ -933,13 +933,13 @@ class TestSimulate:
 
     def test_one_simulate_replays_the_races_twice(self, capsys, monkeypatch, fair_spec, tmp_path):
         calls = []
-        draw = cli.oracle._winner_chunks
+        draw = cli.oracle._draws
 
         def counting(*args):
             calls.append(args)
             return draw(*args)
 
-        monkeypatch.setattr(cli.oracle, "_winner_chunks", counting)
+        monkeypatch.setattr(cli.oracle, "_draws", counting)
         code = main(["simulate", fair_spec, "-n", "1000", "--output", str(tmp_path / "traj.csv")])
         capsys.readouterr()
         assert code == 0

@@ -43,6 +43,7 @@ from helpers import (
     reference_log_wealth,
     reference_ubeta,
     reference_winners,
+    winner_chunks,
 )
 
 MARKET_B = new_race([0.6, 0.4], [2, 2])
@@ -887,7 +888,7 @@ class TestStreamingMonteCarlo:
         for i, market in enumerate(cases):
             for n in (1, chunk - 1, chunk, chunk + 1, 2 * chunk):
                 seed = 500 + i + n
-                chunks = oracle._winner_chunks(market.probs, n, seed)
+                chunks = winner_chunks(market.probs, n, seed)
                 drawn = np.concatenate([c.copy() for c in chunks])  # each overwrites the last
                 assert drawn.tobytes() == reference_winners(market, n, seed).tobytes()
 
@@ -903,7 +904,7 @@ class TestStreamingMonteCarlo:
             x = np.minimum(x, ends[1])
             words = np.concatenate([x << np.uint64(11), (x << np.uint64(11)) | np.uint64(0x7FF)])
             monkeypatch.setattr(np.random, "Philox", _fixed_words(words))
-            chunks = oracle._winner_chunks(market.probs, words.size, 0)
+            chunks = winner_chunks(market.probs, words.size, 0)
             drawn = np.concatenate([c.copy() for c in chunks])
             u = (words >> np.uint64(11)) * 2.0**-53
             expected = np.minimum(np.searchsorted(bounds, u, side="right"), market.m - 1)
@@ -983,15 +984,15 @@ class TestStreamingMonteCarlo:
 
 
 def _counting_draws(monkeypatch) -> list:
-    """Stand in for ``_winner_chunks`` with a wrapper that logs each draw's
+    """Stand in for ``_draws`` with a wrapper that logs each draw's
     (PMF, n, seed)."""
-    calls, draw = [], oracle._winner_chunks
+    calls, draw = [], oracle._draws
 
     def counting(probs, n, seed):
         calls.append((probs.tobytes(), n, seed))
         return draw(probs, n, seed)
 
-    monkeypatch.setattr(oracle, "_winner_chunks", counting)
+    monkeypatch.setattr(oracle, "_draws", counting)
     return calls
 
 
@@ -1076,3 +1077,80 @@ class TestSharedDraw:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**10  # a cold draw's buffers alone are 3 x 128 KB
+
+
+def _bucket_edge_words(market):
+    """Raw words at the first and last ``word >> 11`` of every bucket, of every width the
+    sampler may take, that a CDF threshold splits, at each threshold and just below it, each
+    with and without low bits."""
+    top = 1 << 53
+    thresholds = np.ceil(np.cumsum(market.probs)[:-1] * 2.0**53).astype(np.int64)
+    x = [thresholds, thresholds - 1]
+    for bits in range(oracle._GUIDE_BITS + 1):
+        width = top >> bits
+        split = np.unique(thresholds[(thresholds < top) & (thresholds % width != 0)] // width)
+        x += [split * width, (split + 1) * width - 1]
+    x = np.concatenate(x)
+    x = np.unique(np.clip(x, 0, top - 1)).astype(np.uint64) << np.uint64(11)
+    return np.concatenate([x, x | np.uint64(0x7FF)])
+
+
+def _word_winners(market, words):
+    """The reference outcome of each raw word: numpy's uniform from it, inverse CDF."""
+    u = (words >> np.uint64(11)) * 2.0**-53
+    return np.minimum(np.searchsorted(np.cumsum(market.probs), u, side="right"), market.m - 1)
+
+
+# thresholds on bucket starts (2^-5 steps start a bucket at every width the sampler takes for
+# 4 outcomes, 5 bits and up), and the same race moved by 2^-53 so that they fall on a
+# bucket's last word and second word
+DYADIC_ON_STARTS = new_race([2.0**-5, 2.0**-5, 0.5 - 2.0**-4, 0.5], [3.0, 5.0, 2.5, 1.5])
+DYADIC_OFF_STARTS = new_race(
+    [2.0**-5 - 2.0**-53, 2.0**-5 + 2.0**-52, 0.5 - 2.0**-4 - 2.0**-53, 0.5], [3.0, 5.0, 2.5, 1.5]
+)
+
+
+def _bucket_edge_cases():
+    rng = np.random.default_rng(34)
+    markets = [DYADIC_ON_STARTS, DYADIC_OFF_STARTS, _BOUND_ABOVE_ONE]
+    markets += [_clustered(1000, 2.0**-50), _clustered(10**4, 1e-300), random_market(rng, 10**4)]
+    return [(market, Allocation(rng.dirichlet(np.ones(market.m)))) for market in markets]
+
+
+class TestBucketEdges:
+    def check(self, market, b, n, seed, winners=None):
+        expected = reference_log_wealth(market, b, n, seed, winners)
+        traj = simulate_growth(market, b, n, seed)
+        assert np.float64(traj.final_log2_wealth).tobytes() == expected[-1].tobytes()
+        drawn = reference_winners(market, n, seed) if winners is None else winners
+        assert traj._counts.tobytes() == np.bincount(drawn, minlength=market.m).tobytes()
+        assert traj.log_wealth.tobytes() == expected.tobytes()
+        assert np.concatenate(list(traj.chunks())).tobytes() == expected.tobytes()
+        for beta in (-0.5, 0.5, 3.0):
+            reference = reference_ubeta(market, b, beta, n, seed, winners)
+            assert _cold_estimate(market, b, beta, n, seed) == pytest.approx(reference, rel=1e-12)
+
+    def test_the_cases_take_both_the_bucket_and_the_search_path(self):
+        # the search path keys each race by its outcome: its lo is the identity
+        lo = [oracle._draws(market.probs, 1 << 20, 0)[0] for market, _ in _bucket_edge_cases()]
+        searched = [np.array_equal(x, np.arange(x.size)) for x in lo]
+        assert searched == [False] * 5 + [True]
+
+    def test_split_bucket_edges_match_the_reference(self, monkeypatch):
+        for market, b in _bucket_edge_cases()[:-1]:  # the last splits most buckets
+            edges = _bucket_edge_words(market)
+            assert 0 < edges.size <= 8200  # few enough to replay one race per chunk
+            # the edges alone, then repeated over 2^15 races, which take 2^12 buckets or more
+            for chunk, n in ((1, edges.size), (3, edges.size), (oracle._MC_CHUNK, 1 << 15)):
+                words = np.resize(edges, n)
+                monkeypatch.setattr(np.random, "Philox", _fixed_words(words))
+                monkeypatch.setattr(oracle, "_MC_CHUNK", chunk)
+                self.check(market, b, n, 0, _word_winners(market, words))
+            monkeypatch.undo()
+
+    def test_seeded_streams_match_the_reference(self, monkeypatch):
+        default = oracle._MC_CHUNK
+        for i, (market, b) in enumerate(_bucket_edge_cases()):
+            for chunk, n in ((1, 300), (3, 1000), (default, 2 * default + 5)):
+                monkeypatch.setattr(oracle, "_MC_CHUNK", chunk)
+                self.check(market, b, n, 40 + i)

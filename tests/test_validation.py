@@ -315,13 +315,6 @@ WRONG_SHAPE_CALLS = {
     "decompose_side_info.one_entry": lambda: decompose_side_info(
         SIDE, ConditionalAllocation([[1.0]]), 0.5
     ),
-    # one report takes either market kind, but only with its own allocation kind
-    "decompose_full.table_on_a_race": lambda: decompose_full(
-        RACE, ConditionalAllocation([RACE.probs]), 0.5
-    ),
-    "decompose_side_info.bets_with_signals": lambda: decompose_side_info(
-        SIDE, Allocation(SIDE.horse_probs), 0.5
-    ),
 }
 
 
@@ -342,6 +335,13 @@ WRONG_KIND_CALLS = {
     # the three-term split reads the bets as fully invested: it would leave the cash out
     "decompose_full.partial": lambda: decompose_full(RACE, HALF_CASH, 0.5),
     "decompose_kelly.partial": lambda: decompose_kelly(RACE, HALF_CASH),
+    # one report takes either market kind, but only with its own allocation kind
+    "decompose_full.table_on_a_race": lambda: decompose_full(
+        RACE, ConditionalAllocation([RACE.probs]), 0.5
+    ),
+    "decompose_side_info.bets_with_signals": lambda: decompose_side_info(
+        SIDE, Allocation(SIDE.horse_probs), 0.5
+    ),
 }
 
 
@@ -376,6 +376,27 @@ NEEDS_KIND_CALLS = {
     ),
     "fold_cash_into_bets": (
         lambda: fold_cash_into_bets(FAIR, Allocation(FAIR.probs)), "PartialAllocation", "Allocation"
+    ),
+    # a bet on signals needs a market with them, and a market with signals a bet on them
+    "utility_full.table_on_a_race": (
+        lambda: utility_full(RACE, ConditionalAllocation([RACE.probs]), 0.5),
+        "SideInfoMarket",
+        "RaceMarket",
+    ),
+    "decompose_full.bets_with_signals": (
+        lambda: decompose_full(SIDE, Allocation(SIDE.horse_probs), 0.5),
+        "ConditionalAllocation",
+        "Allocation",
+    ),
+    "kkt_residual.cash_with_signals": (
+        lambda: kkt_residual(SIDE, 0.5, PartialAllocation(0.5, SIDE.horse_probs / 2)),
+        "ConditionalAllocation",
+        "PartialAllocation",
+    ),
+    "simulate_growth.table_on_a_race": (
+        lambda: simulate_growth(RACE, ConditionalAllocation([RACE.probs]), 10, 1),
+        "SideInfoMarket",
+        "RaceMarket",
     ),
 }
 
@@ -412,9 +433,14 @@ def test_every_market_function_returns_or_raises_a_powerbet_error(name, market, 
         "grid": GridSpec(4, 3 + name.endswith("partial")), "n_races": 16, "n_samples": 16,
         "seed": 0,
     }
-    params = inspect.signature(fn).parameters.values()
+    params = [p.name for p in inspect.signature(fn).parameters.values() if p.default is p.empty]
+    args = [values[p] for p in params]
+    if {"b", "sol", "partial"} & set(params) and (market == "side_info") != (alloc == "table"):
+        with pytest.raises(NotApplicableError):  # a bet of the other market kind
+            fn(*args)
+        return
     try:
-        fn(*[values[p.name] for p in params if p.default is inspect.Parameter.empty])
+        fn(*args)
     except PowerbetError:
         pass
 
