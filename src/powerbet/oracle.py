@@ -34,19 +34,19 @@ time from one Philox stream, which continues across chunks, so every result is
 bit-identical whatever the chunk size.  Each race takes one raw 64-bit word,
 which an integer inverse CDF maps to the outcome numpy's uniform from the same
 word would pick.  The word's top 12 bits are its bucket (fewer for short streams,
-more for many outcomes), and a bucket holding no CDF threshold has one outcome:
-its races take their log2 payoffs in one gather and are counted by a bucket
-histogram; only words in split buckets are searched, unless those hold over 30%
-of the words (spread races of about 6,000 outcomes), where every word is, the
-measured crossover of the two paths.  Neither keeps a per-race array: a trajectory
-holds its final wealth and the O(outcomes) PMF, log2 payoffs and outcome counts,
-and replays its races from the seed, a chunk at a time, when asked; a ``U_beta``
-estimate keeps only the counts.  So both take O(chunk + outcomes) memory for any
-number of races, and ``log_wealth`` costs 8 bytes per race only once it is read.
-The counts, a pure function of (outcome PMF, n, seed), serve every beta, so one
-slot keeps the latest stream's key and counts: an estimate right after
-``simulate_growth`` of the same stream does not draw it again.  At 2 to 8
-outcomes a simulated race costs 20-24 ns, close to 60% of it Philox and the cumsum.
+more for many outcomes); a bucket holding no CDF threshold has one outcome, so its
+races take their log2 payoffs in one gather and are counted by a bucket histogram.
+Only the words in split buckets are searched, however many: 46% at 10^4 spread
+outcomes, where a simulation takes 1.08-1.13 times as long as searching all.  Neither
+keeps a per-race array: a trajectory holds its final wealth and the O(outcomes) PMF,
+log2 payoffs and outcome counts, and replays its races from the seed, a chunk at a
+time, when asked; a ``U_beta`` estimate keeps only the counts.  So both take
+O(chunk + outcomes) memory for any number of races, and ``log_wealth`` costs 8
+bytes per race only once it is read.  The counts, a pure function of (outcome PMF,
+n, seed), serve every beta: the caller of each counting draw keeps them with the
+stream's key in one slot, so an estimate right after ``simulate_growth`` of the
+same stream does not draw it again.  At 2 to 8 outcomes a simulated race
+costs 20-24 ns, close to 60% of it Philox and the cumsum.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, combinations
 from numbers import Integral
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -82,7 +82,6 @@ _MC_CHUNK = 1 << 14
 _SEED_BOUND = 1 << 128  # Philox keys are 128-bit
 _GUIDE_BITS = 14  # the outcome sampler's guide table has at most 2^14 entries (128 KB)
 _BUCKET_BITS = 12  # and at least 2^12, one bucket per entry, once races outnumber them 4 to 1
-_SEARCH_ALL = 0.3  # past this share of words in split buckets, searching all is faster
 _drawn: tuple = (None, None)  # (key, read-only counts) of the latest stream drawn
 _GAP_TOL = 1e-10  # the largest certifying _certificate gap, in nats per max(1, |1 - beta|)
 
@@ -171,8 +170,7 @@ class WealthTrajectory:
         return out
 
     def _replay(self) -> Iterator[np.ndarray]:
-        chunks = _draws(self._probs, self.n_races, self.seed)[1]
-        return _log_wealth_chunks(self._increments, chunks(self._increments))
+        return _log_wealth_chunks(_draws(self._probs, self.n_races, self.seed, self._increments))
 
 
 def _grid_blocks(grid: GridSpec, offsets=None, heads=None) -> Iterator[np.ndarray]:
@@ -435,11 +433,10 @@ def _stream_key(probs: np.ndarray, n: int, seed: int, unit: str) -> tuple:
     return probs.tobytes(), int(n), int(seed)
 
 
-def _draws(probs: np.ndarray, n: int, seed: int) -> tuple[np.ndarray, Callable]:
-    """``(lo, chunks)``: ``chunks(values)`` draws ``n`` seeded races from the PMF ``probs``
-    once, in chunks of at most ``_MC_CHUNK`` ``(keys, read, where, won)``: race ``i`` takes
-    outcome ``lo[keys[i]]`` and its ``values`` entry ``read[i]``, but races ``where`` take
-    outcomes ``won`` and their ``read`` entries are stale; ``values`` None asks for no reads.
+def _draws(probs: np.ndarray, n: int, seed: int, values=None, counts=None) -> Iterator:
+    """Draw ``n`` seeded races from the PMF ``probs``, ``_MC_CHUNK`` at a time, yielding each
+    chunk's ``values`` entries of its outcomes (None for no ``values``) in a buffer the next
+    chunk overwrites; after the last, add each outcome's count into ``counts`` and freeze it.
 
     Raw 64-bit words come from one Philox stream that successive chunks continue, so outcomes
     do not depend on the chunk size.  numpy's Philox uniform is ``u = (word >> 11) * 2^-53``,
@@ -448,10 +445,8 @@ def _draws(probs: np.ndarray, n: int, seed: int) -> tuple[np.ndarray, Callable]:
     ``>= 1`` in ``cumsum``.  A word's key is its bucket, its top ``_BUCKET_BITS`` bits (fewer
     for fewer races, more for more outcomes, up to ``_GUIDE_BITS``); a guide table counts the
     thresholds at or below each bucket's start (Chen & Asau 1974, "indexed search"), the
-    outcome of a bucket no threshold splits.  Words in split buckets (``lo`` there:
-    ``probs.size``) take a branchless binary search from their guide entry, of as many steps
-    as the fullest bucket needs; where split buckets hold over ``_SEARCH_ALL`` of the words,
-    all do, keyed by outcome.  Chunks are views of buffers that the next overwrites.
+    outcome of a bucket no threshold splits.  Words in split buckets, however many,
+    take a branchless binary search from their guide entry, of as many steps as needed.
     """
     bitgen = np.random.Philox(key=int(seed))
     thresholds = np.ceil(np.cumsum(probs)[:-1] * 2.0**53).astype(np.int64)
@@ -466,62 +461,41 @@ def _draws(probs: np.ndarray, n: int, seed: int) -> tuple[np.ndarray, Callable]:
     padded = np.full(thresholds.size + (1 << steps), 1 << 53, dtype=np.int64)  # never crossed
     padded[: thresholds.size] = thresholds
     probes = [(s, padded[(1 << s) - 1 :]) for s in reversed(range(steps))]
+    table = None if values is None else values.take(guide)  # split buckets: overwritten
+    hist = np.zeros(nb, np.int64)
 
     keys, reads, hits = (np.empty(min(_MC_CHUNK, n), t) for t in (np.uint64, float, bool))
-    (scratch, out), none = np.empty((2, min(_MC_CHUNK, n)), np.int64), np.empty(0, np.intp)
+    scratch, out = np.empty((2, min(_MC_CHUNK, n)), np.int64)
 
-    def search(x: np.ndarray) -> np.ndarray:
+    def draw(words: np.ndarray) -> np.ndarray | None:
         # indices are in range: "clip" changes none, and writes to out= without a temporary
-        w, tmp, hit = out[: x.size], scratch[: x.size], hits[: x.size]
-        guide.take(np.right_shift(x, shift, out=tmp), out=w, mode="clip")
-        for s, probe in probes:
-            np.less_equal(probe.take(w, out=tmp, mode="clip"), x, out=hit)
-            w += np.left_shift(hit, s, out=tmp) if s else hit
-        return w
-
-    def bucketed(table: np.ndarray | None, words: np.ndarray) -> tuple:
         key = np.right_shift(words, 64 - bits, out=keys[: words.size]).view(np.int64)
         read = None if table is None else table.take(key, out=reads[: words.size], mode="clip")
         where = np.flatnonzero(split.take(key, out=hits[: words.size], mode="clip"))
-        return key, read, where, search(np.right_shift(words[where], 11).view(np.int64))
+        x = np.right_shift(words[where], 11).view(np.int64)
+        won, tmp, hit = out[: x.size], scratch[: x.size], hits[: x.size]
+        guide.take(np.right_shift(x, shift, out=tmp), out=won, mode="clip")
+        for s, probe in probes:
+            np.less_equal(probe.take(won, out=tmp, mode="clip"), x, out=hit)
+            won += np.left_shift(hit, s, out=tmp) if s else hit
+        if counts is not None:
+            np.add(hist, np.bincount(key, minlength=nb), out=hist)
+            np.add.at(counts, won, 1)
+        if read is not None:
+            read[where] = values[won]
+        return read
 
-    def searched(table: np.ndarray | None, words: np.ndarray) -> tuple:
-        won = search(np.right_shift(words, 11, out=words).view(np.int64))
-        read = None if table is None else table.take(won, out=reads[: words.size], mode="clip")
-        return won, read, none, none
-
-    lo, draw = np.arange(probs.size), searched
-    if np.count_nonzero(split) <= nb * _SEARCH_ALL:
-        lo, draw = np.where(split, probs.size, guide), bucketed
-
-    def chunks(values: np.ndarray | None) -> Iterator[tuple]:
-        table = None if values is None else values.take(lo, mode="clip")  # split: overwritten
-        for i in range(0, n, _MC_CHUNK):
-            yield draw(table, bitgen.random_raw(min(_MC_CHUNK, n - i)))
-
-    return lo, chunks
-
-
-def _counted(key: tuple, probs: np.ndarray, values: np.ndarray | None) -> Iterator[tuple]:
-    """The chunks of a :func:`_draws` of the stream ``key`` reading ``values``, passed on; then
-    the slot holds ``key`` and the read-only counts of the searched and the keyed outcomes."""
-    global _drawn
-    (lo, chunks), m = _draws(probs, *key[1:]), probs.size
-    hist, counts = np.zeros(lo.size, np.int64), np.zeros(m, np.int64)
-    for chunk in chunks(values):
-        hist += np.bincount(chunk[0], minlength=lo.size)
-        np.add.at(counts, chunk[3], 1)
-        yield chunk
-    counts += np.bincount(lo, hist, m + 1)[:m].astype(np.int64)  # exact below 2^53 races
-    counts.flags.writeable = False
-    _drawn = (key, counts)
+    for i in range(0, n, _MC_CHUNK):
+        yield draw(bitgen.random_raw(min(_MC_CHUNK, n - i)))  # no word outlives its chunk
+    if counts is not None:  # the weighted bincount is exact below 2^53 races
+        counts += np.bincount(guide, np.where(split, 0, hist), probs.size).astype(np.int64)
+        counts.flags.writeable = False
 
 
-def _log_wealth_chunks(increments: np.ndarray, chunks: Iterator[tuple]) -> Iterator[np.ndarray]:
-    """Cumulative log2 wealth over the ``chunks`` of a draw that read ``increments``."""
+def _log_wealth_chunks(steps: Iterator[np.ndarray]) -> Iterator[np.ndarray]:
+    """Cumulative log2 wealth over chunks of log2 payoffs, each summed in place."""
     carry = 0.0
-    for _, step, where, won in chunks:
-        step[where] = increments[won]
+    for step in steps:
         step[0] += carry  # before the running sum, so each entry rounds as one long cumsum
         np.cumsum(step, out=step)
         carry = step[-1]
@@ -538,12 +512,15 @@ def simulate_growth(
     bit for bit.  An outcome paying 0 sends the wealth to ``-inf`` and it
     stays there.  The pass counts the outcomes, for the trajectory and :func:`estimate_ubeta`.
     """
+    global _drawn
     probs, bets, odds, cash = _outcomes(market, b)
     key = _stream_key(probs, n_races, seed, "race")
     increments = _power_mean_read(probs, bets, odds, cash, math.inf)  # the log2 payoffs
-    for chunk in _log_wealth_chunks(increments, _counted(key, probs, increments)):
+    counts = np.zeros(probs.size, np.int64)
+    for chunk in _log_wealth_chunks(_draws(probs, *key[1:], increments, counts)):
         final = chunk[-1]
-    return WealthTrajectory(n_races, seed, float(final), probs, increments, _drawn[1])
+    _drawn = (key, counts)
+    return WealthTrajectory(n_races, seed, float(final), probs, increments, counts)
 
 
 def estimate_ubeta(
@@ -558,13 +535,16 @@ def estimate_ubeta(
     It reuses the counts of the latest stream drawn (by :func:`simulate_growth`
     or an estimate) when its outcome PMF, ``n`` and seed match: same value, bit for bit.
     """
+    global _drawn
     beta = _check_beta(beta)
     probs, bets, odds, cash = _outcomes(market, b)
     key = _stream_key(probs, n_samples, seed, "sample")
-    if _drawn[0] != key:
-        for _ in _counted(key, probs, None):
+    latest, counts = _drawn
+    if latest != key:
+        counts = np.zeros(probs.size, np.int64)
+        for _ in _draws(probs, *key[1:], None, counts):
             pass
-    counts = _drawn[1]
+        _drawn = (key, counts)
     drawn = counts > 0
     # outcomes never drawn are left out: a zero payoff would give -inf + inf
     # for beta < 0, while one that was drawn is a +inf term, so the estimate is -inf

@@ -194,8 +194,7 @@ def reference_winners(market: RaceMarket, n: int, seed: int) -> np.ndarray:
 def winner_chunks(probs: np.ndarray, n: int, seed: int):
     """The outcome of each of ``n`` seeded races as ``oracle._draws`` draws them, in fresh
     arrays of at most ``oracle._MC_CHUNK``: a bucket's outcome, or the searched one."""
-    for _, read, where, won in oracle._draws(probs, n, seed)[1](np.arange(probs.size, dtype=float)):
-        read[where] = won
+    for read in oracle._draws(probs, n, seed, np.arange(probs.size, dtype=float)):
         yield read.astype(np.intp)
 
 

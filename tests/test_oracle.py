@@ -988,9 +988,9 @@ def _counting_draws(monkeypatch) -> list:
     (PMF, n, seed)."""
     calls, draw = [], oracle._draws
 
-    def counting(probs, n, seed):
+    def counting(probs, n, seed, *args):
         calls.append((probs.tobytes(), n, seed))
-        return draw(probs, n, seed)
+        return draw(probs, n, seed, *args)
 
     monkeypatch.setattr(oracle, "_draws", counting)
     return calls
@@ -1033,6 +1033,25 @@ class TestSharedDraw:
         list(traj.chunks())
         estimate_ubeta(other, kelly(other), 0.5, 1000, 3)
         assert len(calls) == 10
+
+    def test_a_stream_drawn_after_the_last_chunk_leaves_the_trajectory_its_counts(
+        self, monkeypatch
+    ):
+        # another stream drawn between a simulation's last chunk and its return, as a
+        # second thread may draw one, takes the slot but not the trajectory's counts
+        fold, other = oracle._log_wealth_chunks, new_race([0.5, 0.5], [2, 2])
+
+        def then_another_stream(*args):
+            yield from fold(*args)
+            estimate_ubeta(other, kelly(other), 0.5, 777, 9)
+
+        monkeypatch.setattr(oracle, "_log_wealth_chunks", then_another_stream)
+        market = new_race([0.5, 0.3, 0.2], [2, 4, 8])
+        traj = simulate_growth(market, kelly(market), 1000, 3)
+        expected = np.bincount(reference_winners(market, 1000, 3), minlength=market.m)
+        assert traj._counts.tobytes() == expected.tobytes()
+        warm = estimate_ubeta(market, kelly(market), 0.5, 1000, 3)
+        assert warm == _cold_estimate(market, kelly(market), 0.5, 1000, 3)
 
     def test_bets_on_the_same_outcomes_share_a_draw(self, monkeypatch):
         bets = [
@@ -1130,12 +1149,6 @@ class TestBucketEdges:
             reference = reference_ubeta(market, b, beta, n, seed, winners)
             assert _cold_estimate(market, b, beta, n, seed) == pytest.approx(reference, rel=1e-12)
 
-    def test_the_cases_take_both_the_bucket_and_the_search_path(self):
-        # the search path keys each race by its outcome: its lo is the identity
-        lo = [oracle._draws(market.probs, 1 << 20, 0)[0] for market, _ in _bucket_edge_cases()]
-        searched = [np.array_equal(x, np.arange(x.size)) for x in lo]
-        assert searched == [False] * 5 + [True]
-
     def test_split_bucket_edges_match_the_reference(self, monkeypatch):
         for market, b in _bucket_edge_cases()[:-1]:  # the last splits most buckets
             edges = _bucket_edge_words(market)
@@ -1147,6 +1160,15 @@ class TestBucketEdges:
                 monkeypatch.setattr(oracle, "_MC_CHUNK", chunk)
                 self.check(market, b, n, 0, _word_winners(market, words))
             monkeypatch.undo()
+
+    def test_edges_of_a_race_splitting_most_buckets_match_the_reference(self, monkeypatch):
+        market, b = _bucket_edge_cases()[-1]  # a threshold splits 49% of its 2^14 buckets
+        edges = _bucket_edge_words(market)
+        assert edges.size == 84132
+        for chunk in (1000, oracle._MC_CHUNK):
+            monkeypatch.setattr(np.random, "Philox", _fixed_words(edges))
+            monkeypatch.setattr(oracle, "_MC_CHUNK", chunk)
+            self.check(market, b, edges.size, 0, _word_winners(market, edges))
 
     def test_seeded_streams_match_the_reference(self, monkeypatch):
         default = oracle._MC_CHUNK
