@@ -318,8 +318,8 @@ def cmd_simulate(args) -> tuple[dict, int]:
     doc = _load_spec(args.spec)
     market = _parse_race(doc)
     beta = _parse_beta(args.beta, "--beta")
-    if args.n < 1:
-        raise _CommandError(2, "-n must be >= 1")
+    if not 1 <= args.n < oracle._COUNT_BOUND:
+        raise _CommandError(2, "-n must be an integer in [1, 2**63)")
     if not 0 <= args.seed < oracle._SEED_BOUND:
         raise _CommandError(2, "--seed must be an integer in [0, 2**128)")
     with _naming("--beta", BetaOutOfRangeError):  # |beta| past the cap
@@ -348,8 +348,8 @@ def cmd_simulate(args) -> tuple[dict, int]:
     # worst-case rounding of final / n, n eps max |step|, is reported but not judged.
     band, judged = None, False
     if math.isfinite(rate) and args.n > 1:
-        drawn = traj._counts > 0
-        counts, steps = traj._counts[drawn], traj._increments[drawn]
+        drawn = traj.counts > 0
+        counts, steps = traj.counts[drawn], traj._increments[drawn]
         mean = float(np.sum(counts * steps)) / args.n
         squares = float(np.sum(counts * np.square(steps - mean)))
         band = 3.0 * math.sqrt(squares / (args.n - 1)) / math.sqrt(args.n)

@@ -37,16 +37,13 @@ word would pick.  The word's top 12 bits are its bucket (fewer for short streams
 more for many outcomes); a bucket holding no CDF threshold has one outcome, so its
 races take their log2 payoffs in one gather and are counted by a bucket histogram.
 Only the words in split buckets are searched, however many: 46% at 10^4 spread
-outcomes, where a simulation takes 1.08-1.13 times as long as searching all.  Neither
-keeps a per-race array: a trajectory holds its final wealth and the O(outcomes) PMF,
-log2 payoffs and outcome counts, and replays its races from the seed, a chunk at a
-time, when asked; a ``U_beta`` estimate keeps only the counts.  So both take
-O(chunk + outcomes) memory for any number of races, and ``log_wealth`` costs 8
-bytes per race only once it is read.  The counts, a pure function of (outcome PMF,
-n, seed), serve every beta: the caller of each counting draw keeps them with the
-stream's key in one slot, so an estimate right after ``simulate_growth`` of the
-same stream does not draw it again.  At 2 to 8 outcomes a simulated race
-costs 20-24 ns, close to 60% of it Philox and the cumsum.
+outcomes, where a simulation takes 1.08-1.13 times as long as searching all.  A
+trajectory keeps no per-race array: it holds its final wealth and the O(outcomes) PMF,
+log2 payoffs and outcome counts, and replays its races from the seed a chunk at a time
+when asked, so it takes O(chunk + outcomes) memory for any number of races.  At 2 to 8
+outcomes a simulated race costs 20-24 ns, close to 60% of it Philox and the cumsum.  A
+``U_beta`` estimate reads only the outcome counts, so it draws them and no races: one
+Multinomial(n, PMF) vector by conditional binomials (Devroye 1986), O(outcomes) for any n.
 """
 
 from __future__ import annotations
@@ -80,9 +77,9 @@ MAX_GRID_POINTS = 10**7
 _BLOCK_CELLS = 1 << 14
 _MC_CHUNK = 1 << 14
 _SEED_BOUND = 1 << 128  # Philox keys are 128-bit
+_COUNT_BOUND = 1 << 63  # outcome counts are int64
 _GUIDE_BITS = 14  # the outcome sampler's guide table has at most 2^14 entries (128 KB)
 _BUCKET_BITS = 12  # and at least 2^12, one bucket per entry, once races outnumber them 4 to 1
-_drawn: tuple = (None, None)  # (key, read-only counts) of the latest stream drawn
 _GAP_TOL = 1e-10  # the largest certifying _certificate gap, in nats per max(1, |1 - beta|)
 
 
@@ -135,12 +132,11 @@ class KktReport:
 class WealthTrajectory:
     """Cumulative log2 wealth over a seeded sequence of races.
 
-    It holds the final log2 wealth and, apart from ``__eq__`` and ``repr``,
-    the bet's outcome PMF, log2 payoffs and how often each outcome was drawn
-    (read-only), so its memory is O(outcomes) however many races it covers.
-    :meth:`chunks` replays the races from the seed in O(chunk) memory;
-    ``log_wealth`` replays them into one array of 8 bytes per race, built when
-    it is first read and kept.
+    It holds the final log2 wealth and, apart from ``__eq__`` and ``repr``, the bet's
+    outcome PMF, log2 payoffs and ``counts``, how often each outcome was drawn (read-only),
+    so its memory is O(outcomes) however many races it covers.  :meth:`chunks` replays the
+    races from the seed in O(chunk) memory; ``log_wealth`` replays them into one array of 8
+    bytes per race, built when it is first read and kept.
     """
 
     n_races: int
@@ -148,12 +144,18 @@ class WealthTrajectory:
     final_log2_wealth: float
     _probs: np.ndarray = field(repr=False, compare=False)
     _increments: np.ndarray = field(repr=False, compare=False)
-    _counts: np.ndarray = field(repr=False, compare=False)
+    counts: np.ndarray = field(repr=False, compare=False)
 
     @property
     def final_rate(self) -> float:
         """Average log2 growth per race over the whole run."""
         return self.final_log2_wealth / self.n_races
+
+    def estimate_ubeta(self, beta: float) -> float:
+        """:func:`estimate_ubeta` over these races, from their counts: :attr:`final_rate` up to
+        rounding at ``beta = 0`` (both -inf once a zero payoff is drawn), the largest or smallest
+        log2 payoff drawn at ``+-inf``, and with one race that race's log2 payoff at every beta."""
+        return _ubeta(self.counts, self._increments, _check_beta(beta))
 
     def chunks(self) -> Iterator[np.ndarray]:
         """The entries of ``log_wealth`` in order, as fresh arrays of at most
@@ -422,21 +424,18 @@ def _certify(market: RaceMarket | SideInfoMarket, beta: float, alloc: _Bet) -> f
     return _certificate(market, beta, read)
 
 
-def _stream_key(probs: np.ndarray, n: int, seed: int, unit: str) -> tuple:
-    """``(PMF bytes, n, seed)``, the stream's key, once ``n`` and ``seed`` are checked."""
-    if isinstance(n, bool) or not isinstance(n, Integral):
-        raise NotEvaluableError(f"the number of {unit}s must be an integer, got {n!r}")
-    if n < 1:
-        raise NotEvaluableError(f"need at least one {unit}, got {n}")
+def _check_stream(n: int, seed: int, unit: str) -> None:
+    """Refuse a number ``n`` of ``unit``s or a ``seed`` that is not an integer in range."""
+    if isinstance(n, bool) or not isinstance(n, Integral) or not 1 <= n < _COUNT_BOUND:
+        raise NotEvaluableError(f"number of {unit}s must be an integer in [1, 2**63), got {n!r}")
     if isinstance(seed, bool) or not isinstance(seed, Integral) or not 0 <= seed < _SEED_BOUND:
         raise NotEvaluableError(f"seed must be an integer in [0, 2**128), got {seed!r}")
-    return probs.tobytes(), int(n), int(seed)
 
 
-def _draws(probs: np.ndarray, n: int, seed: int, values=None, counts=None) -> Iterator:
+def _draws(probs: np.ndarray, n: int, seed: int, values: np.ndarray, counts=None) -> Iterator:
     """Draw ``n`` seeded races from the PMF ``probs``, ``_MC_CHUNK`` at a time, yielding each
-    chunk's ``values`` entries of its outcomes (None for no ``values``) in a buffer the next
-    chunk overwrites; after the last, add each outcome's count into ``counts`` and freeze it.
+    chunk's ``values`` entries of its outcomes in a buffer the next chunk overwrites; after
+    the last, add each outcome's count into ``counts``, if given, and freeze it.
 
     Raw 64-bit words come from one Philox stream that successive chunks continue, so outcomes
     do not depend on the chunk size.  numpy's Philox uniform is ``u = (word >> 11) * 2^-53``,
@@ -461,16 +460,16 @@ def _draws(probs: np.ndarray, n: int, seed: int, values=None, counts=None) -> It
     padded = np.full(thresholds.size + (1 << steps), 1 << 53, dtype=np.int64)  # never crossed
     padded[: thresholds.size] = thresholds
     probes = [(s, padded[(1 << s) - 1 :]) for s in reversed(range(steps))]
-    table = None if values is None else values.take(guide)  # split buckets: overwritten
+    table = values.take(guide)  # split buckets: overwritten
     hist = np.zeros(nb, np.int64)
 
     keys, reads, hits = (np.empty(min(_MC_CHUNK, n), t) for t in (np.uint64, float, bool))
     scratch, out = np.empty((2, min(_MC_CHUNK, n)), np.int64)
 
-    def draw(words: np.ndarray) -> np.ndarray | None:
+    def draw(words: np.ndarray) -> np.ndarray:
         # indices are in range: "clip" changes none, and writes to out= without a temporary
         key = np.right_shift(words, 64 - bits, out=keys[: words.size]).view(np.int64)
-        read = None if table is None else table.take(key, out=reads[: words.size], mode="clip")
+        read = table.take(key, out=reads[: words.size], mode="clip")
         where = np.flatnonzero(split.take(key, out=hits[: words.size], mode="clip"))
         x = np.right_shift(words[where], 11).view(np.int64)
         won, tmp, hit = out[: x.size], scratch[: x.size], hits[: x.size]
@@ -481,8 +480,7 @@ def _draws(probs: np.ndarray, n: int, seed: int, values=None, counts=None) -> It
         if counts is not None:
             np.add(hist, np.bincount(key, minlength=nb), out=hist)
             np.add.at(counts, won, 1)
-        if read is not None:
-            read[where] = values[won]
+        read[where] = values[won]
         return read
 
     for i in range(0, n, _MC_CHUNK):
@@ -510,17 +508,27 @@ def simulate_growth(
 
     Identical (market, allocation, n, seed) inputs reproduce the trajectory
     bit for bit.  An outcome paying 0 sends the wealth to ``-inf`` and it
-    stays there.  The pass counts the outcomes, for the trajectory and :func:`estimate_ubeta`.
+    stays there.  The pass counts the outcomes, for :meth:`WealthTrajectory.estimate_ubeta`.
     """
-    global _drawn
     probs, bets, odds, cash = _outcomes(market, b)
-    key = _stream_key(probs, n_races, seed, "race")
+    _check_stream(n_races, seed, "race")
     increments = _power_mean_read(probs, bets, odds, cash, math.inf)  # the log2 payoffs
     counts = np.zeros(probs.size, np.int64)
-    for chunk in _log_wealth_chunks(_draws(probs, *key[1:], increments, counts)):
+    for chunk in _log_wealth_chunks(_draws(probs, n_races, seed, increments, counts)):
         final = chunk[-1]
-    _drawn = (key, counts)
     return WealthTrajectory(n_races, seed, float(final), probs, increments, counts)
+
+
+def _ubeta(counts: np.ndarray, log2_payoffs: np.ndarray, beta: float) -> float:
+    """``(1/beta) log2`` of the mean ``S^beta`` over outcomes drawn ``counts`` times, from their
+    log2 payoffs.  One not drawn is left out: a zero payoff adds +inf at beta < 0 only if drawn."""
+    drawn = counts > 0
+    freq, read = counts[drawn] / counts.sum(), log2_payoffs[drawn]  # copies
+    if not math.isinf(beta):  # read as _power_mean_read reads a payoff
+        read *= _LN2 * (beta if abs(beta) > _CENTERED_T else 1.0)
+    if _CENTERED_T < abs(beta) < math.inf:
+        read += np.log(freq)
+    return _log2_power_mean(freq, None, None, None, beta, read)
 
 
 def estimate_ubeta(
@@ -530,22 +538,13 @@ def estimate_ubeta(
     the bet's outcomes: the mean log2 payoff at ``beta = 0``, and the largest or
     smallest log2 payoff drawn at ``beta = +-inf``.
 
-    The sample mean of ``S^beta`` is taken from exact per-outcome counts, so
-    memory is O(chunk + outcomes) and the value does not depend on the chunk size.
-    It reuses the counts of the latest stream drawn (by :func:`simulate_growth`
-    or an estimate) when its outcome PMF, ``n`` and seed match: same value, bit for bit.
+    The mean of ``S^beta`` is taken over per-outcome counts, one Multinomial(``n_samples``,
+    outcome PMF) vector from the seed's Philox stream, in O(outcomes) time and memory for any
+    ``n_samples`` below 2**63: the law of ``n_samples`` independent races, but not the races
+    :func:`simulate_growth` draws from that seed (:meth:`WealthTrajectory.estimate_ubeta`).
     """
-    global _drawn
     beta = _check_beta(beta)
     probs, bets, odds, cash = _outcomes(market, b)
-    key = _stream_key(probs, n_samples, seed, "sample")
-    latest, counts = _drawn
-    if latest != key:
-        counts = np.zeros(probs.size, np.int64)
-        for _ in _draws(probs, *key[1:], None, counts):
-            pass
-        _drawn = (key, counts)
-    drawn = counts > 0
-    # outcomes never drawn are left out: a zero payoff would give -inf + inf
-    # for beta < 0, while one that was drawn is a +inf term, so the estimate is -inf
-    return _log2_power_mean(counts[drawn] / n_samples, bets[drawn], odds[drawn], cash, beta)
+    _check_stream(n_samples, seed, "sample")
+    counts = np.random.Generator(np.random.Philox(key=int(seed))).multinomial(n_samples, probs)
+    return _ubeta(counts, _power_mean_read(probs, bets, odds, cash, math.inf), beta)

@@ -791,6 +791,21 @@ class TestSimulate:
         assert captured.out == ""
         assert "--seed" in captured.err
 
+    def test_count_past_the_int64_counts_is_invalid_input(
+        self, capsys, monkeypatch, fair_spec, tmp_path
+    ):
+        def must_not_run(*args):
+            raise AssertionError("simulated past the count bound")
+
+        monkeypatch.setattr(cli.oracle, "simulate_growth", must_not_run)
+        target = tmp_path / "x.csv"
+        code = main(["simulate", fair_spec, "-n", str(2**63), "--output", str(target)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: -n must be an integer in [1, 2**63)\n"
+        assert not target.exists()  # refused before the output was opened
+
     @pytest.mark.parametrize("where", ["missing directory", "directory"])
     def test_unwritable_output_is_invalid_input(
         self, capsys, monkeypatch, fair_spec, tmp_path, where

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 import warnings
 
@@ -60,6 +61,8 @@ GRID_REGIME_BETAS = (
 # and the edges of the near and far forms, of the beta range and of the normal doubles
 EDGE_GRID_BETAS = (-1e-4, 1e-4, -(1 + 1e-4) * 2.0**-10, (1 + 1e-4) * 2.0**-10, -1e6, 1e6)
 EDGE_GRID_BETAS += (-5e-324, 5e-324, 1e-310, 1e-301)
+# every regime of a Monte Carlo estimate: the limits, the far form either side of 0, Kelly
+SHARED_BETAS = (-math.inf, -2.0, -0.5, 0.0, 0.5, 3.0, math.inf)
 
 
 class TestGridSpec:
@@ -687,9 +690,13 @@ class TestEstimateUbeta:
 
     def test_single_sample_is_the_sampled_payoff(self):
         b = Allocation([0.7, 0.3])
-        est = estimate_ubeta(MARKET_B, b, 0.5, 1, seed=7)
         traj = simulate_growth(MARKET_B, b, 1, seed=7)
-        assert est == pytest.approx(float(traj.log_wealth[0]), abs=1e-12)
+        for beta in SHARED_BETAS:
+            assert traj.estimate_ubeta(beta) == pytest.approx(traj.log_wealth[0], abs=1e-12)
+        # a cold estimate of one sample is the log2 payoff of the outcome it drew
+        payoffs = np.log2(b.bets * MARKET_B.odds)
+        for seed in range(8):
+            assert estimate_ubeta(MARKET_B, b, 0.5, 1, seed) in payoffs
 
     def test_converges_to_utility(self):
         g = optimal_full(MARKET_B, 0.5)
@@ -714,9 +721,8 @@ class TestEstimateUbeta:
     def test_zero_beta_is_the_simulated_growth_rate(self):
         # the same races give the mean log2 payoff both ways
         for i, (market, b) in enumerate(_streaming_cases()):
-            n = 10**5 + i
-            rate = simulate_growth(market, b, n, seed=i).final_rate
-            est = estimate_ubeta(market, b, 0.0, n, seed=i)
+            traj = simulate_growth(market, b, 10**5 + i, seed=i)
+            rate, est = traj.final_rate, traj.estimate_ubeta(0.0)
             if math.isinf(rate):
                 assert est == rate
             else:
@@ -737,12 +743,6 @@ OUTCOME_CASES = {
 }
 
 
-def _cold_estimate(*args):
-    """``estimate_ubeta(*args)`` with the stream slot emptied first, so it draws."""
-    oracle._drawn = (None, None)
-    return estimate_ubeta(*args)
-
-
 def _outcome_moments(case):
     """Each outcome's probability and payoff, written out independently of the library."""
     market, b, _ = OUTCOME_CASES[case]
@@ -752,37 +752,41 @@ def _outcome_moments(case):
     return market.joint[live], (b.table * market.odds)[live]
 
 
+def _delta_se(probs, payoffs, beta, n):
+    """The delta-method standard error of an estimate of ``n`` samples."""
+    if beta == 0.0:
+        mean = float(np.sum(probs * np.log2(payoffs)))
+        return math.sqrt(float(np.sum(probs * (np.log2(payoffs) - mean) ** 2)) / n)
+    mean = float(np.sum(probs * payoffs**beta))
+    sd = math.sqrt(float(np.sum(probs * payoffs ** (2 * beta))) - mean**2)
+    return sd / (math.sqrt(n) * abs(beta) * math.log(2.0) * mean)
+
+
 @pytest.mark.parametrize("case", list(OUTCOME_CASES))
 class TestMonteCarloOverOutcomes:
     def test_deterministic(self, case):
         market, b, _ = OUTCOME_CASES[case]
         first, again = (simulate_growth(market, b, 5000, seed=3) for _ in range(2))
         np.testing.assert_array_equal(first.log_wealth, again.log_wealth)
-        assert estimate_ubeta(market, b, 0.5, 5000, 3) == _cold_estimate(market, b, 0.5, 5000, 3)
+        assert estimate_ubeta(market, b, 0.5, 5000, 3) == estimate_ubeta(market, b, 0.5, 5000, 3)
         assert np.all(np.isfinite(first.log_wealth))  # the impossible cell is never drawn
 
     def test_zero_beta_is_the_simulated_growth_rate(self, case):
         market, b, _ = OUTCOME_CASES[case]
         for seed in range(3):
-            rate = simulate_growth(market, b, 10**5, seed).final_rate
-            assert estimate_ubeta(market, b, 0.0, 10**5, seed) == pytest.approx(rate, rel=1e-10)
+            traj = simulate_growth(market, b, 10**5, seed)
+            assert traj.estimate_ubeta(0.0) == pytest.approx(traj.final_rate, rel=1e-10)
 
     @pytest.mark.parametrize("beta", [-2.0, -0.5, 0.0, 0.5])
     def test_within_four_standard_errors_of_the_utility(self, case, beta):
         market, b, utility = OUTCOME_CASES[case]
         n = 20000
         exact = utility(market, b, beta)
-        probs, payoffs = _outcome_moments(case)
-        if beta == 0.0:
-            se = math.sqrt(np.sum(probs * (np.log2(payoffs) - exact) ** 2) / n)
-        else:
-            mean = 2.0 ** (beta * exact)
-            sd = math.sqrt(np.sum(probs * payoffs ** (2 * beta)) - mean**2)
-            se = sd / math.sqrt(n) / (abs(beta) * mean * math.log(2.0))
+        se = _delta_se(*_outcome_moments(case), beta, n)
         for seed in range(12):
             assert abs(estimate_ubeta(market, b, beta, n, seed) - exact) < 4.0 * se
 
-    def test_limits_are_the_extreme_payoffs_drawn(self, case):
+    def test_limits_are_the_extreme_payoffs_sampled(self, case):
         market, b, utility = OUTCOME_CASES[case]
         for beta in (math.inf, -math.inf):
             assert estimate_ubeta(market, b, beta, 5000, seed=4) == utility(market, b, beta)
@@ -841,7 +845,7 @@ class TestStreamingMonteCarlo:
                 expected = reference_log_wealth(market, b, n, seed)
                 assert traj.log_wealth.tobytes() == expected.tobytes()
                 for beta in (-2.0, -0.5, 0.5, 3.0):
-                    est = estimate_ubeta(market, b, beta, n, seed)
+                    est = traj.estimate_ubeta(beta)
                     assert not math.isnan(est)
                     assert est == pytest.approx(reference_ubeta(market, b, beta, n, seed), rel=1e-12)
 
@@ -913,15 +917,14 @@ class TestStreamingMonteCarlo:
     def test_results_do_not_depend_on_the_chunk_size(self, monkeypatch):
         n = 1000
         cases = list(_streaming_cases())[:6]
-        expected = [
-            (simulate_growth(mk, b, n, 5).log_wealth, _cold_estimate(mk, b, -0.5, n, 5))
-            for mk, b in cases
-        ]
+        expected = [simulate_growth(mk, b, n, 5) for mk, b in cases]
         for chunk in (1, 3, 7, 64):
             monkeypatch.setattr(oracle, "_MC_CHUNK", chunk)
-            for (mk, b), (traj, est) in zip(cases, expected):
-                assert simulate_growth(mk, b, n, 5).log_wealth.tobytes() == traj.tobytes()
-                assert _cold_estimate(mk, b, -0.5, n, 5) == est
+            for (mk, b), first in zip(cases, expected):
+                traj = simulate_growth(mk, b, n, 5)
+                assert traj.log_wealth.tobytes() == first.log_wealth.tobytes()
+                assert traj.counts.tobytes() == first.counts.tobytes()
+                assert traj.estimate_ubeta(-0.5) == first.estimate_ubeta(-0.5)
 
     def test_memory_is_bounded_by_the_chunk(self):
         market = new_race([0.5, 0.3, 0.2], [2, 4, 8])
@@ -975,12 +978,30 @@ class TestStreamingMonteCarlo:
         for seed in (np.int64(7), np.uint64(7)):
             traj = simulate_growth(MARKET_B, b, np.int32(50), seed)
             assert traj.log_wealth.tobytes() == reference_log_wealth(MARKET_B, b, 50, 7).tobytes()
-            assert estimate_ubeta(MARKET_B, b, 0.5, np.int64(50), seed) == pytest.approx(
+            assert traj.estimate_ubeta(0.5) == pytest.approx(
                 reference_ubeta(MARKET_B, b, 0.5, 50, 7), rel=1e-12
             )
+            est = estimate_ubeta(MARKET_B, b, 0.5, np.int64(50), seed)
+            assert est == estimate_ubeta(MARKET_B, b, 0.5, 50, 7)
         top = 2**128 - 1
         traj = simulate_growth(MARKET_B, b, 50, top)
         assert traj.log_wealth.tobytes() == reference_log_wealth(MARKET_B, b, 50, top).tobytes()
+        counts = np.random.Generator(np.random.Philox(key=top)).multinomial(50, MARKET_B.probs)
+        assert estimate_ubeta(MARKET_B, b, 0.0, 50, top) == pytest.approx(
+            float(np.sum(counts * np.log2(b.bets * MARKET_B.odds))) / 50, rel=1e-12
+        )
+
+    def test_the_count_bound_starts_no_draw(self, monkeypatch):
+        def must_not_draw(*args, **kwargs):
+            raise AssertionError("drew a stream past the count bound")
+
+        monkeypatch.setattr(oracle, "_draws", must_not_draw)
+        monkeypatch.setattr(np.random, "Philox", must_not_draw)
+        for n in (2**63, 2**64, 10**30):
+            with pytest.raises(NotEvaluableError, match="in \\[1, 2\\*\\*63\\)"):
+                simulate_growth(MARKET_B, kelly(MARKET_B), n, 1)
+            with pytest.raises(NotEvaluableError, match="in \\[1, 2\\*\\*63\\)"):
+                estimate_ubeta(MARKET_B, kelly(MARKET_B), 0.5, n, 1)
 
 
 def _counting_draws(monkeypatch) -> list:
@@ -996,80 +1017,155 @@ def _counting_draws(monkeypatch) -> list:
     return calls
 
 
-SHARED_BETAS = (-math.inf, -2.0, -0.5, 0.0, 0.5, 3.0, math.inf)
+class _Multinomials(np.random.Generator):
+    """A ``np.random.Generator`` that logs each multinomial vector it draws."""
+
+    drawn: list = []
+
+    def multinomial(self, n, pvals, size=None):
+        counts = super().multinomial(n, pvals, size)
+        self.drawn.append(counts)
+        return counts
 
 
-class TestSharedDraw:
-    def test_reused_counts_give_the_cold_estimate_bit_for_bit(self):
+def _recorded_multinomials(monkeypatch) -> list:
+    """Build every ``np.random.Generator`` as a :class:`_Multinomials`; returns its log."""
+    monkeypatch.setattr(_Multinomials, "drawn", [])
+    monkeypatch.setattr(np.random, "Generator", _Multinomials)
+    return _Multinomials.drawn
+
+
+class TestTrajectoryEstimate:
+    def test_matches_the_reference_over_its_own_races(self):
         chunk = oracle._MC_CHUNK
         cases = list(_streaming_cases())
         cases += [(market, b) for market, b, _ in OUTCOME_CASES.values()]
         for i, (market, b) in enumerate(cases):
+            probs, bets, odds, cash = strategy._outcomes(market, b)
+            with np.errstate(divide="ignore"):  # a zero bet pays 0
+                log2_payoffs = np.log2(bets * odds if cash is None else cash + bets * odds)
             for n in (1, chunk - 1, chunk, chunk + 1, 2 * chunk):
                 seed = 300 + i
-                simulate_growth(market, b, n, seed)
-                warm = np.array([estimate_ubeta(market, b, beta, n, seed) for beta in SHARED_BETAS])
-                cold = np.array([_cold_estimate(market, b, beta, n, seed) for beta in SHARED_BETAS])
-                assert warm.tobytes() == cold.tobytes()
+                traj = simulate_growth(market, b, n, seed)
+                drawn = log2_payoffs[traj.counts > 0]
+                assert traj.estimate_ubeta(math.inf) == drawn.max()
+                assert traj.estimate_ubeta(-math.inf) == drawn.min()
+                if not isinstance(b, Allocation):
+                    continue  # the reference takes a full bet on a race
+                for beta in (-2.0, -0.5, 0.5, 3.0):
+                    expected = reference_ubeta(market, b, beta, n, seed)
+                    assert traj.estimate_ubeta(beta) == pytest.approx(expected, rel=1e-12)
 
     def test_a_simulation_and_its_estimates_draw_once(self, monkeypatch):
         calls = _counting_draws(monkeypatch)
-        b, other = kelly(MARKET_B), new_race([0.5, 0.5], [2, 2])
-        traj = simulate_growth(MARKET_B, b, 1000, 3)
-        for beta in (-0.5, 0.0, 2.0):
-            estimate_ubeta(MARKET_B, b, beta, 1000, 3)
-        assert len(calls) == 1
-        estimate_ubeta(MARKET_B, b, 0.5, 1001, 3)
-        estimate_ubeta(MARKET_B, b, 0.5, 1000, 4)
-        estimate_ubeta(other, kelly(other), 0.5, 1000, 3)
-        assert len(calls) == 4
-        simulate_growth(MARKET_B, b, 1000, 3)
-        simulate_growth(other, kelly(other), 1000, 3)  # takes the one slot
-        estimate_ubeta(MARKET_B, b, 0.5, 1000, 3)
-        assert len(calls) == 7
-        # a replay draws the stream again but does not take the slot
-        simulate_growth(other, kelly(other), 1000, 3)
-        traj.log_wealth
-        list(traj.chunks())
-        estimate_ubeta(other, kelly(other), 0.5, 1000, 3)
-        assert len(calls) == 10
-
-    def test_a_stream_drawn_after_the_last_chunk_leaves_the_trajectory_its_counts(
-        self, monkeypatch
-    ):
-        # another stream drawn between a simulation's last chunk and its return, as a
-        # second thread may draw one, takes the slot but not the trajectory's counts
-        fold, other = oracle._log_wealth_chunks, new_race([0.5, 0.5], [2, 2])
-
-        def then_another_stream(*args):
-            yield from fold(*args)
-            estimate_ubeta(other, kelly(other), 0.5, 777, 9)
-
-        monkeypatch.setattr(oracle, "_log_wealth_chunks", then_another_stream)
-        market = new_race([0.5, 0.3, 0.2], [2, 4, 8])
-        traj = simulate_growth(market, kelly(market), 1000, 3)
-        expected = np.bincount(reference_winners(market, 1000, 3), minlength=market.m)
-        assert traj._counts.tobytes() == expected.tobytes()
-        warm = estimate_ubeta(market, kelly(market), 0.5, 1000, 3)
-        assert warm == _cold_estimate(market, kelly(market), 0.5, 1000, 3)
-
-    def test_bets_on_the_same_outcomes_share_a_draw(self, monkeypatch):
-        bets = [
-            Allocation([0.7, 0.3]),
-            Allocation([0.2, 0.8]),
-            PartialAllocation(0.5, [0.3, 0.2]),
-        ]
-        cold = [_cold_estimate(MARKET_B, b, 0.5, 5000, 6) for b in bets]
-        calls = _counting_draws(monkeypatch)
-        simulate_growth(MARKET_B, bets[0], 5000, 6)
-        warm = [estimate_ubeta(MARKET_B, b, 0.5, 5000, 6) for b in bets]
-        assert len(calls) == 1
-        assert warm == cold
-        assert len(set(warm)) == 3
-
-    def test_reused_counts_skip_no_check(self):
         b = kelly(MARKET_B)
-        simulate_growth(MARKET_B, b, 1, 1)  # True == 1 and 1.0 == 1 would match its key
+        traj = simulate_growth(MARKET_B, b, 1000, 3)
+        for beta in SHARED_BETAS:
+            traj.estimate_ubeta(beta)
+            estimate_ubeta(MARKET_B, b, beta, 1000, 3)  # draws counts, not races
+        assert len(calls) == 1
+
+    def test_checks_beta(self):
+        traj = simulate_growth(MARKET_B, kelly(MARKET_B), 100, 3)
+        for beta in (math.nan, 1e7, -1e7):
+            with pytest.raises(BetaOutOfRangeError):
+                traj.estimate_ubeta(beta)
+
+    def test_allocates_nothing_per_race(self):
+        market = new_race([0.5, 0.3, 0.2], [2, 4, 8])
+        traj = simulate_growth(market, Allocation([0.5, 0.3, 0.2]), 2 * 10**6, seed=1)
+        tracemalloc.start()
+        try:
+            traj.estimate_ubeta(0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**10  # one chunk's buffers alone are 3 x 128 KB
+
+
+class TestMultinomialEstimate:
+    def test_counts_sum_to_n(self, monkeypatch):
+        drawn = _recorded_multinomials(monkeypatch)
+        for market, b, _ in OUTCOME_CASES.values():
+            for n in (1, 7, 10**6, 10**12, 2**63 - 1):
+                estimate_ubeta(market, b, 0.5, n, seed=n % 97)
+                assert drawn[-1].dtype == np.int64 and int(drawn[-1].sum()) == n
+                assert np.all(drawn[-1] >= 0)
+
+    def test_an_impossible_outcome_is_never_sampled(self, monkeypatch):
+        # horse 2 never wins and the cell (1, 0) is impossible: the bet puts nothing on
+        # either, so drawing one at beta < 0 would make the estimate -inf
+        market = new_side_info([[0.3, 0.2, 0.0], [0.0, 0.5, 0.0]], [2.5, 2.5, 9.0])
+        b = ConditionalAllocation([[0.6, 0.4, 0.0], [0.0, 1.0, 0.0]])
+        drawn = _recorded_multinomials(monkeypatch)
+        for seed in range(50):
+            assert math.isfinite(estimate_ubeta(market, b, -0.5, 10**12, seed))
+            assert drawn[-1].size == 3  # the live cells
+        assert math.isfinite(simulate_growth(market, b, 10**4, 0).final_log2_wealth)
+
+    def test_estimates_follow_the_delta_method_law(self):
+        # 400 seeds at n = 10^6: each estimate's z-score against the exact utility,
+        # with the 3-SE band of the delta method; 0.27% fall outside by chance
+        n, seeds = 10**6, range(400)
+        for case, (market, b, utility) in OUTCOME_CASES.items():
+            probs, payoffs = _outcome_moments(case)
+            for beta in (-2.0, 0.0, 0.5):
+                se = _delta_se(probs, payoffs, beta, n)
+                exact = utility(market, b, beta)
+                z = np.array([estimate_ubeta(market, b, beta, n, s) - exact for s in seeds]) / se
+                assert np.mean(np.abs(z) > 3.0) <= 0.01
+                assert abs(z.mean()) < 0.2 and 0.85 < z.std() < 1.15
+
+    def test_estimates_read_the_seeds_multinomial_counts(self):
+        # bets on the same outcomes read the same counts, each at its own payoffs
+        bets = [Allocation([0.7, 0.3]), Allocation([0.2, 0.8]), PartialAllocation(0.5, [0.3, 0.2])]
+        counts = np.random.Generator(np.random.Philox(key=6)).multinomial(5000, MARKET_B.probs)
+        values = []
+        for b in bets:
+            payoffs = b.bets * MARKET_B.odds + (b.cash if isinstance(b, PartialAllocation) else 0)
+            expected = math.log2(float(np.sum(counts * np.sqrt(payoffs))) / 5000) / 0.5
+            values.append(estimate_ubeta(MARKET_B, b, 0.5, 5000, 6))
+            assert values[-1] == pytest.approx(expected, rel=1e-12)
+        assert len(set(values)) == 3
+
+    def test_a_trillion_samples_take_milliseconds_and_o_m_memory(self):
+        for m in (3, 1000):
+            market = random_market(np.random.default_rng(m), m)
+            b = Allocation(np.full(m, 1.0 / m))
+            estimate_ubeta(market, b, 0.5, 10, seed=1)  # one-time allocations
+            tracemalloc.start()
+            try:
+                start = time.perf_counter()
+                estimate_ubeta(market, b, 0.5, 10**12, seed=1)
+                elapsed = time.perf_counter() - start
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert elapsed < 0.25  # about 50 us at m = 3; a race a ns would take 17 minutes
+            assert peak < 4096 + 64 * m
+
+    def test_no_side_info_table_makes_numpy_refuse_its_pmf(self):
+        # numpy refuses a PMF whose first m - 1 entries sum past 1 + 1e-12; tables whose
+        # entries span the double range, sum to 1 +- 1e-9, or have 10^4 live cells
+        rng = np.random.default_rng(36)
+        tables = []
+        for shape in ((1, 2), (2, 3), (7, 5), (100, 100), (3, 3000)):
+            for _ in range(5):
+                joint = rng.dirichlet(np.full(shape[0] * shape[1], 0.05)).reshape(shape)
+                joint[rng.random(shape) < 0.3] = 0.0
+                joint[:, 0] += 1e-300  # every signal keeps a live cell
+                tables.append(joint / joint.sum() * (1.0 + rng.uniform(-1e-9, 1e-9)))
+        tables.append(np.array([[1.0 - 3e-10, 1e-300], [2e-10, 1e-10]]))
+        tables.append(np.full((100, 100), 1e-4 * (1.0 + 9e-10)))
+        for joint in tables:
+            m = joint.shape[1]  # a bet of 1/m at odds m pays 1 on every cell
+            market = new_side_info(joint, np.full(m, float(m)))
+            b = ConditionalAllocation(np.full(joint.shape, 1.0 / m))
+            for seed in range(3):
+                assert estimate_ubeta(market, b, 0.5, 10**9, seed) == pytest.approx(0.0, abs=1e-12)
+
+    def test_checks_run_in_order(self):
+        b = kelly(MARKET_B)
         for beta in (math.nan, 1e7):
             with pytest.raises(BetaOutOfRangeError):
                 estimate_ubeta(MARKET_B, b, beta, 1, 1)
@@ -1083,19 +1179,6 @@ class TestSharedDraw:
         for seed in (-1, 2**128, 1.0):
             with pytest.raises(NotEvaluableError, match="seed"):
                 estimate_ubeta(MARKET_B, b, 0.5, 1, seed)
-
-    def test_reused_counts_allocate_nothing_per_race(self):
-        market = new_race([0.5, 0.3, 0.2], [2, 4, 8])
-        b = Allocation([0.5, 0.3, 0.2])
-        n = 2 * 10**6
-        simulate_growth(market, b, n, seed=1)
-        tracemalloc.start()
-        try:
-            estimate_ubeta(market, b, 0.5, n, seed=1)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 64 * 2**10  # a cold draw's buffers alone are 3 x 128 KB
 
 
 def _bucket_edge_words(market):
@@ -1142,12 +1225,12 @@ class TestBucketEdges:
         traj = simulate_growth(market, b, n, seed)
         assert np.float64(traj.final_log2_wealth).tobytes() == expected[-1].tobytes()
         drawn = reference_winners(market, n, seed) if winners is None else winners
-        assert traj._counts.tobytes() == np.bincount(drawn, minlength=market.m).tobytes()
+        assert traj.counts.tobytes() == np.bincount(drawn, minlength=market.m).tobytes()
         assert traj.log_wealth.tobytes() == expected.tobytes()
         assert np.concatenate(list(traj.chunks())).tobytes() == expected.tobytes()
         for beta in (-0.5, 0.5, 3.0):
             reference = reference_ubeta(market, b, beta, n, seed, winners)
-            assert _cold_estimate(market, b, beta, n, seed) == pytest.approx(reference, rel=1e-12)
+            assert traj.estimate_ubeta(beta) == pytest.approx(reference, rel=1e-12)
 
     def test_split_bucket_edges_match_the_reference(self, monkeypatch):
         for market, b in _bucket_edge_cases()[:-1]:  # the last splits most buckets
