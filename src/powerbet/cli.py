@@ -335,17 +335,18 @@ def cmd_simulate(args) -> tuple[dict, int]:
         raise _CommandError(2, f"--output cannot be written: {exc}")
     with sink as fh:
         traj = oracle.simulate_growth(market, alloc, args.n, args.seed)
-        # a chunk at a time, so neither the trajectory nor its text is ever held in memory
+        # a chunk at a time, so neither the trajectory nor its text is ever held in memory;
+        # the summary reports the last row written, the serial sum, not the library's fsum
         fh.write("race,cum_log2_wealth\n")
         seen = 0
         for rows in traj.chunks():
             fh.write("".join(f"{i},{value!r}\n" for i, value in enumerate(rows.tolist(), seen + 1)))
-            seen += rows.size
+            seen, final = seen + rows.size, float(rows[-1])
 
-    rate = traj.final_rate
+    rate = final / args.n
     # Each race adds its outcome's log2 payoff, so the increments' moments come from
-    # the outcome counts; a ruined wealth has no band.  A band below the serial sum's
-    # worst-case rounding of final / n, n eps max |step|, is reported but not judged.
+    # the outcome counts; a ruined wealth has no band.  A band below the worst-case
+    # rounding of the serial rate it judges, n eps max |step|, is reported but not judged.
     band, judged = None, False
     if math.isfinite(rate) and args.n > 1:
         drawn = traj.counts > 0
@@ -361,7 +362,7 @@ def cmd_simulate(args) -> tuple[dict, int]:
         "n_races": args.n,
         "seed": args.seed,
         "allocation": {"type": "full", "bets": _floats(alloc.bets)},
-        "final_log2_wealth": traj.final_log2_wealth,
+        "final_log2_wealth": final,
         "empirical_rate_bits": rate,
         "clt_band_3se_bits": band,
         "theoretical_doubling_rate_bits": theoretical,

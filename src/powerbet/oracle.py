@@ -35,13 +35,13 @@ bit-identical whatever the chunk size.  Each race takes one raw 64-bit word,
 which an integer inverse CDF maps to the outcome numpy's uniform from the same
 word would pick.  The word's top 12 bits are its bucket (fewer for short streams,
 more for many outcomes); a bucket holding no CDF threshold has one outcome, so its
-races take their log2 payoffs in one gather and are counted by a bucket histogram.
-Only the words in split buckets are searched, however many: 46% at 10^4 spread
-outcomes, where a simulation takes 1.08-1.13 times as long as searching all.  A
-trajectory keeps no per-race array: it holds its final wealth and the O(outcomes) PMF,
-log2 payoffs and outcome counts, and replays its races from the seed a chunk at a time
-when asked, so it takes O(chunk + outcomes) memory for any number of races.  At 2 to 8
-outcomes a simulated race costs 20-24 ns, close to 60% of it Philox and the cumsum.  A
+races are counted by a bucket histogram, and only the words in split buckets are
+searched, however many (46% at 10^4 spread outcomes).  A simulation only counts: its
+final log2 wealth is the ``math.fsum`` of each drawn outcome's count times its log2 payoff.
+A trajectory keeps no per-race array: it holds that and the O(outcomes) PMF, log2 payoffs
+and counts, and replays its races from the seed a chunk at a time, a gather by bucket and
+a running sum, so it takes O(chunk + outcomes) memory for any number of races.  At 2 to 8
+outcomes a simulated race costs 8-13 ns, about half of it the Philox draw.  A
 ``U_beta`` estimate reads only the outcome counts, so it draws them and no races: one
 Multinomial(n, PMF) vector by conditional binomials (Devroye 1986), O(outcomes) for any n.
 """
@@ -132,11 +132,12 @@ class KktReport:
 class WealthTrajectory:
     """Cumulative log2 wealth over a seeded sequence of races.
 
-    It holds the final log2 wealth and, apart from ``__eq__`` and ``repr``, the bet's
-    outcome PMF, log2 payoffs and ``counts``, how often each outcome was drawn (read-only),
-    so its memory is O(outcomes) however many races it covers.  :meth:`chunks` replays the
-    races from the seed in O(chunk) memory; ``log_wealth`` replays them into one array of 8
-    bytes per race, built when it is first read and kept.
+    ``final_log2_wealth`` is the ``math.fsum`` of each outcome's count times its log2 payoff;
+    apart from ``__eq__`` and ``repr`` it also holds the bet's outcome PMF, log2 payoffs and
+    ``counts``, each outcome's draws (read-only), so its memory is O(outcomes) however many races
+    it covers.  :meth:`chunks` replays the races from the seed in O(chunk) memory and ``log_wealth``
+    into one array of 8 bytes per race, built on first read and kept, both as serial running
+    sums, whose last entry is within ``1.5 n eps max|entry|`` of the final wealth.
     """
 
     n_races: int
@@ -172,7 +173,17 @@ class WealthTrajectory:
         return out
 
     def _replay(self) -> Iterator[np.ndarray]:
-        return _log_wealth_chunks(_draws(self._probs, self.n_races, self.seed, self._increments))
+        """Cumulative log2 wealth, a chunk at a time in a buffer the next chunk overwrites."""
+        guide, _, chunks = _draws(self._probs, self.n_races, self.seed)
+        table, carry = self._increments.take(guide), 0.0  # split buckets: overwritten
+        steps = np.empty(min(_MC_CHUNK, self.n_races))
+        for key, where, won in chunks:
+            step = table.take(key, out=steps[: key.size], mode="clip")
+            step[where] = self._increments[won]
+            step[0] += carry  # before the running sum, so each entry rounds as one long cumsum
+            np.cumsum(step, out=step)
+            carry = step[-1]
+            yield step
 
 
 def _grid_blocks(grid: GridSpec, offsets=None, heads=None) -> Iterator[np.ndarray]:
@@ -432,10 +443,10 @@ def _check_stream(n: int, seed: int, unit: str) -> None:
         raise NotEvaluableError(f"seed must be an integer in [0, 2**128), got {seed!r}")
 
 
-def _draws(probs: np.ndarray, n: int, seed: int, values: np.ndarray, counts=None) -> Iterator:
-    """Draw ``n`` seeded races from the PMF ``probs``, ``_MC_CHUNK`` at a time, yielding each
-    chunk's ``values`` entries of its outcomes in a buffer the next chunk overwrites; after
-    the last, add each outcome's count into ``counts``, if given, and freeze it.
+def _draws(probs: np.ndarray, n: int, seed: int) -> tuple[np.ndarray, np.ndarray, Iterator]:
+    """Draw ``n`` seeded races from the PMF ``probs``, ``_MC_CHUNK`` at a time: returns each
+    bucket's outcome, whether a threshold splits it, and the chunks, each yielding its races'
+    buckets, the split ones' positions and searched outcomes, in buffers the next overwrites.
 
     Raw 64-bit words come from one Philox stream that successive chunks continue, so outcomes
     do not depend on the chunk size.  numpy's Philox uniform is ``u = (word >> 11) * 2^-53``,
@@ -460,16 +471,13 @@ def _draws(probs: np.ndarray, n: int, seed: int, values: np.ndarray, counts=None
     padded = np.full(thresholds.size + (1 << steps), 1 << 53, dtype=np.int64)  # never crossed
     padded[: thresholds.size] = thresholds
     probes = [(s, padded[(1 << s) - 1 :]) for s in reversed(range(steps))]
-    table = values.take(guide)  # split buckets: overwritten
-    hist = np.zeros(nb, np.int64)
 
-    keys, reads, hits = (np.empty(min(_MC_CHUNK, n), t) for t in (np.uint64, float, bool))
+    keys, hits = (np.empty(min(_MC_CHUNK, n), t) for t in (np.uint64, bool))
     scratch, out = np.empty((2, min(_MC_CHUNK, n)), np.int64)
 
-    def draw(words: np.ndarray) -> np.ndarray:
+    def draw(words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # indices are in range: "clip" changes none, and writes to out= without a temporary
         key = np.right_shift(words, 64 - bits, out=keys[: words.size]).view(np.int64)
-        read = table.take(key, out=reads[: words.size], mode="clip")
         where = np.flatnonzero(split.take(key, out=hits[: words.size], mode="clip"))
         x = np.right_shift(words[where], 11).view(np.int64)
         won, tmp, hit = out[: x.size], scratch[: x.size], hits[: x.size]
@@ -477,46 +485,37 @@ def _draws(probs: np.ndarray, n: int, seed: int, values: np.ndarray, counts=None
         for s, probe in probes:
             np.less_equal(probe.take(won, out=tmp, mode="clip"), x, out=hit)
             won += np.left_shift(hit, s, out=tmp) if s else hit
-        if counts is not None:
-            np.add(hist, np.bincount(key, minlength=nb), out=hist)
-            np.add.at(counts, won, 1)
-        read[where] = values[won]
-        return read
+        return key, where, won
 
-    for i in range(0, n, _MC_CHUNK):
-        yield draw(bitgen.random_raw(min(_MC_CHUNK, n - i)))  # no word outlives its chunk
-    if counts is not None:  # the weighted bincount is exact below 2^53 races
-        counts += np.bincount(guide, np.where(split, 0, hist), probs.size).astype(np.int64)
-        counts.flags.writeable = False
-
-
-def _log_wealth_chunks(steps: Iterator[np.ndarray]) -> Iterator[np.ndarray]:
-    """Cumulative log2 wealth over chunks of log2 payoffs, each summed in place."""
-    carry = 0.0
-    for step in steps:
-        step[0] += carry  # before the running sum, so each entry rounds as one long cumsum
-        np.cumsum(step, out=step)
-        carry = step[-1]
-        yield step
+    sizes = (min(_MC_CHUNK, n - i) for i in range(0, n, _MC_CHUNK))
+    return guide, split, (draw(bitgen.random_raw(k)) for k in sizes)  # no word outlives its chunk
 
 
 def simulate_growth(
     market: RaceMarket | SideInfoMarket, b: _Bet, n_races: int, seed: int
 ) -> WealthTrajectory:
-    """Simulate repeated betting, each race drawing one outcome of the bet, in one
-    pass of O(chunk) memory.
+    """Simulate repeated betting, each race drawing one outcome of the bet, in one pass of
+    O(chunk) memory that only counts the outcomes, for :meth:`WealthTrajectory.estimate_ubeta`.
 
-    Identical (market, allocation, n, seed) inputs reproduce the trajectory
-    bit for bit.  An outcome paying 0 sends the wealth to ``-inf`` and it
-    stays there.  The pass counts the outcomes, for :meth:`WealthTrajectory.estimate_ubeta`.
+    Identical (market, allocation, n, seed) inputs reproduce the trajectory bit for bit.  The
+    final log2 wealth is the ``math.fsum`` of each drawn outcome's count times its log2 payoff,
+    whatever the race order or chunk size: ``-inf`` once an outcome paying 0 is drawn, and
+    never NaN, as an outcome not drawn is left out.
     """
     probs, bets, odds, cash = _outcomes(market, b)
     _check_stream(n_races, seed, "race")
     increments = _power_mean_read(probs, bets, odds, cash, math.inf)  # the log2 payoffs
-    counts = np.zeros(probs.size, np.int64)
-    for chunk in _log_wealth_chunks(_draws(probs, n_races, seed, increments, counts)):
-        final = chunk[-1]
-    return WealthTrajectory(n_races, seed, float(final), probs, increments, counts)
+    guide, split, chunks = _draws(probs, n_races, seed)
+    hist, counts = np.zeros(guide.size, np.int64), np.zeros(probs.size, np.int64)
+    for key, _, won in chunks:
+        hist += np.bincount(key, minlength=guide.size)
+        np.add.at(counts, won, 1)
+    # the weighted bincount is exact below 2^53 races
+    counts += np.bincount(guide, np.where(split, 0, hist), probs.size).astype(np.int64)
+    counts.flags.writeable = False
+    drawn = counts > 0  # an undrawn zero payoff adds no 0 * -inf
+    final = math.fsum((counts[drawn] * increments[drawn]).tolist())
+    return WealthTrajectory(n_races, seed, final, probs, increments, counts)
 
 
 def _ubeta(counts: np.ndarray, log2_payoffs: np.ndarray, beta: float) -> float:

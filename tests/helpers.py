@@ -194,8 +194,11 @@ def reference_winners(market: RaceMarket, n: int, seed: int) -> np.ndarray:
 def winner_chunks(probs: np.ndarray, n: int, seed: int):
     """The outcome of each of ``n`` seeded races as ``oracle._draws`` draws them, in fresh
     arrays of at most ``oracle._MC_CHUNK``: a bucket's outcome, or the searched one."""
-    for read in oracle._draws(probs, n, seed, np.arange(probs.size, dtype=float)):
-        yield read.astype(np.intp)
+    guide, _, chunks = oracle._draws(probs, n, seed)
+    for key, where, won in chunks:
+        drawn = guide[key]
+        drawn[where] = won
+        yield drawn
 
 
 def reference_log_wealth(
@@ -206,6 +209,19 @@ def reference_log_wealth(
     winners = reference_winners(market, n, seed) if winners is None else winners
     with np.errstate(divide="ignore"):
         return np.cumsum(np.log2(b.bets[winners] * market.odds[winners]))
+
+
+def reference_final(
+    market: RaceMarket, b: Allocation, n: int, seed: int, winners=None
+) -> float:
+    """Reference final log2 wealth: ``math.fsum`` of each drawn outcome's count times its log2
+    payoff, of the ``winners`` given or else those of :func:`reference_winners`."""
+    winners = reference_winners(market, n, seed) if winners is None else winners
+    counts = np.bincount(winners, minlength=market.m)
+    drawn = counts > 0
+    with np.errstate(divide="ignore"):
+        log2_payoffs = np.log2(b.bets * market.odds)
+    return math.fsum((counts[drawn] * log2_payoffs[drawn]).tolist())
 
 
 def reference_ubeta(

@@ -2,6 +2,7 @@ import math
 import time
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from helpers import (
     compositions,
     random_market,
     random_subfair_market,
+    reference_final,
     reference_grid_argmax,
     reference_grid_values,
     reference_log_wealth,
@@ -63,6 +65,7 @@ EDGE_GRID_BETAS = (-1e-4, 1e-4, -(1 + 1e-4) * 2.0**-10, (1 + 1e-4) * 2.0**-10, -
 EDGE_GRID_BETAS += (-5e-324, 5e-324, 1e-310, 1e-301)
 # every regime of a Monte Carlo estimate: the limits, the far form either side of 0, Kelly
 SHARED_BETAS = (-math.inf, -2.0, -0.5, 0.0, 0.5, 3.0, math.inf)
+EPS = np.finfo(float).eps
 
 
 class TestGridSpec:
@@ -653,8 +656,11 @@ class TestWealthTrajectory:
         for n in (1, chunk - 1, chunk, 2 * chunk + 3):
             traj = simulate_growth(MARKET_B, b, n, seed=9)
             expected = reference_log_wealth(MARKET_B, b, n, 9)
-            assert np.float64(traj.final_log2_wealth).tobytes() == expected[-1].tobytes()
-            rate = np.float64(float(expected[-1]) / n)  # the rate read off the whole array
+            final = reference_final(MARKET_B, b, n, 9)
+            assert np.float64(traj.final_log2_wealth).tobytes() == np.float64(final).tobytes()
+            # the serial running sum ends within its rounding of the exact final
+            assert abs(expected[-1] - final) <= n * EPS * np.max(np.abs(expected))
+            rate = np.float64(final / n)
             assert np.float64(traj.final_rate).tobytes() == rate.tobytes()
             chunks = list(traj.chunks())
             assert max(c.size for c in chunks) <= chunk
@@ -676,6 +682,51 @@ class TestWealthTrajectory:
         assert traj != simulate_growth(MARKET_B, b, 100, seed=4)
         final = traj.final_log2_wealth
         assert repr(traj) == f"WealthTrajectory(n_races=100, seed=3, final_log2_wealth={final!r})"
+
+
+class TestFinalWealth:
+    def test_is_the_exact_sum_rounded_once_per_term(self):
+        cases = list(_streaming_cases()) + [(mk, b) for mk, b, _ in OUTCOME_CASES.values()]
+        for i, (market, b) in enumerate(cases):
+            probs, bets, odds, cash = strategy._outcomes(market, b)
+            with np.errstate(divide="ignore"):  # a zero bet pays 0
+                log2_payoffs = np.log2(bets * odds if cash is None else cash + bets * odds)
+            for n in (1, 1000, 3 * oracle._MC_CHUNK + 7):
+                traj = simulate_growth(market, b, n, seed=60 + i)
+                final, counts = traj.final_log2_wealth, traj.counts
+                drawn = counts > 0
+                if np.any(log2_payoffs[drawn] == -math.inf):
+                    assert final == -math.inf
+                    continue
+                pairs = list(zip(counts[drawn].tolist(), log2_payoffs[drawn].tolist()))
+                exact = sum(Fraction(c) * Fraction(x) for c, x in pairs)
+                slack = sum(Fraction(math.ulp(c * x)) / 2 for c, x in pairs)
+                assert abs(Fraction(final) - exact) <= slack + Fraction(math.ulp(final)) / 2
+
+    def test_does_not_depend_on_the_chunk_size(self, monkeypatch):
+        n, cases = oracle._MC_CHUNK + 5, list(_streaming_cases())[:6]
+        expected = [simulate_growth(mk, b, n, 8).final_log2_wealth for mk, b in cases]
+        for chunk in (1, 3, 1 << 14):
+            monkeypatch.setattr(oracle, "_MC_CHUNK", chunk)
+            for (mk, b), final in zip(cases, expected):
+                again = simulate_growth(mk, b, n, 8).final_log2_wealth
+                assert np.float64(again).tobytes() == np.float64(final).tobytes()
+
+    def test_a_zero_payoff_counts_only_once_drawn(self):
+        ruin = simulate_growth(MARKET_B, Allocation([1.0, 0.0]), 200, seed=5)
+        assert ruin.counts[1] > 0
+        assert ruin.final_log2_wealth == -math.inf and ruin.final_rate == -math.inf
+        # the second horse's CDF threshold is 2^53, which no word reaches: never drawn
+        market = new_race([1.0, 1e-300], [2.0, 2.0])
+        traj = simulate_growth(market, Allocation([1.0, 0.0]), 1000, seed=5)
+        assert traj.counts.tolist() == [1000, 0]
+        assert traj.final_log2_wealth == 1000.0 and not math.isnan(traj.final_rate)
+
+    def test_bookie_mix_rate_is_log_c_at_a_million_races(self):
+        market = new_race([0.5, 0.3, 0.2], [2, 4, 8])
+        r = Allocation([4 / 7, 2 / 7, 1 / 7])
+        traj = simulate_growth(market, r, 10**6, seed=3)
+        assert traj.final_rate == pytest.approx(math.log2(track_constant(market)), rel=1e-14)
 
 
 class TestEstimateUbeta:
@@ -1223,7 +1274,9 @@ class TestBucketEdges:
     def check(self, market, b, n, seed, winners=None):
         expected = reference_log_wealth(market, b, n, seed, winners)
         traj = simulate_growth(market, b, n, seed)
-        assert np.float64(traj.final_log2_wealth).tobytes() == expected[-1].tobytes()
+        final = reference_final(market, b, n, seed, winners)
+        assert np.float64(traj.final_log2_wealth).tobytes() == np.float64(final).tobytes()
+        assert abs(expected[-1] - final) <= n * EPS * np.max(np.abs(expected))
         drawn = reference_winners(market, n, seed) if winners is None else winners
         assert traj.counts.tobytes() == np.bincount(drawn, minlength=market.m).tobytes()
         assert traj.log_wealth.tobytes() == expected.tobytes()
