@@ -29,21 +29,21 @@ is blocked or pruned.
 The Monte Carlo oracles take every allocation kind and draw the outcomes of its
 bet: the horses of a full or partial allocation, and the (signal, horse) cells
 of positive probability of a conditional one, each paying what the utilities'
-outcome map says.  They stream too: outcomes are drawn ``_MC_CHUNK`` races at a
-time from one Philox stream, which continues across chunks, so every result is
-bit-identical whatever the chunk size.  Each race takes one raw 64-bit word,
-which an integer inverse CDF maps to the outcome numpy's uniform from the same
-word would pick.  The word's top 12 bits are its bucket (fewer for short streams,
-more for many outcomes); a bucket holding no CDF threshold has one outcome, so its
-races are counted by a bucket histogram, and only the words in split buckets are
-searched, however many (46% at 10^4 spread outcomes).  A simulation only counts: its
-final log2 wealth is the ``math.fsum`` of each drawn outcome's count times its log2 payoff.
-A trajectory keeps no per-race array: it holds that and the O(outcomes) PMF, log2 payoffs
-and counts, and replays its races from the seed a chunk at a time, a gather by bucket and
-a running sum, so it takes O(chunk + outcomes) memory for any number of races.  At 2 to 8
-outcomes a simulated race costs 8-13 ns, about half of it the Philox draw.  A
-``U_beta`` estimate reads only the outcome counts, so it draws them and no races: one
-Multinomial(n, PMF) vector by conditional binomials (Devroye 1986), O(outcomes) for any n.
+outcome map says.  A simulation of ``n`` races is a run of blocks of
+``_block_races(m)`` races (the last one shorter), which depends only on the number
+of outcomes ``m``.  A block's outcome counts are one Multinomial(block, PMF) draw by
+conditional binomials (Devroye 1986, ch. XI) from the seed's first jumped Philox
+stream, and its races are those outcomes in a uniformly random order, one shuffle
+from the second: counts drawn so and then ordered at random have exactly the law
+of i.i.d. races.  A simulation only counts: it sums the blocks' counts, many blocks
+to one numpy call, in O(outcomes) memory and O(outcomes) work a block, and its final
+log2 wealth is the ``math.fsum`` of each outcome's count times its log2 payoff.  A
+trajectory keeps no per-race array: it holds that and the O(outcomes) PMF, log2
+payoffs and counts, and replays its races from the seed a block at a time (counts,
+shuffle, gather, running sum), so it takes O(block + outcomes) memory for any number
+of races.  A ``U_beta`` estimate reads only the outcome counts, so it draws them and
+no races: one Multinomial(n, PMF) vector from the seed's own Philox stream, O(outcomes)
+for any n.
 """
 
 from __future__ import annotations
@@ -73,13 +73,12 @@ MAX_GRID_POINTS = 10**7
 # 2^18-cell blocks 1.5x slower unless an earlier large free had raised the
 # threshold.  Freeing several 128 KB temporaries per chunk still let glibc
 # trim the heap and fault them in again (68 page faults per 2^14-race chunk,
-# 12 instead of 8 ns per race), so the sampler reuses its buffers.
+# 12 instead of 8 ns per race).  A replay's block, up to 2^18 races, is one such
+# temporary per block: its faults cost some 0.5 ns a race, its shuffle 12-16.
 _BLOCK_CELLS = 1 << 14
 _MC_CHUNK = 1 << 14
 _SEED_BOUND = 1 << 128  # Philox keys are 128-bit
 _COUNT_BOUND = 1 << 63  # outcome counts are int64
-_GUIDE_BITS = 14  # the outcome sampler's guide table has at most 2^14 entries (128 KB)
-_BUCKET_BITS = 12  # and at least 2^12, one bucket per entry, once races outnumber them 4 to 1
 _GAP_TOL = 1e-10  # the largest certifying _certificate gap, in nats per max(1, |1 - beta|)
 
 
@@ -135,9 +134,10 @@ class WealthTrajectory:
     ``final_log2_wealth`` is the ``math.fsum`` of each outcome's count times its log2 payoff;
     apart from ``__eq__`` and ``repr`` it also holds the bet's outcome PMF, log2 payoffs and
     ``counts``, each outcome's draws (read-only), so its memory is O(outcomes) however many races
-    it covers.  :meth:`chunks` replays the races from the seed in O(chunk) memory and ``log_wealth``
-    into one array of 8 bytes per race, built on first read and kept, both as serial running
-    sums, whose last entry is within ``1.5 n eps max|entry|`` of the final wealth.
+    it covers.  :meth:`chunks` replays the races from the seed, a block at a time, in
+    O(block + outcomes) memory and ``log_wealth`` into one array of 8 bytes per race, built on
+    first read and kept, both as serial running sums, whose last entry is within
+    ``1.5 n eps max|entry|`` of the final wealth.
     """
 
     n_races: int
@@ -159,8 +159,8 @@ class WealthTrajectory:
         return _ubeta(self.counts, self._increments, _check_beta(beta))
 
     def chunks(self) -> Iterator[np.ndarray]:
-        """The entries of ``log_wealth`` in order, as fresh arrays of at most
-        ``_MC_CHUNK`` races each."""
+        """The entries of ``log_wealth`` in order, as fresh arrays of at most ``_MC_CHUNK``
+        races each, none spanning two blocks."""
         return (c.copy() for c in self._replay())
 
     @cached_property
@@ -173,17 +173,19 @@ class WealthTrajectory:
         return out
 
     def _replay(self) -> Iterator[np.ndarray]:
-        """Cumulative log2 wealth, a chunk at a time in a buffer the next chunk overwrites."""
-        guide, _, chunks = _draws(self._probs, self.n_races, self.seed)
-        table, carry = self._increments.take(guide), 0.0  # split buckets: overwritten
-        steps = np.empty(min(_MC_CHUNK, self.n_races))
-        for key, where, won in chunks:
-            step = table.take(key, out=steps[: key.size], mode="clip")
-            step[where] = self._increments[won]
-            step[0] += carry  # before the running sum, so each entry rounds as one long cumsum
-            np.cumsum(step, out=step)
-            carry = step[-1]
-            yield step
+        """Cumulative log2 wealth, a chunk at a time in a buffer of one block's races, which
+        the next block's replaces: its counts drawn again, as log2 payoffs in a shuffled order."""
+        counts, order = _stream(self.seed, 1), _stream(self.seed, 2)
+        n, size, carry = self.n_races, _block_races(self._probs.size), 0.0
+        for lo in range(0, n, size):
+            races = self._increments.repeat(counts.multinomial(min(size, n - lo), self._probs))
+            order.shuffle(races)
+            for i in range(0, races.size, _MC_CHUNK):
+                step = races[i : i + _MC_CHUNK]
+                step[0] += carry  # before the running sum, so each entry rounds as one long cumsum
+                np.cumsum(step, out=step)
+                carry = step[-1]
+                yield step
 
 
 def _grid_blocks(grid: GridSpec, offsets=None, heads=None) -> Iterator[np.ndarray]:
@@ -443,75 +445,40 @@ def _check_stream(n: int, seed: int, unit: str) -> None:
         raise NotEvaluableError(f"seed must be an integer in [0, 2**128), got {seed!r}")
 
 
-def _draws(probs: np.ndarray, n: int, seed: int) -> tuple[np.ndarray, np.ndarray, Iterator]:
-    """Draw ``n`` seeded races from the PMF ``probs``, ``_MC_CHUNK`` at a time: returns each
-    bucket's outcome, whether a threshold splits it, and the chunks, each yielding its races'
-    buckets, the split ones' positions and searched outcomes, in buffers the next overwrites.
+def _block_races(m: int) -> int:
+    """Races per block of a simulation of ``m`` outcomes: 64 or more per outcome, so a block's
+    O(m) counts cost a few ns a race, within 2^14 to 2^18, as larger shuffles miss the cache."""
+    return 1 << min(18, max(14, (m - 1).bit_length() + 6))
 
-    Raw 64-bit words come from one Philox stream that successive chunks continue, so outcomes
-    do not depend on the chunk size.  numpy's Philox uniform is ``u = (word >> 11) * 2^-53``,
-    and the outcome is the number of inner CDF bounds ``<= u``: a bound is crossed exactly when
-    ``word >> 11`` reaches its integer threshold ``ceil(bound * 2^53)``, never if it rounds to
-    ``>= 1`` in ``cumsum``.  A word's key is its bucket, its top ``_BUCKET_BITS`` bits (fewer
-    for fewer races, more for more outcomes, up to ``_GUIDE_BITS``); a guide table counts the
-    thresholds at or below each bucket's start (Chen & Asau 1974, "indexed search"), the
-    outcome of a bucket no threshold splits.  Words in split buckets, however many,
-    take a branchless binary search from their guide entry, of as many steps as needed.
-    """
-    bitgen = np.random.Philox(key=int(seed))
-    thresholds = np.ceil(np.cumsum(probs)[:-1] * 2.0**53).astype(np.int64)
-    bits = min(_BUCKET_BITS, (int(n) >> 3).bit_length())  # 4 to 8 races a bucket, when fewer
-    bits = min(_GUIDE_BITS, max(bits, (probs.size - 1).bit_length() + 3))
-    shift, nb = 53 - bits, 1 << bits
-    starts = np.arange(nb + 1, dtype=np.int64) << shift
-    guide = np.searchsorted(thresholds, starts, side="right")
-    steps = int(np.max(np.diff(guide))).bit_length()  # covers the fullest bucket
-    # a bucket is split when a threshold lies after its start and before the next bucket's
-    split, guide = np.searchsorted(thresholds, starts[1:]) > guide[:-1], guide[:-1]
-    padded = np.full(thresholds.size + (1 << steps), 1 << 53, dtype=np.int64)  # never crossed
-    padded[: thresholds.size] = thresholds
-    probes = [(s, padded[(1 << s) - 1 :]) for s in reversed(range(steps))]
 
-    keys, hits = (np.empty(min(_MC_CHUNK, n), t) for t in (np.uint64, bool))
-    scratch, out = np.empty((2, min(_MC_CHUNK, n)), np.int64)
-
-    def draw(words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # indices are in range: "clip" changes none, and writes to out= without a temporary
-        key = np.right_shift(words, 64 - bits, out=keys[: words.size]).view(np.int64)
-        where = np.flatnonzero(split.take(key, out=hits[: words.size], mode="clip"))
-        x = np.right_shift(words[where], 11).view(np.int64)
-        won, tmp, hit = out[: x.size], scratch[: x.size], hits[: x.size]
-        guide.take(np.right_shift(x, shift, out=tmp), out=won, mode="clip")
-        for s, probe in probes:
-            np.less_equal(probe.take(won, out=tmp, mode="clip"), x, out=hit)
-            won += np.left_shift(hit, s, out=tmp) if s else hit
-        return key, where, won
-
-    sizes = (min(_MC_CHUNK, n - i) for i in range(0, n, _MC_CHUNK))
-    return guide, split, (draw(bitgen.random_raw(k)) for k in sizes)  # no word outlives its chunk
+def _stream(seed: int, jumps: int) -> np.random.Generator:
+    """The seed's Philox stream advanced ``jumps * 2^128`` draws, ``Philox.jumped(jumps)``:
+    0 for a cold estimate, 1 for a simulation's block counts, 2 for its races' order."""
+    return np.random.Generator(np.random.Philox(counter=[0, 0, jumps, 0], key=int(seed)))
 
 
 def simulate_growth(
     market: RaceMarket | SideInfoMarket, b: _Bet, n_races: int, seed: int
 ) -> WealthTrajectory:
-    """Simulate repeated betting, each race drawing one outcome of the bet, in one pass of
-    O(chunk) memory that only counts the outcomes, for :meth:`WealthTrajectory.estimate_ubeta`.
+    """Simulate repeated betting, each race drawing one outcome of the bet, from each block's
+    outcome counts, summed in O(outcomes) memory, for :meth:`WealthTrajectory.estimate_ubeta`.
 
     Identical (market, allocation, n, seed) inputs reproduce the trajectory bit for bit.  The
-    final log2 wealth is the ``math.fsum`` of each drawn outcome's count times its log2 payoff,
-    whatever the race order or chunk size: ``-inf`` once an outcome paying 0 is drawn, and
-    never NaN, as an outcome not drawn is left out.
+    blocks' counts are drawn many at a time, by numpy's array-``n`` multinomial, which draws
+    its rows in turn, as the replay's one-block calls do.  The final log2 wealth is the
+    ``math.fsum`` of each drawn outcome's count times its log2 payoff, whatever the race order
+    or block size: ``-inf`` once an outcome paying 0 is drawn, and never NaN, as an outcome not
+    drawn is left out.
     """
     probs, bets, odds, cash = _outcomes(market, b)
     _check_stream(n_races, seed, "race")
     increments = _power_mean_read(probs, bets, odds, cash, math.inf)  # the log2 payoffs
-    guide, split, chunks = _draws(probs, n_races, seed)
-    hist, counts = np.zeros(guide.size, np.int64), np.zeros(probs.size, np.int64)
-    for key, _, won in chunks:
-        hist += np.bincount(key, minlength=guide.size)
-        np.add.at(counts, won, 1)
-    # the weighted bincount is exact below 2^53 races
-    counts += np.bincount(guide, np.where(split, 0, hist), probs.size).astype(np.int64)
+    stream, size = _stream(seed, 1), _block_races(probs.size)
+    counts = np.zeros(probs.size, np.int64)
+    step = size * max(1, _BLOCK_CELLS // probs.size)  # races per call: at most 2^14 counts
+    for lo in range(0, n_races, step):
+        sizes = np.minimum(size, n_races - np.arange(lo, min(lo + step, n_races), size))
+        counts += stream.multinomial(sizes, probs).sum(axis=0)
     counts.flags.writeable = False
     drawn = counts > 0  # an undrawn zero payoff adds no 0 * -inf
     final = math.fsum((counts[drawn] * increments[drawn]).tolist())
@@ -538,12 +505,13 @@ def estimate_ubeta(
     smallest log2 payoff drawn at ``beta = +-inf``.
 
     The mean of ``S^beta`` is taken over per-outcome counts, one Multinomial(``n_samples``,
-    outcome PMF) vector from the seed's Philox stream, in O(outcomes) time and memory for any
-    ``n_samples`` below 2**63: the law of ``n_samples`` independent races, but not the races
-    :func:`simulate_growth` draws from that seed (:meth:`WealthTrajectory.estimate_ubeta`).
+    outcome PMF) vector from the seed's own Philox stream, in O(outcomes) time and memory for
+    any ``n_samples`` below 2**63: the law of ``n_samples`` independent races, but drawn apart
+    from the races :func:`simulate_growth` draws from that seed
+    (:meth:`WealthTrajectory.estimate_ubeta`).
     """
     beta = _check_beta(beta)
     probs, bets, odds, cash = _outcomes(market, b)
     _check_stream(n_samples, seed, "sample")
-    counts = np.random.Generator(np.random.Philox(key=int(seed))).multinomial(n_samples, probs)
+    counts = _stream(seed, 0).multinomial(n_samples, probs)
     return _ubeta(counts, _power_mean_read(probs, bets, odds, cash, math.inf), beta)

@@ -183,22 +183,18 @@ def reference_grid_argmax(probs, beta: float, grid, payoffs, chunk_rows: int = 1
 
 
 def reference_winners(market: RaceMarket, n: int, seed: int) -> np.ndarray:
-    """Reference winner draw: all ``n`` Philox uniforms at once, inverse CDF by
-    ``searchsorted``."""
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    u = rng.random(n)
-    cdf = np.cumsum(market.probs)
-    return np.minimum(np.searchsorted(cdf, u, side="right"), market.m - 1)
-
-
-def winner_chunks(probs: np.ndarray, n: int, seed: int):
-    """The outcome of each of ``n`` seeded races as ``oracle._draws`` draws them, in fresh
-    arrays of at most ``oracle._MC_CHUNK``: a bucket's outcome, or the searched one."""
-    guide, _, chunks = oracle._draws(probs, n, seed)
-    for key, where, won in chunks:
-        drawn = guide[key]
-        drawn[where] = won
-        yield drawn
+    """Reference race draw, all ``n`` races at once: blocks of ``oracle._block_races(m)``
+    races, the last one shorter, each taking its outcome counts from one ``multinomial`` call
+    on ``Philox(key=seed).jumped()``, in turn, and its order from one ``shuffle`` of those
+    outcomes, ``np.repeat``-ed, on ``Philox(key=seed).jumped(2)``."""
+    m, size = market.m, oracle._block_races(market.m)
+    counts, order = (np.random.Generator(np.random.Philox(key=seed).jumped(k)) for k in (1, 2))
+    blocks = []
+    for lo in range(0, n, size):
+        races = np.repeat(np.arange(m), counts.multinomial(min(size, n - lo), market.probs))
+        order.shuffle(races)
+        blocks.append(races)
+    return np.concatenate(blocks)
 
 
 def reference_log_wealth(

@@ -846,28 +846,28 @@ class TestSimulate:
             assert code == 0
 
     # sha256 of stdout with --output, of the CSV, and of stdout without --output;
-    # the CSVs are pinned from the code that held the whole trajectory in memory,
-    # the summaries from the band taken from the outcome counts
+    # each CSV was checked against the text of the one-shot reference in helpers
+    # before it was pinned, the summaries come from the band of the outcome counts
     PINNED = {
         2**14 - 1: (
-            "99b08702b4569ecccdc633dcb72b7c33b24f285d685fe437db26795655eaf2cd",
-            "9335fa7607d675830cd752488e8decc9f061c760e91e7e89fe0424fe178ce653",
-            "f196c11c7dbb413035ab92cfe4b1f727d57c05c518a640bc7793905548eb36b0",
+            "3bcb4ea1e3b0a0f79d4b54b95a260d7c7146475048ae185752a09697a702f5c5",
+            "90a2be09e86ee567b4eb5594bd34b05a2121f41c63ffe7667c5307fc5dae0003",
+            "26a74a995fee19c71889bb342bd9543e58be265fd8f3673c65afe1f1f3a95213",
         ),
         2**14: (
-            "ae006aa42660b87f84a24e17009e9628545871636bcda976d13b8aa3fcf1d9c2",
-            "b98c72366827d20258e4e0c034e985d54b3e27f735f7d30ee921adec2e0255c2",
-            "c2ce7160339327c47f4d1fc534a76c67b2ee467baeeb71763ecb6b1a162c1978",
+            "4408d791aa5834abc5c92cceedbfce0b776e8c80f16837ec921444375a99ced8",
+            "02388a194b3b020eaee397466781a8affde91b38f275aabba3e39d6363d8725b",
+            "27b67bc97e955c7d37830a8f5de13031dd6dc8f319b4b74db59df3953ecc87ed",
         ),
         2**16 + 1: (
-            "b2c71161dcd249d81be45692b7a6bb64477b0ca68fcdfaf9219bc741dcb068d5",
-            "bc4234fb32a105be0c0cc887d35c44ee1bc6020f805d77ddda2bb51310d36362",
-            "cf9750459efedf1dc00b593a2ca9527413f9bd2dc5740f93085bbba7fd8b9011",
+            "e7a3c4b2800a6e158c2bcd57843a6cb66083786de3d9016074db861aa210537f",
+            "803c784f13ae4812a164af6b0f5e18a62a220017ec8770a937e99d17eb02ffc2",
+            "45fb537b59b57acf106988cc94d23c47945012a45eb50b9490c1e80524130453",
         ),
         3 * 2**16 + 5: (
-            "9cf5ad448ba27bd6a7cacd6ea8fbc75b751f3edb81772edea9ce25a6f4836501",
-            "315d2f5b0b0dd6fd40c73826d155334f7f8f569bbf007bb90fc34116403f1ad1",
-            "bf9029f581fa96522f9a039b0058273ee0c4021997c6f76405e75e4cefd6ee63",
+            "a47a2e8dcf27ec4e3611c8b9285ae1f955742b1ae2691a236fe9a1d157ece03d",
+            "00cf5c000028a785c6bddc04cedd28bd83749b45c098a689d85af01a6ae7e0b6",
+            "d1f21c8d332ec230b95a5be05ac0271b8527c719d3e959fe64103050ebad58bf",
         ),
     }
 
@@ -946,19 +946,19 @@ class TestSimulate:
             else:
                 assert doc["within_band"] is None
 
-    def test_one_simulate_replays_the_races_twice(self, capsys, monkeypatch, fair_spec, tmp_path):
+    def test_one_simulate_replays_the_races_once(self, capsys, monkeypatch, fair_spec, tmp_path):
         calls = []
-        draw = cli.oracle._draws
+        stream = cli.oracle._stream
 
-        def counting(*args):
-            calls.append(args)
-            return draw(*args)
+        def logging(seed, jumps):
+            calls.append(jumps)
+            return stream(seed, jumps)
 
-        monkeypatch.setattr(cli.oracle, "_draws", counting)
+        monkeypatch.setattr(cli.oracle, "_stream", logging)
         code = main(["simulate", fair_spec, "-n", "1000", "--output", str(tmp_path / "traj.csv")])
         capsys.readouterr()
         assert code == 0
-        assert len(calls) == 2
+        assert calls == [1, 1, 2]  # the counts, then one replay: the counts again and the order
 
     def test_closed_stdout_exits_1_without_a_traceback(self, fair_spec):
         src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))

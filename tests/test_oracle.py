@@ -46,7 +46,6 @@ from helpers import (
     reference_log_wealth,
     reference_ubeta,
     reference_winners,
-    winner_chunks,
 )
 
 MARKET_B = new_race([0.6, 0.4], [2, 2])
@@ -703,14 +702,14 @@ class TestFinalWealth:
                 slack = sum(Fraction(math.ulp(c * x)) / 2 for c, x in pairs)
                 assert abs(Fraction(final) - exact) <= slack + Fraction(math.ulp(final)) / 2
 
-    def test_does_not_depend_on_the_chunk_size(self, monkeypatch):
-        n, cases = oracle._MC_CHUNK + 5, list(_streaming_cases())[:6]
-        expected = [simulate_growth(mk, b, n, 8).final_log2_wealth for mk, b in cases]
-        for chunk in (1, 3, 1 << 14):
-            monkeypatch.setattr(oracle, "_MC_CHUNK", chunk)
-            for (mk, b), final in zip(cases, expected):
-                again = simulate_growth(mk, b, n, 8).final_log2_wealth
-                assert np.float64(again).tobytes() == np.float64(final).tobytes()
+    def test_does_not_depend_on_how_many_blocks_one_call_draws(self, monkeypatch):
+        n, cases = 20 * oracle._block_races(3) + 5, list(_streaming_cases())[:6]
+        expected = [simulate_growth(mk, b, n, 8) for mk, b in cases]
+        for cells in (1, 40, 1 << 14):  # a block per call, then 40 // m, then all
+            monkeypatch.setattr(oracle, "_BLOCK_CELLS", cells)
+            for (mk, b), first in zip(cases, expected):
+                again = simulate_growth(mk, b, n, 8)
+                assert again == first and again.counts.tobytes() == first.counts.tobytes()
 
     def test_a_zero_payoff_counts_only_once_drawn(self):
         ruin = simulate_growth(MARKET_B, Allocation([1.0, 0.0]), 200, seed=5)
@@ -859,30 +858,15 @@ def _streaming_cases():
             yield new_race(probs / probs.sum(), market.odds), Allocation(np.full(m, 1.0 / m))
 
 
-def _fixed_words(words):
-    """A stand-in for ``np.random.Philox`` whose raw stream is ``words``: each
-    generator built replays them from the start, as a counter-based stream
-    replays its words for the same key."""
-
-    class FixedWords:
-        def __init__(self, key):
-            self.stream = iter(words)
-
-        def random_raw(self, k):
-            return np.fromiter(self.stream, dtype=np.uint64, count=k)
-
-    return FixedWords
-
-
 def _clustered(m, tiny):
-    """A race whose ``m - 3`` tiny probabilities pile their CDF bounds up at
-    0.3 and 0.5, so hundreds or thousands of thresholds share a guide bucket."""
+    """A race whose ``m - 3`` tiny probabilities sit between 0.3, 0.2 and 0.5, so the
+    counts of most outcomes are one binomial draw of a near-zero chance each."""
     half = (m - 3) // 2
     probs = [0.3, *[tiny] * half, 0.2, *[tiny] * (m - 3 - half), 0.5]
     return new_race(probs, np.full(m, 2.0))
 
 
-# cumsum puts the third bound at 1 + 2^-52, above the total
+# cumsum puts the third CDF bound at 1 + 2^-52, above the total
 _BOUND_ABOVE_ONE = new_race([0.63, 0.298, 0.072, 1e-300], [2.0] * 4)
 
 
@@ -900,36 +884,17 @@ class TestStreamingMonteCarlo:
                     assert not math.isnan(est)
                     assert est == pytest.approx(reference_ubeta(market, b, beta, n, seed), rel=1e-12)
 
-    def test_uniforms_on_a_cdf_bound_pick_the_next_horse(self, monkeypatch):
-        # dyadic probabilities put the CDF bounds exactly on doubles
-        market = new_race([0.125, 0.125, 0.125, 0.125, 0.5], [2.0, 3.0, 5.0, 7.0, 11.0])
-        b = Allocation([0.2] * 5)
-        cdf = np.cumsum(market.probs)
-        u = np.concatenate([[0.0], cdf[:-1], np.nextafter(cdf, 0.0)])
-        # Philox's uniform is (word >> 11) * 2^-53, so floor(u * 2^53) << 11
-        # keeps each uniform in its CDF cell, whatever the low 11 bits hold
-        words = (u * 2.0**53).astype(np.uint64) << np.uint64(11)
-        words = np.concatenate([words, words | np.uint64(0x7FF)])
-        u = np.concatenate([u, u])
-        monkeypatch.setattr(oracle, "_MC_CHUNK", 3)
-        monkeypatch.setattr(np.random, "Philox", _fixed_words(words))
-        traj = simulate_growth(market, b, u.size, seed=0)
-        winners = np.minimum(np.searchsorted(cdf, u, side="right"), market.m - 1)
-        expected = np.cumsum(np.log2(b.bets * market.odds)[winners])
-        assert traj.log_wealth.tobytes() == expected.tobytes()
-
-    def test_philox_words_give_numpys_uniforms(self):
-        # the sampler compares raw words with integer thresholds, relying on
-        # numpy building each Philox double as (word >> 11) * 2^-53
+    def test_streams_are_the_seeds_jumped_philox_streams(self):
+        # cold estimates, block counts and race orders each read their own Philox stream,
+        # 2^128 draws apart, whatever the seed
         for seed in (0, 7, 2**64 + 3, 2**128 - 1):
-            raw = np.random.Philox(key=seed)
-            rng = np.random.Generator(np.random.Philox(key=seed))
-            for k in (1, 5, 1000):  # successive draws continue the stream
-                u = (raw.random_raw(k) >> np.uint64(11)) * 2.0**-53
-                assert u.tobytes() == rng.random(k).tobytes()
+            for jumps in (0, 1, 2):
+                raw = np.random.Philox(key=seed).jumped(jumps).random_raw(5)
+                stream = oracle._stream(seed, jumps).bit_generator
+                assert raw.tobytes() == stream.random_raw(5).tobytes()
 
-    def test_winners_match_the_reference_bit_for_bit(self):
-        chunk = oracle._MC_CHUNK
+    def test_paths_match_the_reference_bit_for_bit(self):
+        size = oracle._block_races
         cases = [
             new_race([1.0], [2.0]),
             new_race([0.6, 0.4], [2.0, 2.0]),
@@ -941,29 +906,13 @@ class TestStreamingMonteCarlo:
         rng = np.random.default_rng(11)
         cases += [random_market(rng, m) for m in (2, 5, 8, 100, 10**4)]
         for i, market in enumerate(cases):
-            for n in (1, chunk - 1, chunk, chunk + 1, 2 * chunk):
+            b = Allocation(rng.dirichlet(np.ones(market.m)))
+            block = size(market.m)
+            for n in (1, block - 1, block, block + 1, 2 * block):
                 seed = 500 + i + n
-                chunks = winner_chunks(market.probs, n, seed)
-                drawn = np.concatenate([c.copy() for c in chunks])  # each overwrites the last
-                assert drawn.tobytes() == reference_winners(market, n, seed).tobytes()
-
-    def test_words_on_every_threshold_pick_the_reference_winner(self, monkeypatch):
-        # the word at each integer threshold and the one just below it, with
-        # and without low bits, and the stream's extremes; clustered bounds
-        # put thousands of thresholds in one guide bucket
-        for market in (_BOUND_ABOVE_ONE, _clustered(10**4, 1e-300), _clustered(1000, 2.0**-50)):
-            bounds = np.cumsum(market.probs)
-            thresholds = np.ceil(np.minimum(bounds, 1.0) * 2.0**53).astype(np.uint64)
-            ends = np.array([0, 2**53 - 1], dtype=np.uint64)
-            x = np.concatenate([thresholds, np.maximum(thresholds, 1) - np.uint64(1), ends])
-            x = np.minimum(x, ends[1])
-            words = np.concatenate([x << np.uint64(11), (x << np.uint64(11)) | np.uint64(0x7FF)])
-            monkeypatch.setattr(np.random, "Philox", _fixed_words(words))
-            chunks = winner_chunks(market.probs, words.size, 0)
-            drawn = np.concatenate([c.copy() for c in chunks])
-            u = (words >> np.uint64(11)) * 2.0**-53
-            expected = np.minimum(np.searchsorted(bounds, u, side="right"), market.m - 1)
-            assert drawn.tobytes() == expected.tobytes()
+                traj = simulate_growth(market, b, n, seed)
+                expected = reference_log_wealth(market, b, n, seed)
+                assert traj.log_wealth.tobytes() == expected.tobytes()
 
     def test_results_do_not_depend_on_the_chunk_size(self, monkeypatch):
         n = 1000
@@ -1046,7 +995,7 @@ class TestStreamingMonteCarlo:
         def must_not_draw(*args, **kwargs):
             raise AssertionError("drew a stream past the count bound")
 
-        monkeypatch.setattr(oracle, "_draws", must_not_draw)
+        monkeypatch.setattr(oracle, "_stream", must_not_draw)
         monkeypatch.setattr(np.random, "Philox", must_not_draw)
         for n in (2**63, 2**64, 10**30):
             with pytest.raises(NotEvaluableError, match="in \\[1, 2\\*\\*63\\)"):
@@ -1054,17 +1003,49 @@ class TestStreamingMonteCarlo:
             with pytest.raises(NotEvaluableError, match="in \\[1, 2\\*\\*63\\)"):
                 estimate_ubeta(MARKET_B, kelly(MARKET_B), 0.5, n, 1)
 
+    def test_a_billion_races_take_o_m_memory(self):
+        market = random_market(np.random.default_rng(5), 5)
+        b = Allocation(np.full(5, 0.2))
+        simulate_growth(market, b, 10, seed=1)  # one-time allocations
+        tracemalloc.start()
+        try:
+            traj = simulate_growth(market, b, 10**9, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert int(traj.counts.sum()) == 10**9
+        assert peak < 2**20  # one word per race took about 7 s
 
-def _counting_draws(monkeypatch) -> list:
-    """Stand in for ``_draws`` with a wrapper that logs each draw's
-    (PMF, n, seed)."""
-    calls, draw = [], oracle._draws
+    def test_replay_memory_is_bounded_by_the_block(self):
+        m = 1000  # blocks of 2^16 races, four chunks each
+        market, size = random_market(np.random.default_rng(6), m), oracle._block_races(m)
+        b, peaks = Allocation(np.full(m, 1.0 / m)), []
+        for n in (2 * size, 3 * size):
+            traj = simulate_growth(market, b, n, seed=2)
+            tracemalloc.start()
+            try:
+                for _ in traj.chunks():
+                    pass
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+        # at a block's edge the last block's payoffs, the next's, and two chunks copied out
+        # of them, the one the loop holds and the next, 8 bytes a race each
+        assert peaks[1] <= 8 * (2 * size + 2 * oracle._MC_CHUNK) + 64 * 2**10
+        assert abs(peaks[1] - peaks[0]) <= 16 * 2**10
 
-    def counting(probs, n, seed, *args):
-        calls.append((probs.tobytes(), n, seed))
-        return draw(probs, n, seed, *args)
 
-    monkeypatch.setattr(oracle, "_draws", counting)
+def _logged_streams(monkeypatch) -> list:
+    """Stand in for ``oracle._stream`` with a wrapper that logs each stream's
+    (seed, jumps)."""
+    calls, stream = [], oracle._stream
+
+    def logging(seed, jumps):
+        calls.append((seed, jumps))
+        return stream(seed, jumps)
+
+    monkeypatch.setattr(oracle, "_stream", logging)
     return calls
 
 
@@ -1108,13 +1089,14 @@ class TestTrajectoryEstimate:
                     assert traj.estimate_ubeta(beta) == pytest.approx(expected, rel=1e-12)
 
     def test_a_simulation_and_its_estimates_draw_once(self, monkeypatch):
-        calls = _counting_draws(monkeypatch)
+        calls = _logged_streams(monkeypatch)
         b = kelly(MARKET_B)
         traj = simulate_growth(MARKET_B, b, 1000, 3)
         for beta in SHARED_BETAS:
             traj.estimate_ubeta(beta)
             estimate_ubeta(MARKET_B, b, beta, 1000, 3)  # draws counts, not races
-        assert len(calls) == 1
+        # the block counts once, no race order, and each cold estimate its own counts
+        assert calls == [(3, 1)] + [(3, 0)] * len(SHARED_BETAS)
 
     def test_checks_beta(self):
         traj = simulate_growth(MARKET_B, kelly(MARKET_B), 100, 3)
@@ -1232,83 +1214,109 @@ class TestMultinomialEstimate:
                 estimate_ubeta(MARKET_B, b, 0.5, 1, seed)
 
 
-def _bucket_edge_words(market):
-    """Raw words at the first and last ``word >> 11`` of every bucket, of every width the
-    sampler may take, that a CDF threshold splits, at each threshold and just below it, each
-    with and without low bits."""
-    top = 1 << 53
-    thresholds = np.ceil(np.cumsum(market.probs)[:-1] * 2.0**53).astype(np.int64)
-    x = [thresholds, thresholds - 1]
-    for bits in range(oracle._GUIDE_BITS + 1):
-        width = top >> bits
-        split = np.unique(thresholds[(thresholds < top) & (thresholds % width != 0)] // width)
-        x += [split * width, (split + 1) * width - 1]
-    x = np.concatenate(x)
-    x = np.unique(np.clip(x, 0, top - 1)).astype(np.uint64) << np.uint64(11)
-    return np.concatenate([x, x | np.uint64(0x7FF)])
-
-
-def _word_winners(market, words):
-    """The reference outcome of each raw word: numpy's uniform from it, inverse CDF."""
-    u = (words >> np.uint64(11)) * 2.0**-53
-    return np.minimum(np.searchsorted(np.cumsum(market.probs), u, side="right"), market.m - 1)
-
-
-# thresholds on bucket starts (2^-5 steps start a bucket at every width the sampler takes for
-# 4 outcomes, 5 bits and up), and the same race moved by 2^-53 so that they fall on a
-# bucket's last word and second word
-DYADIC_ON_STARTS = new_race([2.0**-5, 2.0**-5, 0.5 - 2.0**-4, 0.5], [3.0, 5.0, 2.5, 1.5])
-DYADIC_OFF_STARTS = new_race(
-    [2.0**-5 - 2.0**-53, 2.0**-5 + 2.0**-52, 0.5 - 2.0**-4 - 2.0**-53, 0.5], [3.0, 5.0, 2.5, 1.5]
-)
-
-
-def _bucket_edge_cases():
+def _block_edge_cases():
     rng = np.random.default_rng(34)
-    markets = [DYADIC_ON_STARTS, DYADIC_OFF_STARTS, _BOUND_ABOVE_ONE]
-    markets += [_clustered(1000, 2.0**-50), _clustered(10**4, 1e-300), random_market(rng, 10**4)]
+    markets = [new_race([1.0], [2.0]), MARKET_B, _BOUND_ABOVE_ONE, _clustered(1000, 2.0**-50)]
+    markets += [_clustered(10**4, 1e-300), random_market(rng, 10**4)]
     return [(market, Allocation(rng.dirichlet(np.ones(market.m)))) for market in markets]
 
 
-class TestBucketEdges:
-    def check(self, market, b, n, seed, winners=None):
-        expected = reference_log_wealth(market, b, n, seed, winners)
+def _blocks_of(monkeypatch, size):
+    """Make every simulation draw blocks of ``size`` races."""
+    monkeypatch.setattr(oracle, "_block_races", lambda m: size)
+
+
+class TestBlockEdges:
+    def check(self, market, b, n, seed):
+        expected = reference_log_wealth(market, b, n, seed)
         traj = simulate_growth(market, b, n, seed)
-        final = reference_final(market, b, n, seed, winners)
+        final = reference_final(market, b, n, seed)
         assert np.float64(traj.final_log2_wealth).tobytes() == np.float64(final).tobytes()
         assert abs(expected[-1] - final) <= n * EPS * np.max(np.abs(expected))
-        drawn = reference_winners(market, n, seed) if winners is None else winners
+        drawn = reference_winners(market, n, seed)
         assert traj.counts.tobytes() == np.bincount(drawn, minlength=market.m).tobytes()
         assert traj.log_wealth.tobytes() == expected.tobytes()
         assert np.concatenate(list(traj.chunks())).tobytes() == expected.tobytes()
         for beta in (-0.5, 0.5, 3.0):
-            reference = reference_ubeta(market, b, beta, n, seed, winners)
+            reference = reference_ubeta(market, b, beta, n, seed)
             assert traj.estimate_ubeta(beta) == pytest.approx(reference, rel=1e-12)
 
-    def test_split_bucket_edges_match_the_reference(self, monkeypatch):
-        for market, b in _bucket_edge_cases()[:-1]:  # the last splits most buckets
-            edges = _bucket_edge_words(market)
-            assert 0 < edges.size <= 8200  # few enough to replay one race per chunk
-            # the edges alone, then repeated over 2^15 races, which take 2^12 buckets or more
-            for chunk, n in ((1, edges.size), (3, edges.size), (oracle._MC_CHUNK, 1 << 15)):
-                words = np.resize(edges, n)
-                monkeypatch.setattr(np.random, "Philox", _fixed_words(words))
-                monkeypatch.setattr(oracle, "_MC_CHUNK", chunk)
-                self.check(market, b, n, 0, _word_winners(market, words))
+    def test_block_edges_match_the_reference(self, monkeypatch):
+        # each block size with chunks shorter, as long and longer, and runs ending on,
+        # before and after a block's edge
+        for i, (market, b) in enumerate(_block_edge_cases()):
+            for size in (1, 2, 3, 7):
+                _blocks_of(monkeypatch, size)
+                for chunk in (1, 3, oracle._MC_CHUNK):
+                    monkeypatch.setattr(oracle, "_MC_CHUNK", chunk)
+                    for n in (1, size + 1, 3 * size, 3 * size + 2):
+                        self.check(market, b, n, 10 * i + size)
             monkeypatch.undo()
 
-    def test_edges_of_a_race_splitting_most_buckets_match_the_reference(self, monkeypatch):
-        market, b = _bucket_edge_cases()[-1]  # a threshold splits 49% of its 2^14 buckets
-        edges = _bucket_edge_words(market)
-        assert edges.size == 84132
-        for chunk in (1000, oracle._MC_CHUNK):
-            monkeypatch.setattr(np.random, "Philox", _fixed_words(edges))
+    def test_chunks_never_span_a_block(self, monkeypatch):
+        traj = simulate_growth(MARKET_B, Allocation([0.7, 0.3]), 13, seed=1)
+        for size, chunk, sizes in ((5, 3, [3, 2, 3, 2, 3]), (3, 5, [3, 3, 3, 3, 1])):
+            _blocks_of(monkeypatch, size)
             monkeypatch.setattr(oracle, "_MC_CHUNK", chunk)
-            self.check(market, b, edges.size, 0, _word_winners(market, edges))
+            assert [c.size for c in traj.chunks()] == sizes
+        monkeypatch.undo()
+        market, b = _block_edge_cases()[3]  # 1000 outcomes: 2^16 races, 4 chunks a block
+        traj = simulate_growth(market, b, 3 * 2**16 + 5, seed=1)
+        assert [c.size for c in traj.chunks()] == [2**14] * 12 + [5]
 
-    def test_seeded_streams_match_the_reference(self, monkeypatch):
-        default = oracle._MC_CHUNK
-        for i, (market, b) in enumerate(_bucket_edge_cases()):
-            for chunk, n in ((1, 300), (3, 1000), (default, 2 * default + 5)):
-                monkeypatch.setattr(oracle, "_MC_CHUNK", chunk)
+    def test_seeded_streams_match_the_reference(self):
+        for i, (market, b) in enumerate(_block_edge_cases()):
+            size = oracle._block_races(market.m)
+            for n in (300, size + 1, 2 * size + 5):
                 self.check(market, b, n, 40 + i)
+
+
+# full, partial and side-info bets whose payoffs are distinct powers of 2: their log2
+# payoffs are small integers, so every running sum is exact and each step names its outcome
+EXACT_CASES = {
+    "full": (new_race([0.5, 0.3, 0.2], [2.0, 8.0, 32.0]), Allocation([0.5, 0.25, 0.25])),
+    "partial": (
+        new_race([0.5, 0.3, 0.2], [2.0, 12.0, 60.0]),
+        PartialAllocation(0.5, [0.25, 0.125, 0.125]),
+    ),
+    "side_info": (
+        new_side_info([[0.3, 0.1, 0.0], [0.1, 0.2, 0.3]], [4.0, 16.0, 64.0]),
+        ConditionalAllocation([[0.5, 0.5, 0.0], [0.25, 0.25, 0.5]]),
+    ),
+}
+
+
+def _replayed_outcomes(traj, log2_payoffs):
+    """Each replayed race's outcome, read off its exact log2 payoff."""
+    steps = np.diff(traj.log_wealth, prepend=0.0)
+    order = np.argsort(log2_payoffs)
+    found = order[np.searchsorted(log2_payoffs[order], steps)]
+    assert log2_payoffs[found].tobytes() == steps.tobytes()
+    return found
+
+
+class TestBlockLaw:
+    def test_paths_follow_the_product_law(self, monkeypatch):
+        # 4 races over blocks of 3: every one of the 81 paths appears as often as
+        # the product of its outcomes' chances, within 4.5 standard errors
+        _blocks_of(monkeypatch, 3)
+        market, b = EXACT_CASES["full"]
+        log2_payoffs, seeds = np.log2(b.bets * market.odds), 30000
+        paths = np.zeros(3**4, np.int64)
+        for seed in range(seeds):
+            won = _replayed_outcomes(simulate_growth(market, b, 4, seed), log2_payoffs)
+            paths[int(won @ [27, 9, 3, 1])] += 1
+        chances = np.prod(market.probs[np.indices((3,) * 4).reshape(4, -1)], axis=0)
+        se = np.sqrt(seeds * chances * (1.0 - chances))
+        assert np.all(np.abs(paths - seeds * chances) <= 4.5 * se)
+
+    @pytest.mark.parametrize("kind", list(EXACT_CASES))
+    def test_replayed_outcomes_count_to_the_counts(self, kind):
+        market, b = EXACT_CASES[kind]
+        probs, bets, odds, cash = strategy._outcomes(market, b)
+        log2_payoffs = np.log2(bets * odds if cash is None else cash + bets * odds)
+        assert np.unique(log2_payoffs).size == probs.size
+        for n in (1, 1000, 3 * oracle._block_races(probs.size) + 5):
+            traj = simulate_growth(market, b, n, seed=n % 89)
+            won = _replayed_outcomes(traj, log2_payoffs)
+            assert np.bincount(won, minlength=probs.size).tobytes() == traj.counts.tobytes()
