@@ -335,13 +335,13 @@ def cmd_simulate(args) -> tuple[dict, int]:
         raise _CommandError(2, f"--output cannot be written: {exc}")
     with sink as fh:
         traj = oracle.simulate_growth(market, alloc, args.n, args.seed)
-        # a chunk at a time, so neither the trajectory nor its text is ever held in memory;
+        # 2^14 rows a write, so neither the trajectory nor its text is ever held in memory;
         # the summary reports the last row written, the serial sum, not the library's fsum
         fh.write("race,cum_log2_wealth\n")
-        seen = 0
-        for rows in traj.chunks():
-            fh.write("".join(f"{i},{value!r}\n" for i, value in enumerate(rows.tolist(), seen + 1)))
-            seen, final = seen + rows.size, float(rows[-1])
+        seen, rows = 0, 1 << 14
+        for part in (b[lo : lo + rows] for b in traj.chunks() for lo in range(0, b.size, rows)):
+            fh.write("".join(f"{i},{value!r}\n" for i, value in enumerate(part.tolist(), seen + 1)))
+            seen, final = seen + part.size, float(part[-1])
 
     rate = final / args.n
     # Each race adds its outcome's log2 payoff, so the increments' moments come from

@@ -10,8 +10,8 @@ Four kinds of oracle live here:
   so the feasible set carries no floating-point drift,
 * a stationarity / complementary-slackness residual check of a
   partial-investment allocation,
-* seeded Monte Carlo race simulation with a counter-based generator, so
-  the sample stream is a pure function of (seed, race index).
+* seeded Monte Carlo race simulation in blocks of races, each drawn whole from
+  the seed's Philox streams, so a trajectory is a pure function of (outcomes, n, seed).
 
 Full and partial grid searches share one scan that differs only in the
 cash coordinate.  It takes the points in lexicographic order, in numpy blocks
@@ -39,7 +39,7 @@ of i.i.d. races.  A simulation only counts: it sums the blocks' counts, many blo
 to one numpy call, in O(outcomes) memory and O(outcomes) work a block, and its final
 log2 wealth is the ``math.fsum`` of each outcome's count times its log2 payoff.  A
 trajectory keeps no per-race array: it holds that and the O(outcomes) PMF, log2
-payoffs and counts, and replays its races from the seed a block at a time (counts,
+payoffs and counts, and replays its races from the seed one array per block (counts,
 shuffle, gather, running sum), so it takes O(block + outcomes) memory for any number
 of races.  A ``U_beta`` estimate reads only the outcome counts, so it draws them and
 no races: one Multinomial(n, PMF) vector from the seed's own Philox stream, O(outcomes)
@@ -66,17 +66,16 @@ from .strategy import _check_beta, _outcomes, _require
 from .utility import utility_full
 
 MAX_GRID_POINTS = 10**7
-# Grid blocks and Monte Carlo chunks keep each 8-byte temporary at 128 KB.
-# With glibc's default malloc thresholds, larger temporaries go back to the
-# system when freed and fault in again for the next block, which cost 2-2.5x
-# per race for 2^15- or 2^16-race chunks, and made a (200,4) grid scan in
-# 2^18-cell blocks 1.5x slower unless an earlier large free had raised the
-# threshold.  Freeing several 128 KB temporaries per chunk still let glibc
-# trim the heap and fault them in again (68 page faults per 2^14-race chunk,
-# 12 instead of 8 ns per race).  A replay's block, up to 2^18 races, is one such
-# temporary per block: its faults cost some 0.5 ns a race, its shuffle 12-16.
+# Grid blocks and the block counts of one multinomial call keep each 8-byte
+# temporary at 128 KB.  With glibc's default malloc thresholds, larger temporaries
+# go back to the system when freed and fault in again for the next block, which
+# cost an earlier per-race sampler 2-2.5x per race for 2^15- or 2^16-race chunks,
+# and made a (200,4) grid scan in 2^18-cell blocks 1.5x slower unless an earlier
+# large free had raised the threshold.  Freeing several 128 KB temporaries per
+# chunk still let glibc trim the heap and fault them in again (68 page faults per
+# 2^14-race chunk, 12 instead of 8 ns per race).  A replay's block, up to 2^18
+# races, is one larger temporary: its faults cost some 0.5 ns a race, its shuffle 12-16.
 _BLOCK_CELLS = 1 << 14
-_MC_CHUNK = 1 << 14
 _SEED_BOUND = 1 << 128  # Philox keys are 128-bit
 _COUNT_BOUND = 1 << 63  # outcome counts are int64
 _GAP_TOL = 1e-10  # the largest certifying _certificate gap, in nats per max(1, |1 - beta|)
@@ -134,9 +133,9 @@ class WealthTrajectory:
     ``final_log2_wealth`` is the ``math.fsum`` of each outcome's count times its log2 payoff;
     apart from ``__eq__`` and ``repr`` it also holds the bet's outcome PMF, log2 payoffs and
     ``counts``, each outcome's draws (read-only), so its memory is O(outcomes) however many races
-    it covers.  :meth:`chunks` replays the races from the seed, a block at a time, in
-    O(block + outcomes) memory and ``log_wealth`` into one array of 8 bytes per race, built on
-    first read and kept, both as serial running sums, whose last entry is within
+    it covers.  :meth:`chunks` replays the races from the seed, one array per block, holding
+    two blocks at a block's edge, and ``log_wealth`` into one array of 8 bytes per race, built
+    on first read and kept, both as serial running sums, whose last entry is within
     ``1.5 n eps max|entry|`` of the final wealth.
     """
 
@@ -159,33 +158,26 @@ class WealthTrajectory:
         return _ubeta(self.counts, self._increments, _check_beta(beta))
 
     def chunks(self) -> Iterator[np.ndarray]:
-        """The entries of ``log_wealth`` in order, as fresh arrays of at most ``_MC_CHUNK``
-        races each, none spanning two blocks."""
-        return (c.copy() for c in self._replay())
+        """The entries of ``log_wealth`` in order, a fresh array per block: its counts drawn
+        again, as log2 payoffs in a shuffled order, summed in place.  Two blocks at most live."""
+        blocks = _block_counts(_stream(self.seed, 1), self._probs, self.n_races)
+        order, carry = _stream(self.seed, 2), 0.0
+        for counts in chain.from_iterable(blocks):
+            races = self._increments.repeat(counts)
+            order.shuffle(races)
+            races[0] += carry  # before the running sum, so each entry rounds as one long cumsum
+            np.cumsum(races, out=races)
+            carry = races[-1]
+            yield races
 
     @cached_property
     def log_wealth(self) -> np.ndarray:
         """Entry ``n`` is the log2 wealth after ``n+1`` races."""
         out, lo = np.empty(self.n_races), 0
-        for c in self._replay():
+        for c in self.chunks():
             out[lo : lo + c.size] = c
             lo += c.size
         return out
-
-    def _replay(self) -> Iterator[np.ndarray]:
-        """Cumulative log2 wealth, a chunk at a time in a buffer of one block's races, which
-        the next block's replaces: its counts drawn again, as log2 payoffs in a shuffled order."""
-        counts, order = _stream(self.seed, 1), _stream(self.seed, 2)
-        n, size, carry = self.n_races, _block_races(self._probs.size), 0.0
-        for lo in range(0, n, size):
-            races = self._increments.repeat(counts.multinomial(min(size, n - lo), self._probs))
-            order.shuffle(races)
-            for i in range(0, races.size, _MC_CHUNK):
-                step = races[i : i + _MC_CHUNK]
-                step[0] += carry  # before the running sum, so each entry rounds as one long cumsum
-                np.cumsum(step, out=step)
-                carry = step[-1]
-                yield step
 
 
 def _grid_blocks(grid: GridSpec, offsets=None, heads=None) -> Iterator[np.ndarray]:
@@ -457,28 +449,33 @@ def _stream(seed: int, jumps: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(counter=[0, 0, jumps, 0], key=int(seed)))
 
 
+def _block_counts(stream: np.random.Generator, probs: np.ndarray, n: int) -> Iterator[np.ndarray]:
+    """``n`` races' outcome counts, a row per block of ``_block_races(m)`` (the last shorter),
+    ``_BLOCK_CELLS`` counts a call, or one block: numpy's multinomial draws rows in turn."""
+    block, rows = _block_races(probs.size), max(1, _BLOCK_CELLS // probs.size)
+    full, rest = divmod(n, block)
+    for lo in range(0, full, rows):
+        yield stream.multinomial(block, probs, size=min(rows, full - lo))
+    if rest:
+        yield stream.multinomial(rest, probs, size=1)
+
+
 def simulate_growth(
     market: RaceMarket | SideInfoMarket, b: _Bet, n_races: int, seed: int
 ) -> WealthTrajectory:
     """Simulate repeated betting, each race drawing one outcome of the bet, from each block's
     outcome counts, summed in O(outcomes) memory, for :meth:`WealthTrajectory.estimate_ubeta`.
 
-    Identical (market, allocation, n, seed) inputs reproduce the trajectory bit for bit.  The
-    blocks' counts are drawn many at a time, by numpy's array-``n`` multinomial, which draws
-    its rows in turn, as the replay's one-block calls do.  The final log2 wealth is the
-    ``math.fsum`` of each drawn outcome's count times its log2 payoff, whatever the race order
-    or block size: ``-inf`` once an outcome paying 0 is drawn, and never NaN, as an outcome not
-    drawn is left out.
+    Identical (market, allocation, n, seed) inputs reproduce the trajectory bit for bit on one
+    numpy version: NEP 19 keeps Philox's raw stream fixed, but not ``Generator.multinomial`` or
+    ``shuffle``.  The final log2 wealth is the ``math.fsum`` of each drawn outcome's count times
+    its log2 payoff, whatever the race order or block size: ``-inf`` once an outcome paying 0
+    is drawn, and never NaN, as an outcome not drawn is left out.
     """
     probs, bets, odds, cash = _outcomes(market, b)
     _check_stream(n_races, seed, "race")
     increments = _power_mean_read(probs, bets, odds, cash, math.inf)  # the log2 payoffs
-    stream, size = _stream(seed, 1), _block_races(probs.size)
-    counts = np.zeros(probs.size, np.int64)
-    step = size * max(1, _BLOCK_CELLS // probs.size)  # races per call: at most 2^14 counts
-    for lo in range(0, n_races, step):
-        sizes = np.minimum(size, n_races - np.arange(lo, min(lo + step, n_races), size))
-        counts += stream.multinomial(sizes, probs).sum(axis=0)
+    counts = sum(rows.sum(axis=0) for rows in _block_counts(_stream(seed, 1), probs, n_races))
     counts.flags.writeable = False
     drawn = counts > 0  # an undrawn zero payoff adds no 0 * -inf
     final = math.fsum((counts[drawn] * increments[drawn]).tolist())

@@ -1,11 +1,13 @@
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 import warnings
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -827,12 +829,12 @@ class TestSimulate:
     ):
         n = 30
         market = new_race([0.6, 0.4], [2, 2])
-        traj = simulate_growth(market, optimal_full(market, 0.5), n, 3)
-        lines = ["race,cum_log2_wealth"]
-        lines.extend(f"{i + 1},{float(v)!r}" for i, v in enumerate(traj.log_wealth))
-        expected = "\n".join(lines) + "\n"
-        for rows in (1, 7, n - 1, n, n + 1):
-            monkeypatch.setattr(cli.oracle, "_MC_CHUNK", rows)
+        for rows in (1, 7, n - 1, n, n + 1):  # races per block
+            monkeypatch.setattr(cli.oracle, "_block_races", lambda m: rows)
+            traj = simulate_growth(market, optimal_full(market, 0.5), n, 3)
+            lines = ["race,cum_log2_wealth"]
+            lines.extend(f"{i + 1},{float(v)!r}" for i, v in enumerate(traj.log_wealth))
+            expected = "\n".join(lines) + "\n"
             argv = ["simulate", fair_spec, "--beta", "0.5", "-n", str(n), "--seed", "3"]
             if to_file:
                 target = tmp_path / f"traj{rows}.csv"
@@ -886,9 +888,9 @@ class TestSimulate:
         )
         assert digests == self.PINNED[n]
 
-    CHUNK = cli.oracle._MC_CHUNK
+    BLOCK = cli.oracle._block_races(2)  # races per block of a two-horse race
 
-    @pytest.mark.parametrize("n", [2, CHUNK - 1, CHUNK, CHUNK + 1, 3 * 2**16 + 5])
+    @pytest.mark.parametrize("n", [2, BLOCK - 1, BLOCK, BLOCK + 1, 3 * 2**16 + 5])
     def test_band_matches_the_in_memory_reference(self, capsys, fair_spec, tmp_path, n):
         target = tmp_path / "traj.csv"
         argv = ["simulate", fair_spec, "--beta", "0.5", "-n", str(n), "--seed", "3"]
@@ -912,7 +914,7 @@ class TestSimulate:
         steps = np.log2(np.array(doc["allocation"]["bets"])[winners] * market.odds[winners])
         return doc["clt_band_3se_bits"], 3 * steps.std(ddof=1) / math.sqrt(n)
 
-    @pytest.mark.parametrize("n", [3, CHUNK + 1, 3 * 2**16 + 5])
+    @pytest.mark.parametrize("n", [3, BLOCK + 1, 3 * 2**16 + 5])
     def test_band_is_the_spread_of_the_exact_increments(self, capsys, tmp_path, n):
         rng = np.random.default_rng(n)
         for _ in range(3):
@@ -945,6 +947,26 @@ class TestSimulate:
                 assert isinstance(doc["within_band"], bool)
             else:
                 assert doc["within_band"] is None
+
+    def test_writes_carry_at_most_2_14_rows_of_a_longer_block(self, monkeypatch, tmp_path):
+        # 1,000 horses: two blocks of 2^16 races and a short third, four writes each
+        probs = np.random.default_rng(12).dirichlet(np.ones(1000)).tolist()
+        spec = _write(tmp_path, "wide.json", {"horses": [{"p": p, "odds": 1500.0} for p in probs]})
+        n, writes = 2 * 2**16 + 5, []
+        sink = io.StringIO()
+        monkeypatch.setattr(sink, "write", lambda text: writes.append(text) or len(text))
+        monkeypatch.setattr(sys, "stdout", sink)
+        assert main(["simulate", spec, "--beta", "kelly", "-n", str(n), "--seed", "4"]) == 0
+        text = "".join(writes)
+        doc = json.loads(text[text.index("{") :])
+        market = new_race(probs, [1500.0] * 1000)
+        log_wealth = reference_log_wealth(market, Allocation(doc["allocation"]["bets"]), n, 4)
+        lines = ["race,cum_log2_wealth"]
+        lines.extend(f"{i + 1},{float(v)!r}" for i, v in enumerate(log_wealth))
+        expected = "\n".join(lines) + "\n"
+        assert text.startswith(expected)
+        csv = list(accumulate(map(len, writes))).index(len(expected)) + 1  # the CSV's writes
+        assert [w.count("\n") for w in writes[:csv]] == [1] + [2**14] * 8 + [5]
 
     def test_one_simulate_replays_the_races_once(self, capsys, monkeypatch, fair_spec, tmp_path):
         calls = []

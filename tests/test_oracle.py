@@ -650,9 +650,9 @@ class TestSimulateGrowth:
 
 class TestWealthTrajectory:
     def test_streamed_values_match_the_reference(self):
-        chunk = oracle._MC_CHUNK
+        block = oracle._block_races(MARKET_B.m)
         b = Allocation([0.7, 0.3])
-        for n in (1, chunk - 1, chunk, 2 * chunk + 3):
+        for n in (1, block - 1, block, 2 * block + 3):
             traj = simulate_growth(MARKET_B, b, n, seed=9)
             expected = reference_log_wealth(MARKET_B, b, n, 9)
             final = reference_final(MARKET_B, b, n, 9)
@@ -662,7 +662,7 @@ class TestWealthTrajectory:
             rate = np.float64(final / n)
             assert np.float64(traj.final_rate).tobytes() == rate.tobytes()
             chunks = list(traj.chunks())
-            assert max(c.size for c in chunks) <= chunk
+            assert max(c.size for c in chunks) <= block
             assert np.concatenate(chunks).tobytes() == expected.tobytes()
             assert traj.log_wealth.tobytes() == expected.tobytes()
 
@@ -690,7 +690,7 @@ class TestFinalWealth:
             probs, bets, odds, cash = strategy._outcomes(market, b)
             with np.errstate(divide="ignore"):  # a zero bet pays 0
                 log2_payoffs = np.log2(bets * odds if cash is None else cash + bets * odds)
-            for n in (1, 1000, 3 * oracle._MC_CHUNK + 7):
+            for n in (1, 1000, 3 * oracle._block_races(probs.size) + 7):
                 traj = simulate_growth(market, b, n, seed=60 + i)
                 final, counts = traj.final_log2_wealth, traj.counts
                 drawn = counts > 0
@@ -705,17 +705,21 @@ class TestFinalWealth:
     def test_does_not_depend_on_how_many_blocks_one_call_draws(self, monkeypatch):
         n, cases = 20 * oracle._block_races(3) + 5, list(_streaming_cases())[:6]
         expected = [simulate_growth(mk, b, n, 8) for mk, b in cases]
+        paths = [first.log_wealth.tobytes() for first in expected]
         for cells in (1, 40, 1 << 14):  # a block per call, then 40 // m, then all
             monkeypatch.setattr(oracle, "_BLOCK_CELLS", cells)
-            for (mk, b), first in zip(cases, expected):
+            for (mk, b), first, path in zip(cases, expected, paths):
                 again = simulate_growth(mk, b, n, 8)
                 assert again == first and again.counts.tobytes() == first.counts.tobytes()
+                assert again.log_wealth.tobytes() == path
+                assert again.estimate_ubeta(-0.5) == first.estimate_ubeta(-0.5)
 
     def test_a_zero_payoff_counts_only_once_drawn(self):
         ruin = simulate_growth(MARKET_B, Allocation([1.0, 0.0]), 200, seed=5)
         assert ruin.counts[1] > 0
         assert ruin.final_log2_wealth == -math.inf and ruin.final_rate == -math.inf
-        # the second horse's CDF threshold is 2^53, which no word reaches: never drawn
+        # the first horse's chance rounds to 1.0, so its binomial takes every race: the
+        # second is never drawn
         market = new_race([1.0, 1e-300], [2.0, 2.0])
         traj = simulate_growth(market, Allocation([1.0, 0.0]), 1000, seed=5)
         assert traj.counts.tolist() == [1000, 0]
@@ -866,15 +870,16 @@ def _clustered(m, tiny):
     return new_race(probs, np.full(m, 2.0))
 
 
-# cumsum puts the third CDF bound at 1 + 2^-52, above the total
+# the chances' running sum reaches 1 + 2^-52 at the third, above the total: numpy's
+# multinomial gives the third a conditional chance of 1 + 2.2e-15, and every race left
 _BOUND_ABOVE_ONE = new_race([0.63, 0.298, 0.072, 1e-300], [2.0] * 4)
 
 
 class TestStreamingMonteCarlo:
     def test_matches_the_one_shot_reference(self):
-        chunk = oracle._MC_CHUNK
         for market, b in _streaming_cases():
-            for n in (1, chunk - 1, chunk, chunk + 1, 3 * chunk + 7):
+            block = oracle._block_races(market.m)
+            for n in (1, block - 1, block, block + 1, 3 * block + 7):
                 seed = 1000 + n
                 traj = simulate_growth(market, b, n, seed)
                 expected = reference_log_wealth(market, b, n, seed)
@@ -913,18 +918,6 @@ class TestStreamingMonteCarlo:
                 traj = simulate_growth(market, b, n, seed)
                 expected = reference_log_wealth(market, b, n, seed)
                 assert traj.log_wealth.tobytes() == expected.tobytes()
-
-    def test_results_do_not_depend_on_the_chunk_size(self, monkeypatch):
-        n = 1000
-        cases = list(_streaming_cases())[:6]
-        expected = [simulate_growth(mk, b, n, 5) for mk, b in cases]
-        for chunk in (1, 3, 7, 64):
-            monkeypatch.setattr(oracle, "_MC_CHUNK", chunk)
-            for (mk, b), first in zip(cases, expected):
-                traj = simulate_growth(mk, b, n, 5)
-                assert traj.log_wealth.tobytes() == first.log_wealth.tobytes()
-                assert traj.counts.tobytes() == first.counts.tobytes()
-                assert traj.estimate_ubeta(-0.5) == first.estimate_ubeta(-0.5)
 
     def test_memory_is_bounded_by_the_chunk(self):
         market = new_race([0.5, 0.3, 0.2], [2, 4, 8])
@@ -1014,10 +1007,10 @@ class TestStreamingMonteCarlo:
         finally:
             tracemalloc.stop()
         assert int(traj.counts.sum()) == 10**9
-        assert peak < 2**20  # one word per race took about 7 s
+        assert peak < 2**20  # counts only: no array grows with the number of races
 
     def test_replay_memory_is_bounded_by_the_block(self):
-        m = 1000  # blocks of 2^16 races, four chunks each
+        m = 1000  # blocks of 2^16 races
         market, size = random_market(np.random.default_rng(6), m), oracle._block_races(m)
         b, peaks = Allocation(np.full(m, 1.0 / m)), []
         for n in (2 * size, 3 * size):
@@ -1030,9 +1023,8 @@ class TestStreamingMonteCarlo:
             finally:
                 tracemalloc.stop()
             peaks.append(peak)
-        # at a block's edge the last block's payoffs, the next's, and two chunks copied out
-        # of them, the one the loop holds and the next, 8 bytes a race each
-        assert peaks[1] <= 8 * (2 * size + 2 * oracle._MC_CHUNK) + 64 * 2**10
+        # at a block's edge the block the loop holds and the next, 8 bytes a race each
+        assert peaks[1] <= 8 * 2 * size + 64 * 2**10
         assert abs(peaks[1] - peaks[0]) <= 16 * 2**10
 
 
@@ -1069,14 +1061,14 @@ def _recorded_multinomials(monkeypatch) -> list:
 
 class TestTrajectoryEstimate:
     def test_matches_the_reference_over_its_own_races(self):
-        chunk = oracle._MC_CHUNK
         cases = list(_streaming_cases())
         cases += [(market, b) for market, b, _ in OUTCOME_CASES.values()]
         for i, (market, b) in enumerate(cases):
             probs, bets, odds, cash = strategy._outcomes(market, b)
             with np.errstate(divide="ignore"):  # a zero bet pays 0
                 log2_payoffs = np.log2(bets * odds if cash is None else cash + bets * odds)
-            for n in (1, chunk - 1, chunk, chunk + 1, 2 * chunk):
+            block = oracle._block_races(probs.size)
+            for n in (1, block - 1, block, block + 1, 2 * block):
                 seed = 300 + i
                 traj = simulate_growth(market, b, n, seed)
                 drawn = log2_payoffs[traj.counts > 0]
@@ -1113,7 +1105,7 @@ class TestTrajectoryEstimate:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 2**10  # one chunk's buffers alone are 3 x 128 KB
+        assert peak < 64 * 2**10  # one 2^14-race block's payoffs alone are 128 KB
 
 
 class TestMultinomialEstimate:
@@ -1242,27 +1234,26 @@ class TestBlockEdges:
             assert traj.estimate_ubeta(beta) == pytest.approx(reference, rel=1e-12)
 
     def test_block_edges_match_the_reference(self, monkeypatch):
-        # each block size with chunks shorter, as long and longer, and runs ending on,
-        # before and after a block's edge
+        # each block size, and runs ending on, before and after a block's edge
         for i, (market, b) in enumerate(_block_edge_cases()):
             for size in (1, 2, 3, 7):
                 _blocks_of(monkeypatch, size)
-                for chunk in (1, 3, oracle._MC_CHUNK):
-                    monkeypatch.setattr(oracle, "_MC_CHUNK", chunk)
-                    for n in (1, size + 1, 3 * size, 3 * size + 2):
-                        self.check(market, b, n, 10 * i + size)
+                for n in (1, size + 1, 3 * size, 3 * size + 2):
+                    self.check(market, b, n, 10 * i + size)
             monkeypatch.undo()
 
     def test_chunks_never_span_a_block(self, monkeypatch):
+        # one array of its own per block, the last one shorter
         traj = simulate_growth(MARKET_B, Allocation([0.7, 0.3]), 13, seed=1)
-        for size, chunk, sizes in ((5, 3, [3, 2, 3, 2, 3]), (3, 5, [3, 3, 3, 3, 1])):
+        for size, sizes in ((5, [5, 5, 3]), (3, [3, 3, 3, 3, 1]), (13, [13]), (20, [13])):
             _blocks_of(monkeypatch, size)
-            monkeypatch.setattr(oracle, "_MC_CHUNK", chunk)
-            assert [c.size for c in traj.chunks()] == sizes
+            chunks = list(traj.chunks())
+            assert [c.size for c in chunks] == sizes
+            assert all(c.flags.owndata for c in chunks)
         monkeypatch.undo()
-        market, b = _block_edge_cases()[3]  # 1000 outcomes: 2^16 races, 4 chunks a block
+        market, b = _block_edge_cases()[3]  # 1000 outcomes: blocks of 2^16 races
         traj = simulate_growth(market, b, 3 * 2**16 + 5, seed=1)
-        assert [c.size for c in traj.chunks()] == [2**14] * 12 + [5]
+        assert [c.size for c in traj.chunks()] == [2**16] * 3 + [5]
 
     def test_seeded_streams_match_the_reference(self):
         for i, (market, b) in enumerate(_block_edge_cases()):
