@@ -155,13 +155,16 @@ def _log(arr: np.ndarray) -> np.ndarray:
 def _power_mean_read(probs, bets, odds, cash, beta: float) -> np.ndarray:
     """The one payoff map: each payoff, ``bets * odds`` plus ``cash`` unless None, read by
     :func:`_log2_power_mean`'s ops as log2 at ``beta = +-inf``, as ln near 0, else as ``ln p +
-    beta ln payoff``.  A payoff below the smallest normal double, which the product may round
-    to 0.0, reads ``log b + log o``, log-added to ``log cash``: positive bets read finite."""
+    beta ln payoff``.  A positive bet's payoff below the smallest normal double, which the product
+    may round to 0.0, reads ``log b + log o``, log-added to ``log cash``, so it reads finite."""
     payoffs = bets * odds if cash is None else cash + bets * odds
     log = np.log2 if math.isinf(beta) else np.log
-    if payoffs.min() >= _NORMAL_MIN:
+    if payoffs.min(initial=math.inf) >= _NORMAL_MIN:  # a partial grid's heads may be empty
         read = log(payoffs)
-    else:  # zero bets too: log 0 is -inf either way
+    elif payoffs.min(initial=math.inf, where=bets > 0.0) >= _NORMAL_MIN:  # the rest: a zero
+        with np.errstate(divide="ignore"):  # bet's, the cash alone, whose log is the same read
+            read = log(payoffs)
+    else:
         with np.errstate(divide="ignore"):
             read = log(bets) + log(odds)
             if cash is not None:

@@ -13,18 +13,15 @@ Four kinds of oracle live here:
 * seeded Monte Carlo race simulation in blocks of races, each drawn whole from
   the seed's Philox streams, so a trajectory is a pure function of (outcomes, n, seed).
 
-Full and partial grid searches share one scan that differs only in the
-cash coordinate.  It takes the points in lexicographic order, in numpy blocks
-of at most ``_BLOCK_CELLS`` cells, so memory stays bounded.  A full bet
-pays coordinate ``j`` on its own, so from 3 coordinates on, where values
-repeat, each value's log is taken once and blocks of indices gather it, and
-from 4 on, past one block, each head (the first d - 2 coordinates) is bounded
-by its best two-coordinate tail and only the heads that can win are scanned;
-cash enters every partial payoff, so those blocks take logs cell by cell.
-Blocks are coordinate-major: numpy sums a point's coordinates far faster
-down contiguous columns than along short rows.  Only strict improvements
-are accepted, so the lowest lexicographic point wins ties however the scan
-is blocked or pruned.
+Full and partial grid searches share one scan that differs only in the cash coordinate:
+the points in lexicographic order, in coordinate-major numpy blocks (numpy sums down
+contiguous columns far faster than along short rows) of at most ``_BLOCK_CELLS`` cells.
+A full bet pays coordinate ``j`` on its own, so from 3 coordinates on each value's log is
+taken once and gathered by index; a partial payoff holds the cash and is read by cell.
+From 3 coordinates on, past two blocks, a head (the first d - 2, a partial grid's cash
+first) is bounded by its best two-coordinate tail at its cash, found next to the pair's
+concave optimum or at a convex end, and only heads that can win are scanned.  Only strict
+improvements are accepted, so the lowest lexicographic point wins ties however it is pruned.
 
 The Monte Carlo oracles take every allocation kind and draw the outcomes of its
 bet: the horses of a full or partial allocation, and the (signal, horse) cells
@@ -134,7 +131,7 @@ class WealthTrajectory:
     apart from ``__eq__`` and ``repr`` it also holds the bet's outcome PMF, log2 payoffs and
     ``counts``, each outcome's draws (read-only), so its memory is O(outcomes) however many races
     it covers.  :meth:`chunks` replays the races from the seed, one array per block, holding
-    two blocks at a block's edge, and ``log_wealth`` into one array of 8 bytes per race, built
+    one block if the caller drops each, and ``log_wealth`` into one array of 8 bytes per race, built
     on first read and kept, both as serial running sums, whose last entry is within
     ``1.5 n eps max|entry|`` of the final wealth.
     """
@@ -159,7 +156,7 @@ class WealthTrajectory:
 
     def chunks(self) -> Iterator[np.ndarray]:
         """The entries of ``log_wealth`` in order, a fresh array per block: its counts drawn
-        again, as log2 payoffs in a shuffled order, summed in place.  Two blocks at most live."""
+        again, as log2 payoffs in a shuffled order, summed in place.  It keeps none it yielded."""
         blocks = _block_counts(_stream(self.seed, 1), self._probs, self.n_races)
         order, carry = _stream(self.seed, 2), 0.0
         for counts in chain.from_iterable(blocks):
@@ -169,6 +166,7 @@ class WealthTrajectory:
             np.cumsum(races, out=races)
             carry = races[-1]
             yield races
+            del races  # a caller that drops each block then holds one while the next is built
 
     @cached_property
     def log_wealth(self) -> np.ndarray:
@@ -226,30 +224,61 @@ def _grid_blocks(grid: GridSpec, offsets=None, heads=None) -> Iterator[np.ndarra
             yield block.T
 
 
-def _pruned_blocks(probs: np.ndarray, beta: float, grid: GridSpec, table) -> Iterator[np.ndarray]:
-    """:func:`_grid_blocks` of a full grid, offset into its read ``table``, of only the heads
-    that may hold the maximum: the kernel over a head's reads and its best tail (the best
-    two-outcome mean of the last two coordinates' reads over ``(t, room - t)``) bounds it, as
-    the power mean rises in every read and splits exactly over the horses.  ``slack`` is over
-    20 times the rounding of a bound, a tail and a value together (derived in the README).
-    """
-    k, d = grid.resolution, grid.dimension
-    offsets, floor = np.arange(d) * (k + 1), -math.inf
-    pair, (a, b) = probs[-2:] / (probs[-2] + probs[-1]), table.reshape(d, k + 1)[-2:]
-    # tails in bits, then scaled as reads; (0, room) and (room, 0) apart: no other has a zero bet
-    edges = np.column_stack((np.r_[np.full(k + 1, a[0]), a], np.r_[b, np.full(k + 1, b[0])]))
-    tail = np.maximum(*_log2_power_mean(pair, None, None, None, beta, edges).reshape(2, -1))
-    for block in _grid_blocks(GridSpec(k - 2, 3), offsets[[0, -2, -1]] + (0, 1, 1)):
-        reads = table.take(block[:, 1:].T).T
-        np.maximum.at(tail, k - block[:, 0], _log2_power_mean(pair, None, None, None, beta, reads))
-    tail *= 1.0 if math.isinf(beta) else _LN2 * (beta if abs(beta) > _CENTERED_T else 1.0)
-    reach = 1.0 + np.abs(table[np.isfinite(table)]).max()
+def _pair_tails(probs, odds, beta: float, k: int, room, cash, margin: float) -> np.ndarray:
+    """Per row, the largest two-outcome mean in bits of the last two horses over the splits
+    ``(t, room - t)`` at the row's ``cash`` (units of 1/k, 0 when fully invested: 0 + x is x),
+    scaled as a read of their summed probability.  Below beta = 1 it is concave in t, a power
+    mean of payoffs affine in t: four splits about its continuous maximizer, where ``p_u o_u
+    S_u^(beta-1) = p_v o_v S_v^(beta-1)``, are evaluated; from 1 on it is convex: 0, 1, room - 1
+    and room.  No split left out tops the evaluated one beside its gap but by rounding, so unless
+    the best mean tops those by over ``margin``, twice that rounding, every split is searched."""
+    (p_u, p_v), (o_u, o_v), paid = probs[-2:], odds[-2:], (cash / k)[:, None]
+
+    def means(splits, rows):  # the kernel at (split, row) splits of the rows, pair-major sums
+        bets = np.moveaxis(np.stack((splits, room[rows] - splits)) / k, 0, -1)
+        reads = _power_mean_read(probs[-2:], bets, odds[-2:], paid[rows], beta)
+        return _log2_power_mean(probs[-2:] / (p_u + p_v), None, None, None, beta, reads)
+
+    if beta < 1.0:
+        with np.errstate(all="ignore"):  # sigma = rho / (1 + rho), rho = S_u / S_v at the optimum
+            sigma = 1 / (1 + (p_v * o_v / (p_u * o_u)) ** (1 / (1 - beta)))
+            t = (sigma * room * o_v + (2 * sigma - 1) * cash) / ((1 - sigma) * o_u + sigma * o_v)
+        low = np.minimum(np.fmax(np.floor(t) - 1, 0), np.maximum(room - 3, 0)).astype(np.intp)
+        splits = np.minimum(low + np.arange(4)[:, None], room)
+    else:
+        splits = np.clip(np.stack((0 * room, 0 * room + 1, room - 1, room)), 0, room)
+    n = max(1, _BLOCK_CELLS // 8)  # rows a block, each over four splits
+    vals = np.hstack([means(splits[:, i : i + n], slice(i, i + n)) for i in range(0, len(room), n)])
+    tail, gap = vals.max(0), np.diff(np.vstack((0 * room - 1, splits, room + 1)), axis=0) > 1
+    rows = np.flatnonzero(((gap[:-1] | gap[1:]) & (vals >= tail - margin)).any(0))
+    step = max(1, _BLOCK_CELLS // 2 // (int(room.max()) + 1))  # rows a block, each over every split
+    for r in (rows[lo : lo + step] for lo in range(0, len(rows), step)):
+        tail[r] = means(np.minimum(np.arange(room[r].max() + 1)[:, None], room[r]), r).max(0)
+    return tail * (1.0 if math.isinf(beta) else _LN2 * (beta if abs(beta) > _CENTERED_T else 1.0))
+
+
+def _pruned_blocks(probs, odds, beta: float, grid: GridSpec, table) -> Iterator[np.ndarray]:
+    """:func:`_grid_blocks` of the heads (the first d - 2 coordinates, a partial grid's cash first)
+    that may win, offset into a full grid's read ``table`` (None if partial: read by cell).  The
+    power mean rises in every read and splits over the horses, so the kernel over a head's reads
+    and best tail bounds it; ``slack`` tops 20 times a bound's, tail's and value's rounding."""
+    k, d, partial, floor = grid.resolution, grid.dimension, table is None, -math.inf
+    offsets = np.arange(d) * (k + 1) * (not partial)
+    corners = np.array([[1.0, 0.0], [0.0, 1.0], [k, 0.0], [0.0, k]]) / k  # cash or a bet: 1/k, 1
+    span = _power_mean_read(probs, corners[:, 1:], odds, corners[:, :1], beta) if partial else table
+    reach = 1.0 + np.abs(span[np.isfinite(span)]).max()  # a partial read lies between its corners
     unit = 2.0**-39 * d * (1 / abs(beta) if abs(beta) > _CENTERED_T else 1 - math.log(probs.min()))
-    table = np.append(table[: (d - 2) * (k + 1)], tail)  # the tail read as coordinate d - 1
-    probs = np.append(probs[:-2], probs[-2] + probs[-1])
+    if not partial:  # the tail of each room, read as coordinate d - 1
+        tails = _pair_tails(probs, odds, beta, k, np.arange(k + 1), np.zeros(k + 1), unit * reach)
+        table = np.append(table[: (d - 2) * (k + 1)], tails)
+    merged = np.append(probs[:-2], probs[-2] + probs[-1])
     for heads in _grid_blocks(GridSpec(k, d - 1), offsets[:-1]):  # a head, then its room
-        reads = table.take(heads.T).T
-        bounds = _log2_power_mean(probs, None, None, None, beta, reads)
+        if partial:  # coordinate-major, as a scan's blocks
+            pts = heads / k
+            reads = _power_mean_read(merged[:-1], pts[:, 1:-1], odds[:-2], pts[:, :1], beta)
+            tails = _pair_tails(probs, odds, beta, k, heads[:, -1], heads[:, 0], unit * reach)
+        reads = np.vstack((reads.T, tails)).T if partial else table.take(heads.T).T
+        bounds = _log2_power_mean(merged, None, None, None, beta, reads)
         size = np.maximum(np.abs(bounds), np.abs(reads[:, -1]))
         size[size == math.inf] = 0.0  # -inf: exact, a zero payoff at beta <= 0
         slack = unit * np.maximum(size + 1.0, reach)
@@ -259,12 +288,11 @@ def _pruned_blocks(probs: np.ndarray, beta: float, grid: GridSpec, table) -> Ite
 
 
 def _grid_argmax(market: RaceMarket, beta: float, grid: GridSpec, cash=False) -> np.ndarray:
-    """The lexicographically first grid point maximizing the utility of its payoffs,
-    ``b_j o_j``, or with the ``cash`` coordinate first ``cash + b_j o_j``: only strict
-    improvements replace the incumbent.  A full bet of 3 coordinates or more pays
-    coordinate ``j`` on its own, so it has one :func:`_power_mean_read` per coordinate
-    value, by the per-cell ops, in a table of at most 13,413 doubles below the guard:
-    blocks of its indices gather it, and only the winning point is divided by k."""
+    """The lexicographically first grid point maximizing the utility of its payoffs, ``b_j o_j``,
+    or with the ``cash`` coordinate first ``cash + b_j o_j``: only strict improvements replace
+    the incumbent.  A full bet of 3 coordinates or more pays coordinate ``j`` on its own, so it
+    has one :func:`_power_mean_read` per coordinate value, by the per-cell ops, in a table of at
+    most 13,413 doubles below the guard, gathered by index; only the winner is divided by k."""
     _require(RaceMarket, market, "a grid search")
     beta = _check_beta(beta)
     o, d = market.odds, market.m + cash
@@ -280,9 +308,8 @@ def _grid_argmax(market: RaceMarket, beta: float, grid: GridSpec, cash=False) ->
     if not cash and d > 2:
         offsets, column = np.arange(d) * (k + 1), np.arange(k + 1.0)[:, None] / k
         table = _power_mean_read(market.probs, column, o, None, beta).T.ravel()
-        # pruned by head past one block, whose scan costs less than the bounds (k = 27 at d = 4)
-        if d > 3 and k > 3 and grid.n_points > _BLOCK_CELLS // d:
-            blocks = _pruned_blocks(market.probs, beta, grid, table)
+    if d > 2 and grid.n_points > 2 * _BLOCK_CELLS // d:  # two blocks' scan costs less than bounds
+        blocks = _pruned_blocks(market.probs, o, beta, grid, table)
     best_point, best_value = None, -math.inf
     for block in blocks or _grid_blocks(grid, offsets):
         if table is not None:

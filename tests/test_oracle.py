@@ -279,21 +279,70 @@ class TestGridScan:
                 np.testing.assert_array_equal(best.bets, PartialAllocation(want[0], want[1:]).bets)
 
     @pytest.mark.parametrize(
-        "d,k,cells", [(3, 200, None), (4, 60, None), (5, 20, None), (6, 8, 64), (8, 4, 64)]
+        "d,k,cells,partial",
+        [(3, 200, None, False), (4, 60, None, False), (5, 20, None, False), (6, 8, 64, False)]
+        + [(8, 4, 64, False), (3, 40, 64, False), (3, 200, None, True), (4, 60, None, True)]
+        + [(5, 20, None, True), (3, 40, 64, True), (4, 12, 64, True), (6, 8, 64, True)],
     )
-    def test_pruned_scan_finds_the_first_argmax_of_every_point(self, d, k, cells, monkeypatch):
-        # From 4 coordinates on, only the heads whose bound may reach the maximum are
-        # scanned; blocks of 64 cells send small grids that way too.  The point is still
-        # the first one of the largest per-cell value, bit for bit, in every beta regime.
-        rng = np.random.default_rng(40 + d)
+    def test_pruned_scan_finds_the_first_argmax_of_every_point(
+        self, d, k, cells, partial, monkeypatch
+    ):
+        # From 3 coordinates on, full or partial, only the heads whose bound may reach the
+        # maximum are scanned; blocks of 64 cells send small grids that way too.  The point
+        # is still the first one of the largest per-cell value, bit for bit, in every regime.
+        rng = np.random.default_rng(40 + d + 10 * partial)
         grid = GridSpec(k, d)
-        for market in _hard_races(rng, d):
+        for market in _hard_races(rng, d - partial):
             for beta in GRID_REGIME_BETAS + EDGE_GRID_BETAS:
-                want = Allocation(_first_argmax(market, beta, grid)).bets
+                want = _first_argmax(market, beta, grid)
                 monkeypatch.setattr(oracle, "_BLOCK_CELLS", cells or oracle._BLOCK_CELLS)
-                best, _ = grid_search_full(market, beta, grid)
+                if partial:
+                    best, _ = grid_search_partial(market, beta, grid)
+                    sol = PartialAllocation(want[0], want[1:])
+                    got, want = np.append(best.cash, best.bets), np.append(sol.cash, sol.bets)
+                else:
+                    got, want = grid_search_full(market, beta, grid)[0].bets, Allocation(want).bets
                 monkeypatch.undo()
-                np.testing.assert_array_equal(best.bets, want)
+                np.testing.assert_array_equal(got, want)
+
+    def test_pair_tails_are_the_best_of_every_split(self, monkeypatch):
+        # Each tail the pruned scans take, from the splits about the pair's optimum or at its
+        # ends, is bit for bit the largest mean over every split, at no cash (full grids) and
+        # at each head's own (partial ones), in every beta regime; where the candidates do not
+        # settle it, as on the race with odds of 1e+-200, the row's every split is searched.
+        calls, searched, pair_tails, read = [], [], oracle._pair_tails, oracle._power_mean_read
+
+        def recording(*args):
+            calls.append((args, pair_tails(*args)))
+            return calls[-1][1]
+
+        def counting(probs, bets, *rest):  # every split of some rows: more than four a row
+            if probs.size == 2 and bets.ndim == 3 and bets.shape[0] > 4:
+                searched.append(market)
+            return read(probs, bets, *rest)
+
+        monkeypatch.setattr(oracle, "_pair_tails", recording)
+        monkeypatch.setattr(oracle, "_power_mean_read", counting)
+        monkeypatch.setattr(oracle, "_BLOCK_CELLS", 64)
+        rng = np.random.default_rng(47)
+        races = _hard_races(rng, 2) + _hard_races(rng, 3) + [random_market(rng, 3)]
+        for market in races:
+            for beta in GRID_REGIME_BETAS + EDGE_GRID_BETAS:
+                if market.m == 3:
+                    grid_search_full(market, beta, GridSpec(40, 3))
+                grid_search_partial(market, beta, GridSpec(30, market.m + 1))
+        assert len(calls) > 1000
+        for (probs, odds, beta, k, room, cash, _), tail in calls:
+            pair = probs[-2:] / (probs[-2] + probs[-1])
+            for r, c, got in zip(room, cash, tail):
+                bets = np.column_stack((np.arange(r + 1), r - np.arange(r + 1))) / k
+                reads = read(probs[-2:], bets, odds[-2:], c / k, beta)
+                want = _log2_power_mean(pair, None, None, None, beta, reads).max()
+                if not math.isinf(beta):  # scaled as a read: the far form's terms, else nats
+                    want *= math.log(2.0) * (beta if abs(beta) > 2.0**-10 else 1.0)
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        wide = [m for m in races if m.odds.max() == 1e200]
+        assert any(any(m is w for m in searched) for w in wide)
 
     @pytest.mark.parametrize("beta", [0.5, -1.0, 1e-4, -1e-4])
     def test_pruned_scan_of_the_check_grid(self, beta, monkeypatch):
@@ -309,17 +358,38 @@ class TestGridScan:
         want = _first_argmax(market, beta, GridSpec(200, 4))
         np.testing.assert_array_equal(best.bets, Allocation(want).bets)
 
+    @pytest.mark.parametrize("beta", [0.5, -1.0, 1e-4, -1e-4])
+    def test_pruned_scan_of_the_partial_check_grid(self, beta, monkeypatch):
+        # optimize --mode partial --check's default (200, 4) grid of three horses: of its
+        # 1.37M points in 20,301 heads (the cash, then the first bet), a few heads' points
+        # are scanned, on a subfair race whose optimum holds cash and on a random one
+        rng, pruned = np.random.default_rng(46), oracle._pruned_blocks
+        for market in (random_subfair_market(rng, 3), random_market(rng, 3)):
+            scanned = []
+            patched = lambda *a: (scanned.append(len(b)) or b for b in pruned(*a))
+            monkeypatch.setattr(oracle, "_pruned_blocks", patched)
+            best, _ = grid_search_partial(market, beta, GridSpec(200, 4))
+            monkeypatch.undo()
+            assert 0 < sum(scanned) < 1000
+            want = _first_argmax(market, beta, GridSpec(200, 4))
+            assert best.cash == want[0]
+            np.testing.assert_array_equal(best.bets, PartialAllocation(want[0], want[1:]).bets)
+
     def test_pruned_scan_streams_its_heads(self):
         # the tails, the heads' bounds and the scanned heads come in blocks too: 8,008
-        # heads of 12 horses, the grid next to the guard, and ties at -inf that keep
-        # 24 heads of 3,472 points
+        # heads of 12 horses, the grid next to the guard, ties at -inf that keep 24 heads
+        # of 3,472 points, and a partial grid next to the guard, whose 72,771 heads each
+        # take their own tail at their own cash
         market = new_race([0.1, 0.2, 0.3, 0.4], [3.0, 6.0, 2.5, 4.0])
+        three = new_race([0.2, 0.3, 0.5], [4.0, 3.5, 2.5])
         wide = random_market(np.random.default_rng(45), 12)
         scans = ((wide, 0.5, GridSpec(6, 12)), (market, 1e-4, GridSpec(385, 4)))
-        for race, beta, grid in scans + ((market, -math.inf, GridSpec(200, 4)),):
+        scans += ((market, -math.inf, GridSpec(200, 4)), (three, 1e-4, GridSpec(380, 4)))
+        for race, beta, grid in scans:
+            search = grid_search_full if grid.dimension == race.m else grid_search_partial
             tracemalloc.start()
             try:
-                grid_search_full(race, beta, grid)
+                search(race, beta, grid)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -1026,6 +1096,21 @@ class TestStreamingMonteCarlo:
         # at a block's edge the block the loop holds and the next, 8 bytes a race each
         assert peaks[1] <= 8 * 2 * size + 64 * 2**10
         assert abs(peaks[1] - peaks[0]) <= 16 * 2**10
+
+    def test_a_caller_dropping_each_block_holds_one(self):
+        # the replay drops its own reference once a block is taken: a caller that deletes
+        # each block before asking for the next holds one block, plus the O(m) counts
+        m = 1000  # blocks of 2^16 races, 512 KB
+        market, size = random_market(np.random.default_rng(6), m), oracle._block_races(m)
+        traj = simulate_growth(market, Allocation(np.full(m, 1.0 / m)), 3 * size, seed=2)
+        tracemalloc.start()
+        try:
+            for block in traj.chunks():
+                del block
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * size + 64 * 2**10
 
 
 def _logged_streams(monkeypatch) -> list:
