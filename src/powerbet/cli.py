@@ -166,6 +166,13 @@ def _parse_side_info(doc: dict) -> SideInfoMarket:
     return market
 
 
+def _decimal(text: str) -> float:
+    """``float`` of a decimal, nan or inf; refuses digit underscores (``1_0``) and non-ASCII digits."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not a decimal: {text!r}")
+    return float(text)
+
+
 def _parse_beta(value, field: str) -> float:
     """``value`` (flag text or a spec's JSON value) as a beta; errors name ``field``.
     Only the labels ``+inf``, ``inf`` and ``-inf`` name the limits."""
@@ -175,7 +182,7 @@ def _parse_beta(value, field: str) -> float:
     if isinstance(value, str) and label in ("+inf", "inf", "-inf"):
         return float(label)
     try:
-        beta = float(label)
+        beta = _decimal(label)
     except ValueError:
         raise _CommandError(2, f"{field} must be kelly, +inf, -inf, or a decimal, got {value!r}")
     if not math.isfinite(beta):  # NaN, or a number beyond the float range
@@ -379,7 +386,7 @@ def _parse_matrix_text(text: str, field: str) -> list[list[float]]:
     if not rows:
         raise _CommandError(2, f"{field} is empty")
     try:
-        return [[float(v) for v in row.split(",")] for row in rows]
+        return [[_decimal(v) for v in row.split(",")] for row in rows]
     except ValueError:
         raise _CommandError(2, f"{field} must be comma-separated numbers (rows split by ';')")
 
@@ -403,6 +410,8 @@ def _load_dist_arg(text: str, field: str) -> list[list[float]]:
 
 
 def cmd_divergence(args) -> tuple[dict, int]:
+    with _naming("--alpha", ValueError):
+        alpha = _decimal(args.alpha)
     p = _load_dist_arg(args.p, "-p")
     q = _load_dist_arg(args.q, "-q")
     conditional = args.p_y is not None
@@ -412,13 +421,13 @@ def cmd_divergence(args) -> tuple[dict, int]:
             p_y = _load_dist_arg(args.p_y, "--p-y")
             if len(p_y) != 1:
                 raise _CommandError(2, "--p-y must be a single probability vector")
-            value = divergence.cond_renyi_div(p, q, p_y[0], args.alpha)
+            value = divergence.cond_renyi_div(p, q, p_y[0], alpha)
         else:
             if len(p) != 1 or len(q) != 1:
                 raise _CommandError(2, "-p and -q must be single vectors unless --p-y is given")
-            value = divergence.renyi_div(p[0], q[0], args.alpha)
+            value = divergence.renyi_div(p[0], q[0], alpha)
     out = {
-        "alpha": args.alpha,
+        "alpha": alpha,
         "conditional": conditional,
         "divergence_bits": value,
     }
@@ -456,7 +465,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=cmd_simulate)
 
     p_div = sub.add_parser("divergence", help="Renyi / KL divergence in bits")
-    p_div.add_argument("--alpha", type=float, required=True)
+    p_div.add_argument("--alpha", required=True, help="a decimal order in [0, inf]")
     p_div.add_argument("-p", required=True, help="inline numbers or a JSON file")
     p_div.add_argument("-q", required=True, help="inline numbers or a JSON file")
     p_div.add_argument("--p-y", dest="p_y", help="signal distribution; makes -p/-q conditional tables")

@@ -19,9 +19,9 @@ contiguous columns far faster than along short rows) of at most ``_BLOCK_CELLS``
 A full bet pays coordinate ``j`` on its own, so from 3 coordinates on each value's log is
 taken once and gathered by index; a partial payoff holds the cash and is read by cell.
 From 3 coordinates on, past two blocks, a head (the first d - 2, a partial grid's cash
-first) is bounded by its best two-coordinate tail at its cash, found next to the pair's
-concave optimum or at a convex end, and only heads that can win are scanned.  Only strict
-improvements are accepted, so the lowest lexicographic point wins ties however it is pruned.
+first) is bounded by its best two-coordinate tail at its cash, next to the pair's concave
+optimum or at a convex end, and scanned if it can win or four splits leave its tail unsure.
+Only strict improvements are accepted: the first lexicographic point wins ties, pruned or not.
 
 The Monte Carlo oracles take every allocation kind and draw the outcomes of its
 bet: the horses of a full or partial allocation, and the (signal, horse) cells
@@ -224,14 +224,14 @@ def _grid_blocks(grid: GridSpec, offsets=None, heads=None) -> Iterator[np.ndarra
             yield block.T
 
 
-def _pair_tails(probs, odds, beta: float, k: int, room, cash, margin: float) -> np.ndarray:
-    """Per row, the largest two-outcome mean in bits of the last two horses over the splits
+def _pair_tails(probs, odds, beta: float, k: int, room, cash, margin: float):
+    """Per row, the largest two-outcome mean in bits of the last two horses over four splits
     ``(t, room - t)`` at the row's ``cash`` (units of 1/k, 0 when fully invested: 0 + x is x),
-    scaled as a read of their summed probability.  Below beta = 1 it is concave in t, a power
-    mean of payoffs affine in t: four splits about its continuous maximizer, where ``p_u o_u
-    S_u^(beta-1) = p_v o_v S_v^(beta-1)``, are evaluated; from 1 on it is convex: 0, 1, room - 1
-    and room.  No split left out tops the evaluated one beside its gap but by rounding, so unless
-    the best mean tops those by over ``margin``, twice that rounding, every split is searched."""
+    scaled as a read of their summed probability, and a flag.  Below beta = 1 the mean is concave
+    in t, a power mean of payoffs affine in t: the splits lie about its continuous maximizer, where
+    ``p_u o_u S_u^(beta-1) = p_v o_v S_v^(beta-1)``; from 1 on it is convex: 0, 1, room - 1, room.
+    No split left out tops one beside its gap but by rounding: where the best tops those by over
+    ``margin``, twice that rounding, it is the best of every split; else the row is flagged."""
     (p_u, p_v), (o_u, o_v), paid = probs[-2:], odds[-2:], (cash / k)[:, None]
 
     def means(splits, rows):  # the kernel at (split, row) splits of the rows, pair-major sums
@@ -250,40 +250,41 @@ def _pair_tails(probs, odds, beta: float, k: int, room, cash, margin: float) -> 
     n = max(1, _BLOCK_CELLS // 8)  # rows a block, each over four splits
     vals = np.hstack([means(splits[:, i : i + n], slice(i, i + n)) for i in range(0, len(room), n)])
     tail, gap = vals.max(0), np.diff(np.vstack((0 * room - 1, splits, room + 1)), axis=0) > 1
-    rows = np.flatnonzero(((gap[:-1] | gap[1:]) & (vals >= tail - margin)).any(0))
-    step = max(1, _BLOCK_CELLS // 2 // (int(room.max()) + 1))  # rows a block, each over every split
-    for r in (rows[lo : lo + step] for lo in range(0, len(rows), step)):
-        tail[r] = means(np.minimum(np.arange(room[r].max() + 1)[:, None], room[r]), r).max(0)
-    return tail * (1.0 if math.isinf(beta) else _LN2 * (beta if abs(beta) > _CENTERED_T else 1.0))
+    unsure = ((gap[:-1] | gap[1:]) & (vals >= tail - margin)).any(0)
+    tail *= 1.0 if math.isinf(beta) else _LN2 * (beta if abs(beta) > _CENTERED_T else 1.0)
+    return tail, unsure
 
 
 def _pruned_blocks(probs, odds, beta: float, grid: GridSpec, table) -> Iterator[np.ndarray]:
     """:func:`_grid_blocks` of the heads (the first d - 2 coordinates, a partial grid's cash first)
     that may win, offset into a full grid's read ``table`` (None if partial: read by cell).  The
     power mean rises in every read and splits over the horses, so the kernel over a head's reads
-    and best tail bounds it; ``slack`` tops 20 times a bound's, tail's and value's rounding."""
+    and best tail bounds it; ``slack`` tops 20 times a bound's, tail's and value's rounding.  A
+    flagged head is always scanned, and its bound, a point's value, still lifts the floor."""
     k, d, partial, floor = grid.resolution, grid.dimension, table is None, -math.inf
     offsets = np.arange(d) * (k + 1) * (not partial)
     corners = np.array([[1.0, 0.0], [0.0, 1.0], [k, 0.0], [0.0, k]]) / k  # cash or a bet: 1/k, 1
     span = _power_mean_read(probs, corners[:, 1:], odds, corners[:, :1], beta) if partial else table
     reach = 1.0 + np.abs(span[np.isfinite(span)]).max()  # a partial read lies between its corners
     unit = 2.0**-39 * d * (1 / abs(beta) if abs(beta) > _CENTERED_T else 1 - math.log(probs.min()))
-    if not partial:  # the tail of each room, read as coordinate d - 1
-        tails = _pair_tails(probs, odds, beta, k, np.arange(k + 1), np.zeros(k + 1), unit * reach)
+    margin = unit * reach  # over twice a tail's rounding
+    if not partial:  # the tail of each room, read as coordinate d - 1, and whether it is unsure
+        tails, unsure = _pair_tails(probs, odds, beta, k, np.arange(k + 1), np.zeros(k + 1), margin)
         table = np.append(table[: (d - 2) * (k + 1)], tails)
     merged = np.append(probs[:-2], probs[-2] + probs[-1])
     for heads in _grid_blocks(GridSpec(k, d - 1), offsets[:-1]):  # a head, then its room
         if partial:  # coordinate-major, as a scan's blocks
             pts = heads / k
             reads = _power_mean_read(merged[:-1], pts[:, 1:-1], odds[:-2], pts[:, :1], beta)
-            tails = _pair_tails(probs, odds, beta, k, heads[:, -1], heads[:, 0], unit * reach)
+            tails, unsure = _pair_tails(probs, odds, beta, k, heads[:, -1], heads[:, 0], margin)
         reads = np.vstack((reads.T, tails)).T if partial else table.take(heads.T).T
+        flags = unsure if partial else unsure[heads[:, -1] - offsets[-2]]  # a head's, or its room's
         bounds = _log2_power_mean(merged, None, None, None, beta, reads)
         size = np.maximum(np.abs(bounds), np.abs(reads[:, -1]))
         size[size == math.inf] = 0.0  # -inf: exact, a zero payoff at beta <= 0
         slack = unit * np.maximum(size + 1.0, reach)
         floor = max(floor, float(np.max(bounds - slack)))
-        if (keep := ~(bounds + slack < floor)).any():
+        if (keep := flags | ~(bounds + slack < floor)).any():
             yield from _grid_blocks(grid, offsets, [heads[keep, :-1].T - offsets[:-2, None]])
 
 

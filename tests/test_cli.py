@@ -404,6 +404,18 @@ class TestOptimize:
         assert main(["optimize", fair_spec, "--beta", "x"]) == 2
         assert capsys.readouterr().err.startswith("error: --beta must be kelly")
 
+    @pytest.mark.parametrize("text", ["1_0", "\u0663", "-0.\uff15", "1e1_0"])
+    def test_beta_that_is_not_a_decimal_is_invalid_input(self, capsys, fair_spec, tmp_path, text):
+        # float reads digit underscores and other scripts' digits: "1_0" as 10, "\u0663" as 3
+        for cmd in ("optimize", "simulate"):
+            assert main([cmd, fair_spec, "--beta", text]) == 2
+            assert capsys.readouterr().err.startswith("error: --beta must be kelly")
+        doc = {"horses": [{"p": 0.6, "odds": 2.0}, {"p": 0.4, "odds": 2.0}], "beta": text}
+        path = tmp_path / "digits.json"
+        path.write_text(json.dumps(doc))
+        assert main(["optimize", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: beta must be kelly")
+
     @pytest.mark.parametrize("mode", ["full", "partial", "side-info"])
     def test_beta_past_the_cap_names_its_source(self, capsys, side_spec, tmp_path, mode):
         assert main(["optimize", side_spec, "--beta", "-1e7", "--mode", mode]) == 2
@@ -1124,6 +1136,16 @@ class TestDivergenceCmd:
     def test_invalid_distribution(self, capsys):
         code = main(["divergence", "--alpha", "0.5", "-p", "0.9,0.9", "-q", "0.5,0.5"])
         assert capsys.readouterr().err.startswith("error: -p, -q: p sums to")
+        assert code == 2
+
+    @pytest.mark.parametrize("text", ["1_0", "\u0663", "0.\uff15", "1e1_0"])
+    def test_numbers_that_are_not_decimals_are_invalid_input(self, capsys, text):
+        # float reads digit underscores and other scripts' digits: "1_0" as 10, "\u0663" as 3
+        code = main(["divergence", "--alpha", text, "-p", "0.5,0.5", "-q", "0.5,0.5"])
+        assert capsys.readouterr().err == f"error: --alpha: not a decimal: {text!r}\n"
+        assert code == 2
+        code = main(["divergence", "--alpha", "2", "-p", f"{text},0.5", "-q", "0.5,0.5"])
+        assert capsys.readouterr().err.startswith("error: -p must be comma-separated numbers")
         assert code == 2
 
     @pytest.mark.parametrize("alpha", ["-1", "nan"])

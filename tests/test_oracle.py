@@ -32,7 +32,7 @@ from powerbet import (
     utility_partial,
     utility_side_info,
 )
-from powerbet import oracle, strategy
+from powerbet import divergence, oracle, strategy
 from powerbet.utility import _log2_power_mean
 
 from helpers import (
@@ -307,22 +307,17 @@ class TestGridScan:
 
     def test_pair_tails_are_the_best_of_every_split(self, monkeypatch):
         # Each tail the pruned scans take, from the splits about the pair's optimum or at its
-        # ends, is bit for bit the largest mean over every split, at no cash (full grids) and
-        # at each head's own (partial ones), in every beta regime; where the candidates do not
-        # settle it, as on the race with odds of 1e+-200, the row's every split is searched.
-        calls, searched, pair_tails, read = [], [], oracle._pair_tails, oracle._power_mean_read
+        # ends, is bit for bit the largest mean over every split wherever its row is not
+        # flagged, at no cash (full grids) and at each head's own (partial ones), in every beta
+        # regime; where the four splits do not settle it, as on the race with odds of 1e+-200,
+        # the row is flagged, and its tail is still the mean of one of its splits.
+        calls, pair_tails, read = [], oracle._pair_tails, oracle._power_mean_read
 
         def recording(*args):
-            calls.append((args, pair_tails(*args)))
-            return calls[-1][1]
-
-        def counting(probs, bets, *rest):  # every split of some rows: more than four a row
-            if probs.size == 2 and bets.ndim == 3 and bets.shape[0] > 4:
-                searched.append(market)
-            return read(probs, bets, *rest)
+            calls.append((market, args, *pair_tails(*args)))
+            return calls[-1][2:]
 
         monkeypatch.setattr(oracle, "_pair_tails", recording)
-        monkeypatch.setattr(oracle, "_power_mean_read", counting)
         monkeypatch.setattr(oracle, "_BLOCK_CELLS", 64)
         rng = np.random.default_rng(47)
         races = _hard_races(rng, 2) + _hard_races(rng, 3) + [random_market(rng, 3)]
@@ -332,17 +327,57 @@ class TestGridScan:
                     grid_search_full(market, beta, GridSpec(40, 3))
                 grid_search_partial(market, beta, GridSpec(30, market.m + 1))
         assert len(calls) > 1000
-        for (probs, odds, beta, k, room, cash, _), tail in calls:
+        flagged = []
+        for market, (probs, odds, beta, k, room, cash, _), tail, unsure in calls:
             pair = probs[-2:] / (probs[-2] + probs[-1])
-            for r, c, got in zip(room, cash, tail):
+            scale = 1.0  # scaled as a read: the far form's terms, else nats
+            if not math.isinf(beta):
+                scale = math.log(2.0) * (beta if abs(beta) > 2.0**-10 else 1.0)
+            for r, c, got, flag in zip(room, cash, tail, unsure):
                 bets = np.column_stack((np.arange(r + 1), r - np.arange(r + 1))) / k
                 reads = read(probs[-2:], bets, odds[-2:], c / k, beta)
-                want = _log2_power_mean(pair, None, None, None, beta, reads).max()
-                if not math.isinf(beta):  # scaled as a read: the far form's terms, else nats
-                    want *= math.log(2.0) * (beta if abs(beta) > 2.0**-10 else 1.0)
-                assert np.float64(got).tobytes() == np.float64(want).tobytes()
+                means = _log2_power_mean(pair, None, None, None, beta, reads)
+                if flag:
+                    flagged.append(market)
+                    assert np.any(np.float64(got) == means * scale)
+                else:
+                    want = np.float64(means.max() * scale)
+                    assert np.float64(got).tobytes() == want.tobytes()
         wide = [m for m in races if m.odds.max() == 1e200]
-        assert any(any(m is w for m in searched) for w in wide)
+        assert any(any(m is w for m in flagged) for w in wide)
+
+    @pytest.mark.parametrize("partial", [False, True])
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_a_pruned_search_reads_at_most_a_whole_scan_and_its_bounds(
+        self, partial, tied, monkeypatch
+    ):
+        # Rows whose four splits do not settle their tail, on a tied race at beta = 1 and on
+        # odds of 1e+-200 at beta = -5, keep their heads for the scan instead of a search over
+        # every split: the payoff cells read are at most a whole scan's (its table too), plus
+        # the heads' own reads and the read corners, plus four splits of two horses per row
+        # bounded.  The point found is the whole scan's.
+        market = _tied_race(3) if tied else new_race([0.3, 0.3, 0.4], [2.0, 1e200, 1e-200])
+        beta, m = 1.0 if tied else -5.0, market.m
+        grid = GridSpec(60, m + 1) if partial else GridSpec(200, m)
+        assert grid.n_points > 2 * oracle._BLOCK_CELLS // grid.dimension  # pruned
+        cells, read = [0], oracle._power_mean_read
+
+        def counting(*args):
+            out = read(*args)
+            cells[0] += out.size
+            return out
+
+        monkeypatch.setattr(oracle, "_power_mean_read", counting)
+        monkeypatch.setattr(divergence, "_power_mean_read", counting)
+        pruned = oracle._grid_argmax(market, beta, grid, cash=partial)
+        pruned_cells, cells[0] = cells[0], 0
+        monkeypatch.setattr(oracle, "_pruned_blocks", lambda *args: None)
+        whole = oracle._grid_argmax(market, beta, grid, cash=partial)
+        heads = GridSpec(grid.resolution, grid.dimension - 1).n_points
+        rows = heads if partial else grid.resolution + 1
+        head_reads = 4 * m + heads * (m - 2) if partial else 0  # the corners, each head's bets
+        assert pruned_cells <= cells[0] + head_reads + 8 * rows
+        np.testing.assert_array_equal(pruned, whole)
 
     @pytest.mark.parametrize("beta", [0.5, -1.0, 1e-4, -1e-4])
     def test_pruned_scan_of_the_check_grid(self, beta, monkeypatch):
