@@ -166,11 +166,18 @@ def _parse_side_info(doc: dict) -> SideInfoMarket:
     return market
 
 
-def _decimal(text: str) -> float:
-    """``float`` of a decimal, nan or inf; refuses digit underscores (``1_0``) and non-ASCII digits."""
+def _decimal(text: str, kind=float) -> float:
+    """``kind`` of a decimal, nan or inf; refuses digit underscores (``1_0``) and non-ASCII digits."""
     if not text.isascii() or "_" in text:
         raise ValueError(f"not a decimal: {text!r}")
-    return float(text)
+    return kind(text)
+
+
+def _integer(text: str) -> int:
+    """An integer flag's value, :func:`_decimal` with ``int``: an optional sign and ASCII digits."""
+    with contextlib.suppress(ValueError):
+        return _decimal(text, int)
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")  # as argparse words int's
 
 
 def _parse_beta(value, field: str) -> float:
@@ -453,14 +460,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--beta", help="kelly, +inf, -inf, or a decimal risk parameter")
     p_opt.add_argument("--mode", choices=["full", "partial", "side-info"])
     p_opt.add_argument("--check", action="store_true", help="cross-check against the oracles")
-    p_opt.add_argument("--grid-resolution", type=int, metavar="K")
+    p_opt.add_argument("--grid-resolution", type=_integer, metavar="K")
     p_opt.set_defaults(func=cmd_optimize)
 
     p_sim = sub.add_parser("simulate", help="seeded wealth trajectory for a strategy")
     p_sim.add_argument("spec", help="path to a JSON race spec")
     p_sim.add_argument("--beta", default="kelly")
-    p_sim.add_argument("-n", type=int, default=10000, help="number of races")
-    p_sim.add_argument("--seed", type=int, default=0)
+    p_sim.add_argument("-n", type=_integer, default=10000, help="number of races")
+    p_sim.add_argument("--seed", type=_integer, default=0)
     p_sim.add_argument("--output", help="write the trajectory CSV here instead of stdout")
     p_sim.set_defaults(func=cmd_simulate)
 

@@ -130,18 +130,18 @@ def _renyi_from_logs(log_p, log_q, alpha: float, axis: int | None = None, t: flo
     ``t`` is the exact tilt ``alpha - 1`` if the caller has it, not ``alpha - 1.0``.
     Above order :data:`_HUGE_ORDER` it is the limit ``D_inf``.  Rounding below 0, -0.0 included, is clamped to +0.0: no Renyi divergence is negative."""
     t = alpha - 1.0 if t is None else t
-    off = log_p == -math.inf
-    with np.errstate(invalid="ignore"):  # -inf - -inf off the support of p, replaced below
-        x = log_p - log_q
+    off, x = log_p == -math.inf, None
+    if alpha > _HUGE_ORDER or abs(t) <= _CENTERED_T:  # only D_inf and the near form read x
+        with np.errstate(invalid="ignore"):  # -inf - -inf off the support of p, replaced here
+            x = log_p - log_q
+        x[off] = -math.inf if alpha > _HUGE_ORDER else 0.0
     if alpha > _HUGE_ORDER:  # D_inf = log2 max p/q over p > 0
-        x[off] = -math.inf
         d = x.max(axis) / _LN2
     else:
         with np.errstate(invalid="ignore"):
             # where alpha rounds to 1, ln q keeps the weight -t, so q = 0 stays infinite, not NaN
             terms = alpha * log_p + ((1.0 - alpha) or -t) * log_q
         terms[off] = -math.inf
-        x[off] = 0.0
         d = _tilted_mean(t, log_p, x, terms, axis)
     return max(0.0, float(d)) if axis is None else np.maximum(d, 0.0) + 0.0  # -0.0 + 0.0 is +0.0
 

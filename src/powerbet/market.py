@@ -69,10 +69,11 @@ def _normalized(values, name: str, ndim: int = 1, rows=False, cash: float = 0.0)
         raise InvalidDistributionError(
             f"{name} must be a nonempty {ndim}-D array, got shape {arr.shape}"
         )
-    if not (arr.min() >= 0.0 and arr.max() < np.inf):  # NaN fails both
+    nonneg = arr.min() >= 0.0  # NaN fails too; max is only read if the sum is not finite
+    total = cash + float(arr.sum()) if nonneg and rows is False else np.inf
+    if not (nonneg and (total < np.inf or arr.max() < np.inf)):
         raise InvalidDistributionError(f"{name} entries must be finite and >= 0")
     if rows is False:
-        total = cash + float(arr.sum())
         bad = total if abs(total - 1.0) > NORMALIZATION_TOL else None
     else:
         if rows is not True:
@@ -94,24 +95,28 @@ def _normalized(values, name: str, ndim: int = 1, rows=False, cash: float = 0.0)
     return out, total
 
 
-def _checked_odds(odds: np.ndarray) -> np.ndarray:
-    """A read-only copy of a float vector of payouts, each finite and > 0,
-    whose reciprocals have the finite sum the track constant needs."""
+def _set_odds(market, odds: np.ndarray) -> None:
+    """Give ``market`` a read-only copy of payouts, each finite and > 0, their logs, the track
+    constant from their reciprocals' sum, which must be finite, and no optimum: ``(None, None)``."""
     if not (odds.min() > 0.0 and odds.max() < np.inf):
         raise NonPositiveOddsError("all odds must be finite and > 0")
+    odds = _freeze(odds)
     with np.errstate(over="ignore"):
-        if not np.sum(1.0 / odds) < np.inf:
-            raise NonPositiveOddsError("odds are too small: their reciprocals overflow as a sum")
-    return _freeze(odds)
+        total = float(np.sum(1.0 / odds))
+    if not total < np.inf:
+        raise NonPositiveOddsError("odds are too small: their reciprocals overflow as a sum")
+    log_o = _freeze(np.log(odds))  # a frozen dataclass's fields, set through its dict
+    vars(market).update(odds=odds, _log_o=log_o, _c=1.0 / total, _optimum=(None, None))
 
 
 @dataclass(frozen=True)
 class RaceMarket:
     """An m-horse race: strictly positive winning probabilities and odds.
 
-    ``probs`` must sum to one within :data:`NORMALIZATION_TOL`; it is
-    renormalized exactly on construction.  Instances are immutable and
-    safe to share across threads.
+    ``probs`` must sum to one within :data:`NORMALIZATION_TOL`; it is renormalized
+    exactly on construction, which also stores ``_log_p``, ``_log_o`` and the track constant
+    ``_c`` read-only.  Only ``_optimum``, the last interior optimum's ``(beta, log-weights)``,
+    changes, as one tuple replaced whole: shared across threads, no reader pairs two betas.
     """
 
     probs: np.ndarray
@@ -128,8 +133,9 @@ class RaceMarket:
             raise LengthMismatchError("a race needs at least one horse")
         if not (probs.min() > 0.0 and probs.max() < np.inf):
             raise NonPositiveProbabilityError("all winning probabilities must be finite and > 0")
-        object.__setattr__(self, "odds", _checked_odds(odds))
+        _set_odds(self, odds)
         object.__setattr__(self, "probs", _normalized(probs, "probs")[0])
+        object.__setattr__(self, "_log_p", _freeze(np.log(self.probs)))
 
     @property
     def m(self) -> int:
@@ -151,7 +157,8 @@ class SideInfoMarket:
     must have positive marginal probability; individual horses may have
     zero winning probability.  ``odds`` maps each horse to its payout.
     ``signal_probs``, the signal's strictly positive marginal, is the row sums
-    that validation takes, stored read-only on construction.
+    that validation takes, stored read-only on construction with ``_log_o`` and ``_c``;
+    ``_optimum`` is ``(beta, (log-table, log-signal-weights))``, as in :class:`RaceMarket`.
     """
 
     joint: np.ndarray
@@ -169,7 +176,7 @@ class SideInfoMarket:
             )
         if joint.shape[0] < 1 or joint.shape[1] < 1:
             raise LengthMismatchError("joint must have at least one signal and one horse")
-        object.__setattr__(self, "odds", _checked_odds(odds))
+        _set_odds(self, odds)
         joint = _normalized(joint, "joint", ndim=2)[0]
         p_y = joint.sum(axis=1)
         if np.any(p_y <= 0.0):
@@ -217,7 +224,7 @@ class Fairness:
 
 def track_constant(market: RaceMarket | SideInfoMarket) -> float:
     """Track constant ``c``: reciprocal of the sum of reciprocal odds."""
-    return 1.0 / float((1.0 / market.odds).sum())
+    return market._c
 
 
 def bookie_distribution(market: RaceMarket | SideInfoMarket) -> np.ndarray:

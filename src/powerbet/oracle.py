@@ -270,7 +270,7 @@ def _pruned_blocks(probs, odds, beta: float, grid: GridSpec, table) -> Iterator[
     margin = unit * reach  # over twice a tail's rounding
     if not partial:  # the tail of each room, read as coordinate d - 1, and whether it is unsure
         tails, unsure = _pair_tails(probs, odds, beta, k, np.arange(k + 1), np.zeros(k + 1), margin)
-        table = np.append(table[: (d - 2) * (k + 1)], tails)
+        table, flagged = np.append(table[: (d - 2) * (k + 1)], tails), unsure.any()  # any room
     merged = np.append(probs[:-2], probs[-2] + probs[-1])
     for heads in _grid_blocks(GridSpec(k, d - 1), offsets[:-1]):  # a head, then its room
         if partial:  # coordinate-major, as a scan's blocks
@@ -278,7 +278,7 @@ def _pruned_blocks(probs, odds, beta: float, grid: GridSpec, table) -> Iterator[
             reads = _power_mean_read(merged[:-1], pts[:, 1:-1], odds[:-2], pts[:, :1], beta)
             tails, unsure = _pair_tails(probs, odds, beta, k, heads[:, -1], heads[:, 0], margin)
         reads = np.vstack((reads.T, tails)).T if partial else table.take(heads.T).T
-        flags = unsure if partial else unsure[heads[:, -1] - offsets[-2]]  # a head's, or its room's
+        flags = unsure if partial else unsure[heads[:, -1] - offsets[-2]] if flagged else False
         bounds = _log2_power_mean(merged, None, None, None, beta, reads)
         size = np.maximum(np.abs(bounds), np.abs(reads[:, -1]))
         size[size == math.inf] = 0.0  # -inf: exact, a zero payoff at beta <= 0
@@ -414,11 +414,11 @@ def _certificate(market: RaceMarket | SideInfoMarket, beta: float, log_fractions
     of log-sum-exps over the live outcomes: scale-free, O(outcomes), never NaN, +inf
     where a possible outcome pays 0.  Each ``max g_j`` is weighed by its simplex's total,
     for the gap of the point the fractions normalize to: exactly 0 at Kelly, b = p."""
-    log_o = np.log(market.odds)
+    log_o = market._log_o
     if isinstance(market, SideInfoMarket):
         log_w, log_x, log_cash = _log(market.joint), log_fractions, None
     else:
-        log_w, log_x = np.log(market.probs)[None, :], log_fractions[None, -market.m :]
+        log_w, log_x = market._log_p[None, :], log_fractions[None, -market.m :]
         log_cash = log_fractions[0] if log_fractions.size > market.m else None
     log_s = log_x + log_o if log_cash is None else np.logaddexp(log_cash, log_x + log_o)
     dead = log_w == -math.inf

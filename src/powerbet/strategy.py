@@ -180,7 +180,8 @@ def optimal_full(market: RaceMarket, beta: float) -> Allocation:
     """
     _require(RaceMarket, market, "optimal_full")
     beta = _check_interior_beta(beta)
-    logs = _log_weights(np.log(market.probs), np.log(market.odds), beta)
+    logs = _log_weights(market._log_p, market._log_o, beta)
+    object.__setattr__(market, "_optimum", (beta, logs))  # read by the decomposition
     weights = np.exp(logs)
     return _trusted(Allocation, bets=weights / weights.sum(), _logs=logs)
 
@@ -204,7 +205,8 @@ def optimal_side_info(
     _require(SideInfoMarket, market, "optimal_side_info")
     beta = _check_interior_beta(beta)
     log_cond, log_p_y = _log(market.conditional()), np.log(market.signal_probs)
-    log_table, log_g_y = _log_weights(log_cond, np.log(market.odds), beta, log_p_y)
+    log_table, log_g_y = _log_weights(log_cond, market._log_o, beta, log_p_y)
+    object.__setattr__(market, "_optimum", (beta, (log_table, log_g_y)))
     table = np.exp(log_table)
     table /= table.sum(axis=1, keepdims=True)
     return _trusted(ConditionalAllocation, table=table, _logs=log_table), np.exp(log_g_y)
@@ -228,33 +230,34 @@ def optimal_partial(market: RaceMarket, beta: float) -> PartialSolution:
     """
     _require(RaceMarket, market, "optimal_partial")
     beta = _check_interior_beta(beta)
-    p, o = market.probs, market.odds
-    scores = p * o
-    order = np.argsort(-scores, kind="stable")
-    slack = 1.0 - np.concatenate(([0.0], np.cumsum(1.0 / o[order])))
+    neg = -(market.probs * market.odds)
+    order = np.argsort(neg)  # any sort ranks distinct scores alike
+    if ((ranked := neg[order])[1:] == ranked[:-1]).any():  # ties go to the smaller index
+        order = np.argsort(neg, kind="stable")
+    p, o, scores = market.probs[order], market.odds[order], -ranked  # in score order from here
+    slack = 1.0 - np.concatenate(([0.0], np.cumsum(1.0 / o)))
     cap = gammas = None
     if slack[-1] >= 0.0:  # c >= 1 in the scan's own arithmetic: at best a tie with cash
-        log_cash, log_bets = -math.inf, _log_weights(np.log(p), np.log(o), beta)
+        log_cash, log_bets = -math.inf, _log_weights(market._log_p, market._log_o, beta)
     else:
         # Before horse order[k] is tried the support is order[:k].  Its unbacked
         # mass outside[k] is a suffix sum, so it never cancels to 0, and the horse
         # joins only if the slack stays > 0 once it has: cap is finite and > 0.
-        outside = np.append(np.cumsum(p[order][::-1])[::-1], 0.0)
-        extend = (scores[order] * slack[:-1] > outside[:-1]) & (slack[1:] > 0.0)
+        outside = np.concatenate((np.cumsum(p[::-1])[::-1], [0.0]))
+        extend = (scores * slack[:-1] > outside[:-1]) & (slack[1:] > 0.0)
         k = int(np.logical_and.accumulate(extend).sum())
         cap = float(outside[k] / slack[k])
-        backed = order[:k]
         # a last horse tied with the threshold may round to just below it: no bet
-        z = np.maximum((np.log(scores[backed]) - math.log(cap)) / (1.0 - beta), 0.0)
+        z = np.maximum((np.log(scores[:k]) - math.log(cap)) / (1.0 - beta), 0.0)
         log_gammas = np.full(market.m, -math.inf)
-        log_gammas[backed] = z - np.log(o[backed]) + _log(-np.expm1(-z))
+        log_gammas[order[:k]] = z - np.log(o[:k]) + _log(-np.expm1(-z))
         with np.errstate(over="ignore"):
             gammas = _freeze(np.exp(log_gammas))
         peak = max(0.0, float(log_gammas.max()))  # the cash's log-weight is 0
         log_cash, log_bets = -peak, log_gammas - peak
     weights, cash = np.exp(log_bets), math.exp(log_cash)  # normalized once, in the division
     total = cash + float(weights.sum())
-    logs = np.append(log_cash, log_bets)
+    logs = np.concatenate(([log_cash], log_bets))
     logs -= _logsumexp(logs)  # the fractions' own logs, normalized once
     alloc = _trusted(PartialAllocation, cash=cash / total, bets=weights / total, _logs=logs)
     support = tuple(np.flatnonzero(alloc.bets > 0.0).tolist())
@@ -300,7 +303,7 @@ def dispatch(market: RaceMarket, beta: float) -> Allocation:
         r = bookie_distribution(market)
         return _trusted(Allocation, bets=r / r.sum())
     # the odds themselves at +inf: distinct odds near 1e300 can share a log
-    scores = market.odds if beta == math.inf else np.log(market.probs) / beta + np.log(market.odds)
+    scores = market.odds if beta == math.inf else market._log_p / beta + market._log_o
     bets = np.zeros(market.m)
     bets[int(np.argmax(scores))] = 1.0
     return _trusted(Allocation, bets=bets)

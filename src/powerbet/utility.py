@@ -39,7 +39,7 @@ import numpy as np
 from .divergence import _cond_renyi_from_logs, _log, _log2_power_mean, _power_mean_read
 from .divergence import _renyi_from_logs
 from .errors import NotApplicableError
-from .market import RaceMarket, SideInfoMarket, track_constant
+from .market import RaceMarket, SideInfoMarket
 from .strategy import (
     Allocation,
     ConditionalAllocation,
@@ -108,17 +108,19 @@ def decompose_full(
         raise NotApplicableError("the three-term split is of full-investment allocations")
     beta = _check_interior_beta(beta)
     direct = utility_full(market, b, beta)
-    log_o, c = np.log(market.odds), track_constant(market)
+    log_o, c = market._log_o, market._c
     log_r, alpha = math.log(c) - log_o, 1.0 / (1.0 - beta)  # r = c / o
+    solved, cached = market._optimum  # one read of the tuple an optimizer replaces whole
     if isinstance(market, SideInfoMarket):
         log_p, log_p_y = _log(market.conditional()), np.log(market.signal_probs)
         bookie = _cond_renyi_from_logs(log_p, log_r, log_p_y, alpha)
-        log_g, log_g_y = _log_weights(log_p, log_o, beta, log_p_y)
+        log_g, log_g_y = cached if solved == beta else _log_weights(log_p, log_o, beta, log_p_y)
         log_g, log_b = log_g + log_g_y[:, None], _log(b.table) + log_g_y[:, None]
     else:
-        log_p = np.log(market.probs)
+        log_p = market._log_p
         bookie = _renyi_from_logs(log_p, log_r, alpha)
-        log_g, log_b = _log_weights(log_p, log_o, beta), _log(b.bets)
+        log_g = cached if solved == beta else _log_weights(log_p, log_o, beta)
+        log_b = _log(b.bets)
     gambler = _renyi_from_logs(log_g, log_b, 1.0 - beta, t=-beta)  # the exact tilt
     log_c = math.log2(c)
     total = log_c + bookie - gambler

@@ -805,6 +805,24 @@ class TestSimulate:
         assert captured.out == ""
         assert "--seed" in captured.err
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["simulate", "-n", "1_0"], "-n"),  # a digit underscore, which int() reads as 10
+            (["simulate", "--seed", "\u0663"], "--seed"),  # an Arabic-Indic 3
+            (["optimize", "--check", "--grid-resolution", "\u0664\u0660"], "--grid-resolution"),
+        ],
+    )
+    def test_integer_flag_outside_ascii_digits_is_invalid_input(
+        self, capsys, fair_spec, flags, named
+    ):
+        with pytest.raises(SystemExit) as exit_:
+            main([flags[0], fair_spec, *flags[1:]])
+        captured = capsys.readouterr()
+        assert exit_.value.code == 2
+        assert captured.out == ""
+        assert f"error: argument {named}: invalid int value: {flags[-1]!r}" in captured.err
+
     def test_count_past_the_int64_counts_is_invalid_input(
         self, capsys, monkeypatch, fair_spec, tmp_path
     ):

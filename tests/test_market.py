@@ -1,3 +1,7 @@
+import dataclasses
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -9,8 +13,11 @@ from powerbet import (
     NotNormalizedError,
     bookie_distribution,
     classify_fairness,
+    decompose_full,
     new_race,
     new_side_info,
+    optimal_full,
+    optimal_side_info,
     track_constant,
 )
 from powerbet.errors import InvalidDistributionError
@@ -133,3 +140,79 @@ class TestSideInfoMarket:
     def test_odds_shape_mismatch(self):
         with pytest.raises(LengthMismatchError):
             new_side_info([[0.5, 0.5]], [2, 3, 4])
+
+
+def _side_market(rng, signals=3, horses=5):
+    joint = rng.dirichlet(np.ones(signals * horses)).reshape(signals, horses)
+    joint[rng.random(joint.shape) < 0.2] = 0.0
+    joint[:, 0] += 0.01  # every signal possible
+    return new_side_info(joint / joint.sum(), rng.uniform(1.2, 8.0, size=horses))
+
+
+def _report_bits(report) -> list[str]:
+    return [value.hex() for value in dataclasses.astuple(report)]
+
+
+class TestSolvedOnce:
+    """What a market stores at construction, and the optimum it keeps for the decomposition."""
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 300])
+    def test_logs_and_track_constant_are_read_only_and_exact(self, m):
+        rng = np.random.default_rng(m)
+        market = random_market(rng, m)
+        # a reversed view of the inputs: the stored copies are contiguous all the same
+        backwards = new_race(market.probs[::-1], market.odds[::-1])
+        for race in (market, backwards):
+            assert race._log_p.tobytes() == np.log(race.probs).tobytes()
+        for mk in (market, backwards, _side_market(rng, horses=max(m, 2))):
+            assert mk._log_o.tobytes() == np.log(mk.odds).tobytes()
+            assert mk._c.hex() == (1 / float((1 / mk.odds).sum())).hex()
+            assert track_constant(mk) == classify_fairness(mk).c == mk._c
+            for logs in (mk._log_o, getattr(mk, "_log_p", mk._log_o)):
+                with pytest.raises(ValueError):
+                    logs[0] = 0.0
+
+    def test_the_optimum_never_serves_a_stale_beta(self):
+        # solved at 0.5, then decomposed at 0.9 and at 0.5: each report is a fresh market's
+        rng = np.random.default_rng(44)
+        race, side = random_market(rng, 6), _side_market(rng)
+        cases = [
+            (race, optimal_full(race, 0.5), lambda: new_race(race.probs, race.odds)),
+            (side, optimal_side_info(side, 0.5)[0], lambda: new_side_info(side.joint, side.odds)),
+        ]
+        for market, bets, fresh in cases:
+            for beta in (0.9, 0.5):
+                got = decompose_full(market, bets, beta)
+                assert _report_bits(got) == _report_bits(decompose_full(fresh(), bets, beta))
+
+    def test_threads_sharing_a_market_never_pair_two_betas(self):
+        # each thread solves the shared market at its own beta and decomposes at it, while
+        # the others replace the optimum: every report must be the fresh market's
+        rng = np.random.default_rng(45)
+        market = random_market(rng, 40)
+        betas = (-2.0, 0.0, 0.5, 0.9)
+        want = {
+            beta: _report_bits(decompose_full(new_race(market.probs, market.odds), bets, beta))
+            for beta in betas
+            for bets in [optimal_full(new_race(market.probs, market.odds), beta)]
+        }
+        wrong = []
+
+        def work(beta):
+            for _ in range(200):
+                bets = optimal_full(market, beta)
+                if _report_bits(decompose_full(market, bets, beta)) != want[beta]:
+                    wrong.append(beta)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(beta,)) for beta in betas * 2]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []

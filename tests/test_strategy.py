@@ -375,6 +375,45 @@ class TestOptimalPartial:
         with pytest.raises(BetaOutOfRangeError):
             optimal_partial(MARKET_B, 1.5)
 
+    # Exactly tied scores p o, from tied (p, o) pairs or from p halved where o doubles: inside
+    # the support, on the threshold (cap rounds just below their 0.75, though neither is
+    # backed), and every horse tied; then 200 horses in three bands of ties, the top two
+    # backed, which numpy's default sort ranks unlike a stable one.  The order of tied
+    # horses changes the suffix sums, so the cap and every fraction may move by an ulp.
+    _w = 2.0 ** np.random.default_rng(44).integers(0, 3, 200)
+    _b = np.random.default_rng(45).choice([1.0, 1.5, 3.0], 200)
+    TIED = {
+        "inside": ([0.2, 0.1, 0.3, 0.15, 0.25], [6.0, 12.0, 2.5, 2.0, 1.2]),
+        "threshold": ([0.5, 0.2, 0.1, 0.2], [3.0, 3.75, 7.5, 1.5]),
+        "all": ([0.5, 0.25, 0.125, 0.125], [1.8, 3.6, 7.2, 7.2]),
+        "bands": (_w / _w.sum(), _b / _w * (0.9 * np.sum(_w / _b))),
+    }
+
+    @pytest.mark.parametrize("beta", [-2.0, 0.0, 0.5, 0.99])
+    @pytest.mark.parametrize("case", sorted(TIED))
+    def test_tied_scores_rank_as_a_stable_sort(self, monkeypatch, case, beta):
+        market = new_race(*self.TIED[case])
+        scores = market.probs * market.odds
+        assert np.unique(scores).size < market.m  # the race has exact ties
+
+        def bits(sol):
+            alloc, cap = sol.allocation, sol.gamma_cap
+            return (
+                sol.support, alloc.cash.hex(), alloc.bets.tobytes(),
+                sol.gammas.tobytes(), cap.hex(), sol.utility.hex(),
+            )
+
+        sol = optimal_partial(market, beta)
+        # the threshold from the suffix sums in the stable order, ties to the smaller index
+        order = np.argsort(-scores, kind="stable")
+        slack = 1.0 - np.concatenate(([0.0], np.cumsum(1.0 / market.odds[order])))
+        outside = np.append(np.cumsum(market.probs[order][::-1])[::-1], 0.0)
+        k = len(sol.support)
+        assert sol.gamma_cap.hex() == float(outside[k] / slack[k]).hex()
+        argsort = np.argsort  # and every other output as when each sort is stable
+        monkeypatch.setattr(np, "argsort", lambda a, kind=None: argsort(a, kind="stable"))
+        assert bits(sol) == bits(optimal_partial(market, beta))
+
 
 class TestFoldCashIntoBets:
     def test_all_cash_becomes_bookie_mix(self):
