@@ -9,6 +9,7 @@ distribution ``r_i = c / o_i``.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -69,20 +70,21 @@ def _normalized(values, name: str, ndim: int = 1, rows=False, cash: float = 0.0)
         raise InvalidDistributionError(
             f"{name} must be a nonempty {ndim}-D array, got shape {arr.shape}"
         )
-    nonneg = arr.min() >= 0.0  # NaN fails too; max is only read if the sum is not finite
-    total = cash + float(arr.sum()) if nonneg and rows is False else np.inf
-    if not (nonneg and (total < np.inf or arr.max() < np.inf)):
+    top = arr.max()
+    if not (arr.min() >= 0.0 and top < np.inf):  # NaN fails too
         raise InvalidDistributionError(f"{name} entries must be finite and >= 0")
+    if rows is not False and rows is not True:
+        if rows.shape != arr.shape[:1]:
+            raise LengthMismatchError(
+                f"{name} has {arr.shape[0]} rows but there are {rows.size} signals"
+            )
+        arr = arr[rows]
+    # no sum of entries <= 1 overflows; one of larger entries may, to inf, and is off then
+    with np.errstate(over="ignore") if top > 1.0 else nullcontext():
+        total = cash + float(arr.sum()) if rows is False else arr.sum(axis=1, keepdims=True)
     if rows is False:
         bad = total if abs(total - 1.0) > NORMALIZATION_TOL else None
     else:
-        if rows is not True:
-            if rows.shape != arr.shape[:1]:
-                raise LengthMismatchError(
-                    f"{name} has {arr.shape[0]} rows but there are {rows.size} signals"
-                )
-            arr = arr[rows]
-        total = arr.sum(axis=1, keepdims=True)
         off = np.abs(total - 1.0) > NORMALIZATION_TOL
         bad = float(np.extract(off, total)[0]) if off.any() else None
     if bad is not None:
@@ -96,8 +98,8 @@ def _normalized(values, name: str, ndim: int = 1, rows=False, cash: float = 0.0)
 
 
 def _set_odds(market, odds: np.ndarray) -> None:
-    """Give ``market`` a read-only copy of payouts, each finite and > 0, their logs, the track
-    constant from their reciprocals' sum, which must be finite, and no optimum: ``(None, None)``."""
+    """Give ``market`` a read-only copy of payouts, each finite and > 0, their logs and the
+    track constant from their reciprocals' sum, which must be finite."""
     if not (odds.min() > 0.0 and odds.max() < np.inf):
         raise NonPositiveOddsError("all odds must be finite and > 0")
     odds = _freeze(odds)
@@ -106,17 +108,16 @@ def _set_odds(market, odds: np.ndarray) -> None:
     if not total < np.inf:
         raise NonPositiveOddsError("odds are too small: their reciprocals overflow as a sum")
     log_o = _freeze(np.log(odds))  # a frozen dataclass's fields, set through its dict
-    vars(market).update(odds=odds, _log_o=log_o, _c=1.0 / total, _optimum=(None, None))
+    vars(market).update(odds=odds, _log_o=log_o, _c=1.0 / total)
 
 
 @dataclass(frozen=True)
 class RaceMarket:
     """An m-horse race: strictly positive winning probabilities and odds.
 
-    ``probs`` must sum to one within :data:`NORMALIZATION_TOL`; it is renormalized
-    exactly on construction, which also stores ``_log_p``, ``_log_o`` and the track constant
-    ``_c`` read-only.  Only ``_optimum``, the last interior optimum's ``(beta, log-weights)``,
-    changes, as one tuple replaced whole: shared across threads, no reader pairs two betas.
+    ``probs`` must sum to one within :data:`NORMALIZATION_TOL`; it is renormalized exactly on
+    construction, which also stores ``_log_p``, ``_log_o`` and the track constant ``_c``
+    read-only.  Nothing changes afterwards: an optimum's logs ride on its allocation.
     """
 
     probs: np.ndarray
@@ -156,9 +157,9 @@ class SideInfoMarket:
     horse ``x`` wins (rows are signals, columns are horses).  Every signal
     must have positive marginal probability; individual horses may have
     zero winning probability.  ``odds`` maps each horse to its payout.
-    ``signal_probs``, the signal's strictly positive marginal, is the row sums
-    that validation takes, stored read-only on construction with ``_log_o`` and ``_c``;
-    ``_optimum`` is ``(beta, (log-table, log-signal-weights))``, as in :class:`RaceMarket`.
+    ``signal_probs``, the signal's strictly positive marginal, is the row sums that validation
+    takes, stored read-only on construction with ``_log_o``, ``_c``, ``_log_cond = ln p(x|y)``
+    and ``_log_p_y = ln p(y)``; as in :class:`RaceMarket`, nothing changes afterwards.
     """
 
     joint: np.ndarray
@@ -182,8 +183,9 @@ class SideInfoMarket:
         if np.any(p_y <= 0.0):
             raise InvalidDistributionError("every signal must have positive marginal probability")
         p_y.flags.writeable = False
-        object.__setattr__(self, "joint", joint)
-        object.__setattr__(self, "signal_probs", p_y)
+        vars(self).update(joint=joint, signal_probs=p_y, _log_p_y=_freeze(np.log(p_y)))
+        with np.errstate(divide="ignore"):  # -inf for a horse that cannot win under a signal
+            object.__setattr__(self, "_log_cond", _freeze(np.log(self.conditional())))
 
     @property
     def n_signals(self) -> int:

@@ -78,7 +78,8 @@ class ConditionalAllocation:
 def _trusted(cls, **fields):
     """A ``cls`` of fractions the library computed from a validated market: their
     arrays are made read-only in place, and nothing is checked or renormalized.
-    An optimizer adds ``_logs``, its fractions' natural logs, the cash first."""
+    An optimizer adds ``_logs``, its fractions' natural logs, the cash first, and an interior
+    one ``_of = (market, beta, logs)``: its market and beta, and :func:`_log_weights` there."""
     out = object.__new__(cls)
     for name, value in fields.items():
         if isinstance(value, np.ndarray):
@@ -181,9 +182,8 @@ def optimal_full(market: RaceMarket, beta: float) -> Allocation:
     _require(RaceMarket, market, "optimal_full")
     beta = _check_interior_beta(beta)
     logs = _log_weights(market._log_p, market._log_o, beta)
-    object.__setattr__(market, "_optimum", (beta, logs))  # read by the decomposition
     weights = np.exp(logs)
-    return _trusted(Allocation, bets=weights / weights.sum(), _logs=logs)
+    return _trusted(Allocation, bets=weights / weights.sum(), _logs=logs, _of=(market, beta, logs))
 
 
 def kelly(market: RaceMarket) -> Allocation:
@@ -204,12 +204,11 @@ def optimal_side_info(
     """
     _require(SideInfoMarket, market, "optimal_side_info")
     beta = _check_interior_beta(beta)
-    log_cond, log_p_y = _log(market.conditional()), np.log(market.signal_probs)
-    log_table, log_g_y = _log_weights(log_cond, market._log_o, beta, log_p_y)
-    object.__setattr__(market, "_optimum", (beta, (log_table, log_g_y)))
+    log_table, log_g_y = logs = _log_weights(market._log_cond, market._log_o, beta, market._log_p_y)
     table = np.exp(log_table)
     table /= table.sum(axis=1, keepdims=True)
-    return _trusted(ConditionalAllocation, table=table, _logs=log_table), np.exp(log_g_y)
+    bets = _trusted(ConditionalAllocation, table=table, _logs=log_table, _of=(market, beta, logs))
+    return bets, np.exp(log_g_y)
 
 
 def optimal_partial(market: RaceMarket, beta: float) -> PartialSolution:

@@ -34,8 +34,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .divergence import _cond_renyi_from_logs, _log, _log2_power_mean, _power_mean_read
 from .divergence import _renyi_from_logs
 from .errors import NotApplicableError
@@ -100,8 +98,9 @@ def decompose_full(
     """Three-term report of a full-investment allocation, finite ``beta < 1``, in either
     market kind: :func:`decompose_side_info` is this function, a race the one-row case.
 
-    The gambler term is evaluated from the optimizer's log-weights, so
-    optimal fractions that underflow to 0 near ``beta = 1`` still count.  A
+    The gambler term is evaluated from the optimum's log-weights, so optimal fractions
+    that underflow to 0 near ``beta = 1`` still count: when ``b`` is this market's
+    optimum at this ``beta``, those its optimizer recorded on it, else solved afresh.  A
     :class:`PartialAllocation` raises :class:`NotApplicableError`: its cash is no term here.
     """
     if isinstance(b, PartialAllocation):
@@ -110,17 +109,16 @@ def decompose_full(
     direct = utility_full(market, b, beta)
     log_o, c = market._log_o, market._c
     log_r, alpha = math.log(c) - log_o, 1.0 / (1.0 - beta)  # r = c / o
-    solved, cached = market._optimum  # one read of the tuple an optimizer replaces whole
-    if isinstance(market, SideInfoMarket):
-        log_p, log_p_y = _log(market.conditional()), np.log(market.signal_probs)
-        bookie = _cond_renyi_from_logs(log_p, log_r, log_p_y, alpha)
-        log_g, log_g_y = cached if solved == beta else _log_weights(log_p, log_o, beta, log_p_y)
-        log_g, log_b = log_g + log_g_y[:, None], _log(b.table) + log_g_y[:, None]
+    side = isinstance(market, SideInfoMarket)
+    log_p, log_p_y = (market._log_cond, market._log_p_y) if side else (market._log_p, None)
+    of, at, logs = getattr(b, "_of", (None, None, None))  # what b is the optimum of, if any
+    if of is not market or at != beta:
+        logs = _log_weights(log_p, log_o, beta, log_p_y)
+    if side:
+        bookie, log_g_y = _cond_renyi_from_logs(log_p, log_r, log_p_y, alpha), logs[1][:, None]
+        log_g, log_b = logs[0] + log_g_y, _log(b.table) + log_g_y
     else:
-        log_p = market._log_p
-        bookie = _renyi_from_logs(log_p, log_r, alpha)
-        log_g = cached if solved == beta else _log_weights(log_p, log_o, beta)
-        log_b = _log(b.bets)
+        bookie, log_g, log_b = _renyi_from_logs(log_p, log_r, alpha), logs, _log(b.bets)
     gambler = _renyi_from_logs(log_g, log_b, 1.0 - beta, t=-beta)  # the exact tilt
     log_c = math.log2(c)
     total = log_c + bookie - gambler

@@ -171,6 +171,35 @@ def test_malformed_input_names_what_is_wrong(capsys, tmp_path, spec, argv, messa
     assert captured.err == f"error: {message}\n"
 
 
+BIG = "1e308,1e308"  # probabilities whose sum overflows
+
+
+@pytest.mark.parametrize(
+    "spec,argv,message",
+    [
+        ({"horses": [{"p": 1e308, "odds": 2.0}] * 2}, ["analyze"], "horses: probs"),
+        (None, [*DIVERGENCE, "-p", BIG, "-q", "0.5,0.5"], "-p, -q: p"),
+        (
+            None,
+            [*DIVERGENCE, "-p", BIG, "-q", "0.5,0.5", "--p-y", "1"],
+            "-p, -q, --p-y: a row of p_cond",
+        ),
+    ],
+)
+def test_a_sum_that_overflows_is_one_error_line(capsys, tmp_path, spec, argv, message):
+    if spec is not None:
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        argv = [argv[0], str(path), *argv[1:]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warning would be a traceback
+        code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message} sums to inf, deviating from 1 by more than 1e-09\n"
+
+
 class TestAnalyze:
     def test_fair_market(self, capsys, fair_spec):
         code, out = run(capsys, "analyze", fair_spec)

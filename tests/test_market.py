@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import sys
 import threading
 
@@ -14,13 +15,19 @@ from powerbet import (
     bookie_distribution,
     classify_fairness,
     decompose_full,
+    decompose_side_info,
+    dispatch,
+    kelly,
     new_race,
     new_side_info,
     optimal_full,
+    optimal_partial,
     optimal_side_info,
     track_constant,
 )
+from powerbet.divergence import _log
 from powerbet.errors import InvalidDistributionError
+from powerbet.strategy import ConditionalAllocation, _trusted
 
 from helpers import random_market
 
@@ -154,7 +161,8 @@ def _report_bits(report) -> list[str]:
 
 
 class TestSolvedOnce:
-    """What a market stores at construction, and the optimum it keeps for the decomposition."""
+    """What a market stores at construction, read-only, and the record an optimizer leaves
+    on its allocation: its market, beta and log-weights, which the decomposition reads."""
 
     @pytest.mark.parametrize("m", [1, 2, 7, 300])
     def test_logs_and_track_constant_are_read_only_and_exact(self, m):
@@ -164,13 +172,17 @@ class TestSolvedOnce:
         backwards = new_race(market.probs[::-1], market.odds[::-1])
         for race in (market, backwards):
             assert race._log_p.tobytes() == np.log(race.probs).tobytes()
-        for mk in (market, backwards, _side_market(rng, horses=max(m, 2))):
+        side = _side_market(rng, horses=max(m, 2))
+        assert side._log_cond.tobytes() == _log(side.conditional()).tobytes()
+        assert side._log_p_y.tobytes() == np.log(side.signal_probs).tobytes()
+        for mk in (market, backwards, side):
             assert mk._log_o.tobytes() == np.log(mk.odds).tobytes()
             assert mk._c.hex() == (1 / float((1 / mk.odds).sum())).hex()
             assert track_constant(mk) == classify_fairness(mk).c == mk._c
-            for logs in (mk._log_o, getattr(mk, "_log_p", mk._log_o)):
-                with pytest.raises(ValueError):
-                    logs[0] = 0.0
+        stored = [market._log_p, backwards._log_p, side._log_cond, side._log_p_y]
+        for values in stored + [mk._log_o for mk in (market, backwards, side)]:
+            with pytest.raises(ValueError):
+                values.flat[0] = 0.0
 
     def test_the_optimum_never_serves_a_stale_beta(self):
         # solved at 0.5, then decomposed at 0.9 and at 0.5: each report is a fresh market's
@@ -184,6 +196,45 @@ class TestSolvedOnce:
             for beta in (0.9, 0.5):
                 got = decompose_full(market, bets, beta)
                 assert _report_bits(got) == _report_bits(decompose_full(fresh(), bets, beta))
+
+    def test_no_call_changes_a_market_after_it_is_built(self):
+        rng = np.random.default_rng(46)
+        race, side = random_market(rng, 6), _side_market(rng)
+        before = [(mk, dict(vars(mk))) for mk in (race, side)]
+        for beta in (-2.0, 0.0, 0.5, 0.9):
+            decompose_full(race, optimal_full(race, beta), beta)
+            decompose_full(race, kelly(race), beta)
+            optimal_partial(race, beta)
+            decompose_side_info(side, optimal_side_info(side, beta)[0], beta)
+        for beta in (0.5, 2.0, math.inf, -math.inf):
+            dispatch(race, beta)
+        for mk, fields in before:
+            assert vars(mk).keys() == fields.keys()
+            assert all(vars(mk)[name] is value for name, value in fields.items())
+
+    def test_an_optimum_of_another_market_decomposes_as_any_bet(self):
+        # A's optimum on B, of the same shape, at the same beta: bit for bit the report of its
+        # bets without a record on B rebuilt from its inputs, and not a report of A's weights
+        rng = np.random.default_rng(47)
+        race, side = random_market(rng, 6), _side_market(rng)
+        cases = [
+            (race, new_race(race.probs, race.odds), random_market(rng, 6), optimal_full),
+            (
+                side,
+                new_side_info(side.joint, side.odds),
+                _side_market(rng),
+                lambda market, beta: optimal_side_info(market, beta)[0],
+            ),
+        ]
+        for b, fresh, a, optimal in cases:
+            for beta in (-2.0, 0.0, 0.5, 0.9):
+                optimal(b, beta)  # B solved at this beta too
+                foreign = optimal(a, beta)
+                field = "table" if isinstance(foreign, ConditionalAllocation) else "bets"
+                plain = _trusted(type(foreign), **{field: getattr(foreign, field)})
+                got = _report_bits(decompose_full(b, foreign, beta))
+                assert got == _report_bits(decompose_full(fresh, plain, beta))
+                assert got != _report_bits(decompose_full(a, foreign, beta))
 
     def test_threads_sharing_a_market_never_pair_two_betas(self):
         # each thread solves the shared market at its own beta and decomposes at it, while

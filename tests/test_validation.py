@@ -202,6 +202,50 @@ def test_odds_whose_reciprocals_overflow_raise_nonpositive_odds(new, odds):
             new(values, odds)
 
 
+BIG = [1e308, 1e308]  # finite entries whose sum overflows
+TOO_BIG = "sums to inf, deviating from 1 by more than 1e-09$"
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (lambda: renyi_div(BIG, [0.5, 0.5], 2.0), NotNormalizedError, f"^p {TOO_BIG}"),
+        (lambda: new_race(BIG, [2.0, 2.0]), NotNormalizedError, f"^probs {TOO_BIG}"),
+        (lambda: new_side_info([BIG], [2.0, 2.0]), NotNormalizedError, f"^joint {TOO_BIG}"),
+        (lambda: PartialAllocation(0.5, BIG), NotNormalizedError, f"^cash plus bets {TOO_BIG}"),
+        (
+            lambda: ConditionalAllocation([ROWS[0], BIG]),
+            NotNormalizedError,
+            f"^a row of table {TOO_BIG}",
+        ),
+        (
+            lambda: cond_renyi_div([BIG, ROWS[1]], ROWS, [0.5, 0.5], 2.0),
+            NotNormalizedError,
+            f"^a row of p_cond {TOO_BIG}",
+        ),
+        (
+            lambda: renyi_div([*BIG, math.inf], [0.5, 0.25, 0.25], 2.0),
+            InvalidDistributionError,
+            "^p entries must be finite and >= 0$",
+        ),
+        (
+            lambda: Allocation([*BIG, math.inf]),
+            InvalidDistributionError,
+            "^bets entries must be finite and >= 0$",
+        ),
+    ],
+    ids=["renyi_div", "new_race", "new_side_info", "PartialAllocation", "ConditionalAllocation",
+         "cond_renyi_div-rows", "renyi_div-inf", "Allocation-inf"],
+)
+def test_a_sum_that_overflows_raises_without_a_warning(call, error, message):
+    # numpy's overflow warning names its own frame, which the suite's powerbet filter
+    # does not match, so every warning is an error here
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=message):
+            call()
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, -math.inf])
 def test_bad_cash_is_an_invalid_distribution(bad):
     with pytest.raises(InvalidDistributionError):
