@@ -4,10 +4,10 @@ Commands: ``analyze`` (odds-derived quantities), ``optimize`` (allocations,
 utility, decomposition, optional certificate), ``simulate`` (seeded wealth
 trajectories), ``divergence`` (plain and conditional divergences).
 
-``optimize --check`` certifies what it prints: at finite ``beta < 1``, in every
-mode, the printed doubles are the correctly rounded fractions of a point whose
-Frank-Wolfe gap (nats of ``ln M_beta`` below the optimum) is at most the printed
-bound; at ``beta >= 1`` and ``+-inf`` exact bounds on the optimal value hold.
+``optimize --check`` prints the one verdict of ``oracle._certify``: at finite ``beta < 1``,
+in every mode, the printed doubles are the correctly rounded fractions of a point whose
+Frank-Wolfe gap (nats of ``ln M_beta`` below the optimum) is at most the printed bound;
+at ``beta >= 1`` and ``+-inf`` the printed value meets an exact bound on the optimal value.
 
 Race spec files are JSON documents::
 
@@ -41,17 +41,14 @@ import numpy as np
 
 from . import divergence, oracle, strategy, utility
 from .errors import BetaOutOfRangeError, GridTooLargeError, PowerbetError, UnsupportedOrderError
-from .market import (
-    RaceMarket,
-    SideInfoMarket,
-    bookie_distribution,
-    classify_fairness,
-    new_race,
-    new_side_info,
-    track_constant,
-)
+from .market import RaceMarket, SideInfoMarket, bookie_distribution, classify_fairness
+from .market import new_race, new_side_info
 
-ORACLE_VALUE_TOL = 1e-9
+_CHECK_FIELDS = dict(  # JSON names of a --check verdict's gap, tolerance and bound; None: unprinted
+    limit_bound=("gap", None, None),
+    vertex_bound=("gap_bits", None, "vertex_value_bits"),
+    certificate=("gap_nats", "tolerance_nats", None),
+)
 
 
 class _CommandError(Exception):
@@ -231,23 +228,13 @@ def cmd_analyze(args) -> tuple[dict, int]:
 
 
 def _check(market, mode: str, beta: float, value: float, alloc, args) -> tuple[dict, int]:
-    """``--check`` of an optimum of ``value`` bits and allocation ``alloc``: the payoff
-    bound at ``+-inf``, the exact vertex bound ``max_j (log2 o_j + log2 p_j / beta)`` at
-    ``beta >= 1``, else the certificate.  Beside it a grid runs in full mode at finite
+    """``--check`` of an optimum of ``value`` bits and allocation ``alloc``: the verdict of
+    ``oracle._certify``, its fields named by kind.  Beside it a grid runs in full mode at finite
     ``beta != 0`` and in partial mode, ``--grid-resolution`` or else 200 if that fits,
     and fails the check only if it finds a higher value."""
-    if math.isinf(beta):  # max o at +inf; at -inf c, which min(b o) <= c reaches only if all do
-        bound = float(np.max(market.odds)) if beta > 0 else track_constant(market)
-        gap = abs(value - math.log2(bound))
-        doc = {"kind": "limit_bound", "gap": gap, "passed": gap <= 1e-12}
-    elif beta >= 1.0:
-        bound = float(np.max(np.log2(market.odds) + np.log2(market.probs) / beta))
-        doc = {"kind": "vertex_bound", "vertex_value_bits": bound, "gap_bits": bound - value}
-        doc["passed"] = bound - value <= ORACLE_VALUE_TOL
-    else:
-        gap = oracle._certify(market, beta, alloc)
-        tol = oracle._GAP_TOL * max(1.0, abs(1.0 - beta))
-        doc = {"kind": "certificate", "gap_nats": gap, "tolerance_nats": tol, "passed": gap <= tol}
+    kind, gap, tol, bound = oracle._certify(market, beta, alloc)
+    doc = {"kind": kind, "passed": gap <= tol}
+    doc.update((name, v) for name, v in zip(_CHECK_FIELDS[kind], (gap, tol, bound)) if name)
 
     k, dimension = args.grid_resolution, market.odds.size + (mode == "partial")  # cash first
     if k is None and oracle.GridSpec(200, dimension).n_points <= oracle.MAX_GRID_POINTS:
@@ -261,7 +248,7 @@ def _check(market, mode: str, beta: float, value: float, alloc, args) -> tuple[d
             doc["max_allocation_distance"] = float(np.max(np.abs(found.bets - alloc.bets)))
         doc.update(grid_resolution=k, grid_points=grid.n_points, grid_value_bits=grid_value)
         doc.update(analytic_value_bits=value, grid_minus_analytic=grid_value - value)
-        doc["passed"] = doc["passed"] and grid_value - value <= ORACLE_VALUE_TOL
+        doc["passed"] = doc["passed"] and grid_value - value <= oracle._VALUE_TOL
     return doc, 0 if doc["passed"] else 4
 
 
@@ -320,7 +307,7 @@ def cmd_optimize(args) -> tuple[dict, int]:
     if not args.check:
         return out, 0
     out["oracle_check"], code = _check(market, mode, beta, out["utility_bits"], alloc, args)
-    if out["decomposition"] and out["decomposition"]["residual"] > ORACLE_VALUE_TOL:
+    if out["decomposition"] and out["decomposition"]["residual"] > oracle._VALUE_TOL:
         out["oracle_check"]["passed"], code = False, 4  # the printed identity does not hold
     return out, code
 

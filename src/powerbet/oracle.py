@@ -2,10 +2,10 @@
 
 Four kinds of oracle live here:
 
-* a Frank-Wolfe certificate for finite ``beta < 1``: from the log fractions of
-  a full, partial or conditional allocation, a bound in nats on how far its
-  ``ln M_beta`` falls below the optimum's, certifying the doubles that round them;
-  ``_certify`` reads those logs off an allocation and its optimizer's record,
+* ``_certify``, the one verdict of ``optimize --check``: at finite ``beta < 1`` a Frank-Wolfe
+  certificate, from the log fractions of a full, partial or conditional allocation, a bound in
+  nats on how far its ``ln M_beta`` falls below the optimum's, certifying the doubles that round
+  them; at ``beta >= 1`` and ``+-inf`` the distance of its value from the exact optimal value,
 * exhaustive simplex grid search, enumerating exact integer compositions
   so the feasible set carries no floating-point drift,
 * a stationarity / complementary-slackness residual check of a
@@ -57,7 +57,7 @@ import numpy as np
 from .divergence import _CENTERED_T, _LN2, _NORMAL_MIN, _log, _log2_power_mean, _logsumexp
 from .divergence import _power_mean_read
 from .errors import BetaOutOfRangeError, GridTooLargeError, LengthMismatchError, NotEvaluableError
-from .market import RaceMarket, SideInfoMarket
+from .market import RaceMarket, SideInfoMarket, track_constant
 from .strategy import Allocation, ConditionalAllocation, PartialAllocation, _Bet
 from .strategy import _check_beta, _outcomes, _require
 from .utility import utility_full
@@ -75,7 +75,8 @@ MAX_GRID_POINTS = 10**7
 _BLOCK_CELLS = 1 << 14
 _SEED_BOUND = 1 << 128  # Philox keys are 128-bit
 _COUNT_BOUND = 1 << 63  # outcome counts are int64
-_GAP_TOL = 1e-10  # the largest certifying _certificate gap, in nats per max(1, |1 - beta|)
+_GAP_TOL = 1e-10  # the largest certifying Frank-Wolfe gap, in nats per max(1, |1 - beta|)
+_VALUE_TOL = 1e-9  # in bits, the most a certified value may fall below an exact bound or a grid's
 
 
 @dataclass(frozen=True)
@@ -241,8 +242,9 @@ def _pair_tails(probs, odds, beta: float, k: int, room, cash, margin: float):
 
     if beta < 1.0:
         with np.errstate(all="ignore"):  # sigma = rho / (1 + rho), rho = S_u / S_v at the optimum
-            sigma = 1 / (1 + (p_v * o_v / (p_u * o_u)) ** (1 / (1 - beta)))
-            t = (sigma * room * o_v + (2 * sigma - 1) * cash) / ((1 - sigma) * o_u + sigma * o_v)
+            a = np.log(probs[-2:]) + np.log(odds[-2:])  # ln p o: ln rho = (a_u - a_v) / (1 - beta)
+            sigma, rest = 1 / (1 + np.exp((a[::-1] - a) / (1 - beta)))  # rest = 1 - sigma, apart
+            t = (sigma * room * o_v + (2 * sigma - 1) * cash) / (rest * o_u + sigma * o_v)
         low = np.minimum(np.fmax(np.floor(t) - 1, 0), np.maximum(room - 3, 0)).astype(np.intp)
         splits = np.minimum(low + np.arange(4)[:, None], room)
     else:
@@ -403,58 +405,59 @@ def kkt_residual(
     )
 
 
-def _certificate(market: RaceMarket | SideInfoMarket, beta: float, log_fractions) -> float:
-    """Frank-Wolfe gap, in nats, of an allocation given by its natural-log fractions,
-    for finite ``beta < 1``: the m bets of a full one, or its cash (paying 1 on every
-    outcome) then the m bets, or a conditional table, one simplex per signal.
+def _certify(market: RaceMarket | SideInfoMarket, beta: float, alloc: _Bet) -> tuple:
+    """The verdict on ``alloc`` as the optimum at ``beta``, ``(kind, gap, tolerance, bound)``,
+    certified when ``gap <= tolerance``.  At ``+-inf`` (``"limit_bound"``) and ``beta >= 1``
+    (``"vertex_bound"``) ``bound`` is the exact optimal value in bits, and the gap how far the
+    utility of ``alloc`` lies from it (below it, at ``beta >= 1``).  Below 1 (``"certificate"``,
+    no bound) it is the Frank-Wolfe gap in nats of the doubles ``alloc`` holds, read as logs: below
+    the smallest normal double, where a fraction keeps fewer bits, its optimizer's ``_logs`` record,
+    if that rounds to it within a factor of 2 or a step of 2^-1074 (else +inf: not this point).
 
     ``ln M_beta`` (``M_beta = E[S^beta]^(1/beta)``) is concave and 1-homogeneous in the
-    fractions, so it is within ``sum_y max_{j in y} g_j - 1`` of the optimum, ``g_j =
-    E[dS/db_j S^(beta-1)] / E[S^beta]`` (Jaggi 2013).  Each ``ln g_j`` is a difference
-    of log-sum-exps over the live outcomes: scale-free, O(outcomes), never NaN, +inf
-    where a possible outcome pays 0.  Each ``max g_j`` is weighed by its simplex's total,
-    for the gap of the point the fractions normalize to: exactly 0 at Kelly, b = p."""
-    log_o = market._log_o
-    if isinstance(market, SideInfoMarket):
-        log_w, log_x, log_cash = _log(market.joint), log_fractions, None
-    else:
-        log_w, log_x = market._log_p[None, :], log_fractions[None, -market.m :]
-        log_cash = log_fractions[0] if log_fractions.size > market.m else None
-    log_s = log_x + log_o if log_cash is None else np.logaddexp(log_cash, log_x + log_o)
-    dead = log_w == -math.inf
-    if np.any(log_s[~dead] == -math.inf):
-        return math.inf  # a possible outcome pays 0: its marginal value is infinite
-    with np.errstate(all="ignore"):  # 0 * inf off the live outcomes, ln 0, an infinite gap
-        terms = log_w + beta * log_s  # ln(w S^beta)
-        marginal = (log_w + log_o) + (beta - 1.0) * log_s  # ln(w o S^(beta-1)), one bet's
-        terms[dead] = marginal[dead] = -math.inf
-        rows = _logsumexp(terms, axis=1)
-        peak, size = marginal.max(axis=1), _logsumexp(log_x, axis=1)
-        if log_cash is not None:
-            peak = np.maximum(peak, _logsumexp(log_w + (beta - 1.0) * log_s))
-            size = np.logaddexp(size, log_cash)
-        # simplex y adds share_y (max g_j / share_y - 1), share_y = sum_{j in y} b_j g_j
-        excess = np.maximum(peak + size - rows, 0.0)
-        gaps = np.exp(rows - _logsumexp(rows) + excess + _log(-np.expm1(-excess)))
-    return float(gaps.sum())
-
-
-def _certify(market: RaceMarket | SideInfoMarket, beta: float, alloc: _Bet) -> float:
-    """:func:`_certificate` of the doubles ``alloc`` holds, read as logs: their own, but
-    below the smallest normal double, where a fraction keeps fewer bits, those of the
-    ``_logs`` record its optimizer attached, if they round to it within a factor of 2 or
-    a step of 2^-1074 (else +inf: not this point).  Without a record, its doubles alone."""
+    fractions (the bets, the cash then the bets, or a simplex per signal of a table), so it is
+    within ``sum_y max_{j in y} g_j - 1`` of the optimum, ``g_j = E[dS/db_j S^(beta-1)] /
+    E[S^beta]`` (Jaggi 2013).  Each ``ln g_j`` is a difference of log-sum-exps over the live
+    outcomes: scale-free, O(outcomes), never NaN, +inf where a possible outcome pays 0.  Each
+    ``max g_j`` is weighed by its simplex's total, for the gap of the point the fractions
+    normalize to: exactly 0 at Kelly, b = p."""
+    if math.isinf(beta) or beta >= 1.0:  # beta >= 1: convex in the bets, a vertex is optimal
+        value = utility_full(market, alloc, beta)
+        if math.isinf(beta):  # max o at +inf; at -inf c, which min(b o) <= c reaches only if all do
+            bound = math.log2(float(np.max(market.odds)) if beta > 0 else track_constant(market))
+            return "limit_bound", abs(value - bound), 1e-12, bound
+        bound = float(np.max(np.log2(market.odds) + np.log2(market.probs) / beta))
+        return "vertex_bound", bound - value, _VALUE_TOL, bound
+    tol, cash = _GAP_TOL * max(1.0, abs(1.0 - beta)), isinstance(alloc, PartialAllocation)
     printed = alloc.table if isinstance(alloc, ConditionalAllocation) else alloc.bets
-    if isinstance(alloc, PartialAllocation):
+    if cash:
         printed = np.append(alloc.cash, printed)
     read = _log(printed)
     logs, low = getattr(alloc, "_logs", None), printed < _NORMAL_MIN
     if logs is not None and np.any(low):
         exact, printed = np.exp(logs[low]), printed[low]
         if np.any(np.abs(exact - printed) > np.minimum(exact, printed) + 2.0**-1074):
-            return math.inf
+            return "certificate", math.inf, tol, None
         read[low] = logs[low]
-    return _certificate(market, beta, read)
+    log_w = _log(market.joint) if isinstance(market, SideInfoMarket) else market._log_p[None, :]
+    log_o, log_x = market._log_o, np.atleast_2d(read[cash:])  # the cash pays 1 on every outcome
+    log_s = np.logaddexp(read[0], log_x + log_o) if cash else log_x + log_o
+    dead = log_w == -math.inf
+    if np.any(log_s[~dead] == -math.inf):  # a possible outcome pays 0: an infinite marginal value
+        return "certificate", math.inf, tol, None
+    with np.errstate(all="ignore"):  # 0 * inf off the live outcomes, ln 0, an infinite gap
+        terms = log_w + beta * log_s  # ln(w S^beta)
+        marginal = (log_w + log_o) + (beta - 1.0) * log_s  # ln(w o S^(beta-1)), one bet's
+        terms[dead] = marginal[dead] = -math.inf
+        rows = _logsumexp(terms, axis=1)
+        peak, size = marginal.max(axis=1), _logsumexp(log_x, axis=1)
+        if cash:
+            peak = np.maximum(peak, _logsumexp(log_w + (beta - 1.0) * log_s))
+            size = np.logaddexp(size, read[0])
+        # simplex y adds share_y (max g_j / share_y - 1), share_y = sum_{j in y} b_j g_j
+        excess = np.maximum(peak + size - rows, 0.0)
+        gaps = np.exp(rows - _logsumexp(rows) + excess + _log(-np.expm1(-excess)))
+    return "certificate", float(gaps.sum()), tol, None
 
 
 def _check_stream(n: int, seed: int, unit: str) -> None:

@@ -346,16 +346,35 @@ class TestGridScan:
         wide = [m for m in races if m.odds.max() == 1e200]
         assert any(any(m is w for m in flagged) for w in wide)
 
+    @pytest.mark.parametrize("beta", [-5.0, -0.5])
+    def test_pair_tails_settle_every_room_at_odds_of_1e200(self, beta, monkeypatch):
+        # The pair's optimum is solved in logs, so 1 - sigma does not cancel to 0 at odds
+        # of 1e+-200: the four splits about it settle every room of a full (2000, 3) grid,
+        # and the point found is the whole scan's.
+        market, grid = new_race([0.3, 0.3, 0.4], [2.0, 1e200, 1e-200]), GridSpec(2000, 3)
+        flags, pair_tails = [], oracle._pair_tails
+
+        def recording(*args):
+            tail, unsure = pair_tails(*args)
+            flags.append(unsure)
+            return tail, unsure
+
+        monkeypatch.setattr(oracle, "_pair_tails", recording)
+        best, _ = grid_search_full(market, beta, grid)
+        assert [f.size for f in flags] == [2001] and not flags[0].any()
+        monkeypatch.setattr(oracle, "_pruned_blocks", lambda *args: None)
+        np.testing.assert_array_equal(best.bets, grid_search_full(market, beta, grid)[0].bets)
+
     @pytest.mark.parametrize("partial", [False, True])
     @pytest.mark.parametrize("tied", [False, True])
     def test_a_pruned_search_reads_at_most_a_whole_scan_and_its_bounds(
         self, partial, tied, monkeypatch
     ):
         # Rows whose four splits do not settle their tail, on a tied race at beta = 1 and on
-        # odds of 1e+-200 at beta = -5, keep their heads for the scan instead of a search over
-        # every split: the payoff cells read are at most a whole scan's (its table too), plus
-        # the heads' own reads and the read corners, plus four splits of two horses per row
-        # bounded.  The point found is the whole scan's.
+        # odds of 1e+-200 at beta = -5 with cash, keep their heads for the scan instead of a
+        # search over every split: the payoff cells read are at most a whole scan's (its table
+        # too), plus the heads' own reads and the read corners, plus four splits of two horses
+        # per row bounded.  The point found is the whole scan's.
         market = _tied_race(3) if tied else new_race([0.3, 0.3, 0.4], [2.0, 1e200, 1e-200])
         beta, m = 1.0 if tied else -5.0, market.m
         grid = GridSpec(60, m + 1) if partial else GridSpec(200, m)
@@ -621,61 +640,97 @@ class TestKktResidual:
                 assert name == "mu" or gap is None or gap < 1e-8
 
 
+def _gap(market, beta, fractions, cash=None):
+    """``oracle._certify``'s certificate gap of these doubles, as a full allocation, a
+    partial one holding ``cash`` or a conditional table, with no record of logs."""
+    if cash is not None:
+        alloc = strategy._trusted(PartialAllocation, cash=cash, bets=np.array(fractions))
+    elif np.ndim(fractions) == 2:
+        alloc = strategy._trusted(ConditionalAllocation, table=np.array(fractions))
+    else:
+        alloc = strategy._trusted(Allocation, bets=np.array(fractions))
+    kind, gap, tol, bound = oracle._certify(market, beta, alloc)
+    assert kind == "certificate" and tol == oracle._GAP_TOL * max(1.0, 1.0 - beta) and bound is None
+    return gap
+
+
 class TestCertificate:
-    """``oracle._certificate``, the Frank-Wolfe gap in nats, against its closed
-    form at Kelly, where ``g_j = E[dS/db_j / S]``: ``max_j p_j / b_j - 1`` for full
-    bets, and ``sum_y max_x p(y, x) / b(x|y) - 1`` for a conditional table."""
+    """``oracle._certify``'s Frank-Wolfe gap in nats, against its closed form at Kelly,
+    where ``g_j = E[dS/db_j / S]``: ``max_j p_j / b_j - 1`` for full bets, and
+    ``sum_y max_x p(y, x) / b(x|y) - 1`` for a conditional table."""
 
     def test_full_kelly_gap_is_the_largest_ratio(self):
         market = new_race([0.6, 0.4], [2.0, 2.0])
-        assert oracle._certificate(market, 0.0, np.log([0.5, 0.5])) == pytest.approx(0.2, rel=1e-14)
-        assert oracle._certificate(market, 0.0, np.log(market.probs)) == 0.0
+        assert _gap(market, 0.0, [0.5, 0.5]) == pytest.approx(0.2, rel=1e-14)
+        assert _gap(market, 0.0, market.probs) == 0.0
 
     @pytest.mark.parametrize(
-        "market,fractions,gap",
+        "market,cash,bets,gap",
         [
             # payoffs 0.5 + 0.25 * (2, 2) = (1, 1): the cash's marginal value E[1/S]
             # is 1, the bets' p o / S are 1.2 and 0.8
-            (new_race([0.6, 0.4], [2.0, 2.0]), [0.5, 0.25, 0.25], 0.2),
+            (new_race([0.6, 0.4], [2.0, 2.0]), 0.5, [0.25, 0.25], 0.2),
             # payoffs 0.1 + (0.9, 0) * 1.5 = (1.45, 0.1): E[1/S] = 0.9/1.45 + 1 beats
             # the bets' 1.35/1.45 and 1.5, so the cash sets the gap
-            (new_race([0.9, 0.1], [1.5, 1.5]), [0.1, 0.9, 0.0], 0.9 / 1.45),
+            (new_race([0.9, 0.1], [1.5, 1.5]), 0.1, [0.9, 0.0], 0.9 / 1.45),
         ],
     )
-    def test_partial_kelly_gap_counts_the_cash(self, market, fractions, gap):
-        with np.errstate(divide="ignore"):
-            log_x = np.log(fractions)
-        assert oracle._certificate(market, 0.0, log_x) == pytest.approx(gap, rel=1e-14)
+    def test_partial_kelly_gap_counts_the_cash(self, market, cash, bets, gap):
+        assert _gap(market, 0.0, bets, cash) == pytest.approx(gap, rel=1e-14)
 
     def test_side_info_kelly_gap_sums_over_signals(self):
         market = new_side_info([[0.3, 0.1, 0.0], [0.0, 0.2, 0.4]], [2.0, 3.0, 4.0])
-        table = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]])
-        with np.errstate(divide="ignore"):
-            gap = oracle._certificate(market, 0.0, np.log(table))
+        gap = _gap(market, 0.0, [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]])
         assert gap == pytest.approx(0.6 + 0.8 - 1.0, rel=1e-14)
 
     @pytest.mark.parametrize("beta", [-1e6, -5.0, 0.0, 0.5, 1 - 1e-9])
     def test_a_possible_outcome_paying_zero_gives_inf(self, beta):
         market = new_race([0.5, 0.3, 0.2], [1.8, 3.5, 4.2])
-        log_x = np.log([0.6, 0.4, 0.0], where=[True, True, False], out=np.full(3, -math.inf))
-        assert oracle._certificate(market, beta, log_x) == math.inf
+        assert _gap(market, beta, [0.6, 0.4, 0.0]) == math.inf
         # with cash held the horse pays the cash: a finite gap
-        gap = oracle._certificate(market, beta, np.append(math.log(0.5), log_x + math.log(0.5)))
-        assert 0.0 < gap < math.inf
+        assert 0.0 < _gap(market, beta, [0.3, 0.2, 0.0], cash=0.5) < math.inf
 
     @pytest.mark.parametrize("beta", [-3.0, 0.0, 0.5, 0.999])
     def test_a_common_shift_of_one_simplex_changes_nothing(self, beta):
-        market = new_race([0.5, 0.3, 0.2], [1.8, 3.5, 4.2])
-        log_x = np.log([0.5, 0.3, 0.2])
-        gap = oracle._certificate(market, beta, log_x)
-        assert oracle._certificate(market, beta, log_x - 3.0) == pytest.approx(gap, rel=1e-12)
+        # the gap is of the point the doubles normalize to, whatever their sum
+        market, fractions = new_race([0.5, 0.3, 0.2], [1.8, 3.5, 4.2]), np.array([0.5, 0.3, 0.2])
+        gap = _gap(market, beta, fractions)
+        assert _gap(market, beta, fractions * math.exp(-3.0)) == pytest.approx(gap, rel=1e-12)
 
     def test_optimum_from_its_logs(self):
         market = new_race([0.5, 0.3, 0.2], [1.8, 3.5, 4.2])
         for beta in (-1e6, -5.0, 0.0, 0.5, 0.99, 1 - 1e-9):
-            logs = optimal_full(market, beta)._logs
-            tol = oracle._GAP_TOL * max(1.0, 1.0 - beta)
-            assert 0.0 <= oracle._certificate(market, beta, logs) <= tol
+            kind, gap, tol, _ = oracle._certify(market, beta, optimal_full(market, beta))
+            assert 0.0 <= gap <= tol
+
+
+class TestCertifyBounds:
+    """``oracle._certify`` at ``+-inf`` and ``beta >= 1``: the distance in bits of an
+    allocation's utility from the exact optimal value, the payoff bound or a vertex's."""
+
+    MARKET = new_race([0.5, 0.3, 0.2], [1.8, 3.5, 4.2])
+
+    @pytest.mark.parametrize("market", [MARKET, new_race([0.5, 0.3, 0.2], [1.5, 2.5, 3.0])])
+    @pytest.mark.parametrize("beta", [math.inf, -math.inf])
+    def test_the_limits_take_the_payoff_bound(self, market, beta):
+        best = dispatch(market, beta)
+        bound = math.log2(market.odds.max() if beta > 0 else track_constant(market))
+        kind, gap, tol, got = oracle._certify(market, beta, best)
+        assert (kind, got, tol) == ("limit_bound", bound, 1e-12)
+        assert gap == abs(utility_full(market, best, beta) - bound) <= tol
+        # the bet moved one horse on misses the bound
+        moved = strategy._trusted(Allocation, bets=np.roll(best.bets, 1))
+        assert oracle._certify(market, beta, moved)[1] > tol
+
+    @pytest.mark.parametrize("beta", [1.0, 2.0])
+    def test_beta_from_one_takes_the_vertex_bound(self, beta):
+        market, best = self.MARKET, dispatch(self.MARKET, beta)
+        bound = max(math.log2(o) + math.log2(p) / beta for p, o in zip(market.probs, market.odds))
+        kind, gap, tol, got = oracle._certify(market, beta, best)
+        assert (kind, tol) == ("vertex_bound", 1e-9) and got == pytest.approx(bound, abs=1e-15)
+        assert gap == got - utility_full(market, best, beta) and abs(gap) <= tol
+        moved = strategy._trusted(Allocation, bets=np.roll(best.bets, 1))
+        assert oracle._certify(market, beta, moved)[1] > tol
 
 
 # three tied backed horses: at beta = 0.99848 the optimum's cash is a subnormal double
@@ -694,10 +749,10 @@ class TestCertify:
     def test_an_agreeing_record_certifies_a_subnormal_cash(self):
         alloc = optimal_partial(TIED_CASH, 0.99848).allocation
         assert 0.0 < alloc.cash < np.finfo(float).tiny
-        assert oracle._certify(TIED_CASH, 0.99848, alloc) == 0.0
+        assert oracle._certify(TIED_CASH, 0.99848, alloc)[1] == 0.0
         # within a factor of 2 of the printed cash the record still agrees
         nearby = alloc._logs + [0.5, 0.0, 0.0, 0.0, 0.0]
-        assert oracle._certify(TIED_CASH, 0.99848, _recorded(alloc, _logs=nearby)) == 0.0
+        assert oracle._certify(TIED_CASH, 0.99848, _recorded(alloc, _logs=nearby))[1] == 0.0
 
     # the subnormal cash, and SUBFAIR's at beta = 0.999, which rounds to 0.0
     @pytest.mark.parametrize("market,beta", [(TIED_CASH, 0.99848), (SUBFAIR, 0.999)])
@@ -706,13 +761,13 @@ class TestCertify:
         assert alloc.cash < np.finfo(float).tiny
         logs = alloc._logs.copy()
         logs[0] = -720.0  # a subnormal cash, 15 times the tied race's
-        assert oracle._certify(market, beta, _recorded(alloc, _logs=logs)) == math.inf
+        assert oracle._certify(market, beta, _recorded(alloc, _logs=logs))[1] == math.inf
 
     def test_without_a_record_the_doubles_are_read(self):
         alloc = optimal_partial(SUBFAIR, 0.999).allocation
-        assert alloc.cash == 0.0 and oracle._certify(SUBFAIR, 0.999, alloc) == 0.0
+        assert alloc.cash == 0.0 and oracle._certify(SUBFAIR, 0.999, alloc)[1] == 0.0
         # the cash read as 0.0 leaves the second horse paying 0
-        assert oracle._certify(SUBFAIR, 0.999, _recorded(alloc)) == math.inf
+        assert oracle._certify(SUBFAIR, 0.999, _recorded(alloc))[1] == math.inf
 
 
 class TestSimulateGrowth:

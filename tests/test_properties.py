@@ -20,6 +20,7 @@ from powerbet import (
     cond_renyi_div,
     decompose_full,
     decompose_side_info,
+    dispatch,
     kkt_residual,
     new_race,
     new_side_info,
@@ -32,7 +33,7 @@ from powerbet import (
     utility_side_info,
 )
 from powerbet.cli import main
-from powerbet.oracle import _GAP_TOL, _certificate, _certify
+from powerbet.oracle import _certify
 
 from test_divergence import _kernel_tolerance
 
@@ -112,11 +113,10 @@ def side_info_markets(draw):
 
 
 def _certified(market, beta, alloc):
-    """The certificate holds on the logs the optimizer recorded with ``alloc``, and on
-    the logs ``optimize --check`` reads from its doubles."""
-    tol = _GAP_TOL * max(1.0, abs(1.0 - beta))
-    assert 0.0 <= _certificate(market, beta, alloc._logs) <= tol
-    assert 0.0 <= _certify(market, beta, alloc) <= tol
+    """The certificate holds on the logs ``optimize --check`` reads from the doubles of
+    ``alloc``, its optimizer's record below the normal doubles."""
+    kind, gap, tol, _ = _certify(market, beta, alloc)
+    assert kind == "certificate" and 0.0 <= gap <= tol
 
 
 @settings(max_examples=400, derandomize=True, deadline=None, database=None)
@@ -179,6 +179,38 @@ def test_decompositions_hold_at_the_optima_in_every_kernel_regime(market, side, 
     report = decompose_side_info(side, table, beta)
     _no_nan(report)
     assert report.residual < 1e-9
+
+
+def _floored(draw, shape):
+    """A PMF of ``shape`` whose entries are floored at 1e-290."""
+    size = math.prod(shape)
+    cells = draw(st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size))
+    v = np.maximum(np.reshape(cells, shape) / max(sum(cells), 1e-300), 1e-290)
+    return v / v.sum()
+
+
+@st.composite
+def wide_markets(draw):
+    """A race of 2 to 16 horses and a side-info market of 2 to 4 signals over them, with
+    odds ``10^U(-290, 290)`` and probabilities floored at 1e-290."""
+    m, n = draw(st.integers(2, 16)), draw(st.integers(2, 4))
+    odds = 10.0 ** np.array(draw(st.lists(st.floats(-290, 290), min_size=m, max_size=m)))
+    return new_race(_floored(draw, (m,)), odds), new_side_info(_floored(draw, (n, m)), odds)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(markets=wide_markets(), beta=st.sampled_from([-5.0, -0.5, 0.0, 0.5, 0.9, 1.0 - 1e-9]))
+def test_optima_are_certified_at_odds_over_580_decades(markets, beta):
+    # every optimizer's optimum holds its certificate, and nothing reads NaN
+    race, side = markets
+    full, partial = dispatch(race, beta), optimal_partial(race, beta)
+    table, _ = optimal_side_info(side, beta)
+    for market, alloc in ((race, full), (race, partial.allocation), (side, table)):
+        _certified(market, beta, alloc)
+        assert not math.isnan(utility_full(market, alloc, beta))
+    assert not math.isnan(partial.utility)
+    _no_nan(decompose_full(race, full, beta))
+    _no_nan(decompose_side_info(side, table, beta))
 
 
 @st.composite

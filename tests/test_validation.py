@@ -503,8 +503,8 @@ def test_partial_dispatch_takes_a_beta_next_to_one():
     fractions = np.append(sol.allocation.cash, sol.allocation.bets)
     assert np.all(np.isfinite(fractions)) and np.all(fractions >= 0.0)
     assert fractions.sum() == pytest.approx(1.0, abs=1e-15)
-    gap = powerbet.oracle._certificate(RACE, beta, sol.allocation._logs)
-    assert 0.0 <= gap <= powerbet.oracle._GAP_TOL
+    _, gap, tol, _ = powerbet.oracle._certify(RACE, beta, sol.allocation)
+    assert 0.0 <= gap <= tol == powerbet.oracle._GAP_TOL
 
 
 FINITE_ONLY_CALLS = {
