@@ -5,9 +5,9 @@ utility, decomposition, optional certificate), ``simulate`` (seeded wealth
 trajectories), ``divergence`` (plain and conditional divergences).
 
 ``optimize --check`` prints the one verdict of ``oracle._certify``: at finite ``beta < 1``,
-in every mode, the printed doubles are the correctly rounded fractions of a point whose
-Frank-Wolfe gap (nats of ``ln M_beta`` below the optimum) is at most the printed bound;
-at ``beta >= 1`` and ``+-inf`` the printed value meets an exact bound on the optimal value.
+in every mode, the printed doubles are the fractions, correctly rounded or within 2^-1074, of
+a point whose Frank-Wolfe gap (nats of ``ln M_beta`` below the optimum) is at most the printed
+bound; at ``beta >= 1`` and ``+-inf`` the printed value meets an exact bound on the optimal value.
 
 Race spec files are JSON documents::
 
@@ -260,9 +260,6 @@ def _optimize_full(market: RaceMarket | SideInfoMarket, beta: float, out: dict):
     else:
         alloc = strategy.dispatch(market, beta)
         out["allocation"] = {"type": "full", "bets": _floats(alloc.bets)}
-    report = utility.decompose_full(market, alloc, beta) if -math.inf < beta < 1.0 else None
-    out["decomposition"] = None if report is None else asdict(report)
-    out["utility_bits"] = report.direct if report else utility.utility_full(market, alloc, beta)
     return alloc
 
 
@@ -276,7 +273,6 @@ def _optimize_partial(market: RaceMarket, beta: float, out: dict):
         "gamma_cap": sol.gamma_cap,
         "gammas": None if sol.gammas is None else _floats(sol.gammas),
     }
-    out["utility_bits"] = sol.utility
     return sol.allocation
 
 
@@ -294,7 +290,6 @@ def cmd_optimize(args) -> tuple[dict, int]:
         "input": doc,
         "mode": mode,
         "beta": _beta_label(beta),
-        "decomposition": None,
         "oracle_check": None,
     }
     market = _parse_side_info(doc) if mode == "side-info" else _parse_race(doc)
@@ -304,10 +299,13 @@ def cmd_optimize(args) -> tuple[dict, int]:
     optimize = _optimize_partial if mode == "partial" else _optimize_full
     with _naming(field, BetaOutOfRangeError):  # |beta| past the cap
         alloc = optimize(market, beta, out)
+    report = utility.decompose_full(market, alloc, beta) if -math.inf < beta < 1.0 else None
+    out["decomposition"] = None if report is None else asdict(report)
+    out["utility_bits"] = report.direct if report else utility.utility_full(market, alloc, beta)
     if not args.check:
         return out, 0
     out["oracle_check"], code = _check(market, mode, beta, out["utility_bits"], alloc, args)
-    if out["decomposition"] and out["decomposition"]["residual"] > oracle._VALUE_TOL:
+    if report and report.residual > oracle._VALUE_TOL:
         out["oracle_check"]["passed"], code = False, 4  # the printed identity does not hold
     return out, code
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import _log, _log2_power_mean, _logsumexp
+from .divergence import _NORMAL_MIN, _log, _log2_power_mean, _logsumexp
 from .errors import BetaOutOfRangeError, InvalidDistributionError, NotApplicableError
 from .errors import LengthMismatchError
 from .market import (
@@ -171,19 +171,30 @@ def _log_weights(log_p: np.ndarray, log_o: np.ndarray, beta: float, log_p_y=None
     return scores - inner[:, None], signal_scores - _logsumexp(signal_scores)
 
 
+def _floored(bets: np.ndarray, beta: float, logs=None) -> np.ndarray:
+    """``bets``, in place, below ``beta = 0``, where a 0.0 reads as ``-inf``: a positive fraction
+    that rounds to 0.0 (a finite log) is 2^-1074; at ``-inf`` each subnormal one rounds up."""
+    if beta == -math.inf:  # one step up, so no payoff b o falls below c by more than rounding
+        np.nextafter(bets, 1.0, out=bets, where=bets < _NORMAL_MIN)
+    elif beta < 0.0:
+        bets[(bets == 0.0) & (logs > -math.inf)] = math.ulp(0.0)
+    return bets
+
+
 def optimal_full(market: RaceMarket, beta: float) -> Allocation:
     """Unique full-investment optimum for finite ``beta < 1``.
 
     The optimal fraction on horse ``i`` is proportional to
-    ``p_i^(1/(1-beta)) * o_i^(beta/(1-beta))``, normalized in the log domain
-    so parameters close to 1 do not overflow; there the smallest fractions
-    may underflow to 0.
+    ``p_i^(1/(1-beta)) * o_i^(beta/(1-beta))``, normalized in the log domain so parameters
+    close to 1 do not overflow; there the smallest fractions may underflow to 0.  Below
+    ``beta = 0``, where a 0.0 would make the utility ``-inf``, such a fraction is 2^-1074.
     """
     _require(RaceMarket, market, "optimal_full")
     beta = _check_interior_beta(beta)
     logs = _log_weights(market._log_p, market._log_o, beta)
     weights = np.exp(logs)
-    return _trusted(Allocation, bets=weights / weights.sum(), _logs=logs, _of=(market, beta, logs))
+    bets = _floored(weights / weights.sum(), beta, logs)
+    return _trusted(Allocation, bets=bets, _logs=logs, _of=(market, beta, logs))
 
 
 def kelly(market: RaceMarket) -> Allocation:
@@ -200,13 +211,14 @@ def optimal_side_info(
     Returns the per-signal optimal rows together with the auxiliary signal
     weights ``g(y)`` proportional to
     ``p(y) * [sum_x p(x|y)^(1/(1-beta)) o(x)^(beta/(1-beta))]^(1-beta)``.
-    Horses that cannot win under a signal get a zero fraction in that row.
+    Horses that cannot win under a signal get a zero fraction in that row; below
+    ``beta = 0`` any other fraction that rounds to 0.0 is 2^-1074, as in :func:`optimal_full`.
     """
     _require(SideInfoMarket, market, "optimal_side_info")
     beta = _check_interior_beta(beta)
     log_table, log_g_y = logs = _log_weights(market._log_cond, market._log_o, beta, market._log_p_y)
     table = np.exp(log_table)
-    table /= table.sum(axis=1, keepdims=True)
+    table = _floored(table / table.sum(axis=1, keepdims=True), beta, log_table)
     bets = _trusted(ConditionalAllocation, table=table, _logs=log_table, _of=(market, beta, logs))
     return bets, np.exp(log_g_y)
 
@@ -283,12 +295,12 @@ def fold_cash_into_bets(market: RaceMarket, partial: PartialAllocation) -> Alloc
 def dispatch(market: RaceMarket, beta: float) -> Allocation:
     """The full-investment optimum for any ``beta``, in its regime's closed form.
 
-    ``beta = 0.0`` gives proportional betting (:func:`kelly`) and any other finite
-    ``beta < 1`` the interior optimum (:func:`optimal_full`).  For ``beta >= 1``
-    everything goes on the horse maximizing ``p_i^(1/beta) o_i``; at ``+inf`` on the
-    longest odds; at ``-inf`` the bets are ``b_i = c / o_i``, which replicate the
-    track constant risk-free, so the wealth relative is ``c`` whoever wins.  Argmax
-    ties go to the smallest index; other maximizers may exist.  With cash allowed
+    ``beta = 0.0`` gives proportional betting (:func:`kelly`) and any other finite ``beta < 1``
+    the interior optimum (:func:`optimal_full`).  For ``beta >= 1`` everything goes on the horse
+    maximizing ``p_i^(1/beta) o_i``; at ``+inf`` on the longest odds; at ``-inf`` the bets are
+    ``b_i = c / o_i``, rounded up where that is subnormal (so none is 0.0), which replicate the
+    track constant risk-free: the wealth relative is ``c`` whoever wins, or more where rounded
+    up.  Argmax ties go to the smallest index; other maximizers may exist.  With cash allowed
     the optimum is ``optimal_partial(market, beta).allocation``, for finite ``beta < 1``.
     """
     _require(RaceMarket, market, "dispatch")
@@ -300,7 +312,7 @@ def dispatch(market: RaceMarket, beta: float) -> Allocation:
     _check_beta(beta)  # NaN and beta > BETA_ABS_MAX raise
     if beta == -math.inf:
         r = bookie_distribution(market)
-        return _trusted(Allocation, bets=r / r.sum())
+        return _trusted(Allocation, bets=_floored(r / r.sum(), beta))
     # the odds themselves at +inf: distinct odds near 1e300 can share a log
     scores = market.odds if beta == math.inf else market._log_p / beta + market._log_o
     bets = np.zeros(market.m)

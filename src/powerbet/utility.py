@@ -34,13 +34,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .divergence import _cond_renyi_from_logs, _log, _log2_power_mean, _power_mean_read
-from .divergence import _renyi_from_logs
-from .errors import NotApplicableError
+from .divergence import _LN2, _cond_renyi_from_logs, _log, _log2_power_mean, _logsumexp
+from .divergence import _power_mean_read, _renyi_from_logs
 from .market import RaceMarket, SideInfoMarket
 from .strategy import (
     Allocation,
-    ConditionalAllocation,
     PartialAllocation,
     _Bet,
     _check_beta,
@@ -93,21 +91,22 @@ def limit_utilities(market: RaceMarket, b: Allocation) -> tuple[float, float]:
 
 
 def decompose_full(
-    market: RaceMarket | SideInfoMarket, b: Allocation | ConditionalAllocation, beta: float
+    market: RaceMarket | SideInfoMarket, b: _Bet, beta: float
 ) -> DecompositionReport:
-    """Three-term report of a full-investment allocation, finite ``beta < 1``, in either
-    market kind: :func:`decompose_side_info` is this function, a race the one-row case.
+    """Three-term report of any allocation, finite ``beta < 1``, in either market kind:
+    :func:`decompose_side_info` is this function, a race the one-row case.
 
     The gambler term is evaluated from the optimum's log-weights, so optimal fractions
     that underflow to 0 near ``beta = 1`` still count: when ``b`` is this market's
     optimum at this ``beta``, those its optimizer recorded on it, else solved afresh.  A
-    :class:`PartialAllocation` raises :class:`NotApplicableError`: its cash is no term here.
+    :class:`PartialAllocation` reads as a full bet: its cash pays what the bets ``cash / o``
+    pay, so it is ``b'' = (b + cash / o) / s`` on the odds ``s o``, ``s = 1 - cash + cash / c``,
+    which keep ``r`` and the optimum.  ``log_c`` is then ``log2(c s)``, and ``ln b''`` comes
+    from the logged payoffs ``cash + b o``, so a payoff below the normal range still counts.
     """
-    if isinstance(b, PartialAllocation):
-        raise NotApplicableError("the three-term split is of full-investment allocations")
     beta = _check_interior_beta(beta)
     direct = utility_full(market, b, beta)
-    log_o, c = market._log_o, market._c
+    log_o, c, log_c = market._log_o, market._c, math.log2(market._c)
     log_r, alpha = math.log(c) - log_o, 1.0 / (1.0 - beta)  # r = c / o
     side = isinstance(market, SideInfoMarket)
     log_p, log_p_y = (market._log_cond, market._log_p_y) if side else (market._log_p, None)
@@ -119,8 +118,11 @@ def decompose_full(
         log_g, log_b = logs[0] + log_g_y, _log(b.table) + log_g_y
     else:
         bookie, log_g, log_b = _renyi_from_logs(log_p, log_r, alpha), logs, _log(b.bets)
+    if isinstance(b, PartialAllocation):  # ln(b + cash / o) = ln payoff - ln o, summing to s
+        log_b = _power_mean_read(*_outcomes(market, b), 0.0) - log_o
+        log_s = _logsumexp(log_b)
+        log_b, log_c = log_b - log_s, log_c + log_s / _LN2
     gambler = _renyi_from_logs(log_g, log_b, 1.0 - beta, t=-beta)  # the exact tilt
-    log_c = math.log2(c)
     total = log_c + bookie - gambler
     residual = 0.0 if total == direct else abs(total - direct)  # matching infinities: 0, not NaN
     return DecompositionReport(log_c, bookie, gambler, total, direct, residual)
@@ -129,9 +131,7 @@ def decompose_full(
 decompose_side_info = decompose_full
 
 
-def decompose_kelly(
-    market: RaceMarket | SideInfoMarket, b: Allocation | ConditionalAllocation
-) -> DecompositionReport:
+def decompose_kelly(market: RaceMarket | SideInfoMarket, b: _Bet) -> DecompositionReport:
     """KL report for the doubling rate, ``log c + D(p||r) - D(p||b)``: the
     ``beta = 0`` report of :func:`decompose_full`."""
     return decompose_full(market, b, 0.0)

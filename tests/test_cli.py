@@ -777,11 +777,51 @@ class TestCheck:
         assert doc["decomposition"]["residual"] < 1e-9
         assert doc["oracle_check"]["passed"] is True
 
+    @pytest.mark.parametrize("beta", ["-5", "-1e6", "-inf"])
+    def test_an_optimal_bet_below_the_subnormals_prints_positive(self, capsys, tmp_path, beta):
+        # the 1e200 horse's optimal bet lies below 2^-1074 (its bookie weight c / o is about
+        # 1e-400): it prints as 2^-1074, not 0.0, so the utility is finite and the check passes
+        spec = _write(tmp_path, "pair.json", PAIR_SPEC)
+        code, out = run(capsys, "optimize", spec, f"--beta={beta}", "--check")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["allocation"]["bets"][1] == 2.0**-1074
+        assert math.isfinite(doc["utility_bits"])
+        assert doc["oracle_check"]["passed"] is True
+        if beta == "-inf":  # the bet pays more than c on that horse, and c on the others
+            assert doc["utility_bits"] == pytest.approx(math.log2(PAIR_C), abs=1e-12)
+
+    def test_partial_mode_prints_its_report_and_keeps_its_residual_rule(
+        self, capsys, monkeypatch, subfair_spec
+    ):
+        argv = ["optimize", subfair_spec, "--beta", "0.5", "--mode", "partial", "--check"]
+        code, out = run(capsys, *argv)
+        assert code == 0
+        honest = json.loads(out)
+        report, cash = honest["decomposition"], honest["allocation"]["cash"]
+        assert report["direct"] == honest["utility_bits"] and report["residual"] < 1e-9
+        # the cash is a bet cash / o on every horse: c = 0.75 scales by s = 1 - cash + cash / c
+        assert report["log_c"] == pytest.approx(math.log2(0.75 * (1 - cash + cash / 0.75)))
+        decompose = utility.decompose_full
+        monkeypatch.setattr(
+            utility,
+            "decompose_full",
+            lambda *args: dataclasses.replace(decompose(*args), residual=1.0),
+        )
+        code, out = run(capsys, *argv)
+        assert code == 4
+        assert json.loads(out)["oracle_check"] == {**honest["oracle_check"], "passed": False}
+
 
 UNDERFLOW_SPEC = {
     "horses": [{"p": 1.0, "odds": 2.0}, {"p": 1e-200, "odds": 1e-200}],
     "side_info": {"signals": ["a", "b"], "joint": [[0.5, 1e-200], [0.5, 0.0]]},
 }
+# odds 1e+-200: the bookie weight c / o of the 1e200 horse is about 1e-400
+PAIR_SPEC = {
+    "horses": [{"p": 0.2, "odds": 3.0}, {"p": 0.5, "odds": 1e200}, {"p": 0.3, "odds": 1e-200}]
+}
+PAIR_C = 1.0 / (1.0 / 3.0 + 1e-200 + 1e200)
 
 
 class TestSimulate:
@@ -804,6 +844,15 @@ class TestSimulate:
         values = [float(line.split(",")[1]) for line in csv_part]
         increments = np.diff([0.0] + values)
         np.testing.assert_allclose(increments, math.log2(0.75), rtol=1e-12)
+
+    def test_bookie_mix_with_a_bet_below_the_subnormals_is_not_ruined(self, capsys, tmp_path):
+        # the 1e200 horse's bet c / o rounds up to 2^-1074, so no race pays less than c
+        spec = _write(tmp_path, "pair.json", PAIR_SPEC)
+        code, out = run(capsys, "simulate", spec, "--beta=-inf", "-n", "1000", "--seed", "3")
+        assert code == 0
+        summary = json.loads(out[out.index("{") :])
+        assert summary["allocation"]["bets"][1] == 2.0**-1074
+        assert summary["empirical_rate_bits"] >= math.log2(PAIR_C)
 
     def test_output_file(self, capsys, fair_spec, tmp_path):
         target = tmp_path / "traj.csv"

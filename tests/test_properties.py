@@ -7,6 +7,7 @@ import json
 import math
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -198,19 +199,68 @@ def wide_markets(draw):
     return new_race(_floored(draw, (m,)), odds), new_side_info(_floored(draw, (n, m)), odds)
 
 
+WIDE_BETAS = [-math.inf, -1e6, -1000.0, -5.0, -0.5, -1e-300, 0.0, 1e-300, 0.5, 0.9, 1.0 - 1e-9]
+
+
 @settings(max_examples=400, derandomize=True, deadline=None, database=None)
-@given(markets=wide_markets(), beta=st.sampled_from([-5.0, -0.5, 0.0, 0.5, 0.9, 1.0 - 1e-9]))
+@given(markets=wide_markets(), beta=st.sampled_from(WIDE_BETAS))
 def test_optima_are_certified_at_odds_over_580_decades(markets, beta):
-    # every optimizer's optimum holds its certificate, and nothing reads NaN
+    # every optimizer's optimum holds its certificate, and every utility is finite: below
+    # beta = 0 no positive optimal fraction prints as 0.0, though some lie below 2^-1074
     race, side = markets
-    full, partial = dispatch(race, beta), optimal_partial(race, beta)
+    full = dispatch(race, beta)
+    if beta == -math.inf:  # the bookie mix, the one optimum there: it pays c whoever wins
+        kind, gap, tol, bound = _certify(race, beta, full)
+        assert kind == "limit_bound" and 0.0 <= gap <= tol
+        assert math.isfinite(utility_full(race, full, beta)) and math.isfinite(bound)
+        return
+    partial = optimal_partial(race, beta)
     table, _ = optimal_side_info(side, beta)
     for market, alloc in ((race, full), (race, partial.allocation), (side, table)):
         _certified(market, beta, alloc)
-        assert not math.isnan(utility_full(market, alloc, beta))
-    assert not math.isnan(partial.utility)
+        assert math.isfinite(utility_full(market, alloc, beta))
+    assert math.isfinite(partial.utility)
     _no_nan(decompose_full(race, full, beta))
     _no_nan(decompose_side_info(side, table, beta))
+
+
+@st.composite
+def partial_bets(draw):
+    """A race of 2 to 8 horses with odds ``10^U(-290, 290)`` and probabilities floored at
+    1e-290, and a partial bet on it: cash from about 0 to about 1, bets floored at 1e-290
+    but for the last horses, unbacked where some cash pays them."""
+    m = draw(st.integers(2, 8))
+    odds = 10.0 ** np.array(draw(st.lists(st.floats(-290, 290), min_size=m, max_size=m)))
+    near = st.floats(-300.0, -1.0).map(lambda e: 10.0**e)
+    cash = draw(st.one_of(st.floats(0.0, 1.0), near, near.map(lambda v: 1.0 - max(v, 1e-16))))
+    bets = _floored(draw, (m,))
+    if cash > 0.0:
+        bets[draw(st.integers(1, m)) :] = 0.0
+    bet = PartialAllocation(cash, (1.0 - cash) * bets / bets.sum())
+    return new_race(_floored(draw, (m,)), odds), bet
+
+
+PARTIAL_BETAS = [-1e6, -1000.0, -5.0, -0.5, -1e-9, -5e-324, 0.0, 5e-324, 1e-9, 0.5, 0.9]
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(drawn=partial_bets(), beta=st.sampled_from(PARTIAL_BETAS + [1.0 - 1e-9]))
+def test_a_partial_bet_reports_as_a_full_bet_on_scaled_odds(drawn, beta):
+    # the cash pays what the bets cash / o do: the split of the full bet (b + cash / o) / s on
+    # the odds s o, s = 1 - cash + cash / c, holds for random bets and the optimum alike
+    race, bet = drawn
+    optimum = optimal_partial(race, beta).allocation
+    for alloc in (bet, optimum):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = decompose_full(race, alloc, beta)
+        _no_nan(report)
+        assert report.residual < 1e-9, report
+        if alloc.cash == 0.0:  # no cash, as at c >= 1: the full report of the same bets
+            full = decompose_full(race, Allocation(alloc.bets), beta)
+            for name, value in vars(report).items():
+                other = getattr(full, name)
+                assert value == other or abs(value - other) <= 1e-12, (name, report, full)
 
 
 @st.composite

@@ -23,6 +23,7 @@ from powerbet import (
     Allocation,
     BetaOutOfRangeError,
     ConditionalAllocation,
+    DecompositionReport,
     GridSpec,
     InvalidDistributionError,
     LengthMismatchError,
@@ -376,9 +377,6 @@ WRONG_KIND_CALLS = {
     "fold_cash_into_bets.table": lambda: fold_cash_into_bets(
         FAIR, ConditionalAllocation([FAIR.probs])
     ),
-    # the three-term split reads the bets as fully invested: it would leave the cash out
-    "decompose_full.partial": lambda: decompose_full(RACE, HALF_CASH, 0.5),
-    "decompose_kelly.partial": lambda: decompose_kelly(RACE, HALF_CASH),
     # one report takes either market kind, but only with its own allocation kind
     "decompose_full.table_on_a_race": lambda: decompose_full(
         RACE, ConditionalAllocation([RACE.probs]), 0.5
@@ -393,6 +391,23 @@ WRONG_KIND_CALLS = {
 def test_allocation_of_the_wrong_kind_is_not_applicable(name):
     with pytest.raises(NotApplicableError):
         WRONG_KIND_CALLS[name]()
+
+
+PARTIAL_REPORTS = {
+    "decompose_full.partial": (lambda: decompose_full(RACE, HALF_CASH, 0.5), 0.5),
+    "decompose_kelly.partial": (lambda: decompose_kelly(RACE, HALF_CASH), 0.0),
+}
+
+
+@pytest.mark.parametrize("name", list(PARTIAL_REPORTS))
+def test_a_partial_allocation_has_an_exact_report(name):
+    # the cash pays what the bets cash / o do: a full bet on the odds s o, s = 1 - cash + cash / c,
+    # here 1 - 0.5 + 0.5 * 7/8, so the first term is log2(c s) = log2(8/7 * 15/16)
+    call, beta = PARTIAL_REPORTS[name]
+    report = call()
+    assert report.residual < 1e-9
+    assert report.direct == utility_partial(RACE, HALF_CASH, beta)
+    assert report.log_c == pytest.approx(math.log2(15 / 14), abs=1e-15)
 
 
 NEEDS_KIND_CALLS = {
@@ -484,9 +499,11 @@ def test_every_market_function_returns_or_raises_a_powerbet_error(name, market, 
             fn(*args)
         return
     try:
-        fn(*args)
+        value = fn(*args)
     except PowerbetError:
-        pass
+        return
+    if isinstance(value, DecompositionReport):  # every returned report's identity holds
+        assert value.residual < 1e-9
 
 
 @pytest.mark.parametrize("beta", [math.inf, -math.inf, 1.0, math.nan, 2.0, -1e7])
